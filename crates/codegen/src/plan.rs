@@ -12,10 +12,8 @@
 //! would have (which loops exist, in which order, how they are parallelized,
 //! over which structure sets they iterate, and where every submatrix lives in
 //! CDS).  The executor in `matrox-exec` interprets the plan with
-//! monomorphized kernels; [`crate::emit::emit_source`] additionally renders
-//! the plan as specialized source text, mirroring the `matmul.h` file the
-//! original framework writes to disk (Figure 2).  See DESIGN.md
-//! substitution S3.
+//! monomorphized kernels, in place of the `matmul.h` file the original
+//! framework writes to disk (Figure 2).  See DESIGN.md substitution S3.
 
 use matrox_analysis::{BlockSet, Cds, CoarsenSet};
 

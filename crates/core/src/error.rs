@@ -14,11 +14,10 @@
 //!   evaluation cannot take down a serving process;
 //! * nothing in this crate aborts.
 //!
-//! The granular lower-level errors ([`IoError`], [`FactorError`],
-//! [`NotPositiveDefinite`]) are absorbed
-//! via `From` impls so `?` composes across the crate boundaries.
+//! The granular lower-level errors ([`FactorError`],
+//! [`NotPositiveDefinite`]) are absorbed via `From` impls so `?` composes
+//! across the crate boundaries.
 
-use crate::io::IoError;
 use matrox_factor::FactorError;
 use matrox_linalg::NotPositiveDefinite;
 
@@ -93,15 +92,6 @@ impl From<std::io::Error> for MatroxError {
     }
 }
 
-impl From<IoError> for MatroxError {
-    fn from(e: IoError) -> Self {
-        match e {
-            IoError::Io(e) => MatroxError::Io(e),
-            IoError::Format(m) => MatroxError::Format(m),
-        }
-    }
-}
-
 impl From<NotPositiveDefinite> for MatroxError {
     fn from(e: NotPositiveDefinite) -> Self {
         MatroxError::NumericalBreakdown(e.to_string())
@@ -145,10 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn io_errors_map_onto_the_taxonomy() {
-        let e: MatroxError = IoError::Format("truncated".into()).into();
-        assert!(matches!(e, MatroxError::Format(_)));
-        let e: MatroxError = IoError::Io(std::io::Error::other("disk gone")).into();
+    fn filesystem_errors_keep_their_source() {
+        let e: MatroxError = std::io::Error::other("disk gone").into();
         assert!(matches!(e, MatroxError::Io(_)));
         assert!(std::error::Error::source(&e).is_some());
     }

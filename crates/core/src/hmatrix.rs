@@ -3,7 +3,7 @@
 use crate::error::MatroxError;
 use crate::failpoint;
 use crate::timings::InspectorTimings;
-use matrox_codegen::{emit_source, EvalPlan};
+use matrox_codegen::EvalPlan;
 use matrox_exec::{execute, ExecOptions};
 use matrox_factor::{factor_with_ridge, FactorError, HssFactor};
 use matrox_linalg::{all_finite, frobenius_norm, relative_error, KernelChoice, Matrix};
@@ -148,17 +148,6 @@ impl HMatrix {
     pub fn compression_ratio(&self) -> f64 {
         let dense = (self.dim() * self.dim() * std::mem::size_of::<f64>()) as f64;
         dense / self.plan.storage_bytes().max(1) as f64
-    }
-
-    /// Render the specialized evaluation code for this matrix (the
-    /// `matmul.h` artifact of Figure 2).
-    pub fn generated_code(&self) -> String {
-        emit_source(&self.plan, "matmul")
-    }
-
-    /// Write the generated code to a file.
-    pub fn write_generated_code(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.generated_code())
     }
 
     /// The starting diagonal shift of the breakdown-recovery loop, scaled

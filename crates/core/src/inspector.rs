@@ -355,15 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn generated_code_is_rendered() {
-        let pts = small_points();
-        let kernel = Kernel::paper_gaussian();
-        let h = inspector(&pts, &kernel, &MatRoxParams::h2b().with_leaf_size(32)).expect("inspect");
-        let code = h.generated_code();
-        assert!(code.contains("pub fn matmul"));
-    }
-
-    #[test]
     fn poisoned_or_empty_inputs_are_rejected() {
         use crate::error::MatroxError;
         let kernel = Kernel::Gaussian { bandwidth: 1.0 };

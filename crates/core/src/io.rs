@@ -6,18 +6,29 @@
 //! [`HMatrix`] handle: the cluster tree, the structure sets, the lowering
 //! decisions and the CDS buffers.  The format is little-endian and versioned
 //! by a magic header.
+//!
+//! Bytes are written and read through the hardened cursor of [`crate::wire`]
+//! (length fields capped by the bytes remaining, canonical bools, no panics).
+//! What this module adds is the knowledge of the format: enum tags, the
+//! minimum encoded size of each table's elements, finite-float screening of
+//! parameters and value buffers, and the cross-checks of the decoded
+//! structures against each other (tree topology vs. rank arrays vs. block
+//! offsets) before a handle is returned.  The contract enforced by the
+//! corruption-fuzz suite is: for any byte stream, a reader either returns
+//! `Err(Format)` or a value whose re-encoding is bitwise identical to the
+//! consumed input — never a panic, never an allocation larger than the
+//! stream itself.
 
 use crate::error::MatroxError;
 use crate::hmatrix::{FactoredHMatrix, HMatrix};
 use crate::timings::InspectorTimings;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{WireReader, WireWriter};
 use matrox_analysis::{BlockSet, Cds, CdsBlockEntry, CoarsenSet, GeneratorEntry, GroupRange};
 use matrox_codegen::{EvalPlan, LoweringDecisions};
 use matrox_factor::{FactorTimings, HssFactor, LeafFactor, MergeFactor};
 use matrox_linalg::{LuFactors, Matrix};
 use matrox_points::Kernel;
 use matrox_tree::{ClusterTree, Structure, TreeNode};
-use std::io;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MATROX01";
@@ -25,222 +36,88 @@ const MAGIC: &[u8; 8] = b"MATROX01";
 /// matrix followed by its ULV-style factorization.
 const MAGIC_FACTORED: &[u8; 8] = b"MATROXF1";
 
-/// Error type for (de)serialization failures.
-#[derive(Debug)]
-pub enum IoError {
-    /// Underlying filesystem error.
-    Io(io::Error),
-    /// The byte stream is not a valid HMatrix file.
-    Format(String),
-}
-
-impl std::fmt::Display for IoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoError::Io(e) => write!(f, "io error: {e}"),
-            IoError::Format(m) => write!(f, "format error: {m}"),
-        }
-    }
-}
-impl std::error::Error for IoError {}
-impl From<io::Error> for IoError {
-    fn from(e: io::Error) -> Self {
-        IoError::Io(e)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// primitive helpers
-// ---------------------------------------------------------------------------
-//
-// The readers treat the stream as UNTRUSTED: every length field is validated
-// against the bytes actually remaining before anything is allocated, every
-// bool and enum tag must be canonical, and decoded structures are
-// cross-checked against each other (tree topology vs. rank arrays vs. block
-// offsets) before the handle is returned.  The contract enforced by the
-// corruption-fuzz suite is: for any byte stream, a reader either returns
-// `Err(Format)` or a value whose re-encoding is bitwise identical to the
-// consumed input — never a panic, never an allocation larger than the
-// stream itself.
-
-fn format_err<T>(msg: impl Into<String>) -> Result<T, IoError> {
-    Err(IoError::Format(msg.into()))
-}
-
-/// Read an element count that precedes `elem_bytes`-sized elements,
-/// rejecting counts that could not possibly fit in the remaining stream.
-/// This caps every downstream `Vec::with_capacity` at the stream length, so
-/// an adversarial 80-byte file cannot request a multi-GiB allocation.
-fn get_len(buf: &mut Bytes, elem_bytes: usize, what: &str) -> Result<usize, IoError> {
-    let len = get_usize(buf)?;
-    match len.checked_mul(elem_bytes) {
-        Some(total) if total <= buf.remaining() => Ok(len),
-        _ => format_err(format!(
-            "{what} length {len} exceeds the {} bytes remaining",
-            buf.remaining()
-        )),
-    }
-}
-
-fn put_usize(buf: &mut BytesMut, v: usize) {
-    buf.put_u64_le(v as u64);
-}
-
-fn get_usize(buf: &mut Bytes) -> Result<usize, IoError> {
-    if buf.remaining() < 8 {
-        return Err(IoError::Format("unexpected end of stream".into()));
-    }
-    Ok(buf.get_u64_le() as usize)
-}
-
-fn put_f64(buf: &mut BytesMut, v: f64) {
-    buf.put_f64_le(v);
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, IoError> {
-    if buf.remaining() < 8 {
-        return Err(IoError::Format("unexpected end of stream".into()));
-    }
-    Ok(buf.get_f64_le())
-}
-
-/// [`get_f64`] for fields that must be finite in any valid model (kernel
-/// parameters, accuracies, geometry): a NaN or infinity here is corruption,
-/// and accepting it would poison every later evaluation.
-fn get_finite_f64(buf: &mut Bytes, what: &str) -> Result<f64, IoError> {
-    let v = get_f64(buf)?;
-    if !v.is_finite() {
-        return format_err(format!("{what} is not finite ({v})"));
-    }
-    Ok(v)
-}
-
-fn put_usize_vec(buf: &mut BytesMut, v: &[usize]) {
-    put_usize(buf, v.len());
-    for &x in v {
-        put_usize(buf, x);
-    }
-}
-
-fn get_usize_vec(buf: &mut Bytes) -> Result<Vec<usize>, IoError> {
-    let len = get_len(buf, 8, "usize vector")?;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(get_usize(buf)?);
-    }
-    Ok(v)
-}
-
-fn put_f64_vec(buf: &mut BytesMut, v: &[f64]) {
-    put_usize(buf, v.len());
-    for &x in v {
-        put_f64(buf, x);
-    }
-}
-
-fn get_f64_vec(buf: &mut Bytes) -> Result<Vec<f64>, IoError> {
-    let len = get_len(buf, 8, "f64 vector")?;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(get_f64(buf)?);
-    }
+/// A count-prefixed value buffer.  No valid model stores a NaN or infinity,
+/// and accepting one would poison every later evaluation.
+fn get_values(r: &mut WireReader<'_>, what: &str) -> Result<Vec<f64>, MatroxError> {
+    let v = r.take_f64_vec(what)?;
     if !matrox_linalg::all_finite(&v) {
-        return format_err("value buffer contains non-finite entries");
+        return Err(MatroxError::Format(format!(
+            "{what} contains non-finite entries"
+        )));
     }
     Ok(v)
-}
-
-fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(v as u8);
-}
-
-fn get_bool(buf: &mut Bytes) -> Result<bool, IoError> {
-    if buf.remaining() < 1 {
-        return Err(IoError::Format("unexpected end of stream".into()));
-    }
-    // Only the canonical encodings are accepted: a corrupted flag byte must
-    // surface as an error, not silently normalize on the next save.
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => format_err(format!("non-canonical bool byte {b:#04x}")),
-    }
 }
 
 // ---------------------------------------------------------------------------
 // component encoders
 // ---------------------------------------------------------------------------
 
-fn put_structure(buf: &mut BytesMut, s: &Structure) {
+fn put_structure(w: &mut WireWriter, s: &Structure) {
     match s {
         Structure::Hss => {
-            buf.put_u8(0);
-            put_f64(buf, 0.0);
+            w.put_u8(0);
+            w.put_f64(0.0);
         }
         Structure::Geometric { tau } => {
-            buf.put_u8(1);
-            put_f64(buf, *tau);
+            w.put_u8(1);
+            w.put_f64(*tau);
         }
         Structure::Budget { budget } => {
-            buf.put_u8(2);
-            put_f64(buf, *budget);
+            w.put_u8(2);
+            w.put_f64(*budget);
         }
     }
 }
 
-fn get_structure(buf: &mut Bytes) -> Result<Structure, IoError> {
-    if buf.remaining() < 1 {
-        return Err(IoError::Format("unexpected end of stream".into()));
-    }
-    let tag = buf.get_u8();
-    let val = get_finite_f64(buf, "structure parameter")?;
+fn get_structure(r: &mut WireReader<'_>) -> Result<Structure, MatroxError> {
+    let tag = r.take_u8("structure tag")?;
+    let val = r.take_finite_f64("structure parameter")?;
     Ok(match tag {
         0 => {
             // HSS carries no parameter; the writer pads with +0.0 and any
             // other bit pattern would not survive a re-encode.
             if val.to_bits() != 0 {
-                return format_err("non-canonical HSS structure padding");
+                return Err(MatroxError::Format(
+                    "non-canonical HSS structure padding".into(),
+                ));
             }
             Structure::Hss
         }
         1 => Structure::Geometric { tau: val },
         2 => Structure::Budget { budget: val },
-        t => return Err(IoError::Format(format!("unknown structure tag {t}"))),
+        t => return Err(MatroxError::Format(format!("unknown structure tag {t}"))),
     })
 }
 
-fn put_kernel(buf: &mut BytesMut, k: &Kernel) {
+fn put_kernel(w: &mut WireWriter, k: &Kernel) {
     match k {
         Kernel::Gaussian { bandwidth } => {
-            buf.put_u8(0);
-            put_f64(buf, *bandwidth);
+            w.put_u8(0);
+            w.put_f64(*bandwidth);
         }
         Kernel::InverseDistance { diag } => {
-            buf.put_u8(1);
-            put_f64(buf, *diag);
+            w.put_u8(1);
+            w.put_f64(*diag);
         }
         Kernel::Laplace { bandwidth } => {
-            buf.put_u8(2);
-            put_f64(buf, *bandwidth);
+            w.put_u8(2);
+            w.put_f64(*bandwidth);
         }
         Kernel::Cauchy { bandwidth } => {
-            buf.put_u8(3);
-            put_f64(buf, *bandwidth);
+            w.put_u8(3);
+            w.put_f64(*bandwidth);
         }
         Kernel::GaussianRidge { bandwidth, ridge } => {
-            buf.put_u8(4);
-            put_f64(buf, *bandwidth);
-            put_f64(buf, *ridge);
+            w.put_u8(4);
+            w.put_f64(*bandwidth);
+            w.put_f64(*ridge);
         }
     }
 }
 
-fn get_kernel(buf: &mut Bytes) -> Result<Kernel, IoError> {
-    if buf.remaining() < 1 {
-        return Err(IoError::Format("unexpected end of stream".into()));
-    }
-    let tag = buf.get_u8();
-    let val = get_finite_f64(buf, "kernel parameter")?;
+fn get_kernel(r: &mut WireReader<'_>) -> Result<Kernel, MatroxError> {
+    let tag = r.take_u8("kernel tag")?;
+    let val = r.take_finite_f64("kernel parameter")?;
     Ok(match tag {
         0 => Kernel::Gaussian { bandwidth: val },
         1 => Kernel::InverseDistance { diag: val },
@@ -248,61 +125,61 @@ fn get_kernel(buf: &mut Bytes) -> Result<Kernel, IoError> {
         3 => Kernel::Cauchy { bandwidth: val },
         4 => Kernel::GaussianRidge {
             bandwidth: val,
-            ridge: get_finite_f64(buf, "kernel ridge")?,
+            ridge: r.take_finite_f64("kernel ridge")?,
         },
-        t => return Err(IoError::Format(format!("unknown kernel tag {t}"))),
+        t => return Err(MatroxError::Format(format!("unknown kernel tag {t}"))),
     })
 }
 
-fn put_tree(buf: &mut BytesMut, tree: &ClusterTree) {
-    put_usize(buf, tree.leaf_size);
-    put_usize(buf, tree.height);
-    put_usize_vec(buf, &tree.perm);
-    put_usize(buf, tree.nodes.len());
+fn put_tree(w: &mut WireWriter, tree: &ClusterTree) {
+    w.put_usize(tree.leaf_size);
+    w.put_usize(tree.height);
+    w.put_usize_slice(&tree.perm);
+    w.put_usize(tree.nodes.len());
     for n in &tree.nodes {
-        put_usize(buf, n.id);
-        put_usize(buf, n.parent.map(|p| p + 1).unwrap_or(0));
+        w.put_usize(n.id);
+        w.put_usize(n.parent.map(|p| p + 1).unwrap_or(0));
         match n.children {
             Some((l, r)) => {
-                put_usize(buf, l + 1);
-                put_usize(buf, r + 1);
+                w.put_usize(l + 1);
+                w.put_usize(r + 1);
             }
             None => {
-                put_usize(buf, 0);
-                put_usize(buf, 0);
+                w.put_usize(0);
+                w.put_usize(0);
             }
         }
-        put_usize(buf, n.level);
-        put_usize(buf, n.start);
-        put_usize(buf, n.end);
-        put_f64_vec(buf, &n.centroid);
-        put_f64(buf, n.diameter);
+        w.put_usize(n.level);
+        w.put_usize(n.start);
+        w.put_usize(n.end);
+        w.put_f64_slice(&n.centroid);
+        w.put_f64(n.diameter);
     }
 }
 
-fn get_tree(buf: &mut Bytes) -> Result<ClusterTree, IoError> {
-    let leaf_size = get_usize(buf)?;
-    let height = get_usize(buf)?;
-    let perm = get_usize_vec(buf)?;
+fn get_tree(r: &mut WireReader<'_>) -> Result<ClusterTree, MatroxError> {
+    let leaf_size = r.take_usize("leaf size")?;
+    let height = r.take_usize("tree height")?;
+    let perm = r.take_usize_vec("tree permutation")?;
     // A serialized node is at least 72 bytes (7 usizes, the centroid length
     // prefix, the diameter), which bounds the node-vector allocation.
-    let n_nodes = get_len(buf, 72, "tree node table")?;
+    let n_nodes = r.take_len(72, "tree node table")?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
-        let id = get_usize(buf)?;
-        let parent_raw = get_usize(buf)?;
-        let l = get_usize(buf)?;
-        let r = get_usize(buf)?;
-        let level = get_usize(buf)?;
-        let start = get_usize(buf)?;
-        let end = get_usize(buf)?;
-        let centroid = get_f64_vec(buf)?;
-        let diameter = get_finite_f64(buf, "node diameter")?;
+        let id = r.take_usize("node id")?;
+        let parent_raw = r.take_usize("node parent")?;
+        let left = r.take_usize("node left child")?;
+        let right = r.take_usize("node right child")?;
+        let level = r.take_usize("node level")?;
+        let start = r.take_usize("node range start")?;
+        let end = r.take_usize("node range end")?;
+        let centroid = get_values(r, "node centroid")?;
+        let diameter = r.take_finite_f64("node diameter")?;
         // Children are encoded shifted by one with 0 = absent; a lone zero
         // in either slot is corruption, not a half-present child pair.
-        let children = match (l, r) {
+        let children = match (left, right) {
             (0, 0) => None,
-            (0, _) | (_, 0) => return format_err("half-present child pair"),
+            (0, _) | (_, 0) => return Err(MatroxError::Format("half-present child pair".into())),
             (l, r) => Some((l - 1, r - 1)),
         };
         nodes.push(TreeNode {
@@ -337,62 +214,71 @@ fn get_tree(buf: &mut Bytes) -> Result<ClusterTree, IoError> {
 /// must stay within the permutation.  Everything downstream — the executor,
 /// the factorization, the solver sweeps — indexes unchecked on these
 /// invariants, so a corrupt stream must be stopped here.
-fn validate_tree_topology(perm: &[usize], nodes: &[TreeNode]) -> Result<(), IoError> {
+fn validate_tree_topology(perm: &[usize], nodes: &[TreeNode]) -> Result<(), MatroxError> {
     let n = perm.len();
     let mut seen = vec![false; n];
     for &i in perm {
         if i >= n || seen[i] {
-            return format_err("tree permutation is not a permutation");
+            return Err(MatroxError::Format(
+                "tree permutation is not a permutation".into(),
+            ));
         }
         seen[i] = true;
     }
     let n_nodes = nodes.len();
     for (i, node) in nodes.iter().enumerate() {
         if node.id != i {
-            return format_err(format!("tree node {i} stores id {}", node.id));
+            return Err(MatroxError::Format(format!(
+                "tree node {i} stores id {}",
+                node.id
+            )));
         }
         if let Some(p) = node.parent {
             if p >= n_nodes {
-                return format_err(format!("tree node {i} has out-of-range parent {p}"));
+                return Err(MatroxError::Format(format!(
+                    "tree node {i} has out-of-range parent {p}"
+                )));
             }
         }
         if let Some((l, r)) = node.children {
             if l >= n_nodes || r >= n_nodes {
-                return format_err(format!("tree node {i} has out-of-range children"));
+                return Err(MatroxError::Format(format!(
+                    "tree node {i} has out-of-range children"
+                )));
             }
         }
         if node.start > node.end || node.end > n {
-            return format_err(format!(
+            return Err(MatroxError::Format(format!(
                 "tree node {i} point range {}..{} exceeds {n} points",
                 node.start, node.end
-            ));
+            )));
         }
     }
     Ok(())
 }
 
-fn put_blockset(buf: &mut BytesMut, bs: &BlockSet) {
-    put_usize(buf, bs.blocksize);
-    put_usize(buf, bs.groups.len());
+fn put_blockset(w: &mut WireWriter, bs: &BlockSet) {
+    w.put_usize(bs.blocksize);
+    w.put_usize(bs.groups.len());
     for g in &bs.groups {
-        put_usize(buf, g.len());
+        w.put_usize(g.len());
         for &(i, j) in g {
-            put_usize(buf, i);
-            put_usize(buf, j);
+            w.put_usize(i);
+            w.put_usize(j);
         }
     }
 }
 
-fn get_blockset(buf: &mut Bytes) -> Result<BlockSet, IoError> {
-    let blocksize = get_usize(buf)?;
-    let n_groups = get_len(buf, 8, "blockset group table")?;
+fn get_blockset(r: &mut WireReader<'_>) -> Result<BlockSet, MatroxError> {
+    let blocksize = r.take_usize("blockset block size")?;
+    let n_groups = r.take_len(8, "blockset group table")?;
     let mut groups = Vec::with_capacity(n_groups);
     for _ in 0..n_groups {
-        let len = get_len(buf, 16, "blockset group")?;
+        let len = r.take_len(16, "blockset group")?;
         let mut g = Vec::with_capacity(len);
         for _ in 0..len {
-            let i = get_usize(buf)?;
-            let j = get_usize(buf)?;
+            let i = r.take_usize("blockset pair target")?;
+            let j = r.take_usize("blockset pair source")?;
             g.push((i, j));
         }
         groups.push(g);
@@ -400,32 +286,32 @@ fn get_blockset(buf: &mut Bytes) -> Result<BlockSet, IoError> {
     Ok(BlockSet { groups, blocksize })
 }
 
-fn put_coarsenset(buf: &mut BytesMut, cs: &CoarsenSet) {
-    put_usize(buf, cs.agg);
-    put_usize(buf, cs.levels.len());
+fn put_coarsenset(w: &mut WireWriter, cs: &CoarsenSet) {
+    w.put_usize(cs.agg);
+    w.put_usize(cs.levels.len());
     for (cl, parts) in cs.levels.iter().enumerate() {
-        put_usize(buf, parts.len());
+        w.put_usize(parts.len());
         for (p, part) in parts.iter().enumerate() {
-            put_usize_vec(buf, part);
-            put_usize(buf, cs.costs[cl][p] as usize);
+            w.put_usize_slice(part);
+            w.put_u64(cs.costs[cl][p]);
         }
     }
 }
 
-fn get_coarsenset(buf: &mut Bytes) -> Result<CoarsenSet, IoError> {
-    let agg = get_usize(buf)?;
-    let n_levels = get_len(buf, 8, "coarsen level table")?;
+fn get_coarsenset(r: &mut WireReader<'_>) -> Result<CoarsenSet, MatroxError> {
+    let agg = r.take_usize("coarsen aggregation")?;
+    let n_levels = r.take_len(8, "coarsen level table")?;
     let mut levels = Vec::with_capacity(n_levels);
     let mut costs = Vec::with_capacity(n_levels);
     for _ in 0..n_levels {
         // A serialized partition is at least 16 bytes (empty node list +
         // cost), which bounds the per-level allocations.
-        let n_parts = get_len(buf, 16, "coarsen partition table")?;
+        let n_parts = r.take_len(16, "coarsen partition table")?;
         let mut parts = Vec::with_capacity(n_parts);
         let mut part_costs = Vec::with_capacity(n_parts);
         for _ in 0..n_parts {
-            parts.push(get_usize_vec(buf)?);
-            part_costs.push(get_usize(buf)? as u64);
+            parts.push(r.take_usize_vec("coarsen partition")?);
+            part_costs.push(r.take_u64("coarsen partition cost")?);
         }
         levels.push(parts);
         costs.push(part_costs);
@@ -433,92 +319,94 @@ fn get_coarsenset(buf: &mut Bytes) -> Result<CoarsenSet, IoError> {
     Ok(CoarsenSet { levels, agg, costs })
 }
 
-fn put_cds(buf: &mut BytesMut, cds: &Cds) {
-    put_f64_vec(buf, &cds.gen_values);
-    put_usize(buf, cds.generators.len());
+fn put_cds(w: &mut WireWriter, cds: &Cds) {
+    w.put_f64_slice(&cds.gen_values);
+    w.put_usize(cds.generators.len());
     for g in &cds.generators {
         if g.is_present() {
-            put_bool(buf, true);
-            put_usize(buf, g.v_offset);
-            put_usize(buf, g.u_offset);
-            put_usize(buf, g.rows);
-            put_usize(buf, g.cols);
+            w.put_bool(true);
+            w.put_usize(g.v_offset);
+            w.put_usize(g.u_offset);
+            w.put_usize(g.rows);
+            w.put_usize(g.cols);
         } else {
-            put_bool(buf, false);
+            w.put_bool(false);
         }
     }
-    put_usize_vec(buf, &cds.sranks);
-    put_f64_vec(buf, &cds.d_values);
-    put_block_entries(buf, &cds.d_entries);
-    put_group_ranges(buf, &cds.d_groups);
-    put_f64_vec(buf, &cds.b_values);
-    put_block_entries(buf, &cds.b_entries);
-    put_group_ranges(buf, &cds.b_groups);
+    w.put_usize_slice(&cds.sranks);
+    w.put_f64_slice(&cds.d_values);
+    put_block_entries(w, &cds.d_entries);
+    put_group_ranges(w, &cds.d_groups);
+    w.put_f64_slice(&cds.b_values);
+    put_block_entries(w, &cds.b_entries);
+    put_group_ranges(w, &cds.b_groups);
 }
 
-fn put_block_entries(buf: &mut BytesMut, entries: &[CdsBlockEntry]) {
-    put_usize(buf, entries.len());
+fn put_block_entries(w: &mut WireWriter, entries: &[CdsBlockEntry]) {
+    w.put_usize(entries.len());
     for e in entries {
-        put_usize(buf, e.target);
-        put_usize(buf, e.source);
-        put_usize(buf, e.offset);
-        put_usize(buf, e.rows);
-        put_usize(buf, e.cols);
+        w.put_usize(e.target);
+        w.put_usize(e.source);
+        w.put_usize(e.offset);
+        w.put_usize(e.rows);
+        w.put_usize(e.cols);
     }
 }
 
-fn get_block_entries(buf: &mut Bytes) -> Result<Vec<CdsBlockEntry>, IoError> {
-    let n = get_len(buf, 40, "block entry table")?;
+fn get_block_entries(r: &mut WireReader<'_>) -> Result<Vec<CdsBlockEntry>, MatroxError> {
+    let n = r.take_len(40, "block entry table")?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push(CdsBlockEntry {
-            target: get_usize(buf)?,
-            source: get_usize(buf)?,
-            offset: get_usize(buf)?,
-            rows: get_usize(buf)?,
-            cols: get_usize(buf)?,
+            target: r.take_usize("block target")?,
+            source: r.take_usize("block source")?,
+            offset: r.take_usize("block offset")?,
+            rows: r.take_usize("block rows")?,
+            cols: r.take_usize("block cols")?,
         });
     }
     Ok(v)
 }
 
-fn put_group_ranges(buf: &mut BytesMut, groups: &[GroupRange]) {
-    put_usize(buf, groups.len());
+fn put_group_ranges(w: &mut WireWriter, groups: &[GroupRange]) {
+    w.put_usize(groups.len());
     for g in groups {
-        put_usize(buf, g.start);
-        put_usize(buf, g.end);
+        w.put_usize(g.start);
+        w.put_usize(g.end);
     }
 }
 
-fn get_group_ranges(buf: &mut Bytes) -> Result<Vec<GroupRange>, IoError> {
-    let n = get_len(buf, 16, "group range table")?;
+fn get_group_ranges(r: &mut WireReader<'_>) -> Result<Vec<GroupRange>, MatroxError> {
+    let n = r.take_len(16, "group range table")?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push(GroupRange {
-            start: get_usize(buf)?,
-            end: get_usize(buf)?,
+            start: r.take_usize("group range start")?,
+            end: r.take_usize("group range end")?,
         });
     }
     Ok(v)
 }
 
-fn get_cds(buf: &mut Bytes) -> Result<Cds, IoError> {
-    let gen_values = get_f64_vec(buf)?;
+fn get_cds(r: &mut WireReader<'_>) -> Result<Cds, MatroxError> {
+    let gen_values = get_values(r, "generator value buffer")?;
     // A serialized generator is at least its presence byte.
-    let n_gen = get_len(buf, 1, "generator table")?;
+    let n_gen = r.take_len(1, "generator table")?;
     let mut generators = Vec::with_capacity(n_gen);
     for _ in 0..n_gen {
-        if get_bool(buf)? {
+        if r.take_bool("generator presence")? {
             let g = GeneratorEntry {
-                v_offset: get_usize(buf)?,
-                u_offset: get_usize(buf)?,
-                rows: get_usize(buf)?,
-                cols: get_usize(buf)?,
+                v_offset: r.take_usize("generator V offset")?,
+                u_offset: r.take_usize("generator U offset")?,
+                rows: r.take_usize("generator rows")?,
+                cols: r.take_usize("generator cols")?,
             };
             // A stored-as-present entry must decode as present, or the next
             // save would silently re-encode it absent.
             if !g.is_present() {
-                return format_err("generator entry marked present but degenerate");
+                return Err(MatroxError::Format(
+                    "generator entry marked present but degenerate".into(),
+                ));
             }
             generators.push(g);
         } else {
@@ -530,13 +418,13 @@ fn get_cds(buf: &mut Bytes) -> Result<Cds, IoError> {
             });
         }
     }
-    let sranks = get_usize_vec(buf)?;
-    let d_values = get_f64_vec(buf)?;
-    let d_entries = get_block_entries(buf)?;
-    let d_groups = get_group_ranges(buf)?;
-    let b_values = get_f64_vec(buf)?;
-    let b_entries = get_block_entries(buf)?;
-    let b_groups = get_group_ranges(buf)?;
+    let sranks = r.take_usize_vec("rank array")?;
+    let d_values = get_values(r, "near value buffer")?;
+    let d_entries = get_block_entries(r)?;
+    let d_groups = get_group_ranges(r)?;
+    let b_values = get_values(r, "far value buffer")?;
+    let b_entries = get_block_entries(r)?;
+    let b_groups = get_group_ranges(r)?;
     let cds = Cds {
         gen_values,
         generators,
@@ -560,7 +448,7 @@ fn validate_block_tables(
     groups: &[GroupRange],
     values_len: usize,
     what: &str,
-) -> Result<(), IoError> {
+) -> Result<(), MatroxError> {
     for e in entries {
         let ok = e
             .rows
@@ -568,15 +456,17 @@ fn validate_block_tables(
             .and_then(|n| n.checked_add(e.offset))
             .is_some_and(|end| end <= values_len);
         if !ok {
-            return format_err(format!(
+            return Err(MatroxError::Format(format!(
                 "{what} block ({}, {}) exceeds its {values_len}-element value buffer",
                 e.target, e.source
-            ));
+            )));
         }
     }
     for g in groups {
         if g.start > g.end || g.end > entries.len() {
-            return format_err(format!("{what} group range exceeds its entry table"));
+            return Err(MatroxError::Format(format!(
+                "{what} group range exceeds its entry table"
+            )));
         }
     }
     Ok(())
@@ -586,13 +476,13 @@ fn validate_block_tables(
 /// generator value buffer, rank array aligned with the generator table,
 /// block entries inside their value buffers.  (Consistency against the tree
 /// is checked separately once both are decoded.)
-fn validate_cds(cds: &Cds) -> Result<(), IoError> {
+fn validate_cds(cds: &Cds) -> Result<(), MatroxError> {
     if cds.sranks.len() != cds.generators.len() {
-        return format_err(format!(
+        return Err(MatroxError::Format(format!(
             "rank array has {} entries but the generator table has {}",
             cds.sranks.len(),
             cds.generators.len()
-        ));
+        )));
     }
     for (id, g) in cds.generators.iter().enumerate() {
         if !g.is_present() {
@@ -604,10 +494,10 @@ fn validate_cds(cds: &Cds) -> Result<(), IoError> {
                 .and_then(|n| n.checked_add(offset))
                 .is_some_and(|end| end <= cds.gen_values.len());
             if !ok {
-                return format_err(format!(
+                return Err(MatroxError::Format(format!(
                     "generator {id} exceeds the {}-element value buffer",
                     cds.gen_values.len()
-                ));
+                )));
             }
         }
     }
@@ -620,31 +510,31 @@ fn validate_cds(cds: &Cds) -> Result<(), IoError> {
 // public API
 // ---------------------------------------------------------------------------
 
-fn put_hmatrix_body(buf: &mut BytesMut, h: &HMatrix) {
-    put_structure(buf, &h.structure);
-    put_kernel(buf, &h.kernel);
-    put_f64(buf, h.bacc);
-    put_tree(buf, &h.tree);
+fn put_hmatrix_body(w: &mut WireWriter, h: &HMatrix) {
+    put_structure(w, &h.structure);
+    put_kernel(w, &h.kernel);
+    w.put_f64(h.bacc);
+    put_tree(w, &h.tree);
     // plan
     let d = &h.plan.decisions;
-    put_bool(buf, d.block_near);
-    put_bool(buf, d.block_far);
-    put_bool(buf, d.coarsen_tree);
-    put_bool(buf, d.peel_root);
-    put_blockset(buf, &h.plan.near_blockset);
-    put_blockset(buf, &h.plan.far_blockset);
-    put_coarsenset(buf, &h.plan.coarsenset);
-    put_cds(buf, &h.plan.cds);
-    put_usize(buf, h.plan.tree_height);
-    put_usize(buf, h.plan.num_leaves);
+    w.put_bool(d.block_near);
+    w.put_bool(d.block_far);
+    w.put_bool(d.coarsen_tree);
+    w.put_bool(d.peel_root);
+    put_blockset(w, &h.plan.near_blockset);
+    put_blockset(w, &h.plan.far_blockset);
+    put_coarsenset(w, &h.plan.coarsenset);
+    put_cds(w, &h.plan.cds);
+    w.put_usize(h.plan.tree_height);
+    w.put_usize(h.plan.num_leaves);
 }
 
 /// Serialize an [`HMatrix`] to bytes.
-pub fn to_bytes(h: &HMatrix) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    put_hmatrix_body(&mut buf, h);
-    buf.freeze()
+pub fn to_bytes(h: &HMatrix) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_bytes(MAGIC);
+    put_hmatrix_body(&mut w, h);
+    w.into_bytes()
 }
 
 /// Deserialize an [`HMatrix`] from bytes.  Timings are not stored and come
@@ -654,40 +544,36 @@ pub fn to_bytes(h: &HMatrix) -> Bytes {
 /// [`MatroxError::Format`] when the stream is truncated, corrupt, or
 /// internally inconsistent; the reader never panics and never allocates
 /// beyond the stream length.
-pub fn from_bytes(mut data: Bytes) -> Result<HMatrix, MatroxError> {
-    if data.remaining() < MAGIC.len() || &data.copy_to_bytes(MAGIC.len())[..] != MAGIC {
-        return Err(MatroxError::Format("bad magic header".into()));
-    }
-    let h = get_hmatrix_body(&mut data)?;
-    if data.remaining() != 0 {
-        return Err(MatroxError::Format(format!(
-            "{} trailing bytes after the HMatrix payload",
-            data.remaining()
-        )));
-    }
+pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<HMatrix, MatroxError> {
+    let mut r = WireReader::new(data.as_ref());
+    r.expect_magic(MAGIC, "HMatrix")?;
+    let h = get_hmatrix_body(&mut r)?;
+    r.finish("the HMatrix payload")?;
     Ok(h)
 }
 
-fn get_hmatrix_body(data: &mut Bytes) -> Result<HMatrix, IoError> {
-    let structure = get_structure(data)?;
-    let kernel = get_kernel(data)?;
-    let bacc = get_finite_f64(data, "blocked accuracy")?;
+fn get_hmatrix_body(r: &mut WireReader<'_>) -> Result<HMatrix, MatroxError> {
+    let structure = get_structure(r)?;
+    let kernel = get_kernel(r)?;
+    let bacc = r.take_finite_f64("blocked accuracy")?;
     if bacc <= 0.0 {
-        return format_err(format!("blocked accuracy must be positive, got {bacc:e}"));
+        return Err(MatroxError::Format(format!(
+            "blocked accuracy must be positive, got {bacc:e}"
+        )));
     }
-    let tree = get_tree(data)?;
+    let tree = get_tree(r)?;
     let decisions = LoweringDecisions {
-        block_near: get_bool(data)?,
-        block_far: get_bool(data)?,
-        coarsen_tree: get_bool(data)?,
-        peel_root: get_bool(data)?,
+        block_near: r.take_bool("block-near decision")?,
+        block_far: r.take_bool("block-far decision")?,
+        coarsen_tree: r.take_bool("coarsen-tree decision")?,
+        peel_root: r.take_bool("peel-root decision")?,
     };
-    let near_blockset = get_blockset(data)?;
-    let far_blockset = get_blockset(data)?;
-    let coarsenset = get_coarsenset(data)?;
-    let cds = get_cds(data)?;
-    let tree_height = get_usize(data)?;
-    let num_leaves = get_usize(data)?;
+    let near_blockset = get_blockset(r)?;
+    let far_blockset = get_blockset(r)?;
+    let coarsenset = get_coarsenset(r)?;
+    let cds = get_cds(r)?;
+    let tree_height = r.take_usize("plan tree height")?;
+    let num_leaves = r.take_usize("plan leaf count")?;
     let plan = EvalPlan {
         decisions,
         near_blockset,
@@ -718,38 +604,40 @@ fn get_hmatrix_body(data: &mut Bytes) -> Result<HMatrix, IoError> {
 /// topology (dims vs. tree vs. rank arrays).  Two fields that are
 /// individually well-formed can still disagree after corruption — e.g. a
 /// block entry whose target node was re-pointed at an internal node.
-fn validate_plan_against_tree(plan: &EvalPlan, tree: &ClusterTree) -> Result<(), IoError> {
+fn validate_plan_against_tree(plan: &EvalPlan, tree: &ClusterTree) -> Result<(), MatroxError> {
     let n_nodes = tree.num_nodes();
     let cds = &plan.cds;
     if cds.generators.len() != n_nodes {
-        return format_err(format!(
+        return Err(MatroxError::Format(format!(
             "generator table has {} entries for a {n_nodes}-node tree",
             cds.generators.len()
-        ));
+        )));
     }
     if plan.tree_height != tree.height {
-        return format_err(format!(
+        return Err(MatroxError::Format(format!(
             "plan height {} disagrees with tree height {}",
             plan.tree_height, tree.height
-        ));
+        )));
     }
     if plan.num_leaves != tree.leaves().len() {
-        return format_err(format!(
+        return Err(MatroxError::Format(format!(
             "plan stores {} leaves but the tree has {}",
             plan.num_leaves,
             tree.leaves().len()
-        ));
+        )));
     }
     // Near (dense) blocks address point ranges of their node pair; coupling
     // blocks address skeleton ranks.  Both index `tree.nodes` unchecked in
     // the executor and solver.
     for e in &cds.d_entries {
         if e.target >= n_nodes || e.source >= n_nodes {
-            return format_err("near block references a node outside the tree");
+            return Err(MatroxError::Format(
+                "near block references a node outside the tree".into(),
+            ));
         }
         let (tn, sn) = (&tree.nodes[e.target], &tree.nodes[e.source]);
         if e.rows != tn.num_points() || e.cols != sn.num_points() {
-            return format_err(format!(
+            return Err(MatroxError::Format(format!(
                 "near block ({}, {}) is {}x{} but the nodes hold {}x{} points",
                 e.target,
                 e.source,
@@ -757,31 +645,37 @@ fn validate_plan_against_tree(plan: &EvalPlan, tree: &ClusterTree) -> Result<(),
                 e.cols,
                 tn.num_points(),
                 sn.num_points()
-            ));
+            )));
         }
     }
     for e in &cds.b_entries {
         if e.target >= n_nodes || e.source >= n_nodes {
-            return format_err("coupling block references a node outside the tree");
+            return Err(MatroxError::Format(
+                "coupling block references a node outside the tree".into(),
+            ));
         }
         if e.rows != cds.sranks[e.target] || e.cols != cds.sranks[e.source] {
-            return format_err(format!(
+            return Err(MatroxError::Format(format!(
                 "coupling block ({}, {}) is {}x{} but the skeleton ranks are {}x{}",
                 e.target, e.source, e.rows, e.cols, cds.sranks[e.target], cds.sranks[e.source]
-            ));
+            )));
         }
     }
     for bs in [&plan.near_blockset, &plan.far_blockset] {
         for g in &bs.groups {
             if g.iter().any(|&(i, j)| i >= n_nodes || j >= n_nodes) {
-                return format_err("blockset pair references a node outside the tree");
+                return Err(MatroxError::Format(
+                    "blockset pair references a node outside the tree".into(),
+                ));
             }
         }
     }
     for parts in &plan.coarsenset.levels {
         for part in parts {
             if part.iter().any(|&id| id >= n_nodes) {
-                return format_err("coarsen partition references a node outside the tree");
+                return Err(MatroxError::Format(
+                    "coarsen partition references a node outside the tree".into(),
+                ));
             }
         }
     }
@@ -813,121 +707,123 @@ fn read_model_file(path: &Path) -> Result<Vec<u8>, MatroxError> {
 
 /// Load an HMatrix from a file previously written by [`save`].
 pub fn load(path: &Path) -> Result<HMatrix, MatroxError> {
-    from_bytes(Bytes::from(read_model_file(path)?))
+    from_bytes(read_model_file(path)?)
 }
 
 // ---------------------------------------------------------------------------
 // factored HMatrix (the `hmat.ulv` artifact)
 // ---------------------------------------------------------------------------
 
-fn put_matrix(buf: &mut BytesMut, m: &Matrix) {
-    put_usize(buf, m.rows());
-    put_usize(buf, m.cols());
-    for &x in m.as_slice() {
-        put_f64(buf, x);
-    }
+fn put_matrix(w: &mut WireWriter, m: &Matrix) {
+    w.put_usize(m.rows());
+    w.put_usize(m.cols());
+    w.put_f64s(m.as_slice());
 }
 
-fn get_matrix(buf: &mut Bytes) -> Result<Matrix, IoError> {
-    let rows = get_usize(buf)?;
-    let cols = get_usize(buf)?;
-    let len = rows
-        .checked_mul(cols)
-        .ok_or_else(|| IoError::Format("matrix shape overflow".into()))?;
-    if len
-        .checked_mul(8)
-        .is_none_or(|bytes| bytes > buf.remaining())
-    {
-        return format_err(format!(
-            "matrix payload {rows}x{cols} exceeds the {} bytes remaining",
-            buf.remaining()
-        ));
-    }
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(get_f64(buf)?);
-    }
+fn get_matrix(r: &mut WireReader<'_>) -> Result<Matrix, MatroxError> {
+    let rows = r.take_usize("matrix rows")?;
+    let cols = r.take_usize("matrix cols")?;
+    let Some(len) = rows.checked_mul(cols) else {
+        return Err(MatroxError::Format("matrix shape overflow".into()));
+    };
+    // The payload has no count of its own; `take_f64s` caps the run by the
+    // bytes remaining before it allocates.
+    let data = r.take_f64s(len, "matrix payload")?;
     if !matrox_linalg::all_finite(&data) {
-        return format_err("matrix payload contains non-finite entries");
+        return Err(MatroxError::Format(
+            "matrix payload contains non-finite entries".into(),
+        ));
     }
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn put_factor(buf: &mut BytesMut, f: &HssFactor) {
-    put_usize(buf, f.n);
-    put_usize(buf, f.leaves.len());
+fn put_factor(w: &mut WireWriter, f: &HssFactor) {
+    w.put_usize(f.n);
+    w.put_usize(f.leaves.len());
     for leaf in &f.leaves {
         match leaf {
             Some(lf) => {
-                put_bool(buf, true);
-                put_usize(buf, lf.node);
-                put_matrix(buf, &lf.chol);
-                put_matrix(buf, &lf.e);
+                w.put_bool(true);
+                w.put_usize(lf.node);
+                put_matrix(w, &lf.chol);
+                put_matrix(w, &lf.e);
             }
-            None => put_bool(buf, false),
+            None => w.put_bool(false),
         }
     }
-    put_usize(buf, f.merges.len());
+    w.put_usize(f.merges.len());
     for merge in &f.merges {
         match merge {
             Some(mf) => {
-                put_bool(buf, true);
-                put_usize(buf, mf.node);
-                put_matrix(buf, &mf.lu.lu);
-                put_usize_vec(buf, &mf.lu.piv);
-                put_matrix(buf, &mf.t);
+                w.put_bool(true);
+                w.put_usize(mf.node);
+                put_matrix(w, &mf.lu.lu);
+                w.put_usize_slice(&mf.lu.piv);
+                put_matrix(w, &mf.t);
             }
-            None => put_bool(buf, false),
+            None => w.put_bool(false),
         }
     }
 }
 
-fn get_factor(buf: &mut Bytes) -> Result<HssFactor, IoError> {
-    let n = get_usize(buf)?;
+fn get_factor(r: &mut WireReader<'_>) -> Result<HssFactor, MatroxError> {
+    let n = r.take_usize("factor dimension")?;
     // A serialized slot is at least its presence byte.
-    let n_leaves = get_len(buf, 1, "leaf factor table")?;
+    let n_leaves = r.take_len(1, "leaf factor table")?;
     let mut leaves = Vec::with_capacity(n_leaves);
     for i in 0..n_leaves {
-        if get_bool(buf)? {
+        if r.take_bool("leaf factor presence")? {
             let lf = LeafFactor {
-                node: get_usize(buf)?,
-                chol: get_matrix(buf)?,
-                e: get_matrix(buf)?,
+                node: r.take_usize("leaf factor node")?,
+                chol: get_matrix(r)?,
+                e: get_matrix(r)?,
             };
             if lf.node != i {
-                return format_err(format!("leaf factor at slot {i} stores node {}", lf.node));
+                return Err(MatroxError::Format(format!(
+                    "leaf factor at slot {i} stores node {}",
+                    lf.node
+                )));
             }
             if lf.chol.rows() != lf.chol.cols() || lf.e.rows() != lf.chol.rows() {
-                return format_err(format!("leaf factor {i} has inconsistent shapes"));
+                return Err(MatroxError::Format(format!(
+                    "leaf factor {i} has inconsistent shapes"
+                )));
             }
             leaves.push(Some(lf));
         } else {
             leaves.push(None);
         }
     }
-    let n_merges = get_len(buf, 1, "merge factor table")?;
+    let n_merges = r.take_len(1, "merge factor table")?;
     let mut merges = Vec::with_capacity(n_merges);
     for i in 0..n_merges {
-        if get_bool(buf)? {
+        if r.take_bool("merge factor presence")? {
             let mf = MergeFactor {
-                node: get_usize(buf)?,
+                node: r.take_usize("merge factor node")?,
                 lu: LuFactors {
-                    lu: get_matrix(buf)?,
-                    piv: get_usize_vec(buf)?,
+                    lu: get_matrix(r)?,
+                    piv: r.take_usize_vec("merge factor pivots")?,
                 },
-                t: get_matrix(buf)?,
+                t: get_matrix(r)?,
             };
             if mf.node != i {
-                return format_err(format!("merge factor at slot {i} stores node {}", mf.node));
+                return Err(MatroxError::Format(format!(
+                    "merge factor at slot {i} stores node {}",
+                    mf.node
+                )));
             }
             let m = mf.lu.lu.rows();
             if mf.lu.lu.cols() != m || mf.lu.piv.len() != m || mf.t.rows() != m {
-                return format_err(format!("merge factor {i} has inconsistent shapes"));
+                return Err(MatroxError::Format(format!(
+                    "merge factor {i} has inconsistent shapes"
+                )));
             }
             // The pivot array is applied as unchecked row swaps during
             // every solve.
             if mf.lu.piv.iter().any(|&p| p >= m) {
-                return format_err(format!("merge factor {i} has an out-of-range pivot"));
+                return Err(MatroxError::Format(format!(
+                    "merge factor {i} has an out-of-range pivot"
+                )));
             }
             merges.push(Some(mf));
         } else {
@@ -944,12 +840,12 @@ fn get_factor(buf: &mut Bytes) -> Result<HssFactor, IoError> {
 
 /// Serialize a [`FactoredHMatrix`] (compressed matrix + ULV factors) to
 /// bytes.
-pub fn to_bytes_factored(fh: &FactoredHMatrix) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC_FACTORED);
-    put_hmatrix_body(&mut buf, &fh.hmatrix);
-    put_factor(&mut buf, &fh.factor);
-    buf.freeze()
+pub fn to_bytes_factored(fh: &FactoredHMatrix) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_bytes(MAGIC_FACTORED);
+    put_hmatrix_body(&mut w, &fh.hmatrix);
+    put_factor(&mut w, &fh.factor);
+    w.into_bytes()
 }
 
 /// Deserialize a [`FactoredHMatrix`] from bytes.  Timings (inspector and
@@ -959,20 +855,12 @@ pub fn to_bytes_factored(fh: &FactoredHMatrix) -> Bytes {
 /// [`MatroxError::Format`] under the same hardening contract as
 /// [`from_bytes`], including cross-checks of the factor tables against the
 /// reloaded tree.
-pub fn from_bytes_factored(mut data: Bytes) -> Result<FactoredHMatrix, MatroxError> {
-    if data.remaining() < MAGIC_FACTORED.len()
-        || &data.copy_to_bytes(MAGIC_FACTORED.len())[..] != MAGIC_FACTORED
-    {
-        return Err(MatroxError::Format("bad factored magic header".into()));
-    }
-    let hmatrix = get_hmatrix_body(&mut data)?;
-    let factor = get_factor(&mut data)?;
-    if data.remaining() != 0 {
-        return Err(MatroxError::Format(format!(
-            "{} trailing bytes after the factored payload",
-            data.remaining()
-        )));
-    }
+pub fn from_bytes_factored(data: impl AsRef<[u8]>) -> Result<FactoredHMatrix, MatroxError> {
+    let mut r = WireReader::new(data.as_ref());
+    r.expect_magic(MAGIC_FACTORED, "factored HMatrix")?;
+    let hmatrix = get_hmatrix_body(&mut r)?;
+    let factor = get_factor(&mut r)?;
+    r.finish("the factored payload")?;
     if factor.n != hmatrix.dim() {
         return Err(MatroxError::Format(format!(
             "factor dimension {} does not match matrix dimension {}",
@@ -1001,7 +889,7 @@ pub fn save_factored(fh: &FactoredHMatrix, path: &Path) -> Result<(), MatroxErro
 /// Load a factored HMatrix from a file previously written by
 /// [`save_factored`].
 pub fn load_factored(path: &Path) -> Result<FactoredHMatrix, MatroxError> {
-    from_bytes_factored(Bytes::from(read_model_file(path)?))
+    from_bytes_factored(read_model_file(path)?)
 }
 
 #[cfg(test)]
@@ -1049,7 +937,7 @@ mod tests {
 
     #[test]
     fn corrupt_header_is_rejected() {
-        let err = from_bytes(Bytes::from_static(b"NOTMATROX_AT_ALL")).unwrap_err();
+        let err = from_bytes(b"NOTMATROX_AT_ALL").unwrap_err();
         match err {
             MatroxError::Format(_) => {}
             other => panic!("expected format error, got {other}"),
@@ -1058,22 +946,35 @@ mod tests {
 
     #[test]
     fn truncated_streams_are_rejected_at_every_prefix() {
+        // Every proper prefix of either format must fail cleanly: no panic,
+        // no oversized allocation, a Format error.  Step to keep the test
+        // quick.
         let (_, h) = sample_hmatrix();
         let bytes = to_bytes(&h);
-        // Every proper prefix must fail cleanly: no panic, no oversized
-        // allocation, a Format error.  Step to keep the test quick.
         for len in (0..bytes.len()).step_by(97) {
-            let err = from_bytes(Bytes::copy_from_slice(&bytes[..len])).unwrap_err();
-            assert!(matches!(err, MatroxError::Format(_)), "prefix {len}");
+            let err = from_bytes(&bytes[..len]).unwrap_err();
+            assert!(
+                matches!(err, MatroxError::Format(_)),
+                "MATROX1 prefix {len}"
+            );
+        }
+        let (_, fh) = factored_hmatrix();
+        let bytes = to_bytes_factored(&fh);
+        for len in (0..bytes.len()).step_by(97) {
+            let err = from_bytes_factored(&bytes[..len]).unwrap_err();
+            assert!(
+                matches!(err, MatroxError::Format(_)),
+                "MATROXF1 prefix {len}"
+            );
         }
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
         let (_, h) = sample_hmatrix();
-        let mut data = to_bytes(&h).to_vec();
+        let mut data = to_bytes(&h);
         data.push(0);
-        let err = from_bytes(Bytes::from(data)).unwrap_err();
+        let err = from_bytes(data).unwrap_err();
         match err {
             MatroxError::Format(m) => assert!(m.contains("trailing"), "message: {m}"),
             other => panic!("expected format error, got {other}"),
@@ -1085,17 +986,15 @@ mod tests {
         // A header whose first length field claims 2^60 elements: the
         // reader must reject it against the bytes remaining instead of
         // attempting a multi-GiB allocation.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(0); // Structure::Hss
-        put_f64(&mut buf, 0.0);
-        buf.put_u8(0); // Kernel::Gaussian
-        put_f64(&mut buf, 1.0);
-        put_f64(&mut buf, 1e-5); // bacc
-        put_usize(&mut buf, 32); // leaf_size
-        put_usize(&mut buf, 1); // height
-        put_usize(&mut buf, 1 << 60); // perm length: hostile
-        let err = from_bytes(buf.freeze()).unwrap_err();
+        let mut w = WireWriter::new();
+        w.put_bytes(MAGIC);
+        put_structure(&mut w, &Structure::Hss);
+        put_kernel(&mut w, &Kernel::Gaussian { bandwidth: 1.0 });
+        w.put_f64(1e-5); // bacc
+        w.put_usize(32); // leaf_size
+        w.put_usize(1); // height
+        w.put_usize(1 << 60); // perm length: hostile
+        let err = from_bytes(w.into_bytes()).unwrap_err();
         match err {
             MatroxError::Format(m) => assert!(m.contains("exceeds"), "message: {m}"),
             other => panic!("expected format error, got {other}"),
@@ -1130,10 +1029,7 @@ mod tests {
     fn factored_magic_is_distinct_from_plain() {
         let (_, fh) = factored_hmatrix();
         let bytes = to_bytes_factored(&fh);
-        assert!(
-            from_bytes(bytes.clone()).is_err(),
-            "plain loader must reject"
-        );
+        assert!(from_bytes(&bytes).is_err(), "plain loader must reject");
         let plain = to_bytes(&fh.hmatrix);
         assert!(
             from_bytes_factored(plain).is_err(),

@@ -104,7 +104,7 @@ pub use hmatrix::{FactoredHMatrix, HMatrix};
 pub use inspector::{inspector, inspector_p1, inspector_p2, InspectorP1};
 pub use io::{
     from_bytes, from_bytes_factored, load, load_factored, save, save_factored, to_bytes,
-    to_bytes_factored, IoError,
+    to_bytes_factored,
 };
 pub use matrox_factor::FactorError;
 /// Deterministic fault-injection harness (re-exported from `matrox_linalg`,

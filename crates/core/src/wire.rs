@@ -1,11 +1,11 @@
-//! Hardened wire primitives for length-prefixed protocol messages.
+//! The one hardened byte cursor: how untrusted little-endian bytes are
+//! written and read.
 //!
-//! The serving layer's network protocol (`matrox_serve::proto`) frames
-//! requests and responses onto sockets, which makes every decoded byte
-//! stream **untrusted input** — exactly the situation the PR-7 model
-//! readers ([`crate::io`]) were hardened for.  This module extracts that
-//! reader discipline into a reusable pair of cursor types so any protocol
-//! built on top inherits the same contract:
+//! Every byte format of the workspace is coded through this pair of cursor
+//! types — the `MATROX1` / `MATROXF1` model files ([`crate::io`]) and the
+//! `MATROXS1` serving protocol (`matrox_serve::proto`).  A model file comes
+//! from disk and a request from a socket, so every decoded stream is
+//! **untrusted input**, and all three formats inherit one contract:
 //!
 //! * every length field is validated against the bytes actually remaining
 //!   *before* anything is allocated, so an adversarial 20-byte frame cannot
@@ -17,10 +17,13 @@
 //!   the property the corruption-fuzz suites pin;
 //! * nothing here panics on any input.
 //!
-//! Encoding is little-endian throughout, matching the `MATROX1`/`MATROXF1`
-//! model formats.  Floating-point values round-trip by bit pattern (NaN
-//! payloads included): the wire layer transports bits, the layers above
-//! decide what bit patterns mean.
+//! Encoding is little-endian throughout.  Floating-point values round-trip
+//! by bit pattern (NaN payloads included): the cursor transports bits and
+//! the formats above decide what bit patterns mean
+//! ([`WireReader::take_finite_f64`] is the one screening accessor, for
+//! fields no valid stream leaves non-finite).  What the cursor cannot know
+//! — cross-field consistency of a decoded model or message — is validated
+//! by the format's own module after the fields are read.
 
 use crate::error::MatroxError;
 
@@ -91,11 +94,38 @@ impl WireWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Append an `f64` slice as `u64` element count + bit patterns.
-    pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_u64(v.len() as u64);
+    /// Append a `usize` as a little-endian `u64` (counts, offsets, node ids).
+    pub fn put_usize(&mut self, v: usize) {
+        self.put_u64(v as u64);
+    }
+
+    /// Append a flag as its canonical byte (`0` / `1`).
+    pub fn put_bool(&mut self, v: bool) {
+        self.put_u8(v as u8);
+    }
+
+    /// Append `f64` bit patterns back to back with no count prefix (payloads
+    /// whose length the format stores elsewhere).  Reserves once for the run:
+    /// value payload is nearly all of a model image.
+    pub fn put_f64s(&mut self, v: &[f64]) {
+        self.buf.reserve(v.len() * 8);
         for &x in v {
             self.put_f64(x);
+        }
+    }
+
+    /// Append an `f64` slice as `u64` element count + bit patterns.
+    pub fn put_f64_slice(&mut self, v: &[f64]) {
+        self.put_usize(v.len());
+        self.put_f64s(v);
+    }
+
+    /// Append a `usize` slice as `u64` element count + `u64` values.
+    pub fn put_usize_slice(&mut self, v: &[usize]) {
+        self.buf.reserve(8 + v.len() * 8);
+        self.put_usize(v.len());
+        for &x in v {
+            self.put_usize(x);
         }
     }
 }
@@ -172,15 +202,44 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(self.take_u64(what)?))
     }
 
+    /// Consume a `u64` that must fit the host's `usize`.
+    pub fn take_usize(&mut self, what: &str) -> Result<usize, MatroxError> {
+        let v = self.take_u64(what)?;
+        usize::try_from(v)
+            .map_err(|_| MatroxError::Format(format!("{what} {v} does not fit in usize")))
+    }
+
+    /// Consume a flag.  Only the canonical encodings are accepted: a
+    /// corrupted flag byte must surface as an error, not silently normalize
+    /// on the next save.
+    pub fn take_bool(&mut self, what: &str) -> Result<bool, MatroxError> {
+        match self.take_u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(MatroxError::Format(format!(
+                "non-canonical bool byte {b:#04x} for {what}"
+            ))),
+        }
+    }
+
+    /// [`take_f64`](Self::take_f64) for fields that are finite in any valid
+    /// stream (kernel parameters, accuracies, geometry): a NaN or infinity
+    /// there is corruption, and accepting it would poison every later
+    /// evaluation.
+    pub fn take_finite_f64(&mut self, what: &str) -> Result<f64, MatroxError> {
+        let v = self.take_f64(what)?;
+        if !v.is_finite() {
+            return Err(MatroxError::Format(format!("{what} is not finite ({v})")));
+        }
+        Ok(v)
+    }
+
     /// Consume a `u64` element count that precedes `elem_bytes`-sized
     /// elements, rejecting counts that could not possibly fit in the
     /// remaining stream.  This caps every downstream `Vec::with_capacity`
     /// at the stream length — the core hardening of the PR-7 readers.
     pub fn take_len(&mut self, elem_bytes: usize, what: &str) -> Result<usize, MatroxError> {
-        let len = self.take_u64(what)?;
-        let len = usize::try_from(len).map_err(|_| {
-            MatroxError::Format(format!("{what} length {len} does not fit in usize"))
-        })?;
+        let len = self.take_usize(what)?;
         match len.checked_mul(elem_bytes.max(1)) {
             Some(total) if total <= self.remaining() => Ok(len),
             _ => Err(MatroxError::Format(format!(
@@ -198,12 +257,32 @@ impl<'a> WireReader<'a> {
             .map_err(|e| MatroxError::Format(format!("{what} is not valid UTF-8: {e}")))
     }
 
+    /// Consume `len` back-to-back `f64` bit patterns (the counterpart of
+    /// [`WireWriter::put_f64s`]).  The whole run is bounds-checked once, so
+    /// the allocation is capped by the stream like every other read.
+    pub fn take_f64s(&mut self, len: usize, what: &str) -> Result<Vec<f64>, MatroxError> {
+        let Some(n_bytes) = len.checked_mul(8) else {
+            return self.short(what);
+        };
+        let bytes = self.take_bytes(n_bytes, what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect())
+    }
+
     /// Consume a `u64`-count-prefixed `f64` vector (bit patterns preserved).
     pub fn take_f64_vec(&mut self, what: &str) -> Result<Vec<f64>, MatroxError> {
         let len = self.take_len(8, what)?;
+        self.take_f64s(len, what)
+    }
+
+    /// Consume a `u64`-count-prefixed `usize` vector.
+    pub fn take_usize_vec(&mut self, what: &str) -> Result<Vec<usize>, MatroxError> {
+        let len = self.take_len(8, what)?;
         let mut v = Vec::with_capacity(len);
         for _ in 0..len {
-            v.push(self.take_f64(what)?);
+            v.push(self.take_usize(what)?);
         }
         Ok(v)
     }
@@ -236,6 +315,11 @@ mod tests {
         w.put_f64(-0.0);
         w.put_str("tenant-a");
         w.put_f64_slice(&[1.5, f64::NAN, f64::INFINITY]);
+        w.put_usize(usize::MAX);
+        w.put_bool(true);
+        w.put_bool(false);
+        w.put_usize_slice(&[3, 0, 9]);
+        w.put_f64s(&[0.25, -8.0]);
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes);
@@ -250,6 +334,11 @@ mod tests {
         assert_eq!(v[0], 1.5);
         assert!(v[1].is_nan(), "NaN bit pattern must survive");
         assert_eq!(v[2], f64::INFINITY);
+        assert_eq!(r.take_usize("count").unwrap(), usize::MAX);
+        assert!(r.take_bool("flag").unwrap());
+        assert!(!r.take_bool("flag").unwrap());
+        assert_eq!(r.take_usize_vec("ids").unwrap(), [3, 0, 9]);
+        assert_eq!(r.take_f64s(2, "payload").unwrap(), [0.25, -8.0]);
         r.finish("test").unwrap();
     }
 
@@ -264,6 +353,49 @@ mod tests {
         assert!(r.take_f64_vec("rhs").is_err());
         let mut r = WireReader::new(&bytes);
         assert!(r.take_str("name").is_err());
+        let mut r = WireReader::new(&bytes);
+        let err = r.take_usize_vec("perm").unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "message: {err}");
+        // An unprefixed run is capped the same way, including a count whose
+        // byte size overflows.
+        for len in [2, usize::MAX] {
+            let mut r = WireReader::new(&bytes);
+            assert!(r.take_f64s(len, "payload").is_err(), "run of {len}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_bool_bytes_are_rejected() {
+        for b in [2u8, 0x80, 0xff] {
+            let bytes = [b];
+            let mut r = WireReader::new(&bytes);
+            assert!(
+                matches!(r.take_bool("flag"), Err(MatroxError::Format(_))),
+                "byte {b:#04x}"
+            );
+        }
+        assert!(WireReader::new(&[]).take_bool("flag").is_err(), "truncated");
+    }
+
+    #[test]
+    fn take_finite_f64_screens_nan_and_infinity() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut w = WireWriter::new();
+            w.put_f64(v);
+            let bytes = w.into_bytes();
+            let mut r = WireReader::new(&bytes);
+            assert!(matches!(
+                r.take_finite_f64("bandwidth"),
+                Err(MatroxError::Format(_))
+            ));
+            // The plain accessor still transports the bits.
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(r.take_f64("x").unwrap().to_bits(), v.to_bits());
+        }
+        let mut w = WireWriter::new();
+        w.put_f64(-2.5);
+        let bytes = w.into_bytes();
+        assert_eq!(WireReader::new(&bytes).take_finite_f64("x").unwrap(), -2.5);
     }
 
     #[test]

@@ -12,126 +12,19 @@
 //!
 //! and the parser must never allocate more than 16 MiB in a single request,
 //! no matter what the corrupted length fields claim — the
-//! remaining-bytes-capped `Vec::with_capacity` hardening, pinned here with
-//! a counting global allocator.
+//! remaining-bytes-capped `Vec::with_capacity` hardening, pinned with the
+//! shared allocation probe (`support/alloc_probe.rs`), which also owns the
+//! sweep itself; the protocol sweep (`crates/serve/tests/proto_fuzz.rs`)
+//! runs the same one over `MATROXS1`.
 
 use matrox_core::{
     from_bytes, from_bytes_factored, inspector, to_bytes, to_bytes_factored, MatRoxParams,
 };
 use matrox_points::{generate, DatasetId, Kernel};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Largest single allocation request a parse of adversarial bytes may make.
-const ALLOC_CAP: usize = 16 * 1024 * 1024;
-
-/// System allocator wrapped with a high-water mark of the largest single
-/// request (what an uncapped `Vec::with_capacity(attacker_len)` would trip).
-struct MaxRequestAlloc;
-
-// CONCURRENCY: a single Relaxed high-water mark — the sweeps run inside one
-// test function, so reset/read happen with no parse in flight; the counter
-// only needs to be monotone within one parse.
-static MAX_REQUEST: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: pure pass-through to `System` plus a high-water-mark update —
-// every GlobalAlloc obligation (layout fitting, no unwinding, pointer
-// validity) is discharged by `System` itself.
-unsafe impl GlobalAlloc for MaxRequestAlloc {
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        MAX_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: forwarding the caller's layout contract verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        MAX_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: forwarding the caller's layout contract verbatim.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        MAX_REQUEST.fetch_max(new_size, Ordering::Relaxed);
-        // SAFETY: forwarding the caller's pointer/layout contract verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarding the caller's pointer/layout contract verbatim.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static WATCHER: MaxRequestAlloc = MaxRequestAlloc;
-
-/// XOR masks swept per byte: low-bit (perturbs values in place), high-bit
-/// (sign/tag flips), and full-byte inversion (structural rewrites, length
-/// explosions).
-const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
-
-/// Run one parse attempt, returning the re-encoded bytes on success, and
-/// enforcing the panic-freedom and allocation-cap properties.
-fn parse_guarded(
-    stream: &[u8],
-    parse: &dyn Fn(Vec<u8>) -> Option<Vec<u8>>,
-    what: &dyn Fn() -> String,
-) -> Option<Vec<u8>> {
-    MAX_REQUEST.store(0, Ordering::Relaxed);
-    let result = catch_unwind(AssertUnwindSafe(|| parse(stream.to_vec())));
-    let peak = MAX_REQUEST.load(Ordering::Relaxed);
-    let reencoded = result.unwrap_or_else(|_| panic!("parser panicked on {}", what()));
-    assert!(
-        peak <= ALLOC_CAP,
-        "parsing {} allocated {peak} bytes in one request (cap {ALLOC_CAP})",
-        what()
-    );
-    reencoded
-}
-
-/// The fuzz property over one stream: every single-byte corruption is
-/// rejected or parsed losslessly, without panics or oversized allocations.
-fn fuzz_stream(label: &str, bytes: &[u8], parse: &dyn Fn(Vec<u8>) -> Option<Vec<u8>>) {
-    // Baseline: the pristine stream parses and round-trips bitwise.
-    let clean = parse_guarded(bytes, parse, &|| format!("pristine {label}"))
-        .unwrap_or_else(|| panic!("pristine {label} stream must parse"));
-    assert_eq!(
-        clean, bytes,
-        "pristine {label} re-encode must be bitwise identical"
-    );
-
-    let mut accepted = 0usize;
-    let mut corrupted = bytes.to_vec();
-    for pos in 0..corrupted.len() {
-        for mask in MASKS {
-            corrupted[pos] ^= mask;
-            let what = || format!("{label} with byte {pos} ^ {mask:#04x}");
-            if let Some(reencoded) = parse_guarded(&corrupted, parse, &what) {
-                accepted += 1;
-                assert_eq!(
-                    reencoded,
-                    corrupted,
-                    "accepted a corrupted stream without representing it losslessly: {}",
-                    what()
-                );
-            }
-            corrupted[pos] ^= mask; // restore
-        }
-    }
-    assert_eq!(corrupted, bytes, "sweep must restore the stream");
-    // Sanity on the sweep itself: structural rewrites (magic, counts,
-    // lengths) must actually be exercised — if nothing was ever rejected
-    // the masks or the stream are too small to mean anything.
-    assert!(
-        accepted < corrupted.len() * MASKS.len(),
-        "{label}: every corruption was accepted; the validators are not running"
-    );
-}
+#[path = "support/alloc_probe.rs"]
+mod alloc_probe;
+use alloc_probe::fuzz_single_byte_flips;
 
 #[test]
 fn every_single_byte_corruption_is_rejected_or_lossless() {
@@ -145,17 +38,14 @@ fn every_single_byte_corruption_is_rejected_or_lossless() {
     let params = MatRoxParams::hss().with_bacc(1e-3).with_leaf_size(8);
     let h = inspector(&points, &kernel, &params).expect("inspector");
 
-    let plain = to_bytes(&h).to_vec();
-    fuzz_stream("MATROX1", &plain, &|data| {
-        from_bytes(bytes::Bytes::from(data))
-            .ok()
-            .map(|h| to_bytes(&h).to_vec())
+    fuzz_single_byte_flips("MATROX1", &to_bytes(&h), &|data| {
+        from_bytes(data).ok().map(|h| to_bytes(&h))
     });
 
-    let factored = to_bytes_factored(&h.factorize().expect("factorize")).to_vec();
-    fuzz_stream("MATROXF1", &factored, &|data| {
-        from_bytes_factored(bytes::Bytes::from(data))
+    let factored = to_bytes_factored(&h.factorize().expect("factorize"));
+    fuzz_single_byte_flips("MATROXF1", &factored, &|data| {
+        from_bytes_factored(data)
             .ok()
-            .map(|fh| to_bytes_factored(&fh).to_vec())
+            .map(|fh| to_bytes_factored(&fh))
     });
 }

@@ -189,8 +189,8 @@ fn io_failpoints_exercise_the_hardened_reader() {
             let mid = flipped.len() / 2;
             flipped[mid] ^= 0x01;
             assert_eq!(
-                matrox_core::to_bytes(&h2).as_ref() as &[u8],
-                &flipped[..],
+                matrox_core::to_bytes(&h2),
+                flipped,
                 "accepted a corrupted stream without representing it losslessly"
             );
         }
@@ -198,9 +198,6 @@ fn io_failpoints_exercise_the_hardened_reader() {
 
     // Disarmed, the same file loads and re-encodes identically.
     let reloaded = matrox_core::load(&path).expect("clean reload");
-    assert_eq!(
-        matrox_core::to_bytes(&reloaded).as_ref() as &[u8],
-        matrox_core::to_bytes(&h).as_ref() as &[u8]
-    );
+    assert_eq!(matrox_core::to_bytes(&reloaded), matrox_core::to_bytes(&h));
     std::fs::remove_file(&path).ok();
 }

@@ -70,7 +70,7 @@ fn roundtrip_is_byte_stable_on_all_structures() {
     for structure in all_structures() {
         let (_, h) = build(structure);
         let bytes = to_bytes(&h);
-        let h2 = from_bytes(bytes.clone()).expect("deserialize");
+        let h2 = from_bytes(&bytes).expect("deserialize");
         assert_eq!(
             to_bytes(&h2),
             bytes,
@@ -144,7 +144,7 @@ fn factored_roundtrip_preserves_solutions_bitwise() {
 fn factored_roundtrip_is_byte_stable() {
     let (_, fh) = build_factored();
     let bytes = to_bytes_factored(&fh);
-    let fh2 = from_bytes_factored(bytes.clone()).expect("deserialize");
+    let fh2 = from_bytes_factored(&bytes).expect("deserialize");
     assert_eq!(
         to_bytes_factored(&fh2),
         bytes,
@@ -176,9 +176,7 @@ fn truncated_factored_payload_is_an_error_not_a_panic() {
     let (_, fh) = build_factored();
     let bytes = to_bytes_factored(&fh);
     for keep in [9, bytes.len() / 2, bytes.len() - 8] {
-        let truncated: Vec<u8> = bytes[..keep].to_vec();
-        let result =
-            std::panic::catch_unwind(|| from_bytes_factored(bytes::Bytes::from(truncated)));
+        let result = std::panic::catch_unwind(|| from_bytes_factored(&bytes[..keep]));
         match result {
             Ok(Err(_)) => {}
             Ok(Ok(_)) => panic!("truncated factored payload deserialized successfully"),
@@ -193,11 +191,47 @@ fn truncated_payload_is_an_error_not_a_panic() {
     let bytes = to_bytes(&h);
     // Keep the magic header but drop the tail: must surface as Err, and the
     // error must be reported before any panic-prone buffer read.
-    let truncated: Vec<u8> = bytes[..bytes.len() / 2].to_vec();
-    let result = std::panic::catch_unwind(|| from_bytes(bytes::Bytes::from(truncated)));
+    let result = std::panic::catch_unwind(|| from_bytes(&bytes[..bytes.len() / 2]));
     match result {
         Ok(Err(_)) => {}
         Ok(Ok(_)) => panic!("truncated payload deserialized successfully"),
-        Err(_) => panic!("truncated payload caused a panic instead of an IoError"),
+        Err(_) => panic!("truncated payload caused a panic instead of an error"),
     }
+}
+
+/// 64-bit FNV-1a, to pin an image without committing it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The byte formats are frozen: the images of one fixed tiny model (the one
+/// `corruption_fuzz.rs` sweeps) keep the length and hash recorded before
+/// the codecs moved onto the `wire` cursor.  The inspector is bitwise
+/// deterministic across pool widths and kernels; the ULV factors are not
+/// across kernels (the SIMD microkernel fuses multiply-adds), so the
+/// factored image has one recorded hash per kernel family.
+#[test]
+fn image_bytes_of_a_fixed_model_are_pinned() {
+    let points = generate(DatasetId::Grid, 32, 0);
+    let kernel = Kernel::GaussianRidge {
+        bandwidth: 0.125,
+        ridge: 8.0,
+    };
+    let params = MatRoxParams::hss().with_bacc(1e-3).with_leaf_size(8);
+    let h = inspector(&points, &kernel, &params).expect("inspector");
+
+    let plain = to_bytes(&h);
+    assert_eq!(plain.len(), 15349, "MATROX1 image length");
+    assert_eq!(fnv1a(&plain), 0x6987_c958_2b5d_950e, "MATROX1 image hash");
+
+    let factored = to_bytes_factored(&h.factorize().expect("factorize"));
+    assert_eq!(factored.len(), 28491, "MATROXF1 image length");
+    let pinned: u64 = if matrox_core::KernelDispatch::global().is_simd() {
+        0xa993_4283_c512_21fc
+    } else {
+        0xd418_7f4d_c116_a37f
+    };
+    assert_eq!(fnv1a(&factored), pinned, "MATROXF1 image hash");
 }

@@ -3,9 +3,15 @@
 //! `execute_prepared` allocates the output matrix plus four per-evaluation
 //! scratch buffers up front; processing additional RHS panels must not
 //! allocate at all (no `HashMap` rebuilds, no per-node temporaries — the
-//! PR-4 follow-up this suite pins).  The test wraps the global allocator
-//! with a counter and asserts that an evaluation spanning many panels
-//! performs exactly as many allocations as one spanning a single panel.
+//! PR-4 follow-up this suite pins).  The test counts allocations with the
+//! workspace's shared probe and asserts that an evaluation spanning many
+//! panels performs exactly as many allocations as one spanning a single
+//! panel.
+//!
+//! The count is process-wide (the pool's workers allocate on their own
+//! threads), so every test runs its whole body inside one outer `measure`:
+//! the probe's lock then keeps another test's fixture building out of this
+//! test's readings at any libtest thread count.
 
 use matrox_analysis::{build_blockset, build_cds_with_grain, build_coarsenset, CoarsenParams};
 use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
@@ -16,52 +22,10 @@ use matrox_points::{generate, DatasetId, Kernel};
 use matrox_sampling::sample_nodes_exhaustive;
 use matrox_tree::{ClusterTree, HTree, PartitionMethod, Structure};
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapped with an allocation counter (allocations only;
-/// deallocations are irrelevant to the invariant).
-struct CountingAlloc;
-
-// CONCURRENCY: a single Relaxed counter — allocations are counted, never
-// ordered; the test reads it only at quiescent points (before/after an
-// evaluation completes).
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System` plus a counter bump — every
-// GlobalAlloc obligation (layout fitting, no unwinding, pointer validity)
-// is discharged by `System` itself.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarding the caller's layout contract verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarding the caller's layout contract verbatim.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarding the caller's pointer/layout contract verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarding the caller's pointer/layout contract verbatim.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+#[path = "../../core/tests/support/alloc_probe.rs"]
+mod alloc_probe;
+use alloc_probe::measure;
 
 fn fixture(n: usize) -> (ClusterTree, EvalPlan) {
     fixture_with_grain(n, 0)
@@ -111,11 +75,9 @@ fn rhs(n: usize, q: usize, seed: u64) -> Matrix {
 
 /// Allocations performed by one `execute_prepared` call.
 fn allocs_for(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matrix) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let y = execute_prepared(plan, tree, prep, w);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (y, reading) = measure(|| execute_prepared(plan, tree, prep, w));
     assert!(y.rows() > 0); // keep the evaluation observable
-    after - before
+    reading.allocs
 }
 
 fn check(opts: ExecOptions, bound_single: u64) {
@@ -149,12 +111,12 @@ fn check(opts: ExecOptions, bound_single: u64) {
 
 #[test]
 fn sequential_panel_loop_is_allocation_free() {
-    check(ExecOptions::sequential(), 8);
+    measure(|| check(ExecOptions::sequential(), 8));
 }
 
 #[test]
 fn parallel_panel_loop_is_allocation_free() {
-    check(ExecOptions::full(), 8);
+    measure(|| check(ExecOptions::full(), 8));
 }
 
 /// A plan whose CDS was packed with grain 1 (every slot its own pool job —
@@ -163,6 +125,10 @@ fn parallel_panel_loop_is_allocation_free() {
 /// same bits with the same allocation count.
 #[test]
 fn grain_one_packed_plan_is_bitwise_identical_and_allocation_free() {
+    measure(grain_one_packed_plan_check);
+}
+
+fn grain_one_packed_plan_check() {
     const N: usize = if cfg!(miri) { 64 } else { 256 };
     const PANEL: usize = 16;
     let (tree, plan) = fixture(N);
@@ -192,18 +158,14 @@ fn grain_one_packed_plan_is_bitwise_identical_and_allocation_free() {
         let _ = execute_prepared(&plan, &tree, &prep, &w);
         let _ = execute_prepared(&plan_g, &tree_g, &prep_g, &w);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let y = execute_prepared(&plan, &tree, &prep, &w);
-    let mid = ALLOCS.load(Ordering::Relaxed);
-    let y_g = execute_prepared(&plan_g, &tree_g, &prep_g, &w);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let (y, auto) = measure(|| execute_prepared(&plan, &tree, &prep, &w));
+    let (y_g, grain_one) = measure(|| execute_prepared(&plan_g, &tree_g, &prep_g, &w));
     assert!(
         bits(y.as_slice(), y_g.as_slice()),
         "executor output diverged on the grain-1 packed plan"
     );
     assert_eq!(
-        mid - before,
-        after - mid,
+        auto.allocs, grain_one.allocs,
         "allocation count diverged on the grain-1 packed plan"
     );
 }

@@ -93,22 +93,17 @@ impl Config {
     pub fn workspace() -> Self {
         Config {
             unsafe_allowlist: vec![
-                // Counting global allocator pinning the corruption-fuzz
-                // bounded-allocation property.
-                "crates/core/tests/corruption_fuzz.rs".into(),
+                // The workspace's one counting global allocator: the dev-only
+                // probe the allocation-free and corruption-fuzz suites include.
+                "crates/core/tests/support/alloc_probe.rs".into(),
                 // Allocation-free executor panel loop: RawSlots disjoint
                 // raw slicing (invariants verified at prepare time).
                 "crates/exec/src/executor.rs".into(),
-                // Counting global allocator used to pin allocation-freedom.
-                "crates/exec/tests/alloc_free.rs".into(),
                 // AVX2+FMA packed GEMM microkernel (raw-pointer tiles).
                 "crates/linalg/src/kernel/avx2.rs".into(),
                 // Audited epoll FFI for the serving network front-end: the
                 // only unsafe code in matrox-serve (crate is deny(unsafe)).
                 "crates/serve/src/net/epoll.rs".into(),
-                // Counting global allocator pinning the protocol-fuzz
-                // bounded-allocation property.
-                "crates/serve/tests/proto_fuzz.rs".into(),
                 // Work-stealing pool: stack-job handoff and worker TLS.
                 "vendor/rayon/src/job.rs".into(),
                 "vendor/rayon/src/lib.rs".into(),
@@ -124,9 +119,9 @@ impl Config {
                 "crates/linalg/src/failpoint.rs".into(),
                 // EvalSession statistics counters (monotonic AtomicU64s).
                 "crates/core/src/session.rs".into(),
-                // Allocation counter inside the counting test allocator.
-                "crates/core/tests/corruption_fuzz.rs".into(),
-                "crates/exec/tests/alloc_free.rs".into(),
+                // Allocation probe: its two counters and the lock that
+                // serializes measurements within a test binary.
+                "crates/core/tests/support/alloc_probe.rs".into(),
                 // Pool-stress suite: a Mutex serializing two test functions
                 // around the process-global failpoint registry.
                 "crates/core/tests/pool_stress.rs".into(),
@@ -136,9 +131,6 @@ impl Config {
                 // Serving reactor: mpsc request/reply channels are its whole
                 // concurrency surface (one thread owns all mutable state).
                 "crates/serve/src/server.rs".into(),
-                // Allocation high-water mark inside the protocol-fuzz
-                // counting test allocator.
-                "crates/serve/tests/proto_fuzz.rs".into(),
             ],
             thread_spawn_allowlist: vec![
                 // The epoll event loop is a long-lived named service thread,

@@ -88,6 +88,7 @@ pub use registry::{Model, ModelRegistry, RegistryStats};
 pub use server::{Op, PendingQuery, PendingResponse, QueryReply, ServeHandle, Server};
 pub use stats::{ServerStats, TenantStats};
 
+use matrox_linalg::knobs::env_knob;
 use std::time::Duration;
 
 /// Serving-layer configuration: the coalescing policy and the registry's
@@ -128,26 +129,18 @@ impl ServeConfig {
     /// and `MATROX_SERVE_WINDOW_US` environment knobs applied.  Invalid or
     /// zero values are rejected with a one-time stderr warning and fall back
     /// to the default, mirroring the `MATROX_PANEL` / `MATROX_GRAIN` policy
-    /// ([`matrox_exec::parse_positive_knob`]): knobs tune behavior, a typo
+    /// ([`matrox_linalg::knobs::env_knob`]): knobs tune behavior, a typo
     /// must be loud but must not take the process down.
     pub fn from_env() -> Self {
         static ENV_CONFIG: std::sync::OnceLock<ServeConfig> = std::sync::OnceLock::new();
         *ENV_CONFIG.get_or_init(|| {
-            let knob =
-                |name: &str| match matrox_exec::parse_positive_knob(name, std::env::var(name)) {
-                    Ok(v) => v,
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        None
-                    }
-                };
             let d = ServeConfig::default();
             ServeConfig {
-                memory_budget_bytes: knob("MATROX_SERVE_BUDGET_MB")
+                memory_budget_bytes: env_knob("MATROX_SERVE_BUDGET_MB")
                     .map(|mb| mb.saturating_mul(1024 * 1024))
                     .unwrap_or(d.memory_budget_bytes),
-                max_batch: knob("MATROX_SERVE_BATCH").unwrap_or(d.max_batch),
-                coalesce_window: knob("MATROX_SERVE_WINDOW_US")
+                max_batch: env_knob("MATROX_SERVE_BATCH").unwrap_or(d.max_batch),
+                coalesce_window: env_knob("MATROX_SERVE_WINDOW_US")
                     .map(|us| Duration::from_micros(us as u64))
                     .unwrap_or(d.coalesce_window),
             }

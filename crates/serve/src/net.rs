@@ -35,6 +35,7 @@ use crate::net::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT
 use crate::proto::{encode_frame, take_frame, Request, Response};
 use crate::server::{PendingResponse, ServeHandle};
 use matrox_core::MatroxError;
+use matrox_linalg::knobs::env_knob;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -94,22 +95,14 @@ impl NetConfig {
     /// The defaults with the `MATROX_NET_PORT`, `MATROX_NET_MAX_INFLIGHT`
     /// (total in-flight cap) and `MATROX_NET_IDLE_MS` environment knobs
     /// applied, parsed by the shared
-    /// [`matrox_exec::parse_positive_knob`] policy: invalid or zero values
+    /// [`matrox_linalg::knobs::env_knob`] policy: invalid or zero values
     /// are rejected with a one-time stderr warning and fall back to the
     /// default.
     pub fn from_env() -> Self {
         static ENV_CONFIG: std::sync::OnceLock<NetConfig> = std::sync::OnceLock::new();
         *ENV_CONFIG.get_or_init(|| {
-            let knob =
-                |name: &str| match matrox_exec::parse_positive_knob(name, std::env::var(name)) {
-                    Ok(v) => v,
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        None
-                    }
-                };
             let d = NetConfig::default();
-            let port = match knob("MATROX_NET_PORT") {
+            let port = match env_knob("MATROX_NET_PORT") {
                 Some(p) => match u16::try_from(p) {
                     Ok(p) => p,
                     Err(_) => {
@@ -124,8 +117,9 @@ impl NetConfig {
             };
             NetConfig {
                 port,
-                max_inflight_total: knob("MATROX_NET_MAX_INFLIGHT").unwrap_or(d.max_inflight_total),
-                idle_timeout: knob("MATROX_NET_IDLE_MS")
+                max_inflight_total: env_knob("MATROX_NET_MAX_INFLIGHT")
+                    .unwrap_or(d.max_inflight_total),
+                idle_timeout: env_knob("MATROX_NET_IDLE_MS")
                     .map(|ms| Duration::from_millis(ms as u64))
                     .unwrap_or(d.idle_timeout),
                 ..d

@@ -469,7 +469,7 @@ impl Response {
 }
 
 fn encode_stats(w: &mut WireWriter, s: &ServerStats) {
-    w.put_u64(s.tenants.len() as u64);
+    w.put_usize(s.tenants.len());
     for (id, t) in &s.tenants {
         w.put_str(id);
         w.put_u64(t.queries);
@@ -480,9 +480,9 @@ fn encode_stats(w: &mut WireWriter, s: &ServerStats) {
         w.put_u64(t.contained_panics);
         w.put_u64(t.retried_queries);
     }
-    w.put_u64(s.registry.resident_models as u64);
-    w.put_u64(s.registry.resident_bytes as u64);
-    w.put_u64(s.registry.budget_bytes as u64);
+    w.put_usize(s.registry.resident_models);
+    w.put_usize(s.registry.resident_bytes);
+    w.put_usize(s.registry.budget_bytes);
     w.put_u64(s.registry.loads);
     w.put_u64(s.registry.evictions);
     w.put_f64(s.sessions.inspect_seconds);
@@ -492,11 +492,6 @@ fn encode_stats(w: &mut WireWriter, s: &ServerStats) {
     w.put_u64(s.sessions.invalid_inputs);
     w.put_u64(s.sessions.contained_panics);
     w.put_u64(s.sessions.ridge_attempts as u64);
-}
-
-fn take_usize(r: &mut WireReader<'_>, what: &str) -> Result<usize, MatroxError> {
-    let v = r.take_u64(what)?;
-    usize::try_from(v).map_err(|_| MatroxError::Format(format!("{what} {v} does not fit in usize")))
 }
 
 fn decode_stats(r: &mut WireReader<'_>) -> Result<ServerStats, MatroxError> {
@@ -521,9 +516,9 @@ fn decode_stats(r: &mut WireReader<'_>) -> Result<ServerStats, MatroxError> {
         tenants,
         ..ServerStats::default()
     };
-    stats.registry.resident_models = take_usize(r, "resident models")?;
-    stats.registry.resident_bytes = take_usize(r, "resident bytes")?;
-    stats.registry.budget_bytes = take_usize(r, "budget bytes")?;
+    stats.registry.resident_models = r.take_usize("resident models")?;
+    stats.registry.resident_bytes = r.take_usize("resident bytes")?;
+    stats.registry.budget_bytes = r.take_usize("budget bytes")?;
     stats.registry.loads = r.take_u64("registry loads")?;
     stats.registry.evictions = r.take_u64("registry evictions")?;
     stats.sessions.inspect_seconds = r.take_f64("inspect seconds")?;

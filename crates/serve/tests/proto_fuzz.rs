@@ -11,124 +11,19 @@
 //!   lossless);
 //!
 //! and decoding must never allocate more than 16 MiB in one request no
-//! matter what the corrupted length fields claim, pinned with a counting
-//! global allocator.  The framing layer (`take_frame`) is swept too: a
-//! corrupted frame header is either "wait for more bytes", a clean error,
-//! or a complete frame whose payload then faces the same message sweep.
+//! matter what the corrupted length fields claim.  The sweep and the
+//! allocation probe behind it are the ones the model-reader fuzz uses
+//! (`crates/core/tests/support/alloc_probe.rs`).  The framing layer
+//! (`take_frame`) is swept too: a corrupted frame header is either "wait
+//! for more bytes", a clean error, or a complete frame whose payload then
+//! faces the same message sweep.
 
 use matrox_serve::proto::{encode_frame, take_frame, Request, Response};
 use matrox_serve::{ErrorKind, ServerStats, TenantStats};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Largest single allocation a decode of adversarial bytes may request.
-const ALLOC_CAP: usize = 16 * 1024 * 1024;
-
-/// System allocator wrapped with a high-water mark of the largest single
-/// request (what an uncapped `Vec::with_capacity(attacker_len)` would trip).
-struct MaxRequestAlloc;
-
-// CONCURRENCY: a single Relaxed high-water mark — the sweeps run inside one
-// test function, so reset/read happen with no decode in flight; the counter
-// only needs to be monotone within one decode.
-static MAX_REQUEST: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: pure pass-through to `System` plus a high-water-mark update —
-// every GlobalAlloc obligation (layout fitting, no unwinding, pointer
-// validity) is discharged by `System` itself.
-unsafe impl GlobalAlloc for MaxRequestAlloc {
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        MAX_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: forwarding the caller's layout contract verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        MAX_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: forwarding the caller's layout contract verbatim.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        MAX_REQUEST.fetch_max(new_size, Ordering::Relaxed);
-        // SAFETY: forwarding the caller's pointer/layout contract verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: contract inherited verbatim from the `GlobalAlloc` trait.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarding the caller's pointer/layout contract verbatim.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static WATCHER: MaxRequestAlloc = MaxRequestAlloc;
-
-/// XOR masks swept per byte: low-bit (perturbs values in place), high-bit
-/// (sign/tag flips), and full-byte inversion (structural rewrites, length
-/// explosions).
-const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
-
-/// Run one decode attempt, returning the re-encoded bytes on success, and
-/// enforcing the panic-freedom and allocation-cap properties.
-fn decode_guarded(
-    stream: &[u8],
-    decode: &dyn Fn(&[u8]) -> Option<Vec<u8>>,
-    what: &dyn Fn() -> String,
-) -> Option<Vec<u8>> {
-    MAX_REQUEST.store(0, Ordering::Relaxed);
-    let result = catch_unwind(AssertUnwindSafe(|| decode(stream)));
-    let peak = MAX_REQUEST.load(Ordering::Relaxed);
-    let reencoded = result.unwrap_or_else(|_| panic!("decoder panicked on {}", what()));
-    assert!(
-        peak <= ALLOC_CAP,
-        "decoding {} allocated {peak} bytes in one request (cap {ALLOC_CAP})",
-        what()
-    );
-    reencoded
-}
-
-/// The fuzz property over one message: every single-byte corruption is
-/// rejected or decoded losslessly, without panics or oversized allocations.
-fn fuzz_message(label: &str, bytes: &[u8], decode: &dyn Fn(&[u8]) -> Option<Vec<u8>>) {
-    let clean = decode_guarded(bytes, decode, &|| format!("pristine {label}"))
-        .unwrap_or_else(|| panic!("pristine {label} must decode"));
-    assert_eq!(
-        clean, bytes,
-        "pristine {label} re-encode must be bitwise identical"
-    );
-
-    let mut accepted = 0usize;
-    let mut corrupted = bytes.to_vec();
-    for pos in 0..corrupted.len() {
-        for mask in MASKS {
-            corrupted[pos] ^= mask;
-            let what = || format!("{label} with byte {pos} ^ {mask:#04x}");
-            if let Some(reencoded) = decode_guarded(&corrupted, decode, &what) {
-                accepted += 1;
-                assert_eq!(
-                    reencoded,
-                    corrupted,
-                    "accepted a corrupted message without representing it losslessly: {}",
-                    what()
-                );
-            }
-            corrupted[pos] ^= mask; // restore
-        }
-    }
-    assert_eq!(corrupted, bytes, "sweep must restore the message");
-    // Structural corruption (magic, version, tags, lengths) must actually
-    // be rejected somewhere, or the validators are not running.
-    assert!(
-        accepted < corrupted.len() * MASKS.len(),
-        "{label}: every corruption was accepted; the validators are not running"
-    );
-}
+#[path = "../../core/tests/support/alloc_probe.rs"]
+mod alloc_probe;
+use alloc_probe::fuzz_single_byte_flips;
 
 fn sample_requests() -> Vec<(&'static str, Request)> {
     vec![
@@ -199,7 +94,7 @@ fn sample_responses() -> Vec<(&'static str, Response)> {
 #[test]
 fn every_single_byte_request_corruption_is_rejected_or_lossless() {
     for (label, req) in sample_requests() {
-        fuzz_message(label, &req.encode(), &|data| {
+        fuzz_single_byte_flips(label, &req.encode(), &|data| {
             Request::decode(data).ok().map(|r| r.encode())
         });
     }
@@ -208,7 +103,7 @@ fn every_single_byte_request_corruption_is_rejected_or_lossless() {
 #[test]
 fn every_single_byte_response_corruption_is_rejected_or_lossless() {
     for (label, resp) in sample_responses() {
-        fuzz_message(label, &resp.encode(), &|data| {
+        fuzz_single_byte_flips(label, &resp.encode(), &|data| {
             Response::decode(data).ok().map(|r| r.encode())
         });
     }
@@ -227,37 +122,16 @@ fn every_single_byte_frame_corruption_is_contained() {
     };
     let framed = encode_frame(7, &req.encode());
     let max_frame = 16 << 20;
-
-    let mut corrupted = framed.clone();
-    for pos in 0..corrupted.len() {
-        for mask in MASKS {
-            corrupted[pos] ^= mask;
-            let what = || format!("frame with byte {pos} ^ {mask:#04x}");
-            MAX_REQUEST.store(0, Ordering::Relaxed);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut buf = corrupted.clone();
-                match take_frame(&mut buf, max_frame) {
-                    Err(_) => None,   // framing rejected: connection would close
-                    Ok(None) => None, // incomplete: loop keeps waiting
-                    Ok(Some((corr, payload))) => Request::decode(&payload)
-                        .ok()
-                        .map(|r| encode_frame(corr, &r.encode())),
-                }
-            }));
-            let peak = MAX_REQUEST.load(Ordering::Relaxed);
-            assert!(
-                peak <= ALLOC_CAP,
-                "framing {} allocated {peak} bytes in one request",
-                what()
-            );
-            let reencoded = outcome.unwrap_or_else(|_| panic!("framing panicked on {}", what()));
-            if let Some(reencoded) = reencoded {
-                // A fully-accepted frame must be the corrupted bytes,
-                // re-framed losslessly.
-                assert_eq!(reencoded, corrupted, "lossless re-frame for {}", what());
-            }
-            corrupted[pos] ^= mask; // restore
+    fuzz_single_byte_flips("frame", &framed, &|data| {
+        let mut buf = data.to_vec();
+        match take_frame(&mut buf, max_frame) {
+            Err(_) => None,   // framing rejected: connection would close
+            Ok(None) => None, // incomplete: loop keeps waiting
+            // A fully-accepted frame must be the corrupted bytes, re-framed
+            // losslessly.
+            Ok(Some((corr, payload))) => Request::decode(&payload)
+                .ok()
+                .map(|r| encode_frame(corr, &r.encode())),
         }
-    }
-    assert_eq!(corrupted, framed, "sweep must restore the frame");
+    });
 }

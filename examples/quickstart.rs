@@ -47,11 +47,6 @@ fn main() {
         h.compression_ratio()
     );
 
-    // The generated specialized code (the `matmul.h` artifact).
-    let out = std::env::temp_dir().join("matrox_quickstart_matmul.rs");
-    h.write_generated_code(&out).expect("write generated code");
-    println!("  generated code     -> {}", out.display());
-
     // ---- executor: Y = K~ * W ---------------------------------------------
     let q = 256;
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
