@@ -11,7 +11,7 @@
 //! is exactly what Figure 5 isolates.
 //!
 //! * near/far loops: `rayon` parallel iteration over *interactions* (not
-//!   conflict-free groups), with a `parking_lot` mutex per output node to
+//!   conflict-free groups), with a mutex per output node to
 //!   stand in for the `#pragma omp atomic` reductions of Figure 1d;
 //! * tree loops: recursive `rayon::join` task parallelism (dynamic work
 //!   stealing) instead of MatRox's locality-aware coarsen partitions;
@@ -21,14 +21,27 @@
 use matrox_compress::Compression;
 use matrox_linalg::{gemm_seq, GemmOp, Matrix};
 use matrox_tree::{ClusterTree, HTree};
+use rayon::prelude::*;
+use std::collections::HashMap;
 // CONCURRENCY: the baseline's level-parallel sweeps accumulate into
 // per-node cells; unlike the executor (disjoint-slot proofs + RawSlots),
 // the baseline deliberately keeps the simple tree-based storage of the
 // paper, so the cells are Mutex-guarded.  Contention is per-node and the
 // baseline is measured for *time*, so the locks are part of what it models.
-use parking_lot::Mutex;
-use rayon::prelude::*;
-use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a cell.  Poisoning is recovered rather than raised as a second
+/// panic: the first one already unwinds through `rayon::join` / `for_each`
+/// and aborts the evaluation, so a cell left mid-update never reaches a
+/// result.
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Take a cell's value once the parallel region is over.
+fn into_inner<T>(cell: Mutex<T>) -> T {
+    cell.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// GOFMM-style evaluator over tree-based storage.
 pub struct GofmmEvaluator<'a> {
@@ -114,7 +127,7 @@ impl<'a> GofmmEvaluator<'a> {
                     || self.upward_task(r, w, &slots),
                 );
             }
-            slots.into_iter().map(|m| m.into_inner()).collect()
+            slots.into_iter().map(into_inner).collect()
         } else {
             let mut t = vec![Matrix::zeros(0, q); n_nodes];
             for level in (1..=tree.height).rev() {
@@ -147,9 +160,9 @@ impl<'a> GofmmEvaluator<'a> {
                     0.0,
                     &mut contrib,
                 );
-                slots[*i].lock().add_assign(&contrib);
+                lock(&slots[*i]).add_assign(&contrib);
             });
-            slots.into_iter().map(|m| m.into_inner()).collect()
+            slots.into_iter().map(into_inner).collect()
         } else {
             let mut s: Vec<Matrix> = self
                 .compression
@@ -206,10 +219,10 @@ impl<'a> GofmmEvaluator<'a> {
                     0.0,
                     &mut contrib,
                 );
-                leaf_acc[i].lock().add_assign(&contrib);
+                lock(&leaf_acc[i]).add_assign(&contrib);
             });
             for (leaf, acc) in leaf_acc {
-                y.scatter_add_rows(tree.indices(leaf), &acc.into_inner());
+                y.scatter_add_rows(tree.indices(leaf), &into_inner(acc));
             }
         } else {
             let mut s = s;
@@ -298,8 +311,8 @@ impl<'a> GofmmEvaluator<'a> {
                 ti
             } else {
                 let (l, r) = node.children.unwrap();
-                let tl = slots[l].lock().clone();
-                let tr = slots[r].lock().clone();
+                let tl = lock(&slots[l]).clone();
+                let tr = lock(&slots[r]).clone();
                 let input = match (tl.rows(), tr.rows()) {
                     (0, 0) => Matrix::zeros(0, q),
                     (0, _) => tr,
@@ -319,7 +332,7 @@ impl<'a> GofmmEvaluator<'a> {
                 ti
             }
         };
-        *slots[id].lock() = ti;
+        *lock(&slots[id]) = ti;
     }
 
     fn downward_task(
@@ -331,7 +344,7 @@ impl<'a> GofmmEvaluator<'a> {
     ) {
         let basis = &self.compression.bases[id];
         let node = &self.tree.nodes[id];
-        let s_i = s_cells[id].lock().clone();
+        let s_i = lock(&s_cells[id]).clone();
         if basis.srank != 0 && s_i.rows() == basis.srank {
             if node.is_leaf() {
                 let mut contrib = Matrix::zeros(node.num_points(), q);
@@ -344,7 +357,7 @@ impl<'a> GofmmEvaluator<'a> {
                     0.0,
                     &mut contrib,
                 );
-                leaf_acc[&id].lock().add_assign(&contrib);
+                lock(&leaf_acc[&id]).add_assign(&contrib);
             } else {
                 let (l, r) = node.children.unwrap();
                 let rl = self.compression.bases[l].srank;
@@ -360,14 +373,10 @@ impl<'a> GofmmEvaluator<'a> {
                     &mut expanded,
                 );
                 if rl > 0 {
-                    s_cells[l]
-                        .lock()
-                        .add_assign(&expanded.submatrix(0, rl, 0, q));
+                    lock(&s_cells[l]).add_assign(&expanded.submatrix(0, rl, 0, q));
                 }
                 if rr > 0 {
-                    s_cells[r]
-                        .lock()
-                        .add_assign(&expanded.submatrix(rl, rl + rr, 0, q));
+                    lock(&s_cells[r]).add_assign(&expanded.submatrix(rl, rl + rr, 0, q));
                 }
             }
         }

@@ -18,16 +18,14 @@
 //! * **batch-16 speedup** — one batched `evaluate(W)` with q = 16 versus 16
 //!   sequential matvecs on the same session, with a bitwise-identity check.
 //!
-//! Results are written to `BENCH_fig4.json`; the CI `perf-smoke` job runs
-//! this harness at tiny N and gates the summary against
-//! `crates/bench/thresholds.json`.
+//! Results are written to `BENCH_fig4.json` (untracked).
 //!
 //! ```bash
 //! cargo run -p matrox-bench --release --bin fig4 [--n 2048] [--q 64] [--datasets grid,susy]
 //! ```
 
 use matrox_bench::*;
-use matrox_core::{EvalSession, InspectTimings, MatroxError};
+use matrox_core::{EvalSession, MatroxError};
 use matrox_points::{generate, DatasetId};
 use matrox_tree::Structure;
 use std::fmt::Write as _;
@@ -44,7 +42,8 @@ struct Sweep {
     dataset: String,
     structure: String,
     inspect_s: f64,
-    inspect_phases: InspectTimings,
+    /// Seconds in partition, sample, compress, assemble.
+    inspect_phases: [f64; 4],
     inspect_over_exec: f64,
     panel_width: usize,
     gofmm_compress_s: f64,
@@ -189,9 +188,10 @@ fn main() -> Result<(), MatroxError> {
             let q1_total = inspect_s + rows.first().map_or(0.0, |r| r.eval_s);
             let amortization_ratio = last_amortized / q1_total;
             // Inspector cost relative to one batched evaluation at the largest
-            // swept Q: the "how many executor passes does one inspection cost"
-            // figure gated by `fig4_max_inspect_over_exec`.
-            let inspect_phases = session.stats().inspect_phases;
+            // swept Q: how many executor passes one inspection costs.
+            let t = session.stats().inspector;
+            let inspect_phases =
+                [t.partition(), t.sampling, t.low_rank, t.assemble()].map(|d| d.as_secs_f64());
             let inspect_over_exec = inspect_s / rows.last().map_or(1.0, |r| r.eval_s.max(1e-12));
             println!(
                 "  -> inspect {:.3}s once (panel width {}), break-even Q vs re-inspection: {}, \
@@ -212,10 +212,10 @@ fn main() -> Result<(), MatroxError> {
             println!(
                 "     inspect phases: partition {:.3}s, sample {:.3}s, compress {:.3}s, \
                  assemble {:.3}s; inspect / exec(Q={}) = {:.2}",
-                inspect_phases.partition_seconds,
-                inspect_phases.sample_seconds,
-                inspect_phases.compress_seconds,
-                inspect_phases.assemble_seconds,
+                inspect_phases[0],
+                inspect_phases[1],
+                inspect_phases[2],
+                inspect_phases[3],
                 q_max,
                 inspect_over_exec
             );
@@ -240,8 +240,7 @@ fn main() -> Result<(), MatroxError> {
     }
 
     let json = render_json(&check, args.n, &sweeps);
-    write_bench_json("BENCH_fig4.json", &json);
-    Ok(())
+    write_bench_json("BENCH_fig4.json", &json)
 }
 
 /// Wrap the baseline setup in its batched evaluator (compress once,
@@ -254,8 +253,7 @@ fn gofmm_session(setup: &BaselineSetup) -> matrox_baselines::GofmmEvaluator<'_> 
 /// `{self_check, n, sweeps: [{dataset, structure, inspect_s, panel_width,
 /// gofmm_compress_s, rows: [{q, eval_s, per_query_s, amortized_per_query_s,
 /// gofmm_eval_s}], break_even_q, batch16: {...}, amortization_ratio}],
-/// summary: {...}}`.  The `summary` keys are unique document-wide so the
-/// `perf_smoke` gate can read them with the minimal JSON reader.
+/// summary: {...}}`.
 fn render_json(check: &matrox_bench::PoolSelfCheck, n: usize, sweeps: &[Sweep]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -272,10 +270,10 @@ fn render_json(check: &matrox_bench::PoolSelfCheck, n: usize, sweeps: &[Sweep]) 
             s.dataset,
             s.structure,
             json_f64(s.inspect_s),
-            json_f64(s.inspect_phases.partition_seconds),
-            json_f64(s.inspect_phases.sample_seconds),
-            json_f64(s.inspect_phases.compress_seconds),
-            json_f64(s.inspect_phases.assemble_seconds),
+            json_f64(s.inspect_phases[0]),
+            json_f64(s.inspect_phases[1]),
+            json_f64(s.inspect_phases[2]),
+            json_f64(s.inspect_phases[3]),
             json_f64(s.inspect_over_exec),
             s.panel_width,
             json_f64(s.gofmm_compress_s)
@@ -310,7 +308,7 @@ fn render_json(check: &matrox_bench::PoolSelfCheck, n: usize, sweeps: &[Sweep]) 
         );
     }
     out.push_str("  ],\n");
-    // Gate-relevant aggregates with document-unique keys.
+    // Worst case of each headline figure over all sweeps.
     let max_per_query = sweeps
         .iter()
         .filter_map(|s| s.rows.last())

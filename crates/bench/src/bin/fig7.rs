@@ -202,8 +202,7 @@ fn main() -> Result<(), MatroxError> {
     }
 
     let json = render_json(&check, args.n, args.q, &sweeps);
-    write_bench_json("BENCH_fig7.json", &json);
-    Ok(())
+    write_bench_json("BENCH_fig7.json", &json)
 }
 
 /// Hand-rolled JSON (no serde in the offline vendor set).  Schema:

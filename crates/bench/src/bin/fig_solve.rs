@@ -138,17 +138,14 @@ fn main() -> Result<(), MatroxError> {
     }
 
     let json = render_json(q, bacc, &rows);
-    write_bench_json("BENCH_solve.json", &json);
-    Ok(())
+    write_bench_json("BENCH_solve.json", &json)
 }
 
 /// Hand-rolled JSON (no serde in the offline vendor set).  Schema:
 /// `{q, bacc, rows: [{n, inspector_s, factor_s, factor_leaf_s,
 /// factor_merge_s, solve1_s, solveq_s, residual, factor_bytes,
 /// dense_factor_s, dense_solve_s, dense_diff}], summary: {...}}` with
-/// `null` where the dense baseline was skipped.  The `summary` keys are
-/// unique document-wide so the `perf_smoke` gate can read them with the
-/// minimal JSON reader.
+/// `null` where the dense baseline was skipped.
 fn render_json(q: usize, bacc: f64, rows: &[SolveRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");

@@ -1,6 +1,5 @@
 //! Shared harness plumbing: argument parsing, the pool self-check banner,
-//! and the hand-rolled JSON writing/reading helpers every `BENCH_*.json`
-//! emitter (and the `perf_smoke` gate) uses.
+//! and the hand-rolled JSON writer the `BENCH_*.json` emitters use.
 //!
 //! The fig binaries used to hand-roll all three; they are hoisted here so a
 //! new harness is a `main` over measurements, not another copy of the
@@ -55,7 +54,7 @@ impl HarnessArgs {
     }
 
     /// Raw string value following `flag`, when present.
-    pub fn str_flag(&self, flag: &str) -> Option<String> {
+    fn str_flag(&self, flag: &str) -> Option<String> {
         self.raw
             .iter()
             .position(|a| a == flag)
@@ -112,46 +111,15 @@ pub fn json_opt(v: Option<f64>) -> String {
     v.map(json_f64).unwrap_or_else(|| "null".to_string())
 }
 
-/// Write a `BENCH_*.json` payload, printing the standard wrote/failed line.
-pub fn write_bench_json(path: &str, json: &str) {
-    match std::fs::write(path, json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
-}
-
-/// Look up the first occurrence of `"key":` in a JSON document and parse the
-/// value that follows as a number.  The `BENCH_*.json` / `thresholds.json`
-/// schemas keep gate-relevant keys unique, which is all this reader (a
-/// stand-in for a JSON parser — the vendor set has no serde) needs.
-pub fn json_lookup_number(doc: &str, key: &str) -> Option<f64> {
-    let token = json_lookup_token(doc, key)?;
-    token.parse::<f64>().ok()
-}
-
-/// Like [`json_lookup_number`] but for `true`/`false` values.
-pub fn json_lookup_bool(doc: &str, key: &str) -> Option<bool> {
-    match json_lookup_token(doc, key)?.as_str() {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn json_lookup_token(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    let token = &rest[..end];
-    if token.is_empty() {
-        None
-    } else {
-        Some(token.to_string())
-    }
+/// Write a `BENCH_*.json` payload and print the standard wrote line.
+///
+/// # Errors
+/// [`MatroxError::Io`] when the file cannot be written, so the bin exits
+/// non-zero instead of reporting a figure it did not record.
+pub fn write_bench_json(path: &str, json: &str) -> Result<(), MatroxError> {
+    std::fs::write(path, json)?;
+    println!("\nwrote {path}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -179,15 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn json_lookup_reads_what_json_f64_writes() {
-        let doc = format!(
-            "{{\n  \"speedup\": {},\n  \"count\": 42,\n  \"ok\": true,\n  \"bad\": null\n}}\n",
-            json_f64(3.25)
-        );
-        assert!((json_lookup_number(&doc, "speedup").unwrap() - 3.25).abs() < 1e-12);
-        assert_eq!(json_lookup_number(&doc, "count"), Some(42.0));
-        assert_eq!(json_lookup_bool(&doc, "ok"), Some(true));
-        assert_eq!(json_lookup_number(&doc, "bad"), None);
-        assert_eq!(json_lookup_number(&doc, "absent"), None);
+    fn failed_write_is_an_io_error() {
+        let dir = std::env::temp_dir().join(format!("matrox-bench-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let file = dir.join("BENCH_ok.json");
+        write_bench_json(&file.to_string_lossy(), "{}\n").expect("writable path");
+        assert_eq!(std::fs::read_to_string(&file).expect("read back"), "{}\n");
+        // A directory is not a writable file.
+        let err = write_bench_json(&dir.to_string_lossy(), "{}\n");
+        assert!(matches!(err, Err(MatroxError::Io(_))), "got {err:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

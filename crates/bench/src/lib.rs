@@ -4,11 +4,11 @@
 //! table and figure of the MatRox paper's evaluation (Section 4 and 5).
 //!
 //! Each experiment has a binary harness (`cargo run -p matrox-bench --release
-//! --bin figN`) that prints the same rows/series the paper reports, and the
-//! most time-sensitive experiments additionally have Criterion benches under
-//! `benches/`.  Absolute numbers differ from the paper (different machine, no
-//! MKL, scaled-down N — see DESIGN.md substitutions S1/S2/S6); the harnesses
-//! are about reproducing the *shape* of each result.
+//! --bin figN`) that prints the same rows/series the paper reports.  Absolute
+//! numbers differ from the paper (different machine, no MKL, scaled-down N —
+//! see DESIGN.md substitutions S1/S2/S6); the harnesses are about reproducing
+//! the *shape* of each result.  Performance numbers that gate a change come
+//! from `benchmark/` (BENCHMARK.json), not from here.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +18,7 @@ use matrox_baselines::GofmmEvaluator;
 use matrox_cachesim::Trace;
 use matrox_codegen::EvalPlan;
 use matrox_compress::{compress, Compression, CompressionParams};
-use matrox_core::{inspector, inspector_p1, inspector_p2, HMatrix, MatRoxParams, MatroxError};
+use matrox_core::{inspector, HMatrix, MatRoxParams, MatroxError};
 use matrox_linalg::Matrix;
 use matrox_points::{generate, DatasetId, Kernel, PointSet};
 use matrox_sampling::sample_nodes;
@@ -32,8 +32,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 pub use harness::{
-    json_f64, json_lookup_bool, json_lookup_number, json_opt, pool_banner, self_check_json,
-    write_bench_json, HarnessArgs,
+    json_f64, json_opt, pool_banner, self_check_json, write_bench_json, HarnessArgs,
 };
 
 /// Default problem size used by the harnesses (scaled down from the paper's
@@ -64,10 +63,11 @@ pub fn params_for(structure: Structure) -> MatRoxParams {
 }
 
 /// The canonical *solve* scenario setting shared by the `fig_solve`
-/// harness, the criterion bench and the acceptance tests: a kernel-ridge
-/// Gaussian matrix `K + lambda I` over the 2-d grid, compressed with HSS.
+/// harness, the benchmark's `sci_solve` / `serve_wire` workloads and the
+/// acceptance tests: a kernel-ridge Gaussian matrix `K + lambda I` over the
+/// 2-d grid, compressed with HSS.
 ///
-/// The knobs balance two opposing pressures (measured in BENCH_solve.json):
+/// The knobs balance two opposing pressures (measured by `fig_solve`):
 /// the bandwidth must be large enough relative to the grid spacing
 /// (`8x`) that the sampled interpolative decompositions capture the far
 /// field accurately, while the ridge (`lambda = 32`) keeps the otherwise
@@ -432,27 +432,6 @@ pub fn r_squared(xs: &[f64], ys: &[f64]) -> f64 {
         return 1.0;
     }
     (sxy * sxy) / (sxx * syy)
-}
-
-/// Run a MatRox p1+p2 inspection and return `(HMatrix, p1 seconds, p2 seconds)`.
-///
-/// # Errors
-/// Propagates the inspector's [`MatroxError`].
-pub fn inspect_split(
-    points: &PointSet,
-    dataset: DatasetId,
-    structure: Structure,
-    bacc: f64,
-) -> Result<(HMatrix, f64, f64), MatroxError> {
-    let kernel = kernel_for(dataset);
-    let params = params_for(structure).with_bacc(bacc);
-    let t0 = Instant::now();
-    let p1 = inspector_p1(points, &kernel, &params)?;
-    let p1_time = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let h = inspector_p2(points, &p1, &kernel, bacc)?;
-    let p2_time = t0.elapsed().as_secs_f64();
-    Ok((h, p1_time, p2_time))
 }
 
 #[cfg(test)]

@@ -113,5 +113,5 @@ pub use matrox_factor::FactorError;
 pub use matrox_linalg::failpoint;
 pub use matrox_linalg::{KernelChoice, KernelDispatch};
 pub use session::EvalSession;
-pub use timings::{FactorTimings, InspectTimings, InspectorTimings, SessionStats};
+pub use timings::{FactorTimings, InspectorTimings, SessionStats};
 pub use wire::{WireReader, WireWriter};

@@ -267,7 +267,7 @@ impl EvalSession {
             invalid_inputs: self.invalid_inputs.load(Ordering::Relaxed),
             contained_panics: self.contained_panics.load(Ordering::Relaxed),
             ridge_attempts: self.ridge_attempts.load(Ordering::Relaxed) as u32,
-            inspect_phases: self.hmatrix.timings.phases(),
+            inspector: self.hmatrix.timings,
         }
     }
 }

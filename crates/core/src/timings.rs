@@ -14,7 +14,7 @@ use std::time::Duration;
 pub use matrox_factor::FactorTimings;
 
 /// Wall-clock time of every inspector module.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct InspectorTimings {
     /// Tree construction (compression module 1).
     pub tree_construction: Duration,
@@ -70,51 +70,22 @@ impl InspectorTimings {
         if total == 0.0 {
             0.0
         } else {
-            (self.structure_analysis() + self.codegen).as_secs_f64() / total
+            self.assemble().as_secs_f64() / total
         }
     }
 
-    /// The coarse four-phase view of the same timings ([`InspectTimings`]):
-    /// how long the inspector spent partitioning, sampling, compressing, and
-    /// assembling the plan.  The phases partition [`total`](Self::total).
-    pub fn phases(&self) -> InspectTimings {
-        InspectTimings {
-            partition_seconds: (self.tree_construction + self.interaction).as_secs_f64(),
-            sample_seconds: self.sampling.as_secs_f64(),
-            compress_seconds: self.low_rank.as_secs_f64(),
-            assemble_seconds: (self.blocking + self.coarsening + self.cds + self.codegen)
-                .as_secs_f64(),
-        }
+    /// Cluster-tree partitioning plus interaction computation: the first of
+    /// the four coarse phases (`partition`, [`sampling`](Self::sampling),
+    /// [`low_rank`](Self::low_rank), [`assemble`](Self::assemble)) that map
+    /// onto the parallel pipeline and partition [`total`](Self::total).
+    pub fn partition(&self) -> Duration {
+        self.tree_construction + self.interaction
     }
-}
 
-/// Coarse phase breakdown of one inspection, derived from
-/// [`InspectorTimings::phases`] and surfaced through
-/// [`SessionStats::inspect_phases`] so harnesses (fig4's BENCH output, the
-/// perf-smoke gate) can report where parallel-inspector time goes without
-/// walking the eight fine-grained modules.
-///
-/// The four phases map onto the parallel pipeline: *partition* is the
-/// level-parallel cluster-tree build plus interaction lists, *sample* the
-/// per-node neighbor/skeleton sampling, *compress* the level-parallel
-/// low-rank approximation, and *assemble* the sequential-spine structure
-/// analysis (blocking, coarsening, CDS packing, codegen).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct InspectTimings {
-    /// Cluster-tree partitioning + interaction computation.
-    pub partition_seconds: f64,
-    /// Per-node neighbor/skeleton sampling.
-    pub sample_seconds: f64,
-    /// Level-parallel low-rank compression.
-    pub compress_seconds: f64,
-    /// Blocking, coarsening, CDS assembly, and code generation.
-    pub assemble_seconds: f64,
-}
-
-impl InspectTimings {
-    /// Sum of the four phases — equals the inspector's total wall-clock.
-    pub fn total_seconds(&self) -> f64 {
-        self.partition_seconds + self.sample_seconds + self.compress_seconds + self.assemble_seconds
+    /// The sequential-spine tail of an inspection: blocking, coarsening, CDS
+    /// assembly and code generation.
+    pub fn assemble(&self) -> Duration {
+        self.structure_analysis() + self.codegen
     }
 }
 
@@ -145,9 +116,9 @@ pub struct SessionStats {
     /// Ridge-escalation retries the most recent factorization needed before
     /// the leaf Cholesky succeeded (0 = first attempt was clean).
     pub ridge_attempts: u32,
-    /// Phase breakdown of the one-time inspection
-    /// (`inspect_phases.total_seconds() ≈ inspect_seconds`).
-    pub inspect_phases: InspectTimings,
+    /// Per-module breakdown of the one-time inspection
+    /// (`inspector.total() ≈ inspect_seconds`).
+    pub inspector: InspectorTimings,
 }
 
 impl SessionStats {
@@ -217,12 +188,12 @@ mod tests {
     #[test]
     fn phase_view_partitions_the_total() {
         let t = sample();
-        let p = t.phases();
-        assert!((p.partition_seconds - 0.015).abs() < 1e-12);
-        assert!((p.sample_seconds - 0.020).abs() < 1e-12);
-        assert!((p.compress_seconds - 0.100).abs() < 1e-12);
-        assert!((p.assemble_seconds - 0.010).abs() < 1e-12);
-        assert!((p.total_seconds() - t.total().as_secs_f64()).abs() < 1e-12);
+        assert_eq!(t.partition(), Duration::from_millis(15));
+        assert_eq!(t.assemble(), Duration::from_millis(10));
+        assert_eq!(
+            t.partition() + t.sampling + t.low_rank + t.assemble(),
+            t.total()
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! cargo run --release -p matrox-linalg --example kernel_probe
 //! ```
 //!
-//! The full harness (GF/s table, executor/solve deltas, the perf-smoke
-//! gate inputs) is `cargo run --release -p matrox-bench --bin bench_gemm`;
+//! The tracked numbers are the benchmark's `ml_wide` per-layer metrics
+//! (`linalg.gemm_*_gflops`, `exec.execute_scalar_s`, `exec.frac_of_gemm`);
 //! this example exists for fast iteration on the microkernel itself.
 
 use matrox_linalg::{simd_available, KernelChoice, KernelDispatch};

@@ -4,11 +4,11 @@
 //! allocation-free executor's disjoint raw slicing, the AVX2 microkernel's
 //! raw-pointer tiles, the work-stealing pool's stack-job handoff) and on a
 //! handful of global contracts (concurrency routes through `matrox-rayon`,
-//! env knobs are documented, the perf gate's keys don't drift). The
+//! env knobs are documented, the fault-tolerant core does not unwrap). The
 //! compiler and clippy enforce what they can — `forbid(unsafe_code)`,
 //! `unsafe_op_in_unsafe_fn`, `undocumented_unsafe_blocks` via the
 //! `[workspace.lints]` table — and this crate enforces the rest; see
-//! [`rules`] for the six rules.
+//! [`rules`] for the five rules.
 //!
 //! Run it from the workspace root (CI runs it in the fail-early `lint`
 //! job):
@@ -22,16 +22,15 @@
 //! could not read the workspace.
 //!
 //! The crate is dependency-free by design: a hand-rolled lexer
-//! ([`lexer`]) tells code apart from strings and comments, and a token
-//! scan stands in for JSON parsing. That keeps the tool buildable (and
-//! trustworthy) independently of the code it audits.
+//! ([`lexer`]) tells code apart from strings and comments. That keeps the
+//! tool buildable (and trustworthy) independently of the code it audits.
 
 #![forbid(unsafe_code)]
 
 pub mod lexer;
 pub mod rules;
 
-use rules::{BenchArtifacts, Config, Diagnostic, SourceFile};
+use rules::{Config, Diagnostic, SourceFile};
 use std::path::{Path, PathBuf};
 
 /// Directories the walker never descends into: build output, VCS metadata,
@@ -132,37 +131,6 @@ pub fn run_all(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         });
     } else {
         diags.extend(rules::knob_manifest(&files, &knobs_md, &readme));
-    }
-
-    let gate_path = "crates/bench/src/bin/perf_smoke.rs";
-    match files.iter().find(|f| f.path == gate_path) {
-        Some(gate) => {
-            let thresholds = std::fs::read_to_string(root.join("crates/bench/thresholds.json"))
-                .unwrap_or_default();
-            let mut committed = Vec::new();
-            if let Ok(rd) = std::fs::read_dir(root) {
-                for entry in rd.flatten() {
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    if name.starts_with("BENCH_") && name.ends_with(".json") {
-                        if let Ok(contents) = std::fs::read_to_string(entry.path()) {
-                            committed.push((name, contents));
-                        }
-                    }
-                }
-            }
-            committed.sort();
-            let artifacts = BenchArtifacts {
-                thresholds,
-                committed,
-            };
-            diags.extend(rules::bench_thresholds_sync(gate, &artifacts));
-        }
-        None => diags.push(Diagnostic {
-            path: gate_path.into(),
-            line: 1,
-            rule: "bench-sync",
-            message: "perf gate source not found; update the path in crates/lint/src/lib.rs".into(),
-        }),
     }
 
     // Deterministic output order regardless of rule internals.

@@ -39,7 +39,7 @@ fn main() {
         Ok(diags) if diags.is_empty() => {
             println!(
                 "matrox-lint: workspace clean (unsafe-allowlist, safety-comment, \
-                 concurrency, knob-manifest, bench-sync, unwrap-ban)"
+                 concurrency, knob-manifest, unwrap-ban)"
             );
         }
         Ok(diags) => {

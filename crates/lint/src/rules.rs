@@ -1,4 +1,4 @@
-//! The six project-specific rules. Each takes tokenized sources and
+//! The five project-specific rules. Each takes tokenized sources and
 //! returns [`Diagnostic`]s; an empty return means the rule passes.
 //!
 //! The rules encode policy the stock toolchain cannot express:
@@ -18,11 +18,7 @@
 //!    `matrox-rayon`.
 //! 4. [`knob_manifest`] — every `MATROX_*` / `RAYON_*` env knob the source
 //!    mentions is registered in `KNOBS.md` and documented in `README.md`.
-//! 5. [`bench_thresholds_sync`] — the keys `perf_smoke` reads, the keys in
-//!    `crates/bench/thresholds.json`, and the committed `BENCH_*.json`
-//!    summaries agree, so a renamed metric fails the build instead of
-//!    silently skipping the perf gate.
-//! 6. [`unwrap_ban`] — non-test library code in the fault-tolerant core
+//! 5. [`unwrap_ban`] — non-test library code in the fault-tolerant core
 //!    and the layers that sit on it
 //!    (`crates/{bench,core,exec,factor,serve}/src/`) may not
 //!    `.unwrap()`/`.expect()`: public entry points return
@@ -466,187 +462,7 @@ pub fn knob_manifest(files: &[SourceFile], knobs_md: &str, readme: &str) -> Vec<
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: bench-threshold sync
-// ---------------------------------------------------------------------------
-
-/// The JSON artifacts rule 5 cross-checks against `perf_smoke.rs`.
-pub struct BenchArtifacts {
-    /// `crates/bench/thresholds.json` contents.
-    pub thresholds: String,
-    /// Committed benchmark files at the repo root: `(file name, contents)`.
-    /// Absent files are fine (not every harness's output is committed);
-    /// committed ones must carry every key the gate reads.
-    pub committed: Vec<(String, String)>,
-}
-
-/// All keys of a JSON document (string token immediately followed by `:`),
-/// with their brace-nesting depth (top level = 1).
-fn json_keys(doc: &str) -> Vec<(String, usize)> {
-    let tokens = crate::lexer::tokenize(doc);
-    let mut keys = Vec::new();
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < tokens.len() {
-        match &tokens[i].kind {
-            TokenKind::Punct('{') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct('}') | TokenKind::Punct(']') => depth = depth.saturating_sub(1),
-            TokenKind::Str(s) if tokens.get(i + 1).is_some_and(|t| t.is_punct(':')) => {
-                keys.push((s.clone(), depth));
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Keys `perf_smoke.rs` reads, extracted from its token stream:
-/// `must("K")` and `json_lookup_*(&thresholds, "K")` are threshold keys;
-/// `json_lookup_*(&fig4, "K")` etc. are benchmark keys, grouped by the
-/// variable name of the JSON document they are looked up in.
-pub struct GateReads {
-    pub threshold_keys: Vec<(String, usize)>,
-    /// `(doc variable name, key, line)`.
-    pub bench_keys: Vec<(String, String, usize)>,
-}
-
-pub fn parse_gate_reads(perf_smoke: &SourceFile) -> GateReads {
-    let t = &perf_smoke.tokens;
-    let mut reads = GateReads {
-        threshold_keys: Vec::new(),
-        bench_keys: Vec::new(),
-    };
-    for i in 0..t.len() {
-        let TokenKind::Ident(name) = &t[i].kind else {
-            continue;
-        };
-        // must ( "key" )
-        if name == "must" && t.get(i + 1).is_some_and(|x| x.is_punct('(')) {
-            if let Some(TokenKind::Str(k)) = t.get(i + 2).map(|x| &x.kind) {
-                reads.threshold_keys.push((k.clone(), t[i + 2].line));
-            }
-        }
-        // json_lookup_number ( & doc , "key" )
-        if name.starts_with("json_lookup") {
-            let mut j = i + 1;
-            if !t.get(j).is_some_and(|x| x.is_punct('(')) {
-                continue;
-            }
-            j += 1;
-            if t.get(j).is_some_and(|x| x.is_punct('&')) {
-                j += 1;
-            }
-            let Some(TokenKind::Ident(doc)) = t.get(j).map(|x| &x.kind) else {
-                continue;
-            };
-            let doc = doc.clone();
-            j += 1;
-            if !t.get(j).is_some_and(|x| x.is_punct(',')) {
-                continue;
-            }
-            j += 1;
-            let Some(TokenKind::Str(k)) = t.get(j).map(|x| &x.kind) else {
-                continue;
-            };
-            if doc == "thresholds" {
-                reads.threshold_keys.push((k.clone(), t[j].line));
-            } else {
-                reads.bench_keys.push((doc, k.clone(), t[j].line));
-            }
-        }
-    }
-    reads
-}
-
-/// Map a `perf_smoke` document variable to the committed artifact name.
-fn committed_name_for(doc_var: &str) -> String {
-    format!("BENCH_{doc_var}.json")
-}
-
-/// Three-way sync between the gate source, the thresholds file, and the
-/// committed benchmark summaries.
-pub fn bench_thresholds_sync(
-    perf_smoke: &SourceFile,
-    artifacts: &BenchArtifacts,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let reads = parse_gate_reads(perf_smoke);
-    let threshold_keys = json_keys(&artifacts.thresholds);
-
-    if reads.threshold_keys.is_empty() {
-        diags.push(Diagnostic {
-            path: perf_smoke.path.clone(),
-            line: 1,
-            rule: "bench-sync",
-            message: "found no threshold reads in the perf gate; the bench-sync rule's \
-                      source scan is broken or perf_smoke.rs was rewritten — update \
-                      crates/lint/src/rules.rs"
-                .into(),
-        });
-        return diags;
-    }
-
-    // (a) Every key the gate requires exists in thresholds.json.
-    for (k, line) in &reads.threshold_keys {
-        if !threshold_keys.iter().any(|(tk, _)| tk == k) {
-            diags.push(Diagnostic {
-                path: perf_smoke.path.clone(),
-                line: *line,
-                rule: "bench-sync",
-                message: format!(
-                    "perf gate reads threshold key \"{k}\" which is missing from \
-                     crates/bench/thresholds.json"
-                ),
-            });
-        }
-    }
-
-    // (b) Every top-level threshold key (except `_`-prefixed notes) is
-    // actually read by the gate — a stale threshold is a check that
-    // silently stopped running.
-    for (k, depth) in &threshold_keys {
-        if *depth != 1 || k.starts_with('_') {
-            continue;
-        }
-        let read = reads.threshold_keys.iter().any(|(rk, _)| rk == k) || k == "headroom"; // read via unwrap_or default, not must()
-        if !read {
-            diags.push(Diagnostic {
-                path: "crates/bench/thresholds.json".into(),
-                line: 1,
-                rule: "bench-sync",
-                message: format!(
-                    "threshold key \"{k}\" is not read by perf_smoke.rs — dead gate entry \
-                     (rename drift?)"
-                ),
-            });
-        }
-    }
-
-    // (c) Every benchmark key the gate reads exists in the committed
-    // artifact of that document, when one is committed.
-    for (doc, k, line) in &reads.bench_keys {
-        let name = committed_name_for(doc);
-        let Some((_, contents)) = artifacts.committed.iter().find(|(n, _)| n == &name) else {
-            continue; // not committed (e.g. BENCH_solve.json) — nothing to sync
-        };
-        if !json_keys(contents).iter().any(|(bk, _)| bk == k) {
-            diags.push(Diagnostic {
-                path: name,
-                line: *line,
-                rule: "bench-sync",
-                message: format!(
-                    "perf gate reads \"{k}\" from this artifact but the committed file \
-                     has no such key; regenerate the benchmark or fix the key rename"
-                ),
-            });
-        }
-    }
-
-    diags
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: unwrap/expect ban in the fault-tolerant core
+// Rule 5: unwrap/expect ban in the fault-tolerant core
 // ---------------------------------------------------------------------------
 
 /// Index of the first `#[cfg(test)]` attribute in the token stream, if any.

@@ -12,7 +12,7 @@
 //! must-fail snippets would otherwise fail the workspace run itself.
 
 use matrox_lint::lexer::tokenize;
-use matrox_lint::rules::{self, BenchArtifacts, Config, Diagnostic, SourceFile};
+use matrox_lint::rules::{self, Config, Diagnostic, SourceFile};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -346,92 +346,7 @@ fn knob_manifest_requires_readme_coverage() {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: bench-threshold sync
-// ---------------------------------------------------------------------------
-
-fn gate(rel: &str) -> SourceFile {
-    load_as(rel, "crates/bench/src/bin/perf_smoke.rs")
-}
-
-fn artifacts(thresholds_rel: &str, committed: &[&str]) -> BenchArtifacts {
-    BenchArtifacts {
-        thresholds: read(thresholds_rel),
-        committed: committed
-            .iter()
-            .map(|rel| {
-                let name = Path::new(rel)
-                    .file_name()
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                (name, read(rel))
-            })
-            .collect(),
-    }
-}
-
-#[test]
-fn bench_sync_accepts_consistent_gate() {
-    let a = artifacts(
-        "bench_sync/thresholds.json",
-        &["bench_sync/BENCH_demo.json"],
-    );
-    assert_clean(
-        &rules::bench_thresholds_sync(&gate("bench_sync/pass_gate.rs"), &a),
-        "consistent gate fixture",
-    );
-}
-
-#[test]
-fn bench_sync_rejects_missing_threshold_key() {
-    let a = artifacts("bench_sync/thresholds.json", &[]);
-    assert_fails(
-        &rules::bench_thresholds_sync(&gate("bench_sync/fail_missing_threshold.rs"), &a),
-        "bench-sync",
-        "missing-threshold fixture",
-    );
-}
-
-#[test]
-fn bench_sync_rejects_dead_threshold_key() {
-    let a = artifacts(
-        "bench_sync/thresholds_with_dead_key.json",
-        &["bench_sync/BENCH_demo.json"],
-    );
-    let diags = rules::bench_thresholds_sync(&gate("bench_sync/pass_gate.rs"), &a);
-    assert_fails(&diags, "bench-sync", "dead-threshold fixture");
-    assert!(
-        diags.iter().any(|d| d.message.contains("dead_key")),
-        "the dead key should be named: {diags:?}"
-    );
-}
-
-#[test]
-fn bench_sync_rejects_missing_committed_bench_key() {
-    let a = artifacts(
-        "bench_sync/thresholds.json",
-        &["bench_sync/BENCH_demo.json"],
-    );
-    assert_fails(
-        &rules::bench_thresholds_sync(&gate("bench_sync/fail_missing_bench_key.rs"), &a),
-        "bench-sync",
-        "missing-bench-key fixture",
-    );
-}
-
-#[test]
-fn bench_sync_tolerates_uncommitted_artifacts() {
-    // The same gate is clean when the artifact simply is not committed
-    // (e.g. BENCH_solve.json is produced locally but not checked in).
-    let a = artifacts("bench_sync/thresholds.json", &[]);
-    assert_clean(
-        &rules::bench_thresholds_sync(&gate("bench_sync/fail_missing_bench_key.rs"), &a),
-        "uncommitted-artifact fixture",
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: unwrap/expect ban
+// Rule 5: unwrap/expect ban
 // ---------------------------------------------------------------------------
 
 /// Per-case config: the fixture lives at a virtual path inside the banned
@@ -564,12 +479,6 @@ fn every_fixture_is_referenced() {
         "knob_manifest/README.md",
         "knob_manifest/pass_registered.rs",
         "knob_manifest/fail_unregistered.rs",
-        "bench_sync/thresholds.json",
-        "bench_sync/thresholds_with_dead_key.json",
-        "bench_sync/BENCH_demo.json",
-        "bench_sync/pass_gate.rs",
-        "bench_sync/fail_missing_threshold.rs",
-        "bench_sync/fail_missing_bench_key.rs",
         "unwrap_ban/pass_invariant_comment.rs",
         "unwrap_ban/pass_test_module_unwrap.rs",
         "unwrap_ban/pass_combinators.rs",
@@ -610,7 +519,7 @@ fn every_fixture_is_referenced() {
 }
 
 /// Naming convention: a fixture is either a `pass_*` or `fail_*` snippet or
-/// a supporting data file (manifest, README, JSON).
+/// a supporting data file (manifest, README).
 #[test]
 fn fixture_names_declare_their_polarity() {
     let root = fixtures_dir();

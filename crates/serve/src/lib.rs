@@ -4,10 +4,10 @@
 //!
 //! The paper's economics are "plan once, evaluate many": the inspector is
 //! expensive, the prepared executor is cheap, and *batched* evaluation is
-//! 6–11x cheaper per query than one-column matvecs (BENCH_fig4).  A serving
-//! process sees the opposite shape of traffic — many independent clients
-//! each asking for one right-hand side at a time — so this crate closes the
-//! gap with **request coalescing**: concurrently-arriving single-query
+//! 6–11x cheaper per query than one-column matvecs (the `fig4` harness).
+//! A serving process sees the opposite shape of traffic — many independent
+//! clients each asking for one right-hand side at a time — so this crate
+//! closes the gap with **request coalescing**: concurrently-arriving single-query
 //! requests against the same model are gathered into one RHS panel and fed
 //! through the model's shared [`EvalSession`](matrox_core::EvalSession) in a
 //! single panel-blocked
@@ -88,13 +88,11 @@ pub use registry::{Model, ModelRegistry, RegistryStats};
 pub use server::{Op, PendingQuery, PendingResponse, QueryReply, ServeHandle, Server};
 pub use stats::{ServerStats, TenantStats};
 
-use matrox_linalg::knobs::env_knob;
 use std::time::Duration;
 
 /// Serving-layer configuration: the coalescing policy and the registry's
 /// memory budget.  [`ServeConfig::default`] is tuned for interactive
-/// workloads; [`ServeConfig::from_env`] layers the `MATROX_SERVE_*`
-/// environment knobs on top (see KNOBS.md).
+/// workloads; the `with_*` builders are the one way to change it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Upper bound (bytes) on resident model payload before the registry
@@ -104,8 +102,7 @@ pub struct ServeConfig {
     pub memory_budget_bytes: usize,
     /// Maximum RHS columns coalesced into one evaluation; a queue that
     /// reaches this width flushes without waiting out the window.  `1`
-    /// disables coalescing (the per-query baseline `serve_load` compares
-    /// against).
+    /// disables coalescing.
     pub max_batch: usize,
     /// How long a query may wait for co-batchable companions before its
     /// queue is flushed.  The window starts when the queue's *first* query
@@ -125,28 +122,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The defaults with the `MATROX_SERVE_BUDGET_MB`, `MATROX_SERVE_BATCH`
-    /// and `MATROX_SERVE_WINDOW_US` environment knobs applied.  Invalid or
-    /// zero values are rejected with a one-time stderr warning and fall back
-    /// to the default, mirroring the `MATROX_PANEL` / `MATROX_GRAIN` policy
-    /// ([`matrox_linalg::knobs::env_knob`]): knobs tune behavior, a typo
-    /// must be loud but must not take the process down.
-    pub fn from_env() -> Self {
-        static ENV_CONFIG: std::sync::OnceLock<ServeConfig> = std::sync::OnceLock::new();
-        *ENV_CONFIG.get_or_init(|| {
-            let d = ServeConfig::default();
-            ServeConfig {
-                memory_budget_bytes: env_knob("MATROX_SERVE_BUDGET_MB")
-                    .map(|mb| mb.saturating_mul(1024 * 1024))
-                    .unwrap_or(d.memory_budget_bytes),
-                max_batch: env_knob("MATROX_SERVE_BATCH").unwrap_or(d.max_batch),
-                coalesce_window: env_knob("MATROX_SERVE_WINDOW_US")
-                    .map(|us| Duration::from_micros(us as u64))
-                    .unwrap_or(d.coalesce_window),
-            }
-        })
-    }
-
     /// Set the memory budget (bytes; `0` = unlimited).
     pub fn with_memory_budget_bytes(mut self, bytes: usize) -> Self {
         self.memory_budget_bytes = bytes;

@@ -35,7 +35,6 @@ use crate::net::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT
 use crate::proto::{encode_frame, take_frame, Request, Response};
 use crate::server::{PendingResponse, ServeHandle};
 use matrox_core::MatroxError;
-use matrox_linalg::knobs::env_knob;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,8 +46,7 @@ use std::time::{Duration, Instant};
 pub mod epoll;
 
 /// Configuration of the network front-end; same builder idiom as
-/// [`ServeConfig`](crate::ServeConfig), environment knobs via
-/// [`NetConfig::from_env`] (see KNOBS.md).
+/// [`ServeConfig`](crate::ServeConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// TCP port to bind on loopback (`0` = OS-assigned ephemeral port;
@@ -92,41 +90,6 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
-    /// The defaults with the `MATROX_NET_PORT`, `MATROX_NET_MAX_INFLIGHT`
-    /// (total in-flight cap) and `MATROX_NET_IDLE_MS` environment knobs
-    /// applied, parsed by the shared
-    /// [`matrox_linalg::knobs::env_knob`] policy: invalid or zero values
-    /// are rejected with a one-time stderr warning and fall back to the
-    /// default.
-    pub fn from_env() -> Self {
-        static ENV_CONFIG: std::sync::OnceLock<NetConfig> = std::sync::OnceLock::new();
-        *ENV_CONFIG.get_or_init(|| {
-            let d = NetConfig::default();
-            let port = match env_knob("MATROX_NET_PORT") {
-                Some(p) => match u16::try_from(p) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        eprintln!(
-                            "MATROX_NET_PORT={p} is not a valid TCP port; using {}",
-                            d.port
-                        );
-                        d.port
-                    }
-                },
-                None => d.port,
-            };
-            NetConfig {
-                port,
-                max_inflight_total: env_knob("MATROX_NET_MAX_INFLIGHT")
-                    .unwrap_or(d.max_inflight_total),
-                idle_timeout: env_knob("MATROX_NET_IDLE_MS")
-                    .map(|ms| Duration::from_millis(ms as u64))
-                    .unwrap_or(d.idle_timeout),
-                ..d
-            }
-        })
-    }
-
     /// Set the TCP port (`0` = ephemeral).
     pub fn with_port(mut self, port: u16) -> Self {
         self.port = port;

@@ -580,7 +580,7 @@ mod tests {
                 // Phase breakdown is session-local diagnostics; the wire
                 // format deliberately omits it, so the fixture keeps it
                 // default for the bitwise round-trip comparison.
-                inspect_phases: Default::default(),
+                inspector: Default::default(),
             },
         }
     }

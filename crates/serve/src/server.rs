@@ -108,8 +108,9 @@ enum PendingInner {
     Stats(Receiver<ServerStats>),
     Flush(Receiver<()>),
     /// Already answered at submit time (reactor gone); `None` after
-    /// [`PendingResponse::try_take`] hands it out.
-    Ready(Option<Response>),
+    /// [`PendingResponse::try_take`] hands it out.  Boxed: this cold
+    /// variant would otherwise set the size of every ticket.
+    Ready(Option<Box<Response>>),
 }
 
 /// A ticket for one submitted [`Request`]: the single pending-reply type
@@ -126,7 +127,7 @@ pub struct PendingResponse {
 impl PendingResponse {
     fn ready(resp: Response) -> Self {
         PendingResponse {
-            inner: PendingInner::Ready(Some(resp)),
+            inner: PendingInner::Ready(Some(Box::new(resp))),
         }
     }
 
@@ -151,7 +152,7 @@ impl PendingResponse {
                 Ok(()) => Response::Done,
                 Err(_) => reactor_gone(),
             },
-            PendingInner::Ready(resp) => resp.unwrap_or_else(reactor_gone),
+            PendingInner::Ready(resp) => resp.map_or_else(reactor_gone, |r| *r),
         }
     }
 
@@ -174,7 +175,7 @@ impl PendingResponse {
             }),
             PendingInner::Stats(rx) => poll(rx, Response::Stats),
             PendingInner::Flush(rx) => poll(rx, |()| Response::Done),
-            PendingInner::Ready(resp) => resp.take(),
+            PendingInner::Ready(resp) => resp.take().map(|r| *r),
         }
     }
 }
