@@ -15,7 +15,8 @@
 //! monomorphized kernels, in place of the `matmul.h` file the original
 //! framework writes to disk (Figure 2).  See DESIGN.md substitution S3.
 
-use matrox_analysis::{BlockSet, Cds, CoarsenSet};
+use matrox_analysis::{BlockSet, Cds, CdsBlockEntry, CoarsenSet, GroupRange};
+use matrox_tree::{ensure, ClusterTree};
 
 /// Thresholds and switches controlling lowering decisions.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +102,189 @@ impl EvalPlan {
     pub fn storage_bytes(&self) -> usize {
         self.cds.storage_bytes()
     }
+
+    /// The one definition of a well-formed `(tree, plan)` pair.  The model
+    /// readers call it before returning a handle, the executor before any
+    /// raw slicing, the solver (through `HssFactor::validate`) before its
+    /// sweeps — so what one consumer accepts, every consumer can run.  On
+    /// top of [`ClusterTree::validate`] (T1–T6):
+    ///
+    /// * **P1** `tree_height` and `num_leaves` are the tree's;
+    /// * **P2** `sranks` and `generators` have one entry per node; a node
+    ///   stores a generator exactly when its srank is positive; a stored
+    ///   generator's `V` and `U` windows lie inside `gen_values` (checked
+    ///   arithmetic), its width is the srank and its height the leaf's
+    ///   point count or the children's summed sranks;
+    /// * **P3** every near block connects two leaves and is
+    ///   `points(target) x points(source)`; every coupling block is
+    ///   `srank(target) x srank(source)`, as `build_cds` packs them
+    ///   (zero-dimension blocks included); both name nodes of the tree and
+    ///   lie inside their value buffer;
+    /// * **P4** the group ranges of each block table tile it in order, and a
+    ///   target node belongs to exactly one group (Algorithm 1);
+    /// * **P5** blockset pairs and coarsen partitions name nodes of the tree;
+    /// * **P6** a node is in at most one coarsen partition, every node with
+    ///   a stored generator is in one, and a node's children come before it:
+    ///   on an earlier coarsen level, or earlier in the same partition
+    ///   (Algorithm 2's happens-before order).
+    ///
+    /// Costs `O(nodes + blocks)` and three allocations on success.
+    ///
+    /// # Errors
+    /// A message naming the first violated item.
+    pub fn validate(&self, tree: &ClusterTree) -> Result<(), String> {
+        tree.validate()?;
+        let (cds, nodes) = (&self.cds, &tree.nodes);
+        let (n_nodes, sranks) = (nodes.len(), &cds.sranks);
+        ensure(self.tree_height == tree.height, || {
+            let (p, t) = (self.tree_height, tree.height);
+            format!("plan height {p} disagrees with tree height {t}")
+        })?;
+        let leaves = nodes.iter().filter(|n| n.is_leaf()).count();
+        ensure(self.num_leaves == leaves, || {
+            let stored = self.num_leaves;
+            format!("plan stores {stored} leaves but the tree has {leaves}")
+        })?;
+
+        ensure(
+            sranks.len() == n_nodes && cds.generators.len() == n_nodes,
+            || {
+                let (r, g) = (sranks.len(), cds.generators.len());
+                format!("{r} sranks and {g} generators for a {n_nodes}-node tree")
+            },
+        )?;
+        for (id, (g, node)) in cds.generators.iter().zip(nodes).enumerate() {
+            let srank = sranks[id];
+            ensure(g.is_present() == (srank > 0), || {
+                let stored = if g.is_present() { "a" } else { "no" };
+                format!("node {id} has srank {srank} but {stored} stored generator")
+            })?;
+            if srank == 0 {
+                continue;
+            }
+            let len = cds.gen_values.len();
+            ensure(
+                in_window(g.v_offset, g.rows, g.cols, len)
+                    && in_window(g.u_offset, g.rows, g.cols, len),
+                || format!("generator {id} exceeds the {len}-element value buffer"),
+            )?;
+            let rows = match node.children {
+                None => Some(node.num_points()),
+                Some((l, r)) => sranks[l].checked_add(sranks[r]),
+            };
+            ensure(g.cols == srank && Some(g.rows) == rows, || {
+                let (r, c) = (g.rows, g.cols);
+                format!("generator of node {id} is {r}x{c}, expected {rows:?}x{srank}")
+            })?;
+        }
+
+        let points = |id: usize| nodes[id].is_leaf().then(|| nodes[id].num_points());
+        check_block_table(
+            &cds.d_entries,
+            &cds.d_groups,
+            cds.d_values.len(),
+            "near",
+            n_nodes,
+            points,
+        )?;
+        let srank_of = |id: usize| Some(sranks[id]);
+        check_block_table(
+            &cds.b_entries,
+            &cds.b_groups,
+            cds.b_values.len(),
+            "coupling",
+            n_nodes,
+            srank_of,
+        )?;
+
+        let pairs = [&self.near_blockset, &self.far_blockset];
+        let mut pairs = pairs.iter().flat_map(|bs| bs.groups.iter().flatten());
+        ensure(pairs.all(|&(i, j)| i < n_nodes && j < n_nodes), || {
+            "blockset pair references a node outside the tree".to_string()
+        })?;
+
+        // One pass in execution order.  `done[id]` is the (level, partition)
+        // that computes `id`; a node met after its parent, or a child done
+        // by another partition of the same level, breaks the order.
+        let mut done: Vec<Option<(usize, usize)>> = vec![None; n_nodes];
+        for (cl, parts) in self.coarsenset.levels.iter().enumerate() {
+            for (pi, part) in parts.iter().enumerate() {
+                for &id in part {
+                    ensure(id < n_nodes, || {
+                        "coarsen partition references a node outside the tree".to_string()
+                    })?;
+                    ensure(done[id].is_none(), || {
+                        format!("coarsen partitions must own disjoint node sets (node {id})")
+                    })?;
+                    let after_parent = nodes[id].parent.is_some_and(|p| done[p].is_some());
+                    let foreign = |c: usize| done[c].is_some_and(|at| at.0 == cl && at.1 != pi);
+                    let children = nodes[id].children;
+                    let foreign_child = children.is_some_and(|(l, r)| foreign(l) || foreign(r));
+                    ensure(!after_parent && !foreign_child, || {
+                        format!(
+                            "coarsen set: node {id} is not computed after its children and \
+                             before its parent (an earlier level, or earlier in its partition)"
+                        )
+                    })?;
+                    done[id] = Some((cl, pi));
+                }
+            }
+        }
+        let mut stored = cds.generators.iter().zip(&done);
+        ensure(
+            stored.all(|(g, at)| !g.is_present() || at.is_some()),
+            || "a node with a stored generator is in no coarsen partition".to_string(),
+        )
+    }
+}
+
+/// `offset + rows * cols <= len`, without overflow: the window a CDS
+/// accessor slices unchecked.
+fn in_window(offset: usize, rows: usize, cols: usize, len: usize) -> bool {
+    let end = rows.checked_mul(cols).and_then(|n| n.checked_add(offset));
+    end.is_some_and(|end| end <= len)
+}
+
+/// P3 and P4 of [`EvalPlan::validate`] for one block table.  `dim(id)` is
+/// the row / column count a block must have at node `id`, `None` when the
+/// node cannot carry such a block.
+fn check_block_table(
+    entries: &[CdsBlockEntry],
+    groups: &[GroupRange],
+    values_len: usize,
+    what: &str,
+    n_nodes: usize,
+    dim: impl Fn(usize) -> Option<usize>,
+) -> Result<(), String> {
+    for e in entries {
+        let (t, s, r, c) = (e.target, e.source, e.rows, e.cols);
+        ensure(t < n_nodes && s < n_nodes, || {
+            format!("{what} block references a node outside the tree")
+        })?;
+        ensure(Some(r) == dim(t) && Some(c) == dim(s), || {
+            let (er, ec) = (dim(t), dim(s));
+            format!("{what} block ({t}, {s}) is {r}x{c}, expected {er:?}x{ec:?}")
+        })?;
+        ensure(in_window(e.offset, r, c, values_len), || {
+            format!("{what} block ({t}, {s}) exceeds its {values_len}-element value buffer")
+        })?;
+    }
+    let untiled = || format!("{what} group ranges do not tile the entry table");
+    let mut owner = vec![usize::MAX; n_nodes];
+    let mut next = 0;
+    for (gi, g) in groups.iter().enumerate() {
+        let tiles = g.start == next && g.start <= g.end && g.end <= entries.len();
+        ensure(tiles, untiled)?;
+        next = g.end;
+        for e in &entries[g.start..g.end] {
+            ensure(
+                owner[e.target] == usize::MAX || owner[e.target] == gi,
+                || format!("{what} blockset groups must own disjoint target nodes"),
+            )?;
+            owner[e.target] = gi;
+        }
+    }
+    ensure(next == entries.len(), untiled)
 }
 
 /// Take the lowering decisions for the given structure sets (the

@@ -11,13 +11,19 @@
 //! (length fields capped by the bytes remaining, canonical bools, no panics).
 //! What this module adds is the knowledge of the format: enum tags, the
 //! minimum encoded size of each table's elements, finite-float screening of
-//! parameters and value buffers, and the cross-checks of the decoded
-//! structures against each other (tree topology vs. rank arrays vs. block
-//! offsets) before a handle is returned.  The contract enforced by the
-//! corruption-fuzz suite is: for any byte stream, a reader either returns
-//! `Err(Format)` or a value whose re-encoding is bitwise identical to the
-//! consumed input — never a panic, never an allocation larger than the
-//! stream itself.
+//! parameters and value buffers, and canonical encodings (child pairs,
+//! generator presence, HSS padding).  What makes the decoded structures a
+//! *model* — tree topology, plan tables against the tree, factor slots
+//! against the plan — is not defined here: the readers run the one shared
+//! definition, [`EvalPlan::validate`](matrox_codegen::EvalPlan::validate)
+//! (`MATROX1`) or [`HssFactor::validate`] (`MATROXF1`, which includes the
+//! former), after the stream is consumed, and report its message as
+//! `Format`.  The executor and the solver run the same functions, so the
+//! contract enforced by the corruption-fuzz suite is: for any byte stream, a
+//! reader either returns `Err(Format)` or a value whose re-encoding is
+//! bitwise identical to the consumed input *and which prepare / evaluate /
+//! solve cannot panic on* — never a panic, never an allocation larger than
+//! the stream itself.
 
 use crate::error::MatroxError;
 use crate::hmatrix::{FactoredHMatrix, HMatrix};
@@ -197,7 +203,6 @@ fn get_tree(r: &mut WireReader<'_>) -> Result<ClusterTree, MatroxError> {
             diameter,
         });
     }
-    validate_tree_topology(&perm, &nodes)?;
     let pos = matrox_tree::invert_permutation(&perm);
     Ok(ClusterTree {
         nodes,
@@ -206,55 +211,6 @@ fn get_tree(r: &mut WireReader<'_>) -> Result<ClusterTree, MatroxError> {
         leaf_size,
         height,
     })
-}
-
-/// Cross-field validation of a deserialized tree: the permutation must be a
-/// permutation, node ids must equal their index (every consumer indexes
-/// `nodes` by id), parent/child links must stay in range, and point ranges
-/// must stay within the permutation.  Everything downstream — the executor,
-/// the factorization, the solver sweeps — indexes unchecked on these
-/// invariants, so a corrupt stream must be stopped here.
-fn validate_tree_topology(perm: &[usize], nodes: &[TreeNode]) -> Result<(), MatroxError> {
-    let n = perm.len();
-    let mut seen = vec![false; n];
-    for &i in perm {
-        if i >= n || seen[i] {
-            return Err(MatroxError::Format(
-                "tree permutation is not a permutation".into(),
-            ));
-        }
-        seen[i] = true;
-    }
-    let n_nodes = nodes.len();
-    for (i, node) in nodes.iter().enumerate() {
-        if node.id != i {
-            return Err(MatroxError::Format(format!(
-                "tree node {i} stores id {}",
-                node.id
-            )));
-        }
-        if let Some(p) = node.parent {
-            if p >= n_nodes {
-                return Err(MatroxError::Format(format!(
-                    "tree node {i} has out-of-range parent {p}"
-                )));
-            }
-        }
-        if let Some((l, r)) = node.children {
-            if l >= n_nodes || r >= n_nodes {
-                return Err(MatroxError::Format(format!(
-                    "tree node {i} has out-of-range children"
-                )));
-            }
-        }
-        if node.start > node.end || node.end > n {
-            return Err(MatroxError::Format(format!(
-                "tree node {i} point range {}..{} exceeds {n} points",
-                node.start, node.end
-            )));
-        }
-    }
-    Ok(())
 }
 
 fn put_blockset(w: &mut WireWriter, bs: &BlockSet) {
@@ -425,7 +381,7 @@ fn get_cds(r: &mut WireReader<'_>) -> Result<Cds, MatroxError> {
     let b_values = get_values(r, "far value buffer")?;
     let b_entries = get_block_entries(r)?;
     let b_groups = get_group_ranges(r)?;
-    let cds = Cds {
+    Ok(Cds {
         gen_values,
         generators,
         sranks,
@@ -435,75 +391,7 @@ fn get_cds(r: &mut WireReader<'_>) -> Result<Cds, MatroxError> {
         b_values,
         b_entries,
         b_groups,
-    };
-    validate_cds(&cds)?;
-    Ok(cds)
-}
-
-/// Extent check for one block-entry table: every `offset + rows * cols`
-/// window must lie inside its value buffer, and every group range inside the
-/// entry table.  The CDS accessors slice unchecked on exactly these bounds.
-fn validate_block_tables(
-    entries: &[CdsBlockEntry],
-    groups: &[GroupRange],
-    values_len: usize,
-    what: &str,
-) -> Result<(), MatroxError> {
-    for e in entries {
-        let ok = e
-            .rows
-            .checked_mul(e.cols)
-            .and_then(|n| n.checked_add(e.offset))
-            .is_some_and(|end| end <= values_len);
-        if !ok {
-            return Err(MatroxError::Format(format!(
-                "{what} block ({}, {}) exceeds its {values_len}-element value buffer",
-                e.target, e.source
-            )));
-        }
-    }
-    for g in groups {
-        if g.start > g.end || g.end > entries.len() {
-            return Err(MatroxError::Format(format!(
-                "{what} group range exceeds its entry table"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Internal consistency of a deserialized CDS: generator windows inside the
-/// generator value buffer, rank array aligned with the generator table,
-/// block entries inside their value buffers.  (Consistency against the tree
-/// is checked separately once both are decoded.)
-fn validate_cds(cds: &Cds) -> Result<(), MatroxError> {
-    if cds.sranks.len() != cds.generators.len() {
-        return Err(MatroxError::Format(format!(
-            "rank array has {} entries but the generator table has {}",
-            cds.sranks.len(),
-            cds.generators.len()
-        )));
-    }
-    for (id, g) in cds.generators.iter().enumerate() {
-        if !g.is_present() {
-            continue;
-        }
-        let extent = g.rows.checked_mul(g.cols);
-        for offset in [g.v_offset, g.u_offset] {
-            let ok = extent
-                .and_then(|n| n.checked_add(offset))
-                .is_some_and(|end| end <= cds.gen_values.len());
-            if !ok {
-                return Err(MatroxError::Format(format!(
-                    "generator {id} exceeds the {}-element value buffer",
-                    cds.gen_values.len()
-                )));
-            }
-        }
-    }
-    validate_block_tables(&cds.d_entries, &cds.d_groups, cds.d_values.len(), "near")?;
-    validate_block_tables(&cds.b_entries, &cds.b_groups, cds.b_values.len(), "far")?;
-    Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -541,14 +429,15 @@ pub fn to_bytes(h: &HMatrix) -> Vec<u8> {
 /// back zeroed.
 ///
 /// # Errors
-/// [`MatroxError::Format`] when the stream is truncated, corrupt, or
-/// internally inconsistent; the reader never panics and never allocates
+/// [`MatroxError::Format`] when the stream is truncated, corrupt, or fails
+/// [`EvalPlan::validate`]; the reader never panics and never allocates
 /// beyond the stream length.
 pub fn from_bytes(data: impl AsRef<[u8]>) -> Result<HMatrix, MatroxError> {
     let mut r = WireReader::new(data.as_ref());
     r.expect_magic(MAGIC, "HMatrix")?;
     let h = get_hmatrix_body(&mut r)?;
     r.finish("the HMatrix payload")?;
+    h.plan.validate(&h.tree).map_err(MatroxError::Format)?;
     Ok(h)
 }
 
@@ -583,7 +472,6 @@ fn get_hmatrix_body(r: &mut WireReader<'_>) -> Result<HMatrix, MatroxError> {
         tree_height,
         num_leaves,
     };
-    validate_plan_against_tree(&plan, &tree)?;
     Ok(HMatrix {
         tree,
         plan,
@@ -597,89 +485,6 @@ fn get_hmatrix_body(r: &mut WireReader<'_>) -> Result<HMatrix, MatroxError> {
         panel_width: 0,
         gemm_kernel: matrox_linalg::KernelChoice::Auto,
     })
-}
-
-/// Cross-field validation between the two independently-decoded halves of a
-/// model: the plan's node-indexed tables must line up with the tree's
-/// topology (dims vs. tree vs. rank arrays).  Two fields that are
-/// individually well-formed can still disagree after corruption — e.g. a
-/// block entry whose target node was re-pointed at an internal node.
-fn validate_plan_against_tree(plan: &EvalPlan, tree: &ClusterTree) -> Result<(), MatroxError> {
-    let n_nodes = tree.num_nodes();
-    let cds = &plan.cds;
-    if cds.generators.len() != n_nodes {
-        return Err(MatroxError::Format(format!(
-            "generator table has {} entries for a {n_nodes}-node tree",
-            cds.generators.len()
-        )));
-    }
-    if plan.tree_height != tree.height {
-        return Err(MatroxError::Format(format!(
-            "plan height {} disagrees with tree height {}",
-            plan.tree_height, tree.height
-        )));
-    }
-    if plan.num_leaves != tree.leaves().len() {
-        return Err(MatroxError::Format(format!(
-            "plan stores {} leaves but the tree has {}",
-            plan.num_leaves,
-            tree.leaves().len()
-        )));
-    }
-    // Near (dense) blocks address point ranges of their node pair; coupling
-    // blocks address skeleton ranks.  Both index `tree.nodes` unchecked in
-    // the executor and solver.
-    for e in &cds.d_entries {
-        if e.target >= n_nodes || e.source >= n_nodes {
-            return Err(MatroxError::Format(
-                "near block references a node outside the tree".into(),
-            ));
-        }
-        let (tn, sn) = (&tree.nodes[e.target], &tree.nodes[e.source]);
-        if e.rows != tn.num_points() || e.cols != sn.num_points() {
-            return Err(MatroxError::Format(format!(
-                "near block ({}, {}) is {}x{} but the nodes hold {}x{} points",
-                e.target,
-                e.source,
-                e.rows,
-                e.cols,
-                tn.num_points(),
-                sn.num_points()
-            )));
-        }
-    }
-    for e in &cds.b_entries {
-        if e.target >= n_nodes || e.source >= n_nodes {
-            return Err(MatroxError::Format(
-                "coupling block references a node outside the tree".into(),
-            ));
-        }
-        if e.rows != cds.sranks[e.target] || e.cols != cds.sranks[e.source] {
-            return Err(MatroxError::Format(format!(
-                "coupling block ({}, {}) is {}x{} but the skeleton ranks are {}x{}",
-                e.target, e.source, e.rows, e.cols, cds.sranks[e.target], cds.sranks[e.source]
-            )));
-        }
-    }
-    for bs in [&plan.near_blockset, &plan.far_blockset] {
-        for g in &bs.groups {
-            if g.iter().any(|&(i, j)| i >= n_nodes || j >= n_nodes) {
-                return Err(MatroxError::Format(
-                    "blockset pair references a node outside the tree".into(),
-                ));
-            }
-        }
-    }
-    for parts in &plan.coarsenset.levels {
-        for part in parts {
-            if part.iter().any(|&id| id >= n_nodes) {
-                return Err(MatroxError::Format(
-                    "coarsen partition references a node outside the tree".into(),
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Store an HMatrix to a file (the `hmat.cds` artifact).
@@ -771,64 +576,32 @@ fn get_factor(r: &mut WireReader<'_>) -> Result<HssFactor, MatroxError> {
     // A serialized slot is at least its presence byte.
     let n_leaves = r.take_len(1, "leaf factor table")?;
     let mut leaves = Vec::with_capacity(n_leaves);
-    for i in 0..n_leaves {
-        if r.take_bool("leaf factor presence")? {
-            let lf = LeafFactor {
+    for _ in 0..n_leaves {
+        leaves.push(if r.take_bool("leaf factor presence")? {
+            Some(LeafFactor {
                 node: r.take_usize("leaf factor node")?,
                 chol: get_matrix(r)?,
                 e: get_matrix(r)?,
-            };
-            if lf.node != i {
-                return Err(MatroxError::Format(format!(
-                    "leaf factor at slot {i} stores node {}",
-                    lf.node
-                )));
-            }
-            if lf.chol.rows() != lf.chol.cols() || lf.e.rows() != lf.chol.rows() {
-                return Err(MatroxError::Format(format!(
-                    "leaf factor {i} has inconsistent shapes"
-                )));
-            }
-            leaves.push(Some(lf));
+            })
         } else {
-            leaves.push(None);
-        }
+            None
+        });
     }
     let n_merges = r.take_len(1, "merge factor table")?;
     let mut merges = Vec::with_capacity(n_merges);
-    for i in 0..n_merges {
-        if r.take_bool("merge factor presence")? {
-            let mf = MergeFactor {
+    for _ in 0..n_merges {
+        merges.push(if r.take_bool("merge factor presence")? {
+            Some(MergeFactor {
                 node: r.take_usize("merge factor node")?,
                 lu: LuFactors {
                     lu: get_matrix(r)?,
                     piv: r.take_usize_vec("merge factor pivots")?,
                 },
                 t: get_matrix(r)?,
-            };
-            if mf.node != i {
-                return Err(MatroxError::Format(format!(
-                    "merge factor at slot {i} stores node {}",
-                    mf.node
-                )));
-            }
-            let m = mf.lu.lu.rows();
-            if mf.lu.lu.cols() != m || mf.lu.piv.len() != m || mf.t.rows() != m {
-                return Err(MatroxError::Format(format!(
-                    "merge factor {i} has inconsistent shapes"
-                )));
-            }
-            // The pivot array is applied as unchecked row swaps during
-            // every solve.
-            if mf.lu.piv.iter().any(|&p| p >= m) {
-                return Err(MatroxError::Format(format!(
-                    "merge factor {i} has an out-of-range pivot"
-                )));
-            }
-            merges.push(Some(mf));
+            })
         } else {
-            merges.push(None);
-        }
+            None
+        });
     }
     Ok(HssFactor {
         n,
@@ -853,29 +626,16 @@ pub fn to_bytes_factored(fh: &FactoredHMatrix) -> Vec<u8> {
 ///
 /// # Errors
 /// [`MatroxError::Format`] under the same hardening contract as
-/// [`from_bytes`], including cross-checks of the factor tables against the
-/// reloaded tree.
+/// [`from_bytes`]; the model must pass [`HssFactor::validate`].
 pub fn from_bytes_factored(data: impl AsRef<[u8]>) -> Result<FactoredHMatrix, MatroxError> {
     let mut r = WireReader::new(data.as_ref());
     r.expect_magic(MAGIC_FACTORED, "factored HMatrix")?;
     let hmatrix = get_hmatrix_body(&mut r)?;
     let factor = get_factor(&mut r)?;
     r.finish("the factored payload")?;
-    if factor.n != hmatrix.dim() {
-        return Err(MatroxError::Format(format!(
-            "factor dimension {} does not match matrix dimension {}",
-            factor.n,
-            hmatrix.dim()
-        )));
-    }
-    let n_nodes = hmatrix.tree.num_nodes();
-    if factor.leaves.len() != n_nodes || factor.merges.len() != n_nodes {
-        return Err(MatroxError::Format(format!(
-            "factor stores {} leaf / {} merge slots for a {n_nodes}-node tree",
-            factor.leaves.len(),
-            factor.merges.len()
-        )));
-    }
+    factor
+        .validate(&hmatrix.plan, &hmatrix.tree)
+        .map_err(|e| MatroxError::Format(e.to_string()))?;
     Ok(FactoredHMatrix { hmatrix, factor })
 }
 

@@ -30,7 +30,7 @@ pub struct InspectorTimings {
     pub coarsening: Duration,
     /// CDS data-layout construction (structure analysis).
     pub cds: Duration,
-    /// Code generation (lowering decisions + source emission).
+    /// Code generation (lowering decisions + plan assembly).
     pub codegen: Duration,
 }
 

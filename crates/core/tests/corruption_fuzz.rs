@@ -8,7 +8,9 @@
 //! * be rejected with an `Err` (never a panic), or
 //! * parse into a model whose re-encoding is bitwise identical to the
 //!   corrupted stream (the flip landed in a value payload and the parse is
-//!   lossless — nothing is silently normalized or truncated);
+//!   lossless — nothing is silently normalized or truncated) **and that
+//!   can be used**: preparing and evaluating it (`MATROX1`) or solving with
+//!   it (`MATROXF1`) does not panic and is not refused as a mismatch;
 //!
 //! and the parser must never allocate more than 16 MiB in a single request,
 //! no matter what the corrupted length fields claim — the
@@ -16,36 +18,154 @@
 //! shared allocation probe (`support/alloc_probe.rs`), which also owns the
 //! sweep itself; the protocol sweep (`crates/serve/tests/proto_fuzz.rs`)
 //! runs the same one over `MATROXS1`.
+//!
+//! Single-byte flips cannot reach every malformed model, so the second half
+//! of this file re-encodes *structured* mutations of a healthy model — each
+//! self-consistent enough to pass any per-table check — and pins that the
+//! readers refuse them with `Format`: "`from_bytes` Ok" has to imply
+//! "prepare / evaluate / solve cannot panic" (DESIGN.md, "Model
+//! well-formedness").
 
 use matrox_core::{
-    from_bytes, from_bytes_factored, inspector, to_bytes, to_bytes_factored, MatRoxParams,
+    from_bytes, from_bytes_factored, inspector, to_bytes, to_bytes_factored, FactoredHMatrix,
+    HMatrix, MatRoxParams, MatroxError,
 };
+use matrox_linalg::Matrix;
 use matrox_points::{generate, DatasetId, Kernel};
 
 #[path = "support/alloc_probe.rs"]
 mod alloc_probe;
 use alloc_probe::fuzz_single_byte_flips;
 
-#[test]
-fn every_single_byte_corruption_is_rejected_or_lossless() {
-    // Small on purpose: the sweep parses the stream 3x per byte, and the
-    // parse cost itself scales with the stream, so the sweep is ~quadratic.
-    let points = generate(DatasetId::Grid, 32, 0);
+/// A small HSS model of a ridge-shifted (hence SPD, hence factorable)
+/// Gaussian kernel on an `n`-point grid.
+fn hss_model(n: usize, leaf_size: usize) -> HMatrix {
+    let points = generate(DatasetId::Grid, n, 0);
     let kernel = Kernel::GaussianRidge {
         bandwidth: 0.125,
         ridge: 8.0,
     };
-    let params = MatRoxParams::hss().with_bacc(1e-3).with_leaf_size(8);
-    let h = inspector(&points, &kernel, &params).expect("inspector");
+    let params = MatRoxParams::hss()
+        .with_bacc(1e-3)
+        .with_leaf_size(leaf_size);
+    inspector(&points, &kernel, &params).expect("inspector")
+}
+
+#[test]
+fn every_single_byte_corruption_is_rejected_or_lossless() {
+    // Small on purpose: the sweep parses the stream 3x per byte, and the
+    // parse cost itself scales with the stream, so the sweep is ~quadratic.
+    let h = hss_model(32, 8);
+    let rhs: Vec<f64> = (0..h.dim()).map(|i| (i as f64 * 0.3).cos()).collect();
+    // A panic in here is caught by the sweep and fails it.
+    let usable = |used: Result<Vec<f64>, MatroxError>| {
+        assert!(
+            !matches!(used, Err(MatroxError::PlanMismatch(_))),
+            "the reader accepted a model its own consumer refuses"
+        );
+    };
 
     fuzz_single_byte_flips("MATROX1", &to_bytes(&h), &|data| {
-        from_bytes(data).ok().map(|h| to_bytes(&h))
+        let h = from_bytes(data).ok()?;
+        usable(h.matvec(&rhs));
+        Some(to_bytes(&h))
     });
 
     let factored = to_bytes_factored(&h.factorize().expect("factorize"));
     fuzz_single_byte_flips("MATROXF1", &factored, &|data| {
-        from_bytes_factored(data)
-            .ok()
-            .map(|fh| to_bytes_factored(&fh))
+        let fh = from_bytes_factored(data).ok()?;
+        usable(fh.solve(&rhs));
+        Some(to_bytes_factored(&fh))
     });
+}
+
+/// A named structured mutation of a model `M`.
+type Edit<'a, M> = (&'static str, &'a dyn Fn(&mut M));
+
+/// The names of the `edits` whose image `read` does *not* refuse with
+/// `Format` (so one run reports every hole, not just the first).
+fn accepted<M: Clone, T>(
+    healthy: &M,
+    read: impl Fn(&M) -> Result<T, MatroxError>,
+    edits: &[Edit<'_, M>],
+) -> Vec<&'static str> {
+    let refused = |edit: &dyn Fn(&mut M)| {
+        let mut bad = healthy.clone();
+        edit(&mut bad);
+        matches!(read(&bad), Err(MatroxError::Format(_)))
+    };
+    let open = edits.iter().filter(|(_, edit)| !refused(*edit));
+    open.map(|&(name, _)| name).collect()
+}
+
+#[test]
+fn structurally_hostile_model_images_are_refused() {
+    let h = hss_model(256, 16);
+    assert!(
+        h.plan.cds.d_groups.len() >= 2,
+        "fixture needs two near groups"
+    );
+    let last = h.tree.num_nodes() - 1; // a leaf, and its parent's right child
+    let holes = accepted(
+        &h,
+        |h| from_bytes(to_bytes(h)),
+        &[
+            // Two groups then claim the same targets: the blocked loop's tasks
+            // would write the same output rows.
+            ("near group range copied over its neighbour", &|h| {
+                h.plan.cds.d_groups[1] = h.plan.cds.d_groups[0];
+            }),
+            // Parents before children breaks the coarsened loop's order.
+            ("coarsen partitions reversed", &|h| {
+                let parts = h.plan.coarsenset.levels.iter_mut().flatten();
+                parts.for_each(|part| part.reverse());
+            }),
+            ("node level beyond the tree height", &|h| {
+                h.tree.nodes[3].level = h.tree.height + 5;
+            }),
+            // Same point count, so every block shape still matches — but two
+            // leaves now own the same rows of the permuted panel.
+            ("leaf range slid onto its sibling", &|h| {
+                h.tree.nodes[last].start -= 8;
+                h.tree.nodes[last].end -= 8;
+            }),
+        ],
+    );
+    assert!(holes.is_empty(), "from_bytes accepted: {holes:?}");
+}
+
+#[test]
+fn structurally_hostile_factor_images_are_refused() {
+    let fh = hss_model(256, 16).factorize().expect("factorize");
+    let (tree, cds) = (&fh.hmatrix.tree, &fh.hmatrix.plan.cds);
+    let leaf = tree.leaves()[0];
+    // A coupling block re-pointed at a source that is not its target's
+    // sibling but has the sibling's srank, so the block's shape still fits.
+    let (entry, stranger) = (cds.b_entries.iter().enumerate())
+        .find_map(|(k, e)| {
+            let fits = |s: &usize| {
+                tree.nodes[*s].parent != tree.nodes[e.target].parent
+                    && cds.sranks[*s] == cds.sranks[e.source]
+            };
+            (1..tree.num_nodes()).find(fits).map(|s| (k, s))
+        })
+        .expect("fixture has two non-sibling nodes of equal srank");
+    let read = |fh: &FactoredHMatrix| from_bytes_factored(to_bytes_factored(fh));
+    let holes = accepted(
+        &fh,
+        read,
+        &[
+            // Self-consistent (`chol` square, `e` as tall), but not the leaf's.
+            ("leaf factor of the wrong size", &|fh| {
+                let lf = fh.factor.leaves[leaf].as_mut().expect("leaf factor");
+                let (ni, k) = lf.e.shape();
+                lf.chol = Matrix::identity(ni - 1);
+                lf.e = Matrix::zeros(ni - 1, k);
+            }),
+            ("coupling block between non-siblings", &|fh| {
+                fh.hmatrix.plan.cds.b_entries[entry].source = stranger;
+            }),
+        ],
+    );
+    assert!(holes.is_empty(), "from_bytes_factored accepted: {holes:?}");
 }

@@ -124,15 +124,16 @@ const ALLOC_CAP: usize = 16 * 1024 * 1024;
 /// explosions).
 const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
 
-/// One decode attempt under the probe: it must not panic and must not ask
-/// the allocator for more than [`ALLOC_CAP`] in one request.
+/// One decode attempt under the probe (`decode` may go on to use what it
+/// accepted): it must not panic and must not ask the allocator for more
+/// than [`ALLOC_CAP`] in one request.
 fn decode_guarded(
     stream: &[u8],
     decode: &dyn Fn(&[u8]) -> Option<Vec<u8>>,
     what: &dyn Fn() -> String,
 ) -> Option<Vec<u8>> {
     let (result, reading) = measure(|| catch_unwind(AssertUnwindSafe(|| decode(stream))));
-    let reencoded = result.unwrap_or_else(|_| panic!("decoder panicked on {}", what()));
+    let reencoded = result.unwrap_or_else(|_| panic!("decoding or using {} panicked", what()));
     assert!(
         reading.max_request <= ALLOC_CAP,
         "decoding {} allocated {} bytes in one request (cap {ALLOC_CAP})",

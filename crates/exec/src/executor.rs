@@ -26,11 +26,10 @@
 //! # Memory discipline
 //!
 //! Everything a panel iteration needs is derived once: the plan-dependent
-//! state (panel width, kernel dispatch, per-node scratch offsets, leaf
-//! level lists, the ownership checks below) lives in [`PreparedExec`], and
-//! the per-evaluation scratch (permuted input/output panels plus the flat
-//! `T`/`S` coefficient buffers) is allocated once per [`execute_prepared`]
-//! call.  The panel loop itself allocates **nothing** — every GEMM writes
+//! state (panel width, kernel dispatch, per-node scratch offsets, per-level
+//! node lists) lives in [`PreparedExec`], and the per-evaluation scratch
+//! (permuted input/output panels plus the flat `T`/`S` coefficient buffers)
+//! is allocated once per [`execute_prepared`] call.  The panel loop itself allocates **nothing** — every GEMM writes
 //! into a precomputed offset range, and the parallel phases hand tasks raw
 //! disjoint sub-slices (the private `RawSlots` helper) instead of
 //! rebuilding hash maps.
@@ -38,8 +37,12 @@
 //! The disjointness that makes those raw slices sound is not assumed: it is
 //! the paper's conflict-free-scheduling invariant (blockset groups own
 //! their target nodes, coarsen partitions own their sub-trees, every child
-//! has one parent), and [`PreparedExec::new`] *verifies* it when the plan
-//! is prepared, panicking on a malformed plan rather than racing on one.
+//! has one parent, leaves tile the permuted rows).  This module does not
+//! define it: [`EvalPlan::validate`] does, once, for the model readers, the
+//! solver and this executor alike (its items T1–T6 for the tree and P1–P6
+//! for the plan are what the `SAFETY:` comments below cite).
+//! [`PreparedExec::new`] and every [`execute_prepared`] call run it on the
+//! pair they are handed and panic on a malformed one rather than race on it.
 
 use matrox_codegen::EvalPlan;
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
@@ -219,8 +222,7 @@ pub fn effective_panel_width(opts: &ExecOptions, plan: &EvalPlan) -> usize {
 
 /// Per-plan executor state derived once and reused across evaluations: the
 /// resolved options, panel width and kernel dispatch, the per-node offsets
-/// into the flat `T`/`S` scratch buffers, the per-level node lists, and the
-/// verified ownership invariants the parallel phases rely on.
+/// into the flat `T`/`S` scratch buffers and the per-level node lists.
 ///
 /// [`execute`] derives this on every call; an evaluation session
 /// (`matrox_core::EvalSession`) builds it once next to the inspector output
@@ -248,37 +250,28 @@ pub struct PreparedExec {
 
 impl PreparedExec {
     /// Derive the executor state for a plan (the "inspector side" of the
-    /// executor: everything per-evaluation calls would otherwise recompute),
-    /// and verify the conflict-free-scheduling invariants the parallel
-    /// phases rely on.
+    /// executor: everything per-evaluation calls would otherwise recompute).
     ///
     /// # Panics
-    /// Panics when the plan violates the ownership invariants (a blockset
-    /// target claimed by two groups, a coarsen partition referencing a
-    /// child computed neither in-partition nor on an earlier level, ...).
-    /// A plan produced by `matrox-codegen` always satisfies them.
+    /// Panics with [`EvalPlan::validate`]'s message when `(tree, plan)` is
+    /// malformed (a blockset target claimed by two groups, a child computed
+    /// after its parent, overlapping leaves, ...).  A plan the inspector
+    /// produced, or a model reader returned, always validates.
     pub fn new(plan: &EvalPlan, tree: &ClusterTree, opts: &ExecOptions) -> Self {
-        let cds = &plan.cds;
+        verify_plan(plan, tree);
         let num_nodes = tree.num_nodes();
         let mut rank_off = Vec::with_capacity(num_nodes + 1);
         let mut acc = 0usize;
         rank_off.push(0);
-        for &r in &cds.sranks {
+        for &r in &plan.cds.sranks {
             acc += r;
             rank_off.push(acc);
         }
-        assert_eq!(
-            rank_off.len(),
-            num_nodes + 1,
-            "CDS sranks must cover every tree node"
-        );
 
         let mut level_nodes: Vec<Vec<usize>> = vec![Vec::new(); tree.height + 1];
         for node in &tree.nodes {
             level_nodes[node.level].push(node.id);
         }
-
-        verify_plan(plan, tree);
 
         PreparedExec {
             opts: *opts,
@@ -302,193 +295,21 @@ impl PreparedExec {
 
     /// Total skeleton rank (length of the `T`/`S` buffers in rank units).
     fn total_rank(&self) -> usize {
-        // INVARIANT: rank_off is a prefix-sum built with n+1 entries at
-        // prepare time, so it is never empty.
+        // INVARIANT: `new` pushes a leading 0 before the prefix sums, so
+        // rank_off is never empty.
         *self.rank_off.last().unwrap()
     }
 }
 
-/// Verify every invariant the raw-sliced parallel phases rely on: blockset
-/// ownership + shapes, generator shapes, coarsen ownership.  Run both at
-/// prepare time and at the top of every [`execute_prepared`] call — the
-/// latter so a *mismatched* plan (one the [`PreparedExec`] was not built
-/// from) is itself held to the full contract before any raw slicing
-/// happens, restoring the pre-refactor "panic, don't scribble" behaviour
-/// for that misuse.  Cost is `O(plan structure)`, far below one panel's
-/// products.
+/// Hold `(tree, plan)` to [`EvalPlan::validate`] — the invariants every
+/// `SAFETY:` comment below cites — and panic with its message.  Run at
+/// prepare time and again at the top of every [`execute_prepared`] call:
+/// `plan` and `tree` are loose arguments with public fields, so the pair
+/// actually passed must itself be checked before any raw slicing.  Cost is
+/// `O(plan structure)`, far below one panel's products.
 fn verify_plan(plan: &EvalPlan, tree: &ClusterTree) {
-    let cds = &plan.cds;
-    verify_disjoint_targets(
-        &cds.d_entries,
-        &cds.d_groups,
-        tree,
-        &cds.sranks,
-        true,
-        "near",
-    );
-    verify_disjoint_targets(
-        &cds.b_entries,
-        &cds.b_groups,
-        tree,
-        &cds.sranks,
-        false,
-        "far",
-    );
-    verify_generator_shapes(plan, tree);
-    verify_coarsen_ownership(plan, tree);
-}
-
-/// Check that no two blockset groups claim the same target node (the
-/// invariant that lets the blocked parallel loops write their targets'
-/// output ranges without synchronization) and that every entry's block
-/// dimensions match the slot its product is sliced from — for the near
-/// set that means leaf point counts (entries scatter straight into
-/// `y_perm`), for the far set the recorded sranks (entries accumulate
-/// into the `S` slots).  The size checks are part of the soundness
-/// argument, not hygiene: the phase loops carve raw slices of exactly
-/// these extents, so an oversized entry in a release build would write
-/// into a neighbouring node's slot (or past the buffer) instead of
-/// panicking.
-fn verify_disjoint_targets(
-    entries: &[matrox_analysis::CdsBlockEntry],
-    groups: &[matrox_analysis::GroupRange],
-    tree: &ClusterTree,
-    sranks: &[usize],
-    targets_are_leaves: bool,
-    what: &str,
-) {
-    let mut owner: Vec<Option<usize>> = vec![None; tree.num_nodes()];
-    for (gi, g) in groups.iter().enumerate() {
-        for e in &entries[g.start..g.end] {
-            if targets_are_leaves {
-                // Near entries: dense leaf x leaf blocks.
-                assert!(
-                    tree.nodes[e.target].is_leaf() && tree.nodes[e.source].is_leaf(),
-                    "{what} blockset entry {}<-{} does not connect leaves",
-                    e.target,
-                    e.source
-                );
-                assert!(
-                    e.rows == tree.nodes[e.target].num_points()
-                        && e.cols == tree.nodes[e.source].num_points(),
-                    "{what} blockset entry {}<-{} has block shape {}x{}, \
-                     expected {}x{}",
-                    e.target,
-                    e.source,
-                    e.rows,
-                    e.cols,
-                    tree.nodes[e.target].num_points(),
-                    tree.nodes[e.source].num_points()
-                );
-            } else {
-                // Far entries: srank x srank coupling blocks (degenerate
-                // zero-dimension entries are skipped by the phases).
-                assert!(
-                    (e.rows == sranks[e.target] || e.rows == 0)
-                        && (e.cols == sranks[e.source] || e.cols == 0),
-                    "{what} blockset entry {}<-{} has block shape {}x{}, \
-                     expected {}x{}",
-                    e.target,
-                    e.source,
-                    e.rows,
-                    e.cols,
-                    sranks[e.target],
-                    sranks[e.source]
-                );
-            }
-            match owner[e.target] {
-                None => owner[e.target] = Some(gi),
-                Some(prev) => assert_eq!(
-                    prev, gi,
-                    "{what} blockset groups must own disjoint target nodes"
-                ),
-            }
-        }
-    }
-}
-
-/// Check that every generator's dimensions agree with the recorded sranks
-/// and leaf point counts.  Like the blockset size checks, this backs the
-/// unsafe slicing: the upward/downward phases size a leaf's `y_perm` range
-/// and a node's `T`/`S` slot from these values, so a generator wider or
-/// taller than recorded must fail at prepare time, not scribble at run
-/// time.
-fn verify_generator_shapes(plan: &EvalPlan, tree: &ClusterTree) {
-    let cds = &plan.cds;
-    for node in &tree.nodes {
-        let id = node.id;
-        let expect_rows = |rows: usize, what: &str| {
-            let want = if node.is_leaf() {
-                node.num_points()
-            } else {
-                // INVARIANT: non-leaf ClusterTree nodes always carry a
-                // child pair by construction.
-                let (l, r) = node.children.unwrap();
-                cds.sranks[l] + cds.sranks[r]
-            };
-            assert_eq!(rows, want, "{what} generator of node {id} has wrong height");
-        };
-        let (_, vrows, vcols) = cds.v(id);
-        if vcols > 0 {
-            assert_eq!(
-                vcols, cds.sranks[id],
-                "V generator of node {id} is wider than its srank"
-            );
-            expect_rows(vrows, "V");
-        }
-        let (_, urows, ucols) = cds.u(id);
-        if ucols > 0 {
-            assert_eq!(
-                ucols, cds.sranks[id],
-                "U generator of node {id} is wider than its srank"
-            );
-            expect_rows(urows, "U");
-        }
-    }
-}
-
-/// Check the coarsen-set ownership invariants: every node appears in at
-/// most one partition, and an internal node's children are computed either
-/// by the same partition (sequential program order within the task) or on
-/// an earlier coarsen level (separated by the level barrier).  These are
-/// exactly the happens-before edges the parallel tree phases rely on.
-fn verify_coarsen_ownership(plan: &EvalPlan, tree: &ClusterTree) {
-    let levels = &plan.coarsenset.levels;
-    if levels.is_empty() {
-        return;
-    }
-    // (coarsen level, partition, position within partition) per node.
-    let mut slot: Vec<Option<(usize, usize, usize)>> = vec![None; tree.num_nodes()];
-    for (cl, parts) in levels.iter().enumerate() {
-        for (pi, part) in parts.iter().enumerate() {
-            for (pos, &id) in part.iter().enumerate() {
-                assert!(
-                    slot[id].is_none(),
-                    "coarsen partitions must own disjoint node sets (node {id})"
-                );
-                slot[id] = Some((cl, pi, pos));
-            }
-        }
-    }
-    for (cl, parts) in levels.iter().enumerate() {
-        for (pi, part) in parts.iter().enumerate() {
-            for (pos, &id) in part.iter().enumerate() {
-                let Some((l, r)) = tree.nodes[id].children else {
-                    continue;
-                };
-                for child in [l, r] {
-                    let Some((ccl, cpi, cpos)) = slot[child] else {
-                        continue;
-                    };
-                    let ok = ccl < cl || (ccl == cl && cpi == pi && cpos < pos);
-                    assert!(
-                        ok,
-                        "coarsen set: child {child} of node {id} is computed neither \
-                         in-partition before its parent nor on an earlier level"
-                    );
-                }
-            }
-        }
+    if let Err(why) = plan.validate(tree) {
+        panic!("execute: malformed evaluation plan: {why}");
     }
 }
 
@@ -507,18 +328,17 @@ pub fn execute(plan: &EvalPlan, tree: &ClusterTree, w: &Matrix, opts: &ExecOptio
 ///
 /// Beyond the output matrix, the only allocations are the four scratch
 /// buffers sized for one panel (permuted input/output plus the flat `T`/`S`
-/// coefficient stores) and the plan re-verification's scratch, made once up
+/// coefficient stores) and the plan re-validation's scratch, made once up
 /// front — the panel loop itself is allocation-free (asserted by
 /// `crates/exec/tests/alloc_free.rs`).
 ///
 /// # Panics
 /// Panics when `w` has the wrong number of rows, when `prep` was prepared
 /// for a different tree or a plan with different skeleton ranks, or when
-/// `plan` violates the executor's ownership/shape invariants.  The passed
-/// plan is re-verified on every call (cheap relative to one panel's
-/// products) precisely because the parallel phases slice raw disjoint
-/// sub-ranges from it: a mismatched or malformed plan must fail loudly
-/// here, never scribble.
+/// `(tree, plan)` fails [`EvalPlan::validate`].  The passed pair is
+/// re-validated on every call (cheap relative to one panel's products)
+/// precisely because the parallel phases slice raw disjoint sub-ranges from
+/// it: a mismatched or malformed plan must fail loudly here, never scribble.
 pub fn execute_prepared(
     plan: &EvalPlan,
     tree: &ClusterTree,
@@ -680,30 +500,37 @@ const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 ///
 /// Every `slice_mut` range handed out concurrently must be disjoint from
 /// every other concurrently live range (mutable or shared) of the same
-/// buffer.  The executor guarantees this through the plan invariants
-/// **verified at prepare time** ([`PreparedExec::new`]):
+/// buffer.  The executor guarantees this through the items of
+/// [`EvalPlan::validate`], which `execute_prepared` has run on the very
+/// `(tree, plan)` the phases read:
 ///
-/// * near/coupling: a target node belongs to exactly one blockset group,
-///   and distinct target nodes map to disjoint offset ranges;
-/// * upward: a node's `T` slot is written by exactly one coarsen partition,
-///   and the child slots it reads were written either earlier by the same
-///   task or on an earlier coarsen level (the `par_iter` per level is a
-///   barrier);
-/// * downward: a node's children each have exactly one parent, so no two
-///   tasks push into the same `S` slot within a level, and leaves (the
-///   `y_perm` writes) belong to exactly one partition.
+/// * near/coupling: a target node belongs to exactly one blockset group
+///   (P4); distinct target leaves own disjoint `y_perm` rows (T6) and
+///   distinct nodes disjoint `S` slots (the prefix sums of `sranks`), and a
+///   block is exactly as tall as the range it is multiplied into (P3);
+/// * upward: a node is in at most one coarsen partition, so one task writes
+///   its `T` slot, and the child slots it reads were written either earlier
+///   by the same task or on an earlier coarsen level (P6; the `par_iter`
+///   per level is a barrier); a generator is as wide as its slot and as
+///   tall as what it reads (P2);
+/// * downward: a node's children each have exactly one parent (T3), so no
+///   two tasks push into the same `S` slot within a level, and a leaf (the
+///   `y_perm` writes) belongs to exactly one partition (P6) and owns its
+///   rows alone (T6).
 #[derive(Clone, Copy)]
 struct RawSlots {
     ptr: *mut f64,
     len: usize,
 }
 
-// SAFETY: RawSlots is a capability to *manually verified* disjoint slicing;
-// the pointer itself may cross threads freely (the data is plain f64).
+// SAFETY: RawSlots is a capability to disjoint slicing whose disjointness
+// `EvalPlan::validate` established (see the type-level contract); the
+// pointer itself may cross threads freely (the data is plain f64).
 unsafe impl Send for RawSlots {}
 // SAFETY: sharing `&RawSlots` across threads only shares the (ptr, len)
 // pair; actual accesses go through `slice`/`slice_mut`, whose disjointness
-// contract (verified at prepare time) is what prevents data races.
+// contract (`EvalPlan::validate`, items as listed on the type) is what
+// prevents data races.
 unsafe impl Sync for RawSlots {}
 
 impl RawSlots {
@@ -771,7 +598,7 @@ fn near_phase(
 
     // Blocked parallel loop: every group owns the output slices of its
     // target nodes exclusively (Algorithm 1 guarantees disjoint targets
-    // across groups; verified at prepare time), so each task writes its
+    // across groups; `EvalPlan::validate` P4), so each task writes its
     // targets' `y_perm` rows directly.
     let y = RawSlots::new(y_perm);
     cds.d_groups
@@ -780,9 +607,10 @@ fn near_phase(
         .for_each(|g| {
             for e in &cds.d_entries[g.start..g.end] {
                 let tn = &tree.nodes[e.target];
-                // SAFETY: this group is the verified sole owner of node
-                // `e.target`, target leaves tile disjoint row ranges, and
-                // entries within a group run sequentially on this task.
+                // SAFETY: this group is the sole owner of node `e.target`
+                // (`EvalPlan::validate` P4), targets are leaves (P3) and
+                // distinct leaves own disjoint row ranges (T6), and entries
+                // within a group run sequentially on this task.
                 let dst = unsafe { y.slice_mut(tn.start * q, (tn.end - tn.start) * q) };
                 let sn = &tree.nodes[e.source];
                 let src = &w_perm[sn.start * q..sn.end * q];
@@ -820,8 +648,9 @@ unsafe fn compute_t_into(
     debug_assert_eq!(cols, prep.srank(id), "generator width != srank at {id}");
     // SAFETY: `[rank_off[id], rank_off[id] + srank(id)) * q` is node `id`'s
     // own T slot (slots of distinct nodes are disjoint by the prefix-sum
-    // construction, cross-checked in `PreparedExec`); exclusive access to
-    // it is the fn contract.
+    // construction, and `cols == srank(id)` by `EvalPlan::validate` P2 plus
+    // `execute_prepared`'s sranks cross-check); exclusive access to it is
+    // the fn contract.
     let out = unsafe { t.slice_mut(prep.rank_off[id] * q, cols * q) };
     let node = &tree.nodes[id];
     let par = peel && rows * cols * q >= PEEL_PAR_THRESHOLD;
@@ -889,10 +718,10 @@ fn upward_phase(
                     .for_each(|part| {
                         for &id in part {
                             // SAFETY: partitions own disjoint node sets and a
-                            // node's children are in this partition (already
-                            // computed by this task, verified ordering) or on
-                            // an earlier level (completed before this
-                            // par_iter started) — checked at prepare time.
+                            // node's children are in this partition, earlier
+                            // (already computed by this task), or on an
+                            // earlier level (completed before this par_iter
+                            // started) — `EvalPlan::validate` P6.
                             unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, false) };
                         }
                     });
@@ -902,8 +731,8 @@ fn upward_phase(
         // Level-by-level traversal, deepest level first.
         for level in (1..=tree.height).rev() {
             for &id in &prep.level_nodes[level] {
-                // SAFETY: single-threaded sweep; children (one level deeper)
-                // are complete.
+                // SAFETY: single-threaded sweep; children (one level deeper,
+                // `ClusterTree::validate` T4) are complete.
                 unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, false) };
             }
         }
@@ -940,7 +769,7 @@ fn coupling_phase(
     }
 
     // Blocked parallel loop over far groups; each group owns its target
-    // nodes' S slots exclusively (verified at prepare time).
+    // nodes' S slots exclusively (`EvalPlan::validate` P4).
     let s = RawSlots::new(s_buf);
     cds.b_groups
         .par_iter()
@@ -953,8 +782,9 @@ fn coupling_phase(
                 debug_assert_eq!(e.cols, prep.srank(e.source));
                 debug_assert_eq!(e.rows, prep.srank(e.target));
                 let src = &t_buf[prep.rank_off[e.source] * q..][..e.cols * q];
-                // SAFETY: this group is the verified sole owner of node
-                // `e.target`'s S slot; slots of distinct nodes are disjoint.
+                // SAFETY: this group is the sole owner of node `e.target`'s
+                // S slot (`EvalPlan::validate` P4), `e.rows` is that slot's
+                // height (P3), and slots of distinct nodes are disjoint.
                 let dst = unsafe { s.slice_mut(prep.rank_off[e.target] * q, e.rows * q) };
                 prep.dispatch
                     .gemm(cds.b_block(e), e.rows, e.cols, src, q, dst);
@@ -972,7 +802,7 @@ fn coupling_phase(
 /// `U_i` hit the two children).
 ///
 /// # Safety
-/// Caller must guarantee (via the verified coarsen invariants) that no
+/// Caller must guarantee (via `EvalPlan::validate` P6 and T3) that no
 /// other task concurrently touches `id`'s `S` slot, its children's `S`
 /// slots, or its `y_perm` rows — see [`RawSlots`].
 unsafe fn down_node(
@@ -999,9 +829,10 @@ unsafe fn down_node(
     let par = peel && rows * cols * q >= PEEL_PAR_THRESHOLD;
     if node.is_leaf() {
         debug_assert_eq!(rows, node.num_points());
-        // SAFETY: leaves tile `y_perm` disjointly (`[start, start + rows)`
-        // rows belong to this leaf alone) and each leaf belongs to exactly
-        // one partition (fn contract).
+        // SAFETY: leaves tile `y_perm` disjointly (`ClusterTree::validate`
+        // T6: `[start, start + rows)` belongs to this leaf alone, and
+        // `rows` is its point count by `EvalPlan::validate` P2) and each
+        // leaf belongs to exactly one partition (fn contract).
         let dst = unsafe { y.slice_mut(node.start * q, rows * q) };
         if par {
             prep.dispatch.par_gemm(u, rows, cols, s_i, q, dst);
@@ -1016,8 +847,8 @@ unsafe fn down_node(
         let rr = prep.srank(r);
         debug_assert_eq!(rows, rl + rr);
         if rl > 0 {
-            // SAFETY: every child has exactly one parent, so this task is
-            // the only writer of the child's S slot at this level; the
+            // SAFETY: every child has exactly one parent (T3), so this task
+            // is the only writer of the child's S slot at this level; the
             // child itself reads it only after this node completes
             // (in-partition ordering or the next level's barrier).
             let dst = unsafe { s.slice_mut(prep.rank_off[l] * q, rl * q) };
@@ -1058,8 +889,8 @@ fn downward_phase(
         // Sequential top-down, level by level.
         for level in 1..=tree.height {
             for &id in &prep.level_nodes[level] {
-                // SAFETY: single-threaded sweep; parents (one level up) are
-                // complete, children's slots are only written here.
+                // SAFETY: single-threaded sweep; parents (one level up, T4)
+                // are complete, children's slots are only written here.
                 unsafe { down_node(plan, tree, prep, id, s, y, q, false) };
             }
         }
@@ -1084,7 +915,7 @@ fn downward_phase(
 
         // Parallel over partitions.  A task pushes into the S slots of its
         // nodes' children: a child inside the partition is processed later
-        // by the same task (reverse order, verified at prepare time); a
+        // by the same task (reverse order, `EvalPlan::validate` P6); a
         // child on a deeper coarsen level is untouched until the next `cl`
         // iteration (the par_iter below is a barrier); and every child has
         // exactly one parent, so no two tasks push into the same slot.
@@ -1347,7 +1178,7 @@ mod tests {
 
     #[test]
     fn mismatched_plan_panics_instead_of_scribbling() {
-        // `execute_prepared` re-verifies the passed plan and cross-checks
+        // `execute_prepared` re-validates the passed plan and cross-checks
         // its sranks against the prepared offsets: state prepared from one
         // plan must never silently slice another plan's extents.
         let pts = generate(DatasetId::Grid, 256, 77);

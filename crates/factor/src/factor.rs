@@ -1,15 +1,13 @@
 //! The ULV-style HSS factorization (leaf Cholesky + sibling merges).
 
-use matrox_analysis::CdsBlockEntry;
 use matrox_codegen::EvalPlan;
 use matrox_exec::{effective_grain, ExecOptions};
 use matrox_linalg::{
     cholesky, cholesky_solve_matrix, gemm_slices, gemm_tn_slices, lu_factor, lu_solve_matrix,
     LuFactors, Matrix,
 };
-use matrox_tree::ClusterTree;
+use matrox_tree::{ensure, ClusterTree};
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Error raised while factoring a compressed matrix.
@@ -151,66 +149,147 @@ impl HssFactor {
     }
 }
 
-/// Index the leaf diagonal blocks and sibling coupling blocks of an HSS
-/// plan, rejecting plans whose structure the merge recursion cannot fold.
-pub(crate) struct HssBlocks<'a> {
-    /// Leaf diagonal entries by node id.
-    pub diag: HashMap<usize, &'a CdsBlockEntry>,
-    /// Coupling entries by `(target, source)` node pair.
-    pub coupling: HashMap<(usize, usize), &'a CdsBlockEntry>,
+/// The blocks of a validated HSS plan by node id: what the factorization
+/// and the solve sweeps index instead of searching the CDS tables.  Only
+/// [`HssFactor::validate`] and [`factor_with_ridge`] build one, and building
+/// it is the one definition of an HSS plan the merge recursion can fold —
+/// on top of [`EvalPlan::validate`] (T1–T6, P1–P6):
+///
+/// * **F1** every near block is the diagonal block of a leaf and every
+///   leaf stores exactly one;
+/// * **F2** every coupling block links a node to its sibling and every
+///   node but the root stores exactly one.
+pub struct HssIndex<'a> {
+    /// `diag[id]`: the dense diagonal block `D_id` of leaf `id` (empty for
+    /// internal nodes).
+    pub(crate) diag: Vec<&'a [f64]>,
+    /// `coupling[id]`: `B_{id, sibling(id)}`, `srank(id) x srank(sibling)`
+    /// (empty for the root, and whenever either srank is zero).
+    pub(crate) coupling: Vec<&'a [f64]>,
 }
 
-pub(crate) fn index_hss_blocks<'a>(
-    plan: &'a EvalPlan,
-    tree: &ClusterTree,
-) -> Result<HssBlocks<'a>, FactorError> {
-    let cds = &plan.cds;
-    let mut diag = HashMap::with_capacity(cds.d_entries.len());
-    for e in &cds.d_entries {
-        if e.target != e.source || !tree.nodes[e.target].is_leaf() {
-            return Err(FactorError::UnsupportedStructure(format!(
-                "near block ({}, {}) is off-diagonal; the ULV factorization requires the \
-                 HSS (weak admissibility) structure",
-                e.target, e.source
-            )));
+impl<'a> HssIndex<'a> {
+    /// Check `(tree, plan)` (see the type) and index its blocks:
+    /// [`FactorError::PlanMismatch`] for a malformed plan,
+    /// [`FactorError::UnsupportedStructure`] for a well-formed one that is
+    /// not HSS (weak admissibility).
+    pub(crate) fn build(plan: &'a EvalPlan, tree: &ClusterTree) -> Result<Self, FactorError> {
+        plan.validate(tree).map_err(FactorError::PlanMismatch)?;
+        let (cds, nodes) = (&plan.cds, &tree.nodes);
+        let unsupported = FactorError::UnsupportedStructure;
+        let mut diag = vec![None; nodes.len()];
+        for e in &cds.d_entries {
+            let (t, s) = (e.target, e.source);
+            ensure(t == s, || {
+                unsupported(format!(
+                    "near block ({t}, {s}) is off-diagonal; the ULV factorization requires \
+                     the HSS (weak admissibility) structure"
+                ))
+            })?;
+            ensure(diag[t].replace(cds.d_block(e)).is_none(), || {
+                unsupported(format!("leaf node {t} stores two diagonal blocks"))
+            })?;
         }
-        diag.insert(e.target, e);
-    }
-    for &leaf in &tree.leaves() {
-        if !diag.contains_key(&leaf) {
-            return Err(FactorError::UnsupportedStructure(format!(
-                "leaf node {leaf} has no stored diagonal block"
-            )));
+        let mut coupling = vec![None; nodes.len()];
+        for e in &cds.b_entries {
+            let (t, s) = (e.target, e.source);
+            let siblings =
+                t != s && nodes[t].parent.is_some() && nodes[t].parent == nodes[s].parent;
+            ensure(siblings, || {
+                unsupported(format!(
+                    "coupling block ({t}, {s}) links non-sibling nodes; the merge recursion \
+                     requires HSS sibling coupling only"
+                ))
+            })?;
+            ensure(coupling[t].replace(cds.b_block(e)).is_none(), || {
+                unsupported(format!(
+                    "node {t} stores two coupling blocks to its sibling"
+                ))
+            })?;
         }
-    }
-    let mut coupling = HashMap::with_capacity(cds.b_entries.len());
-    for e in &cds.b_entries {
-        let sib = |a: usize, b: usize| {
-            tree.nodes[a].parent.is_some() && tree.nodes[a].parent == tree.nodes[b].parent
-        };
-        if !sib(e.target, e.source) {
-            return Err(FactorError::UnsupportedStructure(format!(
-                "coupling block ({}, {}) links non-sibling nodes; the merge recursion \
-                 requires HSS sibling coupling only",
-                e.target, e.source
-            )));
+        for (id, node) in nodes.iter().enumerate() {
+            ensure(!node.is_leaf() || diag[id].is_some(), || {
+                unsupported(format!("leaf node {id} has no stored diagonal block"))
+            })?;
+            ensure(id == 0 || coupling[id].is_some(), || {
+                unsupported(format!(
+                    "node {id} has no stored coupling block to its sibling"
+                ))
+            })?;
         }
-        coupling.insert((e.target, e.source), e);
+        let dense =
+            |v: Vec<Option<&'a [f64]>>| v.into_iter().map(Option::unwrap_or_default).collect();
+        Ok(HssIndex {
+            diag: dense(diag),
+            coupling: dense(coupling),
+        })
     }
-    Ok(HssBlocks { diag, coupling })
 }
 
-/// Borrow a coupling block `B_{i,j}` as a slice (empty when either srank is
-/// zero and the pair was therefore never stored).
-pub(crate) fn coupling_block<'a>(
-    plan: &'a EvalPlan,
-    blocks: &HssBlocks<'a>,
-    i: usize,
-    j: usize,
-) -> &'a [f64] {
-    match blocks.coupling.get(&(i, j)) {
-        Some(e) => plan.cds.b_block(e),
-        None => &[],
+impl HssFactor {
+    /// The one definition of a factor that belongs to `(plan, tree)`; returns
+    /// the block index it checked against.  On top of [`HssIndex`]
+    /// (T1–T6, P1–P6, F1–F2):
+    ///
+    /// * **F3** `n` is the tree's point count and there is one leaf and one
+    ///   merge slot per node; a leaf holds exactly a [`LeafFactor`], an
+    ///   internal node exactly a [`MergeFactor`], each naming its node;
+    /// * **F4** shapes: `chol` is `points x points` and `e` is
+    ///   `points x srank`; with `m` the children's summed sranks, `lu` is
+    ///   `m x m`, `piv` has `m` entries below `m`, and `t` is `m x srank`.
+    ///
+    /// # Errors
+    /// [`FactorError::PlanMismatch`] for a malformed plan and for F3 / F4,
+    /// [`FactorError::UnsupportedStructure`] for F1 / F2.
+    pub fn validate<'a>(
+        &self,
+        plan: &'a EvalPlan,
+        tree: &ClusterTree,
+    ) -> Result<HssIndex<'a>, FactorError> {
+        let index = HssIndex::build(plan, tree)?;
+        let mismatch = FactorError::PlanMismatch;
+        let (n, n_nodes, sranks) = (tree.perm.len(), tree.num_nodes(), &plan.cds.sranks);
+        ensure(self.n == n, || {
+            let own = self.n;
+            mismatch(format!(
+                "factor was computed for N = {own} but the tree orders N = {n} points"
+            ))
+        })?;
+        ensure(
+            self.leaves.len() == n_nodes && self.merges.len() == n_nodes,
+            || {
+                let (l, m) = (self.leaves.len(), self.merges.len());
+                mismatch(format!(
+                    "factor stores {l} leaf / {m} merge slots but the tree has {n_nodes} nodes"
+                ))
+            },
+        )?;
+        for (id, node) in tree.nodes.iter().enumerate() {
+            let k = sranks[id];
+            let fits = match (node.children, &self.leaves[id], &self.merges[id]) {
+                (None, Some(lf), None) => {
+                    let ni = node.num_points();
+                    lf.node == id && lf.chol.shape() == (ni, ni) && lf.e.shape() == (ni, k)
+                }
+                (Some((l, r)), None, Some(mf)) => {
+                    let m = sranks[l] + sranks[r];
+                    mf.node == id
+                        && mf.lu.lu.shape() == (m, m)
+                        && mf.lu.piv.len() == m
+                        && mf.lu.piv.iter().all(|&p| p < m)
+                        && mf.t.shape() == (m, k)
+                }
+                _ => false,
+            };
+            ensure(fits, || {
+                let kind = if node.is_leaf() { "leaf" } else { "merge" };
+                mismatch(format!(
+                    "node {id} has no {kind} factor of the shape this plan needs; was this \
+                     factor computed from a different plan or tree?"
+                ))
+            })?;
+        }
+        Ok(index)
     }
 }
 
@@ -249,7 +328,7 @@ pub fn factor_with_ridge(
             "ridge shift must be finite and non-negative, got {ridge:e}"
         )));
     }
-    let blocks = index_hss_blocks(plan, tree)?;
+    let index = HssIndex::build(plan, tree)?;
     let n_nodes = tree.num_nodes();
     let parallel = opts.parallel_tree;
     let grain = effective_grain(opts);
@@ -268,12 +347,12 @@ pub fn factor_with_ridge(
         leaf_ids
             .par_iter()
             .with_min_len(grain)
-            .map(|&id| factor_leaf(plan, tree, &blocks, id, ridge))
+            .map(|&id| factor_leaf(plan, tree, &index, id, ridge))
             .collect()
     } else {
         leaf_ids
             .iter()
-            .map(|&id| factor_leaf(plan, tree, &blocks, id, ridge))
+            .map(|&id| factor_leaf(plan, tree, &index, id, ridge))
             .collect()
     };
     for r in leaf_results {
@@ -297,11 +376,11 @@ pub fn factor_with_ridge(
         let results: Vec<Result<(usize, MergeFactor, Matrix), FactorError>> = if parallel {
             ids.par_iter()
                 .with_min_len(grain)
-                .map(|&id| factor_internal(plan, tree, &blocks, &g, id))
+                .map(|&id| factor_internal(plan, tree, &index, &g, id))
                 .collect()
         } else {
             ids.iter()
-                .map(|&id| factor_internal(plan, tree, &blocks, &g, id))
+                .map(|&id| factor_internal(plan, tree, &index, &g, id))
                 .collect()
         };
         for r in results {
@@ -330,16 +409,14 @@ pub fn factor_with_ridge(
 fn factor_leaf(
     plan: &EvalPlan,
     tree: &ClusterTree,
-    blocks: &HssBlocks<'_>,
+    index: &HssIndex<'_>,
     id: usize,
     ridge: f64,
 ) -> Result<(usize, LeafFactor, Matrix), FactorError> {
     let cds = &plan.cds;
     let node = &tree.nodes[id];
     let ni = node.num_points();
-    let entry = blocks.diag[&id];
-    debug_assert_eq!((entry.rows, entry.cols), (ni, ni));
-    let mut d = Matrix::from_vec(ni, ni, cds.d_block(entry).to_vec());
+    let mut d = Matrix::from_vec(ni, ni, index.diag[id].to_vec());
     if ridge > 0.0 {
         for i in 0..ni {
             let v = d.get(i, i) + ridge;
@@ -372,14 +449,13 @@ fn factor_leaf(
 fn factor_internal(
     plan: &EvalPlan,
     tree: &ClusterTree,
-    blocks: &HssBlocks<'_>,
+    index: &HssIndex<'_>,
     g: &[Matrix],
     id: usize,
 ) -> Result<(usize, MergeFactor, Matrix), FactorError> {
     let cds = &plan.cds;
     // INVARIANT: `factor_internal` is only called on ids that
-    // `tree.nodes[id].is_leaf()` filtered out, and a non-leaf node always
-    // carries a child pair by `ClusterTree` construction.
+    // `tree.nodes[id].is_leaf()` filtered out, i.e. nodes with children.
     let (l, r) = tree.nodes[id].children.expect("internal node has children");
     let kl = cds.sranks[l];
     let kr = cds.sranks[r];
@@ -387,8 +463,7 @@ fn factor_internal(
 
     let mut mm = Matrix::identity(m);
     if kl > 0 && kr > 0 {
-        let b_lr = coupling_block(plan, blocks, l, r);
-        let b_rl = coupling_block(plan, blocks, r, l);
+        let (b_lr, b_rl) = (index.coupling[l], index.coupling[r]);
         debug_assert_eq!(b_lr.len(), kl * kr);
         debug_assert_eq!(b_rl.len(), kr * kl);
         // Top-right block: G_l * B_{l,r}.

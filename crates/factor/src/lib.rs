@@ -48,5 +48,6 @@ pub mod factor;
 pub mod solve;
 
 pub use factor::{
-    factor, factor_with_ridge, FactorError, FactorTimings, HssFactor, LeafFactor, MergeFactor,
+    factor, factor_with_ridge, FactorError, FactorTimings, HssFactor, HssIndex, LeafFactor,
+    MergeFactor,
 };

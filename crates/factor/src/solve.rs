@@ -1,6 +1,6 @@
 //! Forward/backward solve sweeps over an [`HssFactor`].
 
-use crate::factor::{coupling_block, index_hss_blocks, FactorError, HssFactor};
+use crate::factor::{FactorError, HssFactor};
 use matrox_codegen::EvalPlan;
 use matrox_exec::{effective_grain, ExecOptions};
 use matrox_linalg::{cholesky_solve_matrix, gemm_slices, gemm_tn_slices, lu_solve_matrix, Matrix};
@@ -15,10 +15,9 @@ impl HssFactor {
     /// the CDS buffers instead of duplicating them in the factor).
     ///
     /// # Errors
-    /// Returns [`FactorError::PlanMismatch`] on dimension mismatch or when
-    /// `plan`/`tree` do not match the factorization (missing per-node
-    /// factors), and [`FactorError::UnsupportedStructure`] when `plan` is not
-    /// an HSS plan at all.
+    /// [`FactorError::PlanMismatch`] when `b` has the wrong row count, and
+    /// whatever [`HssFactor::validate`] reports for `(plan, tree)` — the
+    /// sweeps index unchecked on exactly what it establishes.
     pub fn solve_matrix(
         &self,
         plan: &EvalPlan,
@@ -34,39 +33,7 @@ impl HssFactor {
                 b.rows()
             )));
         }
-        if self.n != n {
-            return Err(FactorError::PlanMismatch(format!(
-                "factor was computed for N = {} but the tree orders N = {n} points",
-                self.n
-            )));
-        }
-        let blocks = index_hss_blocks(plan, tree)?;
-        // Validate the per-node factor inventory up front so the sweep
-        // closures below can index unconditionally: after this loop, every
-        // leaf has a `LeafFactor` and every internal node a `MergeFactor`.
-        if self.leaves.len() != tree.num_nodes() || self.merges.len() != tree.num_nodes() {
-            return Err(FactorError::PlanMismatch(format!(
-                "factor stores {} leaf / {} merge slots but the tree has {} nodes",
-                self.leaves.len(),
-                self.merges.len(),
-                tree.num_nodes()
-            )));
-        }
-        for id in 0..tree.num_nodes() {
-            if tree.nodes[id].is_leaf() {
-                if self.leaves[id].is_none() {
-                    return Err(FactorError::PlanMismatch(format!(
-                        "leaf node {id} has no leaf factor; was this factor computed from \
-                         a different tree?"
-                    )));
-                }
-            } else if self.merges[id].is_none() {
-                return Err(FactorError::PlanMismatch(format!(
-                    "internal node {id} has no merge factor; was this factor computed \
-                     from a different tree?"
-                )));
-            }
-        }
+        let index = self.validate(plan, tree)?;
         let cds = &plan.cds;
         let n_nodes = tree.num_nodes();
         let parallel = opts.parallel_tree;
@@ -87,8 +54,8 @@ impl HssFactor {
         let leaf_up = |&id: &usize| -> (usize, Matrix, Matrix) {
             let node = &tree.nodes[id];
             let ni = node.num_points();
-            // INVARIANT: the inventory check before the sweeps guarantees
-            // every leaf id has a leaf factor.
+            // INVARIANT: `self.validate` above (F3) found a leaf factor at
+            // every leaf id.
             let lf = self.leaves[id]
                 .as_ref()
                 .expect("every leaf has a leaf factor");
@@ -129,11 +96,11 @@ impl HssFactor {
                 continue;
             }
             let up = |&id: &usize| -> (usize, Matrix, Matrix) {
-                // INVARIANT: ids are filtered to non-leaves, which always
-                // carry children; the inventory check before the sweeps
-                // guarantees every internal id has a merge factor.
+                // INVARIANT: ids are filtered to non-leaves, which are the
+                // nodes that carry children.
                 let (l, r) = tree.nodes[id].children.unwrap();
-                // INVARIANT: same inventory check covers the merge factors.
+                // INVARIANT: `self.validate` above (F3) found a merge factor
+                // at every internal id.
                 let mf = self.merges[id]
                     .as_ref()
                     .expect("every internal node has a merge factor");
@@ -180,13 +147,13 @@ impl HssFactor {
             }
             let down = |&id: &usize| -> [(usize, Matrix); 2] {
                 // INVARIANT: same as the upward sweep — non-leaf ids carry
-                // children and a merge factor (checked before the sweeps).
+                // children and (`self.validate`, F3) a merge factor.
                 let (l, r) = tree.nodes[id].children.unwrap();
                 let kl = cds.sranks[l];
                 let kr = cds.sranks[r];
                 let m = kl + kr;
                 let kp = cds.sranks[id];
-                // INVARIANT: internal ids carry merge factors (see above).
+                // INVARIANT: internal ids carry merge factors (F3, above).
                 let mf = self.merges[id].as_ref().unwrap();
                 let mut t = tcoef[id].clone();
                 if kp > 0 {
@@ -208,8 +175,7 @@ impl HssFactor {
                 let mut s_l = Matrix::zeros(kl, q);
                 if kl > 0 {
                     if kr > 0 {
-                        let b_lr = coupling_block(plan, &blocks, l, r);
-                        gemm_slices(b_lr, kl, kr, t_r, q, s_l.as_mut_slice());
+                        gemm_slices(index.coupling[l], kl, kr, t_r, q, s_l.as_mut_slice());
                     }
                     if kp > 0 {
                         gemm_slices(
@@ -225,8 +191,7 @@ impl HssFactor {
                 let mut s_r = Matrix::zeros(kr, q);
                 if kr > 0 {
                     if kl > 0 {
-                        let b_rl = coupling_block(plan, &blocks, r, l);
-                        gemm_slices(b_rl, kr, kl, t_l, q, s_r.as_mut_slice());
+                        gemm_slices(index.coupling[r], kr, kl, t_l, q, s_r.as_mut_slice());
                     }
                     if kp > 0 {
                         gemm_slices(
@@ -255,8 +220,8 @@ impl HssFactor {
 
         // ---- leaf combine: x_i = y_i - E_i s_i ----------------------------
         let combine = |&id: &usize| -> (usize, Matrix) {
-            // INVARIANT: leaf ids all carry a leaf factor (checked before
-            // the sweeps).
+            // INVARIANT: leaf ids all carry a leaf factor (`self.validate`
+            // above, F3).
             let lf = self.leaves[id].as_ref().unwrap();
             let mut xi = y[id].clone();
             let k = lf.e.cols();

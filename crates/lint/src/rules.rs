@@ -93,7 +93,7 @@ impl Config {
                 // probe the allocation-free and corruption-fuzz suites include.
                 "crates/core/tests/support/alloc_probe.rs".into(),
                 // Allocation-free executor panel loop: RawSlots disjoint
-                // raw slicing (invariants verified at prepare time).
+                // raw slicing (invariants checked by EvalPlan::validate).
                 "crates/exec/src/executor.rs".into(),
                 // AVX2+FMA packed GEMM microkernel (raw-pointer tiles).
                 "crates/linalg/src/kernel/avx2.rs".into(),
@@ -149,7 +149,7 @@ impl Config {
                 // established when the plan was prepared.
                 "crates/exec/src/executor.rs".into(),
                 // ULV factorization/solve: tree-topology and inventory
-                // invariants checked before the sweeps run.
+                // invariants HssFactor::validate checks before the sweeps.
                 "crates/factor/src/factor.rs".into(),
                 "crates/factor/src/solve.rs".into(),
             ],

@@ -267,6 +267,43 @@ fn lru_eviction_honors_the_memory_budget_and_reloads_from_disk() {
 }
 
 #[test]
+fn a_malformed_model_file_is_refused_and_the_reactor_keeps_serving() {
+    let n = 256;
+    let dir = std::env::temp_dir().join(format!("matrox-serve-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let healthy = matvec_session(n, 31);
+    let reference = healthy.clone();
+    // One near group range copied over its neighbour: every table is
+    // self-consistent, but two groups now claim the same target nodes.  The
+    // registry prepares a loaded model on the reactor thread, so a reader
+    // that lets this through takes every tenant down with it.
+    let mut hostile = healthy.hmatrix().clone();
+    let groups = &mut hostile.plan.cds.d_groups;
+    assert!(groups.len() >= 2, "fixture needs two near groups");
+    groups[1] = groups[0];
+    let path = dir.join("hostile.cds");
+    save(&hostile, &path).expect("save");
+
+    let server = Server::spawn(ServeConfig::default().with_max_batch(1)).expect("spawn");
+    let handle = server.handle();
+    handle
+        .insert_model("healthy", Model::Matvec(Arc::new(healthy)))
+        .expect("insert");
+    let err = handle
+        .load_model("hostile", path)
+        .expect_err("malformed model");
+    assert!(matches!(err, MatroxError::Format(_)), "got {err}");
+
+    let reply = handle
+        .query_wait("healthy", "t", rhs(n, 0))
+        .expect("the other model is still served");
+    let expected = reference.evaluate_vec(&rhs(n, 0)).expect("reference");
+    assert!(bitwise_eq(&reply.y, &expected));
+    server.shutdown().expect("the reactor never panicked");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn max_batch_flushes_without_waiting_out_the_window() {
     let n = 128;
     let session = matvec_session(n, 13);

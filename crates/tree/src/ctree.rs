@@ -97,13 +97,28 @@ pub struct ClusterTree {
     pub height: usize,
 }
 
-/// Invert a permutation: `out[perm[p]] == p`.
+/// Invert a permutation: `out[perm[p]] == p`.  Out-of-range entries are
+/// skipped, so inverting a non-permutation (an unchecked model stream) does
+/// not panic here; its result fails [`ClusterTree::validate`] instead.
 pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
     let mut pos = vec![0usize; perm.len()];
     for (p, &i) in perm.iter().enumerate() {
-        pos[i] = p;
+        if let Some(slot) = pos.get_mut(i) {
+            *slot = p;
+        }
     }
     pos
+}
+
+/// `Err(err())` unless `ok`: the guard the model validators
+/// ([`ClusterTree::validate`] and the plan / factor validators built on it)
+/// are written in.
+pub fn ensure<E>(ok: bool, err: impl FnOnce() -> E) -> Result<(), E> {
+    if ok {
+        Ok(())
+    } else {
+        Err(err())
+    }
 }
 
 /// One frontier entry awaiting its split: `(node_id, start, end, level)`.
@@ -299,6 +314,83 @@ impl ClusterTree {
         self.nodes.len()
     }
 
+    /// The one definition of a well-formed cluster tree.  The fields are
+    /// public and a tree can come from an untrusted stream, so every
+    /// consumer that indexes on the topology (the model readers, the
+    /// executor, the solver) checks it here first.  With `n = perm.len()`:
+    ///
+    /// * **T1** `perm` is a permutation of `0..n` and `pos` is its inverse;
+    /// * **T2** `nodes[i].id == i`, every range satisfies
+    ///   `start <= end <= n`, and node 0 is the root: no parent, level 0,
+    ///   range `[0, n)`;
+    /// * **T3** links are reciprocal: every other node is one of the two
+    ///   distinct children of its recorded parent, and both children of a
+    ///   node name it as their parent — so each node has exactly one parent;
+    /// * **T4** `child.level == parent.level + 1` and `level <= height` —
+    ///   with T3, every node hangs off the root and there are no cycles;
+    /// * **T5** children partition their parent's range (`l.start == start`,
+    ///   `l.end == r.start`, `r.end == end`);
+    /// * **T6** (by induction over T2–T5) the leaves tile `[0, n)`: distinct
+    ///   leaves own disjoint row ranges.
+    ///
+    /// Allocates nothing on success.
+    ///
+    /// # Errors
+    /// A message naming the first violated item.
+    pub fn validate(&self) -> Result<(), String> {
+        let (n, nodes) = (self.perm.len(), &self.nodes);
+        // `pos[perm[p]] == p` for every `p` makes `perm` injective into
+        // `0..n`, hence a permutation.
+        let inverse = |(p, &i): (usize, &usize)| self.pos.get(i) == Some(&p);
+        ensure(
+            self.pos.len() == n && self.perm.iter().enumerate().all(inverse),
+            || "tree permutation is not a permutation with `pos` as its inverse".to_string(),
+        )?;
+        ensure(
+            nodes.first().is_some_and(|root| {
+                root.parent.is_none() && root.level == 0 && (root.start, root.end) == (0, n)
+            }),
+            || format!("tree node 0 is not a level-0 root owning all {n} points"),
+        )?;
+        for (i, node) in nodes.iter().enumerate() {
+            ensure(node.id == i, || {
+                format!("tree node {i} stores id {}", node.id)
+            })?;
+            ensure(node.start <= node.end && node.end <= n, || {
+                let (s, e) = (node.start, node.end);
+                format!("tree node {i} point range {s}..{e} exceeds {n} points")
+            })?;
+            ensure(node.level <= self.height, || {
+                let (l, h) = (node.level, self.height);
+                format!("tree node {i} sits at level {l} of a height-{h} tree")
+            })?;
+            let parent_children = node.parent.and_then(|p| nodes.get(p)?.children);
+            ensure(
+                i == 0 || parent_children.is_some_and(|(l, r)| l == i || r == i),
+                || format!("tree node {i} is not a child of its recorded parent"),
+            )?;
+            let Some((l, r)) = node.children else {
+                continue;
+            };
+            let (Some(ln), Some(rn)) = (nodes.get(l), nodes.get(r)) else {
+                return Err(format!("tree node {i} has out-of-range children"));
+            };
+            ensure(
+                l != r && ln.parent == Some(i) && rn.parent == Some(i),
+                || format!("children of tree node {i} do not link back to it"),
+            )?;
+            ensure(
+                ln.level.checked_sub(1) == Some(node.level) && rn.level == ln.level,
+                || format!("children of tree node {i} are not one level below it"),
+            )?;
+            ensure(
+                (ln.start, ln.end, rn.end) == (node.start, rn.start, node.end),
+                || format!("children of tree node {i} do not partition its point range"),
+            )?;
+        }
+        Ok(())
+    }
+
     /// The global point indices owned by node `id`.
     #[inline]
     pub fn indices(&self, id: usize) -> &[usize] {
@@ -440,6 +532,7 @@ mod tests {
     use matrox_points::{generate, DatasetId};
 
     fn check_tree_invariants(tree: &ClusterTree, n: usize) {
+        tree.validate().expect("a built tree is well formed");
         // The permutation is a permutation.
         let mut sorted = tree.perm.clone();
         sorted.sort_unstable();
@@ -541,6 +634,30 @@ mod tests {
         // Deeper nodes have smaller diameters.
         let leaf = *tree.leaves().last().unwrap();
         assert!(tree.nodes[leaf].diameter < root.diameter);
+    }
+
+    #[test]
+    fn validate_names_each_broken_invariant() {
+        let pts = generate(DatasetId::Grid, 128, 5);
+        let tree = ClusterTree::build(&pts, PartitionMethod::KdTree, 8, 0);
+        let (l, r) = tree.nodes[1].children.unwrap();
+        let broken = |edit: &dyn Fn(&mut ClusterTree)| {
+            let mut t = tree.clone();
+            edit(&mut t);
+            t.validate().unwrap_err()
+        };
+        assert!(broken(&|t| t.perm[3] = t.perm[4]).contains("permutation"));
+        assert!(broken(&|t| t.pos.swap(0, 1)).contains("inverse"));
+        assert!(broken(&|t| t.nodes[0].end -= 1).contains("root"));
+        assert!(broken(&|t| t.nodes[5].id = 6).contains("stores id"));
+        assert!(broken(&|t| t.nodes[l].level = t.height + 5).contains("level"));
+        assert!(broken(&|t| t.nodes[l].parent = Some(2)).contains("link back"));
+        assert!(broken(&|t| t.nodes[1].children = None).contains("child of"));
+        assert!(broken(&|t| t.nodes[1].children = Some((l, l))).contains("link back"));
+        assert!(broken(&|t| t.nodes[1].children = Some((l, 10_000))).contains("out-of-range"));
+        assert!(broken(&|t| t.nodes[r].level += 1).contains("one level below"));
+        // A leaf slid onto its sibling: both ranges stay inside the parent.
+        assert!(broken(&|t| t.nodes[r].start -= 1).contains("partition"));
     }
 
     #[test]

@@ -21,5 +21,5 @@
 pub mod ctree;
 pub mod htree;
 
-pub use ctree::{invert_permutation, ClusterTree, PartitionMethod, TreeNode};
+pub use ctree::{ensure, invert_permutation, ClusterTree, PartitionMethod, TreeNode};
 pub use htree::{HTree, Structure};
