@@ -22,8 +22,9 @@
 //! Single-byte flips cannot reach every malformed model, so the second half
 //! of this file re-encodes *structured* mutations of a healthy model — each
 //! self-consistent enough to pass any per-table check — and pins that the
-//! readers refuse them with `Format`: "`from_bytes` Ok" has to imply
-//! "prepare / evaluate / solve cannot panic" (DESIGN.md, "Model
+//! readers refuse them with `Format` (and, for the factor's pivots, that an
+//! in-memory factor is refused with `PlanMismatch`): "`from_bytes` Ok" has to
+//! imply "prepare / evaluate / solve cannot panic" (DESIGN.md, "Model
 //! well-formedness").
 
 use matrox_core::{
@@ -165,7 +166,45 @@ fn structurally_hostile_factor_images_are_refused() {
             ("coupling block between non-siblings", &|fh| {
                 fh.hmatrix.plan.cds.b_entries[entry].source = stranger;
             }),
+            ("Cholesky pivot zeroed", &zero_chol_pivot),
+            ("LU pivot zeroed", &zero_lu_pivot),
         ],
     );
     assert!(holes.is_empty(), "from_bytes_factored accepted: {holes:?}");
+}
+
+/// Zero one pivot of the first leaf's Cholesky factor: the forward
+/// substitution would divide by it.
+fn zero_chol_pivot(fh: &mut FactoredHMatrix) {
+    let lf = fh.factor.leaves.iter_mut().flatten().next();
+    lf.expect("a leaf factor").chol.set(2, 2, 0.0);
+}
+
+/// Zero one pivot of the root's merge system: the back substitution would
+/// divide by it.
+fn zero_lu_pivot(fh: &mut FactoredHMatrix) {
+    let mf = fh.factor.merges[0].as_mut().expect("root merge factor");
+    mf.lu.lu.set(1, 1, 0.0);
+}
+
+/// F5 on a factor that never went through the reader: a zeroed pivot is a
+/// `PlanMismatch` from `solve`, not a panic in (or non-finite output from)
+/// a substitution kernel.  No single-byte flip produces an exact zero, so
+/// the sweep above cannot reach this.
+#[test]
+fn zeroed_pivots_in_memory_are_plan_mismatches() {
+    let healthy = hss_model(256, 16).factorize().expect("factorize");
+    let rhs = vec![1.0; healthy.dim()];
+    assert!(healthy.solve(&rhs).is_ok());
+    for (what, edit) in [
+        ("Cholesky", zero_chol_pivot as fn(&mut FactoredHMatrix)),
+        ("LU", zero_lu_pivot),
+    ] {
+        let mut bad = healthy.clone();
+        edit(&mut bad);
+        match bad.solve(&rhs) {
+            Err(MatroxError::PlanMismatch(m)) => assert!(m.contains("pivot"), "{what}: {m}"),
+            other => panic!("{what} pivot zeroed: expected PlanMismatch, got {other:?}"),
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! Dev-only allocation probe, `#[path]`-included by the test binaries that
 //! pin allocation behaviour: the executor's allocation-free panel loop
-//! (`crates/exec/tests/alloc_free.rs`) and the two corruption sweeps
+//! (`crates/exec/tests/alloc_free.rs`), the solver's fixed allocation count
+//! (`crates/factor/tests/alloc_free.rs`) and the two corruption sweeps
 //! (`crates/core/tests/corruption_fuzz.rs`, `crates/serve/tests/
 //! proto_fuzz.rs`).  Including this file installs the probe as the binary's
 //! global allocator.

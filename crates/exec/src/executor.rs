@@ -44,6 +44,7 @@
 //! [`PreparedExec::new`] and every [`execute_prepared`] call run it on the
 //! pair they are handed and panic on a malformed one rather than race on it.
 
+use crate::schedule::LevelSchedule;
 use matrox_codegen::EvalPlan;
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
@@ -176,7 +177,8 @@ pub const DEFAULT_L2_BYTES: usize = 256 * 1024;
 /// overhead; the upper bound caps the panel footprint once blocks are small
 /// enough that cache residency is no longer the constraint.
 const PANEL_MIN: usize = 8;
-const PANEL_MAX: usize = 256;
+/// The widest automatically chosen panel, for the executor and the solver.
+pub const PANEL_MAX: usize = 256;
 
 /// Choose the RHS panel width for a plan: the widest panel `q` such that the
 /// largest single block any phase touches (dense near block, coupling block,
@@ -204,20 +206,22 @@ pub fn choose_panel_width(plan: &EvalPlan, l2_bytes: usize) -> usize {
     qp - qp % PANEL_MIN
 }
 
-/// Resolve the effective panel width: an explicit per-call setting wins, then
-/// the `MATROX_PANEL` environment variable, then [`choose_panel_width`] with
-/// the default L2 budget.  Invalid or zero `MATROX_PANEL` values are rejected
-/// with a one-time stderr warning (see [`parse_positive_knob`]).
-pub fn effective_panel_width(opts: &ExecOptions, plan: &EvalPlan) -> usize {
+/// The panel width the caller asked for, if any: an explicit per-call setting
+/// wins, then the `MATROX_PANEL` environment variable; `None` means auto.
+/// Invalid or zero `MATROX_PANEL` values are rejected with a one-time stderr
+/// warning (see [`parse_positive_knob`]).
+pub fn requested_panel_width(opts: &ExecOptions) -> Option<usize> {
     if opts.panel_width > 0 {
-        return opts.panel_width;
+        return Some(opts.panel_width);
     }
-    static ENV_PANEL: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let env = *ENV_PANEL.get_or_init(|| env_knob("MATROX_PANEL").unwrap_or(0));
-    if env > 0 {
-        return env;
-    }
-    choose_panel_width(plan, DEFAULT_L2_BYTES)
+    static ENV_PANEL: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *ENV_PANEL.get_or_init(|| env_knob("MATROX_PANEL"))
+}
+
+/// Resolve the executor's panel width: [`requested_panel_width`], else
+/// [`choose_panel_width`] with the default L2 budget.
+pub fn effective_panel_width(opts: &ExecOptions, plan: &EvalPlan) -> usize {
+    requested_panel_width(opts).unwrap_or_else(|| choose_panel_width(plan, DEFAULT_L2_BYTES))
 }
 
 /// Per-plan executor state derived once and reused across evaluations: the
@@ -237,15 +241,10 @@ pub struct PreparedExec {
     pub panel_width: usize,
     /// Resolved GEMM kernel (see [`ExecOptions::kernel`]).
     dispatch: KernelDispatch,
-    /// Prefix sums of `cds.sranks`: node `id`'s skeleton coefficients live
-    /// at rank offsets `[rank_off[id], rank_off[id + 1])` (scaled by the
-    /// panel width at evaluation time).
-    rank_off: Vec<usize>,
-    /// Tree nodes grouped by level (`level_nodes[l]` = nodes at depth `l`),
-    /// precomputed so the sequential tree sweeps never allocate per panel.
-    level_nodes: Vec<Vec<usize>>,
-    /// Number of tree nodes, for cheap misuse detection.
-    num_nodes: usize,
+    /// Per-level node lists and per-node rank slots into the flat `T`/`S`
+    /// buffers (scaled by the panel width at evaluation time) — the same
+    /// [`LevelSchedule`] the solver's sweeps are driven by.
+    sched: LevelSchedule,
 }
 
 impl PreparedExec {
@@ -259,27 +258,11 @@ impl PreparedExec {
     /// produced, or a model reader returned, always validates.
     pub fn new(plan: &EvalPlan, tree: &ClusterTree, opts: &ExecOptions) -> Self {
         verify_plan(plan, tree);
-        let num_nodes = tree.num_nodes();
-        let mut rank_off = Vec::with_capacity(num_nodes + 1);
-        let mut acc = 0usize;
-        rank_off.push(0);
-        for &r in &plan.cds.sranks {
-            acc += r;
-            rank_off.push(acc);
-        }
-
-        let mut level_nodes: Vec<Vec<usize>> = vec![Vec::new(); tree.height + 1];
-        for node in &tree.nodes {
-            level_nodes[node.level].push(node.id);
-        }
-
         PreparedExec {
             opts: *opts,
             panel_width: effective_panel_width(opts, plan),
             dispatch: KernelDispatch::for_choice(opts.kernel),
-            rank_off,
-            level_nodes,
-            num_nodes,
+            sched: LevelSchedule::new(tree, &plan.cds.sranks),
         }
     }
 
@@ -288,16 +271,14 @@ impl PreparedExec {
         self.dispatch
     }
 
-    /// Skeleton rank of a node (width of its `T`/`S` coefficient slot).
-    fn srank(&self, id: usize) -> usize {
-        self.rank_off[id + 1] - self.rank_off[id]
+    /// Rank offset of a node's `T`/`S` coefficient slot.
+    fn rank_off(&self, id: usize) -> usize {
+        self.sched.slot(id).start
     }
 
-    /// Total skeleton rank (length of the `T`/`S` buffers in rank units).
-    fn total_rank(&self) -> usize {
-        // INVARIANT: `new` pushes a leading 0 before the prefix sums, so
-        // rank_off is never empty.
-        *self.rank_off.last().unwrap()
+    /// Skeleton rank of a node (width of its `T`/`S` coefficient slot).
+    fn srank(&self, id: usize) -> usize {
+        self.sched.slot(id).len()
     }
 }
 
@@ -348,20 +329,9 @@ pub fn execute_prepared(
     let n = tree.perm.len();
     let q = w.cols();
     assert_eq!(w.rows(), n, "execute: W must have N = {n} rows");
-    assert_eq!(
-        prep.num_nodes,
-        tree.num_nodes(),
-        "execute: PreparedExec belongs to a different tree"
-    );
     assert!(
-        plan.cds.sranks.len() == prep.num_nodes
-            && plan
-                .cds
-                .sranks
-                .iter()
-                .enumerate()
-                .all(|(id, &r)| r == prep.srank(id)),
-        "execute: PreparedExec belongs to a plan with different skeleton ranks"
+        prep.sched.matches(tree.num_nodes(), &plan.cds.sranks),
+        "execute: PreparedExec belongs to a different tree or a plan with different skeleton ranks"
     );
     verify_plan(plan, tree);
     let mut y = Matrix::zeros(n, q);
@@ -369,7 +339,7 @@ pub fn execute_prepared(
         return y;
     }
     let qp = prep.panel_width.max(1).min(q);
-    let total_rank = prep.total_rank();
+    let total_rank = prep.sched.total_rank();
     // Scratch shared by every panel: the gather fully overwrites the active
     // slice of `w_perm`, and `execute_panel` re-zeroes the other three, so
     // four allocations serve the whole evaluation.
@@ -651,7 +621,7 @@ unsafe fn compute_t_into(
     // construction, and `cols == srank(id)` by `EvalPlan::validate` P2 plus
     // `execute_prepared`'s sranks cross-check); exclusive access to it is
     // the fn contract.
-    let out = unsafe { t.slice_mut(prep.rank_off[id] * q, cols * q) };
+    let out = unsafe { t.slice_mut(prep.rank_off(id) * q, cols * q) };
     let node = &tree.nodes[id];
     let par = peel && rows * cols * q >= PEEL_PAR_THRESHOLD;
     if node.is_leaf() {
@@ -673,13 +643,13 @@ unsafe fn compute_t_into(
             // SAFETY: the children's T slots are disjoint from `out` (per
             // the prefix-sum layout) and fully written before this call —
             // by this task earlier or on an earlier level (fn contract).
-            let tl = unsafe { t.slice(prep.rank_off[l] * q, rl * q) };
+            let tl = unsafe { t.slice(prep.rank_off(l) * q, rl * q) };
             prep.dispatch
                 .gemm_tn(&v[0..rl * cols], rl, cols, tl, q, out);
         }
         if rr > 0 {
             // SAFETY: as for the left child.
-            let tr = unsafe { t.slice(prep.rank_off[r] * q, rr * q) };
+            let tr = unsafe { t.slice(prep.rank_off(r) * q, rr * q) };
             prep.dispatch.gemm_tn(&v[rl * cols..], rr, cols, tr, q, out);
         }
     }
@@ -730,7 +700,7 @@ fn upward_phase(
     } else {
         // Level-by-level traversal, deepest level first.
         for level in (1..=tree.height).rev() {
-            for &id in &prep.level_nodes[level] {
+            for &id in prep.sched.nodes(prep.sched.level(level)) {
                 // SAFETY: single-threaded sweep; children (one level deeper,
                 // `ClusterTree::validate` T4) are complete.
                 unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, false) };
@@ -760,8 +730,8 @@ fn coupling_phase(
             if e.rows == 0 || e.cols == 0 {
                 continue;
             }
-            let src = &t_buf[prep.rank_off[e.source] * q..][..e.cols * q];
-            let dst = &mut s_buf[prep.rank_off[e.target] * q..][..e.rows * q];
+            let src = &t_buf[prep.rank_off(e.source) * q..][..e.cols * q];
+            let dst = &mut s_buf[prep.rank_off(e.target) * q..][..e.rows * q];
             prep.dispatch
                 .gemm(cds.b_block(e), e.rows, e.cols, src, q, dst);
         }
@@ -781,11 +751,11 @@ fn coupling_phase(
                 }
                 debug_assert_eq!(e.cols, prep.srank(e.source));
                 debug_assert_eq!(e.rows, prep.srank(e.target));
-                let src = &t_buf[prep.rank_off[e.source] * q..][..e.cols * q];
+                let src = &t_buf[prep.rank_off(e.source) * q..][..e.cols * q];
                 // SAFETY: this group is the sole owner of node `e.target`'s
                 // S slot (`EvalPlan::validate` P4), `e.rows` is that slot's
                 // height (P3), and slots of distinct nodes are disjoint.
-                let dst = unsafe { s.slice_mut(prep.rank_off[e.target] * q, e.rows * q) };
+                let dst = unsafe { s.slice_mut(prep.rank_off(e.target) * q, e.rows * q) };
                 prep.dispatch
                     .gemm(cds.b_block(e), e.rows, e.cols, src, q, dst);
             }
@@ -824,7 +794,7 @@ unsafe fn down_node(
     // SAFETY: node `id`'s S slot is fully written before this node is
     // processed (its parent ran earlier — same task or an earlier level)
     // and nothing concurrently writes it (fn contract).
-    let s_i = unsafe { s.slice(prep.rank_off[id] * q, cols * q) };
+    let s_i = unsafe { s.slice(prep.rank_off(id) * q, cols * q) };
     let node = &tree.nodes[id];
     let par = peel && rows * cols * q >= PEEL_PAR_THRESHOLD;
     if node.is_leaf() {
@@ -851,7 +821,7 @@ unsafe fn down_node(
             // is the only writer of the child's S slot at this level; the
             // child itself reads it only after this node completes
             // (in-partition ordering or the next level's barrier).
-            let dst = unsafe { s.slice_mut(prep.rank_off[l] * q, rl * q) };
+            let dst = unsafe { s.slice_mut(prep.rank_off(l) * q, rl * q) };
             if par {
                 prep.dispatch
                     .par_gemm(&u[0..rl * cols], rl, cols, s_i, q, dst);
@@ -861,7 +831,7 @@ unsafe fn down_node(
         }
         if rr > 0 {
             // SAFETY: as for the left child.
-            let dst = unsafe { s.slice_mut(prep.rank_off[r] * q, rr * q) };
+            let dst = unsafe { s.slice_mut(prep.rank_off(r) * q, rr * q) };
             if par {
                 prep.dispatch
                     .par_gemm(&u[rl * cols..rows * cols], rr, cols, s_i, q, dst);
@@ -888,7 +858,7 @@ fn downward_phase(
     if !use_coarsen {
         // Sequential top-down, level by level.
         for level in 1..=tree.height {
-            for &id in &prep.level_nodes[level] {
+            for &id in prep.sched.nodes(prep.sched.level(level)) {
                 // SAFETY: single-threaded sweep; parents (one level up, T4)
                 // are complete, children's slots are only written here.
                 unsafe { down_node(plan, tree, prep, id, s, y, q, false) };

@@ -11,9 +11,12 @@
 //! (Figure 7) can pin execution to custom rayon pools.
 
 pub mod executor;
+pub mod schedule;
 
 pub use executor::{
     choose_panel_width, effective_grain, effective_panel_width, execute, execute_prepared,
-    parse_positive_knob, ExecOptions, PreparedExec, DEFAULT_L2_BYTES,
+    parse_positive_knob, requested_panel_width, ExecOptions, PreparedExec, DEFAULT_L2_BYTES,
+    PANEL_MAX,
 };
 pub use matrox_linalg::{KernelChoice, KernelDispatch};
+pub use schedule::LevelSchedule;

@@ -3,7 +3,7 @@
 use matrox_codegen::EvalPlan;
 use matrox_exec::{effective_grain, ExecOptions};
 use matrox_linalg::{
-    cholesky, cholesky_solve_matrix, gemm_slices, gemm_tn_slices, lu_factor, lu_solve_matrix,
+    cholesky, cholesky_solve_in_place, gemm_slices, gemm_tn_slices, lu_factor, lu_solve_in_place,
     LuFactors, Matrix,
 };
 use matrox_tree::{ensure, ClusterTree};
@@ -236,10 +236,14 @@ impl HssFactor {
     ///   internal node exactly a [`MergeFactor`], each naming its node;
     /// * **F4** shapes: `chol` is `points x points` and `e` is
     ///   `points x srank`; with `m` the children's summed sranks, `lu` is
-    ///   `m x m`, `piv` has `m` entries below `m`, and `t` is `m x srank`.
+    ///   `m x m`, `piv` has `m` entries below `m`, and `t` is `m x srank`;
+    /// * **F5** pivots: every diagonal entry of a `chol` is finite and
+    ///   positive, every diagonal entry of an `lu` finite and non-zero —
+    ///   what [`cholesky`] / [`lu_factor`] guarantee on success, and what
+    ///   the substitution kernels divide by.
     ///
     /// # Errors
-    /// [`FactorError::PlanMismatch`] for a malformed plan and for F3 / F4,
+    /// [`FactorError::PlanMismatch`] for a malformed plan and for F3 – F5,
     /// [`FactorError::UnsupportedStructure`] for F1 / F2.
     pub fn validate<'a>(
         &self,
@@ -281,11 +285,22 @@ impl HssFactor {
                 }
                 _ => false,
             };
+            let kind = if node.is_leaf() { "leaf" } else { "merge" };
             ensure(fits, || {
-                let kind = if node.is_leaf() { "leaf" } else { "merge" };
                 mismatch(format!(
                     "node {id} has no {kind} factor of the shape this plan needs; was this \
                      factor computed from a different plan or tree?"
+                ))
+            })?;
+            let diag = |m: &Matrix, ok: fn(f64) -> bool| (0..m.rows()).all(|i| ok(m.get(i, i)));
+            let pivots = match (&self.leaves[id], &self.merges[id]) {
+                (Some(lf), _) => diag(&lf.chol, |d| d.is_finite() && d > 0.0),
+                (_, Some(mf)) => diag(&mf.lu.lu, |d| d.is_finite() && d != 0.0),
+                _ => true,
+            };
+            ensure(pivots, || {
+                mismatch(format!(
+                    "{kind} factor of node {id} has a zero, negative or non-finite pivot"
                 ))
             })?;
         }
@@ -433,8 +448,8 @@ fn factor_leaf(
         (Matrix::zeros(ni, 0), Matrix::zeros(0, 0))
     } else {
         debug_assert_eq!(urows, ni, "leaf basis rows must match leaf size");
-        let um = Matrix::from_vec(urows, ucols, u.to_vec());
-        let e = cholesky_solve_matrix(&chol, &um);
+        let mut e = Matrix::from_vec(urows, ucols, u.to_vec());
+        cholesky_solve_in_place(&chol, e.as_mut_slice(), ucols);
         let (v, vrows, vcols) = cds.v(id);
         let mut gi = Matrix::zeros(vcols, ucols);
         gemm_tn_slices(v, vrows, vcols, e.as_slice(), ucols, gi.as_mut_slice());
@@ -510,7 +525,8 @@ fn factor_internal(
                 &mut rhs.as_mut_slice()[kl * kp..],
             );
         }
-        let t = lu_solve_matrix(&lu, &rhs);
+        lu_solve_in_place(&lu, rhs.as_mut_slice(), kp);
+        let t = rhs;
         let (w, wrows, wcols) = cds.v(id);
         debug_assert_eq!((wrows, wcols), (m, kp));
         let mut gp = Matrix::zeros(kp, kp);

@@ -1,18 +1,324 @@
 //! Forward/backward solve sweeps over an [`HssFactor`].
+//!
+//! One solve is two passes over the levels of the tree — up from the deepest
+//! level, then down from the root — over flat scratch sized for one panel of
+//! right-hand-side columns and laid out by the executor's
+//! [`LevelSchedule`]:
+//!
+//! * `xp`, the permuted panel: a leaf's rows hold `b_i`, then
+//!   `y_i = D_i^{-1} b_i` (solved in place), then `x_i = y_i - E_i s_i`;
+//! * `tb`, one rank slot per node: node `c` writes `bhat_c = V_c^T y_c` into
+//!   its slot, which is its half of its parent's **stacked pair**
+//!   `[bhat_l; bhat_r]`; the parent solves `M_p` in place there (the pair now
+//!   holds `t_p`), and the downward pass corrects it in place to
+//!   `t'_p = t_p - T_p s_p`;
+//! * `sb`, the same slots: `s_c`, the outer skeleton load of node `c`;
+//! * `cx` / `ct`: where a product is formed before it is subtracted.
+//!
+//! Nothing is allocated per node, per level or per panel.  Within a level
+//! every node owns its rows, its slot and its children's pair, and along the
+//! schedule those ascend without overlap, so a parallel level hands each task
+//! its part by `split_at_mut` (`LevelCarve`) — no `unsafe`.
+//!
+//! The arithmetic per node and per column is fixed (the substitution chains
+//! of `matrox_linalg::solve`, the dispatched GEMM), so a solution column is
+//! bitwise independent of the pool width, the grain, the panel width, the
+//! number of columns solved with it and its position among them.
 
-use crate::factor::{FactorError, HssFactor};
+use crate::factor::{FactorError, HssFactor, HssIndex};
+use matrox_analysis::Cds;
 use matrox_codegen::EvalPlan;
-use matrox_exec::{effective_grain, ExecOptions};
-use matrox_linalg::{cholesky_solve_matrix, gemm_slices, gemm_tn_slices, lu_solve_matrix, Matrix};
+use matrox_exec::{effective_grain, requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
+use matrox_linalg::{
+    cholesky_solve_in_place, gemm_slices, gemm_tn_slices, lu_solve_in_place, Matrix,
+};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// The part `[base, base + buf.len())` of a flat scratch buffer.
+#[derive(Default)]
+struct Window<'a> {
+    buf: &'a mut [f64],
+    base: usize,
+}
+
+impl<'a> Window<'a> {
+    /// `buf` as the part of its buffer that starts at offset `base`.
+    fn at(buf: &'a mut [f64], base: usize) -> Self {
+        Window { buf, base }
+    }
+
+    /// Split at the (absolute) offset `at`.
+    fn split_at(self, at: usize) -> (Self, Self) {
+        let (lo, hi) = self.buf.split_at_mut(at - self.base);
+        (Window::at(lo, self.base), Window::at(hi, at))
+    }
+
+    /// Detach `[off, off + len)`; the window keeps what lies behind it.
+    fn take(&mut self, off: usize, len: usize) -> &'a mut [f64] {
+        let (head, rest) = std::mem::take(&mut self.buf).split_at_mut(off + len - self.base);
+        let taken = &mut head[off - self.base..];
+        *self = Window::at(rest, off + len);
+        taken
+    }
+}
+
+/// The nodes at positions `range` of one level with the `K` scratch windows
+/// they own.  `span(p)` names, per window, the `(offset, len)` that belongs
+/// to the node at position `p`; along a level these ascend and never
+/// overlap (rows: T5; slots and pairs: [`LevelSchedule`]), so the nodes from
+/// `mid` on own exactly what lies at or behind `span(mid)`'s offsets.  As a
+/// parallel iterator it splits there; sequentially it yields each node with
+/// its `K` slices.  A span that broke the ordering would fail a slice bound,
+/// never alias.
+struct LevelCarve<'a, const K: usize, S> {
+    range: Range<usize>,
+    wins: [Window<'a>; K],
+    span: &'a S,
+}
+
+impl<'a, const K: usize, S> ParallelIterator for LevelCarve<'a, K, S>
+where
+    S: Fn(usize) -> [(usize, usize); K] + Sync,
+{
+    type Item = (usize, [&'a mut [f64]; K]);
+    type Seq = CarveIter<'a, K, S>;
+
+    fn par_len(&self) -> usize {
+        self.range.len()
+    }
+
+    fn par_split_at(self, index: usize) -> (Self, Self) {
+        let mid = self.range.start + index;
+        let cuts = if mid < self.range.end {
+            (self.span)(mid).map(|(off, _)| off)
+        } else {
+            std::array::from_fn(|k| self.wins[k].base + self.wins[k].buf.len())
+        };
+        let mut left = self.wins;
+        let right = std::array::from_fn(|k| {
+            let (lo, hi) = std::mem::take(&mut left[k]).split_at(cuts[k]);
+            left[k] = lo;
+            hi
+        });
+        let part = |range, wins| LevelCarve {
+            range,
+            wins,
+            span: self.span,
+        };
+        (
+            part(self.range.start..mid, left),
+            part(mid..self.range.end, right),
+        )
+    }
+
+    fn par_seq(self) -> Self::Seq {
+        CarveIter(self)
+    }
+}
+
+/// [`LevelCarve`] as a sequential iterator.
+struct CarveIter<'a, const K: usize, S>(LevelCarve<'a, K, S>);
+
+impl<'a, const K: usize, S> Iterator for CarveIter<'a, K, S>
+where
+    S: Fn(usize) -> [(usize, usize); K],
+{
+    type Item = (usize, [&'a mut [f64]; K]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let p = self.0.range.next()?;
+        let span = (self.0.span)(p);
+        Some((
+            p,
+            std::array::from_fn(|k| self.0.wins[k].take(span[k].0, span[k].1)),
+        ))
+    }
+}
+
+/// `x -= c`, element by element.
+fn sub_assign(x: &mut [f64], c: &[f64]) {
+    for (a, b) in x.iter_mut().zip(c) {
+        *a -= *b;
+    }
+}
+
+/// What the two passes read: the validated factor, plan and tree, the level
+/// schedule, and how to run a level.
+struct Sweeps<'a> {
+    factor: &'a HssFactor,
+    cds: &'a Cds,
+    tree: &'a ClusterTree,
+    index: HssIndex<'a>,
+    sched: LevelSchedule,
+    parallel: bool,
+    grain: usize,
+}
+
+impl Sweeps<'_> {
+    /// Run `body` on every node of a level, in parallel when asked to.
+    fn for_each_node<const K: usize, S>(
+        &self,
+        carve: LevelCarve<'_, K, S>,
+        body: impl Fn(usize, [&mut [f64]; K]) + Send + Sync,
+    ) where
+        S: Fn(usize) -> [(usize, usize); K] + Sync,
+    {
+        if self.parallel {
+            carve
+                .with_min_len(self.grain)
+                .for_each(|(p, wins)| body(p, wins));
+        } else {
+            carve.par_seq().for_each(|(p, wins)| body(p, wins));
+        }
+    }
+
+    /// What the node at position `p` owns, in elements of a `q`-column
+    /// panel: its rows (a leaf's; none for an internal node), its rank slot,
+    /// and its children's stacked pair (none for a leaf).
+    fn spans(&self, p: usize, q: usize) -> [(usize, usize); 3] {
+        let (s, node) = (&self.sched, &self.tree.nodes[self.sched.node(p)]);
+        let (rows, kids) = match node.children {
+            None => (node.num_points(), 0),
+            Some(_) => (0, 2),
+        };
+        let c = s.children(p);
+        let ranks =
+            |from: usize, to: usize| (s.rank_at(from) * q, (s.rank_at(to) - s.rank_at(from)) * q);
+        [
+            (node.start * q, rows * q),
+            ranks(p, p + 1),
+            ranks(c, c + kids),
+        ]
+    }
+
+    /// Upward pass, deepest level first.  A leaf solves `y_i = D_i^{-1} b_i`
+    /// in its rows; an internal node solves `M_p t_p = [bhat_l; bhat_r]` in
+    /// its children's pair; either then writes `bhat = V^T (that solution)`
+    /// into its own slot.
+    fn up(&self, q: usize, xp: &mut [f64], tb: &mut [f64]) {
+        let s = &self.sched;
+        for level in (0..s.num_levels()).rev() {
+            let range = s.level(level);
+            let cut = s.rank_at(range.end) * q;
+            let (own, kids) = tb.split_at_mut(cut);
+            let span = |p: usize| self.spans(p, q);
+            let wins = [Window::at(xp, 0), Window::at(own, 0), Window::at(kids, cut)];
+            let carve = LevelCarve {
+                range,
+                wins,
+                span: &span,
+            };
+            self.for_each_node(carve, |p, [rows, bhat, pair]| {
+                let id = s.node(p);
+                let solved = if self.tree.nodes[id].is_leaf() {
+                    // INVARIANT: `HssFactor::validate` (F3) found a leaf
+                    // factor at every leaf and a merge factor at every
+                    // internal node before the sweeps started.
+                    let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
+                    cholesky_solve_in_place(&lf.chol, rows, q);
+                    rows
+                } else {
+                    // INVARIANT: F3, as above.
+                    let mf = self.factor.merges[id].as_ref().expect("merge factor");
+                    lu_solve_in_place(&mf.lu, pair, q);
+                    pair
+                };
+                let (v, vrows, vcols) = self.cds.v(id);
+                if vcols > 0 {
+                    gemm_tn_slices(v, vrows, vcols, solved, q, bhat);
+                }
+            });
+        }
+    }
+
+    /// Downward pass, root first.  `s_i` is the far-field load imposed on
+    /// node `i` from outside its subtree (none at the root).  An internal
+    /// node corrects `t'_p = t_p - T_p s_p` and hands each child
+    /// `s_c = B_{c,sib} t'_sib + R_c s_p`; a leaf finishes
+    /// `x_i = y_i - E_i s_i`.
+    fn down(&self, q: usize, [xp, cx, tb, ct, sb]: [&mut [f64]; 5]) {
+        let s = &self.sched;
+        for level in 0..s.num_levels() {
+            let range = s.level(level);
+            let cut = s.rank_at(range.end) * q;
+            let (s_own, s_kids) = sb.split_at_mut(cut);
+            let s_own = &*s_own;
+            let span = |p: usize| {
+                let [rows, _, pair] = self.spans(p, q);
+                [rows, rows, pair, pair, pair]
+            };
+            let wins = [
+                Window::at(xp, 0),
+                Window::at(cx, 0),
+                Window::at(&mut tb[cut..], cut),
+                Window::at(&mut ct[cut..], cut),
+                Window::at(s_kids, cut),
+            ];
+            let carve = LevelCarve {
+                range,
+                wins,
+                span: &span,
+            };
+            self.for_each_node(carve, |p, [x, cx, t, ct, s_kids]| {
+                let (id, s_p) = (s.node(p), &s_own[s.rank_at(p) * q..s.rank_at(p + 1) * q]);
+                let kp = s_p.len() / q;
+                let Some((l, r)) = self.tree.nodes[id].children else {
+                    // INVARIANT: F3, as in `up`.
+                    let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
+                    if kp > 0 {
+                        cx.fill(0.0);
+                        gemm_slices(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx);
+                        sub_assign(x, cx);
+                    }
+                    return;
+                };
+                let (kl, kr) = (self.cds.sranks[l], self.cds.sranks[r]);
+                if kp > 0 {
+                    // INVARIANT: F3, as in `up`.
+                    let mf = self.factor.merges[id].as_ref().expect("merge factor");
+                    ct.fill(0.0);
+                    gemm_slices(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
+                    sub_assign(t, ct);
+                }
+                let (t_l, t_r) = t.split_at(kl * q);
+                let (s_l, s_r) = s_kids.split_at_mut(kl * q);
+                let (r_l, r_r) = self.cds.u(id).0.split_at(kl * kp);
+                if kl > 0 {
+                    if kr > 0 {
+                        gemm_slices(self.index.coupling[l], kl, kr, t_r, q, s_l);
+                    }
+                    if kp > 0 {
+                        gemm_slices(r_l, kl, kp, s_p, q, s_l);
+                    }
+                }
+                if kr > 0 {
+                    if kl > 0 {
+                        gemm_slices(self.index.coupling[r], kr, kl, t_l, q, s_r);
+                    }
+                    if kp > 0 {
+                        gemm_slices(r_r, kr, kp, s_p, q, s_r);
+                    }
+                }
+            });
+        }
+    }
+}
 
 impl HssFactor {
-    /// Solve `K~ X = B` for a multi-column right-hand side.
+    /// Solve `K~ X = B` for a multi-column right-hand side, one panel of
+    /// columns per pass over the factor: [`ExecOptions::panel_width`] /
+    /// `MATROX_PANEL` columns when set, otherwise up to [`PANEL_MAX`].  Like
+    /// the executor's, the width never changes a bit of the result.
     ///
     /// `plan` and `tree` must be the ones this factorization was computed
     /// from (the sweeps re-read the bases, transfer and coupling blocks from
     /// the CDS buffers instead of duplicating them in the factor).
+    ///
+    /// Allocates the solution, five scratch buffers and what validation and
+    /// the level schedule need — a count independent of the number of
+    /// nodes, columns and panels (`tests/alloc_free.rs`).
     ///
     /// # Errors
     /// [`FactorError::PlanMismatch`] when `b` has the wrong row count, and
@@ -33,233 +339,46 @@ impl HssFactor {
                 b.rows()
             )));
         }
-        let index = self.validate(plan, tree)?;
-        let cds = &plan.cds;
-        let n_nodes = tree.num_nodes();
-        let parallel = opts.parallel_tree;
-        let grain = effective_grain(opts);
-
-        // Permute B into tree order so every node's rows are contiguous.
-        let mut b_perm = vec![0.0f64; n * q];
-        for p in 0..n {
-            b_perm[p * q..(p + 1) * q].copy_from_slice(b.row(tree.perm[p]));
-        }
-
-        // ---- upward sweep: leaves -----------------------------------------
-        // y_i = D_i^{-1} b_i (kept for the final combine) and
-        // bhat_i = V_i^T y_i.
-        let mut y: Vec<Matrix> = vec![Matrix::zeros(0, 0); n_nodes];
-        let mut bhat: Vec<Matrix> = vec![Matrix::zeros(0, q); n_nodes];
-        let leaf_ids = tree.leaves();
-        let leaf_up = |&id: &usize| -> (usize, Matrix, Matrix) {
-            let node = &tree.nodes[id];
-            let ni = node.num_points();
-            // INVARIANT: `self.validate` above (F3) found a leaf factor at
-            // every leaf id.
-            let lf = self.leaves[id]
-                .as_ref()
-                .expect("every leaf has a leaf factor");
-            let bi = Matrix::from_vec(ni, q, b_perm[node.start * q..node.end * q].to_vec());
-            let yi = cholesky_solve_matrix(&lf.chol, &bi);
-            let (v, vrows, vcols) = cds.v(id);
-            let mut bh = Matrix::zeros(vcols, q);
-            if vcols > 0 {
-                gemm_tn_slices(v, vrows, vcols, yi.as_slice(), q, bh.as_mut_slice());
-            }
-            (id, yi, bh)
+        let sweeps = Sweeps {
+            index: self.validate(plan, tree)?,
+            factor: self,
+            cds: &plan.cds,
+            tree,
+            sched: LevelSchedule::new(tree, &plan.cds.sranks),
+            parallel: opts.parallel_tree,
+            grain: effective_grain(opts),
         };
-        let leaf_results: Vec<(usize, Matrix, Matrix)> = if parallel {
-            leaf_ids
-                .par_iter()
-                .with_min_len(grain)
-                .map(leaf_up)
-                .collect()
-        } else {
-            leaf_ids.iter().map(leaf_up).collect()
-        };
-        for (id, yi, bh) in leaf_results {
-            y[id] = yi;
-            bhat[id] = bh;
-        }
-
-        // ---- upward sweep: internal levels, deepest first -----------------
-        // One small M_p solve per internal node yields the skeleton
-        // coefficients t_p of K_p^{-1} b_p; bhat_p follows from the transfer.
-        let mut tcoef: Vec<Matrix> = vec![Matrix::zeros(0, q); n_nodes];
-        for level in (0..tree.height).rev() {
-            let ids: Vec<usize> = tree
-                .nodes_at_level(level)
-                .into_iter()
-                .filter(|&id| !tree.nodes[id].is_leaf())
-                .collect();
-            if ids.is_empty() {
-                continue;
-            }
-            let up = |&id: &usize| -> (usize, Matrix, Matrix) {
-                // INVARIANT: ids are filtered to non-leaves, which are the
-                // nodes that carry children.
-                let (l, r) = tree.nodes[id].children.unwrap();
-                // INVARIANT: `self.validate` above (F3) found a merge factor
-                // at every internal id.
-                let mf = self.merges[id]
-                    .as_ref()
-                    .expect("every internal node has a merge factor");
-                let rhs = bhat[l].vstack(&bhat[r]);
-                let t = lu_solve_matrix(&mf.lu, &rhs);
-                let kp = cds.sranks[id];
-                let bh = if kp > 0 {
-                    let (w, wrows, wcols) = cds.v(id);
-                    let mut bh = Matrix::zeros(wcols, q);
-                    gemm_tn_slices(w, wrows, wcols, t.as_slice(), q, bh.as_mut_slice());
-                    bh
-                } else {
-                    Matrix::zeros(0, q)
-                };
-                (id, t, bh)
-            };
-            let results: Vec<(usize, Matrix, Matrix)> = if parallel {
-                ids.par_iter().with_min_len(grain).map(up).collect()
-            } else {
-                ids.iter().map(up).collect()
-            };
-            for (id, t, bh) in results {
-                tcoef[id] = t;
-                bhat[id] = bh;
-            }
-        }
-
-        // ---- downward sweep: propagate outer skeleton loads ---------------
-        // s_i is the far-field load imposed on node i from outside its
-        // subtree; the root has none.  t'_p = t_p - T_p s_p corrects the
-        // upward coefficients, then each child receives
-        // s_c = B_{c,sib} t'_sib + R_c s_p.
-        let mut s: Vec<Matrix> = (0..n_nodes)
-            .map(|id| Matrix::zeros(cds.sranks[id], q))
-            .collect();
-        for level in 0..tree.height {
-            let ids: Vec<usize> = tree
-                .nodes_at_level(level)
-                .into_iter()
-                .filter(|&id| !tree.nodes[id].is_leaf())
-                .collect();
-            if ids.is_empty() {
-                continue;
-            }
-            let down = |&id: &usize| -> [(usize, Matrix); 2] {
-                // INVARIANT: same as the upward sweep — non-leaf ids carry
-                // children and (`self.validate`, F3) a merge factor.
-                let (l, r) = tree.nodes[id].children.unwrap();
-                let kl = cds.sranks[l];
-                let kr = cds.sranks[r];
-                let m = kl + kr;
-                let kp = cds.sranks[id];
-                // INVARIANT: internal ids carry merge factors (F3, above).
-                let mf = self.merges[id].as_ref().unwrap();
-                let mut t = tcoef[id].clone();
-                if kp > 0 {
-                    // t -= T_p * s_p.
-                    let mut corr = Matrix::zeros(m, q);
-                    gemm_slices(
-                        mf.t.as_slice(),
-                        m,
-                        kp,
-                        s[id].as_slice(),
-                        q,
-                        corr.as_mut_slice(),
-                    );
-                    t.sub_assign(&corr);
-                }
-                let t_l = &t.as_slice()[0..kl * q];
-                let t_r = &t.as_slice()[kl * q..];
-                let rgen = if kp > 0 { cds.u(id).0 } else { &[][..] };
-                let mut s_l = Matrix::zeros(kl, q);
-                if kl > 0 {
-                    if kr > 0 {
-                        gemm_slices(index.coupling[l], kl, kr, t_r, q, s_l.as_mut_slice());
-                    }
-                    if kp > 0 {
-                        gemm_slices(
-                            &rgen[0..kl * kp],
-                            kl,
-                            kp,
-                            s[id].as_slice(),
-                            q,
-                            s_l.as_mut_slice(),
-                        );
-                    }
-                }
-                let mut s_r = Matrix::zeros(kr, q);
-                if kr > 0 {
-                    if kl > 0 {
-                        gemm_slices(index.coupling[r], kr, kl, t_l, q, s_r.as_mut_slice());
-                    }
-                    if kp > 0 {
-                        gemm_slices(
-                            &rgen[kl * kp..],
-                            kr,
-                            kp,
-                            s[id].as_slice(),
-                            q,
-                            s_r.as_mut_slice(),
-                        );
-                    }
-                }
-                [(l, s_l), (r, s_r)]
-            };
-            let results: Vec<[(usize, Matrix); 2]> = if parallel {
-                ids.par_iter().with_min_len(grain).map(down).collect()
-            } else {
-                ids.iter().map(down).collect()
-            };
-            for pushes in results {
-                for (child, sc) in pushes {
-                    s[child] = sc;
-                }
-            }
-        }
-
-        // ---- leaf combine: x_i = y_i - E_i s_i ----------------------------
-        let combine = |&id: &usize| -> (usize, Matrix) {
-            // INVARIANT: leaf ids all carry a leaf factor (`self.validate`
-            // above, F3).
-            let lf = self.leaves[id].as_ref().unwrap();
-            let mut xi = y[id].clone();
-            let k = lf.e.cols();
-            if k > 0 {
-                let ni = lf.e.rows();
-                let mut corr = Matrix::zeros(ni, q);
-                gemm_slices(
-                    lf.e.as_slice(),
-                    ni,
-                    k,
-                    s[id].as_slice(),
-                    q,
-                    corr.as_mut_slice(),
-                );
-                xi.sub_assign(&corr);
-            }
-            (id, xi)
-        };
-        let finals: Vec<(usize, Matrix)> = if parallel {
-            leaf_ids
-                .par_iter()
-                .with_min_len(grain)
-                .map(combine)
-                .collect()
-        } else {
-            leaf_ids.iter().map(combine).collect()
-        };
-        let mut x_perm = vec![0.0f64; n * q];
-        for (id, xi) in finals {
-            let node = &tree.nodes[id];
-            x_perm[node.start * q..node.end * q].copy_from_slice(xi.as_slice());
-        }
-
-        // Un-permute the solution back to the input ordering.
         let mut x = Matrix::zeros(n, q);
-        for p in 0..n {
-            x.row_mut(tree.perm[p])
-                .copy_from_slice(&x_perm[p * q..(p + 1) * q]);
+        if q == 0 {
+            return Ok(x);
+        }
+        // Every panel streams the whole factor once, so auto takes as many
+        // columns per pass as the executor's widest panel; the executor's own
+        // auto width is sized for CDS blocks to stay in L2 across panels,
+        // which nothing here does.
+        let qp = requested_panel_width(opts).unwrap_or(PANEL_MAX).clamp(1, q);
+        let ranks = sweeps.sched.total_rank();
+        let (rows, slots) = (|| vec![0.0f64; n * qp], || vec![0.0f64; ranks * qp]);
+        let (mut xp, mut cx) = (rows(), rows());
+        let (mut tb, mut ct, mut sb) = (slots(), slots(), slots());
+        for j0 in (0..q).step_by(qp) {
+            let j1 = (j0 + qp).min(q);
+            let cur = j1 - j0;
+            // Permute the panel into tree order so every node's rows are
+            // contiguous; the GEMMs accumulate, so slots start from zero.
+            let xp = &mut xp[..n * cur];
+            for (row, &i) in xp.chunks_exact_mut(cur).zip(&tree.perm) {
+                row.copy_from_slice(&b.row(i)[j0..j1]);
+            }
+            let (tb, sb) = (&mut tb[..ranks * cur], &mut sb[..ranks * cur]);
+            tb.fill(0.0);
+            sb.fill(0.0);
+            sweeps.up(cur, xp, tb);
+            let (cx, ct) = (&mut cx[..n * cur], &mut ct[..ranks * cur]);
+            sweeps.down(cur, [xp, cx, tb, ct, sb]);
+            for (row, &i) in xp.chunks_exact(cur).zip(&tree.perm) {
+                x.row_mut(i)[j0..j1].copy_from_slice(row);
+            }
         }
         Ok(x)
     }

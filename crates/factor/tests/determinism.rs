@@ -7,6 +7,13 @@
 //! schedules — the factors and the solutions must be *bitwise identical* at
 //! every pool width, and the grain knob may change scheduling only, never
 //! results.
+//!
+//! The same goes for the columns of one solve: a column's arithmetic is the
+//! per-column chain of `matrox_linalg::solve` plus the dispatched GEMM, so
+//! `solve_matrix(B)[:, j]` is `solve(B[:, j])` to the bit whatever the
+//! number of columns, the panel width, or where a panel boundary falls.
+//! `matrox-serve` coalesces solves on exactly this; it is stated here, at
+//! the layer that owns it.
 
 use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
 use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
@@ -122,4 +129,62 @@ fn grain_settings_do_not_change_solutions() {
             "grain {grain} changed the solution"
         );
     }
+}
+
+fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+#[test]
+fn solve_matrix_columns_are_bitwise_the_single_vector_solves() {
+    let n = 256;
+    let (tree, plan, _) = fixture(n);
+    let f = factor(&plan, &tree, &ExecOptions::sequential()).expect("factor");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let wide = Matrix::random_uniform(n, 300, &mut rng);
+    let single = |j: usize| {
+        f.solve(&plan, &tree, &wide.col(j), &ExecOptions::sequential())
+            .expect("solve")
+    };
+    let singles: Vec<Vec<f64>> = (0..200).map(single).collect();
+    let check = |q: usize, opts: ExecOptions, what: &str| {
+        let b = Matrix::from_fn(n, q, |i, j| wide.get(i, j));
+        let x = f.solve_matrix(&plan, &tree, &b, &opts).expect("solve");
+        assert_eq!(x.shape(), (n, q));
+        for (j, single) in singles.iter().enumerate().take(q) {
+            assert!(
+                bitwise_eq(&x.col(j), single),
+                "{what}, q = {q}: column {j} is not the single-vector solve"
+            );
+        }
+        x
+    };
+    for q in [1usize, 3, 8, 17, 200] {
+        check(q, ExecOptions::sequential(), "auto panel, sequential");
+        check(q, ExecOptions::full(), "auto panel, parallel");
+        // Explicit widths put panel boundaries everywhere; 1 makes every
+        // column its own panel.
+        for panel in [1usize, 8, 64] {
+            let opts = ExecOptions::full().with_panel_width(panel);
+            check(q, opts, &format!("panel width {panel}"));
+        }
+    }
+    // 300 columns cross the automatic panel boundary at 256.
+    let x = check(300, ExecOptions::full(), "auto panel, two panels");
+    for j in [255, 256, 299] {
+        assert!(
+            bitwise_eq(&x.col(j), &single(j)),
+            "auto panel, q = 300: column {j} is not the single-vector solve"
+        );
+    }
+}
+
+#[test]
+fn zero_column_right_hand_side_solves_to_zero_columns() {
+    let (tree, plan, _) = fixture(256);
+    let f = factor(&plan, &tree, &ExecOptions::sequential()).expect("factor");
+    let x = f
+        .solve_matrix(&plan, &tree, &Matrix::zeros(256, 0), &ExecOptions::full())
+        .expect("solve");
+    assert_eq!(x.shape(), (256, 0));
 }

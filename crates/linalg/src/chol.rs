@@ -11,7 +11,7 @@
 
 use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;
-use crate::solve::{solve_lower_transpose_matrix, solve_lower_triangular_matrix};
+use crate::solve::{solve_lower_in_place, solve_lower_transpose_in_place};
 
 /// Error returned when a pivot of the factorization is not strictly positive:
 /// the input is not (numerically) positive definite.
@@ -160,18 +160,26 @@ pub fn syrk_lower(alpha: f64, a: &Matrix, c: &mut Matrix) {
     }
 }
 
-/// Solve `A x = b` given the Cholesky factor `L` of `A` (forward then
-/// transposed-backward substitution).
-pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let bm = Matrix::from_vec(b.len(), 1, b.to_vec());
-    cholesky_solve_matrix(l, &bm).into_vec()
+/// Solve `A X = B` in place given the Cholesky factor `L` of `A`: forward
+/// then transposed-backward substitution over the `n x q` row-major `x`
+/// (see [`crate::solve`] for the per-column chain).
+pub fn cholesky_solve_in_place(l: &Matrix, x: &mut [f64], q: usize) {
+    solve_lower_in_place(l, l.rows(), x, q);
+    solve_lower_transpose_in_place(l, l.rows(), x, q);
 }
 
-/// Solve `A X = B` for a matrix right-hand side given the Cholesky factor
-/// `L` of `A`.
+/// [`cholesky_solve_in_place`] on a copy of one right-hand-side vector.
+pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut x = b.to_vec();
+    cholesky_solve_in_place(l, &mut x, 1);
+    x
+}
+
+/// [`cholesky_solve_in_place`] on a copy of a matrix right-hand side.
 pub fn cholesky_solve_matrix(l: &Matrix, b: &Matrix) -> Matrix {
-    let y = solve_lower_triangular_matrix(l, b);
-    solve_lower_transpose_matrix(l, &y)
+    let mut x = b.clone();
+    cholesky_solve_in_place(l, x.as_mut_slice(), b.cols());
+    x
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 use crate::gemm::{gemm_seq, GemmOp};
 use crate::matrix::Matrix;
 use crate::qr::pivoted_qr;
-use crate::solve::solve_upper_triangular_matrix;
+use crate::solve::solve_upper_in_place;
 
 /// Result of a row or column interpolative decomposition.
 #[derive(Debug, Clone)]
@@ -55,14 +55,11 @@ pub fn column_id(a: &Matrix, tol: f64, max_rank: usize) -> IdResult {
     }
 
     // R = [R11 R12] with R11 (k x k) upper triangular over the pivoted columns.
-    let r11 = f.r.submatrix(0, k, 0, k);
-    let r12 = f.r.submatrix(0, k, k, n);
-    // T = R11^{-1} R12  (k x (n-k))
-    let t = if n > k {
-        solve_upper_triangular_matrix(&r11, &r12)
-    } else {
-        Matrix::zeros(k, 0)
-    };
+    // T = R11^{-1} R12  (k x (n-k)), solved in place over the copy of R12.
+    let mut t = f.r.submatrix(0, k, k, n);
+    if n > k {
+        solve_upper_in_place(&f.r, k, t.as_mut_slice(), n - k);
+    }
 
     // X (k x n) in *original* column order: X[:, perm[j]] = I_col(j) for j < k,
     // X[:, perm[j]] = T[:, j-k] for j >= k.

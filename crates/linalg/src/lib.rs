@@ -68,18 +68,18 @@ pub mod norms;
 pub mod qr;
 pub mod solve;
 
-pub use chol::{cholesky, cholesky_solve, cholesky_solve_matrix, syrk_lower, NotPositiveDefinite};
+pub use chol::{
+    cholesky, cholesky_solve, cholesky_solve_in_place, cholesky_solve_matrix, syrk_lower,
+    NotPositiveDefinite,
+};
 pub use gemm::{
     gemm, gemm_panel, gemm_seq, gemm_slices, gemm_tn_slices, gemv, matmul, par_gemm,
     par_gemm_slices, par_gemm_tn_slices, GemmOp,
 };
 pub use id::{column_id, row_id, IdResult};
 pub use kernel::{simd_available, KernelArch, KernelChoice, KernelDispatch};
-pub use lu::{lu_factor, lu_solve, lu_solve_matrix, LuFactors, SingularMatrix};
+pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};
 pub use matrix::{all_finite, Matrix};
 pub use norms::{frobenius_norm, relative_error};
 pub use qr::{pivoted_qr, PivotedQr};
-pub use solve::{
-    solve_lower_transpose_matrix, solve_lower_triangular, solve_lower_triangular_matrix,
-    solve_upper_triangular, solve_upper_triangular_matrix,
-};
+pub use solve::{solve_lower_in_place, solve_lower_transpose_in_place, solve_upper_in_place};

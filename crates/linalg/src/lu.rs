@@ -10,6 +10,7 @@
 
 use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;
+use crate::solve::{solve_unit_lower_in_place, solve_upper_in_place};
 
 /// Error returned when elimination finds no usable pivot: the matrix is
 /// exactly (or numerically) singular.
@@ -84,69 +85,27 @@ pub fn lu_factor(a: &Matrix) -> Result<LuFactors, SingularMatrix> {
     Ok(LuFactors { lu, piv })
 }
 
-/// Solve `A X = B` (matrix right-hand side) from the packed factors.
+/// Solve `A X = B` in place from the packed factors: `x` holds the `n x q`
+/// row-major `B` on entry and `X` on return.  Whole rows are interchanged in
+/// factorization order, then the unit-lower and upper substitutions of
+/// [`crate::solve`] run — so every column follows that module's chain and is
+/// bitwise independent of `q`.
 ///
 /// # Panics
-/// Panics if `b.rows()` does not match the factored dimension.
-pub fn lu_solve_matrix(f: &LuFactors, b: &Matrix) -> Matrix {
+/// Panics if `x` is not `n x q`, if a pivot index is out of range, or on an
+/// exactly zero pivot (which [`lu_factor`] never produces).
+pub fn lu_solve_in_place(f: &LuFactors, x: &mut [f64], q: usize) {
     let n = f.lu.rows();
-    assert_eq!(b.rows(), n, "lu_solve_matrix: dimension mismatch");
-    let q = b.cols();
-    let mut x = b.clone();
-    // Apply the recorded interchanges in factorization order.
+    assert_eq!(x.len(), n * q, "lu_solve_in_place: dimension mismatch");
     for (k, &p) in f.piv.iter().enumerate() {
         if p != k {
-            for c in 0..q {
-                let a = x.get(k, c);
-                let bv = x.get(p, c);
-                x.set(k, c, bv);
-                x.set(p, c, a);
-            }
+            let (lo, hi) = (k.min(p), k.max(p));
+            let (head, tail) = x.split_at_mut(hi * q);
+            head[lo * q..(lo + 1) * q].swap_with_slice(&mut tail[..q]);
         }
     }
-    // Forward substitution with the unit-lower factor.
-    for i in 1..n {
-        let lrow = f.lu.row(i).to_vec();
-        let mut acc = x.row(i).to_vec();
-        for j in 0..i {
-            let lij = lrow[j];
-            if lij == 0.0 {
-                continue;
-            }
-            let xrow = x.row(j);
-            for c in 0..q {
-                acc[c] -= lij * xrow[c];
-            }
-        }
-        x.row_mut(i).copy_from_slice(&acc);
-    }
-    // Back substitution with the upper factor.
-    for i in (0..n).rev() {
-        let urow = f.lu.row(i).to_vec();
-        let mut acc = x.row(i).to_vec();
-        for j in (i + 1)..n {
-            let uij = urow[j];
-            if uij == 0.0 {
-                continue;
-            }
-            let xrow = x.row(j);
-            for c in 0..q {
-                acc[c] -= uij * xrow[c];
-            }
-        }
-        let d = urow[i];
-        for c in 0..q {
-            acc[c] /= d;
-        }
-        x.row_mut(i).copy_from_slice(&acc);
-    }
-    x
-}
-
-/// Solve `A x = b` (vector right-hand side) from the packed factors.
-pub fn lu_solve(f: &LuFactors, b: &[f64]) -> Vec<f64> {
-    let bm = Matrix::from_vec(b.len(), 1, b.to_vec());
-    lu_solve_matrix(f, &bm).into_vec()
+    solve_unit_lower_in_place(&f.lu, n, x, q);
+    solve_upper_in_place(&f.lu, n, x, q);
 }
 
 #[cfg(test)]
@@ -154,6 +113,7 @@ mod tests {
     use super::*;
     use crate::gemm::matmul;
     use crate::norms::relative_error;
+    use crate::solve::testing::*;
     use rand::SeedableRng;
 
     #[test]
@@ -165,9 +125,9 @@ mod tests {
                 a[(i, i)] += 3.0; // keep comfortably nonsingular
             }
             let x_true = Matrix::from_fn(n, 3, |i, j| ((i + 2 * j) as f64 * 0.37).cos());
-            let b = matmul(&a, &x_true);
+            let mut x = matmul(&a, &x_true);
             let f = lu_factor(&a).unwrap();
-            let x = lu_solve_matrix(&f, &b);
+            lu_solve_in_place(&f, x.as_mut_slice(), 3);
             assert!(relative_error(&x, &x_true) < 1e-11, "n = {n}");
         }
     }
@@ -176,7 +136,8 @@ mod tests {
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let f = lu_factor(&a).unwrap();
-        let x = lu_solve(&f, &[2.0, 3.0]);
+        let mut x = [2.0, 3.0];
+        lu_solve_in_place(&f, &mut x, 1);
         assert!((x[0] - 3.0).abs() < 1e-14);
         assert!((x[1] - 2.0).abs() < 1e-14);
     }
@@ -190,7 +151,47 @@ mod tests {
     #[test]
     fn empty_system_solves_trivially() {
         let f = lu_factor(&Matrix::zeros(0, 0)).unwrap();
-        let x = lu_solve_matrix(&f, &Matrix::zeros(0, 4));
-        assert_eq!(x.shape(), (0, 4));
+        lu_solve_in_place(&f, &mut [], 4);
+    }
+
+    /// Packed factors with hand-set pivots: identity swaps (`piv[k] == k`),
+    /// the same row named twice, and a swap pointing backwards — everything
+    /// the reader's `piv < n` check lets through.
+    fn packed(n: usize) -> LuFactors {
+        let l = lower(n, 7 + n as u64);
+        let u = lower(n, 70 + n as u64).transpose();
+        let lu = Matrix::from_fn(n, n, |i, j| if j < i { l.get(i, j) } else { u.get(i, j) });
+        let piv = (0..n)
+            .map(|k| match k % 4 {
+                0 => k,
+                1 => n - 1,
+                2 => (k + 3).min(n - 1),
+                _ => k / 2,
+            })
+            .collect();
+        LuFactors { lu, piv }
+    }
+
+    #[test]
+    fn solve_is_the_per_column_chain_bitwise() {
+        for n in SIZES {
+            let f = packed(n);
+            for q in WIDTHS {
+                let b = rhs(n, q, 5);
+                let mut x = b.clone();
+                lu_solve_in_place(&f, x.as_mut_slice(), q);
+                let reference = |col: &[f64]| {
+                    let mut col = col.to_vec();
+                    for (k, &p) in f.piv.iter().enumerate() {
+                        col.swap(k, p);
+                    }
+                    let t = |i, j| f.lu.get(i, j);
+                    let y = reference_column(n, 0..n, |i| 0..i, t, |_| None, &col);
+                    let d = |i| Some(f.lu.get(i, i));
+                    reference_column(n, (0..n).rev(), |i| i + 1..n, t, d, &y)
+                };
+                assert_columns_bitwise(&x, &b, reference, "LU");
+            }
+        }
     }
 }

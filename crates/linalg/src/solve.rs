@@ -1,272 +1,379 @@
-//! Triangular solves used by the interpolative decomposition and the
-//! ULV-style HSS factorization.
+//! In-place triangular substitution kernels.
 //!
-//! The ID needs `T = R11^{-1} R12` where `R11` is the leading `k x k` upper
-//! triangle of the pivoted-QR factor.  We solve column by column with plain
-//! back-substitution; `k` is bounded by the maximum submatrix rank (256 in the
-//! paper's default configuration), so this is never a bottleneck.
+//! Everything that substitutes against a triangular factor goes through the
+//! three kernels here: the Cholesky solves (`crate::chol`: `L` then `L^T`),
+//! the packed-LU solve (`crate::lu`: unit `L` then `U`), the interpolative
+//! decomposition's `R11^{-1} R12` (`crate::id`), and through those the ULV
+//! sweeps of `matrox-factor`.  Each takes the factor as a [`Matrix`] (only
+//! its leading `k x k` triangle is read) and a row-major `k x q` right-hand
+//! side slice that it overwrites with the solution; none allocates.
 //!
-//! The lower-triangular variants are the forward/backward substitution
-//! kernels of the Cholesky-based solves (`crate::chol`, `matrox-factor`):
-//! the ULV sweeps solve `L y = b` on the way up and `L^T x = y` on the way
-//! down, both against the same stored lower factor.
+//! # The per-column chain
+//!
+//! Entry `(i, c)` of every solution is produced by one fixed operation
+//! chain: start from `b[i][c]`, subtract `t[i][j] * x[j][c]` for ascending
+//! `j` over the row's off-diagonal entries (skipping exact zeros of the
+//! factor), divide once by the diagonal.  No other column takes part, so a
+//! column's result is **bitwise independent** of `q` and of its position in
+//! the panel — what lets `matrox-serve` coalesce solves and the solver block
+//! its right-hand sides without changing a bit.  Forward substitution
+//! interleaves `ROW_BLOCK` (4) rows over the already-final prefix (independent
+//! chains, each still ascending in `j`); the backward kernels cannot, because
+//! a row's chain *starts* with the last entry to become final.
+//!
+//! Each public kernel calls its `#[inline(always)]` body twice, once with the
+//! literal width `1`: the single-vector solve then compiles to scalar loops
+//! with no per-entry row slicing, from the same source and with the same
+//! operations as every other width.
 
 use crate::matrix::Matrix;
 
-/// Solve `U x = b` where `U` is the upper-triangular leading block of `u`
-/// (only entries `u[i][j]` with `j >= i` and `i, j < n` are referenced).
+/// Rows the forward kernels advance in lockstep over the final prefix: at
+/// `q = 1` a single row is one serial chain of dependent subtractions, four
+/// rows are four independent ones.
+const ROW_BLOCK: usize = 4;
+
+/// `xi[c] -= t * xj[c]` over one row.
+#[inline(always)]
+fn row_sub(xi: &mut [f64], t: f64, xj: &[f64]) {
+    for (a, b) in xi.iter_mut().zip(xj) {
+        *a -= t * *b;
+    }
+}
+
+/// `xi[c] /= d` over one row, refusing an exactly singular diagonal.
+#[inline(always)]
+fn row_div(xi: &mut [f64], d: f64, i: usize) {
+    assert!(d != 0.0, "triangular solve: singular diagonal at {i}");
+    for a in xi {
+        *a /= d;
+    }
+}
+
+fn check_shapes(t: &Matrix, k: usize, x: &[f64], q: usize) {
+    assert!(t.rows() >= k && t.cols() >= k, "solve: factor too small");
+    assert_eq!(x.len(), k * q, "solve: right-hand side is not k x q");
+}
+
+/// Forward substitution with the leading `k x k` lower triangle of `l`;
+/// `UNIT` takes the diagonal as ones (the packed-LU `L`).
+#[inline(always)]
+fn forward<const UNIT: bool>(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    for i0 in (0..k).step_by(ROW_BLOCK) {
+        let rows = ROW_BLOCK.min(k - i0);
+        let (done, rest) = x.split_at_mut(i0 * q);
+        let block = &mut rest[..rows * q];
+        let lrows: [&[f64]; ROW_BLOCK] = std::array::from_fn(|r| &l.row(i0 + r % rows)[..i0]);
+        for (j, xj) in done.chunks_exact(q.max(1)).enumerate() {
+            for (xr, lrow) in block.chunks_exact_mut(q.max(1)).zip(&lrows) {
+                if lrow[j] != 0.0 {
+                    row_sub(xr, lrow[j], xj);
+                }
+            }
+        }
+        for r in 0..rows {
+            let (head, tail) = block.split_at_mut(r * q);
+            let (xr, lrow) = (&mut tail[..q], &l.row(i0 + r)[i0..]);
+            for (jr, xj) in head.chunks_exact(q.max(1)).enumerate() {
+                if lrow[jr] != 0.0 {
+                    row_sub(xr, lrow[jr], xj);
+                }
+            }
+            if !UNIT {
+                row_div(xr, lrow[r], i0 + r);
+            }
+        }
+    }
+}
+
+/// Solve `L X = B` in place, `L` the leading `k x k` lower triangle of `l`
+/// (the strict upper part is never read): `x` holds `B` on entry and `X` on
+/// return.  See the module docs for the per-column chain.
 ///
 /// # Panics
-/// Panics on dimension mismatch or on an exactly singular diagonal entry.
-pub fn solve_upper_triangular(u: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = b.len();
-    assert!(u.rows() >= n && u.cols() >= n, "solve: U too small");
-    let mut x = b.to_vec();
-    for i in (0..n).rev() {
-        let mut acc = x[i];
-        let row = u.row(i);
-        for j in (i + 1)..n {
-            acc -= row[j] * x[j];
-        }
-        let d = row[i];
-        assert!(d != 0.0, "solve_upper_triangular: singular diagonal at {i}");
-        x[i] = acc / d;
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+pub fn solve_lower_in_place(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    check_shapes(l, k, x, q);
+    if q == 1 {
+        forward::<false>(l, k, x, 1);
+    } else {
+        forward::<false>(l, k, x, q);
     }
-    x
 }
 
-/// Solve `U X = B` column-by-column, where `U` is `k x k` upper triangular
-/// (taken from the leading block of `u`) and `B` is `k x n`.
-pub fn solve_upper_triangular_matrix(u: &Matrix, b: &Matrix) -> Matrix {
-    let k = b.rows();
-    let n = b.cols();
-    let mut x = Matrix::zeros(k, n);
-    // Back-substitution over all right-hand sides at once, row-major friendly:
-    // process rows bottom-up, updating full rows.  Each row of `b` is read
-    // exactly once (at its own iteration), so no work buffer is needed.
-    for i in (0..k).rev() {
-        let urow_i = u.row(i).to_vec();
-        let d = urow_i[i];
-        assert!(
-            d != 0.0,
-            "solve_upper_triangular_matrix: singular diagonal at {i}"
-        );
-        // x[i, :] = (b[i, :] - sum_{j>i} U[i,j] * x[j, :]) / d
-        let mut acc = b.row(i).to_vec();
-        for j in (i + 1)..k {
-            let uij = urow_i[j];
-            if uij == 0.0 {
-                continue;
-            }
-            let xrow = x.row(j).to_vec();
-            for c in 0..n {
-                acc[c] -= uij * xrow[c];
-            }
-        }
-        for c in 0..n {
-            acc[c] /= d;
-        }
-        x.row_mut(i).copy_from_slice(&acc);
+/// [`solve_lower_in_place`] with an implied unit diagonal: the forward half
+/// of a packed-LU solve (the stored diagonal belongs to `U`).
+pub(crate) fn solve_unit_lower_in_place(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    check_shapes(l, k, x, q);
+    if q == 1 {
+        forward::<true>(l, k, x, 1);
+    } else {
+        forward::<true>(l, k, x, q);
     }
-    x
 }
 
-/// Solve `L x = b` where `L` is the lower-triangular leading block of `l`
-/// (only entries `l[i][j]` with `j <= i` and `i, j < b.len()` are
-/// referenced).
+/// Solve `L^T X = B` in place against the *stored lower* factor (the
+/// backward half of a Cholesky solve, without materializing the transpose).
 ///
 /// # Panics
-/// Panics on dimension mismatch or on an exactly singular diagonal entry.
-pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = b.len();
-    assert!(l.rows() >= n && l.cols() >= n, "solve: L too small");
-    let mut x = b.to_vec();
-    for i in 0..n {
-        let row = l.row(i);
-        let mut acc = x[i];
-        for j in 0..i {
-            acc -= row[j] * x[j];
-        }
-        let d = row[i];
-        assert!(d != 0.0, "solve_lower_triangular: singular diagonal at {i}");
-        x[i] = acc / d;
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+pub fn solve_lower_transpose_in_place(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    check_shapes(l, k, x, q);
+    if q == 1 {
+        backward_transpose(l, k, x, 1);
+    } else {
+        backward_transpose(l, k, x, q);
     }
-    x
 }
 
-/// Solve `L X = B` by forward substitution over all right-hand sides at
-/// once, where `L` is `k x k` lower triangular (taken from the leading block
-/// of `l`) and `B` is `k x n`.  This is the upward half of the ULV leaf
-/// solves.
-pub fn solve_lower_triangular_matrix(l: &Matrix, b: &Matrix) -> Matrix {
-    let k = b.rows();
-    let n = b.cols();
-    assert!(l.rows() >= k && l.cols() >= k, "solve: L too small");
-    let mut x = Matrix::zeros(k, n);
-    for i in 0..k {
-        let lrow_i = l.row(i).to_vec();
-        let d = lrow_i[i];
-        assert!(
-            d != 0.0,
-            "solve_lower_triangular_matrix: singular diagonal at {i}"
-        );
-        let mut acc = b.row(i).to_vec();
-        for j in 0..i {
-            let lij = lrow_i[j];
-            if lij == 0.0 {
-                continue;
-            }
-            let xrow = x.row(j).to_vec();
-            for c in 0..n {
-                acc[c] -= lij * xrow[c];
-            }
-        }
-        for c in 0..n {
-            acc[c] /= d;
-        }
-        x.row_mut(i).copy_from_slice(&acc);
-    }
-    x
-}
-
-/// Solve `L^T X = B` against the *stored lower* factor `L` (the backward
-/// half of a Cholesky solve, without materializing the transpose).
-pub fn solve_lower_transpose_matrix(l: &Matrix, b: &Matrix) -> Matrix {
-    let k = b.rows();
-    let n = b.cols();
-    assert!(l.rows() >= k && l.cols() >= k, "solve: L too small");
-    let mut x = Matrix::zeros(k, n);
+#[inline(always)]
+fn backward_transpose(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
     for i in (0..k).rev() {
-        let d = l.get(i, i);
-        assert!(
-            d != 0.0,
-            "solve_lower_transpose_matrix: singular diagonal at {i}"
-        );
-        let mut acc = b.row(i).to_vec();
-        for j in (i + 1)..k {
+        let (head, below) = x.split_at_mut((i + 1) * q);
+        let xi = &mut head[i * q..];
+        for (dj, xj) in below.chunks_exact(q.max(1)).enumerate() {
             // (L^T)[i, j] = L[j, i]
-            let lji = l.get(j, i);
-            if lji == 0.0 {
-                continue;
-            }
-            let xrow = x.row(j).to_vec();
-            for c in 0..n {
-                acc[c] -= lji * xrow[c];
+            let lji = l.row(i + 1 + dj)[i];
+            if lji != 0.0 {
+                row_sub(xi, lji, xj);
             }
         }
-        for c in 0..n {
-            acc[c] /= d;
-        }
-        x.row_mut(i).copy_from_slice(&acc);
+        row_div(xi, l.row(i)[i], i);
     }
-    x
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gemm::matmul;
-    use crate::norms::relative_error;
+/// Solve `U X = B` in place, `U` the leading `k x k` upper triangle of `u`
+/// (the strict lower part is never read — in a packed LU it holds `L`).
+///
+/// # Panics
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+pub fn solve_upper_in_place(u: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    check_shapes(u, k, x, q);
+    if q == 1 {
+        backward(u, k, x, 1);
+    } else {
+        backward(u, k, x, q);
+    }
+}
 
-    fn upper(n: usize, seed: u64) -> Matrix {
+#[inline(always)]
+fn backward(u: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    for i in (0..k).rev() {
+        let (head, below) = x.split_at_mut((i + 1) * q);
+        let (xi, urow) = (&mut head[i * q..], &u.row(i)[..k]);
+        for (uij, xj) in urow[i + 1..].iter().zip(below.chunks_exact(q.max(1))) {
+            if *uij != 0.0 {
+                row_sub(xi, *uij, xj);
+            }
+        }
+        row_div(xi, urow[i], i);
+    }
+}
+
+/// Test support for the kernels' bitwise contract, shared with `crate::lu`.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Matrix;
+
+    /// The sizes and panel widths every in-place kernel is pinned on.
+    pub(crate) const SIZES: [usize; 6] = [1, 2, 63, 64, 65, 130];
+    pub(crate) const WIDTHS: [usize; 2] = [1, 5];
+
+    /// A well-conditioned random lower-triangular matrix with a sprinkling
+    /// of exact zeros below the diagonal (the zero-skip is part of the
+    /// chain).
+    pub(crate) fn lower(n: usize, seed: u64) -> Matrix {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         Matrix::from_fn(n, n, |i, j| {
-            if j > i {
-                rng.gen_range(-1.0..1.0)
-            } else if j == i {
+            if j == i {
                 rng.gen_range(1.0..2.0)
+            } else if j < i && (i * 7 + j * 3) % 11 != 0 {
+                rng.gen_range(-1.0..1.0)
             } else {
                 0.0
             }
         })
     }
 
+    pub(crate) fn rhs(n: usize, q: usize, seed: u64) -> Matrix {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xb5);
+        Matrix::random_uniform(n, q, &mut rng)
+    }
+
+    /// The textbook chain on one column: rows in `order`, row `i` taking
+    /// `t(i, j) * x[j]` off for ascending `j` in `cols(i)`, skipping exact
+    /// zeros, then one division by `diag(i)` (`None`: unit diagonal).
+    pub(crate) fn reference_column(
+        n: usize,
+        order: impl Iterator<Item = usize>,
+        cols: impl Fn(usize) -> std::ops::Range<usize>,
+        t: impl Fn(usize, usize) -> f64,
+        diag: impl Fn(usize) -> Option<f64>,
+        b: &[f64],
+    ) -> Vec<f64> {
+        assert_eq!(b.len(), n);
+        let mut x = b.to_vec();
+        for i in order {
+            let mut acc = x[i];
+            for j in cols(i) {
+                let tij = t(i, j);
+                if tij == 0.0 {
+                    continue;
+                }
+                acc -= tij * x[j];
+            }
+            x[i] = match diag(i) {
+                Some(d) => acc / d,
+                None => acc,
+            };
+        }
+        x
+    }
+
+    /// `solved[:, c]` must equal `reference(b[:, c])` to the bit, for every
+    /// column.
+    pub(crate) fn assert_columns_bitwise(
+        solved: &Matrix,
+        b: &Matrix,
+        reference: impl Fn(&[f64]) -> Vec<f64>,
+        what: &str,
+    ) {
+        for c in 0..b.cols() {
+            let want = reference(&b.col(c));
+            let got = solved.col(c);
+            let same = want
+                .iter()
+                .zip(&got)
+                .all(|(w, g)| w.to_bits() == g.to_bits());
+            assert!(
+                same,
+                "{what}: column {c} of {} differs from the per-column reference (n = {})",
+                b.cols(),
+                b.rows()
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::*;
+    use super::*;
+    use crate::gemm::matmul;
+    use crate::norms::relative_error;
+
     #[test]
-    fn vector_solve_matches_product() {
-        let u = upper(8, 1);
-        let x_true: Vec<f64> = (0..8).map(|i| (i as f64 * 0.3).cos()).collect();
-        let mut b = vec![0.0; 8];
-        crate::gemm::gemv(1.0, &u, crate::gemm::GemmOp::NoTrans, &x_true, 0.0, &mut b);
-        let x = solve_upper_triangular(&u, &b);
-        for (a, b) in x.iter().zip(x_true.iter()) {
-            assert!((a - b).abs() < 1e-10);
+    fn lower_solve_is_the_per_column_chain_bitwise() {
+        for n in SIZES {
+            let l = lower(n, n as u64);
+            for q in WIDTHS {
+                let b = rhs(n, q, 1);
+                let mut x = b.clone();
+                solve_lower_in_place(&l, n, x.as_mut_slice(), q);
+                let reference = |col: &[f64]| {
+                    reference_column(
+                        n,
+                        0..n,
+                        |i| 0..i,
+                        |i, j| l.get(i, j),
+                        |i| Some(l.get(i, i)),
+                        col,
+                    )
+                };
+                assert_columns_bitwise(&x, &b, reference, "L");
+                let mut xu = b.clone();
+                solve_unit_lower_in_place(&l, n, xu.as_mut_slice(), q);
+                let reference = |col: &[f64]| {
+                    reference_column(n, 0..n, |i| 0..i, |i, j| l.get(i, j), |_| None, col)
+                };
+                assert_columns_bitwise(&xu, &b, reference, "unit L");
+            }
         }
     }
 
     #[test]
-    fn matrix_solve_matches_product() {
-        let u = upper(10, 2);
-        let x_true = Matrix::from_fn(10, 4, |i, j| ((i * 4 + j) as f64).sin());
-        let b = matmul(&u, &x_true);
-        let x = solve_upper_triangular_matrix(&u, &b);
-        assert!(relative_error(&x, &x_true) < 1e-10);
-    }
-
-    #[test]
-    #[should_panic]
-    fn singular_diagonal_panics() {
-        let mut u = upper(4, 3);
-        u.set(2, 2, 0.0);
-        let _ = solve_upper_triangular(&u, &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn empty_solve_is_empty() {
-        let u = Matrix::zeros(0, 0);
-        let b = Matrix::zeros(0, 3);
-        let x = solve_upper_triangular_matrix(&u, &b);
-        assert_eq!(x.shape(), (0, 3));
-    }
-
-    fn lower(n: usize, seed: u64) -> Matrix {
-        upper(n, seed).transpose()
-    }
-
-    #[test]
-    fn lower_vector_solve_matches_product() {
-        let l = lower(9, 4);
-        let x_true: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut b = vec![0.0; 9];
-        crate::gemm::gemv(1.0, &l, crate::gemm::GemmOp::NoTrans, &x_true, 0.0, &mut b);
-        let x = solve_lower_triangular(&l, &b);
-        for (a, b) in x.iter().zip(x_true.iter()) {
-            assert!((a - b).abs() < 1e-10);
+    fn lower_transpose_solve_is_the_per_column_chain_bitwise() {
+        for n in SIZES {
+            let l = lower(n, 40 + n as u64);
+            for q in WIDTHS {
+                let b = rhs(n, q, 2);
+                let mut x = b.clone();
+                solve_lower_transpose_in_place(&l, n, x.as_mut_slice(), q);
+                let reference = |col: &[f64]| {
+                    let t = |i, j| l.get(j, i);
+                    reference_column(n, (0..n).rev(), |i| i + 1..n, t, |i| Some(l.get(i, i)), col)
+                };
+                assert_columns_bitwise(&x, &b, reference, "L^T");
+            }
         }
     }
 
     #[test]
-    fn lower_matrix_solve_matches_product() {
+    fn upper_solve_is_the_per_column_chain_bitwise() {
+        for n in SIZES {
+            let u = lower(n, 80 + n as u64).transpose();
+            for q in WIDTHS {
+                let b = rhs(n, q, 3);
+                let mut x = b.clone();
+                solve_upper_in_place(&u, n, x.as_mut_slice(), q);
+                let reference = |col: &[f64]| {
+                    let t = |i, j| u.get(i, j);
+                    reference_column(n, (0..n).rev(), |i| i + 1..n, t, |i| Some(u.get(i, i)), col)
+                };
+                assert_columns_bitwise(&x, &b, reference, "U");
+            }
+        }
+    }
+
+    #[test]
+    fn solves_invert_their_products() {
         let l = lower(12, 5);
-        let x_true = Matrix::from_fn(12, 3, |i, j| ((i * 3 + j) as f64 * 0.2).cos());
-        let b = matmul(&l, &x_true);
-        let x = solve_lower_triangular_matrix(&l, &b);
+        let x_true = rhs(12, 3, 9);
+        let mut x = matmul(&l, &x_true);
+        solve_lower_in_place(&l, 12, x.as_mut_slice(), 3);
+        assert!(relative_error(&x, &x_true) < 1e-10);
+        let mut x = matmul(&l.transpose(), &x_true);
+        solve_lower_transpose_in_place(&l, 12, x.as_mut_slice(), 3);
+        assert!(relative_error(&x, &x_true) < 1e-10);
+        let mut x = matmul(&l.transpose(), &x_true);
+        solve_upper_in_place(&l.transpose(), 12, x.as_mut_slice(), 3);
         assert!(relative_error(&x, &x_true) < 1e-10);
     }
 
     #[test]
-    fn lower_transpose_solve_matches_explicit_transpose() {
-        let l = lower(10, 6);
-        let x_true = Matrix::from_fn(10, 2, |i, j| ((i + j) as f64 * 0.4).sin());
-        let b = matmul(&l.transpose(), &x_true);
-        let x = solve_lower_transpose_matrix(&l, &b);
-        assert!(relative_error(&x, &x_true) < 1e-10);
-        // Must agree with solving the materialized transpose as an upper system.
-        let x2 = solve_upper_triangular_matrix(&l.transpose(), &b);
-        assert!(relative_error(&x, &x2) < 1e-13);
+    fn only_the_leading_block_is_read() {
+        // The ID hands the whole `R` factor and solves against its leading
+        // `k x k` triangle; the rest of the matrix must not matter.
+        let (n, k, q) = (9, 4, 2);
+        let u = lower(n, 6).transpose();
+        let b = rhs(k, q, 4);
+        let mut x = b.clone();
+        solve_upper_in_place(&u, k, x.as_mut_slice(), q);
+        let mut x_sub = b.clone();
+        solve_upper_in_place(&u.submatrix(0, k, 0, k), k, x_sub.as_mut_slice(), q);
+        assert_eq!(x.as_slice(), x_sub.as_slice());
     }
 
     #[test]
-    fn lower_empty_solves_are_empty() {
-        let l = Matrix::zeros(0, 0);
-        assert_eq!(
-            solve_lower_triangular_matrix(&l, &Matrix::zeros(0, 2)).shape(),
-            (0, 2)
-        );
-        assert_eq!(
-            solve_lower_transpose_matrix(&l, &Matrix::zeros(0, 2)).shape(),
-            (0, 2)
-        );
-        assert!(solve_lower_triangular(&l, &[]).is_empty());
+    #[should_panic(expected = "singular diagonal at 2")]
+    fn singular_diagonal_panics() {
+        let mut u = lower(4, 3).transpose();
+        u.set(2, 2, 0.0);
+        solve_upper_in_place(&u, 4, &mut [1.0, 2.0, 3.0, 4.0], 1);
+    }
+
+    #[test]
+    fn empty_systems_and_empty_panels_are_no_ops() {
+        let empty = Matrix::zeros(0, 0);
+        solve_lower_in_place(&empty, 0, &mut [], 3);
+        solve_lower_transpose_in_place(&empty, 0, &mut [], 3);
+        solve_upper_in_place(&empty, 0, &mut [], 3);
+        let l = lower(5, 1);
+        solve_lower_in_place(&l, 5, &mut [], 0);
+        solve_unit_lower_in_place(&l, 5, &mut [], 0);
+        solve_lower_transpose_in_place(&l, 5, &mut [], 0);
+        solve_upper_in_place(&l.transpose(), 5, &mut [], 0);
     }
 }
