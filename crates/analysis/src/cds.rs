@@ -11,7 +11,7 @@
 //! Offsets are derived from the sranks, so a block's data is found with a
 //! single offset lookup and consecutive blocks in the computation are
 //! consecutive in memory — this is the data-layout half of MatRox's locality
-//! optimization (the loop-structure half is in `matrox-codegen` /
+//! optimization (the loop-structure half is in [`crate::plan`] and
 //! `matrox-exec`).
 
 //! Packing runs on the work-stealing pool with fixed combination order:
@@ -23,7 +23,6 @@
 use crate::blocking::BlockSet;
 use crate::coarsen::CoarsenSet;
 use matrox_compress::Compression;
-use matrox_linalg::knobs::resolve_grain;
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -267,8 +266,8 @@ pub fn build_cds(
 }
 
 /// [`build_cds`] with an explicit grain (minimum copy tasks per parallel
-/// work item; `0` = auto / the `MATROX_GRAIN` env knob).  Grain only changes
-/// copy chunking, never the packed bytes.
+/// work item; `0` = auto, i.e. 1).  Grain only changes copy chunking, never
+/// the packed bytes.
 pub fn build_cds_with_grain(
     tree: &ClusterTree,
     compression: &Compression,
@@ -278,7 +277,7 @@ pub fn build_cds_with_grain(
     grain: usize,
 ) -> Cds {
     let n_nodes = tree.num_nodes();
-    let grain = resolve_grain(grain);
+    let grain = grain.max(1);
 
     // ---- generators in coarsenset order --------------------------------
     // Sequential layout pass: assign every stored node its dense offsets in

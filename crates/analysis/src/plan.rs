@@ -15,7 +15,7 @@
 //! monomorphized kernels, in place of the `matmul.h` file the original
 //! framework writes to disk (Figure 2).  See DESIGN.md substitution S3.
 
-use matrox_analysis::{BlockSet, Cds, CdsBlockEntry, CoarsenSet, GroupRange};
+use crate::{BlockSet, Cds, CdsBlockEntry, CoarsenSet, GroupRange};
 use matrox_tree::{ensure, ClusterTree};
 
 /// Thresholds and switches controlling lowering decisions.
@@ -50,8 +50,8 @@ pub struct LoweringDecisions {
     pub block_near: bool,
     /// Blocked far/coupling loop.
     pub block_far: bool,
-    /// Coarsened tree loops (coarsen levels + load-balanced sub-trees) vs.
-    /// level-by-level traversal.
+    /// Tree loops parallel over the load-balanced sub-trees of each coarsen
+    /// level vs. the same walk over the coarsen set on one thread.
     pub coarsen_tree: bool,
     /// Peel the last coarsen level and use block-level parallelism inside it.
     pub peel_root: bool,
@@ -79,8 +79,7 @@ pub struct EvalPlan {
 
 impl EvalPlan {
     /// Floating-point operations of one evaluation with `q` right-hand-side
-    /// columns (multiply-add counted as two flops).  Used by the Figure 5
-    /// harness to report GFLOP/s.
+    /// columns (multiply-add counted as two flops).
     pub fn flops(&self, q: usize) -> u64 {
         let mut per_col: u64 = 0;
         for e in &self.cds.d_entries {
@@ -347,7 +346,7 @@ pub fn generate_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
+    use crate::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
     use matrox_compress::{compress, CompressionParams};
     use matrox_points::{generate, DatasetId, Kernel};
     use matrox_sampling::sample_nodes_exhaustive;

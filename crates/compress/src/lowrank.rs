@@ -17,7 +17,6 @@
 //! * dense near blocks `D_{i,j}` and low-rank coupling blocks
 //!   `B_{i,j} = K(skel_i, skel_j)`.
 
-use matrox_linalg::knobs::resolve_grain;
 use matrox_linalg::{failpoint, row_id, Matrix};
 use matrox_points::{kernel_block, Kernel, PointSet};
 use matrox_sampling::SamplingInfo;
@@ -32,10 +31,9 @@ pub struct CompressionParams {
     pub bacc: f64,
     /// Hard cap on the submatrix rank (the paper's "maximum rank = 256").
     pub max_rank: usize,
-    /// Minimum nodes/blocks per parallel compression task; `0` = auto (the
-    /// `MATROX_GRAIN` env knob, then 1).  Chunking only — every node's
-    /// basis is a pure function of the inputs, so the output never depends
-    /// on this knob or the pool width.
+    /// Minimum nodes/blocks per parallel compression task; `0` = auto (1).
+    /// Chunking only — every node's basis is a pure function of the inputs,
+    /// so the output never depends on this knob or the pool width.
     pub grain: usize,
 }
 
@@ -129,7 +127,7 @@ pub fn compress(
     params: &CompressionParams,
 ) -> Compression {
     let n_nodes = tree.num_nodes();
-    let grain = resolve_grain(params.grain);
+    let grain = params.grain.max(1);
     let mut bases: Vec<NodeBasis> = vec![NodeBasis::empty(); n_nodes];
 
     // Does any node need a basis at all?  Only nodes that participate in far

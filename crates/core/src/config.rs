@@ -6,8 +6,7 @@
 //! lists in Section 4.1 (leaf size, sampling size, maximum rank, blocksizes,
 //! `agg`, `p`, the lowering thresholds).
 
-use matrox_analysis::CoarsenParams;
-use matrox_codegen::CodegenParams;
+use matrox_analysis::{CoarsenParams, CodegenParams};
 use matrox_linalg::KernelChoice;
 use matrox_sampling::SamplingParams;
 use matrox_tree::{PartitionMethod, Structure};
@@ -40,9 +39,8 @@ pub struct MatRoxParams {
     /// Seed controlling tree construction and sampling randomness.
     pub seed: u64,
     /// RHS panel width for the panel-blocked executor; `0` = auto (sized
-    /// from the CDS block extents so a block plus its panels fit in L2,
-    /// overridable process-wide via the `MATROX_PANEL` env var).  Results
-    /// are bitwise independent of this knob.
+    /// from the CDS block extents so a block plus its panels fit in L2).
+    /// Results are bitwise independent of this knob.
     pub panel_width: usize,
     /// GEMM kernel selection for the evaluation session built from these
     /// parameters ([`KernelChoice::Auto`] defers to the `MATROX_KERNEL`
@@ -55,9 +53,9 @@ pub struct MatRoxParams {
     pub kernel: KernelChoice,
     /// Minimum work items per parallel task across the inspector's parallel
     /// phases (tree partitioning, kNN, sampling, compression, CDS packing);
-    /// `0` = auto (the `MATROX_GRAIN` env knob, then 1).  Like
-    /// `panel_width`, grain only changes task chunking: the inspector output
-    /// is bitwise independent of it and of the pool width.
+    /// `0` = auto (1).  Like `panel_width`, grain only changes task
+    /// chunking: the inspector output is bitwise independent of it and of
+    /// the pool width.
     pub grain: usize,
 }
 

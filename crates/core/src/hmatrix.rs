@@ -3,7 +3,7 @@
 use crate::error::MatroxError;
 use crate::failpoint;
 use crate::timings::InspectorTimings;
-use matrox_codegen::EvalPlan;
+use matrox_analysis::EvalPlan;
 use matrox_exec::{execute, ExecOptions};
 use matrox_factor::{factor_with_ridge, FactorError, HssFactor};
 use matrox_linalg::{all_finite, frobenius_norm, relative_error, KernelChoice, Matrix};

@@ -23,8 +23,9 @@ use crate::config::MatRoxParams;
 use crate::error::{panic_message, MatroxError};
 use crate::hmatrix::HMatrix;
 use crate::timings::InspectorTimings;
-use matrox_analysis::{build_blockset, build_cds_with_grain, build_coarsenset, BlockSet};
-use matrox_codegen::generate_plan;
+use matrox_analysis::{
+    build_blockset, build_cds_with_grain, build_coarsenset, generate_plan, BlockSet,
+};
 use matrox_compress::{compress, CompressionParams};
 use matrox_points::{Kernel, PointSet};
 use matrox_sampling::{sample_nodes, SamplingInfo, SamplingParams};

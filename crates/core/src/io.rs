@@ -15,7 +15,7 @@
 //! generator presence, HSS padding).  What makes the decoded structures a
 //! *model* — tree topology, plan tables against the tree, factor slots
 //! against the plan — is not defined here: the readers run the one shared
-//! definition, [`EvalPlan::validate`](matrox_codegen::EvalPlan::validate)
+//! definition, [`EvalPlan::validate`](matrox_analysis::EvalPlan::validate)
 //! (`MATROX1`) or [`HssFactor::validate`] (`MATROXF1`, which includes the
 //! former), after the stream is consumed, and report its message as
 //! `Format`.  The executor and the solver run the same functions, so the
@@ -29,8 +29,10 @@ use crate::error::MatroxError;
 use crate::hmatrix::{FactoredHMatrix, HMatrix};
 use crate::timings::InspectorTimings;
 use crate::wire::{WireReader, WireWriter};
-use matrox_analysis::{BlockSet, Cds, CdsBlockEntry, CoarsenSet, GeneratorEntry, GroupRange};
-use matrox_codegen::{EvalPlan, LoweringDecisions};
+use matrox_analysis::{
+    BlockSet, Cds, CdsBlockEntry, CoarsenSet, EvalPlan, GeneratorEntry, GroupRange,
+    LoweringDecisions,
+};
 use matrox_factor::{FactorTimings, HssFactor, LeafFactor, MergeFactor};
 use matrox_linalg::{LuFactors, Matrix};
 use matrox_points::Kernel;

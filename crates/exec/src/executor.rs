@@ -12,9 +12,11 @@
 //! 4. **downward phase** — the coarsened loop over the `U` generators in
 //!    reverse coarsen-level order, scattering into the output.
 //!
-//! Each phase has a sequential fallback used (a) when code generation decided
-//! the corresponding lowering is not profitable and (b) by the ablation
-//! harness of Figure 5 (`CDS(seq)`, `CDS + coarsen`, `CDS + block`, ...).
+//! Each phase is one loop over its structure set (blockset groups, coarsen
+//! partitions) whose body runs on the pool when the corresponding lowering is
+//! on and in the same order on the calling thread when it is off — because
+//! code generation decided the lowering is not profitable, or for the Figure 5
+//! ablation (`CDS(seq)`, `CDS + coarsen`, `CDS + block`, ...).
 //! The `peel_root` option applies the paper's low-level specialization: the
 //! root-most coarsen level is executed with block-level (parallel GEMM)
 //! parallelism because task-level parallelism has run out near the root.
@@ -26,13 +28,13 @@
 //! # Memory discipline
 //!
 //! Everything a panel iteration needs is derived once: the plan-dependent
-//! state (panel width, kernel dispatch, per-node scratch offsets, per-level
-//! node lists) lives in [`PreparedExec`], and the per-evaluation scratch
+//! state (panel width, kernel dispatch, per-node scratch offsets) lives in
+//! [`PreparedExec`], and the per-evaluation scratch
 //! (permuted input/output panels plus the flat `T`/`S` coefficient buffers)
-//! is allocated once per [`execute_prepared`] call.  The panel loop itself allocates **nothing** — every GEMM writes
-//! into a precomputed offset range, and the parallel phases hand tasks raw
-//! disjoint sub-slices (the private `RawSlots` helper) instead of
-//! rebuilding hash maps.
+//! is allocated once per [`execute_prepared`] call.  The panel loop itself
+//! allocates **nothing** — every GEMM writes into a precomputed offset range,
+//! and the phases hand tasks raw disjoint sub-slices (the private `RawSlots`
+//! helper) instead of rebuilding hash maps.
 //!
 //! The disjointness that makes those raw slices sound is not assumed: it is
 //! the paper's conflict-free-scheduling invariant (blockset groups own
@@ -42,10 +44,11 @@
 //! solver and this executor alike (its items T1–T6 for the tree and P1–P6
 //! for the plan are what the `SAFETY:` comments below cite).
 //! [`PreparedExec::new`] and every [`execute_prepared`] call run it on the
-//! pair they are handed and panic on a malformed one rather than race on it.
+//! pair they are handed and panic on a malformed one rather than race on it
+//! ([`execute`], which prepares and evaluates the same pair, runs it once).
 
 use crate::schedule::LevelSchedule;
-use matrox_codegen::EvalPlan;
+use matrox_analysis::EvalPlan;
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
@@ -64,19 +67,19 @@ pub struct ExecOptions {
     /// (low-level specialization).
     pub peel_root: bool,
     /// Minimum number of work items (blockset groups, coarsen partitions) a
-    /// parallel task may own; `0` means auto (the pool's own split heuristic,
-    /// overridable process-wide via the `MATROX_GRAIN` env var).  Larger
-    /// grains trade load balance for lower scheduling overhead — useful when
-    /// groups are many and tiny.  Within a panel-blocked evaluation the
-    /// grain applies to every panel's parallel loops individually.
+    /// parallel task may own; `0` means auto (1: the pool's own split
+    /// heuristic decides).  Larger grains trade load balance for lower
+    /// scheduling overhead — useful when groups are many and tiny.  Within a
+    /// panel-blocked evaluation the grain applies to every panel's parallel
+    /// loops individually.
     pub grain: usize,
     /// Width (in RHS columns) of the panels the four phases operate on; a
     /// multi-column evaluation `Y = K~ W` is processed `panel_width` columns
     /// at a time so a block's submatrix plus its input/output panels fit in
-    /// L2.  `0` means auto: the `MATROX_PANEL` env var if set, otherwise
-    /// [`choose_panel_width`] sized from the CDS block extents.  Results are
-    /// bitwise independent of the panel width (every output column
-    /// accumulates in the same order regardless of panel grouping).
+    /// L2.  `0` means auto: [`choose_panel_width`] sized from the CDS block
+    /// extents.  Results are bitwise independent of the panel width (every
+    /// output column accumulates in the same order regardless of panel
+    /// grouping).
     pub panel_width: usize,
     /// GEMM kernel selection for every product the executor issues.
     /// [`KernelChoice::Auto`] (the default) defers to the process-wide
@@ -86,26 +89,6 @@ pub struct ExecOptions {
     /// grains and panel widths; changing the selection is the one knob that
     /// moves results (within kernel-accuracy tolerance).
     pub kernel: KernelChoice,
-}
-
-/// Shared positive-integer knob parsing, re-exported from
-/// [`matrox_linalg::knobs`] where it moved so the parallel inspector phases
-/// (tree partitioning, sampling, compression, CDS assembly) can honor the
-/// same env-knob policy without depending on this crate.
-pub use matrox_linalg::knobs::parse_positive_knob;
-
-use matrox_linalg::knobs::{env_knob, resolve_grain};
-
-/// Resolve the effective grain for the executor's parallel loops: an explicit
-/// per-call setting wins, then the `MATROX_GRAIN` environment variable, then
-/// auto (1, letting the pool's width-scaled heuristic decide).  Public so the
-/// factor/solve sweeps (`matrox-factor`) honor the same knob.  Invalid or
-/// zero `MATROX_GRAIN` values are rejected with a one-time stderr warning
-/// (see [`parse_positive_knob`]).  Thin wrapper over
-/// [`matrox_linalg::knobs::resolve_grain`], which the inspector phases call
-/// with their own explicit grain.
-pub fn effective_grain(opts: &ExecOptions) -> usize {
-    resolve_grain(opts.grain)
 }
 
 impl ExecOptions {
@@ -206,16 +189,11 @@ pub fn choose_panel_width(plan: &EvalPlan, l2_bytes: usize) -> usize {
     qp - qp % PANEL_MIN
 }
 
-/// The panel width the caller asked for, if any: an explicit per-call setting
-/// wins, then the `MATROX_PANEL` environment variable; `None` means auto.
-/// Invalid or zero `MATROX_PANEL` values are rejected with a one-time stderr
-/// warning (see [`parse_positive_knob`]).
+/// The panel width the caller asked for ([`ExecOptions::panel_width`]), if
+/// any; `None` means auto, which the executor and the solver resolve
+/// differently.
 pub fn requested_panel_width(opts: &ExecOptions) -> Option<usize> {
-    if opts.panel_width > 0 {
-        return Some(opts.panel_width);
-    }
-    static ENV_PANEL: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *ENV_PANEL.get_or_init(|| env_knob("MATROX_PANEL"))
+    (opts.panel_width > 0).then_some(opts.panel_width)
 }
 
 /// Resolve the executor's panel width: [`requested_panel_width`], else
@@ -225,8 +203,8 @@ pub fn effective_panel_width(opts: &ExecOptions, plan: &EvalPlan) -> usize {
 }
 
 /// Per-plan executor state derived once and reused across evaluations: the
-/// resolved options, panel width and kernel dispatch, the per-node offsets
-/// into the flat `T`/`S` scratch buffers and the per-level node lists.
+/// resolved options, panel width and kernel dispatch and the per-node
+/// offsets into the flat `T`/`S` scratch buffers.
 ///
 /// [`execute`] derives this on every call; an evaluation session
 /// (`matrox_core::EvalSession`) builds it once next to the inspector output
@@ -241,9 +219,10 @@ pub struct PreparedExec {
     pub panel_width: usize,
     /// Resolved GEMM kernel (see [`ExecOptions::kernel`]).
     dispatch: KernelDispatch,
-    /// Per-level node lists and per-node rank slots into the flat `T`/`S`
-    /// buffers (scaled by the panel width at evaluation time) — the same
-    /// [`LevelSchedule`] the solver's sweeps are driven by.
+    /// Per-node rank slots into the flat `T`/`S` buffers (scaled by the
+    /// panel width at evaluation time) — laid out by the same
+    /// [`LevelSchedule`] the solver's sweeps are driven by; the executor's
+    /// own order of nodes is the plan's coarsen set.
     sched: LevelSchedule,
 }
 
@@ -283,10 +262,10 @@ impl PreparedExec {
 }
 
 /// Hold `(tree, plan)` to [`EvalPlan::validate`] — the invariants every
-/// `SAFETY:` comment below cites — and panic with its message.  Run at
-/// prepare time and again at the top of every [`execute_prepared`] call:
-/// `plan` and `tree` are loose arguments with public fields, so the pair
-/// actually passed must itself be checked before any raw slicing.  Cost is
+/// `SAFETY:` comment below cites — and panic with its message.  Every public
+/// entry point runs it exactly once on the pair it is handed before any raw
+/// slicing: `plan` and `tree` are loose arguments with public fields, so
+/// state prepared earlier proves nothing about the pair passed now.  Cost is
 /// `O(plan structure)`, far below one panel's products.
 fn verify_plan(plan: &EvalPlan, tree: &ClusterTree) {
     if let Err(why) = plan.validate(tree) {
@@ -300,8 +279,12 @@ fn verify_plan(plan: &EvalPlan, tree: &ClusterTree) {
 /// This derives the per-plan [`PreparedExec`] state on every call; repeated
 /// evaluations should prepare once and use [`execute_prepared`] (or the
 /// session API in `matrox-core`).
+///
+/// # Panics
+/// As [`PreparedExec::new`], and when `w` has the wrong number of rows.
 pub fn execute(plan: &EvalPlan, tree: &ClusterTree, w: &Matrix, opts: &ExecOptions) -> Matrix {
-    execute_prepared(plan, tree, &PreparedExec::new(plan, tree, opts), w)
+    // `PreparedExec::new` validated this very pair; no second walk.
+    run_panels(plan, tree, &PreparedExec::new(plan, tree, opts), w)
 }
 
 /// Evaluate `Y = K~ * W` with previously prepared executor state, processing
@@ -318,22 +301,28 @@ pub fn execute(plan: &EvalPlan, tree: &ClusterTree, w: &Matrix, opts: &ExecOptio
 /// for a different tree or a plan with different skeleton ranks, or when
 /// `(tree, plan)` fails [`EvalPlan::validate`].  The passed pair is
 /// re-validated on every call (cheap relative to one panel's products)
-/// precisely because the parallel phases slice raw disjoint sub-ranges from
-/// it: a mismatched or malformed plan must fail loudly here, never scribble.
+/// precisely because the phases slice raw disjoint sub-ranges from it: a
+/// mismatched or malformed plan must fail loudly here, never scribble.
 pub fn execute_prepared(
     plan: &EvalPlan,
     tree: &ClusterTree,
     prep: &PreparedExec,
     w: &Matrix,
 ) -> Matrix {
-    let n = tree.perm.len();
-    let q = w.cols();
-    assert_eq!(w.rows(), n, "execute: W must have N = {n} rows");
     assert!(
         prep.sched.matches(tree.num_nodes(), &plan.cds.sranks),
         "execute: PreparedExec belongs to a different tree or a plan with different skeleton ranks"
     );
     verify_plan(plan, tree);
+    run_panels(plan, tree, prep, w)
+}
+
+/// The evaluation proper, behind both entry points.  The caller has run
+/// [`verify_plan`] on `(tree, plan)` and `prep` was laid out for them.
+fn run_panels(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matrix) -> Matrix {
+    let n = tree.perm.len();
+    let q = w.cols();
+    assert_eq!(w.rows(), n, "execute: W must have N = {n} rows");
     let mut y = Matrix::zeros(n, q);
     if q == 0 {
         return y;
@@ -461,18 +450,20 @@ const PERM_PAR_ELEMS: usize = 64 * 1024;
 /// bitwise identical.
 const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 
-/// Raw shared view of one scratch buffer, handed to the parallel phase
-/// loops so tasks can slice their own disjoint sub-ranges without per-panel
-/// splitting machinery (the old implementation rebuilt per-group `HashMap`s
-/// of `&mut` slices on every RHS panel).
+/// Raw shared view of one scratch buffer, handed to the phase loops so tasks
+/// can slice their own disjoint sub-ranges without per-panel splitting
+/// machinery (the old implementation rebuilt per-group `HashMap`s of `&mut`
+/// slices on every RHS panel).
 ///
 /// # Safety contract
 ///
 /// Every `slice_mut` range handed out concurrently must be disjoint from
 /// every other concurrently live range (mutable or shared) of the same
 /// buffer.  The executor guarantees this through the items of
-/// [`EvalPlan::validate`], which `execute_prepared` has run on the very
-/// `(tree, plan)` the phases read:
+/// [`EvalPlan::validate`], which both entry points have run on the very
+/// `(tree, plan)` the phases read (a phase whose lowering is off runs its
+/// tasks one after another on the calling thread, where the same ranges are
+/// trivially unshared):
 ///
 /// * near/coupling: a target node belongs to exactly one blockset group
 ///   (P4); distinct target leaves own disjoint `y_perm` rows (T6) and
@@ -480,9 +471,9 @@ const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 ///   block is exactly as tall as the range it is multiplied into (P3);
 /// * upward: a node is in at most one coarsen partition, so one task writes
 ///   its `T` slot, and the child slots it reads were written either earlier
-///   by the same task or on an earlier coarsen level (P6; the `par_iter`
-///   per level is a barrier); a generator is as wide as its slot and as
-///   tall as what it reads (P2);
+///   by the same task or on an earlier coarsen level (P6; the loop over a
+///   level's partitions is a barrier); a generator is as wide as its slot
+///   and as tall as what it reads (P2);
 /// * downward: a node's children each have exactly one parent (T3), so no
 ///   two tasks push into the same `S` slot within a level, and a leaf (the
 ///   `y_perm` writes) belongs to exactly one partition (P6) and owns its
@@ -537,6 +528,27 @@ impl RawSlots {
     }
 }
 
+/// Run `body` on every task of a phase — blockset groups, or the partitions
+/// of one coarsen level: on the pool, at least `opts.grain` tasks to a job,
+/// when the phase's lowering is on, and in order on the calling thread when it
+/// is off.  One body serves both, so a sequential ablation is the parallel
+/// loop minus the pool.  Returns once every task has finished.
+fn for_each_task<T: Sync>(
+    tasks: &[T],
+    parallel: bool,
+    opts: &ExecOptions,
+    body: impl Fn(&T) + Send + Sync,
+) {
+    if parallel {
+        tasks
+            .par_iter()
+            .with_min_len(opts.grain.max(1))
+            .for_each(body);
+    } else {
+        tasks.iter().for_each(body);
+    }
+}
+
 // --------------------------------------------------------------------------
 // Phase 1: near contributions
 // --------------------------------------------------------------------------
@@ -550,44 +562,26 @@ fn near_phase(
     q: usize,
 ) {
     let cds = &plan.cds;
-    if cds.d_entries.is_empty() {
-        return;
-    }
-    let opts = &prep.opts;
-    if !opts.parallel_near {
-        for e in &cds.d_entries {
+    // Blocked loop: every group owns the output slices of its target nodes
+    // exclusively (Algorithm 1 guarantees disjoint targets across groups;
+    // `EvalPlan::validate` P4), so each task writes its targets' `y_perm`
+    // rows directly.  The groups tile `d_entries` in order (P4), so run
+    // sequentially this is the plain loop over the entry table.
+    let y = RawSlots::new(y_perm);
+    for_each_task(&cds.d_groups, prep.opts.parallel_near, &prep.opts, |g| {
+        for e in &cds.d_entries[g.start..g.end] {
             let tn = &tree.nodes[e.target];
-            let dst = &mut y_perm[tn.start * q..tn.end * q];
+            // SAFETY: this group is the sole owner of node `e.target`
+            // (`EvalPlan::validate` P4), targets are leaves (P3) and
+            // distinct leaves own disjoint row ranges (T6), and entries
+            // within a group run sequentially on this task.
+            let dst = unsafe { y.slice_mut(tn.start * q, (tn.end - tn.start) * q) };
             let sn = &tree.nodes[e.source];
             let src = &w_perm[sn.start * q..sn.end * q];
             prep.dispatch
                 .gemm(cds.d_block(e), e.rows, e.cols, src, q, dst);
         }
-        return;
-    }
-
-    // Blocked parallel loop: every group owns the output slices of its
-    // target nodes exclusively (Algorithm 1 guarantees disjoint targets
-    // across groups; `EvalPlan::validate` P4), so each task writes its
-    // targets' `y_perm` rows directly.
-    let y = RawSlots::new(y_perm);
-    cds.d_groups
-        .par_iter()
-        .with_min_len(effective_grain(opts))
-        .for_each(|g| {
-            for e in &cds.d_entries[g.start..g.end] {
-                let tn = &tree.nodes[e.target];
-                // SAFETY: this group is the sole owner of node `e.target`
-                // (`EvalPlan::validate` P4), targets are leaves (P3) and
-                // distinct leaves own disjoint row ranges (T6), and entries
-                // within a group run sequentially on this task.
-                let dst = unsafe { y.slice_mut(tn.start * q, (tn.end - tn.start) * q) };
-                let sn = &tree.nodes[e.source];
-                let src = &w_perm[sn.start * q..sn.end * q];
-                prep.dispatch
-                    .gemm(cds.d_block(e), e.rows, e.cols, src, q, dst);
-            }
-        });
+    });
 }
 
 // --------------------------------------------------------------------------
@@ -599,7 +593,7 @@ fn near_phase(
 /// # Safety
 /// The caller must guarantee exclusive access to `id`'s slot and that the
 /// children's slots are fully written (same task earlier, or an earlier
-/// coarsen/tree level) — see [`RawSlots`].
+/// coarsen level) — see [`RawSlots`].
 unsafe fn compute_t_into(
     plan: &EvalPlan,
     tree: &ClusterTree,
@@ -665,47 +659,21 @@ fn upward_phase(
 ) {
     let opts = &prep.opts;
     let t = RawSlots::new(t_buf);
-    let use_coarsen = opts.parallel_tree && plan.coarsenset.num_levels() > 0;
-    if use_coarsen {
-        let levels = &plan.coarsenset.levels;
-        let nlev = levels.len();
-        for (cl, parts) in levels.iter().enumerate() {
-            let peel_this = opts.peel_root && cl + 1 == nlev;
-            if peel_this {
-                // Root-most coarsen level: little task parallelism left, use
-                // block-level parallelism inside each node instead.
-                for part in parts {
-                    for &id in part {
-                        // SAFETY: single task; children were computed on
-                        // earlier levels or earlier in this loop.
-                        unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, true) };
-                    }
-                }
-            } else {
-                parts
-                    .par_iter()
-                    .with_min_len(effective_grain(opts))
-                    .for_each(|part| {
-                        for &id in part {
-                            // SAFETY: partitions own disjoint node sets and a
-                            // node's children are in this partition, earlier
-                            // (already computed by this task), or on an
-                            // earlier level (completed before this par_iter
-                            // started) — `EvalPlan::validate` P6.
-                            unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, false) };
-                        }
-                    });
+    let levels = &plan.coarsenset.levels;
+    for (cl, parts) in levels.iter().enumerate() {
+        // Root-most coarsen level: little task parallelism left, so run its
+        // partitions one after another and use block-level parallelism
+        // inside each node instead.
+        let peel = opts.parallel_tree && opts.peel_root && cl + 1 == levels.len();
+        for_each_task(parts, opts.parallel_tree && !peel, opts, |part| {
+            for &id in part {
+                // SAFETY: partitions own disjoint node sets and a node's
+                // children are in this partition, earlier (already computed
+                // by this task), or on an earlier level (completed before
+                // this level's loop started) — `EvalPlan::validate` P6.
+                unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, peel) };
             }
-        }
-    } else {
-        // Level-by-level traversal, deepest level first.
-        for level in (1..=tree.height).rev() {
-            for &id in prep.sched.nodes(prep.sched.level(level)) {
-                // SAFETY: single-threaded sweep; children (one level deeper,
-                // `ClusterTree::validate` T4) are complete.
-                unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, false) };
-            }
-        }
+        });
     }
 }
 
@@ -721,45 +689,26 @@ fn coupling_phase(
     q: usize,
 ) {
     let cds = &plan.cds;
-    if cds.b_entries.is_empty() {
-        return;
-    }
-    let opts = &prep.opts;
-    if !opts.parallel_far {
-        for e in &cds.b_entries {
+    // Blocked loop over far groups; each group owns its target nodes' S
+    // slots exclusively (`EvalPlan::validate` P4), and the groups tile
+    // `b_entries` in order.
+    let s = RawSlots::new(s_buf);
+    for_each_task(&cds.b_groups, prep.opts.parallel_far, &prep.opts, |g| {
+        for e in &cds.b_entries[g.start..g.end] {
             if e.rows == 0 || e.cols == 0 {
                 continue;
             }
+            debug_assert_eq!(e.cols, prep.srank(e.source));
+            debug_assert_eq!(e.rows, prep.srank(e.target));
             let src = &t_buf[prep.rank_off(e.source) * q..][..e.cols * q];
-            let dst = &mut s_buf[prep.rank_off(e.target) * q..][..e.rows * q];
+            // SAFETY: this group is the sole owner of node `e.target`'s
+            // S slot (`EvalPlan::validate` P4), `e.rows` is that slot's
+            // height (P3), and slots of distinct nodes are disjoint.
+            let dst = unsafe { s.slice_mut(prep.rank_off(e.target) * q, e.rows * q) };
             prep.dispatch
                 .gemm(cds.b_block(e), e.rows, e.cols, src, q, dst);
         }
-        return;
-    }
-
-    // Blocked parallel loop over far groups; each group owns its target
-    // nodes' S slots exclusively (`EvalPlan::validate` P4).
-    let s = RawSlots::new(s_buf);
-    cds.b_groups
-        .par_iter()
-        .with_min_len(effective_grain(opts))
-        .for_each(|g| {
-            for e in &cds.b_entries[g.start..g.end] {
-                if e.rows == 0 || e.cols == 0 {
-                    continue;
-                }
-                debug_assert_eq!(e.cols, prep.srank(e.source));
-                debug_assert_eq!(e.rows, prep.srank(e.target));
-                let src = &t_buf[prep.rank_off(e.source) * q..][..e.cols * q];
-                // SAFETY: this group is the sole owner of node `e.target`'s
-                // S slot (`EvalPlan::validate` P4), `e.rows` is that slot's
-                // height (P3), and slots of distinct nodes are disjoint.
-                let dst = unsafe { s.slice_mut(prep.rank_off(e.target) * q, e.rows * q) };
-                prep.dispatch
-                    .gemm(cds.b_block(e), e.rows, e.cols, src, q, dst);
-            }
-        });
+    });
 }
 
 // --------------------------------------------------------------------------
@@ -852,61 +801,35 @@ fn downward_phase(
     q: usize,
 ) {
     let opts = &prep.opts;
-    let use_coarsen = opts.parallel_tree && plan.coarsenset.num_levels() > 0;
     let s = RawSlots::new(s_buf);
     let y = RawSlots::new(y_perm);
-    if !use_coarsen {
-        // Sequential top-down, level by level.
-        for level in 1..=tree.height {
-            for &id in prep.sched.nodes(prep.sched.level(level)) {
-                // SAFETY: single-threaded sweep; parents (one level up, T4)
-                // are complete, children's slots are only written here.
-                unsafe { down_node(plan, tree, prep, id, s, y, q, false) };
-            }
-        }
-        return;
-    }
-
     let levels = &plan.coarsenset.levels;
-    let nlev = levels.len();
-    for cl in (0..nlev).rev() {
-        let parts = &levels[cl];
-        let peel_this = opts.peel_root && cl + 1 == nlev;
-        if peel_this {
-            // Sequential over the few root-most nodes, parallel inside GEMMs.
-            for part in parts {
-                for &id in part.iter().rev() {
-                    // SAFETY: single task at this level.
-                    unsafe { down_node(plan, tree, prep, id, s, y, q, true) };
-                }
+    for (cl, parts) in levels.iter().enumerate().rev() {
+        // Root-most level: sequential over its few nodes, parallel inside
+        // the GEMMs (see `upward_phase`).
+        let peel = opts.parallel_tree && opts.peel_root && cl + 1 == levels.len();
+        // A task pushes into the S slots of its nodes' children: a child
+        // inside the partition is processed later by the same task (reverse
+        // order, `EvalPlan::validate` P6); a child on a deeper coarsen level
+        // is untouched until the next `cl` iteration (the loop below is a
+        // barrier); and every child has exactly one parent, so no two tasks
+        // push into the same slot.  Leaves (the y_perm writes) belong to
+        // exactly one partition.
+        for_each_task(parts, opts.parallel_tree && !peel, opts, |part| {
+            for &id in part.iter().rev() {
+                // SAFETY: see the loop comment above.
+                unsafe { down_node(plan, tree, prep, id, s, y, q, peel) };
             }
-            continue;
-        }
-
-        // Parallel over partitions.  A task pushes into the S slots of its
-        // nodes' children: a child inside the partition is processed later
-        // by the same task (reverse order, `EvalPlan::validate` P6); a
-        // child on a deeper coarsen level is untouched until the next `cl`
-        // iteration (the par_iter below is a barrier); and every child has
-        // exactly one parent, so no two tasks push into the same slot.
-        // Leaves (the y_perm writes) belong to exactly one partition.
-        parts
-            .par_iter()
-            .with_min_len(effective_grain(opts))
-            .for_each(|part| {
-                for &id in part.iter().rev() {
-                    // SAFETY: see the loop comment above.
-                    unsafe { down_node(plan, tree, prep, id, s, y, q, false) };
-                }
-            });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
-    use matrox_codegen::{generate_plan, CodegenParams};
+    use matrox_analysis::{
+        build_blockset, build_cds, build_coarsenset, generate_plan, CoarsenParams, CodegenParams,
+    };
     use matrox_compress::{compress, reference_evaluate, CompressionParams};
     use matrox_linalg::relative_error;
     use matrox_points::{dense_kernel_matmul, generate, DatasetId, Kernel};
@@ -967,33 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn positive_knob_parsing_is_loud_about_garbage() {
-        let ok = |s: &str| parse_positive_knob("MATROX_PANEL", Ok(s.to_string()));
-        // Unset: auto, no complaint.
-        assert_eq!(
-            parse_positive_knob("MATROX_PANEL", Err(std::env::VarError::NotPresent)),
-            Ok(None)
-        );
-        // Valid positive values (whitespace tolerated) are explicit overrides.
-        assert_eq!(ok("64"), Ok(Some(64)));
-        assert_eq!(ok(" 8\n"), Ok(Some(8)));
-        // Zero, garbage, negatives, and empty strings are rejected with a
-        // message naming the knob — never silently treated as "auto".
-        for bad in ["0", "abc", "-4", "", "12q", "1.5"] {
-            let err = ok(bad).expect_err(bad);
-            assert!(err.contains("MATROX_PANEL"), "message names knob: {err}");
-            assert!(err.contains("using auto"), "message states fallback: {err}");
-        }
-        // Non-UTF-8 values are rejected too.
-        let err = parse_positive_knob(
-            "MATROX_GRAIN",
-            Err(std::env::VarError::NotUnicode("\u{fffd}".into())),
-        )
-        .expect_err("non-unicode");
-        assert!(err.contains("MATROX_GRAIN"), "message names knob: {err}");
-    }
-
-    #[test]
     fn executor_matches_reference_hss() {
         let f = fixture(DatasetId::Grid, 512, Structure::Hss, 6);
         let y = execute(&f.plan, &f.tree, &f.w, &ExecOptions::from_plan(&f.plan));
@@ -1022,6 +918,15 @@ mod tests {
         assert!(relative_error(&y, &f.y_exact) < 1e-3);
     }
 
+    /// Bitwise equality between two matrices.
+    fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn all_ablation_variants_agree() {
         let f = fixture(DatasetId::Grid, 512, Structure::Geometric { tau: 0.65 }, 3);
@@ -1046,14 +951,12 @@ mod tests {
                 ..ExecOptions::sequential()
             },
             ExecOptions::full(),
+            ExecOptions::from_plan(&f.plan),
         ];
         let baseline = execute(&f.plan, &f.tree, &f.w, &variants[0]);
         for v in &variants[1..] {
             let y = execute(&f.plan, &f.tree, &f.w, v);
-            assert!(
-                relative_error(&y, &baseline) < 1e-12,
-                "variant {v:?} diverged"
-            );
+            assert!(bitwise_eq(&y, &baseline), "variant {v:?} diverged");
         }
     }
 
@@ -1061,17 +964,10 @@ mod tests {
     fn hss_ablations_agree_too() {
         let f = fixture(DatasetId::Unit, 512, Structure::Hss, 2);
         let seq = execute(&f.plan, &f.tree, &f.w, &ExecOptions::sequential());
-        let full = execute(&f.plan, &f.tree, &f.w, &ExecOptions::full());
-        assert!(relative_error(&full, &seq) < 1e-12);
-    }
-
-    /// Bitwise equality between two matrices.
-    fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
-        a.shape() == b.shape()
-            && a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
+        for v in [ExecOptions::full(), ExecOptions::from_plan(&f.plan)] {
+            let y = execute(&f.plan, &f.tree, &f.w, &v);
+            assert!(bitwise_eq(&y, &seq), "variant {v:?} diverged");
+        }
     }
 
     #[test]
@@ -1219,6 +1115,10 @@ mod tests {
         assert!(
             choose_panel_width(&f.plan, 4 * 1024 * 1024) >= choose_panel_width(&f.plan, 64 * 1024)
         );
+        // A budget a full-width panel would overflow must shrink it.
+        let h2b = fixture(DatasetId::Grid, 1024, Structure::h2b(), 1);
+        let qp = choose_panel_width(&h2b.plan, 64 * 1024);
+        assert!(qp < 256, "small budget must shrink the panel ({qp})");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # matrox-exec
 //!
 //! The MatRox executor: it runs the specialized HMatrix-matrix multiplication
-//! described by an evaluation plan (`matrox-codegen`) over the Compressed
-//! Data-Sparse storage (`matrox-analysis`), using rayon for the parallel
-//! blocked and coarsened loops.
+//! described by an evaluation plan over the Compressed Data-Sparse storage
+//! (both from `matrox-analysis`), using rayon for the parallel blocked and
+//! coarsened loops.
 //!
 //! The [`ExecOptions`] switches expose each lowering independently so the
 //! Figure 5 ablation (CDS(seq), CDS + coarsen, CDS + block, CDS + block +
@@ -14,9 +14,8 @@ pub mod executor;
 pub mod schedule;
 
 pub use executor::{
-    choose_panel_width, effective_grain, effective_panel_width, execute, execute_prepared,
-    parse_positive_knob, requested_panel_width, ExecOptions, PreparedExec, DEFAULT_L2_BYTES,
-    PANEL_MAX,
+    choose_panel_width, effective_panel_width, execute, execute_prepared, requested_panel_width,
+    ExecOptions, PreparedExec, DEFAULT_L2_BYTES, PANEL_MAX,
 };
 pub use matrox_linalg::{KernelChoice, KernelDispatch};
 pub use schedule::LevelSchedule;

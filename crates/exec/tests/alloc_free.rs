@@ -13,8 +13,10 @@
 //! the probe's lock then keeps another test's fixture building out of this
 //! test's readings at any libtest thread count.
 
-use matrox_analysis::{build_blockset, build_cds_with_grain, build_coarsenset, CoarsenParams};
-use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
+use matrox_analysis::{
+    build_blockset, build_cds_with_grain, build_coarsenset, generate_plan, CoarsenParams,
+    CodegenParams, EvalPlan,
+};
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::{execute_prepared, ExecOptions, PreparedExec};
 use matrox_linalg::Matrix;

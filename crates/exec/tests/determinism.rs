@@ -8,8 +8,10 @@
 //! swept pool width for all three structures, and — stronger — the parallel
 //! result must be *bitwise identical* across pool widths.
 
-use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
-use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
+use matrox_analysis::{
+    build_blockset, build_cds, build_coarsenset, generate_plan, CoarsenParams, CodegenParams,
+    EvalPlan,
+};
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::{execute, ExecOptions};
 use matrox_linalg::{relative_error, Matrix};

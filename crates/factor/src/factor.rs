@@ -1,7 +1,7 @@
 //! The ULV-style HSS factorization (leaf Cholesky + sibling merges).
 
-use matrox_codegen::EvalPlan;
-use matrox_exec::{effective_grain, ExecOptions};
+use matrox_analysis::EvalPlan;
+use matrox_exec::ExecOptions;
 use matrox_linalg::{
     cholesky, cholesky_solve_in_place, gemm_slices, gemm_tn_slices, lu_factor, lu_solve_in_place,
     LuFactors, Matrix,
@@ -346,7 +346,7 @@ pub fn factor_with_ridge(
     let index = HssIndex::build(plan, tree)?;
     let n_nodes = tree.num_nodes();
     let parallel = opts.parallel_tree;
-    let grain = effective_grain(opts);
+    let grain = opts.grain.max(1);
 
     let mut leaves: Vec<Option<LeafFactor>> = vec![None; n_nodes];
     let mut merges: Vec<Option<MergeFactor>> = vec![None; n_nodes];

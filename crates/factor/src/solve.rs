@@ -26,9 +26,8 @@
 //! number of columns solved with it and its position among them.
 
 use crate::factor::{FactorError, HssFactor, HssIndex};
-use matrox_analysis::Cds;
-use matrox_codegen::EvalPlan;
-use matrox_exec::{effective_grain, requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
+use matrox_analysis::{Cds, EvalPlan};
+use matrox_exec::{requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
 use matrox_linalg::{
     cholesky_solve_in_place, gemm_slices, gemm_tn_slices, lu_solve_in_place, Matrix,
 };
@@ -308,9 +307,9 @@ impl Sweeps<'_> {
 
 impl HssFactor {
     /// Solve `K~ X = B` for a multi-column right-hand side, one panel of
-    /// columns per pass over the factor: [`ExecOptions::panel_width`] /
-    /// `MATROX_PANEL` columns when set, otherwise up to [`PANEL_MAX`].  Like
-    /// the executor's, the width never changes a bit of the result.
+    /// columns per pass over the factor: [`ExecOptions::panel_width`] columns
+    /// when set, otherwise up to [`PANEL_MAX`].  Like the executor's, the
+    /// width never changes a bit of the result.
     ///
     /// `plan` and `tree` must be the ones this factorization was computed
     /// from (the sweeps re-read the bases, transfer and coupling blocks from
@@ -346,7 +345,7 @@ impl HssFactor {
             tree,
             sched: LevelSchedule::new(tree, &plan.cds.sranks),
             parallel: opts.parallel_tree,
-            grain: effective_grain(opts),
+            grain: opts.grain.max(1),
         };
         let mut x = Matrix::zeros(n, q);
         if q == 0 {
@@ -402,7 +401,7 @@ impl HssFactor {
 #[cfg(test)]
 mod tests {
     use crate::factor::{factor, FactorError};
-    use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
+    use matrox_analysis::{generate_plan, CodegenParams, EvalPlan};
     use matrox_compress::{compress, CompressionParams};
     use matrox_exec::{execute, ExecOptions};
     use matrox_linalg::{relative_error, Matrix};

@@ -12,8 +12,10 @@
 //! The count is process-wide (the pool's workers allocate on their own
 //! threads), so the test runs its whole body inside one outer `measure`.
 
-use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
-use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
+use matrox_analysis::{
+    build_blockset, build_cds, build_coarsenset, generate_plan, CoarsenParams, CodegenParams,
+    EvalPlan,
+};
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::ExecOptions;
 use matrox_factor::{factor, HssFactor};

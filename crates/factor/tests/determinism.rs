@@ -15,8 +15,10 @@
 //! `matrox-serve` coalesces solves on exactly this; it is stated here, at
 //! the layer that owns it.
 
-use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
-use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
+use matrox_analysis::{
+    build_blockset, build_cds, build_coarsenset, generate_plan, CoarsenParams, CodegenParams,
+    EvalPlan,
+};
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::ExecOptions;
 use matrox_factor::factor;

@@ -17,8 +17,10 @@
 //!    `bacc`, so `C = 100` holds with more than an order of magnitude of
 //!    slack on these geometries).
 
-use matrox_analysis::{build_blockset, build_cds, build_coarsenset, CoarsenParams};
-use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
+use matrox_analysis::{
+    build_blockset, build_cds, build_coarsenset, generate_plan, CoarsenParams, CodegenParams,
+    EvalPlan,
+};
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::{execute, ExecOptions};
 use matrox_factor::factor;

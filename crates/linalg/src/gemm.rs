@@ -420,21 +420,6 @@ pub(crate) fn gemm_tn_rows(
     }
 }
 
-/// Rayon-parallel version of [`gemm_slices`], splitting the rows of `C`.
-/// Used for the peeled root iteration where task-level parallelism has run
-/// out and block-level parallelism takes over.  Bitwise identical to
-/// [`gemm_slices`] at every pool width for a fixed kernel selection.
-pub fn par_gemm_slices(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
-    KernelDispatch::global().par_gemm(a, m, k, b, n, c);
-}
-
-/// Rayon-parallel version of [`gemm_tn_slices`], splitting the rows of `C`
-/// (= columns of the stored `A`).  Bitwise identical to [`gemm_tn_slices`]
-/// at every pool width for a fixed kernel selection.
-pub fn par_gemm_tn_slices(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
-    KernelDispatch::global().par_gemm_tn(a, k, m, b, n, c);
-}
-
 /// Convenience helper: `A * B` as a fresh matrix.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -572,9 +557,6 @@ mod tests {
         for (x, y) in c.iter().zip(expected.as_slice()) {
             assert!((x - y).abs() < 1e-12);
         }
-        let mut cp = vec![0.0; 13 * 7];
-        par_gemm_slices(a.as_slice(), 13, 9, b.as_slice(), 7, &mut cp);
-        assert_eq!(c, cp);
     }
 
     #[test]

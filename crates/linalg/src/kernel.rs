@@ -31,11 +31,11 @@
 //! depends only on the logical operands — never on thread count, row
 //! chunking, RHS panel grouping or the cache-derived pack-block sizes.
 //! That is the property the executor's "results are bitwise identical
-//! across `RAYON_NUM_THREADS`, `MATROX_GRAIN` and `MATROX_PANEL`" tests
-//! pin.  Results **do** differ between architectures (FMA rounds once,
-//! mul+add rounds twice); switching kernels is the one knob that moves
-//! results, which is why the selection is made once and logged rather than
-//! decided per call site.
+//! across `RAYON_NUM_THREADS`, grain and panel width" tests pin.  Results
+//! **do** differ between architectures (FMA rounds once, mul+add rounds
+//! twice); switching kernels is the one knob that moves results, which is
+//! why the selection is made once and logged rather than decided per call
+//! site.
 //!
 //! ```
 //! use matrox_linalg::kernel::{KernelChoice, KernelDispatch};
@@ -59,16 +59,17 @@
 //! ```
 
 pub mod pack;
+pub mod params;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
 use crate::gemm::{gemm_block, gemm_tn_block, gemm_tn_rows, MIN_PAR_ROWS};
-use matrox_cachesim::{CacheParams, GemmBlocking};
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
 pub use pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
+pub use params::{CacheParams, GemmBlocking};
 
 /// User-facing kernel request (the `MATROX_KERNEL` values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -373,8 +374,8 @@ impl KernelDispatch {
     }
 }
 
-/// Rows of `C` per parallel task: ~2 chunks per worker with the same
-/// minimum-rows floor the historic `par_gemm_slices` used.
+/// Rows of `C` per parallel task: ~2 chunks per worker, at least
+/// `MIN_PAR_ROWS`.
 fn par_chunk_rows(m: usize) -> usize {
     let threads = rayon::current_num_threads().max(1);
     m.div_ceil(threads * 2).max(MIN_PAR_ROWS).min(m.max(1))

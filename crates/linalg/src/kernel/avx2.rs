@@ -30,8 +30,8 @@
 #![cfg(target_arch = "x86_64")]
 
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
+use super::params::GemmBlocking;
 use core::arch::x86_64::*;
-use matrox_cachesim::GemmBlocking;
 use std::cell::RefCell;
 
 thread_local! {

@@ -1,42 +1,34 @@
 //! Cache-parameter queries for blocking decisions.
 //!
-//! The simulator in [`crate::cache`] *replays* traces; this module answers
-//! the forward question the kernel layer asks at startup: *given this cache
-//! hierarchy, how should a packed GEMM block its operands?*  The same
-//! Goto/BLIS sizing rules every tuned BLAS applies are encoded once here so
-//! that `matrox-linalg`'s microkernel, the executor's panel-width selection
-//! and the Figure-6 locality model all reason from one description of the
-//! machine.
+//! The forward question the kernel layer asks at startup: *given this cache
+//! hierarchy, how should a packed GEMM block its operands?*  The Goto/BLIS
+//! sizing rules every tuned BLAS applies are encoded once here, next to the
+//! microkernel they size the pack buffers of.
 //!
 //! The derived blocking factors only affect *performance*: the microkernel
-//! contract (see `matrox-linalg`'s kernel-layer docs) guarantees that every
-//! output element accumulates its `k` products in storage order regardless
-//! of `mc`/`kc`/`nc`, so two hosts with different cache sizes still produce
-//! bitwise-identical results for the same kernel selection.
+//! contract (see the [kernel-layer docs](crate::kernel)) guarantees that
+//! every output element accumulates its `k` products in storage order
+//! regardless of `mc`/`kc`/`nc`, so two hosts with different cache sizes
+//! still produce bitwise-identical results for the same kernel selection.
 
-/// Description of the per-core cache hierarchy used to size pack buffers.
-///
-/// Only capacities matter for blocking; associativity and latency live in
-/// [`crate::CacheHierarchy`] where the replay model needs them.
+/// Description of the per-core cache hierarchy used to size pack buffers:
+/// only capacities matter for blocking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// L1 data-cache capacity in bytes (per core).
     pub l1_bytes: usize,
     /// Private L2 capacity in bytes (per core).
     pub l2_bytes: usize,
-    /// Cache-line size in bytes.
-    pub line_bytes: usize,
 }
 
 impl CacheParams {
     /// The workspace's default machine model: 32 KiB L1d + 512 KiB L2 per
-    /// core with 64-byte lines — the Haswell-class testbed of the paper's
-    /// Section 4.1, and a conservative fit for every x86 server since.
+    /// core — the Haswell-class testbed of the paper's Section 4.1, and a
+    /// conservative fit for every x86 server since.
     pub fn haswell_like() -> Self {
         CacheParams {
             l1_bytes: 32 * 1024,
             l2_bytes: 512 * 1024,
-            line_bytes: 64,
         }
     }
 }
@@ -107,7 +99,6 @@ mod tests {
         let p = CacheParams {
             l1_bytes: 256,
             l2_bytes: 1024,
-            line_bytes: 64,
         };
         let blk = p.gemm_blocking(8, 4, 8);
         assert!(blk.kc >= 16 && blk.mc >= 4 && blk.nc >= 8);

@@ -61,7 +61,6 @@ pub mod failpoint;
 pub mod gemm;
 pub mod id;
 pub mod kernel;
-pub mod knobs;
 pub mod lu;
 pub mod matrix;
 pub mod norms;
@@ -73,8 +72,7 @@ pub use chol::{
     NotPositiveDefinite,
 };
 pub use gemm::{
-    gemm, gemm_panel, gemm_seq, gemm_slices, gemm_tn_slices, gemv, matmul, par_gemm,
-    par_gemm_slices, par_gemm_tn_slices, GemmOp,
+    gemm, gemm_panel, gemm_seq, gemm_slices, gemm_tn_slices, gemv, matmul, par_gemm, GemmOp,
 };
 pub use id::{column_id, row_id, IdResult};
 pub use kernel::{simd_available, KernelArch, KernelChoice, KernelDispatch};

@@ -106,8 +106,6 @@ impl Config {
                 "vendor/rayon/src/registry.rs".into(),
             ],
             concurrency_allowlist: vec![
-                // Pool self-check: thread-id set behind a Mutex.
-                "crates/bench/src/lib.rs".into(),
                 // GOFMM baseline: per-node Mutex accumulation cells.
                 "crates/baselines/src/gofmm.rs".into(),
                 // Failpoint registry: process-global Mutex'd map shared with

@@ -12,8 +12,8 @@
 //!
 //! The paper uses `N ≈ 100k`; the default `N` values here are scaled down so
 //! that the exact `K·W` reference products used by the accuracy experiments
-//! stay tractable, and every benchmark harness exposes a `--scale` knob to
-//! grow them back.
+//! stay tractable; [`generate`] takes any `n`, and the examples and the
+//! benchmark pass their own.
 
 use crate::pointset::PointSet;
 use rand::distributions::Distribution;

@@ -21,7 +21,6 @@
 //!   Each point's list lands in its own pre-sized output slot; there is no
 //!   shared candidate accumulation anywhere.
 
-use matrox_linalg::knobs::resolve_grain;
 use matrox_points::PointSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,9 +37,8 @@ pub struct KnnParams {
     pub leaf_cap: usize,
     /// RNG seed for the random projection directions.
     pub seed: u64,
-    /// Minimum points per parallel search task; `0` = auto (the
-    /// `MATROX_GRAIN` env knob, then 1).  Chunking only — never changes the
-    /// neighbour lists.
+    /// Minimum points per parallel search task; `0` = auto (1).  Chunking
+    /// only — never changes the neighbour lists.
     pub grain: usize,
 }
 
@@ -120,7 +118,7 @@ pub fn approximate_knn(points: &PointSet, params: &KnnParams) -> Vec<Vec<usize>>
         return vec![Vec::new(); n];
     }
     let k = params.k.min(n - 1);
-    let grain = resolve_grain(params.grain);
+    let grain = params.grain.max(1);
     let leaf_bound = params.leaf_cap.max(2 * k).max(4);
 
     // Phase 1: build the trees, one parallel task per tree.

@@ -27,10 +27,9 @@ pub struct SamplingParams {
     pub uniform_samples: usize,
     /// RNG seed for the uniform far samples.
     pub seed: u64,
-    /// Minimum nodes per parallel sampling task; `0` = auto (the
-    /// `MATROX_GRAIN` env knob, then 1).  Chunking only — each node's
-    /// samples come from its own `(seed, id)` RNG, so the output never
-    /// depends on this knob or the pool width.
+    /// Minimum nodes per parallel sampling task; `0` = auto (1).  Chunking
+    /// only — each node's samples come from its own `(seed, id)` RNG, so the
+    /// output never depends on this knob or the pool width.
     pub grain: usize,
 }
 
@@ -87,7 +86,7 @@ pub fn sample_nodes(
     let samples: Vec<Vec<usize>> = tree
         .nodes
         .par_iter()
-        .with_min_len(matrox_linalg::knobs::resolve_grain(params.grain))
+        .with_min_len(params.grain.max(1))
         .map(|node| {
             let mut rng = StdRng::seed_from_u64(
                 params.seed ^ (node.id as u64).wrapping_mul(0x9e3779b97f4a7c15),

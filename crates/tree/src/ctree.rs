@@ -25,7 +25,6 @@
 //! (`seed ^ node_id * 0x9e3779b97f4a7c15`) instead of a shared stream whose
 //! consumption order would depend on scheduling.
 
-use matrox_linalg::knobs::resolve_grain;
 use matrox_points::PointSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,8 +153,8 @@ impl ClusterTree {
     }
 
     /// [`build`](ClusterTree::build) with an explicit grain (minimum split
-    /// tasks per parallel work item; `0` = auto / the `MATROX_GRAIN` env
-    /// knob).  Grain only changes task chunking, never the tree.
+    /// tasks per parallel work item; `0` = auto, i.e. 1).  Grain only
+    /// changes task chunking, never the tree.
     pub fn build_with_grain(
         points: &PointSet,
         method: PartitionMethod,
@@ -175,7 +174,7 @@ impl ClusterTree {
             }
             m => m,
         };
-        let grain = resolve_grain(grain);
+        let grain = grain.max(1);
         let mut perm: Vec<usize> = (0..points.len()).collect();
         let mut nodes: Vec<TreeNode> = Vec::new();
 

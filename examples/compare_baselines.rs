@@ -4,7 +4,9 @@
 //! All evaluators run over the same compression output and the same GEMM
 //! kernels, so the differences come from data layout (CDS vs tree-based),
 //! loop structure (blocked/coarsened vs reduction/level-by-level) and
-//! scheduling — the effects the paper's Figure 5 isolates.
+//! scheduling — the effects the paper's Figure 5 isolates.  The indented
+//! rows under the MatRox line are that figure's ablation: the same CDS with
+//! each lowering switched on in turn.
 //!
 //! ```bash
 //! cargo run --release --example compare_baselines [dataset] [n] [q]
@@ -15,7 +17,9 @@ use matrox::compress::{compress, CompressionParams};
 use matrox::linalg::relative_error;
 use matrox::sampling::{sample_nodes, SamplingParams};
 use matrox::tree::{ClusterTree, HTree};
-use matrox::{generate, inspector, DatasetId, Kernel, MatRoxParams, Matrix, Structure};
+use matrox::{
+    generate, inspector, DatasetId, ExecOptions, Kernel, MatRoxParams, Matrix, Structure,
+};
 use std::time::Instant;
 
 fn time<F: FnMut() -> Matrix>(mut f: F, reps: usize) -> (Matrix, f64) {
@@ -68,6 +72,27 @@ fn main() {
         t_matrox,
         gflops(t_matrox)
     );
+    // Cumulative like the paper's bars.  For HSS code generation never
+    // activates block lowering, so "+ block" ~= "+ coarsen" there.
+    let seq = ExecOptions::sequential();
+    let coarsen = ExecOptions {
+        parallel_tree: true,
+        ..seq
+    };
+    let block = ExecOptions {
+        parallel_near: true,
+        parallel_far: true,
+        ..coarsen
+    };
+    for (label, opts) in [
+        ("  CDS (seq)", seq),
+        ("  + coarsen", coarsen),
+        ("  + block", block),
+        ("  + low-level (all on)", ExecOptions::full()),
+    ] {
+        let (_, t) = time(|| h.matmul_with(&w, &opts).expect("matmul"), 1);
+        println!("{label:<28} {t:>9.3} s  {:>8.1} GFLOP/s", gflops(t));
+    }
 
     // Shared compression for the baselines (tree-based storage).
     let tree = ClusterTree::build(&points, params.partition, params.leaf_size, params.seed);

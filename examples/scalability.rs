@@ -31,18 +31,9 @@ fn main() {
         .unwrap_or(4);
 
     println!(
-        "strong scaling on {} (N = {n}, d = {}, Q = {q}), up to {max_threads} threads",
+        "strong scaling on {} (N = {n}, d = {}, Q = {q}), up to {max_threads} threads\n",
         dataset.name(),
         points.dim()
-    );
-    // Measured self-check (observed pool width + 1-vs-N timing of a
-    // trivially parallel region) so the header shows what the pool actually
-    // delivers on this host instead of assuming it.
-    println!(
-        "{}\n",
-        matrox_bench::pool_self_check()
-            .expect("pool self-check")
-            .report()
     );
 
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(2);

@@ -13,14 +13,12 @@
 //! * [`points`] — point sets, kernels and the Table 1 dataset
 //!   generators;
 //! * [`linalg`] — the dense kernels (GEMM, pivoted QR, ID);
-//! * [`tree`], [`sampling`], [`compress`], [`analysis`], [`codegen`],
-//!   [`exec`] — the pipeline stages;
+//! * [`tree`], [`sampling`], [`compress`], [`analysis`] (structure sets, CDS
+//!   and the evaluation plan), [`exec`] — the pipeline stages;
 //! * [`factor`] — the ULV-style HSS factor + solve
 //!   subsystem behind [`HMatrix::factorize`] / `solve` (`K x = b`);
 //! * [`baselines`] — GOFMM-, STRUMPACK- and SMASH-style
-//!   evaluators plus the dense GEMM comparator;
-//! * [`cachesim`] — the software locality proxy used by the
-//!   Figure 6 experiment.
+//!   evaluators plus the dense GEMM comparator.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! substitutions, and `EXPERIMENTS.md` for the paper-vs-measured record.
@@ -29,8 +27,9 @@
 
 pub use matrox_analysis as analysis;
 pub use matrox_baselines as baselines;
-pub use matrox_cachesim as cachesim;
-pub use matrox_codegen as codegen;
+// Compatibility path for the frozen `benchmark/`, which imports
+// `matrox::codegen::generate_plan`; the plan lives in `matrox-analysis`.
+pub use matrox_analysis::plan as codegen;
 pub use matrox_compress as compress;
 pub use matrox_core as core;
 pub use matrox_exec as exec;
