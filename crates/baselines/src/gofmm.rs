@@ -6,9 +6,10 @@
 //! with atomics on the shared output, and the tree loops are scheduled as a
 //! dynamic task graph that "trades locality for load balance" (Sections 1 and
 //! 4.3).  This module re-creates those properties on top of the same
-//! compression output and the same GEMM kernels used by MatRox, so measured
-//! differences come from scheduling, synchronization and data layout — which
-//! is exactly what Figure 5 isolates.
+//! compression output and the same dispatched GEMM kernels the MatRox
+//! executor calls (`KernelDispatch::{gemm, gemm_tn}`, on the calling thread),
+//! so measured differences come from scheduling, synchronization and data
+//! layout — which is exactly what Figure 5 isolates.
 //!
 //! * near/far loops: `rayon` parallel iteration over *interactions* (not
 //!   conflict-free groups), with a mutex per output node to
@@ -18,16 +19,17 @@
 //! * storage: the unordered, per-block allocations of
 //!   [`matrox_compress::Compression`] ("TB" in the figures).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: the baseline's level-parallel sweeps accumulate into per-node cells; unlike the executor (disjoint-slot proofs + RawSlots), the baseline deliberately keeps the simple tree-based storage of the paper, so the cells are Mutex-guarded.  Contention is per-node and the baseline is measured for *time*, so the locks are part of what it models"
+)]
+
+use crate::{mul_acc, mul_tn_acc};
 use matrox_compress::Compression;
-use matrox_linalg::{gemm_seq, GemmOp, Matrix};
+use matrox_linalg::Matrix;
 use matrox_tree::{ClusterTree, HTree};
 use rayon::prelude::*;
 use std::collections::HashMap;
-// CONCURRENCY: the baseline's level-parallel sweeps accumulate into
-// per-node cells; unlike the executor (disjoint-slot proofs + RawSlots),
-// the baseline deliberately keeps the simple tree-based storage of the
-// paper, so the cells are Mutex-guarded.  Contention is per-node and the
-// baseline is measured for *time*, so the locks are part of what it models.
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lock a cell.  Poisoning is recovered rather than raised as a second
@@ -151,15 +153,7 @@ impl<'a> GofmmEvaluator<'a> {
                     return;
                 }
                 let mut contrib = Matrix::zeros(b.rows(), q);
-                gemm_seq(
-                    1.0,
-                    b,
-                    GemmOp::NoTrans,
-                    &t[*j],
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut contrib,
-                );
+                mul_acc(b, &t[*j], &mut contrib);
                 lock(&slots[*i]).add_assign(&contrib);
             });
             slots.into_iter().map(into_inner).collect()
@@ -175,15 +169,7 @@ impl<'a> GofmmEvaluator<'a> {
                     continue;
                 }
                 let mut si = std::mem::replace(&mut s[*i], Matrix::zeros(0, 0));
-                gemm_seq(
-                    1.0,
-                    b,
-                    GemmOp::NoTrans,
-                    &t[*j],
-                    GemmOp::NoTrans,
-                    1.0,
-                    &mut si,
-                );
+                mul_acc(b, &t[*j], &mut si);
                 s[*i] = si;
             }
             s
@@ -210,15 +196,7 @@ impl<'a> GofmmEvaluator<'a> {
             self.near.par_iter().for_each(|((i, j), d)| {
                 let wj = w.gather_rows(tree.indices(*j));
                 let mut contrib = Matrix::zeros(d.rows(), q);
-                gemm_seq(
-                    1.0,
-                    d,
-                    GemmOp::NoTrans,
-                    &wj,
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut contrib,
-                );
+                mul_acc(d, &wj, &mut contrib);
                 lock(&leaf_acc[i]).add_assign(&contrib);
             });
             for (leaf, acc) in leaf_acc {
@@ -235,15 +213,7 @@ impl<'a> GofmmEvaluator<'a> {
             for ((i, j), d) in &self.near {
                 let wj = w.gather_rows(tree.indices(*j));
                 let mut contrib = Matrix::zeros(d.rows(), q);
-                gemm_seq(
-                    1.0,
-                    d,
-                    GemmOp::NoTrans,
-                    &wj,
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut contrib,
-                );
+                mul_acc(d, &wj, &mut contrib);
                 y.scatter_add_rows(tree.indices(*i), &contrib);
             }
         }
@@ -269,15 +239,7 @@ impl<'a> GofmmEvaluator<'a> {
             }
         };
         let mut ti = Matrix::zeros(basis.srank, q);
-        gemm_seq(
-            1.0,
-            &basis.v,
-            GemmOp::Trans,
-            &input,
-            GemmOp::NoTrans,
-            0.0,
-            &mut ti,
-        );
+        mul_tn_acc(&basis.v, &input, &mut ti);
         ti
     }
 
@@ -299,15 +261,7 @@ impl<'a> GofmmEvaluator<'a> {
             } else if node.is_leaf() {
                 let input = w.gather_rows(self.tree.indices(id));
                 let mut ti = Matrix::zeros(basis.srank, q);
-                gemm_seq(
-                    1.0,
-                    &basis.v,
-                    GemmOp::Trans,
-                    &input,
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut ti,
-                );
+                mul_tn_acc(&basis.v, &input, &mut ti);
                 ti
             } else {
                 let (l, r) = node.children.unwrap();
@@ -320,15 +274,7 @@ impl<'a> GofmmEvaluator<'a> {
                     _ => tl.vstack(&tr),
                 };
                 let mut ti = Matrix::zeros(basis.srank, q);
-                gemm_seq(
-                    1.0,
-                    &basis.v,
-                    GemmOp::Trans,
-                    &input,
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut ti,
-                );
+                mul_tn_acc(&basis.v, &input, &mut ti);
                 ti
             }
         };
@@ -348,30 +294,14 @@ impl<'a> GofmmEvaluator<'a> {
         if basis.srank != 0 && s_i.rows() == basis.srank {
             if node.is_leaf() {
                 let mut contrib = Matrix::zeros(node.num_points(), q);
-                gemm_seq(
-                    1.0,
-                    &basis.u,
-                    GemmOp::NoTrans,
-                    &s_i,
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut contrib,
-                );
+                mul_acc(&basis.u, &s_i, &mut contrib);
                 lock(&leaf_acc[&id]).add_assign(&contrib);
             } else {
                 let (l, r) = node.children.unwrap();
                 let rl = self.compression.bases[l].srank;
                 let rr = self.compression.bases[r].srank;
                 let mut expanded = Matrix::zeros(rl + rr, q);
-                gemm_seq(
-                    1.0,
-                    &basis.u,
-                    GemmOp::NoTrans,
-                    &s_i,
-                    GemmOp::NoTrans,
-                    0.0,
-                    &mut expanded,
-                );
+                mul_acc(&basis.u, &s_i, &mut expanded);
                 if rl > 0 {
                     lock(&s_cells[l]).add_assign(&expanded.submatrix(0, rl, 0, q));
                 }
@@ -396,30 +326,14 @@ impl<'a> GofmmEvaluator<'a> {
         let node = &self.tree.nodes[id];
         if node.is_leaf() {
             let mut contrib = Matrix::zeros(node.num_points(), q);
-            gemm_seq(
-                1.0,
-                &basis.u,
-                GemmOp::NoTrans,
-                s_i,
-                GemmOp::NoTrans,
-                0.0,
-                &mut contrib,
-            );
+            mul_acc(&basis.u, s_i, &mut contrib);
             y.scatter_add_rows(self.tree.indices(id), &contrib);
         } else {
             let (l, r) = node.children.unwrap();
             let rl = self.compression.bases[l].srank;
             let rr = self.compression.bases[r].srank;
             let mut expanded = Matrix::zeros(rl + rr, q);
-            gemm_seq(
-                1.0,
-                &basis.u,
-                GemmOp::NoTrans,
-                s_i,
-                GemmOp::NoTrans,
-                0.0,
-                &mut expanded,
-            );
+            mul_acc(&basis.u, s_i, &mut expanded);
             if rl > 0 {
                 let top = expanded.submatrix(0, rl, 0, q);
                 if s[l].rows() == rl {

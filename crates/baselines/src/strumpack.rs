@@ -12,8 +12,9 @@
 //! ("tree-based") layout, and runs every tree level as a parallel loop with
 //! an implicit barrier after it.
 
+use crate::{mul_acc, mul_tn_acc};
 use matrox_compress::Compression;
-use matrox_linalg::{gemm_seq, GemmOp, Matrix};
+use matrox_linalg::Matrix;
 use matrox_tree::{ClusterTree, HTree, Structure};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -115,15 +116,7 @@ impl<'a> StrumpackEvaluator<'a> {
                     if b.rows() == 0 || b.cols() == 0 {
                         continue;
                     }
-                    gemm_seq(
-                        1.0,
-                        b,
-                        GemmOp::NoTrans,
-                        &t[*j],
-                        GemmOp::NoTrans,
-                        1.0,
-                        &mut s_i,
-                    );
+                    mul_acc(b, &t[*j], &mut s_i);
                 }
             }
             (id, s_i)
@@ -181,15 +174,7 @@ impl<'a> StrumpackEvaluator<'a> {
                 .map(|(i, d)| {
                     let wj = w.gather_rows(tree.indices(*i));
                     let mut contrib = Matrix::zeros(d.rows(), q);
-                    gemm_seq(
-                        1.0,
-                        d,
-                        GemmOp::NoTrans,
-                        &wj,
-                        GemmOp::NoTrans,
-                        0.0,
-                        &mut contrib,
-                    );
+                    mul_acc(d, &wj, &mut contrib);
                     (*i, contrib)
                 })
                 .collect()
@@ -199,15 +184,7 @@ impl<'a> StrumpackEvaluator<'a> {
                 .map(|(i, d)| {
                     let wj = w.gather_rows(tree.indices(*i));
                     let mut contrib = Matrix::zeros(d.rows(), q);
-                    gemm_seq(
-                        1.0,
-                        d,
-                        GemmOp::NoTrans,
-                        &wj,
-                        GemmOp::NoTrans,
-                        0.0,
-                        &mut contrib,
-                    );
+                    mul_acc(d, &wj, &mut contrib);
                     (*i, contrib)
                 })
                 .collect()
@@ -237,15 +214,7 @@ impl<'a> StrumpackEvaluator<'a> {
             }
         };
         let mut ti = Matrix::zeros(basis.srank, q);
-        gemm_seq(
-            1.0,
-            &basis.v,
-            GemmOp::Trans,
-            &input,
-            GemmOp::NoTrans,
-            0.0,
-            &mut ti,
-        );
+        mul_tn_acc(&basis.v, &input, &mut ti);
         ti
     }
 
@@ -262,15 +231,7 @@ impl<'a> StrumpackEvaluator<'a> {
             self.compression.sranks[l] + self.compression.sranks[r]
         };
         let mut expanded = Matrix::zeros(rows, q);
-        gemm_seq(
-            1.0,
-            &basis.u,
-            GemmOp::NoTrans,
-            s_i,
-            GemmOp::NoTrans,
-            0.0,
-            &mut expanded,
-        );
+        mul_acc(&basis.u, s_i, &mut expanded);
         expanded
     }
 }

@@ -7,6 +7,7 @@
 //! programs under `examples/` (see EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use matrox_core::MatRoxParams;
 use matrox_points::Kernel;

@@ -88,6 +88,7 @@
 //! [`failpoint`]) injects each failure class deterministically.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod error;

@@ -16,6 +16,11 @@
 //! [`SessionStats`] so harnesses can report the amortized per-query cost
 //! (Figure 4's measure) without instrumenting their own loops.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: SessionStats counters are monotonic AtomicU64s (Relaxed: they order nothing, they only count) so concurrent `evaluate` calls on a shared session never contend on a lock in the hot path"
+)]
+
 use crate::config::MatRoxParams;
 use crate::error::{panic_message, MatroxError};
 use crate::failpoint;
@@ -26,9 +31,6 @@ use matrox_exec::{execute_prepared, ExecOptions, PreparedExec};
 use matrox_linalg::{all_finite, Matrix};
 use matrox_points::{Kernel, PointSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-// CONCURRENCY: SessionStats counters are monotonic AtomicU64s (Relaxed:
-// they order nothing, they only count) so concurrent `evaluate` calls on a
-// shared session never contend on a lock in the hot path.
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 

@@ -6,14 +6,16 @@
 //! `compress-panic` failpoint, so they serialize on a mutex: an armed fire
 //! must never be consumed by the sibling's innocent compression pass.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: a process-wide Mutex serializing the two test functions — both run inspectors (and thus compression), and one arms the global `compress-panic` failpoint, so interleaving could misdeliver the fire"
+)]
+
 use matrox_core::{failpoint, inspector, EvalSession, MatRoxParams, MatroxError};
 use matrox_linalg::Matrix;
 use matrox_points::{generate, DatasetId, Kernel, PointSet};
 use std::sync::Mutex;
 
-// CONCURRENCY: a process-wide Mutex serializing the two test functions —
-// both run inspectors (and thus compression), and one arms the global
-// `compress-panic` failpoint, so interleaving could misdeliver the fire.
 // Lock poisoning is expected (assertion failures unwind while holding the
 // guard) and harmless: the guard protects no data, so `into_inner` is safe.
 static SERIAL: Mutex<()> = Mutex::new(());

@@ -11,7 +11,15 @@
 //! [`measure`], which holds one process-wide lock while it runs, so two
 //! measurements in a test binary never overlap even though libtest runs
 //! tests concurrently.
-#![allow(dead_code)] // each including binary uses its own subset
+#![allow(dead_code, reason = "each including binary uses its own subset")]
+#![expect(
+    unsafe_code,
+    reason = "the workspace's one counting GlobalAlloc (dev-only): a pure pass-through to System plus two Relaxed counters (DESIGN.md unsafe inventory)"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: two Relaxed statistics — allocations are counted and the largest request tracked, never ordered.  They are reset and read only by `measure`, whose lock excludes every other reader; a reading is taken after the measured closure (and any pool job it joined) has returned"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,10 +32,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// `Vec::with_capacity(attacker_len)` would trip).
 struct ProbeAlloc;
 
-// CONCURRENCY: two Relaxed statistics — allocations are counted and the
-// largest request tracked, never ordered.  They are reset and read only by
-// `measure`, whose lock excludes every other reader; a reading is taken
-// after the measured closure (and any pool job it joined) has returned.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static MAX_REQUEST: AtomicUsize = AtomicUsize::new(0);
 

@@ -47,6 +47,11 @@
 //! pair they are handed and panic on a malformed one rather than race on it
 //! ([`execute`], which prepares and evaluates the same pair, runs it once).
 
+#![expect(
+    unsafe_code,
+    reason = "RawSlots disjoint raw slicing for the allocation-free panel loop: blockset groups and coarsen partitions own disjoint slots, checked by EvalPlan::validate at prepare time and per call (DESIGN.md unsafe inventory)"
+)]
+
 use crate::schedule::LevelSchedule;
 use matrox_analysis::EvalPlan;
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
@@ -508,7 +513,6 @@ impl RawSlots {
     /// check is trivial next to the product the slice feeds, and it turns
     /// an invariant-violation bug into a panic instead of an
     /// out-of-bounds write.
-    #[allow(clippy::mut_from_ref)] // the disjointness contract IS the point
     unsafe fn slice_mut<'a>(&self, off: usize, len: usize) -> &'a mut [f64] {
         assert!(off + len <= self.len, "RawSlots: slice out of bounds");
         // SAFETY: in bounds by the assert (`ptr..ptr+len` is one live
@@ -627,8 +631,10 @@ unsafe fn compute_t_into(
             prep.dispatch.gemm_tn(v, rows, cols, src, q, out);
         }
     } else {
-        // INVARIANT: non-leaf ClusterTree nodes always carry a child pair
-        // by construction.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: non-leaf ClusterTree nodes always carry a child pair by construction"
+        )]
         let (l, r) = node.children.unwrap();
         let rl = prep.srank(l);
         let rr = prep.srank(r);
@@ -759,8 +765,10 @@ unsafe fn down_node(
             prep.dispatch.gemm(u, rows, cols, s_i, q, dst);
         }
     } else {
-        // INVARIANT: non-leaf ClusterTree nodes always carry a child pair
-        // by construction.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "INVARIANT: non-leaf ClusterTree nodes always carry a child pair by construction"
+        )]
         let (l, r) = node.children.unwrap();
         let rl = prep.srank(l);
         let rr = prep.srank(r);

@@ -10,6 +10,8 @@
 //! coarsen + low-level) can be reproduced, and so thread-count sweeps
 //! (Figure 7) can pin execution to custom rayon pools.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod executor;
 pub mod schedule;
 

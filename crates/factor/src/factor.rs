@@ -3,7 +3,7 @@
 use matrox_analysis::EvalPlan;
 use matrox_exec::ExecOptions;
 use matrox_linalg::{
-    cholesky, cholesky_solve_in_place, gemm_slices, gemm_tn_slices, lu_factor, lu_solve_in_place,
+    cholesky, cholesky_solve_in_place, gemm_panel, gemm_tn_slices, lu_factor, lu_solve_in_place,
     LuFactors, Matrix,
 };
 use matrox_tree::{ensure, ClusterTree};
@@ -469,8 +469,10 @@ fn factor_internal(
     id: usize,
 ) -> Result<(usize, MergeFactor, Matrix), FactorError> {
     let cds = &plan.cds;
-    // INVARIANT: `factor_internal` is only called on ids that
-    // `tree.nodes[id].is_leaf()` filtered out, i.e. nodes with children.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: `factor_internal` is only called on ids that `tree.nodes[id].is_leaf()` filtered out, i.e. nodes with children"
+    )]
     let (l, r) = tree.nodes[id].children.expect("internal node has children");
     let kl = cds.sranks[l];
     let kr = cds.sranks[r];
@@ -483,13 +485,13 @@ fn factor_internal(
         debug_assert_eq!(b_rl.len(), kr * kl);
         // Top-right block: G_l * B_{l,r}.
         let mut tr = Matrix::zeros(kl, kr);
-        gemm_slices(g[l].as_slice(), kl, kl, b_lr, kr, tr.as_mut_slice());
+        gemm_panel(g[l].as_slice(), kl, kl, b_lr, kr, tr.as_mut_slice());
         for i in 0..kl {
             mm.row_mut(i)[kl..m].copy_from_slice(tr.row(i));
         }
         // Bottom-left block: G_r * B_{r,l}.
         let mut bl = Matrix::zeros(kr, kl);
-        gemm_slices(g[r].as_slice(), kr, kr, b_rl, kl, bl.as_mut_slice());
+        gemm_panel(g[r].as_slice(), kr, kr, b_rl, kl, bl.as_mut_slice());
         for i in 0..kr {
             mm.row_mut(kl + i)[0..kl].copy_from_slice(bl.row(i));
         }
@@ -506,7 +508,7 @@ fn factor_internal(
         // RHS = [G_l R_l; G_r R_r] stacked by child.
         let mut rhs = Matrix::zeros(m, kp);
         if kl > 0 {
-            gemm_slices(
+            gemm_panel(
                 g[l].as_slice(),
                 kl,
                 kl,
@@ -516,7 +518,7 @@ fn factor_internal(
             );
         }
         if kr > 0 {
-            gemm_slices(
+            gemm_panel(
                 g[r].as_slice(),
                 kr,
                 kr,

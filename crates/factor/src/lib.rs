@@ -43,6 +43,7 @@
 //! baseline's scope.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod factor;
 pub mod solve;

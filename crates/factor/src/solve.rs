@@ -29,7 +29,7 @@ use crate::factor::{FactorError, HssFactor, HssIndex};
 use matrox_analysis::{Cds, EvalPlan};
 use matrox_exec::{requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
 use matrox_linalg::{
-    cholesky_solve_in_place, gemm_slices, gemm_tn_slices, lu_solve_in_place, Matrix,
+    cholesky_solve_in_place, gemm_panel, gemm_tn_slices, lu_solve_in_place, Matrix,
 };
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
@@ -212,14 +212,15 @@ impl Sweeps<'_> {
             self.for_each_node(carve, |p, [rows, bhat, pair]| {
                 let id = s.node(p);
                 let solved = if self.tree.nodes[id].is_leaf() {
-                    // INVARIANT: `HssFactor::validate` (F3) found a leaf
-                    // factor at every leaf and a merge factor at every
-                    // internal node before the sweeps started.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "INVARIANT: `HssFactor::validate` (F3) found a leaf factor at every leaf and a merge factor at every internal node before the sweeps started"
+                    )]
                     let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
                     cholesky_solve_in_place(&lf.chol, rows, q);
                     rows
                 } else {
-                    // INVARIANT: F3, as above.
+                    #[expect(clippy::expect_used, reason = "INVARIANT: F3, as above")]
                     let mf = self.factor.merges[id].as_ref().expect("merge factor");
                     lu_solve_in_place(&mf.lu, pair, q);
                     pair
@@ -264,21 +265,21 @@ impl Sweeps<'_> {
                 let (id, s_p) = (s.node(p), &s_own[s.rank_at(p) * q..s.rank_at(p + 1) * q]);
                 let kp = s_p.len() / q;
                 let Some((l, r)) = self.tree.nodes[id].children else {
-                    // INVARIANT: F3, as in `up`.
+                    #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
                     let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
                     if kp > 0 {
                         cx.fill(0.0);
-                        gemm_slices(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx);
+                        gemm_panel(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx);
                         sub_assign(x, cx);
                     }
                     return;
                 };
                 let (kl, kr) = (self.cds.sranks[l], self.cds.sranks[r]);
                 if kp > 0 {
-                    // INVARIANT: F3, as in `up`.
+                    #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
                     let mf = self.factor.merges[id].as_ref().expect("merge factor");
                     ct.fill(0.0);
-                    gemm_slices(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
+                    gemm_panel(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
                     sub_assign(t, ct);
                 }
                 let (t_l, t_r) = t.split_at(kl * q);
@@ -286,18 +287,18 @@ impl Sweeps<'_> {
                 let (r_l, r_r) = self.cds.u(id).0.split_at(kl * kp);
                 if kl > 0 {
                     if kr > 0 {
-                        gemm_slices(self.index.coupling[l], kl, kr, t_r, q, s_l);
+                        gemm_panel(self.index.coupling[l], kl, kr, t_r, q, s_l);
                     }
                     if kp > 0 {
-                        gemm_slices(r_l, kl, kp, s_p, q, s_l);
+                        gemm_panel(r_l, kl, kp, s_p, q, s_l);
                     }
                 }
                 if kr > 0 {
                     if kl > 0 {
-                        gemm_slices(self.index.coupling[r], kr, kl, t_l, q, s_r);
+                        gemm_panel(self.index.coupling[r], kr, kl, t_l, q, s_r);
                     }
                     if kp > 0 {
-                        gemm_slices(r_r, kr, kp, s_p, q, s_r);
+                        gemm_panel(r_r, kr, kp, s_p, q, s_r);
                     }
                 }
             });

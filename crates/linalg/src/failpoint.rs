@@ -30,6 +30,11 @@
 //! The catalog of registered sites lives in the `names` module; DESIGN.md
 //! documents what each one injects.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: the failpoint registry is process-global state shared by every thread that can hit an injection site (pool workers included), so it is guarded by a std Mutex; each critical section is a single HashMap operation, never held across an injected fault or any user code"
+)]
+
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -62,10 +67,6 @@ pub mod names {
 /// Fire this many times and disarm; used for names armed without `=count`.
 const UNBOUNDED: u64 = u64::MAX;
 
-// CONCURRENCY: the failpoint registry is process-global state shared by
-// every thread that can hit an injection site (pool workers included), so
-// it is guarded by a std Mutex; each critical section is a single HashMap
-// operation, never held across an injected fault or any user code.
 static REGISTRY: OnceLock<Mutex<HashMap<String, u64>>> = OnceLock::new();
 
 fn registry() -> &'static Mutex<HashMap<String, u64>> {

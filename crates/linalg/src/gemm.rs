@@ -6,16 +6,18 @@
 //! provides:
 //!
 //! * [`gemm_seq`] — the cache-blocked *scalar reference* kernel.  This is
-//!   the one entry point that never goes through the kernel dispatch; every
-//!   dispatched path is pinned against it in tests.
+//!   the one entry point pinned to the scalar arm whatever the process-wide
+//!   dispatch selected; every dispatched path is pinned against it in tests.
 //! * [`par_gemm`] — a rayon-parallel kernel that splits the rows of `C`; used
 //!   for the peeled root iteration ("low-level" lowering in the paper) and the
 //!   dense GEMM baseline.
 //! * [`gemm`] — dispatching front-end that picks the sequential or parallel
 //!   kernel based on the problem size.
 //! * [`gemv`] — matrix-vector product for the SMASH-style (Q = 1) baseline.
+//! * [`gemm_panel`] / [`gemm_tn_slices`] — the same dispatched kernel on raw
+//!   row-major slices, for the executor's and the solver's flat buffers.
 //!
-//! Except for [`gemm_seq`], every kernel here routes through the
+//! Except for [`gemm_seq`], every kernel here runs the
 //! process-wide [`KernelDispatch`] — the
 //! packed AVX2 microkernel when the host supports it (see
 //! [`crate::kernel`]), the historic scalar loops otherwise or under
@@ -83,7 +85,9 @@ pub(crate) fn gemm_block(
     }
 }
 
-/// Sequential general matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
+/// Sequential general matrix multiply on the scalar reference kernel:
+/// `C = alpha * op(A) * op(B) + beta * C`, bitwise the scalar loops whatever
+/// the process-wide dispatch selected.
 ///
 /// # Panics
 /// Panics if the operand shapes are incompatible.
@@ -95,6 +99,45 @@ pub fn gemm_seq(
     op_b: GemmOp,
     beta: f64,
     c: &mut Matrix,
+) {
+    let scalar = KernelDispatch::scalar();
+    gemm_matrix_dispatch(alpha, a, op_a, b, op_b, beta, c, scalar, false);
+}
+
+/// Rayon-parallel GEMM: `C = alpha * op(A) * op(B) + beta * C`.
+///
+/// The rows of `C` are split across the current rayon thread pool and each
+/// chunk runs the process-wide dispatched kernel.  This is the kernel used
+/// for the peeled root iteration of the coarsened loop (the paper's
+/// "low-level" specialization exploits block-level parallelism near the
+/// tree root where task-level parallelism runs out) and for the dense GEMM
+/// baseline.
+pub fn par_gemm(
+    alpha: f64,
+    a: &Matrix,
+    op_a: GemmOp,
+    b: &Matrix,
+    op_b: GemmOp,
+    beta: f64,
+    c: &mut Matrix,
+) {
+    let disp = KernelDispatch::global();
+    gemm_matrix_dispatch(alpha, a, op_a, b, op_b, beta, c, disp, true);
+}
+
+/// The one front-end of [`gemm_seq`] / [`gemm`] / [`par_gemm`]: materialize
+/// transposes, apply `alpha`/`beta`, then hand the flat product to `disp`,
+/// on the calling thread or split over the pool.
+fn gemm_matrix_dispatch(
+    alpha: f64,
+    a: &Matrix,
+    op_a: GemmOp,
+    b: &Matrix,
+    op_b: GemmOp,
+    beta: f64,
+    c: &mut Matrix,
+    disp: KernelDispatch,
+    parallel: bool,
 ) {
     // Materialize transposes; operand blocks in MatRox are small enough that
     // an explicit transpose is cheaper than a strided kernel and keeps the
@@ -132,103 +175,6 @@ pub fn gemm_seq(
         return;
     }
 
-    if alpha == 1.0 {
-        gemm_block(
-            a_eff.as_slice(),
-            k,
-            b_eff.as_slice(),
-            n,
-            c.as_mut_slice(),
-            n,
-            m,
-            k,
-            n,
-        );
-    } else {
-        // Scale A once rather than multiplying inside the hot loop.
-        let mut a_scaled = a_eff.clone();
-        a_scaled.scale(alpha);
-        gemm_block(
-            a_scaled.as_slice(),
-            k,
-            b_eff.as_slice(),
-            n,
-            c.as_mut_slice(),
-            n,
-            m,
-            k,
-            n,
-        );
-    }
-}
-
-/// Rayon-parallel GEMM: `C = alpha * op(A) * op(B) + beta * C`.
-///
-/// The rows of `C` are split across the current rayon thread pool and each
-/// chunk runs the process-wide dispatched kernel.  This is the kernel used
-/// for the peeled root iteration of the coarsened loop (the paper's
-/// "low-level" specialization exploits block-level parallelism near the
-/// tree root where task-level parallelism runs out) and for the dense GEMM
-/// baseline.
-pub fn par_gemm(
-    alpha: f64,
-    a: &Matrix,
-    op_a: GemmOp,
-    b: &Matrix,
-    op_b: GemmOp,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    gemm_matrix_dispatch(alpha, a, op_a, b, op_b, beta, c, true);
-}
-
-/// Shared front-end for [`gemm`] / [`par_gemm`]: materialize transposes,
-/// apply `alpha`/`beta`, then hand the flat product to the dispatched
-/// kernel.
-fn gemm_matrix_dispatch(
-    alpha: f64,
-    a: &Matrix,
-    op_a: GemmOp,
-    b: &Matrix,
-    op_b: GemmOp,
-    beta: f64,
-    c: &mut Matrix,
-    parallel: bool,
-) {
-    let at;
-    let bt;
-    let a_eff = match op_a {
-        GemmOp::NoTrans => a,
-        GemmOp::Trans => {
-            at = a.transpose();
-            &at
-        }
-    };
-    let b_eff = match op_b {
-        GemmOp::NoTrans => b,
-        GemmOp::Trans => {
-            bt = b.transpose();
-            &bt
-        }
-    };
-
-    let (m, k) = a_eff.shape();
-    let (k2, n) = b_eff.shape();
-    assert_eq!(k, k2, "gemm: inner dimensions differ ({k} vs {k2})");
-    assert_eq!(c.shape(), (m, n), "gemm: C has wrong shape");
-
-    if beta != 1.0 {
-        if beta == 0.0 {
-            c.fill_zero();
-        } else {
-            c.scale(beta);
-        }
-    }
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    let disp = KernelDispatch::global();
     let run = |a_buf: &[f64], c_buf: &mut [f64]| {
         if parallel {
             disp.par_gemm(a_buf, m, k, b_eff.as_slice(), n, c_buf);
@@ -259,8 +205,9 @@ pub(crate) const MIN_PAR_ROWS: usize = 8;
 /// 4 threads still dwarfs the handoff cost.
 const PAR_FLOP_THRESHOLD: usize = 1 << 20;
 
-/// General matrix multiply that dispatches between [`gemm_seq`] and
-/// [`par_gemm`] based on problem size.
+/// General matrix multiply on the process-wide dispatched kernel: on the
+/// calling thread below `PAR_FLOP_THRESHOLD` multiply-adds, [`par_gemm`]
+/// from there up.
 pub fn gemm(
     alpha: f64,
     a: &Matrix,
@@ -282,16 +229,9 @@ pub fn gemm(
         GemmOp::NoTrans => b.cols(),
         GemmOp::Trans => b.rows(),
     };
-    gemm_matrix_dispatch(
-        alpha,
-        a,
-        op_a,
-        b,
-        op_b,
-        beta,
-        c,
-        m * k * n >= PAR_FLOP_THRESHOLD,
-    );
+    let disp = KernelDispatch::global();
+    let parallel = m * k * n >= PAR_FLOP_THRESHOLD;
+    gemm_matrix_dispatch(alpha, a, op_a, b, op_b, beta, c, disp, parallel);
 }
 
 /// Matrix-vector product `y = alpha * op(A) * x + beta * y`, routed through
@@ -331,21 +271,11 @@ pub fn gemv(alpha: f64, a: &Matrix, op_a: GemmOp, x: &[f64], beta: f64, y: &mut 
 /// Raw-slice kernel: `C += A * B` where `A` is `m x k`, `B` is `k x n` and
 /// `C` is `m x n`, all row-major and densely packed.
 ///
-/// The MatRox executor operates directly on the flat CDS buffers and on
-/// permuted right-hand-side/output buffers, so it needs a GEMM that does not
-/// require wrapping slices into [`Matrix`] values.
-pub fn gemm_slices(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
-    KernelDispatch::global().gemm(a, m, k, b, n, c);
-}
-
-/// Raw-slice kernel for the panel-blocked executor: `C += A * B` where `B`
-/// is a narrow RHS panel (`n` is the panel width).
-///
-/// Since the kernel-dispatch layer landed this is the same dispatched
-/// kernel as [`gemm_slices`] (the historic small-shape specialization is
-/// subsumed by the packed microkernel); the name is kept because the
-/// executor's contract — panel-by-panel evaluation is **bitwise identical**
-/// to full-width evaluation — is documented and tested against it.
+/// The executor and the solver operate directly on the flat CDS buffers and
+/// on permuted right-hand-side/output buffers, so they need a GEMM that does
+/// not require wrapping slices into [`Matrix`] values.  `B` is typically a
+/// narrow RHS panel (`n` is the panel width), and panel-by-panel evaluation
+/// is **bitwise identical** to full-width evaluation.
 ///
 /// ```
 /// let a = [1.0, 2.0, 3.0, 4.0]; // 2 x 2
@@ -548,12 +478,12 @@ mod tests {
     }
 
     #[test]
-    fn gemm_slices_matches_matrix_gemm() {
+    fn gemm_panel_matches_matrix_gemm() {
         let a = random_matrix(13, 9, 21);
         let b = random_matrix(9, 7, 22);
         let expected = matmul(&a, &b);
         let mut c = vec![0.0; 13 * 7];
-        gemm_slices(a.as_slice(), 13, 9, b.as_slice(), 7, &mut c);
+        gemm_panel(a.as_slice(), 13, 9, b.as_slice(), 7, &mut c);
         for (x, y) in c.iter().zip(expected.as_slice()) {
             assert!((x - y).abs() < 1e-12);
         }
@@ -568,30 +498,6 @@ mod tests {
         gemm_tn_slices(a.as_slice(), 11, 6, b.as_slice(), 5, &mut c);
         for (x, y) in c.iter().zip(expected.as_slice()) {
             assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gemm_panel_is_bitwise_identical_to_gemm_slices() {
-        // Small (direct path) and large (blocked fallback) shapes; both must
-        // match gemm_slices bit for bit, since the executor mixes the two
-        // kernels depending on panel width.
-        for &(m, k, n, seed) in &[
-            (13usize, 9usize, 7usize, 31u64),
-            (64, 128, 8, 32),
-            (70, 140, 300, 33), // exceeds MC/KC/NC -> blocked fallback
-            (1, 1, 1, 34),
-        ] {
-            let a = random_matrix(m, k, seed);
-            let b = random_matrix(k, n, seed + 100);
-            let mut c1 = vec![0.25; m * n];
-            let mut c2 = vec![0.25; m * n];
-            gemm_slices(a.as_slice(), m, k, b.as_slice(), n, &mut c1);
-            gemm_panel(a.as_slice(), m, k, b.as_slice(), n, &mut c2);
-            assert!(
-                c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "panel kernel diverged at m={m} k={k} n={n}"
-            );
         }
     }
 
@@ -635,7 +541,7 @@ mod tests {
         let a = random_matrix(4, 4, 25);
         let b = random_matrix(4, 4, 26);
         let mut c = vec![1.0; 16];
-        gemm_slices(a.as_slice(), 4, 4, b.as_slice(), 4, &mut c);
+        gemm_panel(a.as_slice(), 4, 4, b.as_slice(), 4, &mut c);
         let mut expected = matmul(&a, &b);
         expected.add_assign(&Matrix::filled(4, 4, 1.0));
         for (x, y) in c.iter().zip(expected.as_slice()) {

@@ -28,6 +28,10 @@
 //! operands and the depth `k` — not on row chunking (thread count), column
 //! grouping (RHS panel width), or the cache-derived `mc`/`nc` blocking.
 #![cfg(target_arch = "x86_64")]
+#![expect(
+    unsafe_code,
+    reason = "packed 4x8 AVX2+FMA microkernel on raw-pointer tiles: pack-buffer lengths come from the same (mc, kc, nc, MR, NR) the tile loops use, and the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
+)]
 
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
 use super::params::GemmBlocking;

@@ -29,9 +29,11 @@
 //!   accuracy experiments (Figure 9 of the paper).
 //!
 //! All evaluation strategies in the workspace (MatRox itself as well as the
-//! GOFMM-, STRUMPACK- and SMASH-style baselines) share these kernels, so the
-//! relative performance comparisons reported by the benchmark harnesses are
-//! not skewed by different BLAS backends.
+//! GOFMM-, STRUMPACK- and SMASH-style baselines) run the same process-wide
+//! [`KernelDispatch`], so the relative performance the benchmark reports is
+//! not skewed by different BLAS backends.  The scalar reference [`gemm_seq`]
+//! is the tests' oracle (and `matrox_compress::reference`'s kernel), never a
+//! timed evaluator's.
 //!
 //! # Example: a dispatched product
 //!
@@ -71,9 +73,7 @@ pub use chol::{
     cholesky, cholesky_solve, cholesky_solve_in_place, cholesky_solve_matrix, syrk_lower,
     NotPositiveDefinite,
 };
-pub use gemm::{
-    gemm, gemm_panel, gemm_seq, gemm_slices, gemm_tn_slices, gemv, matmul, par_gemm, GemmOp,
-};
+pub use gemm::{gemm, gemm_panel, gemm_seq, gemm_tn_slices, gemv, matmul, par_gemm, GemmOp};
 pub use id::{column_id, row_id, IdResult};
 pub use kernel::{simd_available, KernelArch, KernelChoice, KernelDispatch};
 pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};

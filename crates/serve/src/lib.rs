@@ -4,7 +4,9 @@
 //!
 //! The paper's economics are "plan once, evaluate many": the inspector is
 //! expensive, the prepared executor is cheap, and *batched* evaluation is
-//! 6–11x cheaper per query than one-column matvecs (the `fig4` harness).
+//! an order of magnitude cheaper per query than one-column matvecs (10–11x at
+//! a batch of 16, EXPERIMENTS.md "Fig 4"; the benchmark's `ml_wide` tracks
+//! the batched side as `op_s` at Q = 256 and `alt_s` at Q = 16).
 //! A serving process sees the opposite shape of traffic — many independent
 //! clients each asking for one right-hand side at a time — so this crate
 //! closes the gap with **request coalescing**: concurrently-arriving single-query
@@ -69,10 +71,10 @@
 //! # Ok::<(), matrox_core::MatroxError>(())
 //! ```
 
-// `deny` rather than `forbid`: the epoll FFI module (`net::epoll`) opts
-// back in with a file-level `#![allow(unsafe_code)]` and is tracked by the
-// matrox-lint unsafe allowlist; everything else in the crate stays safe.
-#![deny(unsafe_code)]
+// No `forbid(unsafe_code)` here: the workspace-wide `unsafe_code = "deny"`
+// covers the crate, and the epoll FFI module (`net::epoll`) is its one
+// audited `#![expect(unsafe_code)]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
 pub mod net;

@@ -31,6 +31,15 @@
 //! by construction, so a paced flood degrades into explicit sheds instead
 //! of unbounded memory growth and collapsing tail latency.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: the net thread owns every socket and buffer; the only state it shares is one AtomicBool stop flag that `NetServer::shutdown` sets (module docs)"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CONCURRENCY: the epoll event loop is a long-lived named service thread, not a parallel worker; the pool cannot host it"
+)]
+
 use crate::net::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::proto::{encode_frame, take_frame, Request, Response};
 use crate::server::{PendingResponse, ServeHandle};

@@ -3,8 +3,8 @@
 //! The workspace has no crates.io access, so the event loop talks to the
 //! kernel directly: `epoll_create1` / `epoll_ctl` / `epoll_wait` / `close`
 //! are declared here against the libc that `std` already links.  Everything
-//! unsafe is confined to this file (tracked by the matrox-lint unsafe
-//! allowlist; the crate is `#![deny(unsafe_code)]` otherwise) and wrapped
+//! unsafe is confined to this file (the workspace denies `unsafe_code`
+//! everywhere else) and wrapped
 //! in the safe [`Epoll`] type, whose invariant is simple: it owns one live
 //! epoll file descriptor from `new()` until `Drop`, and every syscall it
 //! makes passes either that fd, a caller-provided fd (the kernel validates
@@ -18,7 +18,12 @@
 //! the conditional `repr(packed)`.  Readiness is level-triggered — the loop
 //! re-polls until `WouldBlock`, so a short read cannot strand data.
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "epoll FFI (epoll_create1 / epoll_ctl / epoll_wait / close): `Epoll` owns one live fd from new() to Drop, every syscall passes that fd, a caller fd the kernel validates, or a pointer to stack memory outliving the call (DESIGN.md unsafe inventory)"
+)]
+// `net.rs`'s concurrency exception stops at this file.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::io;
 use std::os::fd::RawFd;

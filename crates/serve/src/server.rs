@@ -11,6 +11,12 @@
 //! still belongs to the executor's rayon pool; the reactor only decides
 //! *what* to evaluate together.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "CONCURRENCY: mpsc request / reply channels are the reactor's whole concurrency surface; one thread owns all mutable state (module docs)"
+)]
+
 use crate::proto::{Request, Response};
 use crate::registry::{Model, ModelRegistry};
 use crate::stats::{ServerStats, TenantStats};
@@ -389,6 +395,10 @@ impl Server {
     /// [`MatroxError::Io`] if the OS refuses to spawn the thread.
     pub fn spawn(cfg: ServeConfig) -> Result<Server, MatroxError> {
         let (tx, rx) = channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "CONCURRENCY: the serve reactor is a long-lived named service thread, not a parallel worker; the pool cannot host it"
+        )]
         let thread = std::thread::Builder::new()
             .name("matrox-serve".to_string())
             .spawn(move || Reactor::new(rx, cfg).run())
