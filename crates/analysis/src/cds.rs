@@ -4,7 +4,9 @@
 //! buffers, **in exactly the order the generated evaluation code visits
 //! them**:
 //!
-//! * the `U`/`V` generators in coarsenset order (Figure 1g/1h),
+//! * the `V` generators in coarsenset order — one window per node: every
+//!   kernel is symmetric, so the `U` of Figure 1g/1h is the same matrix and
+//!   is not stored (DESIGN.md substitution S8),
 //! * the dense near blocks `D` in near-blockset order,
 //! * the coupling blocks `B` in far-blockset order.
 //!
@@ -51,13 +53,11 @@ pub struct GroupRange {
     pub end: usize,
 }
 
-/// Placement of one node's generators inside the generator buffer.
+/// Placement of one node's generator inside the generator buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeneratorEntry {
     /// Offset of `V_i` in [`Cds::gen_values`].
     pub v_offset: usize,
-    /// Offset of `U_i` in [`Cds::gen_values`].
-    pub u_offset: usize,
     /// Number of rows of the generator (leaf size or children's combined
     /// srank).
     pub rows: usize,
@@ -66,10 +66,10 @@ pub struct GeneratorEntry {
 }
 
 impl GeneratorEntry {
-    fn absent() -> Self {
+    /// The entry of a node that stores no generator.
+    pub fn absent() -> Self {
         GeneratorEntry {
             v_offset: usize::MAX,
-            u_offset: usize::MAX,
             rows: 0,
             cols: 0,
         }
@@ -86,9 +86,8 @@ impl GeneratorEntry {
 ///
 /// The panel-blocked executor sizes its right-hand-side panels from the
 /// worst-case extent ([`Cds::worst_block_extent`]: a block plus its
-/// input/output panels must fit in L2); the per-class and per-group
-/// queries below expose the same information at finer grain for harness
-/// diagnostics and future per-group panel policies.
+/// input/output panels must fit in L2); the per-class queries below expose
+/// the same information at finer grain for harness diagnostics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockExtent {
     /// Largest number of rows of any block in the set.
@@ -125,7 +124,8 @@ impl BlockExtent {
 /// The HMatrix stored in the Compressed Data-Sparse format.
 #[derive(Debug, Clone)]
 pub struct Cds {
-    /// Flat buffer holding all `V` and `U` generators in coarsenset order.
+    /// Flat buffer holding the `V` generators back to back in coarsenset
+    /// order.
     pub gen_values: Vec<f64>,
     /// Per-node generator placement, indexed by node id.
     pub generators: Vec<GeneratorEntry>,
@@ -153,7 +153,9 @@ impl Cds {
             * std::mem::size_of::<f64>()
     }
 
-    /// Borrow the `V` generator of node `id` as `(data, rows, cols)`.
+    /// Borrow the `V` generator of node `id` as `(data, rows, cols)`: the
+    /// paper's column basis, applied transposed on the way up and plain on
+    /// the way down.
     pub fn v(&self, id: usize) -> (&[f64], usize, usize) {
         let g = &self.generators[id];
         if !g.is_present() {
@@ -161,19 +163,6 @@ impl Cds {
         }
         (
             &self.gen_values[g.v_offset..g.v_offset + g.rows * g.cols],
-            g.rows,
-            g.cols,
-        )
-    }
-
-    /// Borrow the `U` generator of node `id` as `(data, rows, cols)`.
-    pub fn u(&self, id: usize) -> (&[f64], usize, usize) {
-        let g = &self.generators[id];
-        if !g.is_present() {
-            return (&[], 0, 0);
-        }
-        (
-            &self.gen_values[g.u_offset..g.u_offset + g.rows * g.cols],
             g.rows,
             g.cols,
         )
@@ -205,22 +194,6 @@ impl Cds {
     /// Extent of all coupling blocks.
     pub fn far_extent(&self) -> BlockExtent {
         Self::extent_of(&self.b_entries)
-    }
-
-    /// Per-group extents of the near blocks, in `d_groups` order.
-    pub fn near_group_extents(&self) -> Vec<BlockExtent> {
-        self.d_groups
-            .iter()
-            .map(|g| Self::extent_of(&self.d_entries[g.start..g.end]))
-            .collect()
-    }
-
-    /// Per-group extents of the coupling blocks, in `b_groups` order.
-    pub fn far_group_extents(&self) -> Vec<BlockExtent> {
-        self.b_groups
-            .iter()
-            .map(|g| Self::extent_of(&self.b_entries[g.start..g.end]))
-            .collect()
     }
 
     /// Extent of all stored (present) generators.  `max_rows` is the largest
@@ -280,9 +253,9 @@ pub fn build_cds_with_grain(
     let grain = grain.max(1);
 
     // ---- generators in coarsenset order --------------------------------
-    // Sequential layout pass: assign every stored node its dense offsets in
-    // coarsenset order (V then U contiguously), then copy the payloads in
-    // parallel into disjoint per-node slices of the pre-sized buffer.
+    // Sequential layout pass: assign every stored node its dense offset in
+    // coarsenset order, then copy the payloads in parallel into disjoint
+    // per-node slices of the pre-sized buffer.
     let mut generators = vec![GeneratorEntry::absent(); n_nodes];
     let mut stored: Vec<usize> = Vec::new();
     let mut gen_total = 0usize;
@@ -296,12 +269,11 @@ pub fn build_cds_with_grain(
                 let (rows, cols) = basis.v.shape();
                 generators[id] = GeneratorEntry {
                     v_offset: gen_total,
-                    u_offset: gen_total + rows * cols,
                     rows,
                     cols,
                 };
                 stored.push(id);
-                gen_total += 2 * rows * cols;
+                gen_total += rows * cols;
             }
         }
     }
@@ -311,19 +283,14 @@ pub fn build_cds_with_grain(
         let mut rest: &mut [f64] = &mut gen_values;
         for &id in &stored {
             let g = &generators[id];
-            let (chunk, tail) = rest.split_at_mut(2 * g.rows * g.cols);
+            let (chunk, tail) = rest.split_at_mut(g.rows * g.cols);
             slots.push((id, chunk));
             rest = tail;
         }
         slots
             .into_par_iter()
             .with_min_len(grain)
-            .for_each(|(id, chunk)| {
-                let basis = &compression.bases[id];
-                let half = basis.v.len();
-                chunk[..half].copy_from_slice(basis.v.as_slice());
-                chunk[half..].copy_from_slice(basis.u.as_slice());
-            });
+            .for_each(|(id, chunk)| chunk.copy_from_slice(compression.bases[id].v.as_slice()));
     }
 
     // ---- near blocks in blockset order ----------------------------------
@@ -479,9 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn generators_match_compression_and_have_u_after_v() {
+    fn generators_match_compression_and_are_contiguous() {
         let (tree, _, c, cds) = setup(Structure::Hss);
-        for id in 1..tree.num_nodes() {
+        let cs = build_coarsenset(&tree, &c.sranks, &CoarsenParams { p: 4, agg: 2 });
+        // Stored nodes that are consecutive in coarsenset order have
+        // adjacent windows, so `gen_values` is the `V` stream and no more.
+        let mut next = 0usize;
+        for &id in cs.levels.iter().flatten().flatten() {
             let basis = &c.bases[id];
             let g = &cds.generators[id];
             if basis.srank == 0 {
@@ -490,12 +461,11 @@ mod tests {
             }
             assert!(g.is_present(), "node {id} missing generator");
             assert_eq!((g.rows, g.cols), basis.v.shape());
-            let (vdata, _, _) = cds.v(id);
-            assert_eq!(vdata, basis.v.as_slice());
-            let (udata, _, _) = cds.u(id);
-            assert_eq!(udata, basis.u.as_slice());
-            assert_eq!(g.u_offset, g.v_offset + g.rows * g.cols);
+            assert_eq!(cds.v(id).0, basis.v.as_slice());
+            assert_eq!(g.v_offset, next, "node {id} window is not adjacent");
+            next += g.rows * g.cols;
         }
+        assert_eq!(cds.gen_values.len(), next);
     }
 
     #[test]
@@ -543,25 +513,9 @@ mod tests {
             worst.max_elems,
             near.max_elems.max(far.max_elems).max(gen.max_elems)
         );
-        let _ = c;
-    }
-
-    #[test]
-    fn group_extents_match_groups_and_merge_to_total() {
-        let (_, _, _, cds) = setup(Structure::Geometric { tau: 0.65 });
-        let per_group = cds.near_group_extents();
-        assert_eq!(per_group.len(), cds.d_groups.len());
-        let merged = per_group
-            .iter()
-            .fold(BlockExtent::default(), |acc, e| acc.merge(e));
-        assert_eq!(merged, cds.near_extent());
-        for (g, ext) in cds.d_groups.iter().zip(&per_group) {
-            for e in &cds.d_entries[g.start..g.end] {
-                assert!(e.rows <= ext.max_rows && e.cols <= ext.max_cols);
-            }
-        }
         assert!(BlockExtent::default().is_empty());
-        assert!(!cds.near_extent().is_empty());
+        assert!(!near.is_empty());
+        let _ = c;
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Coarsening is MatRox's adaptation of Load-Balanced level Coarsening (LBC,
 //! Cheshmi et al.) to binary cluster trees with a cost model based on the
 //! submatrix ranks.  It reorganizes the level-by-level loops over the CTree
-//! (the `V`/`U` upward and downward passes) into
+//! (the upward and downward passes over the `V` generators) into
 //!
 //! * **coarsen levels**: `agg` consecutive tree levels fused together, run
 //!   sequentially from the leaves towards the root, and

@@ -58,23 +58,17 @@ pub struct LoweringDecisions {
 }
 
 /// The specialized evaluation plan: the MatRox "generated code" plus the CDS
-/// payload it runs over.
+/// payload it runs over.  The blocksets driving the blocked loops are not
+/// stored beside the CDS: its entry and group tables *are* the blocksets, in
+/// blockset order.
 #[derive(Debug, Clone)]
 pub struct EvalPlan {
     /// Lowering decisions taken by code generation.
     pub decisions: LoweringDecisions,
-    /// Structure set driving the blocked near loop.
-    pub near_blockset: BlockSet,
-    /// Structure set driving the blocked far/coupling loop.
-    pub far_blockset: BlockSet,
     /// Structure set driving the coarsened tree loops.
     pub coarsenset: CoarsenSet,
     /// Submatrices stored in the Compressed Data-Sparse format.
     pub cds: Cds,
-    /// Number of tree levels (cached for reporting and threshold decisions).
-    pub tree_height: usize,
-    /// Number of leaf nodes (the default block threshold).
-    pub num_leaves: usize,
 }
 
 impl EvalPlan {
@@ -90,7 +84,7 @@ impl EvalPlan {
         }
         for g in &self.cds.generators {
             if g.is_present() {
-                // V^T in the upward pass and U in the downward pass.
+                // V^T in the upward pass and V in the downward pass.
                 per_col += 2 * (g.rows * g.cols) as u64;
             }
         }
@@ -108,12 +102,11 @@ impl EvalPlan {
     /// sweeps — so what one consumer accepts, every consumer can run.  On
     /// top of [`ClusterTree::validate`] (T1–T6):
     ///
-    /// * **P1** `tree_height` and `num_leaves` are the tree's;
     /// * **P2** `sranks` and `generators` have one entry per node; a node
     ///   stores a generator exactly when its srank is positive; a stored
-    ///   generator's `V` and `U` windows lie inside `gen_values` (checked
-    ///   arithmetic), its width is the srank and its height the leaf's
-    ///   point count or the children's summed sranks;
+    ///   generator's window lies inside `gen_values` (checked arithmetic),
+    ///   its width is the srank and its height the leaf's point count or the
+    ///   children's summed sranks;
     /// * **P3** every near block connects two leaves and is
     ///   `points(target) x points(source)`; every coupling block is
     ///   `srank(target) x srank(source)`, as `build_cds` packs them
@@ -121,7 +114,7 @@ impl EvalPlan {
     ///   lie inside their value buffer;
     /// * **P4** the group ranges of each block table tile it in order, and a
     ///   target node belongs to exactly one group (Algorithm 1);
-    /// * **P5** blockset pairs and coarsen partitions name nodes of the tree;
+    /// * **P5** coarsen partitions name nodes of the tree;
     /// * **P6** a node is in at most one coarsen partition, every node with
     ///   a stored generator is in one, and a node's children come before it:
     ///   on an earlier coarsen level, or earlier in the same partition
@@ -135,16 +128,6 @@ impl EvalPlan {
         tree.validate()?;
         let (cds, nodes) = (&self.cds, &tree.nodes);
         let (n_nodes, sranks) = (nodes.len(), &cds.sranks);
-        ensure(self.tree_height == tree.height, || {
-            let (p, t) = (self.tree_height, tree.height);
-            format!("plan height {p} disagrees with tree height {t}")
-        })?;
-        let leaves = nodes.iter().filter(|n| n.is_leaf()).count();
-        ensure(self.num_leaves == leaves, || {
-            let stored = self.num_leaves;
-            format!("plan stores {stored} leaves but the tree has {leaves}")
-        })?;
-
         ensure(
             sranks.len() == n_nodes && cds.generators.len() == n_nodes,
             || {
@@ -162,11 +145,9 @@ impl EvalPlan {
                 continue;
             }
             let len = cds.gen_values.len();
-            ensure(
-                in_window(g.v_offset, g.rows, g.cols, len)
-                    && in_window(g.u_offset, g.rows, g.cols, len),
-                || format!("generator {id} exceeds the {len}-element value buffer"),
-            )?;
+            ensure(in_window(g.v_offset, g.rows, g.cols, len), || {
+                format!("generator {id} exceeds the {len}-element value buffer")
+            })?;
             let rows = match node.children {
                 None => Some(node.num_points()),
                 Some((l, r)) => sranks[l].checked_add(sranks[r]),
@@ -195,12 +176,6 @@ impl EvalPlan {
             n_nodes,
             srank_of,
         )?;
-
-        let pairs = [&self.near_blockset, &self.far_blockset];
-        let mut pairs = pairs.iter().flat_map(|bs| bs.groups.iter().flatten());
-        ensure(pairs.all(|&(i, j)| i < n_nodes && j < n_nodes), || {
-            "blockset pair references a node outside the tree".to_string()
-        })?;
 
         // One pass in execution order.  `done[id]` is the (level, partition)
         // that computes `id`; a node met after its parent, or a child done
@@ -314,7 +289,9 @@ pub fn lower(
 }
 
 /// Assemble the full evaluation plan from the structure sets and the CDS
-/// payload.
+/// payload.  The blocksets, the height and the leaf count only feed the
+/// lowering decisions: `cds` was packed in blockset order and the tree keeps
+/// its own height.
 pub fn generate_plan(
     near_blockset: BlockSet,
     far_blockset: BlockSet,
@@ -334,12 +311,8 @@ pub fn generate_plan(
     );
     EvalPlan {
         decisions,
-        near_blockset,
-        far_blockset,
         coarsenset,
         cds,
-        tree_height,
-        num_leaves,
     }
 }
 

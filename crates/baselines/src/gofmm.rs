@@ -294,14 +294,14 @@ impl<'a> GofmmEvaluator<'a> {
         if basis.srank != 0 && s_i.rows() == basis.srank {
             if node.is_leaf() {
                 let mut contrib = Matrix::zeros(node.num_points(), q);
-                mul_acc(&basis.u, &s_i, &mut contrib);
+                mul_acc(&basis.v, &s_i, &mut contrib);
                 lock(&leaf_acc[&id]).add_assign(&contrib);
             } else {
                 let (l, r) = node.children.unwrap();
                 let rl = self.compression.bases[l].srank;
                 let rr = self.compression.bases[r].srank;
                 let mut expanded = Matrix::zeros(rl + rr, q);
-                mul_acc(&basis.u, &s_i, &mut expanded);
+                mul_acc(&basis.v, &s_i, &mut expanded);
                 if rl > 0 {
                     lock(&s_cells[l]).add_assign(&expanded.submatrix(0, rl, 0, q));
                 }
@@ -326,14 +326,14 @@ impl<'a> GofmmEvaluator<'a> {
         let node = &self.tree.nodes[id];
         if node.is_leaf() {
             let mut contrib = Matrix::zeros(node.num_points(), q);
-            mul_acc(&basis.u, s_i, &mut contrib);
+            mul_acc(&basis.v, s_i, &mut contrib);
             y.scatter_add_rows(self.tree.indices(id), &contrib);
         } else {
             let (l, r) = node.children.unwrap();
             let rl = self.compression.bases[l].srank;
             let rr = self.compression.bases[r].srank;
             let mut expanded = Matrix::zeros(rl + rr, q);
-            mul_acc(&basis.u, s_i, &mut expanded);
+            mul_acc(&basis.v, s_i, &mut expanded);
             if rl > 0 {
                 let top = expanded.submatrix(0, rl, 0, q);
                 if s[l].rows() == rl {

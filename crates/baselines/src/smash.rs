@@ -151,7 +151,7 @@ impl<'a> SmashEvaluator<'a> {
                 let node = &tree.nodes[id];
                 if node.is_leaf() {
                     let mut contrib = vec![0.0; node.num_points()];
-                    gemv(1.0, &basis.u, GemmOp::NoTrans, &s[id], 0.0, &mut contrib);
+                    gemv(1.0, &basis.v, GemmOp::NoTrans, &s[id], 0.0, &mut contrib);
                     for (k, &p) in tree.indices(id).iter().enumerate() {
                         y[p] += contrib[k];
                     }
@@ -160,7 +160,7 @@ impl<'a> SmashEvaluator<'a> {
                     let rl = self.compression.sranks[l];
                     let rr = self.compression.sranks[r];
                     let mut expanded = vec![0.0; rl + rr];
-                    gemv(1.0, &basis.u, GemmOp::NoTrans, &s[id], 0.0, &mut expanded);
+                    gemv(1.0, &basis.v, GemmOp::NoTrans, &s[id], 0.0, &mut expanded);
                     for k in 0..rl {
                         s[l][k] += expanded[k];
                     }

@@ -231,7 +231,7 @@ impl<'a> StrumpackEvaluator<'a> {
             self.compression.sranks[l] + self.compression.sranks[r]
         };
         let mut expanded = Matrix::zeros(rows, q);
-        mul_acc(&basis.u, s_i, &mut expanded);
+        mul_acc(&basis.v, s_i, &mut expanded);
         expanded
     }
 }

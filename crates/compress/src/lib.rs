@@ -8,7 +8,8 @@
 //! interaction computation, sampling, and low-rank approximation.  The first
 //! two live in `matrox-tree`, sampling lives in `matrox-sampling`, and this
 //! crate implements the fourth: interpolative-decomposition-based
-//! skeletonization that produces the `U`/`V` generators, the adaptive
+//! skeletonization that produces the `V` generators (one per node; the
+//! kernels are symmetric, so the row basis is the same matrix), the adaptive
 //! `sranks`, the dense near blocks `D` and the coupling blocks `B`.
 
 #![forbid(unsafe_code)]

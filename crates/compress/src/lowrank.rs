@@ -11,8 +11,9 @@
 //! The module produces the *structure information* consumed by structure
 //! analysis and the executor:
 //!
-//! * per-node generators `U_i`, `V_i` (leaf interpolation or internal
-//!   transfer matrices) and skeletons,
+//! * one generator `V_i` per node (leaf interpolation or internal transfer
+//!   matrix; the kernels are symmetric, so the row basis `U_i` *is* `V_i` —
+//!   DESIGN.md substitution S8) and its skeleton,
 //! * the `sranks` vector (used by the coarsening cost model),
 //! * dense near blocks `D_{i,j}` and low-rank coupling blocks
 //!   `B_{i,j} = K(skel_i, skel_j)`.
@@ -57,11 +58,9 @@ pub struct NodeBasis {
     /// Column-basis generator.  For a leaf: `|I_i| x srank` interpolation
     /// matrix.  For an internal node: `(srank_lc + srank_rc) x srank`
     /// transfer matrix acting on the children's skeleton coefficients.
+    /// Applied transposed on the way up and plain on the way down: every
+    /// kernel is symmetric, so it is the row basis too.
     pub v: Matrix,
-    /// Row-basis generator; equal to `v` for the symmetric kernels used in
-    /// the paper but stored separately to match the CDS layout (Figure 1g/1h
-    /// stores U and V generators independently).
-    pub u: Matrix,
 }
 
 impl NodeBasis {
@@ -70,7 +69,6 @@ impl NodeBasis {
             srank: 0,
             skeleton: Vec::new(),
             v: Matrix::zeros(0, 0),
-            u: Matrix::zeros(0, 0),
         }
     }
 }
@@ -96,11 +94,7 @@ pub struct Compression {
 impl Compression {
     /// Total bytes of submatrix payload (used by reports and to size CDS).
     pub fn storage_bytes(&self) -> usize {
-        let gen_elems: usize = self
-            .bases
-            .iter()
-            .map(|b| b.u.len() + b.v.len())
-            .sum::<usize>();
+        let gen_elems: usize = self.bases.iter().map(|b| b.v.len()).sum::<usize>();
         let near_elems: usize = self.near_blocks.iter().map(|(_, m)| m.len()).sum::<usize>();
         let far_elems: usize = self.far_blocks.iter().map(|(_, m)| m.len()).sum::<usize>();
         (gen_elems + near_elems + far_elems) * std::mem::size_of::<f64>()
@@ -169,15 +163,12 @@ pub fn compress(
                 let id_res = row_id(&sample_block, params.bacc, params.max_rank);
                 let skeleton: Vec<usize> =
                     id_res.skeleton.iter().map(|&r| candidate_rows[r]).collect();
-                let v = id_res.interp;
-                let u = v.clone();
                 (
                     id,
                     NodeBasis {
                         srank: id_res.rank,
                         skeleton,
-                        v,
-                        u,
+                        v: id_res.interp,
                     },
                 )
             })

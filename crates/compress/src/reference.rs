@@ -2,8 +2,8 @@
 //!
 //! A deliberately simple, tree-recursive implementation of the HMatrix-matrix
 //! product `Y = K~ * W` operating directly on the unordered [`Compression`]
-//! output.  It follows the textbook H² evaluation (upward pass over `V`,
-//! coupling through `B`, downward pass over `U`, dense near contributions
+//! output.  It follows the textbook H² evaluation (upward pass over `V^T`,
+//! coupling through `B`, downward pass over `V`, dense near contributions
 //! through `D`) with no blocking, no coarsening and no parallelism.
 //!
 //! Every optimized evaluator in the workspace — the MatRox executor and the
@@ -81,7 +81,7 @@ pub fn evaluate(
         s[*i] = si;
     }
 
-    // ---- downward pass: push S through the transfer matrices, leaves add U_i * S_i
+    // ---- downward pass: push S through the transfer matrices, leaves add V_i * S_i
     for level in 1..=tree.height {
         for id in tree.nodes_at_level(level) {
             let basis = &compression.bases[id];
@@ -93,7 +93,7 @@ pub fn evaluate(
                 let mut contrib = Matrix::zeros(node.num_points(), q);
                 gemm_seq(
                     1.0,
-                    &basis.u,
+                    &basis.v,
                     GemmOp::NoTrans,
                     &s[id],
                     GemmOp::NoTrans,
@@ -105,12 +105,12 @@ pub fn evaluate(
                 let (l, r) = node.children.unwrap();
                 let rl = compression.bases[l].srank;
                 let rr = compression.bases[r].srank;
-                // U_i is (rl + rr) x srank_i; its top rows push into the left
+                // V_i is (rl + rr) x srank_i; its top rows push into the left
                 // child, the bottom rows into the right child.
                 let mut expanded = Matrix::zeros(rl + rr, q);
                 gemm_seq(
                     1.0,
-                    &basis.u,
+                    &basis.v,
                     GemmOp::NoTrans,
                     &s[id],
                     GemmOp::NoTrans,

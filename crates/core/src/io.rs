@@ -3,9 +3,14 @@
 //! The MatRox user stores the compressed matrix and the generated code to
 //! disk during inspection and loads them back in the executor process.  This
 //! module provides a compact, self-describing binary format for the full
-//! [`HMatrix`] handle: the cluster tree, the structure sets, the lowering
-//! decisions and the CDS buffers.  The format is little-endian and versioned
-//! by a magic header.
+//! [`HMatrix`] handle: the cluster tree, the lowering decisions, the coarsen
+//! set and the CDS buffers.  The format is little-endian and versioned by a
+//! magic header: this build writes and reads `MATROX2` (`MATROX02`) and
+//! `MATROXF2`, which store each fact once — one generator window per node
+//! (DESIGN.md substitution S8), no blockset tables beside the CDS entry
+//! tables that already are them, the tree's height and nothing else's.  There
+//! is no reader for the `MATROX1` / `MATROXF1` layouts; their magic is a
+//! `Format` error naming it.
 //!
 //! Bytes are written and read through the hardened cursor of [`crate::wire`]
 //! (length fields capped by the bytes remaining, canonical bools, no panics).
@@ -16,7 +21,7 @@
 //! *model* — tree topology, plan tables against the tree, factor slots
 //! against the plan — is not defined here: the readers run the one shared
 //! definition, [`EvalPlan::validate`](matrox_analysis::EvalPlan::validate)
-//! (`MATROX1`) or [`HssFactor::validate`] (`MATROXF1`, which includes the
+//! (`MATROX2`) or [`HssFactor::validate`] (`MATROXF2`, which includes the
 //! former), after the stream is consumed, and report its message as
 //! `Format`.  The executor and the solver run the same functions, so the
 //! contract enforced by the corruption-fuzz suite is: for any byte stream, a
@@ -30,8 +35,7 @@ use crate::hmatrix::{FactoredHMatrix, HMatrix};
 use crate::timings::InspectorTimings;
 use crate::wire::{WireReader, WireWriter};
 use matrox_analysis::{
-    BlockSet, Cds, CdsBlockEntry, CoarsenSet, EvalPlan, GeneratorEntry, GroupRange,
-    LoweringDecisions,
+    Cds, CdsBlockEntry, CoarsenSet, EvalPlan, GeneratorEntry, GroupRange, LoweringDecisions,
 };
 use matrox_factor::{FactorTimings, HssFactor, LeafFactor, MergeFactor};
 use matrox_linalg::{LuFactors, Matrix};
@@ -39,10 +43,10 @@ use matrox_points::Kernel;
 use matrox_tree::{ClusterTree, Structure, TreeNode};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MATROX01";
+const MAGIC: &[u8; 8] = b"MATROX02";
 /// Magic header of a *factored* HMatrix file (`hmat.ulv`): the compressed
 /// matrix followed by its ULV-style factorization.
-const MAGIC_FACTORED: &[u8; 8] = b"MATROXF1";
+const MAGIC_FACTORED: &[u8; 8] = b"MATROXF2";
 
 /// A count-prefixed value buffer.  No valid model stores a NaN or infinity,
 /// and accepting one would poison every later evaluation.
@@ -215,35 +219,6 @@ fn get_tree(r: &mut WireReader<'_>) -> Result<ClusterTree, MatroxError> {
     })
 }
 
-fn put_blockset(w: &mut WireWriter, bs: &BlockSet) {
-    w.put_usize(bs.blocksize);
-    w.put_usize(bs.groups.len());
-    for g in &bs.groups {
-        w.put_usize(g.len());
-        for &(i, j) in g {
-            w.put_usize(i);
-            w.put_usize(j);
-        }
-    }
-}
-
-fn get_blockset(r: &mut WireReader<'_>) -> Result<BlockSet, MatroxError> {
-    let blocksize = r.take_usize("blockset block size")?;
-    let n_groups = r.take_len(8, "blockset group table")?;
-    let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        let len = r.take_len(16, "blockset group")?;
-        let mut g = Vec::with_capacity(len);
-        for _ in 0..len {
-            let i = r.take_usize("blockset pair target")?;
-            let j = r.take_usize("blockset pair source")?;
-            g.push((i, j));
-        }
-        groups.push(g);
-    }
-    Ok(BlockSet { groups, blocksize })
-}
-
 fn put_coarsenset(w: &mut WireWriter, cs: &CoarsenSet) {
     w.put_usize(cs.agg);
     w.put_usize(cs.levels.len());
@@ -284,7 +259,6 @@ fn put_cds(w: &mut WireWriter, cds: &Cds) {
         if g.is_present() {
             w.put_bool(true);
             w.put_usize(g.v_offset);
-            w.put_usize(g.u_offset);
             w.put_usize(g.rows);
             w.put_usize(g.cols);
         } else {
@@ -354,8 +328,7 @@ fn get_cds(r: &mut WireReader<'_>) -> Result<Cds, MatroxError> {
     for _ in 0..n_gen {
         if r.take_bool("generator presence")? {
             let g = GeneratorEntry {
-                v_offset: r.take_usize("generator V offset")?,
-                u_offset: r.take_usize("generator U offset")?,
+                v_offset: r.take_usize("generator offset")?,
                 rows: r.take_usize("generator rows")?,
                 cols: r.take_usize("generator cols")?,
             };
@@ -368,12 +341,7 @@ fn get_cds(r: &mut WireReader<'_>) -> Result<Cds, MatroxError> {
             }
             generators.push(g);
         } else {
-            generators.push(GeneratorEntry {
-                v_offset: usize::MAX,
-                u_offset: usize::MAX,
-                rows: 0,
-                cols: 0,
-            });
+            generators.push(GeneratorEntry::absent());
         }
     }
     let sranks = r.take_usize_vec("rank array")?;
@@ -411,12 +379,8 @@ fn put_hmatrix_body(w: &mut WireWriter, h: &HMatrix) {
     w.put_bool(d.block_far);
     w.put_bool(d.coarsen_tree);
     w.put_bool(d.peel_root);
-    put_blockset(w, &h.plan.near_blockset);
-    put_blockset(w, &h.plan.far_blockset);
     put_coarsenset(w, &h.plan.coarsenset);
     put_cds(w, &h.plan.cds);
-    w.put_usize(h.plan.tree_height);
-    w.put_usize(h.plan.num_leaves);
 }
 
 /// Serialize an [`HMatrix`] to bytes.
@@ -459,20 +423,10 @@ fn get_hmatrix_body(r: &mut WireReader<'_>) -> Result<HMatrix, MatroxError> {
         coarsen_tree: r.take_bool("coarsen-tree decision")?,
         peel_root: r.take_bool("peel-root decision")?,
     };
-    let near_blockset = get_blockset(r)?;
-    let far_blockset = get_blockset(r)?;
-    let coarsenset = get_coarsenset(r)?;
-    let cds = get_cds(r)?;
-    let tree_height = r.take_usize("plan tree height")?;
-    let num_leaves = r.take_usize("plan leaf count")?;
     let plan = EvalPlan {
         decisions,
-        near_blockset,
-        far_blockset,
-        coarsenset,
-        cds,
-        tree_height,
-        num_leaves,
+        coarsenset: get_coarsenset(r)?,
+        cds: get_cds(r)?,
     };
     Ok(HMatrix {
         tree,
@@ -654,6 +608,39 @@ pub fn load_factored(path: &Path) -> Result<FactoredHMatrix, MatroxError> {
     from_bytes_factored(read_model_file(path)?)
 }
 
+/// What a model file of either format holds.
+#[derive(Debug, Clone)]
+pub enum ModelFile {
+    /// A `MATROX2` file written by [`save`].
+    Compressed(HMatrix),
+    /// A `MATROXF2` file written by [`save_factored`].
+    Factored(FactoredHMatrix),
+}
+
+/// Load a model file of either format: the file is read once and its magic
+/// selects the reader, so a corrupt image reports its own error.
+///
+/// # Errors
+/// [`MatroxError::Io`] from the read; [`MatroxError::Format`] from the
+/// selected reader, or naming the magic found and the two accepted when it is
+/// neither.
+pub fn load_model(path: &Path) -> Result<ModelFile, MatroxError> {
+    let data = read_model_file(path)?;
+    let magic = &data[..data.len().min(MAGIC.len())];
+    if magic == MAGIC {
+        from_bytes(&data).map(ModelFile::Compressed)
+    } else if magic == MAGIC_FACTORED {
+        from_bytes_factored(&data).map(ModelFile::Factored)
+    } else {
+        Err(MatroxError::Format(format!(
+            "{path:?} is not a model file: magic \"{}\" is neither \"{}\" (compressed) nor \"{}\" (factored)",
+            magic.escape_ascii(),
+            MAGIC.escape_ascii(),
+            MAGIC_FACTORED.escape_ascii()
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,6 +693,35 @@ mod tests {
         }
     }
 
+    /// There is no reader for the parent formats: their magics are refused
+    /// by name, by each reader and by the entry that picks the reader.
+    #[test]
+    fn parent_format_magics_are_refused_by_name() {
+        let (_, h) = sample_hmatrix();
+        let mut image = to_bytes(&h);
+        let dir = std::env::temp_dir().join("matrox_io_old_magic_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hmat.cds");
+        for old in [b"MATROX01", b"MATROXF1"] {
+            image[..8].copy_from_slice(old);
+            std::fs::write(&path, &image).unwrap();
+            let refusals = [
+                (from_bytes(&image).err(), &["MATROX02"][..]),
+                (from_bytes_factored(&image).err(), &["MATROXF2"]),
+                (load_model(&path).err(), &["MATROX02", "MATROXF2"]),
+            ];
+            for (err, reads) in refusals {
+                let Some(MatroxError::Format(m)) = err else {
+                    panic!("expected a format error, got {err:?}");
+                };
+                let found = std::str::from_utf8(old).unwrap();
+                assert!(m.contains(found), "magic found is not named: {m}");
+                assert!(reads.iter().all(|r| m.contains(r)), "message: {m}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn truncated_streams_are_rejected_at_every_prefix() {
         // Every proper prefix of either format must fail cleanly: no panic,
@@ -717,7 +733,7 @@ mod tests {
             let err = from_bytes(&bytes[..len]).unwrap_err();
             assert!(
                 matches!(err, MatroxError::Format(_)),
-                "MATROX1 prefix {len}"
+                "MATROX2 prefix {len}"
             );
         }
         let (_, fh) = factored_hmatrix();
@@ -726,7 +742,7 @@ mod tests {
             let err = from_bytes_factored(&bytes[..len]).unwrap_err();
             assert!(
                 matches!(err, MatroxError::Format(_)),
-                "MATROXF1 prefix {len}"
+                "MATROXF2 prefix {len}"
             );
         }
     }

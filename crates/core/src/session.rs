@@ -111,13 +111,6 @@ impl EvalSession {
         Self::assemble(hmatrix, opts, inspect)
     }
 
-    /// [`from_hmatrix`](EvalSession::from_hmatrix) with explicit executor
-    /// options (ablation harnesses, custom panel widths / grains).
-    pub fn from_hmatrix_with(hmatrix: HMatrix, opts: ExecOptions) -> Self {
-        let inspect = hmatrix.timings.total().as_secs_f64();
-        Self::assemble(hmatrix, opts, inspect)
-    }
-
     fn assemble(hmatrix: HMatrix, opts: ExecOptions, inspect_seconds: f64) -> Self {
         let prep = PreparedExec::new(&hmatrix.plan, &hmatrix.tree, &opts);
         EvalSession {
@@ -131,13 +124,6 @@ impl EvalSession {
             contained_panics: AtomicU64::new(0),
             ridge_attempts: AtomicU64::new(0),
         }
-    }
-
-    /// Re-derive the executor state with different options, keeping the
-    /// plan and the accumulated statistics.
-    pub fn with_options(mut self, opts: ExecOptions) -> Self {
-        self.prep = PreparedExec::new(&self.hmatrix.plan, &self.hmatrix.tree, &opts);
-        self
     }
 
     /// Evaluate `Y = K~ W` for an `N x Q` right-hand-side matrix, panel by
@@ -251,11 +237,6 @@ impl EvalSession {
     /// The underlying compressed matrix.
     pub fn hmatrix(&self) -> &HMatrix {
         &self.hmatrix
-    }
-
-    /// Unwrap the session, returning the compressed matrix.
-    pub fn into_hmatrix(self) -> HMatrix {
-        self.hmatrix
     }
 
     /// Snapshot of the session's cost accounting (inspection, accumulated

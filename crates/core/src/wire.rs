@@ -2,7 +2,7 @@
 //! written and read.
 //!
 //! Every byte format of the workspace is coded through this pair of cursor
-//! types — the `MATROX1` / `MATROXF1` model files ([`crate::io`]) and the
+//! types — the `MATROX2` / `MATROXF2` model files ([`crate::io`]) and the
 //! `MATROXS1` serving protocol (`matrox_serve::proto`).  A model file comes
 //! from disk and a request from a socket, so every decoded stream is
 //! **untrusted input**, and all three formats inherit one contract:
@@ -172,7 +172,9 @@ impl<'a> WireReader<'a> {
         let got = self.take_bytes(magic.len(), what)?;
         if got != magic {
             return Err(MatroxError::Format(format!(
-                "bad {what} magic: expected {magic:02x?}, got {got:02x?}"
+                "bad {what} magic: expected \"{}\", got \"{}\"",
+                magic.escape_ascii(),
+                got.escape_ascii()
             )));
         }
         Ok(())

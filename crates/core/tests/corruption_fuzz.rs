@@ -1,7 +1,7 @@
 //! Corruption fuzz: the hardened model readers must survive *any*
 //! single-byte corruption of a saved model.
 //!
-//! For every byte position of a small `MATROX1` and `MATROXF1` stream (and
+//! For every byte position of a small `MATROX2` and `MATROXF2` stream (and
 //! several XOR masks per byte, covering low-bit value perturbations and
 //! structural byte rewrites), the corrupted stream must either
 //!
@@ -9,8 +9,8 @@
 //! * parse into a model whose re-encoding is bitwise identical to the
 //!   corrupted stream (the flip landed in a value payload and the parse is
 //!   lossless — nothing is silently normalized or truncated) **and that
-//!   can be used**: preparing and evaluating it (`MATROX1`) or solving with
-//!   it (`MATROXF1`) does not panic and is not refused as a mismatch;
+//!   can be used**: preparing and evaluating it (`MATROX2`) or solving with
+//!   it (`MATROXF2`) does not panic and is not refused as a mismatch;
 //!
 //! and the parser must never allocate more than 16 MiB in a single request,
 //! no matter what the corrupted length fields claim — the
@@ -66,14 +66,14 @@ fn every_single_byte_corruption_is_rejected_or_lossless() {
         );
     };
 
-    fuzz_single_byte_flips("MATROX1", &to_bytes(&h), &|data| {
+    fuzz_single_byte_flips("MATROX2", &to_bytes(&h), &|data| {
         let h = from_bytes(data).ok()?;
         usable(h.matvec(&rhs));
         Some(to_bytes(&h))
     });
 
     let factored = to_bytes_factored(&h.factorize().expect("factorize"));
-    fuzz_single_byte_flips("MATROXF1", &factored, &|data| {
+    fuzz_single_byte_flips("MATROXF2", &factored, &|data| {
         let fh = from_bytes_factored(data).ok()?;
         usable(fh.solve(&rhs));
         Some(to_bytes_factored(&fh))
@@ -124,6 +124,8 @@ fn structurally_hostile_model_images_are_refused() {
             ("node level beyond the tree height", &|h| {
                 h.tree.nodes[3].level = h.tree.height + 5;
             }),
+            // The schedule reserves, and the factorization loops, by height.
+            ("tree height raised", &raise_tree_height),
             // Same point count, so every block shape still matches — but two
             // leaves now own the same rows of the permuted panel.
             ("leaf range slid onto its sibling", &|h| {
@@ -166,11 +168,20 @@ fn structurally_hostile_factor_images_are_refused() {
             ("coupling block between non-siblings", &|fh| {
                 fh.hmatrix.plan.cds.b_entries[entry].source = stranger;
             }),
+            ("tree height raised", &|fh| {
+                raise_tree_height(&mut fh.hmatrix)
+            }),
             ("Cholesky pivot zeroed", &zero_chol_pivot),
             ("LU pivot zeroed", &zero_lu_pivot),
         ],
     );
     assert!(holes.is_empty(), "from_bytes_factored accepted: {holes:?}");
+}
+
+/// A height no node reaches: nothing else in the image records the height,
+/// so only T4's equality stands between this and a height-sized reservation.
+fn raise_tree_height(h: &mut HMatrix) {
+    h.tree.height = 1 << 40;
 }
 
 /// Zero one pivot of the first leaf's Cholesky factor: the forward

@@ -6,7 +6,7 @@
 //! width may change the schedule, but never a single bit of the output.
 //! Concretely, for every structure x accuracy combination:
 //!
-//! * the serialized `MATROX1` image is byte-identical at 1/2/4 threads;
+//! * the serialized `MATROX2` image is byte-identical at 1/2/4 threads;
 //! * the CDS value buffers (generators, near blocks, coupling blocks)
 //!   match bit for bit, as do the sranks and the tree permutation;
 //! * the explicit `grain` knob changes scheduling only — never bytes;
@@ -95,7 +95,7 @@ fn assert_bitwise_same(reference: &HMatrix, h: &HMatrix, what: &str) {
     assert_eq!(
         to_bytes(reference),
         to_bytes(h),
-        "{what}: serialized MATROX1 image diverged"
+        "{what}: serialized MATROX2 image diverged"
     );
 }
 

@@ -206,32 +206,80 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The byte formats are frozen: the images of one fixed tiny model (the one
-/// `corruption_fuzz.rs` sweeps) keep the length and hash recorded before
-/// the codecs moved onto the `wire` cursor.  The inspector is bitwise
-/// deterministic across pool widths and kernels; the ULV factors are not
-/// across kernels (the SIMD microkernel fuses multiply-adds), so the
-/// factored image has one recorded hash per kernel family.
-#[test]
-fn image_bytes_of_a_fixed_model_are_pinned() {
+/// The fixed tiny model the pins below record (the one `corruption_fuzz.rs`
+/// sweeps).
+fn pinned_model() -> HMatrix {
     let points = generate(DatasetId::Grid, 32, 0);
     let kernel = Kernel::GaussianRidge {
         bandwidth: 0.125,
         ridge: 8.0,
     };
     let params = MatRoxParams::hss().with_bacc(1e-3).with_leaf_size(8);
-    let h = inspector(&points, &kernel, &params).expect("inspector");
+    inspector(&points, &kernel, &params).expect("inspector")
+}
+
+/// FNV-1a over the bit patterns of a run of `f64` slices.
+fn fnv1a_values<'a>(runs: impl IntoIterator<Item = &'a [f64]>) -> u64 {
+    let bytes: Vec<u8> = runs
+        .into_iter()
+        .flatten()
+        .flat_map(|x| x.to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+/// What a model *stores* is pinned apart from how the image frames it, so a
+/// format bump re-records the image pins below and leaves these alone: the
+/// `V` window of every stored node in node-id order, then the near and the
+/// coupling values; and the factor's `chol` / `e` / `lu` / `t` payload (one
+/// constant per kernel family, as for the factored image).
+#[test]
+fn payload_values_are_pinned() {
+    let h = pinned_model();
+    let cds = &h.plan.cds;
+    let windows = (0..cds.generators.len()).map(|id| cds.v(id).0);
+    let model = windows.chain([cds.d_values.as_slice(), cds.b_values.as_slice()]);
+    assert_eq!(
+        fnv1a_values(model),
+        0x20d7_1737_6641_ab5f,
+        "model payload hash"
+    );
+
+    let f = h.factorize().expect("factorize").factor;
+    let leaves = f.leaves.iter().flatten();
+    let merges = f.merges.iter().flatten();
+    let factor = leaves
+        .flat_map(|l| [l.chol.as_slice(), l.e.as_slice()])
+        .chain(merges.flat_map(|m| [m.lu.lu.as_slice(), m.t.as_slice()]));
+    let pinned: u64 = if matrox_core::KernelDispatch::global().is_simd() {
+        0x55ce_8e1b_a3a6_056f
+    } else {
+        0x8641_1f57_4c9e_e692
+    };
+    assert_eq!(fnv1a_values(factor), pinned, "factor payload hash");
+}
+
+/// The byte formats are frozen: the images of [`pinned_model`] keep the
+/// length and hash recorded when `MATROX2` / `MATROXF2` were introduced.
+/// The inspector is bitwise deterministic across pool widths and kernels;
+/// the ULV factors are not across kernels (the SIMD microkernel fuses
+/// multiply-adds), so the factored image has one recorded hash per kernel
+/// family.
+#[test]
+fn image_bytes_of_a_fixed_model_are_pinned() {
+    let h = pinned_model();
 
     let plain = to_bytes(&h);
-    assert_eq!(plain.len(), 15349, "MATROX1 image length");
-    assert_eq!(fnv1a(&plain), 0x6987_c958_2b5d_950e, "MATROX1 image hash");
+    assert_eq!(plain.len(), 11029, "MATROX2 image length");
+    assert_eq!(fnv1a(&plain), 0x2299_4e23_b39f_ebb2, "MATROX2 image hash");
 
     let factored = to_bytes_factored(&h.factorize().expect("factorize"));
-    assert_eq!(factored.len(), 28491, "MATROXF1 image length");
+    assert_eq!(factored.len(), 24171, "MATROXF2 image length");
+    eprintln!("FACT {} {:#x}", factored.len(), fnv1a(&factored));
     let pinned: u64 = if matrox_core::KernelDispatch::global().is_simd() {
-        0xa993_4283_c512_21fc
+        0x1c7b_1f4b_5ed8_8598
     } else {
-        0xd418_7f4d_c116_a37f
+        0x6d36_1ea9_a9b4_1043
     };
-    assert_eq!(fnv1a(&factored), pinned, "MATROXF1 image hash");
+    assert_eq!(fnv1a(&factored), pinned, "MATROXF2 image hash");
 }

@@ -9,8 +9,9 @@
 //! 2. **upward phase** — the coarsened loop over the `V` generators,
 //!    sequential over coarsen levels, parallel over load-balanced sub-trees;
 //! 3. **coupling phase** — the blocked loop over the `B` blocks;
-//! 4. **downward phase** — the coarsened loop over the `U` generators in
-//!    reverse coarsen-level order, scattering into the output.
+//! 4. **downward phase** — the coarsened loop over the same `V`
+//!    generators (the operator is symmetric: `V` applied plain is the row
+//!    basis) in reverse coarsen-level order, scattering into the output.
 //!
 //! Each phase is one loop over its structure set (blockset groups, coarsen
 //! partitions) whose body runs on the pool when the corresponding lowering is
@@ -41,7 +42,7 @@
 //! their target nodes, coarsen partitions own their sub-trees, every child
 //! has one parent, leaves tile the permuted rows).  This module does not
 //! define it: [`EvalPlan::validate`] does, once, for the model readers, the
-//! solver and this executor alike (its items T1–T6 for the tree and P1–P6
+//! solver and this executor alike (its items T1–T6 for the tree and P2–P6
 //! for the plan are what the `SAFETY:` comments below cite).
 //! [`PreparedExec::new`] and every [`execute_prepared`] call run it on the
 //! pair they are handed and panic on a malformed one rather than race on it
@@ -416,7 +417,7 @@ fn execute_panel(
     // Phase 3: coupling through the B blocks.
     coupling_phase(plan, prep, t_buf, s_buf, qp);
 
-    // Phase 4: downward pass scattering U * S into the output.
+    // Phase 4: downward pass scattering V * S into the output.
     downward_phase(plan, tree, prep, s_buf, y_perm, qp);
 
     // Un-permute the panel into the output columns.  Iterate over the
@@ -718,13 +719,13 @@ fn coupling_phase(
 }
 
 // --------------------------------------------------------------------------
-// Phase 4: downward pass (Y += U * S, pushed through the transfer matrices)
+// Phase 4: downward pass (Y += V * S, pushed through the transfer matrices)
 // --------------------------------------------------------------------------
 
-/// Process one node of the downward pass: a leaf adds `U_i * S_i` into its
+/// Process one node of the downward pass: a leaf adds `V_i * S_i` into its
 /// contiguous `y_perm` rows; an internal node accumulates the expanded
 /// contribution directly into its children's `S` slots (the two halves of
-/// `U_i` hit the two children).
+/// `V_i` hit the two children).
 ///
 /// # Safety
 /// Caller must guarantee (via `EvalPlan::validate` P6 and T3) that no
@@ -741,7 +742,7 @@ unsafe fn down_node(
     peel: bool,
 ) {
     let cds = &plan.cds;
-    let (u, rows, cols) = cds.u(id);
+    let (v, rows, cols) = cds.v(id);
     if cols == 0 {
         return;
     }
@@ -760,9 +761,9 @@ unsafe fn down_node(
         // leaf belongs to exactly one partition (fn contract).
         let dst = unsafe { y.slice_mut(node.start * q, rows * q) };
         if par {
-            prep.dispatch.par_gemm(u, rows, cols, s_i, q, dst);
+            prep.dispatch.par_gemm(v, rows, cols, s_i, q, dst);
         } else {
-            prep.dispatch.gemm(u, rows, cols, s_i, q, dst);
+            prep.dispatch.gemm(v, rows, cols, s_i, q, dst);
         }
     } else {
         #[expect(
@@ -781,9 +782,9 @@ unsafe fn down_node(
             let dst = unsafe { s.slice_mut(prep.rank_off(l) * q, rl * q) };
             if par {
                 prep.dispatch
-                    .par_gemm(&u[0..rl * cols], rl, cols, s_i, q, dst);
+                    .par_gemm(&v[0..rl * cols], rl, cols, s_i, q, dst);
             } else {
-                prep.dispatch.gemm(&u[0..rl * cols], rl, cols, s_i, q, dst);
+                prep.dispatch.gemm(&v[0..rl * cols], rl, cols, s_i, q, dst);
             }
         }
         if rr > 0 {
@@ -791,10 +792,10 @@ unsafe fn down_node(
             let dst = unsafe { s.slice_mut(prep.rank_off(r) * q, rr * q) };
             if par {
                 prep.dispatch
-                    .par_gemm(&u[rl * cols..rows * cols], rr, cols, s_i, q, dst);
+                    .par_gemm(&v[rl * cols..rows * cols], rr, cols, s_i, q, dst);
             } else {
                 prep.dispatch
-                    .gemm(&u[rl * cols..rows * cols], rr, cols, s_i, q, dst);
+                    .gemm(&v[rl * cols..rows * cols], rr, cols, s_i, q, dst);
             }
         }
     }

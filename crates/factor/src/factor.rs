@@ -153,7 +153,7 @@ impl HssFactor {
 /// and the solve sweeps index instead of searching the CDS tables.  Only
 /// [`HssFactor::validate`] and [`factor_with_ridge`] build one, and building
 /// it is the one definition of an HSS plan the merge recursion can fold —
-/// on top of [`EvalPlan::validate`] (T1–T6, P1–P6):
+/// on top of [`EvalPlan::validate`] (T1–T6, P2–P6):
 ///
 /// * **F1** every near block is the diagonal block of a leaf and every
 ///   leaf stores exactly one;
@@ -229,7 +229,7 @@ impl<'a> HssIndex<'a> {
 impl HssFactor {
     /// The one definition of a factor that belongs to `(plan, tree)`; returns
     /// the block index it checked against.  On top of [`HssIndex`]
-    /// (T1–T6, P1–P6, F1–F2):
+    /// (T1–T6, P2–P6, F1–F2):
     ///
     /// * **F3** `n` is the tree's point count and there is one leaf and one
     ///   merge slot per node; a leaf holds exactly a [`LeafFactor`], an
@@ -443,16 +443,15 @@ fn factor_leaf(
         pivot: e.pivot,
         value: e.value,
     })?;
-    let (u, urows, ucols) = cds.u(id);
-    let (e, gi) = if ucols == 0 {
+    let (v, rows, k) = cds.v(id);
+    let (e, gi) = if k == 0 {
         (Matrix::zeros(ni, 0), Matrix::zeros(0, 0))
     } else {
-        debug_assert_eq!(urows, ni, "leaf basis rows must match leaf size");
-        let mut e = Matrix::from_vec(urows, ucols, u.to_vec());
-        cholesky_solve_in_place(&chol, e.as_mut_slice(), ucols);
-        let (v, vrows, vcols) = cds.v(id);
-        let mut gi = Matrix::zeros(vcols, ucols);
-        gemm_tn_slices(v, vrows, vcols, e.as_slice(), ucols, gi.as_mut_slice());
+        debug_assert_eq!(rows, ni, "leaf basis rows must match leaf size");
+        let mut e = Matrix::from_vec(rows, k, v.to_vec());
+        cholesky_solve_in_place(&chol, e.as_mut_slice(), k);
+        let mut gi = Matrix::zeros(k, k);
+        gemm_tn_slices(v, rows, k, e.as_slice(), k, gi.as_mut_slice());
         (e, gi)
     };
     Ok((id, LeafFactor { node: id, chol, e }, gi))
@@ -502,7 +501,7 @@ fn factor_internal(
     let (t, gp) = if kp == 0 {
         (Matrix::zeros(m, 0), Matrix::zeros(0, 0))
     } else {
-        let (rgen, rrows, rcols) = cds.u(id);
+        let (rgen, rrows, rcols) = cds.v(id);
         debug_assert_eq!(rrows, m, "transfer rows must equal children sranks");
         debug_assert_eq!(rcols, kp);
         // RHS = [G_l R_l; G_r R_r] stacked by child.

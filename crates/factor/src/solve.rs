@@ -284,7 +284,7 @@ impl Sweeps<'_> {
                 }
                 let (t_l, t_r) = t.split_at(kl * q);
                 let (s_l, s_r) = s_kids.split_at_mut(kl * q);
-                let (r_l, r_r) = self.cds.u(id).0.split_at(kl * kp);
+                let (r_l, r_r) = self.cds.v(id).0.split_at(kl * kp);
                 if kl > 0 {
                     if kr > 0 {
                         gemm_panel(self.index.coupling[l], kl, kr, t_r, q, s_l);

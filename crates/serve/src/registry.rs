@@ -1,9 +1,9 @@
 //! The model registry: loaded models keyed by id, under a memory budget.
 //!
 //! A *model* is either a compressed operator prepared for matvec serving
-//! (an [`EvalSession`], usually from a `MATROX1` model file) or a factored
+//! (an [`EvalSession`], usually from a `MATROX2` model file) or a factored
 //! operator prepared for solve serving (a [`FactoredHMatrix`], usually from
-//! a `MATROXF1` file).  The registry tracks the CDS payload bytes each
+//! a `MATROXF2` file).  The registry tracks the CDS payload bytes each
 //! resident model pins and evicts least-recently-used models once the
 //! configured budget is exceeded — the MatRox storage format is exactly
 //! what makes eviction cheap to undo: a path-backed model that is evicted
@@ -13,7 +13,8 @@
 //! ([`crate::Server`]) owns it, which is what keeps the request path
 //! lock-free.
 
-use matrox_core::{load, load_factored, EvalSession, FactoredHMatrix, MatroxError, SessionStats};
+use matrox_core::io::{load_model, ModelFile};
+use matrox_core::{EvalSession, FactoredHMatrix, MatroxError, SessionStats};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -101,8 +102,8 @@ impl ModelRegistry {
     }
 
     /// Register a model from a MatRox model file and make it resident.
-    /// Both formats are accepted: a `MATROX1` stream becomes a
-    /// [`Model::Matvec`] session, a `MATROXF1` stream a [`Model::Solve`].
+    /// Both formats are accepted: a `MATROX2` stream becomes a
+    /// [`Model::Matvec`] session, a `MATROXF2` stream a [`Model::Solve`].
     /// The path is remembered, so if the model is later evicted it reloads
     /// transparently on the next request.
     ///
@@ -227,19 +228,11 @@ impl ModelRegistry {
     }
 }
 
-/// Read a model file, accepting both on-disk formats: try the compressed
-/// (`MATROX1`) reader first, and on a format mismatch fall back to the
-/// factored (`MATROXF1`) reader.  Real I/O errors are not retried.
+/// Read a model file of either on-disk format (`MATROX2` or `MATROXF2`;
+/// [`load_model`] reads it once and tells them apart by the magic).
 fn load_model_file(path: &std::path::Path) -> Result<Model, MatroxError> {
-    match load(path) {
-        Ok(h) => Ok(Model::Matvec(Arc::new(EvalSession::from_hmatrix(h)))),
-        Err(MatroxError::Format(first)) => match load_factored(path) {
-            Ok(f) => Ok(Model::Solve(Arc::new(f))),
-            Err(MatroxError::Format(second)) => Err(MatroxError::Format(format!(
-                "{path:?} is neither a compressed nor a factored model: {first}; {second}"
-            ))),
-            Err(e) => Err(e),
-        },
-        Err(e) => Err(e),
-    }
+    Ok(match load_model(path)? {
+        ModelFile::Compressed(h) => Model::Matvec(Arc::new(EvalSession::from_hmatrix(h))),
+        ModelFile::Factored(f) => Model::Solve(Arc::new(f)),
+    })
 }

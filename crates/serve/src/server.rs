@@ -753,11 +753,11 @@ fn eval_model(model: &Model, op: Op, w: &Matrix) -> Result<Matrix, MatroxError> 
             }
         }
         (Model::Matvec(_), Op::Solve) => Err(MatroxError::PlanMismatch(
-            "model is a compressed operator (matvec); load a factored model (MATROXF1) to solve"
+            "model is a compressed operator (matvec); load a factored model (MATROXF2) to solve"
                 .to_string(),
         )),
         (Model::Solve(_), Op::Matvec) => Err(MatroxError::PlanMismatch(
-            "model is a factored operator (solve); load a compressed model (MATROX1) for matvecs"
+            "model is a factored operator (solve); load a compressed model (MATROX2) for matvecs"
                 .to_string(),
         )),
     }

@@ -325,8 +325,10 @@ impl ClusterTree {
     /// * **T3** links are reciprocal: every other node is one of the two
     ///   distinct children of its recorded parent, and both children of a
     ///   node name it as their parent — so each node has exactly one parent;
-    /// * **T4** `child.level == parent.level + 1` and `level <= height` —
-    ///   with T3, every node hangs off the root and there are no cycles;
+    /// * **T4** `child.level == parent.level + 1` and `height` is the
+    ///   deepest node's level — with T3, every node hangs off the root and
+    ///   there are no cycles; the equality is what lets a consumer size and
+    ///   loop by `height` (it is bounded by the node count);
     /// * **T5** children partition their parent's range (`l.start == start`,
     ///   `l.end == r.start`, `r.end == end`);
     /// * **T6** (by induction over T2–T5) the leaves tile `[0, n)`: distinct
@@ -351,6 +353,11 @@ impl ClusterTree {
             }),
             || format!("tree node 0 is not a level-0 root owning all {n} points"),
         )?;
+        let deepest = nodes.iter().map(|node| node.level).max().unwrap_or(0);
+        ensure(deepest == self.height, || {
+            let h = self.height;
+            format!("tree height {h} is not its deepest node's level {deepest}")
+        })?;
         for (i, node) in nodes.iter().enumerate() {
             ensure(node.id == i, || {
                 format!("tree node {i} stores id {}", node.id)
@@ -358,10 +365,6 @@ impl ClusterTree {
             ensure(node.start <= node.end && node.end <= n, || {
                 let (s, e) = (node.start, node.end);
                 format!("tree node {i} point range {s}..{e} exceeds {n} points")
-            })?;
-            ensure(node.level <= self.height, || {
-                let (l, h) = (node.level, self.height);
-                format!("tree node {i} sits at level {l} of a height-{h} tree")
             })?;
             let parent_children = node.parent.and_then(|p| nodes.get(p)?.children);
             ensure(
@@ -657,6 +660,20 @@ mod tests {
         assert!(broken(&|t| t.nodes[r].level += 1).contains("one level below"));
         // A leaf slid onto its sibling: both ranges stay inside the parent.
         assert!(broken(&|t| t.nodes[r].start -= 1).contains("partition"));
+    }
+
+    /// T4 is an equality: consumers reserve and loop by `height`, so a
+    /// height above the deepest level is as malformed as one below it.
+    #[test]
+    fn validate_requires_the_exact_height() {
+        let pts = generate(DatasetId::Grid, 128, 5);
+        let mut tree = ClusterTree::build(&pts, PartitionMethod::KdTree, 8, 0);
+        assert_eq!(tree.validate(), Ok(()));
+        let height = tree.height;
+        for wrong in [height + 1, 1 << 40, height - 1] {
+            tree.height = wrong;
+            assert!(tree.validate().unwrap_err().contains("tree height"));
+        }
     }
 
     #[test]
