@@ -19,7 +19,7 @@
 //!   `B_{i,j} = K(skel_i, skel_j)`.
 
 use matrox_linalg::{failpoint, row_id_of_transpose, Matrix};
-use matrox_points::{kernel_block, Kernel, PointSet};
+use matrox_points::{kernel_block, kernel_block_symmetric, kernel_block_twins, Kernel, PointSet};
 use matrox_sampling::SamplingInfo;
 use matrox_tree::{ClusterTree, HTree};
 use rayon::prelude::*;
@@ -183,27 +183,10 @@ pub fn compress(
 
     let sranks: Vec<usize> = bases.iter().map(|b| b.srank).collect();
 
-    // Dense near blocks D_{i,j} = K(I_i, I_j).
-    let near_pairs = htree.near_pairs();
-    let near_blocks: Vec<((usize, usize), Matrix)> = near_pairs
-        .par_iter()
-        .with_min_len(grain)
-        .map(|&(i, j)| {
-            let block = kernel_block(points, kernel, tree.indices(i), tree.indices(j));
-            ((i, j), block)
-        })
-        .collect();
-
-    // Coupling blocks B_{i,j} = K(skel_i, skel_j).
-    let far_pairs = htree.far_pairs();
-    let far_blocks: Vec<((usize, usize), Matrix)> = far_pairs
-        .par_iter()
-        .with_min_len(grain)
-        .map(|&(i, j)| {
-            let block = kernel_block(points, kernel, &bases[i].skeleton, &bases[j].skeleton);
-            ((i, j), block)
-        })
-        .collect();
+    // Dense near blocks D_{i,j} = K(I_i, I_j) and coupling blocks
+    // B_{i,j} = K(skel_i, skel_j), each twin evaluated once.
+    let near_blocks = pair_blocks(points, kernel, &htree.near, grain, |i| tree.indices(i));
+    let far_blocks = pair_blocks(points, kernel, &htree.far, grain, |i| &bases[i].skeleton);
 
     Compression {
         params: *params,
@@ -214,11 +197,87 @@ pub fn compress(
     }
 }
 
+/// `((i, j), K(rows_of(i), rows_of(j)))` for every directed pair of the
+/// interaction `lists`, in list order, evaluating each entry once:
+///
+/// * when `(j, i)` is listed too, the pair with `i < j` is evaluated and its
+///   transpose stored for `(j, i)` (every kernel is radial, so `K(J, I)` is
+///   `K(I, J)ᵀ` bit for bit — `matrox_points::block`);
+/// * a diagonal pair `(i, i)` evaluates its upper triangle and mirrors it;
+/// * a pair whose twin is not listed is evaluated as it stands, so the
+///   lists need not be symmetric (nor sorted, nor free of repeats).
+fn pair_blocks<'a>(
+    points: &PointSet,
+    kernel: &Kernel,
+    lists: &[Vec<usize>],
+    grain: usize,
+    rows_of: impl Fn(usize) -> &'a [usize] + Sync,
+) -> Vec<((usize, usize), Matrix)> {
+    let offsets: Vec<usize> = lists
+        .iter()
+        .scan(0, |next, list| {
+            let start = *next;
+            *next += list.len();
+            Some(start)
+        })
+        .collect();
+    let slot = |i: usize, j: usize| {
+        let at = lists.get(i)?.iter().position(|&x| x == j)?;
+        Some(offsets[i] + at)
+    };
+    let pairs: Vec<(usize, usize)> = lists
+        .iter()
+        .enumerate()
+        .flat_map(|(i, js)| js.iter().map(move |&j| (i, j)))
+        .collect();
+    // `(slot, twin's slot)` of every pair evaluated directly: all but the
+    // second of a twin.  Twins are the first `(i, j)` and the first
+    // `(j, i)`, so they pair up one to one even where a list repeats an
+    // entry.
+    let work: Vec<(usize, Option<usize>)> = pairs
+        .iter()
+        .enumerate()
+        .filter_map(|(at, &(i, j))| {
+            let first = slot(i, j) == Some(at);
+            let twin = if i != j && first { slot(j, i) } else { None };
+            (i < j || twin.is_none()).then_some((at, twin))
+        })
+        .collect();
+    let evaluated: Vec<(Matrix, Option<Matrix>)> = work
+        .par_iter()
+        .with_min_len(grain)
+        .map(|&(at, twin)| {
+            let (i, j) = pairs[at];
+            let (rows, cols) = (rows_of(i), rows_of(j));
+            match twin {
+                Some(_) => {
+                    let (block, transposed) = kernel_block_twins(points, kernel, rows, cols);
+                    (block, Some(transposed))
+                }
+                None if i == j => (kernel_block_symmetric(points, kernel, rows), None),
+                None => (kernel_block(points, kernel, rows, cols), None),
+            }
+        })
+        .collect();
+    let mut blocks: Vec<Option<Matrix>> = vec![None; pairs.len()];
+    for (&(at, twin), (block, transposed)) in work.iter().zip(evaluated) {
+        blocks[at] = Some(block);
+        if let (Some(twin), Some(transposed)) = (twin, transposed) {
+            blocks[twin] = Some(transposed);
+        }
+    }
+    pairs
+        .into_iter()
+        .zip(blocks)
+        .map(|(pair, block)| (pair, block.expect("every pair is evaluated or is a twin")))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use matrox_points::{generate, DatasetId};
-    use matrox_sampling::sample_nodes_exhaustive;
+    use matrox_sampling::{sample_nodes, sample_nodes_exhaustive, SamplingParams};
     use matrox_tree::{PartitionMethod, Structure};
 
     fn setup(
@@ -303,6 +362,43 @@ mod tests {
         }
     }
 
+    /// Every entry of every stored block is `Kernel::eval`'s on its points,
+    /// by bits, and the blocks come in the HTree's pair order.
+    fn assert_blocks_are_kernel_entries(
+        pts: &PointSet,
+        tree: &ClusterTree,
+        htree: &HTree,
+        kernel: &Kernel,
+        c: &Compression,
+    ) {
+        let near: Vec<_> = c.near_blocks.iter().map(|(pair, _)| *pair).collect();
+        let far: Vec<_> = c.far_blocks.iter().map(|(pair, _)| *pair).collect();
+        assert_eq!(near, htree.near_pairs());
+        assert_eq!(far, htree.far_pairs());
+        let near = c
+            .near_blocks
+            .iter()
+            .map(|(p, b)| (p, b, tree.indices(p.0), tree.indices(p.1)));
+        let skeleton = |i: usize| &c.bases[i].skeleton[..];
+        let far = c
+            .far_blocks
+            .iter()
+            .map(|(p, b)| (p, b, skeleton(p.0), skeleton(p.1)));
+        for (pair, block, rows, cols) in near.chain(far) {
+            assert_eq!(block.shape(), (rows.len(), cols.len()), "{pair:?}");
+            for (a, &i) in rows.iter().enumerate() {
+                for (b, &j) in cols.iter().enumerate() {
+                    let want = kernel.eval(pts.point(i), pts.point(j));
+                    assert_eq!(
+                        block.get(a, b).to_bits(),
+                        want.to_bits(),
+                        "{pair:?} ({a}, {b})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn near_blocks_match_kernel_entries() {
         let (pts, tree, htree, sampling, kernel) = setup(256, Structure::Geometric { tau: 0.65 });
@@ -314,19 +410,83 @@ mod tests {
             &sampling,
             &CompressionParams::default(),
         );
-        assert_eq!(c.near_blocks.len(), htree.num_near());
-        for ((i, j), block) in &c.near_blocks {
-            let ri = tree.indices(*i);
-            let cj = tree.indices(*j);
-            assert_eq!(block.shape(), (ri.len(), cj.len()));
-            // Spot-check a few entries.
-            for a in (0..ri.len()).step_by(7) {
-                for b in (0..cj.len()).step_by(5) {
-                    let expected = kernel.eval(pts.point(ri[a]), pts.point(cj[b]));
-                    assert!((block.get(a, b) - expected).abs() < 1e-14);
-                }
-            }
+        assert_blocks_are_kernel_entries(&pts, &tree, &htree, &kernel, &c);
+    }
+
+    #[test]
+    fn coupling_blocks_match_kernel_entries() {
+        for structure in [Structure::Hss, Structure::h2b()] {
+            let (pts, tree, htree, sampling, kernel) = setup(512, structure);
+            let c = compress(
+                &pts,
+                &tree,
+                &htree,
+                &kernel,
+                &sampling,
+                &CompressionParams::default(),
+            );
+            assert!(!c.far_blocks.is_empty());
+            assert_blocks_are_kernel_entries(&pts, &tree, &htree, &kernel, &c);
         }
+    }
+
+    /// Twins are an optimisation, not an assumption: a pair whose twin is
+    /// not listed is evaluated as it stands, whichever of the two is left,
+    /// and unsorted or repeating lists still get every block.
+    #[test]
+    fn pairs_without_a_twin_are_evaluated_as_they_stand() {
+        let (pts, tree, mut htree, sampling, kernel) = setup(512, Structure::h2b());
+        for (i, list) in htree.near.iter_mut().enumerate() {
+            list.retain(|&j| !(i < j && (i + j) % 3 == 0));
+        }
+        for (i, list) in htree.far.iter_mut().enumerate() {
+            list.retain(|&j| !(i > j && (i + j) % 2 == 0));
+        }
+        // Unsorted lists, and a repeated entry on each side of a twin.
+        for list in htree.near.iter_mut().chain(htree.far.iter_mut()) {
+            list.reverse();
+        }
+        let twinned = |lists: &[Vec<usize>]| {
+            (0..lists.len())
+                .flat_map(|i| lists[i].iter().map(move |&j| (i, j)))
+                .find(|&(i, j)| j < i && lists[j].contains(&i))
+                .unwrap()
+        };
+        for lists in [&mut htree.near, &mut htree.far] {
+            let (i, j) = twinned(lists);
+            lists[i].push(j);
+            lists[j].push(i);
+        }
+        let c = compress(
+            &pts,
+            &tree,
+            &htree,
+            &kernel,
+            &sampling,
+            &CompressionParams::default(),
+        );
+        assert_blocks_are_kernel_entries(&pts, &tree, &htree, &kernel, &c);
+    }
+
+    /// The same at a covtype-like N = 4096 (d = 54) under H2-b with the
+    /// inspector's default sampling and leaf size.
+    #[test]
+    #[ignore = "release-only: cargo test --release -p matrox-compress -- --ignored matches_reference_at_workload_shapes"]
+    fn compress_matches_reference_at_workload_shapes() {
+        let pts = generate(DatasetId::Covtype, 4096, 6);
+        let kernel = Kernel::Gaussian { bandwidth: 5.0 };
+        let tree = ClusterTree::build(&pts, PartitionMethod::Auto, 64, 0);
+        let htree = HTree::build(&tree, Structure::h2b());
+        let sampling = sample_nodes(&pts, &tree, &kernel, &SamplingParams::default());
+        let c = compress(
+            &pts,
+            &tree,
+            &htree,
+            &kernel,
+            &sampling,
+            &CompressionParams::default(),
+        );
+        assert_blocks_are_kernel_entries(&pts, &tree, &htree, &kernel, &c);
     }
 
     #[test]

@@ -77,9 +77,10 @@ pub struct InspectorP1 {
 }
 
 /// Screen the inputs shared by every inspector entry point: a non-empty,
-/// finite point set, finite positive kernel parameters, a usable leaf size.
-/// Rejecting poison here keeps NaN coordinates from silently contaminating
-/// the whole compressed representation.
+/// finite point set whose squared distances are finite, finite positive
+/// kernel parameters, a usable leaf size.  Rejecting poison here keeps NaN
+/// coordinates from silently contaminating the whole compressed
+/// representation.
 fn screen_inspector_inputs(
     points: &PointSet,
     kernel: &Kernel,
@@ -91,6 +92,17 @@ fn screen_inspector_inputs(
     if !matrox_linalg::all_finite(points.coords()) {
         return Err(MatroxError::InvalidInput(
             "point set contains NaN or infinite coordinates".into(),
+        ));
+    }
+    // The bounding box's squared diagonal bounds every squared distance the
+    // inspector forms (between points, to centroids, to split centres).
+    // Finite coordinates can still overflow it, and then the tree build's
+    // split keys become `inf - inf`.
+    let (lo, hi) = points.bounding_box(&(0..points.len()).collect::<Vec<_>>());
+    let diag2: f64 = lo.iter().zip(&hi).map(|(l, h)| (h - l) * (h - l)).sum();
+    if !diag2.is_finite() {
+        return Err(MatroxError::InvalidInput(
+            "point set spans too wide a range: its squared distances overflow".into(),
         ));
     }
     screen_kernel(kernel)?;

@@ -13,58 +13,27 @@
 //! * [`datasets`] — synthetic generators standing in for the Table 1
 //!   datasets (UCI machine-learning sets and low-dimensional scientific point
 //!   clouds).  See DESIGN.md substitution S2.
-//! * [`kernel_block`] helpers that evaluate dense kernel sub-blocks (used by
-//!   compression and by the accuracy/GEMM baselines).
+//! * [`block`] — dense kernel and distance sub-blocks, evaluated across
+//!   pairs with each pair's own chain (used by sampling, compression and
+//!   the accuracy/GEMM baselines).
 
 #![forbid(unsafe_code)]
 
+pub mod block;
 pub mod datasets;
 pub mod kernel;
 pub mod pointset;
 
+pub use block::{
+    dist2_block_symmetric, kernel_block, kernel_block_par, kernel_block_symmetric,
+    kernel_block_twins,
+};
 pub use datasets::{generate, DatasetId, DatasetSpec, TABLE1};
 pub use kernel::Kernel;
 pub use pointset::PointSet;
 
 use matrox_linalg::Matrix;
 use rayon::prelude::*;
-
-/// Evaluate the dense kernel block `K(rows, cols)` for the given global point
-/// indices.  This is the only way the rest of the workspace touches kernel
-/// entries, mirroring the "implicit" kernel matrix of the paper.
-pub fn kernel_block(points: &PointSet, kernel: &Kernel, rows: &[usize], cols: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), cols.len());
-    for (ri, &i) in rows.iter().enumerate() {
-        let pi = points.point(i);
-        let row = out.row_mut(ri);
-        for (cj, &j) in cols.iter().enumerate() {
-            row[cj] = kernel.eval(pi, points.point(j));
-        }
-    }
-    out
-}
-
-/// Parallel version of [`kernel_block`] for large blocks (used by the dense
-/// GEMM baseline and the accuracy checks, where the block is `N x N`-ish).
-pub fn kernel_block_par(
-    points: &PointSet,
-    kernel: &Kernel,
-    rows: &[usize],
-    cols: &[usize],
-) -> Matrix {
-    let ncols = cols.len();
-    let mut out = Matrix::zeros(rows.len(), ncols);
-    out.as_mut_slice()
-        .par_chunks_mut(ncols.max(1))
-        .zip(rows.par_iter())
-        .for_each(|(row, &i)| {
-            let pi = points.point(i);
-            for (cj, &j) in cols.iter().enumerate() {
-                row[cj] = kernel.eval(pi, points.point(j));
-            }
-        });
-    out
-}
 
 /// Compute the exact product `K * W` without assembling `K`, in parallel over
 /// row blocks.  Used as the reference for the overall-accuracy measure
@@ -108,7 +77,7 @@ mod tests {
         let block = kernel_block(&pts, &k, &idx, &idx);
         for i in 0..20 {
             for j in 0..20 {
-                assert!((block.get(i, j) - block.get(j, i)).abs() < 1e-14);
+                assert_eq!(block.get(i, j).to_bits(), block.get(j, i).to_bits());
             }
         }
     }

@@ -14,17 +14,23 @@
 //!   its projection directions from its own RNG seeded by `(seed, tree
 //!   index)`, so tree `t` is a pure function of the inputs no matter which
 //!   worker builds it or in what order.
+//! * **Leaf scoring** parallelizes across each tree's leaves.  A leaf's
+//!   pairs are scored once, as the upper triangle of one distance block;
+//!   `dist2` is bitwise symmetric, so both points of a pair get the entry
+//!   each would compute.
 //! * **Neighbour search** parallelizes *across points*.  Each point gathers
-//!   candidates from its own leaf in every tree in fixed tree order, then
-//!   ranks them by `(distance, index)` — the index tie-break makes the
-//!   result independent of gathering order even for equidistant candidates.
-//!   Each point's list lands in its own pre-sized output slot; there is no
-//!   shared candidate accumulation anywhere.
+//!   its row of its leaf's block in every tree in fixed tree order, then
+//!   ranks the candidates by `(distance, index)` — the index tie-break makes
+//!   the result independent of gathering order even for equidistant
+//!   candidates.  Each point's list lands in its own pre-sized output slot;
+//!   there is no shared candidate accumulation anywhere.
 
-use matrox_points::PointSet;
+use matrox_points::{dist2_block_symmetric, PointSet};
+use matrox_tree::median_split_by_key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 
 /// Parameters for the approximate k-NN search.
 #[derive(Debug, Clone, Copy)]
@@ -55,14 +61,15 @@ impl Default for KnnParams {
 }
 
 /// One built random-projection tree: the permuted point indices plus the
-/// leaf partition over them, and for every point the leaf it landed in.
+/// leaf partition over them, and for every point its leaf and its row in
+/// that leaf.
 struct RpTree {
     /// Point indices, permuted so each leaf is a contiguous range.
     idx: Vec<usize>,
     /// `(start, end)` ranges into `idx`, one per leaf.
     leaves: Vec<(usize, usize)>,
-    /// `leaf_of[point] = leaf index` in `leaves`.
-    leaf_of: Vec<usize>,
+    /// `slot[point] = (leaf, row)`: `idx[leaves[leaf].0 + row] == point`.
+    slot: Vec<(usize, usize)>,
 }
 
 /// Build one RP-tree deterministically from `(points, seed, tree index)`.
@@ -77,33 +84,50 @@ fn build_rp_tree(points: &PointSet, leaf_bound: usize, seed: u64, tree: usize) -
     let mut stack: Vec<(usize, usize)> = vec![(0, n)];
     // In-place recursive partitioning of `idx` along random directions.
     while let Some((start, end)) = stack.pop() {
-        let len = end - start;
-        if len <= leaf_bound {
+        if end - start <= leaf_bound {
             leaves.push((start, end));
             continue;
         }
-        // Random unit-ish direction.
+        // Random unit-ish direction; each point's projection is its key.
         let dir: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mid = start + len / 2;
-        idx[start..end].select_nth_unstable_by(len / 2, |&a, &b| {
-            let pa: f64 = points.point(a).iter().zip(&dir).map(|(x, d)| x * d).sum();
-            let pb: f64 = points.point(b).iter().zip(&dir).map(|(x, d)| x * d).sum();
-            pa.partial_cmp(&pb).unwrap()
-        });
+        let mid = start
+            + median_split_by_key(&mut idx[start..end], |p| {
+                points.point(p).iter().zip(&dir).map(|(x, d)| x * d).sum()
+            });
         stack.push((start, mid));
         stack.push((mid, end));
     }
-    let mut leaf_of = vec![0usize; n];
+    let mut slot = vec![(0, 0); n];
     for (l, &(s, e)) in leaves.iter().enumerate() {
-        for &p in &idx[s..e] {
-            leaf_of[p] = l;
+        for (r, &p) in idx[s..e].iter().enumerate() {
+            slot[p] = (l, r);
         }
     }
-    RpTree {
-        idx,
-        leaves,
-        leaf_of,
+    RpTree { idx, leaves, slot }
+}
+
+/// The ranking order of candidates: distance, then index — a total order
+/// on distinct candidates.  Distances are sums of squares (never `-0.0`),
+/// so `total_cmp` orders them as `<` does.
+fn by_distance_then_index(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Rank one point's candidates: afterwards `cands` holds the `k` nearest
+/// in `(distance, index)` order.  A point found in several trees' leaves
+/// carries the same distance bits each time, so a duplicate is an equal
+/// entry, and one leaf holds a point once: the `k` smallest distinct
+/// entries lie among the `trees * k` smallest entries, and only those are
+/// sorted.
+fn rank_nearest(cands: &mut Vec<(f64, usize)>, k: usize, trees: usize) {
+    let m = trees * k;
+    if m < cands.len() {
+        cands.select_nth_unstable_by(m, by_distance_then_index);
+        cands.truncate(m);
     }
+    cands.sort_unstable_by(by_distance_then_index);
+    cands.dedup();
+    cands.truncate(k);
 }
 
 /// Approximate k-nearest neighbours of every point.
@@ -121,35 +145,43 @@ pub fn approximate_knn(points: &PointSet, params: &KnnParams) -> Vec<Vec<usize>>
     let grain = params.grain.max(1);
     let leaf_bound = params.leaf_cap.max(2 * k).max(4);
 
+    // The lists outlive everything below, so they are allocated first: the
+    // trees and leaf blocks are then freed as one region above them.
+    let mut knn: Vec<Vec<usize>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
+
     // Phase 1: build the trees, one parallel task per tree.
     let trees: Vec<RpTree> = (0..params.num_trees.max(1))
         .into_par_iter()
         .map(|t| build_rp_tree(points, leaf_bound, params.seed, t))
         .collect();
 
-    // Phase 2: per-point candidate gathering and ranking, one output slot
-    // per point.  Trees are visited in fixed order and ties rank by index,
-    // so the schedule cannot influence the lists.
-    let mut knn: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Phase 2: score every leaf's pairs once, `blocks[tree][leaf]`.
+    let blocks: Vec<Vec<_>> = trees
+        .iter()
+        .map(|tree| {
+            tree.leaves
+                .par_iter()
+                .map(|&(s, e)| dist2_block_symmetric(points, &tree.idx[s..e]))
+                .collect()
+        })
+        .collect();
+
+    // Phase 3: per-point gathering and ranking, one output slot per point.
+    // Trees are visited in fixed order and ties rank by index, so the
+    // schedule cannot influence the lists.
     knn.par_iter_mut()
         .enumerate()
         .with_min_len(grain)
         .for_each(|(i, out)| {
             let mut cands: Vec<(f64, usize)> = Vec::with_capacity(trees.len() * leaf_bound);
-            for tree in &trees {
-                let (s, e) = tree.leaves[tree.leaf_of[i]];
-                for &j in &tree.idx[s..e] {
-                    if j != i {
-                        cands.push((points.dist2(i, j), j));
-                    }
-                }
+            for (tree, blocks) in trees.iter().zip(&blocks) {
+                let (leaf, row) = tree.slot[i];
+                let (s, e) = tree.leaves[leaf];
+                let row = tree.idx[s..e].iter().zip(blocks[leaf].row(row));
+                cands.extend(row.filter(|&(&j, _)| j != i).map(|(&j, &d2)| (d2, j)));
             }
-            cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-            // The same pair found via different trees yields the identical
-            // (distance, index) entry, so after the sort duplicates are
-            // adjacent and a plain dedup removes them all.
-            cands.dedup();
-            out.extend(cands.into_iter().take(k).map(|(_, j)| j));
+            rank_nearest(&mut cands, k, trees.len());
+            out.extend(cands.iter().map(|&(_, j)| j));
         });
     knn
 }

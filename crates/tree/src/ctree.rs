@@ -477,9 +477,11 @@ fn kd_split(points: &PointSet, idx: &mut [usize]) -> usize {
 fn two_means_split(points: &PointSet, idx: &mut [usize], rng: &mut StdRng) -> usize {
     // Seed selection: a random point, then the point farthest from it.
     let a = idx[rng.gen_range(0..idx.len())];
-    let b = *idx
+    let far: Vec<f64> = idx.iter().map(|&x| points.dist2(a, x)).collect();
+    let (&b, _) = idx
         .iter()
-        .max_by(|&&x, &&y| points.dist2(a, x).partial_cmp(&points.dist2(a, y)).unwrap())
+        .zip(&far)
+        .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
         .unwrap();
     let mut c1: Vec<f64> = points.point(a).to_vec();
     let mut c2: Vec<f64> = points.point(b).to_vec();
@@ -519,12 +521,28 @@ fn two_means_split(points: &PointSet, idx: &mut [usize], rng: &mut StdRng) -> us
     }
 
     // Balanced split on the signed distance difference.
+    median_split_by_key(idx, |x| points.dist2_to(x, &c1) - points.dist2_to(x, &c2))
+}
+
+/// Split `idx` at its median by a per-point key: reorders `idx` exactly as
+/// `idx.select_nth_unstable_by(len / 2, |&a, &b| key(a).partial_cmp(&key(b)).unwrap())`
+/// would and returns `len / 2`, but computes each point's key once instead
+/// of twice per comparison.
+///
+/// The selection runs on a slice of positions with the same comparison
+/// outcomes, so it makes the same moves, and `idx` is then permuted by it.
+///
+/// # Panics
+/// If `idx` is empty or a key is NaN (as the comparator form would).
+pub fn median_split_by_key(idx: &mut [usize], key: impl Fn(usize) -> f64) -> usize {
     let mid = idx.len() / 2;
-    idx.select_nth_unstable_by(mid, |&x, &y| {
-        let dx = points.dist2_to(x, &c1) - points.dist2_to(x, &c2);
-        let dy = points.dist2_to(y, &c1) - points.dist2_to(y, &c2);
-        dx.partial_cmp(&dy).unwrap()
-    });
+    let keys: Vec<f64> = idx.iter().map(|&p| key(p)).collect();
+    let mut order: Vec<usize> = (0..idx.len()).collect();
+    order.select_nth_unstable_by(mid, |&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
+    let before = idx.to_vec();
+    for (slot, &o) in idx.iter_mut().zip(&order) {
+        *slot = before[o];
+    }
     mid
 }
 
@@ -674,6 +692,133 @@ mod tests {
             tree.height = wrong;
             assert!(tree.validate().unwrap_err().contains("tree height"));
         }
+    }
+
+    /// The parent's two-means split, verbatim: the seed search and the
+    /// median selection recompute their keys on every comparison.
+    fn reference_two_means_split(points: &PointSet, idx: &mut [usize], rng: &mut StdRng) -> usize {
+        let a = idx[rng.gen_range(0..idx.len())];
+        let b = *idx
+            .iter()
+            .max_by(|&&x, &&y| points.dist2(a, x).partial_cmp(&points.dist2(a, y)).unwrap())
+            .unwrap();
+        let mut c1: Vec<f64> = points.point(a).to_vec();
+        let mut c2: Vec<f64> = points.point(b).to_vec();
+        for _ in 0..2 {
+            let mut s1 = vec![0.0; points.dim()];
+            let mut s2 = vec![0.0; points.dim()];
+            let mut n1 = 0usize;
+            let mut n2 = 0usize;
+            for &i in idx.iter() {
+                let d1 = points.dist2_to(i, &c1);
+                let d2 = points.dist2_to(i, &c2);
+                let p = points.point(i);
+                if d1 <= d2 {
+                    for k in 0..points.dim() {
+                        s1[k] += p[k];
+                    }
+                    n1 += 1;
+                } else {
+                    for k in 0..points.dim() {
+                        s2[k] += p[k];
+                    }
+                    n2 += 1;
+                }
+            }
+            if n1 > 0 {
+                for k in 0..points.dim() {
+                    c1[k] = s1[k] / n1 as f64;
+                }
+            }
+            if n2 > 0 {
+                for k in 0..points.dim() {
+                    c2[k] = s2[k] / n2 as f64;
+                }
+            }
+        }
+        let mid = idx.len() / 2;
+        idx.select_nth_unstable_by(mid, |&x, &y| {
+            let dx = points.dist2_to(x, &c1) - points.dist2_to(x, &c2);
+            let dy = points.dist2_to(y, &c1) - points.dist2_to(y, &c2);
+            dx.partial_cmp(&dy).unwrap()
+        });
+        mid
+    }
+
+    type Split = fn(&PointSet, &mut [usize], &mut StdRng) -> usize;
+
+    /// Split `idx` down to `leaf`-point pieces with `split` (a per-call
+    /// RNG and the build's degenerate-split guard), leaving the permutation
+    /// a tree build would.
+    fn split_recursively(
+        points: &PointSet,
+        idx: &mut [usize],
+        seed: u64,
+        leaf: usize,
+        split: Split,
+    ) {
+        if idx.len() <= leaf {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mid = match split(points, idx, &mut rng) {
+            m if m == 0 || m == idx.len() => idx.len() / 2,
+            m => m,
+        };
+        let (l, r) = idx.split_at_mut(mid);
+        split_recursively(points, l, 2 * seed + 1, leaf, split);
+        split_recursively(points, r, 2 * seed + 2, leaf, split);
+    }
+
+    fn assert_two_means_matches_reference(points: &PointSet, leaf: usize, what: &str) {
+        let mut want: Vec<usize> = (0..points.len()).collect();
+        let mut got = want.clone();
+        split_recursively(points, &mut want, 1, leaf, reference_two_means_split);
+        split_recursively(points, &mut got, 1, leaf, two_means_split);
+        assert_eq!(got, want, "{what}");
+    }
+
+    /// A point set whose points each appear three times: tied keys.
+    fn triplicated(id: DatasetId, n: usize) -> PointSet {
+        let base = generate(id, n / 3, 8);
+        let coords = (0..n).flat_map(|i| base.point(i % base.len()).to_vec());
+        PointSet::new(base.dim(), coords.collect())
+    }
+
+    /// Keys computed once make the comparisons the comparator forms made,
+    /// so every split, and the permutation, is the parent's.
+    #[test]
+    fn keyed_splits_match_the_comparator_forms() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for len in [1usize, 2, 3, 16, 17, 200] {
+            // Keys with ties and both signed zeros.
+            let keys: Vec<f64> = (0..len)
+                .map(|_| [0.0, -0.0, 1.5, -2.0, rng.gen_range(-1.0..1.0)][rng.gen_range(0..5usize)])
+                .collect();
+            let mut want: Vec<usize> = (0..len).rev().collect();
+            let mut got = want.clone();
+            want.select_nth_unstable_by(len / 2, |&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
+            assert_eq!(median_split_by_key(&mut got, |p| keys[p]), len / 2);
+            assert_eq!(got, want, "len {len}");
+        }
+        for (id, n) in [
+            (DatasetId::Covtype, 1500),
+            (DatasetId::Higgs, 700),
+            (DatasetId::Grid, 600),
+        ] {
+            let what = format!("{id:?} {n}");
+            assert_two_means_matches_reference(&generate(id, n, 3), 16, &what);
+            assert_two_means_matches_reference(&triplicated(id, n), 16, &format!("{what} x3"));
+        }
+    }
+
+    /// The same at `ml_wide`'s shape: the covtype-like N = 16384, d = 54
+    /// set down to 32-point leaves.
+    #[test]
+    #[ignore = "release-only: cargo test --release -p matrox-tree -- --ignored matches_reference_at_workload_shapes"]
+    fn two_means_matches_reference_at_workload_shapes() {
+        let points = generate(DatasetId::Covtype, 16384, 6);
+        assert_two_means_matches_reference(&points, 32, "covtype 16384");
     }
 
     #[test]

@@ -21,5 +21,7 @@
 pub mod ctree;
 pub mod htree;
 
-pub use ctree::{ensure, invert_permutation, ClusterTree, PartitionMethod, TreeNode};
+pub use ctree::{
+    ensure, invert_permutation, median_split_by_key, ClusterTree, PartitionMethod, TreeNode,
+};
 pub use htree::{HTree, Structure};

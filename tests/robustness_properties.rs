@@ -110,3 +110,29 @@ proptest! {
         );
     }
 }
+
+/// Finite coordinates whose squared distances overflow — a covtype-like set
+/// or a grid scaled by 1e160 — are rejected up front as InvalidInput under
+/// both structures, instead of a split key turning into `inf - inf` inside
+/// the tree build (a contained panic) or the model holding infinite
+/// distances.  The same sets at 1e100 still inspect.
+#[test]
+fn points_whose_distances_overflow_are_rejected() {
+    let kernel = Kernel::Gaussian { bandwidth: 5.0 };
+    for base in [
+        generate(DatasetId::Covtype, 512, 1),
+        generate(DatasetId::Grid, 512, 1),
+    ] {
+        let scaled =
+            |s: f64| PointSet::new(base.dim(), base.coords().iter().map(|x| x * s).collect());
+        for params in [MatRoxParams::h2b(), MatRoxParams::hss()] {
+            let err = inspector(&scaled(1e160), &kernel, &params)
+                .expect_err("overflowing distances must be rejected");
+            assert!(
+                matches!(err, MatroxError::InvalidInput(_)),
+                "wrong error: {err:?}"
+            );
+        }
+        inspector(&scaled(1e100), &kernel, &MatRoxParams::h2b()).expect("finite distances inspect");
+    }
+}
