@@ -840,6 +840,7 @@ mod tests {
         build_blockset, build_cds, build_coarsenset, generate_plan, CoarsenParams, CodegenParams,
     };
     use matrox_compress::{compress, reference_evaluate, CompressionParams};
+    use matrox_linalg::kernel::NR;
     use matrox_linalg::relative_error;
     use matrox_points::{dense_kernel_matmul, generate, DatasetId, Kernel};
     use matrox_sampling::sample_nodes_exhaustive;
@@ -988,7 +989,9 @@ mod tests {
             &f.w,
             &ExecOptions::full().with_panel_width(usize::MAX),
         );
-        for panel in [1usize, 2, 5, 8, 16, 32, 33, 100] {
+        // Every width up to NR + 1 reaches each narrow (`q < NR`) arm of
+        // the kernel layer, against the packed full-width evaluation.
+        for panel in (1..=NR + 1).chain([16, 32, 33, 100]) {
             let opts = ExecOptions::full().with_panel_width(panel);
             let y = execute(&f.plan, &f.tree, &f.w, &opts);
             assert!(bitwise_eq(&y, &full), "panel width {panel} changed results");
@@ -1015,7 +1018,7 @@ mod tests {
                     .with_panel_width(usize::MAX)
                     .with_kernel(kernel),
             );
-            for panel in [1usize, 7, 16] {
+            for panel in (1..=NR + 1).chain([16]) {
                 let y = execute(
                     &f.plan,
                     &f.tree,

@@ -82,17 +82,16 @@ fn allocs_for(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matr
     reading.allocs
 }
 
-fn check(opts: ExecOptions, bound_single: u64) {
+fn check(opts: ExecOptions, panel: usize, bound_single: u64) {
     // Miri interprets the whole pipeline (compression included) ~100x
     // slower; a 2-leaf tree and two panels still drive every RawSlots
     // raw-slicing path, which is what the Miri leg is for.
     const N: usize = if cfg!(miri) { 64 } else { 256 };
-    const PANEL: usize = 16;
     const PANELS_MANY: usize = if cfg!(miri) { 2 } else { 8 };
     let (tree, plan) = fixture(N);
-    let prep = PreparedExec::new(&plan, &tree, &opts.with_panel_width(PANEL));
-    let w_one = rhs(N, PANEL, 3); // exactly one panel
-    let w_many = rhs(N, PANELS_MANY * PANEL, 4);
+    let prep = PreparedExec::new(&plan, &tree, &opts.with_panel_width(panel));
+    let w_one = rhs(N, panel, 3); // exactly one panel
+    let w_many = rhs(N, PANELS_MANY * panel, 4);
     // Warm up: thread-local pack buffers, lazy pool spawn, env caches.
     for _ in 0..2 {
         let _ = execute_prepared(&plan, &tree, &prep, &w_many);
@@ -113,12 +112,23 @@ fn check(opts: ExecOptions, bound_single: u64) {
 
 #[test]
 fn sequential_panel_loop_is_allocation_free() {
-    measure(|| check(ExecOptions::sequential(), 8));
+    measure(|| check(ExecOptions::sequential(), 16, 8));
 }
 
 #[test]
 fn parallel_panel_loop_is_allocation_free() {
-    measure(|| check(ExecOptions::full(), 8));
+    measure(|| check(ExecOptions::full(), 16, 8));
+}
+
+/// One-column panels take the kernel layer's narrow (unpacked) arm for
+/// every product, which has no pack buffer to grow: it must allocate
+/// nothing either.
+#[test]
+fn one_column_panel_loop_is_allocation_free() {
+    measure(|| {
+        check(ExecOptions::sequential(), 1, 8);
+        check(ExecOptions::full(), 1, 8);
+    });
 }
 
 /// A plan whose CDS was packed with grain 1 (every slot its own pool job —

@@ -7,7 +7,9 @@
 //! (no `Matrix` per node, no per-level id lists, no per-panel scratch).  So
 //! the allocation *count* — taken with the workspace's shared probe, like
 //! `crates/exec/tests/alloc_free.rs` — is the same for a 64-leaf and a
-//! 256-leaf model, and for one panel and five.
+//! 256-leaf model, and for one panel and five.  The panels are 4 columns
+//! wide, so every product of the sweeps runs the kernel layer's narrow
+//! (`q < NR`, unpacked) arm: this suite covers its allocation-freedom too.
 //!
 //! The count is process-wide (the pool's workers allocate on their own
 //! threads), so the test runs its whole body inside one outer `measure`.

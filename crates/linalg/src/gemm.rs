@@ -246,7 +246,12 @@ pub fn gemv(alpha: f64, a: &Matrix, op_a: GemmOp, x: &[f64], beta: f64, y: &mut 
             assert_eq!(a.rows(), y.len(), "gemv: y length mismatch");
             for i in 0..a.rows() {
                 let acc = disp.dot(a.row(i), x);
-                y[i] = alpha * acc + beta * y[i];
+                // `beta = 0` means `y` is output only: `0 * NaN` is NaN.
+                y[i] = if beta == 0.0 {
+                    alpha * acc
+                } else {
+                    alpha * acc + beta * y[i]
+                };
             }
         }
         GemmOp::Trans => {
@@ -474,6 +479,20 @@ mod tests {
         let expected = matmul(&a.transpose(), &xm);
         for i in 0..6 {
             assert!((y[i] - expected.get(i, 0)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn gemv_with_zero_beta_never_reads_y() {
+        let a = random_matrix(9, 6, 15);
+        for (op, (xlen, ylen)) in [(GemmOp::NoTrans, (6, 9)), (GemmOp::Trans, (9, 6))] {
+            let x: Vec<f64> = (0..xlen).map(|i| i as f64 - 2.5).collect();
+            let mut clean = vec![0.0; ylen];
+            gemv(1.5, &a, op, &x, 0.0, &mut clean);
+            let mut y = vec![f64::NAN; ylen];
+            gemv(1.5, &a, op, &x, 0.0, &mut y);
+            assert!(y.iter().all(|v| v.is_finite()), "{op:?}: beta = 0 read y");
+            assert_eq!(y, clean, "{op:?}");
         }
     }
 

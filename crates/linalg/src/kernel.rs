@@ -18,9 +18,11 @@
 //!   behaviour of the workspace.
 //! * [`KernelArch::Avx2`] — a packed, register-blocked 4x8 `f64`
 //!   microkernel using AVX2 + FMA intrinsics (see [`mod@crate::kernel::pack`] for
-//!   the panel formats and `kernel/avx2.rs` for the tile).  Selected by
-//!   `auto` when the CPU supports it; requesting `avx2` on hardware
-//!   without the features silently falls back to `scalar` (recorded in
+//!   the panel formats and `kernel/avx2.rs` for the tile).  Products with
+//!   fewer than [`NR`] right-hand-side columns skip the packing and run an
+//!   unpacked arm with the same per-element chain.  Selected by `auto` when
+//!   the CPU supports it; requesting `avx2` on hardware without the
+//!   features silently falls back to `scalar` (recorded in
 //!   [`KernelDispatch::name`]).
 //!
 //! # The bitwise-determinism contract
@@ -104,7 +106,7 @@ impl std::str::FromStr for KernelChoice {
 pub enum KernelArch {
     /// Cache-blocked scalar loops (portable fallback, pre-SIMD behaviour).
     Scalar,
-    /// Packed 4x8 AVX2+FMA microkernel.
+    /// Packed 4x8 AVX2+FMA microkernel (unpacked below [`NR`] columns).
     Avx2,
 }
 

@@ -1,4 +1,5 @@
-//! AVX2 + FMA packed GEMM path.
+//! AVX2 + FMA GEMM paths: the packed 4x8 microkernel, and an unpacked
+//! narrow arm for products with fewer than [`NR`] right-hand-side columns.
 //!
 //! The computational core is a 4x8 register tile ([`pack::MR`] x
 //! [`pack::NR`]): 8 `ymm` accumulators (4 rows x 2 four-lane column
@@ -22,7 +23,12 @@
 //!   microkernel** against a zero-padded stack tile; padded lanes are
 //!   discarded, real lanes see the identical fma chain;
 //! * there is **no zero-skipping** (the scalar kernel's `a == 0` shortcut
-//!   cannot be applied per-lane), so the chain's shape depends only on `kc`.
+//!   cannot be applied per-lane), so the chain's shape depends only on `kc`;
+//! * products with `n < NR` columns run **unpacked** ([`narrow`]): no pack
+//!   buffer and no zero padding, each stored block streamed once, row by
+//!   row, with the same load-`C`, `p`-ascending fma, store chain per
+//!   element.  A 1-column product would otherwise pay 8 FMAs per useful
+//!   one and copy every `A` block before reading it.
 //!
 //! Consequently the result of a product depends only on the logical
 //! operands and the depth `k` — not on row chunking (thread count), column
@@ -30,7 +36,7 @@
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "packed 4x8 AVX2+FMA microkernel on raw-pointer tiles: pack-buffer lengths come from the same (mc, kc, nc, MR, NR) the tile loops use, and the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
+    reason = "packed 4x8 AVX2+FMA microkernel on raw-pointer tiles: pack-buffer lengths come from the same (mc, kc, nc, MR, NR) the tile loops use; the narrow arm indexes slices; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
 )]
 
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
@@ -163,7 +169,138 @@ unsafe fn tile_sweep(
     }
 }
 
-/// Packed, cache-blocked `C += op(A) * B` over raw row-major slices.
+/// Unpacked `C += op(A) * B` for `N < NR` right-hand-side columns, with the
+/// operand conventions of [`gemm_blocked`] (`b` is `k x N`, `c` is `m x N`).
+///
+/// Every output element runs the packed microkernel's chain: loaded from
+/// `C`, then `c = fma(a_ip, b_pj, c)` for `p` ascending over all of `k`,
+/// then stored (the packed path's `kc` split only inserts value-neutral
+/// stores, so one pass is the same chain, and so is a store after every
+/// `p`).  `N` is a constant so the accumulators are fixed-size arrays the
+/// compiler keeps in registers.  Only the loop order differs by form, so
+/// that each stored block is read once, in contiguous runs ([`narrow_nn`],
+/// [`narrow_tn`]).
+///
+/// # Safety
+/// Requires the `avx2` and `fma` CPU features: under them `f64::mul_add`
+/// lowers to `vfmadd` (without them it is a libm call).  Every memory access
+/// is safe slice indexing.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn narrow<const N: usize>(
+    trans_a: bool,
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    b: &[f64],
+    c: &mut [f64],
+) {
+    let b = &b[..k * N];
+    let c = &mut c[..m * N];
+    if trans_a {
+        narrow_tn::<N>(a, lda, i0, m, b, c);
+    } else {
+        narrow_nn::<N>(a, lda, i0, k, b, c);
+    }
+}
+
+/// NoTrans body of [`narrow`]: rows in groups of 4, each row of `A` read
+/// contiguously, `4 * N` chains live across the whole depth; tail rows one
+/// at a time.  `#[inline(always)]` puts it inside [`narrow`]'s
+/// `target_feature` context.
+#[inline(always)]
+fn narrow_nn<const N: usize>(a: &[f64], lda: usize, i0: usize, k: usize, b: &[f64], c: &mut [f64]) {
+    let row = |i: usize| &a[(i0 + i) * lda..][..k];
+    let mut quads = c.chunks_exact_mut(4 * N);
+    let mut i = 0;
+    for cq in quads.by_ref() {
+        let mut acc: [[f64; N]; 4] =
+            std::array::from_fn(|r| std::array::from_fn(|j| cq[r * N + j]));
+        let rows = row(i)
+            .iter()
+            .zip(row(i + 1))
+            .zip(row(i + 2))
+            .zip(row(i + 3));
+        for ((((&x0, &x1), &x2), &x3), brow) in rows.zip(b.chunks_exact(N)) {
+            for j in 0..N {
+                acc[0][j] = x0.mul_add(brow[j], acc[0][j]);
+                acc[1][j] = x1.mul_add(brow[j], acc[1][j]);
+                acc[2][j] = x2.mul_add(brow[j], acc[2][j]);
+                acc[3][j] = x3.mul_add(brow[j], acc[3][j]);
+            }
+        }
+        for (crow, accr) in cq.chunks_exact_mut(N).zip(&acc) {
+            crow.copy_from_slice(accr);
+        }
+        i += 4;
+    }
+    for crow in quads.into_remainder().chunks_exact_mut(N) {
+        let mut acc: [f64; N] = std::array::from_fn(|j| crow[j]);
+        for (&x, brow) in row(i).iter().zip(b.chunks_exact(N)) {
+            for j in 0..N {
+                acc[j] = x.mul_add(brow[j], acc[j]);
+            }
+        }
+        crow.copy_from_slice(&acc);
+        i += 1;
+    }
+}
+
+/// Trans body of [`narrow`].  Row `p` of the stored `A` is contiguous
+/// across the `m` outputs.  At `N = 1` the outer loop is `p` (an axpy per
+/// row, `C` a few KB in L1); wider, outputs go in groups of 8 whose `8 * N`
+/// chains live across the depth, each reading 8 contiguous values of every
+/// row `p` (a per-`p` store of `m x N` would cost more than it streams);
+/// tail outputs one at a time.  `#[inline(always)]` puts it inside
+/// [`narrow`]'s `target_feature` context.
+#[inline(always)]
+fn narrow_tn<const N: usize>(a: &[f64], lda: usize, i0: usize, m: usize, b: &[f64], c: &mut [f64]) {
+    if N == 1 {
+        for (p, &bp) in b.iter().enumerate() {
+            for (cv, &x) in c.iter_mut().zip(&a[p * lda + i0..][..m]) {
+                *cv = x.mul_add(bp, *cv);
+            }
+        }
+        return;
+    }
+    let mut octs = c.chunks_exact_mut(8 * N);
+    let mut i = i0;
+    for co in octs.by_ref() {
+        let mut acc: [[f64; N]; 8] =
+            std::array::from_fn(|r| std::array::from_fn(|j| co[r * N + j]));
+        for (p, brow) in b.chunks_exact(N).enumerate() {
+            let xs = &a[p * lda + i..][..8];
+            for (accr, &x) in acc.iter_mut().zip(xs) {
+                for j in 0..N {
+                    accr[j] = x.mul_add(brow[j], accr[j]);
+                }
+            }
+        }
+        for (crow, accr) in co.chunks_exact_mut(N).zip(&acc) {
+            crow.copy_from_slice(accr);
+        }
+        i += 8;
+    }
+    for crow in octs.into_remainder().chunks_exact_mut(N) {
+        let mut acc: [f64; N] = std::array::from_fn(|j| crow[j]);
+        for (p, brow) in b.chunks_exact(N).enumerate() {
+            let x = a[p * lda + i];
+            for j in 0..N {
+                acc[j] = x.mul_add(brow[j], acc[j]);
+            }
+        }
+        crow.copy_from_slice(&acc);
+        i += 1;
+    }
+}
+
+// `gemm_blocked`'s `match n` has one arm per narrow width below `NR`.
+const _: () = assert!(NR == 8);
+
+/// Cache-blocked `C += op(A) * B` over raw row-major slices: packed through
+/// the 4x8 microkernel for `n >= NR`, unpacked through [`narrow`] for
+/// `n < NR`.
 ///
 /// * `trans_a = false`: `A` is `m x k` row-major with leading dimension
 ///   `lda` and the product reads logical rows `[i0, i0 + m)` (so a parallel
@@ -191,6 +328,24 @@ pub fn gemm_blocked(
     }
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    if n < NR {
+        // SAFETY: `narrow` needs only avx2+fma, which dispatch resolution
+        // verified (`simd_available()`) before any dispatch could reach
+        // this function; its accesses are bounds-checked slice indexing.
+        unsafe {
+            match n {
+                1 => narrow::<1>(trans_a, a, lda, i0, m, k, b, c),
+                2 => narrow::<2>(trans_a, a, lda, i0, m, k, b, c),
+                3 => narrow::<3>(trans_a, a, lda, i0, m, k, b, c),
+                4 => narrow::<4>(trans_a, a, lda, i0, m, k, b, c),
+                5 => narrow::<5>(trans_a, a, lda, i0, m, k, b, c),
+                6 => narrow::<6>(trans_a, a, lda, i0, m, k, b, c),
+                // n == 7: zero returned above, and n < NR.
+                _ => narrow::<7>(trans_a, a, lda, i0, m, k, b, c),
+            }
+        }
+        return;
+    }
     PACK_BUFS.with(|cell| {
         let mut bufs = cell.borrow_mut();
         let (abuf, bbuf) = &mut *bufs;

@@ -10,8 +10,12 @@
 //! 2. **bitwise determinism** — for a fixed dispatch the result is bitwise
 //!    identical across 1/2/4-thread pools and across RHS panel groupings;
 //! 3. **fallback totality** — every [`KernelChoice`] resolves to a runnable
-//!    kernel on every host.
+//!    kernel on every host;
+//! 4. **the narrow arm** — on AVX2, a product with `n < NR` columns runs
+//!    unpacked; it must equal the packed path bit for bit (the same product
+//!    with `B` zero-padded to `NR` columns, first `n` columns kept).
 
+use matrox_linalg::kernel::NR;
 use matrox_linalg::{gemm_seq, simd_available, GemmOp, KernelChoice, KernelDispatch, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -219,4 +223,149 @@ fn avx2_request_always_resolves_and_computes() {
         KernelDispatch::for_choice(KernelChoice::Scalar).name(),
         "scalar"
     );
+}
+
+/// The packed-path oracle for the narrow arm: `C0 + op(A) * B` computed at
+/// width `NR` with `B` and `C0` zero-padded, first `n` columns kept.  The
+/// padded product takes the packed microkernel, and columns never interact,
+/// so a narrow result must match it bit for bit.  `a` is `m x k` (NoTrans)
+/// or stored `k x m` (`trans`).
+fn padded_packed(
+    disp: KernelDispatch,
+    trans: bool,
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    c0: &[f64],
+) -> Vec<f64> {
+    let pad = |src: &[f64], rows: usize| -> Vec<f64> {
+        (0..rows)
+            .flat_map(|r| (0..NR).map(move |j| if j < n { src[r * n + j] } else { 0.0 }))
+            .collect()
+    };
+    let bp = pad(b, k);
+    let mut cp = pad(c0, m);
+    if trans {
+        disp.gemm_tn(a, k, m, &bp, NR, &mut cp);
+    } else {
+        disp.gemm(a, m, k, &bp, NR, &mut cp);
+    }
+    (0..m)
+        .flat_map(|i| cp[i * NR..i * NR + n].to_vec())
+        .collect()
+}
+
+/// Operands for one narrow check: `A` with exact zeros in it (the AVX2
+/// chain never skips them), `B`, and a `C0` holding non-zero values, `-0.0`
+/// and a subnormal, which a chain that starts anywhere but `C` would lose.
+fn narrow_operands(m: usize, k: usize, n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let mut a = random_matrix(m.max(1), k.max(1), seed).as_slice()[..m * k].to_vec();
+    a.iter_mut().step_by(7).for_each(|v| *v = 0.0);
+    let b = random_matrix(k.max(1), n, seed + 1).as_slice()[..k * n].to_vec();
+    let mut c0 = random_matrix(m, n, seed + 2).as_slice().to_vec();
+    for (i, v) in c0.iter_mut().enumerate() {
+        match i % 5 {
+            0 => *v = -0.0,
+            1 => *v = f64::from_bits(1),
+            _ => {}
+        }
+    }
+    (a, b, c0)
+}
+
+/// `gemm` and `gemm_tn` at width `n` against [`padded_packed`], by `to_bits`.
+fn assert_narrow_matches_packed(disp: KernelDispatch, m: usize, k: usize, n: usize, seed: u64) {
+    let (a, b, c0) = narrow_operands(m, k, n, seed);
+    for trans in [false, true] {
+        let want = padded_packed(disp, trans, &a, m, k, &b, n, &c0);
+        let mut c = c0.clone();
+        if trans {
+            disp.gemm_tn(&a, k, m, &b, n, &mut c);
+        } else {
+            disp.gemm(&a, m, k, &b, n, &mut c);
+        }
+        assert!(
+            c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "narrow {} at m={m} k={k} n={n} differs from the packed path",
+            if trans { "gemm_tn" } else { "gemm" }
+        );
+    }
+}
+
+/// The SIMD dispatch, or `None` on hosts (and under Miri) without it: the
+/// narrow arm exists only there.
+fn simd_dispatch() -> Option<KernelDispatch> {
+    simd_available().then(|| KernelDispatch::resolve(KernelChoice::Avx2))
+}
+
+/// Every narrow width at row counts around the 4-row groups and at depths
+/// around the packed path's `kc` split.
+#[test]
+fn narrow_arm_matches_padded_packed() {
+    let Some(disp) = simd_dispatch() else { return };
+    let kc = disp.blocking().kc;
+    for n in 1..NR {
+        for m in [1usize, 3, 4, 5, 63, 64, 65] {
+            for k in [0, 1, kc - 1, kc, kc + 1, 2 * kc + 3] {
+                assert_narrow_matches_packed(disp, m, k, n, (m * 1000 + k * 10 + n) as u64);
+            }
+        }
+    }
+}
+
+/// `par_gemm` / `par_gemm_tn` hand each row chunk the whole `A` at an offset
+/// `i0`; at every narrow width they must equal the sequential product at
+/// pool widths 1, 2 and 3.
+#[test]
+fn narrow_par_paths_match_sequential_across_pool_widths() {
+    let Some(disp) = simd_dispatch() else { return };
+    let (m, k) = (65usize, 2 * disp.blocking().kc + 3);
+    for n in 1..NR {
+        let (a, b, c0) = narrow_operands(m, k, n, 90 + n as u64);
+        let mut seq = c0.clone();
+        disp.gemm(&a, m, k, &b, n, &mut seq);
+        let mut seq_tn = c0.clone();
+        disp.gemm_tn(&a, k, m, &b, n, &mut seq_tn);
+        for nt in [1usize, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(nt)
+                .build()
+                .unwrap();
+            let (par, par_tn) = pool.install(|| {
+                let mut par = c0.clone();
+                disp.par_gemm(&a, m, k, &b, n, &mut par);
+                let mut par_tn = c0.clone();
+                disp.par_gemm_tn(&a, k, m, &b, n, &mut par_tn);
+                (par, par_tn)
+            });
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&par), bits(&seq), "par_gemm n={n} at {nt} threads");
+            assert_eq!(
+                bits(&par_tn),
+                bits(&seq_tn),
+                "par_gemm_tn n={n} at {nt} threads"
+            );
+        }
+    }
+}
+
+/// The exhaustive sweep at the executor's block shapes (release CI step:
+/// `cargo test --release -p matrox-linalg -- --ignored narrow_matches_packed`):
+/// every `(m, k)` in `1..=96` squared, plus depths straddling `kc` and
+/// `2 * kc`, at every narrow width, both forms.
+#[test]
+#[ignore = "exhaustive; run in release"]
+fn narrow_matches_packed_at_executor_shapes() {
+    let Some(disp) = simd_dispatch() else { return };
+    let kc = disp.blocking().kc;
+    let straddle = [kc - 1, kc, kc + 1, 2 * kc - 1, 2 * kc, 2 * kc + 1];
+    for m in 1..=96usize {
+        for k in (1..=96usize).chain(straddle) {
+            for n in 1..NR {
+                assert_narrow_matches_packed(disp, m, k, n, (m * 1000 + k) as u64);
+            }
+        }
+    }
 }
