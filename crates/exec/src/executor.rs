@@ -990,7 +990,7 @@ mod tests {
             &ExecOptions::full().with_panel_width(usize::MAX),
         );
         // Every width up to NR + 1 reaches each narrow (`q < NR`) arm of
-        // the kernel layer, against the packed full-width evaluation.
+        // the kernel layer, against the full-width evaluation.
         for panel in (1..=NR + 1).chain([16, 32, 33, 100]) {
             let opts = ExecOptions::full().with_panel_width(panel);
             let y = execute(&f.plan, &f.tree, &f.w, &opts);

@@ -19,7 +19,7 @@
 //!
 //! Except for [`gemm_seq`], every kernel here runs the
 //! process-wide [`KernelDispatch`] — the
-//! packed AVX2 microkernel when the host supports it (see
+//! AVX2 microkernel when the host supports it (see
 //! [`crate::kernel`]), the historic scalar loops otherwise or under
 //! `MATROX_KERNEL=scalar`.
 
@@ -298,8 +298,9 @@ pub fn gemm_panel(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f
 ///
 /// This is the upward-pass kernel `T_i = V_i^T * W_i`: `V_i` is stored
 /// untransposed in CDS and the transpose is absorbed by the kernel (a
-/// rank-1-update loop for the scalar arch, transposing packing for the
-/// microkernel), keeping the accesses to `B` and `C` contiguous.
+/// rank-1-update loop for the scalar arch; for the microkernel, strided
+/// reads of the stored block, or transposing packing when it is too large
+/// to read in place), keeping the accesses to `B` and `C` contiguous.
 pub fn gemm_tn_slices(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
     KernelDispatch::global().gemm_tn(a, k, m, b, n, c);
 }

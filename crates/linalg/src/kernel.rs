@@ -1,4 +1,4 @@
-//! Kernel selection: the packed SIMD microkernel layer and its dispatch.
+//! Kernel selection: the SIMD microkernel layer and its dispatch.
 //!
 //! Every hot product in the workspace (executor leaf/coupling/transfer
 //! phases, the ULV factorization's reduced-matrix updates, the dense
@@ -16,14 +16,16 @@
 //!   (`C += A*B` with per-element `mul` + `add`, zero-skipping).  This is
 //!   the portable fallback and is bitwise-identical to the pre-SIMD
 //!   behaviour of the workspace.
-//! * [`KernelArch::Avx2`] — a packed, register-blocked 4x8 `f64`
-//!   microkernel using AVX2 + FMA intrinsics (see [`mod@crate::kernel::pack`] for
-//!   the panel formats and `kernel/avx2.rs` for the tile).  Products with
-//!   fewer than [`NR`] right-hand-side columns skip the packing and run an
-//!   unpacked arm with the same per-element chain.  Selected by `auto` when
-//!   the CPU supports it; requesting `avx2` on hardware without the
-//!   features silently falls back to `scalar` (recorded in
-//!   [`KernelDispatch::name`]).
+//! * [`KernelArch::Avx2`] — a register-blocked 4x8 `f64` microkernel
+//!   using AVX2 + FMA intrinsics (`kernel/avx2.rs`).  It reads the operands
+//!   where they lie whenever they fit the pack buffers (`m * k <= mc * kc`
+//!   and `k * n <= kc * nc`) or the product has fewer than [`NR`]
+//!   right-hand-side columns — every product the executor, the factor and
+//!   the solve issue — and packs larger ones first (see
+//!   [`mod@crate::kernel::pack`] for the panel formats).  Both routes keep
+//!   one per-element chain.  Selected by `auto` when the CPU supports it;
+//!   requesting `avx2` on hardware without the features silently falls
+//!   back to `scalar` (recorded in [`KernelDispatch::name`]).
 //!
 //! # The bitwise-determinism contract
 //!
@@ -31,7 +33,8 @@
 //! element accumulates its `k` products in storage order as one fixed
 //! operation chain (`mul`+`add` for scalar, `fma` for AVX2).  The chain
 //! depends only on the logical operands — never on thread count, row
-//! chunking, RHS panel grouping or the cache-derived pack-block sizes.
+//! chunking, RHS panel grouping, the cache-derived pack-block sizes, or
+//! whether the AVX2 arm read the operands in place or packed.
 //! That is the property the executor's "results are bitwise identical
 //! across `RAYON_NUM_THREADS`, grain and panel width" tests pin.  Results
 //! **do** differ between architectures (FMA rounds once, mul+add rounds
@@ -106,7 +109,8 @@ impl std::str::FromStr for KernelChoice {
 pub enum KernelArch {
     /// Cache-blocked scalar loops (portable fallback, pre-SIMD behaviour).
     Scalar,
-    /// Packed 4x8 AVX2+FMA microkernel (unpacked below [`NR`] columns).
+    /// 4x8 AVX2+FMA microkernel, on the operands in place when they fit
+    /// the pack buffers or have fewer than [`NR`] columns, packed otherwise.
     Avx2,
 }
 
@@ -220,10 +224,14 @@ impl KernelDispatch {
 
     /// `C += A * B`: `A` is `m x k`, `B` is `k x n`, `C` is `m x n`, all
     /// row-major and densely packed.
+    ///
+    /// # Panics
+    /// Panics if a slice length differs from its shape (checked in release:
+    /// the AVX2 arm stores through raw pointers).
     pub fn gemm(&self, a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
+        assert_eq!(a.len(), m * k, "A is not m x k");
+        assert_eq!(b.len(), k * n, "B is not k x n");
+        assert_eq!(c.len(), m * n, "C is not m x n");
         if m == 0 || n == 0 || k == 0 {
             return;
         }
@@ -236,10 +244,13 @@ impl KernelDispatch {
     /// `C += A^T * B`: `A` is stored `k x m` row-major, `B` is `k x n`,
     /// `C` is `m x n`.  Produces results bitwise identical to packing the
     /// explicit transpose through [`KernelDispatch::gemm`].
+    ///
+    /// # Panics
+    /// Panics if a slice length differs from its shape.
     pub fn gemm_tn(&self, a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        debug_assert_eq!(a.len(), k * m);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
+        assert_eq!(a.len(), k * m, "A is not k x m");
+        assert_eq!(b.len(), k * n, "B is not k x n");
+        assert_eq!(c.len(), m * n, "C is not m x n");
         if m == 0 || n == 0 || k == 0 {
             return;
         }
@@ -252,10 +263,13 @@ impl KernelDispatch {
     /// Rayon-parallel [`KernelDispatch::gemm`], splitting the rows of `C`.
     /// Bitwise identical to the sequential version at every pool width
     /// (rows accumulate independently).
+    ///
+    /// # Panics
+    /// Panics if a slice length differs from its shape.
     pub fn par_gemm(&self, a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
+        assert_eq!(a.len(), m * k, "A is not m x k");
+        assert_eq!(b.len(), k * n, "B is not k x n");
+        assert_eq!(c.len(), m * n, "C is not m x n");
         if m == 0 || n == 0 || k == 0 {
             return;
         }
@@ -281,10 +295,13 @@ impl KernelDispatch {
     /// Rayon-parallel [`KernelDispatch::gemm_tn`], splitting the rows of
     /// `C` (= columns of the stored `A`).  Bitwise identical to the
     /// sequential version at every pool width.
+    ///
+    /// # Panics
+    /// Panics if a slice length differs from its shape.
     pub fn par_gemm_tn(&self, a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        debug_assert_eq!(a.len(), k * m);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(c.len(), m * n);
+        assert_eq!(a.len(), k * m, "A is not k x m");
+        assert_eq!(b.len(), k * n, "B is not k x n");
+        assert_eq!(c.len(), m * n, "C is not m x n");
         if m == 0 || n == 0 || k == 0 {
             return;
         }

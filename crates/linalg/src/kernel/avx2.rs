@@ -1,5 +1,5 @@
-//! AVX2 + FMA GEMM paths: the packed 4x8 microkernel, and an unpacked
-//! narrow arm for products with fewer than [`NR`] right-hand-side columns.
+//! AVX2 + FMA GEMM paths: one 4x8 microkernel, run on the operands where
+//! they lie whenever they fit in cache, and on packed copies otherwise.
 //!
 //! The computational core is a 4x8 register tile ([`pack::MR`] x
 //! [`pack::NR`]): 8 `ymm` accumulators (4 rows x 2 four-lane column
@@ -10,6 +10,19 @@
 //! loaded values, which is what moves a dense product from memory-bound to
 //! FMA-port-bound.
 //!
+//! [`mkernel_4x8`] reads `A` through row pointers that each advance by a
+//! column stride and `B` through a row stride, so the same function serves
+//! both layouts:
+//!
+//! * **in place** ([`in_place`]) — when the `A` block fits the packed-`A`
+//!   buffer (`m * k <= mc * kc`) and `B` fits the packed-`B` one
+//!   (`k * n <= kc * nc`), or when `n < NR` (no full tile to pack for).
+//!   Every product the executor, the ULV factor and the solve issue takes
+//!   this route: CDS blocks and RHS panels are already small and
+//!   contiguous, so copying them costs more than their strides do;
+//! * **packed** ([`packed`]) — larger operands (the dense baseline, the
+//!   256^3 probes), whose strided reads would alias L1 sets.
+//!
 //! # Bitwise-determinism contract
 //!
 //! Every output element accumulates as a single chain of
@@ -17,26 +30,25 @@
 //! storage order:
 //!
 //! * the accumulators are **loaded from `C`** before the depth loop and
-//!   stored back after it, so `kc`-blocking by the caller merely inserts
-//!   value-neutral memory round-trips into the chain;
-//! * edge tiles (`m % MR != 0`, `n % NR != 0`) run the **same full-width
-//!   microkernel** against a zero-padded stack tile; padded lanes are
-//!   discarded, real lanes see the identical fma chain;
+//!   stored back after it, so `kc`-blocking by the packed path merely
+//!   inserts value-neutral memory round-trips into the chain, and the
+//!   in-place route's single pass over `k` is the same chain;
+//! * in place, row remainders (`m % MR`) run fewer-row instances of the
+//!   same microkernel and column remainders (`n % NR`) run [`narrow`],
+//!   whose per-element chain is the microkernel's; packed, edge tiles run
+//!   the full microkernel against a zero-padded stack tile whose padded
+//!   lanes are discarded;
 //! * there is **no zero-skipping** (the scalar kernel's `a == 0` shortcut
-//!   cannot be applied per-lane), so the chain's shape depends only on `kc`;
-//! * products with `n < NR` columns run **unpacked** ([`narrow`]): no pack
-//!   buffer and no zero padding, each stored block streamed once, row by
-//!   row, with the same load-`C`, `p`-ascending fma, store chain per
-//!   element.  A 1-column product would otherwise pay 8 FMAs per useful
-//!   one and copy every `A` block before reading it.
+//!   cannot be applied per-lane), so the chain's shape depends only on `k`.
 //!
 //! Consequently the result of a product depends only on the logical
-//! operands and the depth `k` — not on row chunking (thread count), column
-//! grouping (RHS panel width), or the cache-derived `mc`/`nc` blocking.
+//! operands and the depth `k` — not on the route, row chunking (thread
+//! count), column grouping (RHS panel width), or the cache-derived
+//! `mc`/`kc`/`nc` blocking.
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "packed 4x8 AVX2+FMA microkernel on raw-pointer tiles: pack-buffer lengths come from the same (mc, kc, nc, MR, NR) the tile loops use; the narrow arm indexes slices; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
+    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (mc, kc, nc, MR, NR) the tile loops use, and the narrow bodies index slices; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
 )]
 
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
@@ -47,36 +59,51 @@ use std::cell::RefCell;
 thread_local! {
     /// Per-thread packing scratch (`A` buffer, `B` buffer).  Sized by the
     /// blocking parameters on first use and reused for every subsequent
-    /// product on the same thread, so steady-state GEMM calls allocate
-    /// nothing.
+    /// packed product on the same thread, so steady-state GEMM calls
+    /// allocate nothing.
     static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// The 4x8 microkernel: `C[0..4, 0..8] = fma-chain over the packed panels`.
+/// The microkernel: `C[0..R, 0..8] = fma-chain over p in 0..k`, `R <= MR`.
+///
+/// Row `i` of `A` is read at `a + i * rs_a`, advancing by `cs_a` per depth
+/// step; row `p` of `B` at `b + p * ldb`; row `i` of `C` at `c + i * ldc`.
+/// Packed `A` is `(rs_a, cs_a) = (1, MR)` and packed `B` has `ldb = NR`;
+/// in place, NoTrans `A` is `(lda, 1)`, TN `A` is `(1, lda)` and
+/// `ldb = n`.  Fewer rows than [`MR`] run the same chain on fewer
+/// accumulators.
 ///
 /// # Safety
-/// Requires the `avx2` and `fma` CPU features.  `a` must point to `kc * MR`
-/// packed-A values, `b` to `kc * NR` packed-B values, and `c` to a tile with
-/// 4 rows of 8 `f64`s at leading dimension `ldc` (all rows fully in bounds).
+/// Requires the `avx2` and `fma` CPU features.  For every `i < R` and
+/// `p < k`, `a + i * rs_a + p * cs_a` must be readable, `b + p * ldb + j`
+/// readable for `j < NR`, and `c + i * ldc + j` readable and writable for
+/// `j < NR`.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mkernel_4x8(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
-    // SAFETY: per the fn contract every pointer access below is in bounds —
-    // `a` strides `p * MR + i` with `p < kc`, `i < MR` (a packed panel of
-    // exactly `kc * MR` values), `b` strides `p * NR + {0,4}` within
-    // `kc * NR`, and `c` is accessed at `i * ldc + {0..8}` with all four
-    // rows fully in bounds.  Loads/stores are `loadu`/`storeu`, so no
-    // alignment requirement beyond `f64`'s.
+unsafe fn mkernel_4x8<const R: usize>(
+    k: usize,
+    a: *const f64,
+    rs_a: usize,
+    cs_a: usize,
+    b: *const f64,
+    ldb: usize,
+    c: *mut f64,
+    ldc: usize,
+) {
+    // SAFETY: every access below is one the fn contract lists — `a` at
+    // `i * rs_a + p * cs_a`, `b` at `p * ldb + {0..8}` and `c` at
+    // `i * ldc + {0..8}` with `i < R`, `p < k`.  Loads/stores are
+    // `loadu`/`storeu`, so no alignment requirement beyond `f64`'s.
     unsafe {
-        let mut acc = [[_mm256_setzero_pd(); 2]; MR];
+        let mut acc = [[_mm256_setzero_pd(); 2]; R];
         for (i, row) in acc.iter_mut().enumerate() {
             row[0] = _mm256_loadu_pd(c.add(i * ldc));
             row[1] = _mm256_loadu_pd(c.add(i * ldc + 4));
         }
-        for p in 0..kc {
-            let b0 = _mm256_loadu_pd(b.add(p * NR));
-            let b1 = _mm256_loadu_pd(b.add(p * NR + 4));
+        for p in 0..k {
+            let b0 = _mm256_loadu_pd(b.add(p * ldb));
+            let b1 = _mm256_loadu_pd(b.add(p * ldb + 4));
             for (i, row) in acc.iter_mut().enumerate() {
-                let ai = _mm256_set1_pd(*a.add(p * MR + i));
+                let ai = _mm256_set1_pd(*a.add(i * rs_a + p * cs_a));
                 row[0] = _mm256_fmadd_pd(ai, b0, row[0]);
                 row[1] = _mm256_fmadd_pd(ai, b1, row[1]);
             }
@@ -88,14 +115,15 @@ unsafe fn mkernel_4x8(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc:
     }
 }
 
-/// Run the microkernel on a possibly partial tile (`mr_eff x nr_eff` valid
-/// elements).  Partial tiles are staged through a zero-padded stack tile so
+/// Run the microkernel on one packed tile with `mr_eff x nr_eff` valid
+/// elements.  Partial tiles are staged through a zero-padded stack tile so
 /// the fma chain of every *valid* element is identical to the full-tile
 /// path (see the module docs).
 ///
 /// # Safety
-/// Same as [`mkernel_4x8`], except `c` only needs `mr_eff` rows x `nr_eff`
-/// columns in bounds.
+/// Requires `avx2`/`fma`; `a` must point to `kc * MR` packed-A values, `b`
+/// to `kc * NR` packed-B values, and `c` to `mr_eff` rows x `nr_eff`
+/// columns in bounds at leading dimension `ldc`.
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn mkernel_tile(
     kc: usize,
@@ -107,8 +135,9 @@ unsafe fn mkernel_tile(
     nr_eff: usize,
 ) {
     if mr_eff == MR && nr_eff == NR {
-        // SAFETY: full tile — the fn contract is exactly `mkernel_4x8`'s.
-        unsafe { mkernel_4x8(kc, a, b, c, ldc) };
+        // SAFETY: full tile — `MR` packed rows at `(1, MR)`, `kc` packed
+        // `B` rows of `NR` at `ldb = NR`, and `MR x NR` of `c` in bounds.
+        unsafe { mkernel_4x8::<MR>(kc, a, 1, MR, b, NR, c, ldc) };
         return;
     }
     let mut tile = [0.0f64; MR * NR];
@@ -121,7 +150,7 @@ unsafe fn mkernel_tile(
                 tile[i * NR + j] = *c.add(i * ldc + j);
             }
         }
-        mkernel_4x8(kc, a, b, tile.as_mut_ptr(), NR);
+        mkernel_4x8::<MR>(kc, a, 1, MR, b, NR, tile.as_mut_ptr(), NR);
         for i in 0..mr_eff {
             for j in 0..nr_eff {
                 *c.add(i * ldc + j) = tile[i * NR + j];
@@ -169,149 +198,15 @@ unsafe fn tile_sweep(
     }
 }
 
-/// Unpacked `C += op(A) * B` for `N < NR` right-hand-side columns, with the
-/// operand conventions of [`gemm_blocked`] (`b` is `k x N`, `c` is `m x N`).
-///
-/// Every output element runs the packed microkernel's chain: loaded from
-/// `C`, then `c = fma(a_ip, b_pj, c)` for `p` ascending over all of `k`,
-/// then stored (the packed path's `kc` split only inserts value-neutral
-/// stores, so one pass is the same chain, and so is a store after every
-/// `p`).  `N` is a constant so the accumulators are fixed-size arrays the
-/// compiler keeps in registers.  Only the loop order differs by form, so
-/// that each stored block is read once, in contiguous runs ([`narrow_nn`],
-/// [`narrow_tn`]).
+/// The packed route of [`gemm_blocked`] (same operand conventions):
+/// `kc x nc` blocks of `B` and `mc x kc` blocks of `A` are copied into the
+/// thread's pack buffers, then swept by the microkernel.
 ///
 /// # Safety
-/// Requires the `avx2` and `fma` CPU features: under them `f64::mul_add`
-/// lowers to `vfmadd` (without them it is a libm call).  Every memory access
-/// is safe slice indexing.
+/// Requires `avx2`/`fma`; `c` must hold `m * n` values (the packers index
+/// `a` and `b` as slices).
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn narrow<const N: usize>(
-    trans_a: bool,
-    a: &[f64],
-    lda: usize,
-    i0: usize,
-    m: usize,
-    k: usize,
-    b: &[f64],
-    c: &mut [f64],
-) {
-    let b = &b[..k * N];
-    let c = &mut c[..m * N];
-    if trans_a {
-        narrow_tn::<N>(a, lda, i0, m, b, c);
-    } else {
-        narrow_nn::<N>(a, lda, i0, k, b, c);
-    }
-}
-
-/// NoTrans body of [`narrow`]: rows in groups of 4, each row of `A` read
-/// contiguously, `4 * N` chains live across the whole depth; tail rows one
-/// at a time.  `#[inline(always)]` puts it inside [`narrow`]'s
-/// `target_feature` context.
-#[inline(always)]
-fn narrow_nn<const N: usize>(a: &[f64], lda: usize, i0: usize, k: usize, b: &[f64], c: &mut [f64]) {
-    let row = |i: usize| &a[(i0 + i) * lda..][..k];
-    let mut quads = c.chunks_exact_mut(4 * N);
-    let mut i = 0;
-    for cq in quads.by_ref() {
-        let mut acc: [[f64; N]; 4] =
-            std::array::from_fn(|r| std::array::from_fn(|j| cq[r * N + j]));
-        let rows = row(i)
-            .iter()
-            .zip(row(i + 1))
-            .zip(row(i + 2))
-            .zip(row(i + 3));
-        for ((((&x0, &x1), &x2), &x3), brow) in rows.zip(b.chunks_exact(N)) {
-            for j in 0..N {
-                acc[0][j] = x0.mul_add(brow[j], acc[0][j]);
-                acc[1][j] = x1.mul_add(brow[j], acc[1][j]);
-                acc[2][j] = x2.mul_add(brow[j], acc[2][j]);
-                acc[3][j] = x3.mul_add(brow[j], acc[3][j]);
-            }
-        }
-        for (crow, accr) in cq.chunks_exact_mut(N).zip(&acc) {
-            crow.copy_from_slice(accr);
-        }
-        i += 4;
-    }
-    for crow in quads.into_remainder().chunks_exact_mut(N) {
-        let mut acc: [f64; N] = std::array::from_fn(|j| crow[j]);
-        for (&x, brow) in row(i).iter().zip(b.chunks_exact(N)) {
-            for j in 0..N {
-                acc[j] = x.mul_add(brow[j], acc[j]);
-            }
-        }
-        crow.copy_from_slice(&acc);
-        i += 1;
-    }
-}
-
-/// Trans body of [`narrow`].  Row `p` of the stored `A` is contiguous
-/// across the `m` outputs.  At `N = 1` the outer loop is `p` (an axpy per
-/// row, `C` a few KB in L1); wider, outputs go in groups of 8 whose `8 * N`
-/// chains live across the depth, each reading 8 contiguous values of every
-/// row `p` (a per-`p` store of `m x N` would cost more than it streams);
-/// tail outputs one at a time.  `#[inline(always)]` puts it inside
-/// [`narrow`]'s `target_feature` context.
-#[inline(always)]
-fn narrow_tn<const N: usize>(a: &[f64], lda: usize, i0: usize, m: usize, b: &[f64], c: &mut [f64]) {
-    if N == 1 {
-        for (p, &bp) in b.iter().enumerate() {
-            for (cv, &x) in c.iter_mut().zip(&a[p * lda + i0..][..m]) {
-                *cv = x.mul_add(bp, *cv);
-            }
-        }
-        return;
-    }
-    let mut octs = c.chunks_exact_mut(8 * N);
-    let mut i = i0;
-    for co in octs.by_ref() {
-        let mut acc: [[f64; N]; 8] =
-            std::array::from_fn(|r| std::array::from_fn(|j| co[r * N + j]));
-        for (p, brow) in b.chunks_exact(N).enumerate() {
-            let xs = &a[p * lda + i..][..8];
-            for (accr, &x) in acc.iter_mut().zip(xs) {
-                for j in 0..N {
-                    accr[j] = x.mul_add(brow[j], accr[j]);
-                }
-            }
-        }
-        for (crow, accr) in co.chunks_exact_mut(N).zip(&acc) {
-            crow.copy_from_slice(accr);
-        }
-        i += 8;
-    }
-    for crow in octs.into_remainder().chunks_exact_mut(N) {
-        let mut acc: [f64; N] = std::array::from_fn(|j| crow[j]);
-        for (p, brow) in b.chunks_exact(N).enumerate() {
-            let x = a[p * lda + i];
-            for j in 0..N {
-                acc[j] = x.mul_add(brow[j], acc[j]);
-            }
-        }
-        crow.copy_from_slice(&acc);
-        i += 1;
-    }
-}
-
-// `gemm_blocked`'s `match n` has one arm per narrow width below `NR`.
-const _: () = assert!(NR == 8);
-
-/// Cache-blocked `C += op(A) * B` over raw row-major slices: packed through
-/// the 4x8 microkernel for `n >= NR`, unpacked through [`narrow`] for
-/// `n < NR`.
-///
-/// * `trans_a = false`: `A` is `m x k` row-major with leading dimension
-///   `lda` and the product reads logical rows `[i0, i0 + m)` (so a parallel
-///   caller can hand each row chunk the full `a` slice).
-/// * `trans_a = true`: `A` is stored `k x lda` row-major and the product
-///   uses columns `[i0, i0 + m)` of it as the rows of `A^T`.
-///
-/// `b` is `k x n` row-major, `c` is `m x n` row-major (the chunk's own
-/// rows).  Caller guarantees the `avx2`/`fma` features are present (checked
-/// once at dispatch resolution).
-pub fn gemm_blocked(
+unsafe fn packed(
     blk: GemmBlocking,
     trans_a: bool,
     a: &[f64],
@@ -323,29 +218,6 @@ pub fn gemm_blocked(
     n: usize,
     c: &mut [f64],
 ) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    if n < NR {
-        // SAFETY: `narrow` needs only avx2+fma, which dispatch resolution
-        // verified (`simd_available()`) before any dispatch could reach
-        // this function; its accesses are bounds-checked slice indexing.
-        unsafe {
-            match n {
-                1 => narrow::<1>(trans_a, a, lda, i0, m, k, b, c),
-                2 => narrow::<2>(trans_a, a, lda, i0, m, k, b, c),
-                3 => narrow::<3>(trans_a, a, lda, i0, m, k, b, c),
-                4 => narrow::<4>(trans_a, a, lda, i0, m, k, b, c),
-                5 => narrow::<5>(trans_a, a, lda, i0, m, k, b, c),
-                6 => narrow::<6>(trans_a, a, lda, i0, m, k, b, c),
-                // n == 7: zero returned above, and n < NR.
-                _ => narrow::<7>(trans_a, a, lda, i0, m, k, b, c),
-            }
-        }
-        return;
-    }
     PACK_BUFS.with(|cell| {
         let mut bufs = cell.borrow_mut();
         let (abuf, bbuf) = &mut *bufs;
@@ -369,15 +241,328 @@ pub fn gemm_blocked(
                     } else {
                         pack_a(a, lda, i0 + ic, mb, pc, kb, abuf);
                     }
-                    // SAFETY: dispatch resolution verified avx2+fma; the
-                    // packed buffers were filled for exactly (mb, kb) /
-                    // (nb, kb); c covers rows [ic, ic+mb) x cols [jc, jc+nb)
-                    // at leading dimension n.
+                    // SAFETY: avx2+fma per the fn contract; the packed
+                    // buffers were filled for exactly (mb, kb) / (nb, kb);
+                    // c holds m x n, so it covers rows [ic, ic+mb) x cols
+                    // [jc, jc+nb) at leading dimension n.
                     unsafe { tile_sweep(kb, mb, nb, abuf, bbuf, c, n, ic, jc) }
                 }
             }
         }
     });
+}
+
+/// The in-place route of [`gemm_blocked`] (same operand conventions): the
+/// microkernel reads `A`, `B` and `C` where they lie.  Full 8-column tiles
+/// run column tile by column tile, every row quad under it, then the
+/// `m % MR` remainder rows through a fewer-row instance; the `n % NR`
+/// remainder columns run [`narrow`] at leading dimensions `n`.  A product
+/// with `n < NR` is the case with no full tile.
+///
+/// # Safety
+/// Requires `avx2`/`fma`, `m, k >= 1`, `b.len() >= k * n`,
+/// `c.len() >= m * n`, and `a` holding the last element the form reads:
+/// `(i0 + m - 1) * lda + k - 1` (NoTrans) or `(k - 1) * lda + i0 + m - 1`
+/// (TN).
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn in_place(
+    trans_a: bool,
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    c: &mut [f64],
+) {
+    // Offset of element (0, 0) of op(A), and its row / column strides.
+    let (a00, rs, cs) = if trans_a {
+        (i0, 1, lda)
+    } else {
+        (i0 * lda, lda, 1)
+    };
+    let m4 = m - m % MR;
+    let n8 = n - n % NR;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    for j in (0..n8).step_by(NR) {
+        // SAFETY: avx2+fma per the fn contract.  The tile at rows
+        // `[i, i + R)`, columns `[j, j + NR)` reads `A` up to
+        // `a00 + (i + R - 1) * rs + (k - 1) * cs`, at most the last `A`
+        // element of the fn contract (`i + R <= m`); `B` up to
+        // `(k - 1) * n + j + NR - 1 < k * n` (`j + NR <= n8 <= n`); and `C`
+        // up to `(i + R - 1) * n + j + NR - 1 < m * n`.
+        unsafe {
+            for i in (0..m4).step_by(MR) {
+                let (at, ct) = (ap.add(a00 + i * rs), cp.add(i * n + j));
+                mkernel_4x8::<MR>(k, at, rs, cs, bp.add(j), n, ct, n);
+            }
+            if m4 < m {
+                let (at, ct) = (ap.add(a00 + m4 * rs), cp.add(m4 * n + j));
+                match m - m4 {
+                    1 => mkernel_4x8::<1>(k, at, rs, cs, bp.add(j), n, ct, n),
+                    2 => mkernel_4x8::<2>(k, at, rs, cs, bp.add(j), n, ct, n),
+                    // m - m4 == 3: m4 < m and m - m4 < MR.
+                    _ => mkernel_4x8::<3>(k, at, rs, cs, bp.add(j), n, ct, n),
+                }
+            }
+        }
+    }
+    if n8 == n {
+        return;
+    }
+    let (b, c) = (&b[n8..], &mut c[n8..]);
+    // SAFETY: `narrow` needs only avx2+fma (the fn contract); its accesses
+    // are bounds-checked slice indexing.
+    unsafe {
+        match n - n8 {
+            1 => narrow::<1>(trans_a, a, lda, i0, m, k, b, n, c, n),
+            2 => narrow::<2>(trans_a, a, lda, i0, m, k, b, n, c, n),
+            3 => narrow::<3>(trans_a, a, lda, i0, m, k, b, n, c, n),
+            4 => narrow::<4>(trans_a, a, lda, i0, m, k, b, n, c, n),
+            5 => narrow::<5>(trans_a, a, lda, i0, m, k, b, n, c, n),
+            6 => narrow::<6>(trans_a, a, lda, i0, m, k, b, n, c, n),
+            // n - n8 == 7: zero returned above, and n - n8 < NR.
+            _ => narrow::<7>(trans_a, a, lda, i0, m, k, b, n, c, n),
+        }
+    }
+}
+
+/// `C += op(A) * B` on `N < NR` columns of `B` (`k x N` at leading dimension
+/// `ldb`) into `N` columns of `C` (`m x N` at `ldc`), with `A` as in
+/// [`gemm_blocked`].  The in-place route's column remainder; a product
+/// with `n < NR` is nothing else.
+///
+/// Every output element runs the microkernel's chain: loaded from `C`, then
+/// `c = fma(a_ip, b_pj, c)` for `p` ascending over all of `k`, then stored
+/// (a store after every `p` would be the same chain too).  `N` is a
+/// constant so the accumulators are fixed-size arrays the compiler keeps in
+/// registers.  Only the loop order differs by form, so that each stored
+/// block is read once, in contiguous runs ([`narrow_nn`], [`narrow_tn`]).
+///
+/// # Safety
+/// Requires the `avx2` and `fma` CPU features: under them `f64::mul_add`
+/// lowers to `vfmadd` (without them it is a libm call).  Every memory access
+/// is safe slice indexing.
+// Out of line: inlined into `in_place` next to the microkernel instances,
+// some widths ran up to 2x slower.
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline(never)]
+unsafe fn narrow<const N: usize>(
+    trans_a: bool,
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    let b = &b[..(k - 1) * ldb + N];
+    let c = &mut c[..(m - 1) * ldc + N];
+    // A whole narrow product (contiguous `B` and `C`) gets its own instance:
+    // exact `B` rows and a constant leading dimension of `C` let the compiler
+    // vectorise across the rows of `C` (up to 1.4x faster at some widths).
+    let exact = || b.chunks_exact(N);
+    let strided = || b.chunks(ldb).map(|r| &r[..N]);
+    match (trans_a, ldb == N && ldc == N) {
+        (true, true) => narrow_tn::<N, _>(a, lda, i0, m, exact, c, N),
+        (true, false) => narrow_tn::<N, _>(a, lda, i0, m, strided, c, ldc),
+        (false, true) => narrow_nn::<N, _>(a, lda, i0, m, k, exact, c, N),
+        (false, false) => narrow_nn::<N, _>(a, lda, i0, m, k, strided, c, ldc),
+    }
+}
+
+/// NoTrans body of [`narrow`]: rows in groups of 4, each row of `A` read
+/// contiguously, `4 * N` chains live across the whole depth; tail rows one
+/// at a time.  `brows` yields the `k` rows of `B`, `N` values each.
+/// `#[inline(always)]` puts it inside [`narrow`]'s `target_feature`
+/// context.
+#[inline(always)]
+fn narrow_nn<'b, const N: usize, I: Iterator<Item = &'b [f64]>>(
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    brows: impl Fn() -> I,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    let row = |i: usize| &a[(i0 + i) * lda..][..k];
+    let mut i = 0;
+    while i + 4 <= m {
+        let cq = &mut c[i * ldc..][..3 * ldc + N];
+        let mut acc: [[f64; N]; 4] =
+            std::array::from_fn(|r| std::array::from_fn(|j| cq[r * ldc + j]));
+        let rows = row(i)
+            .iter()
+            .zip(row(i + 1))
+            .zip(row(i + 2))
+            .zip(row(i + 3));
+        for ((((&x0, &x1), &x2), &x3), brow) in rows.zip(brows()) {
+            for j in 0..N {
+                acc[0][j] = x0.mul_add(brow[j], acc[0][j]);
+                acc[1][j] = x1.mul_add(brow[j], acc[1][j]);
+                acc[2][j] = x2.mul_add(brow[j], acc[2][j]);
+                acc[3][j] = x3.mul_add(brow[j], acc[3][j]);
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            cq[r * ldc..][..N].copy_from_slice(accr);
+        }
+        i += 4;
+    }
+    for i in i..m {
+        let crow = &mut c[i * ldc..][..N];
+        let mut acc: [f64; N] = std::array::from_fn(|j| crow[j]);
+        for (&x, brow) in row(i).iter().zip(brows()) {
+            for j in 0..N {
+                acc[j] = x.mul_add(brow[j], acc[j]);
+            }
+        }
+        crow.copy_from_slice(&acc);
+    }
+}
+
+/// Trans body of [`narrow`].  Row `p` of the stored `A` is contiguous
+/// across the `m` outputs.  At `N = 1` with a contiguous `C` the outer loop
+/// is `p` (an axpy per row, `C` a few KB in L1); otherwise outputs go in
+/// groups of 8 whose `8 * N` chains live across the depth, each reading 8
+/// contiguous values of every row `p` (a per-`p` store of `m x N` would
+/// cost more than it streams); tail outputs one at a time.  `brows` yields
+/// the `k` rows of `B`, `N` values each.  `#[inline(always)]` puts it
+/// inside [`narrow`]'s `target_feature` context.
+#[inline(always)]
+fn narrow_tn<'b, const N: usize, I: Iterator<Item = &'b [f64]>>(
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    brows: impl Fn() -> I,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    if N == 1 && ldc == 1 {
+        for (p, brow) in brows().enumerate() {
+            for (cv, &x) in c.iter_mut().zip(&a[p * lda + i0..][..m]) {
+                *cv = x.mul_add(brow[0], *cv);
+            }
+        }
+        return;
+    }
+    let mut i = 0;
+    while i + 8 <= m {
+        let co = &mut c[i * ldc..][..7 * ldc + N];
+        let mut acc: [[f64; N]; 8] =
+            std::array::from_fn(|r| std::array::from_fn(|j| co[r * ldc + j]));
+        for (p, brow) in brows().enumerate() {
+            let xs = &a[p * lda + i0 + i..][..8];
+            for (accr, &x) in acc.iter_mut().zip(xs) {
+                for j in 0..N {
+                    accr[j] = x.mul_add(brow[j], accr[j]);
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            co[r * ldc..][..N].copy_from_slice(accr);
+        }
+        i += 8;
+    }
+    for i in i..m {
+        let crow = &mut c[i * ldc..][..N];
+        let mut acc: [f64; N] = std::array::from_fn(|j| crow[j]);
+        for (p, brow) in brows().enumerate() {
+            let x = a[p * lda + i0 + i];
+            for j in 0..N {
+                acc[j] = x.mul_add(brow[j], acc[j]);
+            }
+        }
+        crow.copy_from_slice(&acc);
+    }
+}
+
+// `in_place`'s `match n - n8` has one arm per narrow width below `NR`, and
+// its `match m - m4` one per row count below `MR`.
+const _: () = assert!(NR == 8 && MR == 4);
+
+/// Whether [`gemm_blocked`] reads the operands in place: the product has no
+/// full 8-column tile, or both blocks fit the pack buffers they would be
+/// copied into (`m * k <= mc * kc`, `k * n <= kc * nc`).
+fn reads_in_place(blk: GemmBlocking, m: usize, k: usize, n: usize) -> bool {
+    let fits = |rows: usize, cols: usize| rows.saturating_mul(k) <= cols.saturating_mul(blk.kc);
+    n < NR || (fits(m, blk.mc) && fits(n, blk.nc))
+}
+
+/// Index of the last element of `A` a product reads (see [`gemm_blocked`]),
+/// or `None` if it overflows; `m, k >= 1`.
+fn last_a_index(trans_a: bool, lda: usize, i0: usize, m: usize, k: usize) -> Option<usize> {
+    let (outer, inner) = if trans_a {
+        (k - 1, i0.checked_add(m - 1)?)
+    } else {
+        (i0.checked_add(m - 1)?, k - 1)
+    };
+    outer.checked_mul(lda)?.checked_add(inner)
+}
+
+/// Cache-blocked `C += op(A) * B` over raw row-major slices through the
+/// 4x8 microkernel, in place or packed (see the module docs).
+///
+/// * `trans_a = false`: `A` is `m x k` row-major with leading dimension
+///   `lda` and the product reads logical rows `[i0, i0 + m)` (so a parallel
+///   caller can hand each row chunk the full `a` slice).
+/// * `trans_a = true`: `A` is stored `k x lda` row-major and the product
+///   uses columns `[i0, i0 + m)` of it as the rows of `A^T`.
+///
+/// `b` is `k x n` row-major, `c` is `m x n` row-major (the chunk's own
+/// rows).  Caller guarantees the `avx2`/`fma` features are present (checked
+/// once at dispatch resolution).
+///
+/// # Panics
+/// Panics, before any raw-pointer access, if `a`, `b` or `c` is too short
+/// for the last element the product touches in it.
+pub fn gemm_blocked(
+    blk: GemmBlocking,
+    trans_a: bool,
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    c: &mut [f64],
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(
+        last_a_index(trans_a, lda, i0, m, k).is_some_and(|last| last < a.len()),
+        "gemm: A ({} values) is too short for a {m} x {k} operand at lda {lda}, i0 {i0}",
+        a.len()
+    );
+    assert!(
+        k.checked_mul(n).is_some_and(|len| len <= b.len()),
+        "gemm: B ({} values) is shorter than {k} x {n}",
+        b.len()
+    );
+    assert!(
+        m.checked_mul(n).is_some_and(|len| len <= c.len()),
+        "gemm: C ({} values) is shorter than {m} x {n}",
+        c.len()
+    );
+    if reads_in_place(blk, m, k, n) {
+        // SAFETY: dispatch resolution verified avx2+fma
+        // (`simd_available()`) before any dispatch could reach this
+        // function; `m, k >= 1` and the three slice bounds were asserted
+        // just above.
+        unsafe { in_place(trans_a, a, lda, i0, m, k, b, n, c) }
+    } else {
+        // SAFETY: avx2+fma as above; `c` holds `m * n` (asserted above).
+        unsafe { packed(blk, trans_a, a, lda, i0, m, k, b, n, c) }
+    }
 }
 
 /// AVX2 dot product: four independent 4-lane accumulators over 16-element

@@ -1,11 +1,13 @@
 //! Operand packing for the register-blocked microkernel.
 //!
-//! A packed GEMM never streams its operands straight from the row-major
-//! source: it first copies a block of `A` and a block of `B` into buffers
-//! whose layout matches the microkernel's register tiling, so the inner loop
-//! reads both operands with stride 1 and every cache line it pulls is fully
-//! used.  The formats (the "panel-major" layouts every BLIS-style kernel
-//! uses) are:
+//! The AVX2 arm packs only operands too large to read in place (more than
+//! the `mc x kc` / `kc x nc` buffers below hold; see the kernel-layer docs):
+//! it copies a block of `A` and a block of `B` into buffers whose layout
+//! matches the microkernel's register tiling, so the inner loop reads both
+//! operands with stride 1 and strided rows of a wide operand cannot alias
+//! L1 sets.  Smaller operands (every CDS block and RHS panel) are read
+//! where they lie, by the same microkernel.  The formats (the
+//! "panel-major" layouts every BLIS-style kernel uses) are:
 //!
 //! * **packed `A`** — the `mb x kb` block is cut into panels of [`MR`] rows;
 //!   within a panel the elements are stored column-by-column (`p` major,

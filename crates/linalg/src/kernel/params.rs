@@ -3,7 +3,9 @@
 //! The forward question the kernel layer asks at startup: *given this cache
 //! hierarchy, how should a packed GEMM block its operands?*  The Goto/BLIS
 //! sizing rules every tuned BLAS applies are encoded once here, next to the
-//! microkernel they size the pack buffers of.
+//! microkernel they size the pack buffers of.  The AVX2 arm reads any
+//! product whose operands fit those buffers in place, so the same sizes
+//! also decide which products are packed at all.
 //!
 //! The derived blocking factors only affect *performance*: the microkernel
 //! contract (see the [kernel-layer docs](crate::kernel)) guarantees that

@@ -11,8 +11,9 @@
 //!   operations the rest of the workspace needs.
 //! * [`mod@gemm`] — cache-blocked sequential and rayon-parallel matrix-matrix
 //!   products (`C ← αAB + βC`), plus `gemv` and transposed variants.
-//! * [`mod@kernel`] — the kernel layer under those products: a packed,
-//!   register-blocked AVX2+FMA microkernel with runtime feature detection,
+//! * [`mod@kernel`] — the kernel layer under those products: a
+//!   register-blocked AVX2+FMA microkernel (on the operands in place, or
+//!   packed when they are large) with runtime feature detection,
 //!   the portable scalar fallback, and the [`KernelDispatch`] every hot
 //!   caller resolves once (overridable via `MATROX_KERNEL=auto|scalar|avx2`).
 //!   See its module docs for the packing formats and the

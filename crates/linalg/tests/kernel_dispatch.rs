@@ -1,6 +1,6 @@
 //! Property coverage for the kernel-dispatch layer.
 //!
-//! Three pins, each per dispatchable architecture (scalar always; AVX2 when
+//! Four pins, each per dispatchable architecture (scalar always; AVX2 when
 //! the host has it — requesting it elsewhere must degrade to scalar):
 //!
 //! 1. **accuracy** — every dispatch path (NoTrans/TN, sequential/parallel)
@@ -10,12 +10,13 @@
 //! 2. **bitwise determinism** — for a fixed dispatch the result is bitwise
 //!    identical across 1/2/4-thread pools and across RHS panel groupings;
 //! 3. **fallback totality** — every [`KernelChoice`] resolves to a runnable
-//!    kernel on every host;
-//! 4. **the narrow arm** — on AVX2, a product with `n < NR` columns runs
-//!    unpacked; it must equal the packed path bit for bit (the same product
-//!    with `B` zero-padded to `NR` columns, first `n` columns kept).
+//!    kernel on every host, and a short `C` panics on every arm before
+//!    anything is written past it;
+//! 4. **the fma chain** — on AVX2, every route (in place or packed, full
+//!    tiles, row and column remainders, sequential or parallel) must equal,
+//!    bit for bit, an independent reference that runs
+//!    `c = a_ip.mul_add(b_pj, c)` for `p` ascending from `C0`.
 
-use matrox_linalg::kernel::NR;
 use matrox_linalg::{gemm_seq, simd_available, GemmOp, KernelChoice, KernelDispatch, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -225,109 +226,208 @@ fn avx2_request_always_resolves_and_computes() {
     );
 }
 
-/// The packed-path oracle for the narrow arm: `C0 + op(A) * B` computed at
-/// width `NR` with `B` and `C0` zero-padded, first `n` columns kept.  The
-/// padded product takes the packed microkernel, and columns never interact,
-/// so a narrow result must match it bit for bit.  `a` is `m x k` (NoTrans)
-/// or stored `k x m` (`trans`).
-fn padded_packed(
-    disp: KernelDispatch,
-    trans: bool,
-    a: &[f64],
-    m: usize,
+/// A short `C` must panic before the product writes anything, on every arm
+/// and entry point: the AVX2 arm stores through raw pointers, so a length
+/// check that exists only in debug builds would let it write past the
+/// slice in release.
+#[test]
+fn short_c_panics_and_leaves_memory_past_it_untouched() {
+    let (m, k, n) = (8usize, 8usize, 8usize);
+    let a = vec![1.0; m * k];
+    let b = vec![1.0; k * n];
+    type Entry = fn(&KernelDispatch, &[f64], usize, usize, &[f64], usize, &mut [f64]);
+    let entries: [(&str, Entry); 4] = [
+        ("gemm", |d, a, m, k, b, n, c| d.gemm(a, m, k, b, n, c)),
+        ("gemm_tn", |d, a, m, k, b, n, c| d.gemm_tn(a, k, m, b, n, c)),
+        ("par_gemm", |d, a, m, k, b, n, c| {
+            d.par_gemm(a, m, k, b, n, c)
+        }),
+        ("par_gemm_tn", |d, a, m, k, b, n, c| {
+            d.par_gemm_tn(a, k, m, b, n, c)
+        }),
+    ];
+    for disp in dispatches() {
+        for (name, entry) in entries {
+            // `c` is the first 8 values of a 64-value buffer; the rest is a
+            // guard region the product must never reach.
+            let mut buf = vec![0.0; m * n];
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                entry(&disp, &a, m, k, &b, n, &mut buf[..n]);
+            }));
+            assert!(
+                result.is_err(),
+                "{} {name}: a {n}-value C for an {m} x {n} product did not panic",
+                disp.name()
+            );
+            assert!(
+                buf[n..].iter().all(|&v| v == 0.0),
+                "{} {name}: the product wrote past the end of C",
+                disp.name()
+            );
+        }
+    }
+}
+
+/// The largest operands of a family of sub-products: every `(m, k, n)` up
+/// to `(rows, depth, cols)` reads the leading `m x k` block of `a`, the
+/// leading `k x n` block of `b` and the leading `m x n` block of `c0`.
+/// `a` holds exact zeros (the AVX2 chain never skips them) and `c0` holds
+/// `-0.0` and a subnormal, which a chain that starts anywhere but `C`
+/// would lose.
+struct Family {
+    rows: usize,
+    depth: usize,
+    cols: usize,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    c0: Vec<f64>,
+    /// `c0` advanced by the fma chain over the first `k` depth steps.
+    chain: Vec<f64>,
     k: usize,
-    b: &[f64],
-    n: usize,
-    c0: &[f64],
-) -> Vec<f64> {
-    let pad = |src: &[f64], rows: usize| -> Vec<f64> {
+}
+
+impl Family {
+    fn new(rows: usize, depth: usize, cols: usize, seed: u64) -> Self {
+        let mut a = random_matrix(rows, depth.max(1), seed).as_slice().to_vec();
+        a.iter_mut().step_by(7).for_each(|v| *v = 0.0);
+        let b = random_matrix(depth.max(1), cols, seed + 1)
+            .as_slice()
+            .to_vec();
+        let mut c0 = random_matrix(rows, cols, seed + 2).as_slice().to_vec();
+        for (i, v) in c0.iter_mut().enumerate() {
+            match i % 5 {
+                0 => *v = -0.0,
+                1 => *v = f64::from_bits(1),
+                _ => {}
+            }
+        }
+        let chain = c0.clone();
+        Family {
+            rows,
+            depth: depth.max(1),
+            cols,
+            a,
+            b,
+            c0,
+            chain,
+            k: 0,
+        }
+    }
+
+    /// The independent oracle at depth `k` (never below the last one): one
+    /// `c = a_ip.mul_add(b_pj, c)` per step, `p` ascending, from `C0`.
+    /// `f64::mul_add` rounds once, exactly as `vfmadd` does, and every
+    /// sub-product's elements are this chain's leading rows and columns.
+    fn advance_to(&mut self, k: usize) {
+        assert!(self.k <= k && k <= self.depth);
+        for p in self.k..k {
+            for i in 0..self.rows {
+                let aip = self.a[i * self.depth + p];
+                let row = &mut self.chain[i * self.cols..][..self.cols];
+                for (cv, &bpj) in row.iter_mut().zip(&self.b[p * self.cols..][..self.cols]) {
+                    *cv = aip.mul_add(bpj, *cv);
+                }
+            }
+        }
+        self.k = k;
+    }
+
+    /// Leading `rows x cols` block of a row-major buffer of leading
+    /// dimension `ld`.
+    fn block(src: &[f64], ld: usize, rows: usize, cols: usize) -> Vec<f64> {
         (0..rows)
-            .flat_map(|r| (0..NR).map(move |j| if j < n { src[r * n + j] } else { 0.0 }))
+            .flat_map(|i| src[i * ld..][..cols].iter().copied())
             .collect()
-    };
-    let bp = pad(b, k);
-    let mut cp = pad(c0, m);
-    if trans {
-        disp.gemm_tn(a, k, m, &bp, NR, &mut cp);
-    } else {
-        disp.gemm(a, m, k, &bp, NR, &mut cp);
     }
-    (0..m)
-        .flat_map(|i| cp[i * NR..i * NR + n].to_vec())
-        .collect()
+
+    /// `A` of sub-products `(m, self.k, _)`, and `A` stored transposed.
+    fn a_blocks(&self, m: usize) -> [Vec<f64>; 2] {
+        let k = self.k;
+        let a = Self::block(&self.a, self.depth, m, k);
+        let at = (0..k)
+            .flat_map(|p| a.iter().skip(p).step_by(k.max(1)).copied())
+            .collect();
+        [a, at]
+    }
+
+    /// `B`, `C0` and the oracle's result of sub-product `(m, self.k, n)`.
+    fn bc_blocks(&self, m: usize, n: usize) -> [Vec<f64>; 3] {
+        [
+            Self::block(&self.b, self.cols, self.k, n),
+            Self::block(&self.c0, self.cols, m, n),
+            Self::block(&self.chain, self.cols, m, n),
+        ]
+    }
 }
 
-/// Operands for one narrow check: `A` with exact zeros in it (the AVX2
-/// chain never skips them), `B`, and a `C0` holding non-zero values, `-0.0`
-/// and a subnormal, which a chain that starts anywhere but `C` would lose.
-fn narrow_operands(m: usize, k: usize, n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut a = random_matrix(m.max(1), k.max(1), seed).as_slice()[..m * k].to_vec();
-    a.iter_mut().step_by(7).for_each(|v| *v = 0.0);
-    let b = random_matrix(k.max(1), n, seed + 1).as_slice()[..k * n].to_vec();
-    let mut c0 = random_matrix(m, n, seed + 2).as_slice().to_vec();
-    for (i, v) in c0.iter_mut().enumerate() {
-        match i % 5 {
-            0 => *v = -0.0,
-            1 => *v = f64::from_bits(1),
-            _ => {}
+/// `gemm` and `gemm_tn` of sub-products `(m, fam.k, n)`, for every `n` in
+/// `ns`, against the oracle, by `to_bits`.
+fn assert_matches_fma_chain(disp: KernelDispatch, fam: &Family, m: usize, ns: &[usize]) {
+    let k = fam.k;
+    let [a, at] = fam.a_blocks(m);
+    for &n in ns {
+        let [b, c0, want] = fam.bc_blocks(m, n);
+        for trans in [false, true] {
+            let mut c = c0.clone();
+            if trans {
+                disp.gemm_tn(&at, k, m, &b, n, &mut c);
+            } else {
+                disp.gemm(&a, m, k, &b, n, &mut c);
+            }
+            assert!(
+                c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{} at m={m} k={k} n={n} differs from the fma chain",
+                if trans { "gemm_tn" } else { "gemm" }
+            );
         }
-    }
-    (a, b, c0)
-}
-
-/// `gemm` and `gemm_tn` at width `n` against [`padded_packed`], by `to_bits`.
-fn assert_narrow_matches_packed(disp: KernelDispatch, m: usize, k: usize, n: usize, seed: u64) {
-    let (a, b, c0) = narrow_operands(m, k, n, seed);
-    for trans in [false, true] {
-        let want = padded_packed(disp, trans, &a, m, k, &b, n, &c0);
-        let mut c = c0.clone();
-        if trans {
-            disp.gemm_tn(&a, k, m, &b, n, &mut c);
-        } else {
-            disp.gemm(&a, m, k, &b, n, &mut c);
-        }
-        assert!(
-            c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "narrow {} at m={m} k={k} n={n} differs from the packed path",
-            if trans { "gemm_tn" } else { "gemm" }
-        );
     }
 }
 
 /// The SIMD dispatch, or `None` on hosts (and under Miri) without it: the
-/// narrow arm exists only there.
+/// fma chain is the AVX2 arm's contract.
 fn simd_dispatch() -> Option<KernelDispatch> {
     simd_available().then(|| KernelDispatch::resolve(KernelChoice::Avx2))
 }
 
-/// Every narrow width at row counts around the 4-row groups and at depths
-/// around the packed path's `kc` split.
+/// Every AVX2 route against the fma-chain oracle: row counts around the
+/// microkernel's 4-row tiles, every column remainder of the 8-column tiles
+/// and the executor's wide panels, depths around the packed path's `kc`
+/// split, and shapes on both sides of the in-place / packed rule
+/// (`k * n` against `kc * nc` in the first family, `m * k` against
+/// `mc * kc` in the second).
 #[test]
-fn narrow_arm_matches_padded_packed() {
+fn every_avx2_path_matches_the_fma_chain() {
     let Some(disp) = simd_dispatch() else { return };
-    let kc = disp.blocking().kc;
-    for n in 1..NR {
+    let blk = disp.blocking();
+    let kc = blk.kc;
+    let ns: Vec<usize> = (1..=17).chain([183, 184, 192, 193, 256]).collect();
+    let mut fam = Family::new(65, 2 * kc + 3, 256, 11);
+    for k in [0, 1, kc - 1, kc, kc + 1, 2 * kc + 3] {
+        fam.advance_to(k);
         for m in [1usize, 3, 4, 5, 63, 64, 65] {
-            for k in [0, 1, kc - 1, kc, kc + 1, 2 * kc + 3] {
-                assert_narrow_matches_packed(disp, m, k, n, (m * 1000 + k * 10 + n) as u64);
-            }
+            assert_matches_fma_chain(disp, &fam, m, &ns);
+        }
+    }
+    let mut fam = Family::new(blk.mc + 1, kc + 1, 17, 12);
+    for k in [kc, kc + 1] {
+        fam.advance_to(k);
+        for m in [blk.mc - 1, blk.mc, blk.mc + 1] {
+            assert_matches_fma_chain(disp, &fam, m, &[7, 8, 9, 17]);
         }
     }
 }
 
 /// `par_gemm` / `par_gemm_tn` hand each row chunk the whole `A` at an offset
-/// `i0`; at every narrow width they must equal the sequential product at
-/// pool widths 1, 2 and 3.
+/// `i0`; at pool widths 1, 2 and 3 they must match the oracle too.
 #[test]
-fn narrow_par_paths_match_sequential_across_pool_widths() {
+fn par_paths_match_the_fma_chain_across_pool_widths() {
     let Some(disp) = simd_dispatch() else { return };
     let (m, k) = (65usize, 2 * disp.blocking().kc + 3);
-    for n in 1..NR {
-        let (a, b, c0) = narrow_operands(m, k, n, 90 + n as u64);
-        let mut seq = c0.clone();
-        disp.gemm(&a, m, k, &b, n, &mut seq);
-        let mut seq_tn = c0.clone();
-        disp.gemm_tn(&a, k, m, &b, n, &mut seq_tn);
+    let mut fam = Family::new(m, k, 184, 90);
+    fam.advance_to(k);
+    let [a, at] = fam.a_blocks(m);
+    for n in (1..=17).chain([184]) {
+        let [b, c0, want] = fam.bc_blocks(m, n);
         for nt in [1usize, 2, 3] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(nt)
@@ -337,14 +437,14 @@ fn narrow_par_paths_match_sequential_across_pool_widths() {
                 let mut par = c0.clone();
                 disp.par_gemm(&a, m, k, &b, n, &mut par);
                 let mut par_tn = c0.clone();
-                disp.par_gemm_tn(&a, k, m, &b, n, &mut par_tn);
+                disp.par_gemm_tn(&at, k, m, &b, n, &mut par_tn);
                 (par, par_tn)
             });
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&par), bits(&seq), "par_gemm n={n} at {nt} threads");
+            assert_eq!(bits(&par), bits(&want), "par_gemm n={n} at {nt} threads");
             assert_eq!(
                 bits(&par_tn),
-                bits(&seq_tn),
+                bits(&want),
                 "par_gemm_tn n={n} at {nt} threads"
             );
         }
@@ -352,20 +452,22 @@ fn narrow_par_paths_match_sequential_across_pool_widths() {
 }
 
 /// The exhaustive sweep at the executor's block shapes (release CI step:
-/// `cargo test --release -p matrox-linalg -- --ignored narrow_matches_packed`):
+/// `cargo test --release -p matrox-linalg -- --ignored fma_chain_oracle`):
 /// every `(m, k)` in `1..=96` squared, plus depths straddling `kc` and
-/// `2 * kc`, at every narrow width, both forms.
+/// `2 * kc`, at every width `1..=17` and the executor's 184- and 256-column
+/// panels, both forms.
 #[test]
 #[ignore = "exhaustive; run in release"]
-fn narrow_matches_packed_at_executor_shapes() {
+fn fma_chain_oracle_at_executor_shapes() {
     let Some(disp) = simd_dispatch() else { return };
     let kc = disp.blocking().kc;
     let straddle = [kc - 1, kc, kc + 1, 2 * kc - 1, 2 * kc, 2 * kc + 1];
-    for m in 1..=96usize {
-        for k in (1..=96usize).chain(straddle) {
-            for n in 1..NR {
-                assert_narrow_matches_packed(disp, m, k, n, (m * 1000 + k) as u64);
-            }
+    let ns: Vec<usize> = (1..=17).chain([184, 256]).collect();
+    let mut fam = Family::new(96, 2 * kc + 1, 256, 7);
+    for k in (1..=96usize).chain(straddle) {
+        fam.advance_to(k);
+        for m in 1..=96usize {
+            assert_matches_fma_chain(disp, &fam, m, &ns);
         }
     }
 }
