@@ -11,7 +11,7 @@
 //!   (the true "GEMM baseline": its `O(N^2 Q)` flop count is what HMatrix
 //!   evaluation beats by the factors reported in the paper).
 
-use matrox_linalg::{par_gemm, GemmOp, Matrix};
+use matrox_linalg::{KernelDispatch, Matrix};
 use matrox_points::{dense_kernel_matmul, kernel_block_par, Kernel, PointSet};
 
 /// The dense GEMM comparator.
@@ -36,8 +36,9 @@ impl<'a> DenseBaseline<'a> {
         let n = self.points.len();
         let idx: Vec<usize> = (0..n).collect();
         let k = kernel_block_par(self.points, &self.kernel, &idx, &idx);
-        let mut y = Matrix::zeros(n, w.cols());
-        par_gemm(1.0, &k, GemmOp::NoTrans, w, GemmOp::NoTrans, 0.0, &mut y);
+        let q = w.cols();
+        let mut y = Matrix::zeros(n, q);
+        KernelDispatch::global().par_gemm(k.as_slice(), n, n, w.as_slice(), q, y.as_mut_slice());
         y
     }
 

@@ -8,7 +8,8 @@
 //! over the *same* compression output and the *same* GEMM kernels as the
 //! MatRox executor: every product goes through the process-wide
 //! `KernelDispatch` the executor resolves (`mul_acc` / `mul_tn_acc` below,
-//! `gemv`, `par_gemm`).  Performance differences measured by the benchmark
+//! `gemm_panel` / `gemm_tn_slices`, `KernelDispatch::par_gemm`).
+//! Performance differences measured by the benchmark
 //! therefore isolate exactly the effects the paper studies: data
 //! layout (CDS vs. tree-based), loop structure (blocked/coarsened vs.
 //! reduction/level-by-level), and scheduling (static load-balanced partitions

@@ -13,7 +13,7 @@
 //! compression substrate.
 
 use matrox_compress::Compression;
-use matrox_linalg::{gemv, GemmOp, Matrix};
+use matrox_linalg::{gemm_panel, gemm_tn_slices, Matrix};
 use matrox_tree::{ClusterTree, HTree};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -97,7 +97,8 @@ impl<'a> SmashEvaluator<'a> {
                     v
                 };
                 let mut out = vec![0.0; basis.srank];
-                gemv(1.0, &basis.v, GemmOp::Trans, &input, 0.0, &mut out);
+                let v = &basis.v;
+                gemm_tn_slices(v.as_slice(), v.rows(), v.cols(), &input, 1, &mut out);
                 (id, out)
             };
             let results: Vec<(usize, Vec<f64>)> = if parallel {
@@ -121,7 +122,7 @@ impl<'a> SmashEvaluator<'a> {
                     if b.rows() == 0 || b.cols() == 0 || t[*j].is_empty() {
                         continue;
                     }
-                    gemv(1.0, b, GemmOp::NoTrans, &t[*j], 1.0, &mut acc);
+                    gemm_panel(b.as_slice(), b.rows(), b.cols(), &t[*j], 1, &mut acc);
                 }
             }
             acc
@@ -151,7 +152,8 @@ impl<'a> SmashEvaluator<'a> {
                 let node = &tree.nodes[id];
                 if node.is_leaf() {
                     let mut contrib = vec![0.0; node.num_points()];
-                    gemv(1.0, &basis.v, GemmOp::NoTrans, &s[id], 0.0, &mut contrib);
+                    let v = &basis.v;
+                    gemm_panel(v.as_slice(), v.rows(), v.cols(), &s[id], 1, &mut contrib);
                     for (k, &p) in tree.indices(id).iter().enumerate() {
                         y[p] += contrib[k];
                     }
@@ -160,7 +162,8 @@ impl<'a> SmashEvaluator<'a> {
                     let rl = self.compression.sranks[l];
                     let rr = self.compression.sranks[r];
                     let mut expanded = vec![0.0; rl + rr];
-                    gemv(1.0, &basis.v, GemmOp::NoTrans, &s[id], 0.0, &mut expanded);
+                    let v = &basis.v;
+                    gemm_panel(v.as_slice(), v.rows(), v.cols(), &s[id], 1, &mut expanded);
                     for k in 0..rl {
                         s[l][k] += expanded[k];
                     }
@@ -173,7 +176,7 @@ impl<'a> SmashEvaluator<'a> {
         for ((i, j), d) in &self.compression.near_blocks {
             let wj: Vec<f64> = self.tree.indices(*j).iter().map(|&p| w[p]).collect();
             let mut contrib = vec![0.0; d.rows()];
-            gemv(1.0, d, GemmOp::NoTrans, &wj, 0.0, &mut contrib);
+            gemm_panel(d.as_slice(), d.rows(), d.cols(), &wj, 1, &mut contrib);
             for (k, &p) in self.tree.indices(*i).iter().enumerate() {
                 y[p] += contrib[k];
             }

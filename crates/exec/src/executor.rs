@@ -157,9 +157,11 @@ impl ExecOptions {
 }
 
 /// Default L2 working-set budget (bytes) assumed by the automatic panel-width
-/// selection: half of a typical 512 KiB per-core L2, leaving the other half
-/// for the streamed CDS values and the stack.
-pub const DEFAULT_L2_BYTES: usize = 256 * 1024;
+/// selection: half of the kernel layer's per-core L2 model
+/// ([`matrox_linalg::kernel::L2_BYTES`], the one the AVX2 block sizes are
+/// derived from), leaving the other half for the streamed CDS values and
+/// the stack.
+pub const DEFAULT_L2_BYTES: usize = matrox_linalg::kernel::L2_BYTES / 2;
 
 /// Bounds on the automatically chosen panel width.  The lower bound keeps
 /// tiny panels from multiplying the per-panel permutation/scheduling

@@ -8,6 +8,7 @@
 //! (`linalg.gemm_*_gflops`, `exec.execute_scalar_s`, `exec.frac_of_gemm`);
 //! this example exists for fast iteration on the microkernel itself.
 
+use matrox_linalg::kernel::{KC, MC, NC};
 use matrox_linalg::{simd_available, KernelChoice, KernelDispatch};
 use std::time::Instant;
 
@@ -31,10 +32,9 @@ fn main() {
     let scalar = KernelDispatch::scalar();
     let auto = KernelDispatch::resolve(KernelChoice::Auto);
     println!(
-        "simd_available = {}, auto kernel = {}, blocking = {:?}",
+        "simd_available = {}, auto kernel = {}, MC = {MC}, KC = {KC}, NC = {NC}",
         simd_available(),
         auto.name(),
-        auto.blocking()
     );
     for &(m, k, n) in &[
         (64usize, 64usize, 8usize),

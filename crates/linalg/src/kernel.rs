@@ -10,20 +10,28 @@
 //! 2. the `MATROX_KERNEL` environment variable (`auto`, `scalar`, `avx2`);
 //! 3. runtime CPU feature detection (`auto`).
 //!
-//! Two architectures exist today:
+//! The dispatch is the architecture and nothing else.  Each of its four
+//! products (`gemm`, `gemm_tn`, `par_gemm`, `par_gemm_tn`) checks the slice
+//! lengths, then makes one call of one private product,
+//! `C += op(A) * B` with `A` read as stored or transposed from a row
+//! offset, which has one arm per architecture (the parallel entry points
+//! split the rows of `C` over the pool first).  Two architectures exist
+//! today:
 //!
-//! * [`KernelArch::Scalar`] — the original cache-blocked scalar loops
-//!   (`C += A*B` with per-element `mul` + `add`, zero-skipping).  This is
-//!   the portable fallback and is bitwise-identical to the pre-SIMD
-//!   behaviour of the workspace.
-//! * [`KernelArch::Avx2`] — a register-blocked 4x8 `f64` microkernel
+//! * **scalar** — one cache-blocked, strided scalar loop (`C += op(A)*B`
+//!   with per-element `mul` + `add`, zero-skipping) that reads `A` as
+//!   stored or transposed through a (row stride, column stride) pair.
+//!   This is the portable fallback and is bitwise-identical to the
+//!   pre-SIMD behaviour of the workspace.
+//! * **avx2** — a register-blocked 4x8 `f64` microkernel
 //!   using AVX2 + FMA intrinsics (`kernel/avx2.rs`).  It reads the operands
-//!   where they lie whenever they fit the pack buffers (`m * k <= mc * kc`
-//!   and `k * n <= kc * nc`) or the product has fewer than [`NR`]
+//!   where they lie whenever they fit the pack buffers (`m * k <= MC * KC`
+//!   and `k * n <= KC * NC`) or the product has fewer than [`NR`]
 //!   right-hand-side columns — every product the executor, the factor and
-//!   the solve issue — and packs larger ones first (see
-//!   [`mod@crate::kernel::pack`] for the panel formats).  Both routes keep
-//!   one per-element chain.  Selected by `auto` when the CPU supports it;
+//!   the solve issue — and packs larger ones first.  The block sizes are
+//!   constants derived from one cache model ([`mod@crate::kernel::pack`],
+//!   which also documents the panel formats).  Both routes keep one
+//!   per-element chain.  Selected by `auto` when the CPU supports it;
 //!   requesting `avx2` on hardware without the features silently falls
 //!   back to `scalar` (recorded in [`KernelDispatch::name`]).
 //!
@@ -33,7 +41,7 @@
 //! element accumulates its `k` products in storage order as one fixed
 //! operation chain (`mul`+`add` for scalar, `fma` for AVX2).  The chain
 //! depends only on the logical operands — never on thread count, row
-//! chunking, RHS panel grouping, the cache-derived pack-block sizes, or
+//! chunking, RHS panel grouping, the pack-block sizes, or
 //! whether the AVX2 arm read the operands in place or packed.
 //! That is the property the executor's "results are bitwise identical
 //! across `RAYON_NUM_THREADS`, grain and panel width" tests pin.  Results
@@ -64,17 +72,15 @@
 //! ```
 
 pub mod pack;
-pub mod params;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-use crate::gemm::{gemm_block, gemm_tn_block, gemm_tn_rows, MIN_PAR_ROWS};
+use crate::gemm::scalar_product;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
-pub use pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
-pub use params::{CacheParams, GemmBlocking};
+pub use pack::{KC, L2_BYTES, MC, MR, NC, NR};
 
 /// User-facing kernel request (the `MATROX_KERNEL` values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,8 +112,8 @@ impl std::str::FromStr for KernelChoice {
 
 /// Resolved kernel architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelArch {
-    /// Cache-blocked scalar loops (portable fallback, pre-SIMD behaviour).
+enum KernelArch {
+    /// The strided scalar loop (portable fallback, pre-SIMD behaviour).
     Scalar,
     /// 4x8 AVX2+FMA microkernel, on the operands in place when they fit
     /// the pack buffers or have fewer than [`NR`] columns, packed otherwise.
@@ -134,16 +140,22 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// A resolved kernel selection: the architecture plus the cache-derived
-/// pack-block sizes.  `Copy` and tiny, so callers resolve once and pass it
-/// by value into their hot loops.
+/// A resolved kernel selection: the architecture, and nothing else.  Its
+/// field is private so that an AVX2 dispatch exists only after
+/// [`simd_available`] said yes.  `Copy` and tiny, so callers resolve once
+/// and pass it by value into their hot loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDispatch {
     arch: KernelArch,
-    blocking: GemmBlocking,
 }
 
 static GLOBAL: OnceLock<KernelDispatch> = OnceLock::new();
+
+/// Fewest rows of `C` a parallel product task should own.  A row of a
+/// typical MatRox block is a few hundred multiply-adds; eight rows
+/// comfortably amortize one deque push + steal (~a microsecond under the
+/// vendored pool).
+const MIN_PAR_ROWS: usize = 8;
 
 impl KernelDispatch {
     /// Resolve a choice against the host CPU.  `Auto` picks AVX2 when
@@ -159,10 +171,7 @@ impl KernelDispatch {
                 }
             }
         };
-        KernelDispatch {
-            arch,
-            blocking: CacheParams::default().gemm_blocking(std::mem::size_of::<f64>(), MR, NR),
-        }
+        KernelDispatch { arch }
     }
 
     /// The process-wide selection: `MATROX_KERNEL` if set (invalid values
@@ -198,11 +207,6 @@ impl KernelDispatch {
         Self::resolve(KernelChoice::Scalar)
     }
 
-    /// Resolved architecture.
-    pub fn arch(&self) -> KernelArch {
-        self.arch
-    }
-
     /// Stable name for logs and benchmark output (`"scalar"` / `"avx2"`).
     pub fn name(&self) -> &'static str {
         match self.arch {
@@ -216,12 +220,6 @@ impl KernelDispatch {
         self.arch == KernelArch::Avx2
     }
 
-    /// The cache-derived pack-block sizes (performance-only; see the
-    /// determinism contract in the module docs).
-    pub fn blocking(&self) -> GemmBlocking {
-        self.blocking
-    }
-
     /// `C += A * B`: `A` is `m x k`, `B` is `k x n`, `C` is `m x n`, all
     /// row-major and densely packed.
     ///
@@ -229,35 +227,19 @@ impl KernelDispatch {
     /// Panics if a slice length differs from its shape (checked in release:
     /// the AVX2 arm stores through raw pointers).
     pub fn gemm(&self, a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        assert_eq!(a.len(), m * k, "A is not m x k");
-        assert_eq!(b.len(), k * n, "B is not k x n");
-        assert_eq!(c.len(), m * n, "C is not m x n");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        match self.arch {
-            KernelArch::Scalar => gemm_block(a, k, b, n, c, n, m, k, n),
-            KernelArch::Avx2 => self.avx2_gemm(false, a, k, 0, m, k, b, n, c),
-        }
+        check_lengths(a, b, c, m, k, n);
+        self.product(false, a, k, 0, m, k, b, n, c);
     }
 
     /// `C += A^T * B`: `A` is stored `k x m` row-major, `B` is `k x n`,
-    /// `C` is `m x n`.  Produces results bitwise identical to packing the
-    /// explicit transpose through [`KernelDispatch::gemm`].
+    /// `C` is `m x n`.  Produces results bitwise identical to the explicit
+    /// transpose through [`KernelDispatch::gemm`].
     ///
     /// # Panics
     /// Panics if a slice length differs from its shape.
     pub fn gemm_tn(&self, a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        assert_eq!(a.len(), k * m, "A is not k x m");
-        assert_eq!(b.len(), k * n, "B is not k x n");
-        assert_eq!(c.len(), m * n, "C is not m x n");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        match self.arch {
-            KernelArch::Scalar => gemm_tn_block(a, k, m, b, n, c),
-            KernelArch::Avx2 => self.avx2_gemm(true, a, m, 0, m, k, b, n, c),
-        }
+        check_lengths(a, b, c, m, k, n);
+        self.product(true, a, m, 0, m, k, b, n, c);
     }
 
     /// Rayon-parallel [`KernelDispatch::gemm`], splitting the rows of `C`.
@@ -267,29 +249,8 @@ impl KernelDispatch {
     /// # Panics
     /// Panics if a slice length differs from its shape.
     pub fn par_gemm(&self, a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        assert_eq!(a.len(), m * k, "A is not m x k");
-        assert_eq!(b.len(), k * n, "B is not k x n");
-        assert_eq!(c.len(), m * n, "C is not m x n");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let kern = *self;
-        let chunk_rows = par_chunk_rows(m);
-        c.par_chunks_mut(chunk_rows * n)
-            .enumerate()
-            .for_each(|(ci, c_chunk)| {
-                let i0 = ci * chunk_rows;
-                let rows_here = c_chunk.len() / n;
-                match kern.arch {
-                    KernelArch::Scalar => {
-                        let a_chunk = &a[i0 * k..(i0 + rows_here) * k];
-                        gemm_block(a_chunk, k, b, n, c_chunk, n, rows_here, k, n);
-                    }
-                    KernelArch::Avx2 => {
-                        kern.avx2_gemm(false, a, k, i0, rows_here, k, b, n, c_chunk)
-                    }
-                }
-            });
+        check_lengths(a, b, c, m, k, n);
+        self.par_product(false, a, k, m, k, b, n, c);
     }
 
     /// Rayon-parallel [`KernelDispatch::gemm_tn`], splitting the rows of
@@ -299,23 +260,68 @@ impl KernelDispatch {
     /// # Panics
     /// Panics if a slice length differs from its shape.
     pub fn par_gemm_tn(&self, a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
-        assert_eq!(a.len(), k * m, "A is not k x m");
-        assert_eq!(b.len(), k * n, "B is not k x n");
-        assert_eq!(c.len(), m * n, "C is not m x n");
+        check_lengths(a, b, c, m, k, n);
+        self.par_product(true, a, m, m, k, b, n, c);
+    }
+
+    /// The one product under every entry point: `C += op(A) * B` on this
+    /// dispatch's arm.
+    ///
+    /// * `trans_a = false`: `A` is row-major with leading dimension `lda`,
+    ///   and the product reads its rows `[i0, i0 + m)`;
+    /// * `trans_a = true`: `A` is stored `k x lda` row-major, and the
+    ///   product reads its columns `[i0, i0 + m)` as the rows of `A^T`.
+    ///
+    /// `B` is `k x n` and `C` is `m x n` (the chunk's own rows), both
+    /// row-major and dense; the offset `i0` lets a row chunk read the whole
+    /// `A`.
+    pub(crate) fn product(
+        &self,
+        trans_a: bool,
+        a: &[f64],
+        lda: usize,
+        i0: usize,
+        m: usize,
+        k: usize,
+        b: &[f64],
+        n: usize,
+        c: &mut [f64],
+    ) {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let kern = *self;
+        match self.arch {
+            KernelArch::Scalar => scalar_product(trans_a, a, lda, i0, m, k, b, n, c),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx2 => avx2::gemm_blocked(trans_a, a, lda, i0, m, k, b, n, c),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelArch::Avx2 => unreachable!("avx2 dispatch cannot exist off x86_64"),
+        }
+    }
+
+    /// [`KernelDispatch::product`] over all `m` rows of `C`, split into row
+    /// chunks over the current rayon pool; each chunk runs the product at
+    /// its own offset `i0` into `A`.
+    pub(crate) fn par_product(
+        &self,
+        trans_a: bool,
+        a: &[f64],
+        lda: usize,
+        m: usize,
+        k: usize,
+        b: &[f64],
+        n: usize,
+        c: &mut [f64],
+    ) {
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
         let chunk_rows = par_chunk_rows(m);
         c.par_chunks_mut(chunk_rows * n)
             .enumerate()
             .for_each(|(ci, c_chunk)| {
-                let i0 = ci * chunk_rows;
-                let rows_here = c_chunk.len() / n;
-                match kern.arch {
-                    KernelArch::Scalar => gemm_tn_rows(a, m, i0, rows_here, k, b, n, c_chunk),
-                    KernelArch::Avx2 => kern.avx2_gemm(true, a, m, i0, rows_here, k, b, n, c_chunk),
-                }
+                let rows = c_chunk.len() / n;
+                self.product(trans_a, a, lda, ci * chunk_rows, rows, k, b, n, c_chunk);
             });
     }
 
@@ -359,38 +365,15 @@ impl KernelDispatch {
             KernelArch::Avx2 => unreachable!("avx2 dispatch cannot exist off x86_64"),
         }
     }
+}
 
-    #[cfg(target_arch = "x86_64")]
-    fn avx2_gemm(
-        &self,
-        trans_a: bool,
-        a: &[f64],
-        lda: usize,
-        i0: usize,
-        m: usize,
-        k: usize,
-        b: &[f64],
-        n: usize,
-        c: &mut [f64],
-    ) {
-        avx2::gemm_blocked(self.blocking, trans_a, a, lda, i0, m, k, b, n, c);
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn avx2_gemm(
-        &self,
-        _trans_a: bool,
-        _a: &[f64],
-        _lda: usize,
-        _i0: usize,
-        _m: usize,
-        _k: usize,
-        _b: &[f64],
-        _n: usize,
-        _c: &mut [f64],
-    ) {
-        unreachable!("avx2 dispatch cannot exist off x86_64")
-    }
+/// The length check of the four public products: `A` holds `m * k` values
+/// (either orientation), `B` `k * n` and `C` `m * n`.  Checked in release:
+/// the AVX2 arm stores through raw pointers.
+fn check_lengths(a: &[f64], b: &[f64], c: &[f64], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A does not hold {m} x {k} values");
+    assert_eq!(b.len(), k * n, "B is not {k} x {n}");
+    assert_eq!(c.len(), m * n, "C is not {m} x {n}");
 }
 
 /// Rows of `C` per parallel task: ~2 chunks per worker, at least

@@ -15,8 +15,8 @@
 //! both layouts:
 //!
 //! * **in place** ([`in_place`]) — when the `A` block fits the packed-`A`
-//!   buffer (`m * k <= mc * kc`) and `B` fits the packed-`B` one
-//!   (`k * n <= kc * nc`), or when `n < NR` (no full tile to pack for).
+//!   buffer (`m * k <= MC * KC`) and `B` fits the packed-`B` one
+//!   (`k * n <= KC * NC`), or when `n < NR` (no full tile to pack for).
 //!   Every product the executor, the ULV factor and the solve issue takes
 //!   this route: CDS blocks and RHS panels are already small and
 //!   contiguous, so copying them costs more than their strides do;
@@ -30,7 +30,7 @@
 //! storage order:
 //!
 //! * the accumulators are **loaded from `C`** before the depth loop and
-//!   stored back after it, so `kc`-blocking by the packed path merely
+//!   stored back after it, so `KC`-blocking by the packed path merely
 //!   inserts value-neutral memory round-trips into the chain, and the
 //!   in-place route's single pass over `k` is the same chain;
 //! * in place, row remainders (`m % MR`) run fewer-row instances of the
@@ -43,22 +43,21 @@
 //!
 //! Consequently the result of a product depends only on the logical
 //! operands and the depth `k` — not on the route, row chunking (thread
-//! count), column grouping (RHS panel width), or the cache-derived
-//! `mc`/`kc`/`nc` blocking.
+//! count), column grouping (RHS panel width), or the block sizes
+//! `MC` / `KC` / `NC`.
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (mc, kc, nc, MR, NR) the tile loops use, and the narrow bodies index slices; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
+    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (MC, KC, NC, MR, NR) the tile loops use, and the narrow bodies index slices; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
 )]
 
-use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, MR, NR};
-use super::params::GemmBlocking;
+use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, KC, MC, MR, NC, NR};
 use core::arch::x86_64::*;
 use std::cell::RefCell;
 
 thread_local! {
     /// Per-thread packing scratch (`A` buffer, `B` buffer).  Sized by the
-    /// blocking parameters on first use and reused for every subsequent
+    /// block sizes on first use and reused for every subsequent
     /// packed product on the same thread, so steady-state GEMM calls
     /// allocate nothing.
     static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
@@ -199,7 +198,7 @@ unsafe fn tile_sweep(
 }
 
 /// The packed route of [`gemm_blocked`] (same operand conventions):
-/// `kc x nc` blocks of `B` and `mc x kc` blocks of `A` are copied into the
+/// `KC x NC` blocks of `B` and `MC x KC` blocks of `A` are copied into the
 /// thread's pack buffers, then swept by the microkernel.
 ///
 /// # Safety
@@ -207,7 +206,6 @@ unsafe fn tile_sweep(
 /// `a` and `b` as slices).
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn packed(
-    blk: GemmBlocking,
     trans_a: bool,
     a: &[f64],
     lda: usize,
@@ -221,21 +219,21 @@ unsafe fn packed(
     PACK_BUFS.with(|cell| {
         let mut bufs = cell.borrow_mut();
         let (abuf, bbuf) = &mut *bufs;
-        let amax = packed_a_len(blk.mc.min(m), blk.kc.min(k));
-        let bmax = packed_b_len(blk.nc.min(n), blk.kc.min(k));
+        let amax = packed_a_len(MC.min(m), KC.min(k));
+        let bmax = packed_b_len(NC.min(n), KC.min(k));
         if abuf.len() < amax {
             abuf.resize(amax, 0.0);
         }
         if bbuf.len() < bmax {
             bbuf.resize(bmax, 0.0);
         }
-        for jc in (0..n).step_by(blk.nc) {
-            let nb = blk.nc.min(n - jc);
-            for pc in (0..k).step_by(blk.kc) {
-                let kb = blk.kc.min(k - pc);
+        for jc in (0..n).step_by(NC) {
+            let nb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kb = KC.min(k - pc);
                 pack_b(b, n, pc, kb, jc, nb, bbuf);
-                for ic in (0..m).step_by(blk.mc) {
-                    let mb = blk.mc.min(m - ic);
+                for ic in (0..m).step_by(MC) {
+                    let mb = MC.min(m - ic);
                     if trans_a {
                         pack_a_trans(a, lda, i0 + ic, mb, pc, kb, abuf);
                     } else {
@@ -490,10 +488,10 @@ const _: () = assert!(NR == 8 && MR == 4);
 
 /// Whether [`gemm_blocked`] reads the operands in place: the product has no
 /// full 8-column tile, or both blocks fit the pack buffers they would be
-/// copied into (`m * k <= mc * kc`, `k * n <= kc * nc`).
-fn reads_in_place(blk: GemmBlocking, m: usize, k: usize, n: usize) -> bool {
-    let fits = |rows: usize, cols: usize| rows.saturating_mul(k) <= cols.saturating_mul(blk.kc);
-    n < NR || (fits(m, blk.mc) && fits(n, blk.nc))
+/// copied into (`m * k <= MC * KC`, `k * n <= KC * NC`).
+fn reads_in_place(m: usize, k: usize, n: usize) -> bool {
+    let fits = |rows: usize, block: usize| rows.saturating_mul(k) <= block * KC;
+    n < NR || (fits(m, MC) && fits(n, NC))
 }
 
 /// Index of the last element of `A` a product reads (see [`gemm_blocked`]),
@@ -524,7 +522,6 @@ fn last_a_index(trans_a: bool, lda: usize, i0: usize, m: usize, k: usize) -> Opt
 /// Panics, before any raw-pointer access, if `a`, `b` or `c` is too short
 /// for the last element the product touches in it.
 pub fn gemm_blocked(
-    blk: GemmBlocking,
     trans_a: bool,
     a: &[f64],
     lda: usize,
@@ -553,7 +550,7 @@ pub fn gemm_blocked(
         "gemm: C ({} values) is shorter than {m} x {n}",
         c.len()
     );
-    if reads_in_place(blk, m, k, n) {
+    if reads_in_place(m, k, n) {
         // SAFETY: dispatch resolution verified avx2+fma
         // (`simd_available()`) before any dispatch could reach this
         // function; `m, k >= 1` and the three slice bounds were asserted
@@ -561,7 +558,7 @@ pub fn gemm_blocked(
         unsafe { in_place(trans_a, a, lda, i0, m, k, b, n, c) }
     } else {
         // SAFETY: avx2+fma as above; `c` holds `m * n` (asserted above).
-        unsafe { packed(blk, trans_a, a, lda, i0, m, k, b, n, c) }
+        unsafe { packed(trans_a, a, lda, i0, m, k, b, n, c) }
     }
 }
 

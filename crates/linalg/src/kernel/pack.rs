@@ -1,7 +1,7 @@
 //! Operand packing for the register-blocked microkernel.
 //!
 //! The AVX2 arm packs only operands too large to read in place (more than
-//! the `mc x kc` / `kc x nc` buffers below hold; see the kernel-layer docs):
+//! the `MC x KC` / `KC x NC` buffers below hold; see the kernel-layer docs):
 //! it copies a block of `A` and a block of `B` into buffers whose layout
 //! matches the microkernel's register tiling, so the inner loop reads both
 //! operands with stride 1 and strided rows of a wide operand cannot alias
@@ -24,21 +24,63 @@
 //! products involving the padding multiply zeros into result lanes that are
 //! never written back, so padding changes no observable value (see the
 //! bitwise-determinism contract in the crate docs).
+//!
+//! The block sizes [`MC`] / [`KC`] / [`NC`] are constants below, derived by
+//! the Goto rules from one machine model ([`L1_BYTES`], [`L2_BYTES`]).  They
+//! decide which products are packed and how, never a result bit: every
+//! output element accumulates its `k` products in storage order whatever
+//! the blocks are.
+#![cfg_attr(
+    not(target_arch = "x86_64"),
+    allow(dead_code, reason = "only the x86_64 AVX2 arm packs")
+)]
 
 /// Microkernel tile height (rows of `C` per register tile).
 pub const MR: usize = 4;
 /// Microkernel tile width (columns of `C` per register tile).
 pub const NR: usize = 8;
 
+/// Per-core L1 data cache the block sizes are derived for: 32 KiB, the
+/// Haswell-class testbed of the paper's Section 4.1 and a conservative fit
+/// for every x86 server since.
+pub const L1_BYTES: usize = 32 * 1024;
+/// Per-core private L2 the block sizes are derived for: 512 KiB.
+pub const L2_BYTES: usize = 512 * 1024;
+
+const F64_BYTES: usize = std::mem::size_of::<f64>();
+
+/// Depth of the packed `A` / `B` panels (Goto's rule): one `MR x KC` panel
+/// of `A` plus one `KC x NR` panel of `B` fill at most half of L1, the
+/// other half absorbing the `C` tile and stack traffic; a multiple of 4.
+pub const KC: usize = {
+    let raw = L1_BYTES / 2 / (F64_BYTES * (MR + NR));
+    raw - raw % 4
+};
+/// Rows of a `KC`-deep block that fill half of L2.
+const HALF_L2_ROWS: usize = L2_BYTES / 2 / (F64_BYTES * KC);
+/// Rows of the packed `A` block: the whole `MC x KC` block fills at most
+/// half of L2, leaving room for the streamed `B` panel; whole `MR` panels.
+pub const MC: usize = HALF_L2_ROWS - HALF_L2_ROWS % MR;
+/// Columns of the packed `B` block: the same half-L2 bound in columns
+/// (there is no per-core L3 model, and RHS panels are narrow anyway);
+/// whole `NR` panels.
+pub const NC: usize = HALF_L2_ROWS - HALF_L2_ROWS % NR;
+
+const _: () = assert!(KC * (MR + NR) * F64_BYTES <= L1_BYTES / 2);
+const _: () = assert!(MC * KC * F64_BYTES <= L2_BYTES / 2);
+const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
+// Deep enough to amortise the `C` tile's round trips.
+const _: () = assert!(KC >= 64);
+
 /// Length of the packed-`A` buffer for an `mb x kb` block (`mb` rounded up
 /// to whole [`MR`]-row panels).
-pub fn packed_a_len(mb: usize, kb: usize) -> usize {
+pub(crate) fn packed_a_len(mb: usize, kb: usize) -> usize {
     mb.div_ceil(MR) * MR * kb
 }
 
 /// Length of the packed-`B` buffer for a `kb x nb` block (`nb` rounded up
 /// to whole [`NR`]-column panels).
-pub fn packed_b_len(nb: usize, kb: usize) -> usize {
+pub(crate) fn packed_b_len(nb: usize, kb: usize) -> usize {
     nb.div_ceil(NR) * NR * kb
 }
 
@@ -47,7 +89,15 @@ pub fn packed_b_len(nb: usize, kb: usize) -> usize {
 ///
 /// `out[..packed_a_len(mb, kb)]` is fully overwritten, padding included, so
 /// a reused (possibly stale) scratch buffer is safe.
-pub fn pack_a(a: &[f64], lda: usize, i0: usize, mb: usize, p0: usize, kb: usize, out: &mut [f64]) {
+pub(crate) fn pack_a(
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    mb: usize,
+    p0: usize,
+    kb: usize,
+    out: &mut [f64],
+) {
     let panels = mb.div_ceil(MR);
     for t in 0..panels {
         let rows_here = MR.min(mb - t * MR);
@@ -70,7 +120,7 @@ pub fn pack_a(a: &[f64], lda: usize, i0: usize, mb: usize, p0: usize, kb: usize,
 ///
 /// This is the upward-pass (`T_i = V_i^T W_i`) packing: `V` is stored
 /// untransposed in CDS and the transpose happens for free during the copy.
-pub fn pack_a_trans(
+pub(crate) fn pack_a_trans(
     a: &[f64],
     lda: usize,
     i0: usize,
@@ -97,7 +147,15 @@ pub fn pack_a_trans(
 
 /// Pack rows `[p0, p0 + kb)` x columns `[j0, j0 + nb)` of the row-major
 /// matrix `b` (leading dimension `ldb`) into `out` in packed-`B` layout.
-pub fn pack_b(b: &[f64], ldb: usize, p0: usize, kb: usize, j0: usize, nb: usize, out: &mut [f64]) {
+pub(crate) fn pack_b(
+    b: &[f64],
+    ldb: usize,
+    p0: usize,
+    kb: usize,
+    j0: usize,
+    nb: usize,
+    out: &mut [f64],
+) {
     let panels = nb.div_ceil(NR);
     for u in 0..panels {
         let cols_here = NR.min(nb - u * NR);

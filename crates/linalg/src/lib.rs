@@ -9,14 +9,16 @@
 //!
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the small set of
 //!   operations the rest of the workspace needs.
-//! * [`mod@gemm`] — cache-blocked sequential and rayon-parallel matrix-matrix
-//!   products (`C ← αAB + βC`), plus `gemv` and transposed variants.
+//! * [`mod@gemm`] — the front-ends of the one product: [`gemm_seq`]
+//!   (`C ← α op(A) op(B) + βC` on the scalar reference) and [`matmul`] on
+//!   [`Matrix`] values, [`gemm_panel`] / [`gemm_tn_slices`] on raw slices,
+//!   and the scalar arm's strided loop.
 //! * [`mod@kernel`] — the kernel layer under those products: a
 //!   register-blocked AVX2+FMA microkernel (on the operands in place, or
 //!   packed when they are large) with runtime feature detection,
 //!   the portable scalar fallback, and the [`KernelDispatch`] every hot
 //!   caller resolves once (overridable via `MATROX_KERNEL=auto|scalar|avx2`).
-//!   See its module docs for the packing formats and the
+//!   See its module docs for the block sizes, the packing formats and the
 //!   bitwise-determinism contract.
 //! * [`qr`] — Householder column-pivoted QR (Businger–Golub) with adaptive
 //!   rank detection; forms `R` in place and never `Q`.
@@ -38,19 +40,17 @@
 //!
 //! # Example: a dispatched product
 //!
-//! [`gemm()`] is the front-end the rest of the workspace calls; it routes
-//! through the process-wide kernel selection (AVX2 microkernel where
-//! available, scalar otherwise) and stays within `1e-12` relative error of
-//! the scalar reference [`gemm_seq`]:
+//! [`matmul`] routes through the process-wide kernel selection (AVX2
+//! microkernel where available, scalar otherwise) and stays within `1e-12`
+//! relative error of the scalar reference [`gemm_seq`]:
 //!
 //! ```
-//! use matrox_linalg::{gemm, gemm_seq, GemmOp, Matrix};
+//! use matrox_linalg::{gemm_seq, matmul, GemmOp, Matrix};
 //!
 //! let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
 //! let b = Matrix::from_rows(&[vec![0.5, 0.0], vec![-1.0, 2.0]]);
-//! let mut c = Matrix::zeros(2, 2);
+//! let c = matmul(&a, &b);
 //! let mut c_ref = Matrix::zeros(2, 2);
-//! gemm(1.0, &a, GemmOp::NoTrans, &b, GemmOp::NoTrans, 0.0, &mut c);
 //! gemm_seq(1.0, &a, GemmOp::NoTrans, &b, GemmOp::NoTrans, 0.0, &mut c_ref);
 //! for i in 0..2 {
 //!     for j in 0..2 {
@@ -74,9 +74,9 @@ pub use chol::{
     cholesky, cholesky_solve, cholesky_solve_in_place, cholesky_solve_matrix, syrk_lower,
     NotPositiveDefinite,
 };
-pub use gemm::{gemm, gemm_panel, gemm_seq, gemm_tn_slices, gemv, matmul, par_gemm, GemmOp};
+pub use gemm::{gemm_panel, gemm_seq, gemm_tn_slices, matmul, GemmOp};
 pub use id::{column_id, row_id, row_id_of_transpose, IdResult};
-pub use kernel::{simd_available, KernelArch, KernelChoice, KernelDispatch};
+pub use kernel::{simd_available, KernelChoice, KernelDispatch};
 pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};
 pub use matrix::{all_finite, Matrix};
 pub use norms::{frobenius_norm, relative_error};

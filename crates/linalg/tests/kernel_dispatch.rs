@@ -12,11 +12,14 @@
 //! 3. **fallback totality** — every [`KernelChoice`] resolves to a runnable
 //!    kernel on every host, and a short `C` panics on every arm before
 //!    anything is written past it;
-//! 4. **the fma chain** — on AVX2, every route (in place or packed, full
-//!    tiles, row and column remainders, sequential or parallel) must equal,
-//!    bit for bit, an independent reference that runs
-//!    `c = a_ip.mul_add(b_pj, c)` for `p` ascending from `C0`.
+//! 4. **the chain** — on each arm, every route (scalar: across its
+//!    64 x 128 x 256 loop blocking; AVX2: in place or packed, full tiles,
+//!    row and column remainders; sequential or parallel) must equal, bit
+//!    for bit, an independent reference that runs the arm's step for `p`
+//!    ascending from `C0`: `c = a_ip.mul_add(b_pj, c)` for AVX2,
+//!    `c = c + a_ip * b_pj` with `a_ip == 0` skipped for scalar.
 
+use matrox_linalg::kernel::{KC, MC};
 use matrox_linalg::{gemm_seq, simd_available, GemmOp, KernelChoice, KernelDispatch, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -268,12 +271,46 @@ fn short_c_panics_and_leaves_memory_past_it_untouched() {
     }
 }
 
+/// One arm's chain step: what every output element does per depth step.
+type Step = fn(f64, f64, f64) -> f64;
+
+/// The scalar arm's step: `c + a * b` (`mul` then `add`, two roundings),
+/// exact zeros of `A` skipped.
+fn scalar_step(a: f64, b: f64, c: f64) -> f64 {
+    if a != 0.0 {
+        c + a * b
+    } else {
+        c
+    }
+}
+
+/// The AVX2 arm's step: one `fma`.  `f64::mul_add` rounds once, exactly as
+/// `vfmadd` does.
+fn fma_step(a: f64, b: f64, c: f64) -> f64 {
+    a.mul_add(b, c)
+}
+
+/// Every arm this host runs, with its chain step and the depth its loops
+/// block by (the scalar loop's 128, the AVX2 packed route's [`KC`]), which
+/// the oracles straddle.  Empty under Miri: the sweeps are far too large to
+/// interpret, and the scalar arm holds no unsafe code.
+fn arms() -> Vec<(KernelDispatch, Step, usize)> {
+    let mut arms = vec![(KernelDispatch::scalar(), scalar_step as Step, 128)];
+    if simd_available() {
+        arms.push((KernelDispatch::resolve(KernelChoice::Avx2), fma_step, KC));
+    }
+    if cfg!(miri) {
+        arms.clear();
+    }
+    arms
+}
+
 /// The largest operands of a family of sub-products: every `(m, k, n)` up
 /// to `(rows, depth, cols)` reads the leading `m x k` block of `a`, the
 /// leading `k x n` block of `b` and the leading `m x n` block of `c0`.
-/// `a` holds exact zeros (the AVX2 chain never skips them) and `c0` holds
-/// `-0.0` and a subnormal, which a chain that starts anywhere but `C`
-/// would lose.
+/// `a` holds exact zeros (which the scalar chain skips and the AVX2 chain
+/// does not) and `c0` holds `-0.0` and a subnormal, which a chain that
+/// starts anywhere but `C`, or adds a skipped zero, would lose.
 struct Family {
     rows: usize,
     depth: usize,
@@ -281,13 +318,14 @@ struct Family {
     a: Vec<f64>,
     b: Vec<f64>,
     c0: Vec<f64>,
-    /// `c0` advanced by the fma chain over the first `k` depth steps.
+    /// `c0` advanced by the chain over the first `k` depth steps.
     chain: Vec<f64>,
     k: usize,
+    step: Step,
 }
 
 impl Family {
-    fn new(rows: usize, depth: usize, cols: usize, seed: u64) -> Self {
+    fn new(rows: usize, depth: usize, cols: usize, seed: u64, step: Step) -> Self {
         let mut a = random_matrix(rows, depth.max(1), seed).as_slice().to_vec();
         a.iter_mut().step_by(7).for_each(|v| *v = 0.0);
         let b = random_matrix(depth.max(1), cols, seed + 1)
@@ -311,12 +349,12 @@ impl Family {
             c0,
             chain,
             k: 0,
+            step,
         }
     }
 
     /// The independent oracle at depth `k` (never below the last one): one
-    /// `c = a_ip.mul_add(b_pj, c)` per step, `p` ascending, from `C0`.
-    /// `f64::mul_add` rounds once, exactly as `vfmadd` does, and every
+    /// `c = step(a_ip, b_pj, c)` per step, `p` ascending, from `C0`.  Every
     /// sub-product's elements are this chain's leading rows and columns.
     fn advance_to(&mut self, k: usize) {
         assert!(self.k <= k && k <= self.depth);
@@ -325,7 +363,7 @@ impl Family {
                 let aip = self.a[i * self.depth + p];
                 let row = &mut self.chain[i * self.cols..][..self.cols];
                 for (cv, &bpj) in row.iter_mut().zip(&self.b[p * self.cols..][..self.cols]) {
-                    *cv = aip.mul_add(bpj, *cv);
+                    *cv = (self.step)(aip, bpj, *cv);
                 }
             }
         }
@@ -362,7 +400,7 @@ impl Family {
 
 /// `gemm` and `gemm_tn` of sub-products `(m, fam.k, n)`, for every `n` in
 /// `ns`, against the oracle, by `to_bits`.
-fn assert_matches_fma_chain(disp: KernelDispatch, fam: &Family, m: usize, ns: &[usize]) {
+fn assert_matches_chain(disp: KernelDispatch, fam: &Family, m: usize, ns: &[usize]) {
     let k = fam.k;
     let [a, at] = fam.a_blocks(m);
     for &n in ns {
@@ -376,98 +414,102 @@ fn assert_matches_fma_chain(disp: KernelDispatch, fam: &Family, m: usize, ns: &[
             }
             assert!(
                 c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{} at m={m} k={k} n={n} differs from the fma chain",
+                "{} {} at m={m} k={k} n={n} differs from its chain",
+                disp.name(),
                 if trans { "gemm_tn" } else { "gemm" }
             );
         }
     }
 }
 
-/// The SIMD dispatch, or `None` on hosts (and under Miri) without it: the
-/// fma chain is the AVX2 arm's contract.
-fn simd_dispatch() -> Option<KernelDispatch> {
-    simd_available().then(|| KernelDispatch::resolve(KernelChoice::Avx2))
-}
-
-/// Every AVX2 route against the fma-chain oracle: row counts around the
-/// microkernel's 4-row tiles, every column remainder of the 8-column tiles
-/// and the executor's wide panels, depths around the packed path's `kc`
-/// split, and shapes on both sides of the in-place / packed rule
-/// (`k * n` against `kc * nc` in the first family, `m * k` against
-/// `mc * kc` in the second).
+/// Every route of both arms against its chain: row counts around the
+/// microkernel's 4-row tiles and the scalar loop's 64-row blocks, every
+/// column remainder of the 8-column tiles, the executor's wide panels and
+/// the scalar loop's 256-column blocks, depths around each arm's depth
+/// blocking, and shapes on both sides of the AVX2 in-place / packed rule
+/// (`k * n` against `KC * NC` in the first family, `m * k` against
+/// `MC * KC` in the second).
 #[test]
-fn every_avx2_path_matches_the_fma_chain() {
-    let Some(disp) = simd_dispatch() else { return };
-    let blk = disp.blocking();
-    let kc = blk.kc;
-    let ns: Vec<usize> = (1..=17).chain([183, 184, 192, 193, 256]).collect();
-    let mut fam = Family::new(65, 2 * kc + 3, 256, 11);
-    for k in [0, 1, kc - 1, kc, kc + 1, 2 * kc + 3] {
-        fam.advance_to(k);
-        for m in [1usize, 3, 4, 5, 63, 64, 65] {
-            assert_matches_fma_chain(disp, &fam, m, &ns);
+fn every_path_matches_its_chain() {
+    let ns: Vec<usize> = (1..=17)
+        .chain([183, 184, 192, 193, 255, 256, 257])
+        .collect();
+    for (disp, step, kc) in arms() {
+        let mut fam = Family::new(65, 2 * kc + 1, 257, 11, step);
+        for k in [0, 1, kc - 1, kc, kc + 1, 2 * kc + 1] {
+            fam.advance_to(k);
+            for m in [1usize, 3, 4, 5, 63, 64, 65] {
+                assert_matches_chain(disp, &fam, m, &ns);
+            }
         }
-    }
-    let mut fam = Family::new(blk.mc + 1, kc + 1, 17, 12);
-    for k in [kc, kc + 1] {
-        fam.advance_to(k);
-        for m in [blk.mc - 1, blk.mc, blk.mc + 1] {
-            assert_matches_fma_chain(disp, &fam, m, &[7, 8, 9, 17]);
+        let mut fam = Family::new(MC + 1, KC + 1, 17, 12, step);
+        for k in [KC, KC + 1] {
+            fam.advance_to(k);
+            for m in [MC - 1, MC, MC + 1] {
+                assert_matches_chain(disp, &fam, m, &[7, 8, 9, 17]);
+            }
         }
     }
 }
 
 /// `par_gemm` / `par_gemm_tn` hand each row chunk the whole `A` at an offset
-/// `i0`; at pool widths 1, 2 and 3 they must match the oracle too.
+/// `i0`; at pool widths 1, 2 and 3 they must match the chain too.
 #[test]
-fn par_paths_match_the_fma_chain_across_pool_widths() {
-    let Some(disp) = simd_dispatch() else { return };
-    let (m, k) = (65usize, 2 * disp.blocking().kc + 3);
-    let mut fam = Family::new(m, k, 184, 90);
-    fam.advance_to(k);
-    let [a, at] = fam.a_blocks(m);
-    for n in (1..=17).chain([184]) {
-        let [b, c0, want] = fam.bc_blocks(m, n);
-        for nt in [1usize, 2, 3] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(nt)
-                .build()
-                .unwrap();
-            let (par, par_tn) = pool.install(|| {
-                let mut par = c0.clone();
-                disp.par_gemm(&a, m, k, &b, n, &mut par);
-                let mut par_tn = c0.clone();
-                disp.par_gemm_tn(&at, k, m, &b, n, &mut par_tn);
-                (par, par_tn)
-            });
-            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&par), bits(&want), "par_gemm n={n} at {nt} threads");
-            assert_eq!(
-                bits(&par_tn),
-                bits(&want),
-                "par_gemm_tn n={n} at {nt} threads"
-            );
+fn par_paths_match_the_chain_across_pool_widths() {
+    for (disp, step, kc) in arms() {
+        let (m, k) = (65usize, 2 * kc + 1);
+        let mut fam = Family::new(m, k, 184, 90, step);
+        fam.advance_to(k);
+        let [a, at] = fam.a_blocks(m);
+        for n in (1..=17).chain([184]) {
+            let [b, c0, want] = fam.bc_blocks(m, n);
+            for nt in [1usize, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(nt)
+                    .build()
+                    .unwrap();
+                let (par, par_tn) = pool.install(|| {
+                    let mut par = c0.clone();
+                    disp.par_gemm(&a, m, k, &b, n, &mut par);
+                    let mut par_tn = c0.clone();
+                    disp.par_gemm_tn(&at, k, m, &b, n, &mut par_tn);
+                    (par, par_tn)
+                });
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let name = disp.name();
+                assert_eq!(
+                    bits(&par),
+                    bits(&want),
+                    "{name} par_gemm n={n} at {nt} threads"
+                );
+                assert_eq!(
+                    bits(&par_tn),
+                    bits(&want),
+                    "{name} par_gemm_tn n={n} at {nt} threads"
+                );
+            }
         }
     }
 }
 
 /// The exhaustive sweep at the executor's block shapes (release CI step:
-/// `cargo test --release -p matrox-linalg -- --ignored fma_chain_oracle`):
-/// every `(m, k)` in `1..=96` squared, plus depths straddling `kc` and
-/// `2 * kc`, at every width `1..=17` and the executor's 184- and 256-column
-/// panels, both forms.
+/// `cargo test --release -p matrox-linalg -- --ignored chain_oracle`):
+/// every `(m, k)` in `1..=96` squared (across the scalar loop's 64-row
+/// blocks), plus depths straddling each arm's depth blocking and twice it,
+/// at every width `1..=17` and the executor's 184- and 256-column panels,
+/// both forms, both arms.
 #[test]
 #[ignore = "exhaustive; run in release"]
-fn fma_chain_oracle_at_executor_shapes() {
-    let Some(disp) = simd_dispatch() else { return };
-    let kc = disp.blocking().kc;
-    let straddle = [kc - 1, kc, kc + 1, 2 * kc - 1, 2 * kc, 2 * kc + 1];
+fn chain_oracle_at_executor_shapes() {
     let ns: Vec<usize> = (1..=17).chain([184, 256]).collect();
-    let mut fam = Family::new(96, 2 * kc + 1, 256, 7);
-    for k in (1..=96usize).chain(straddle) {
-        fam.advance_to(k);
-        for m in 1..=96usize {
-            assert_matches_fma_chain(disp, &fam, m, &ns);
+    for (disp, step, kc) in arms() {
+        let straddle = [kc - 1, kc, kc + 1, 2 * kc - 1, 2 * kc, 2 * kc + 1];
+        let mut fam = Family::new(96, 2 * kc + 1, 256, 7, step);
+        for k in (1..=96usize).chain(straddle) {
+            fam.advance_to(k);
+            for m in 1..=96usize {
+                assert_matches_chain(disp, &fam, m, &ns);
+            }
         }
     }
 }
