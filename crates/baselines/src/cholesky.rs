@@ -44,12 +44,6 @@ impl DenseCholeskyBaseline {
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
         cholesky_solve_matrix(&self.l, b)
     }
-
-    /// Flop count of the factorization (`N^3 / 3`, for rate reporting).
-    pub fn factor_flops(&self) -> u64 {
-        let n = self.l.rows() as u64;
-        n * n * n / 3
-    }
 }
 
 #[cfg(test)]

@@ -8,23 +8,27 @@
 //!
 //! * **request failures** come back as `Err` (bad input, corrupt file,
 //!   numerical breakdown, stale handle);
-//! * **internal invariant violations** still panic, but the
-//!   [`EvalSession`](crate::EvalSession) boundary contains them with
-//!   `catch_unwind` and surfaces [`MatroxError::PoolPanic`] so a poisoned
-//!   evaluation cannot take down a serving process;
+//! * **internal invariant violations** still panic, but one boundary
+//!   (`contain`, the crate's only `catch_unwind`) contains them for every
+//!   evaluate and solve entry point and for each inspector phase, and
+//!   surfaces [`MatroxError::PoolPanic`] so a poisoned evaluation cannot
+//!   take down a serving process;
 //! * nothing in this crate aborts.
+//!
+//! Every evaluate and solve runs through `guard`: screen the right-hand
+//! side (row count, NaN/Inf), run the work inside `contain`, screen the
+//! output (NaN/Inf become [`MatroxError::NumericalBreakdown`]).
 //!
 //! The granular lower-level errors ([`FactorError`],
 //! [`NotPositiveDefinite`]) are absorbed via `From` impls so `?` composes
 //! across the crate boundaries.
 
 use matrox_factor::FactorError;
-use matrox_linalg::NotPositiveDefinite;
+use matrox_linalg::{all_finite, Matrix, NotPositiveDefinite};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Render a `catch_unwind` payload as the human-readable panic message.
-/// Shared by every containment boundary in the crate (the session's
-/// evaluation wrapper and the inspector's parallel phases).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -32,6 +36,56 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Run `f` inside the crate's one `catch_unwind` containment boundary: a
+/// panic — including one raised on a pool worker — comes back as
+/// [`MatroxError::PoolPanic`].  AssertUnwindSafe is sound because the
+/// closures only read their inputs and any partially-built output is
+/// dropped with the unwind.
+pub(crate) fn contain<T>(f: impl FnOnce() -> Result<T, MatroxError>) -> Result<T, MatroxError> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => r,
+        Err(payload) => Err(MatroxError::PoolPanic(panic_message(payload))),
+    }
+}
+
+/// Screen a right-hand side against the matrix dimension and NaN/Inf
+/// poison, so invalid requests fail up front instead of propagating poison
+/// through the sweeps.
+fn screen_rhs(rows: usize, data: &[f64], n: usize, what: &str) -> Result<(), MatroxError> {
+    if rows != n {
+        return Err(MatroxError::InvalidInput(format!(
+            "{what} has {rows} rows but the matrix dimension is {n}"
+        )));
+    }
+    if !all_finite(data) {
+        return Err(MatroxError::InvalidInput(format!(
+            "{what} contains NaN or infinite entries"
+        )));
+    }
+    Ok(())
+}
+
+/// The evaluation boundary every evaluate and solve entry point runs
+/// through: screen the `what` right-hand side `rhs` against dimension `n`
+/// ([`MatroxError::InvalidInput`]), run `f` inside [`contain`]
+/// ([`MatroxError::PoolPanic`]), and screen its output for NaN/Inf
+/// ([`MatroxError::NumericalBreakdown`]).
+pub(crate) fn guard(
+    rhs: &Matrix,
+    n: usize,
+    what: &str,
+    f: impl FnOnce() -> Result<Matrix, MatroxError>,
+) -> Result<Matrix, MatroxError> {
+    screen_rhs(rhs.rows(), rhs.as_slice(), n, what)?;
+    let out = contain(f)?;
+    if !all_finite(out.as_slice()) {
+        return Err(MatroxError::NumericalBreakdown(
+            "evaluation produced NaN or infinite output".to_string(),
+        ));
+    }
+    Ok(out)
 }
 
 /// Unified error type returned by every public MatRox entry point.
@@ -55,7 +109,7 @@ pub enum MatroxError {
     /// object it was handed to (stale or mismatched handle).
     PlanMismatch(String),
     /// A worker job panicked inside the evaluation pool; the panic was
-    /// contained at the session boundary and the payload preserved here.
+    /// contained at the evaluation boundary and the payload preserved here.
     PoolPanic(String),
     /// A serving front-end shed the request under load (admission caps hit,
     /// dispatch queue full, or latency budget expired while queued).  The

@@ -1,12 +1,12 @@
 //! The user-facing [`HMatrix`] handle and its evaluation entry points.
 
-use crate::error::MatroxError;
+use crate::error::{guard, MatroxError};
 use crate::failpoint;
 use crate::timings::InspectorTimings;
 use matrox_analysis::EvalPlan;
 use matrox_exec::{execute, ExecOptions};
 use matrox_factor::{factor_with_ridge, FactorError, HssFactor};
-use matrox_linalg::{all_finite, frobenius_norm, relative_error, KernelChoice, Matrix};
+use matrox_linalg::{frobenius_norm, relative_error, KernelChoice, Matrix};
 use matrox_points::{dense_kernel_matmul, Kernel, PointSet};
 use matrox_tree::{ClusterTree, Structure};
 
@@ -15,24 +15,6 @@ const MAX_RIDGE_RETRIES: u32 = 3;
 
 /// Growth factor of the diagonal shift between retries.
 const RIDGE_GROWTH: f64 = 10.0;
-
-/// Screen a right-hand side against the matrix dimension and NaN/Inf
-/// poison.  Every public evaluation and solve entry point calls this first,
-/// so invalid requests fail up front instead of propagating poison through
-/// the sweeps.
-fn screen_rhs(rows: usize, data: &[f64], n: usize, what: &str) -> Result<(), MatroxError> {
-    if rows != n {
-        return Err(MatroxError::InvalidInput(format!(
-            "{what} has {rows} rows but the matrix dimension is {n}"
-        )));
-    }
-    if !all_finite(data) {
-        return Err(MatroxError::InvalidInput(format!(
-            "{what} contains NaN or infinite entries"
-        )));
-    }
-    Ok(())
-}
 
 /// A compressed kernel matrix ready for evaluation.
 ///
@@ -87,7 +69,9 @@ impl HMatrix {
     ///
     /// # Errors
     /// [`MatroxError::InvalidInput`] when `W` has the wrong row count or
-    /// contains NaN/Inf entries.
+    /// contains NaN/Inf entries, [`MatroxError::PoolPanic`] when the
+    /// evaluation panicked (contained), [`MatroxError::NumericalBreakdown`]
+    /// when the output is not finite.
     pub fn matmul(&self, w: &Matrix) -> Result<Matrix, MatroxError> {
         self.matmul_with(w, &self.default_exec_options())
     }
@@ -105,17 +89,18 @@ impl HMatrix {
     /// scalability harnesses).
     ///
     /// # Errors
-    /// Same input-screening contract as [`matmul`](HMatrix::matmul).
+    /// Same contract as [`matmul`](HMatrix::matmul).
     pub fn matmul_with(&self, w: &Matrix, opts: &ExecOptions) -> Result<Matrix, MatroxError> {
-        screen_rhs(w.rows(), w.as_slice(), self.dim(), "right-hand side W")?;
-        Ok(execute(&self.plan, &self.tree, w, opts))
+        guard(w, self.dim(), "right-hand side W", || {
+            Ok(execute(&self.plan, &self.tree, w, opts))
+        })
     }
 
     /// Evaluate a matrix-vector product (`Q = 1`); a thin wrapper over the
     /// same session path as [`matmul`](HMatrix::matmul).
     ///
     /// # Errors
-    /// Same input-screening contract as [`matmul`](HMatrix::matmul).
+    /// Same contract as [`matmul`](HMatrix::matmul).
     pub fn matvec(&self, w: &[f64]) -> Result<Vec<f64>, MatroxError> {
         let wm = Matrix::from_vec(w.len(), 1, w.to_vec());
         Ok(self.matmul(&wm)?.into_vec())
@@ -132,7 +117,7 @@ impl HMatrix {
     /// scaled-down experiment sizes.
     ///
     /// # Errors
-    /// Same input-screening contract as [`matmul`](HMatrix::matmul).
+    /// Same contract as [`matmul`](HMatrix::matmul).
     pub fn overall_accuracy(&self, points: &PointSet, w: &Matrix) -> Result<f64, MatroxError> {
         let approx = self.matmul(w)?;
         let exact = dense_kernel_matmul(points, &self.kernel, w);
@@ -281,15 +266,12 @@ impl FactoredHMatrix {
     /// # Errors
     /// [`MatroxError::InvalidInput`] when `b` has the wrong length or
     /// contains NaN/Inf, [`MatroxError::PlanMismatch`] when the factor does
-    /// not belong to this matrix.
+    /// not belong to this matrix, [`MatroxError::PoolPanic`] when the sweeps
+    /// panicked (contained), [`MatroxError::NumericalBreakdown`] when the
+    /// solution is not finite.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatroxError> {
-        screen_rhs(b.len(), b, self.dim(), "right-hand side b")?;
-        Ok(self.factor.solve(
-            &self.hmatrix.plan,
-            &self.hmatrix.tree,
-            b,
-            &self.hmatrix.default_exec_options(),
-        )?)
+        let bm = Matrix::from_vec(b.len(), 1, b.to_vec());
+        Ok(self.solve_matrix(&bm)?.into_vec())
     }
 
     /// Solve `K~ X = B` for a multi-column right-hand side.
@@ -306,10 +288,11 @@ impl FactoredHMatrix {
     /// # Errors
     /// Same contract as [`solve`](FactoredHMatrix::solve).
     pub fn solve_matrix_with(&self, b: &Matrix, opts: &ExecOptions) -> Result<Matrix, MatroxError> {
-        screen_rhs(b.rows(), b.as_slice(), self.dim(), "right-hand side B")?;
-        Ok(self
-            .factor
-            .solve_matrix(&self.hmatrix.plan, &self.hmatrix.tree, b, opts)?)
+        guard(b, self.dim(), "right-hand side B", || {
+            Ok(self
+                .factor
+                .solve_matrix(&self.hmatrix.plan, &self.hmatrix.tree, b, opts)?)
+        })
     }
 
     /// Relative residual `||K x - b||_F / ||b||_F` of a solution against the

@@ -15,12 +15,12 @@
 //! with fixed combination order, so the inspector output — CDS bytes, ranks,
 //! permutations, the serialized image — is bitwise identical at every pool
 //! width and grain (see DESIGN.md, "Parallel inspector").  Both phases run
-//! inside a `catch_unwind` boundary: a panic on a pool worker surfaces as
+//! inside the crate's one containment boundary (`error::contain`): a panic on a pool worker surfaces as
 //! [`MatroxError::PoolPanic`] instead of unwinding into the caller, and the
 //! next clean inspection is unaffected.
 
 use crate::config::MatRoxParams;
-use crate::error::{panic_message, MatroxError};
+use crate::error::{contain, MatroxError};
 use crate::hmatrix::HMatrix;
 use crate::timings::InspectorTimings;
 use matrox_analysis::{
@@ -30,18 +30,7 @@ use matrox_compress::{compress, CompressionParams};
 use matrox_points::{Kernel, PointSet};
 use matrox_sampling::{sample_nodes, SamplingInfo, SamplingParams};
 use matrox_tree::{ClusterTree, HTree};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-/// Run one inspector phase inside a `catch_unwind` containment boundary.
-/// AssertUnwindSafe is sound because the closures only read their inputs
-/// and any partially-built output is dropped with the unwind.
-fn contain<T>(f: impl FnOnce() -> Result<T, MatroxError>) -> Result<T, MatroxError> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(payload) => Err(MatroxError::PoolPanic(panic_message(payload))),
-    }
-}
 
 /// Resolve the effective sampling parameters: a sub-parameter grain of 0
 /// inherits the top-level [`MatRoxParams::grain`].

@@ -22,15 +22,14 @@
 )]
 
 use crate::config::MatRoxParams;
-use crate::error::{panic_message, MatroxError};
+use crate::error::{guard, MatroxError};
 use crate::failpoint;
 use crate::hmatrix::{FactoredHMatrix, HMatrix};
 use crate::inspector::inspector;
 use crate::timings::SessionStats;
 use matrox_exec::{execute_prepared, ExecOptions, PreparedExec};
-use matrox_linalg::{all_finite, Matrix};
+use matrox_linalg::Matrix;
 use matrox_points::{Kernel, PointSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -129,10 +128,10 @@ impl EvalSession {
     /// Evaluate `Y = K~ W` for an `N x Q` right-hand-side matrix, panel by
     /// panel, over the prepared plan.
     ///
-    /// The right-hand side is screened up front (shape, NaN/Inf) and the
-    /// execution itself runs inside a `catch_unwind` boundary: an internal
-    /// invariant panic — including one raised on a pool worker — is
-    /// contained and surfaced as [`MatroxError::PoolPanic`] instead of
+    /// The call runs through the crate's one evaluation boundary: the
+    /// right-hand side is screened up front (shape, NaN/Inf), and an
+    /// internal invariant panic — including one raised on a pool worker —
+    /// is contained and surfaced as [`MatroxError::PoolPanic`] instead of
     /// unwinding into the caller.  A rejected or contained call leaves the
     /// session fully usable; the next clean call is bitwise identical to
     /// what it would have been without the failure.
@@ -147,50 +146,35 @@ impl EvalSession {
     /// * [`MatroxError::NumericalBreakdown`] — the output failed the
     ///   finiteness screen.
     pub fn evaluate(&self, w: &Matrix) -> Result<Matrix, MatroxError> {
-        let n = self.hmatrix.dim();
-        if w.rows() != n {
-            self.invalid_inputs.fetch_add(1, Ordering::Relaxed);
-            return Err(MatroxError::InvalidInput(format!(
-                "right-hand side has {} rows but the session dimension is {n}",
-                w.rows()
-            )));
-        }
-        if !all_finite(w.as_slice()) {
-            self.invalid_inputs.fetch_add(1, Ordering::Relaxed);
-            return Err(MatroxError::InvalidInput(
-                "right-hand side contains NaN or infinite entries".to_string(),
-            ));
-        }
         let t0 = Instant::now();
         // The executor only reads `&self` state, so re-entering it after a
-        // contained panic observes the same prepared plan every time;
-        // AssertUnwindSafe is sound because no partial output escapes.
-        let executed = catch_unwind(AssertUnwindSafe(|| {
+        // contained panic observes the same prepared plan every time.
+        let result = guard(w, self.dim(), "right-hand side", || {
             if failpoint::should_fire(failpoint::names::EVAL_PANIC) {
                 panic!("injected failpoint `{}`", failpoint::names::EVAL_PANIC);
             }
-            execute_prepared(&self.hmatrix.plan, &self.hmatrix.tree, &self.prep, w)
-        }));
-        let mut y = match executed {
-            Ok(y) => y,
-            Err(payload) => {
-                self.contained_panics.fetch_add(1, Ordering::Relaxed);
-                return Err(MatroxError::PoolPanic(panic_message(payload)));
+            let mut y = execute_prepared(&self.hmatrix.plan, &self.hmatrix.tree, &self.prep, w);
+            if failpoint::should_fire(failpoint::names::EVAL_POISON) {
+                y.set(0, 0, f64::NAN);
             }
-        };
-        if failpoint::should_fire(failpoint::names::EVAL_POISON) {
-            y.set(0, 0, f64::NAN);
+            Ok(y)
+        });
+        match &result {
+            Ok(_) => {
+                self.eval_nanos
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                self.evaluations.fetch_add(1, Ordering::Relaxed);
+                self.queries.fetch_add(w.cols() as u64, Ordering::Relaxed);
+            }
+            Err(MatroxError::InvalidInput(_)) => {
+                self.invalid_inputs.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(MatroxError::PoolPanic(_)) => {
+                self.contained_panics.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {}
         }
-        if !all_finite(y.as_slice()) {
-            return Err(MatroxError::NumericalBreakdown(
-                "evaluation produced NaN or infinite output".to_string(),
-            ));
-        }
-        self.eval_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.queries.fetch_add(w.cols() as u64, Ordering::Relaxed);
-        Ok(y)
+        result
     }
 
     /// Evaluate a single query (`Q = 1`) given as a vector.

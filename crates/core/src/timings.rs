@@ -111,7 +111,7 @@ pub struct SessionStats {
     /// evaluations and leave the session fully usable.
     pub invalid_inputs: u64,
     /// Panics that escaped an evaluation job and were contained at the
-    /// session's `catch_unwind` boundary (`PoolPanic`).
+    /// evaluation boundary (`PoolPanic`).
     pub contained_panics: u64,
     /// Ridge-escalation retries the most recent factorization needed before
     /// the leaf Cholesky succeeded (0 = first attempt was clean).

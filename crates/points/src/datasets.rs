@@ -256,11 +256,6 @@ pub fn generate(id: DatasetId, n: usize, seed: u64) -> PointSet {
     }
 }
 
-/// Generate dataset `id` with its scaled default size.
-pub fn generate_default(id: DatasetId, seed: u64) -> PointSet {
-    generate(id, spec(id).default_n, seed)
-}
-
 /// Clustered Gaussian mixture: `clusters` centers drawn from
 /// `N(0, spread^2 I)`, points drawn around a random center with standard
 /// deviation `sigma`.

@@ -182,17 +182,6 @@ impl ModelRegistry {
         agg
     }
 
-    /// Ids currently resident, coldest first (test/debug aid).
-    pub fn resident_ids(&self) -> Vec<String> {
-        let mut ids: Vec<(&String, u64)> = self
-            .resident
-            .iter()
-            .map(|(id, r)| (id, r.last_used))
-            .collect();
-        ids.sort_by_key(|&(_, stamp)| stamp);
-        ids.into_iter().map(|(id, _)| id.clone()).collect()
-    }
-
     /// Insert `id`, replacing any previous incarnation, then evict LRU
     /// residents (never `id` itself) until the budget holds again.
     fn admit(&mut self, id: &str, model: Model) {

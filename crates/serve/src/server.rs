@@ -5,7 +5,8 @@
 //! model registry, the coalescing queues and the statistics; clients only
 //! ever touch `mpsc` endpoints.  Requests flow in over one shared sender
 //! ([`ServeHandle`] is a cheap clone of it) and every reply flows back over
-//! a per-request one-shot channel ([`PendingQuery`]).  There are no locks
+//! a per-request one-shot channel carrying the [`Response`] it serves (the
+//! [`PendingResponse`] ticket is its receiving end).  There are no locks
 //! anywhere, so there is nothing to poison and no ordering to get wrong:
 //! the channel *is* the synchronization.  Parallelism inside an evaluation
 //! still belongs to the executor's rayon pool; the reactor only decides
@@ -17,14 +18,13 @@
     reason = "CONCURRENCY: mpsc request / reply channels are the reactor's whole concurrency surface; one thread owns all mutable state (module docs)"
 )]
 
-use crate::proto::{Request, Response};
+use crate::proto::{ErrorKind, Request, Response};
 use crate::registry::{Model, ModelRegistry};
 use crate::stats::{ServerStats, TenantStats};
 use crate::ServeConfig;
 use matrox_core::MatroxError;
 use matrox_linalg::Matrix;
 use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -75,48 +75,33 @@ struct QueryMsg {
     op: Op,
     rhs: Vec<f64>,
     enqueued: Instant,
-    reply: Sender<Result<QueryReply, MatroxError>>,
+    reply: Sender<Response>,
 }
 
 enum Msg {
-    Query(QueryMsg),
-    LoadPath {
-        id: String,
-        path: PathBuf,
-        reply: Sender<Result<(), MatroxError>>,
+    /// Every protocol request, answered on `reply` with the [`Response`]
+    /// it serves.
+    Request {
+        req: Request,
+        enqueued: Instant,
+        reply: Sender<Response>,
     },
+    /// An in-memory [`Model`] has no [`Request`] form.
     Insert {
         id: String,
         model: Model,
         reply: Sender<()>,
     },
-    Stats {
-        reply: Sender<ServerStats>,
-    },
-    Flush {
-        reply: Sender<()>,
-    },
     Shutdown,
 }
 
-/// The response the reactor produces for a dropped channel: the submitter
-/// gets a clean protocol-level error instead of a hang.
+/// The response a ticket reads when the reactor dropped its reply channel
+/// unanswered: the submitter gets a clean protocol-level error instead of
+/// a hang.
 fn reactor_gone() -> Response {
     Response::from_error(&MatroxError::PoolPanic(
         "serve reactor is shut down".to_string(),
     ))
-}
-
-#[derive(Debug)]
-enum PendingInner {
-    Query(Receiver<Result<QueryReply, MatroxError>>),
-    Ack(Receiver<Result<(), MatroxError>>),
-    Stats(Receiver<ServerStats>),
-    Flush(Receiver<()>),
-    /// Already answered at submit time (reactor gone); `None` after
-    /// [`PendingResponse::try_take`] hands it out.  Boxed: this cold
-    /// variant would otherwise set the size of every ticket.
-    Ready(Option<Box<Response>>),
 }
 
 /// A ticket for one submitted [`Request`]: the single pending-reply type
@@ -127,62 +112,31 @@ enum PendingInner {
 /// reactor still serves the request.
 #[derive(Debug)]
 pub struct PendingResponse {
-    inner: PendingInner,
+    /// The reply channel; `None` once [`try_take`](PendingResponse::try_take)
+    /// has handed the response out.
+    rx: Option<Receiver<Response>>,
 }
 
 impl PendingResponse {
-    fn ready(resp: Response) -> Self {
-        PendingResponse {
-            inner: PendingInner::Ready(Some(Box::new(resp))),
-        }
-    }
-
     /// Block until the response arrives.  Never fails: a vanished reactor
     /// becomes a [`Response::Error`] of kind `PoolPanic`.
     pub fn wait(self) -> Response {
-        match self.inner {
-            PendingInner::Query(rx) => match rx.recv() {
-                Ok(r) => Response::from_query_result(r),
-                Err(_) => reactor_gone(),
-            },
-            PendingInner::Ack(rx) => match rx.recv() {
-                Ok(Ok(())) => Response::Done,
-                Ok(Err(e)) => Response::from_error(&e),
-                Err(_) => reactor_gone(),
-            },
-            PendingInner::Stats(rx) => match rx.recv() {
-                Ok(s) => Response::Stats(s),
-                Err(_) => reactor_gone(),
-            },
-            PendingInner::Flush(rx) => match rx.recv() {
-                Ok(()) => Response::Done,
-                Err(_) => reactor_gone(),
-            },
-            PendingInner::Ready(resp) => resp.map_or_else(reactor_gone, |r| *r),
-        }
+        self.rx
+            .and_then(|rx| rx.recv().ok())
+            .unwrap_or_else(reactor_gone)
     }
 
     /// Non-blocking poll: `Some(response)` once the reactor has answered,
     /// `None` while the request is still in flight.  After the response has
     /// been taken once, subsequent polls return `None`.
     pub fn try_take(&mut self) -> Option<Response> {
-        fn poll<T>(rx: &Receiver<T>, ok: impl FnOnce(T) -> Response) -> Option<Response> {
-            match rx.try_recv() {
-                Ok(v) => Some(ok(v)),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(reactor_gone()),
-            }
-        }
-        match &mut self.inner {
-            PendingInner::Query(rx) => poll(rx, Response::from_query_result),
-            PendingInner::Ack(rx) => poll(rx, |r| match r {
-                Ok(()) => Response::Done,
-                Err(e) => Response::from_error(&e),
-            }),
-            PendingInner::Stats(rx) => poll(rx, Response::Stats),
-            PendingInner::Flush(rx) => poll(rx, |()| Response::Done),
-            PendingInner::Ready(resp) => resp.take().map(|r| *r),
-        }
+        let resp = match self.rx.as_ref()?.try_recv() {
+            Ok(r) => r,
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => reactor_gone(),
+        };
+        self.rx = None;
+        Some(resp)
     }
 }
 
@@ -220,45 +174,15 @@ impl ServeHandle {
     /// front-end are thin adapters over it, so an in-process call and a
     /// socket frame exercise exactly the same server surface.
     pub fn submit(&self, req: Request) -> PendingResponse {
-        match req {
-            Request::Query { model, tenant, rhs } => {
-                self.submit_query(model, tenant, Op::Matvec, rhs)
-            }
-            Request::Solve { model, tenant, rhs } => {
-                self.submit_query(model, tenant, Op::Solve, rhs)
-            }
-            Request::LoadModel { id, path } => {
-                let (reply, rx) = channel();
-                match self.tx.send(Msg::LoadPath {
-                    id,
-                    path: PathBuf::from(path),
-                    reply,
-                }) {
-                    Ok(()) => PendingResponse {
-                        inner: PendingInner::Ack(rx),
-                    },
-                    Err(_) => PendingResponse::ready(reactor_gone()),
-                }
-            }
-            Request::Stats => {
-                let (reply, rx) = channel();
-                match self.tx.send(Msg::Stats { reply }) {
-                    Ok(()) => PendingResponse {
-                        inner: PendingInner::Stats(rx),
-                    },
-                    Err(_) => PendingResponse::ready(reactor_gone()),
-                }
-            }
-            Request::Flush => {
-                let (reply, rx) = channel();
-                match self.tx.send(Msg::Flush { reply }) {
-                    Ok(()) => PendingResponse {
-                        inner: PendingInner::Flush(rx),
-                    },
-                    Err(_) => PendingResponse::ready(reactor_gone()),
-                }
-            }
-        }
+        let (reply, rx) = channel();
+        // A send to a stopped reactor drops the message and with it `reply`,
+        // so the ticket reads `reactor_gone()` instead of hanging.
+        let _ = self.tx.send(Msg::Request {
+            req,
+            enqueued: Instant::now(),
+            reply,
+        });
+        PendingResponse { rx: Some(rx) }
     }
 
     /// Submit a matvec query (`y = K~ w`) for `model` on behalf of
@@ -297,32 +221,6 @@ impl ServeHandle {
         rhs: Vec<f64>,
     ) -> Result<QueryReply, MatroxError> {
         self.query(model, tenant, rhs).wait()
-    }
-
-    fn submit_query(
-        &self,
-        model: String,
-        tenant: String,
-        op: Op,
-        rhs: Vec<f64>,
-    ) -> PendingResponse {
-        let (reply, rx) = channel();
-        let msg = Msg::Query(QueryMsg {
-            model,
-            tenant,
-            op,
-            rhs,
-            enqueued: Instant::now(),
-            reply,
-        });
-        if self.tx.send(msg).is_err() {
-            // Reactor already gone: answer the ticket ourselves so `wait`
-            // reports a clean error instead of a hung channel.
-            return PendingResponse::ready(reactor_gone());
-        }
-        PendingResponse {
-            inner: PendingInner::Query(rx),
-        }
     }
 
     /// Load a model file (either on-disk format) and register it under
@@ -515,24 +413,52 @@ impl Reactor {
     /// Process one message; `false` means shutdown was requested.
     fn handle_msg(&mut self, msg: Msg) -> bool {
         match msg {
-            Msg::Query(q) => self.enqueue(q),
-            Msg::LoadPath { id, path, reply } => {
-                let _ = reply.send(self.registry.register_path(&id, path));
-            }
+            Msg::Request {
+                req,
+                enqueued,
+                reply,
+            } => self.serve(req, enqueued, reply),
             Msg::Insert { id, model, reply } => {
                 self.registry.insert(&id, model);
-                let _ = reply.send(());
-            }
-            Msg::Stats { reply } => {
-                let _ = reply.send(self.snapshot());
-            }
-            Msg::Flush { reply } => {
-                self.flush_all();
                 let _ = reply.send(());
             }
             Msg::Shutdown => return false,
         }
         true
+    }
+
+    /// Answer one protocol request: queries join their coalescing queue,
+    /// everything else is answered here.
+    fn serve(&mut self, req: Request, enqueued: Instant, reply: Sender<Response>) {
+        let (model, tenant, op, rhs) = match req {
+            Request::Query { model, tenant, rhs } => (model, tenant, Op::Matvec, rhs),
+            Request::Solve { model, tenant, rhs } => (model, tenant, Op::Solve, rhs),
+            Request::LoadModel { id, path } => {
+                let resp = match self.registry.register_path(&id, PathBuf::from(path)) {
+                    Ok(()) => Response::Done,
+                    Err(e) => Response::from_error(&e),
+                };
+                let _ = reply.send(resp);
+                return;
+            }
+            Request::Stats => {
+                let _ = reply.send(Response::Stats(self.snapshot()));
+                return;
+            }
+            Request::Flush => {
+                self.flush_all();
+                let _ = reply.send(Response::Done);
+                return;
+            }
+        };
+        self.enqueue(QueryMsg {
+            model,
+            tenant,
+            op,
+            rhs,
+            enqueued,
+            reply,
+        });
     }
 
     fn enqueue(&mut self, q: QueryMsg) {
@@ -606,8 +532,9 @@ impl Reactor {
         let model = match self.registry.get(&key.model) {
             Ok(m) => m,
             Err(e) => {
+                let resp = Response::from_error(&e);
                 for q in items {
-                    self.reply_one(q, Err(clone_error(&e)), t0, Duration::ZERO, 1);
+                    self.reply_one(q, Err(resp.clone()), t0, Duration::ZERO, 1);
                 }
                 return;
             }
@@ -623,7 +550,7 @@ impl Reactor {
                     key.model,
                     q.rhs.len()
                 ));
-                self.reply_one(q, Err(e), t0, Duration::ZERO, 1);
+                self.reply_one(q, Err(Response::from_error(&e)), t0, Duration::ZERO, 1);
             }
         }
         if good.is_empty() {
@@ -643,25 +570,13 @@ impl Reactor {
             Ok(y) => {
                 self.bump_batches(&key.tenant, 1);
                 for (j, q) in good.into_iter().enumerate() {
-                    let col = y.col(j);
-                    self.reply_one(
-                        q,
-                        Ok(QueryReply {
-                            y: col,
-                            queue_wait: Duration::ZERO, // patched in reply_one
-                            service,
-                            batch_width: b,
-                        }),
-                        t0,
-                        service,
-                        b,
-                    );
+                    self.reply_one(q, Ok(y.col(j)), t0, service, b);
                 }
             }
             Err(e) if b == 1 => {
                 self.bump_batches(&key.tenant, 1);
                 if let Some(q) = good.into_iter().next() {
-                    self.reply_one(q, Err(e), t0, service, 1);
+                    self.reply_one(q, Err(Response::from_error(&e)), t0, service, 1);
                 }
             }
             Err(_) => {
@@ -672,12 +587,9 @@ impl Reactor {
                 for q in good {
                     let t1 = Instant::now();
                     let single = Matrix::from_vec(n, 1, q.rhs.clone());
-                    let r = eval_model(&model, key.op, &single).map(|y| QueryReply {
-                        y: y.col(0),
-                        queue_wait: Duration::ZERO,
-                        service: t1.elapsed(),
-                        batch_width: 1,
-                    });
+                    let r = eval_model(&model, key.op, &single)
+                        .map(|y| y.into_vec())
+                        .map_err(|e| Response::from_error(&e));
                     let service1 = t1.elapsed();
                     self.bump_batches(&q.tenant, 1);
                     if let Some(t) = self.tenants.get_mut(&q.tenant) {
@@ -693,14 +605,15 @@ impl Reactor {
         self.tenants.entry(tenant.to_string()).or_default().batches += by;
     }
 
-    /// Account one answered query to its tenant and send the reply.
-    /// `dispatched` is when its batch left the queue (queue wait is
+    /// Account one answered query to its tenant and send its
+    /// [`Response`]: the answer column, or the failure already in wire
+    /// form.  `dispatched` is when its batch left the queue (queue wait is
     /// `dispatched - enqueued`); `service`/`width` describe the evaluation
     /// that served it.
     fn reply_one(
         &mut self,
         q: QueryMsg,
-        result: Result<QueryReply, MatroxError>,
+        result: Result<Vec<f64>, Response>,
         dispatched: Instant,
         service: Duration,
         width: usize,
@@ -710,21 +623,28 @@ impl Reactor {
         t.queries += 1;
         t.queue_wait_seconds += queue_wait.as_secs_f64();
         t.service_seconds += service.as_secs_f64();
-        let result = match result {
-            Ok(mut r) => {
-                r.queue_wait = queue_wait;
-                r.batch_width = width;
-                Ok(r)
-            }
-            Err(e) => {
+        let resp = match result {
+            Ok(y) => Response::from_query_result(Ok(QueryReply {
+                y,
+                queue_wait,
+                service,
+                batch_width: width,
+            })),
+            Err(resp) => {
                 t.errors += 1;
-                if matches!(e, MatroxError::PoolPanic(_)) {
+                if matches!(
+                    resp,
+                    Response::Error {
+                        kind: ErrorKind::PoolPanic,
+                        ..
+                    }
+                ) {
                     t.contained_panics += 1;
                 }
-                Err(e)
+                resp
             }
         };
-        let _ = q.reply.send(result);
+        let _ = q.reply.send(resp);
     }
 
     fn snapshot(&self) -> ServerStats {
@@ -744,14 +664,7 @@ impl Reactor {
 fn eval_model(model: &Model, op: Op, w: &Matrix) -> Result<Matrix, MatroxError> {
     match (model, op) {
         (Model::Matvec(s), Op::Matvec) => s.evaluate(w),
-        (Model::Solve(f), Op::Solve) => {
-            // The session boundary contains matvec panics; give solves the
-            // same "a request can fail; the process cannot" contract here.
-            match catch_unwind(AssertUnwindSafe(|| f.solve_matrix(w))) {
-                Ok(r) => r,
-                Err(payload) => Err(MatroxError::PoolPanic(panic_message(&payload))),
-            }
-        }
+        (Model::Solve(f), Op::Solve) => f.solve_matrix(w),
         (Model::Matvec(_), Op::Solve) => Err(MatroxError::PlanMismatch(
             "model is a compressed operator (matvec); load a factored model (MATROXF2) to solve"
                 .to_string(),
@@ -763,29 +676,64 @@ fn eval_model(model: &Model, op: Op, w: &Matrix) -> Result<Matrix, MatroxError> 
     }
 }
 
-/// Duplicate an error for fan-out to every member of a failed batch
-/// (`MatroxError` holds `std::io::Error` and so cannot be `Clone`).
-fn clone_error(e: &MatroxError) -> MatroxError {
-    match e {
-        MatroxError::Io(io) => MatroxError::Io(std::io::Error::new(io.kind(), io.to_string())),
-        MatroxError::Format(m) => MatroxError::Format(m.clone()),
-        MatroxError::NumericalBreakdown(m) => MatroxError::NumericalBreakdown(m.clone()),
-        MatroxError::InvalidInput(m) => MatroxError::InvalidInput(m.clone()),
-        MatroxError::PlanMismatch(m) => MatroxError::PlanMismatch(m.clone()),
-        MatroxError::PoolPanic(m) => MatroxError::PoolPanic(m.clone()),
-        MatroxError::Overloaded(m) => MatroxError::Overloaded(m.clone()),
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use matrox_core::{EvalSession, MatRoxParams};
+    use matrox_points::{generate, DatasetId, Kernel};
+    use std::sync::Arc;
 
-/// Best-effort extraction of a panic payload's message (same policy as the
-/// session boundary: `&str` and `String` payloads verbatim, anything else a
-/// placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+    fn is_reactor_gone(r: &Response) -> bool {
+        matches!(
+            r,
+            Response::Error {
+                kind: ErrorKind::PoolPanic,
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn try_take_yields_a_live_reply_once_then_none() {
+        let n = 64;
+        let points = generate(DatasetId::Grid, n, 3);
+        let kernel = Kernel::Gaussian { bandwidth: 2.0 };
+        let params = MatRoxParams::h2b().with_bacc(1e-5).with_leaf_size(32);
+        let session = EvalSession::build(&points, &kernel, &params).expect("session");
+        let server = Server::spawn(ServeConfig::default()).expect("spawn");
+        let handle = server.handle();
+        handle
+            .insert_model("m", Model::Matvec(Arc::new(session)))
+            .expect("insert");
+        let mut ticket = handle.submit(Request::Query {
+            model: "m".to_string(),
+            tenant: "t".to_string(),
+            rhs: vec![1.0; n],
+        });
+        let first = loop {
+            if let Some(r) = ticket.try_take() {
+                break r;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(matches!(first, Response::Reply { .. }), "{first:?}");
+        // The reactor is still running: the answered ticket stays empty.
+        for _ in 0..3 {
+            assert_eq!(ticket.try_take(), None);
+        }
+        handle.flush().expect("reactor alive");
+    }
+
+    #[test]
+    fn a_ticket_submitted_after_shutdown_reads_reactor_gone() {
+        let server = Server::spawn(ServeConfig::default()).expect("spawn");
+        let handle = server.handle();
+        server.shutdown().expect("shutdown");
+        let waited = handle.submit(Request::Flush).wait();
+        assert!(is_reactor_gone(&waited), "{waited:?}");
+        let mut ticket = handle.submit(Request::Flush);
+        let taken = ticket.try_take().expect("answered at once");
+        assert!(is_reactor_gone(&taken), "{taken:?}");
+        assert_eq!(ticket.try_take(), None);
     }
 }

@@ -3,10 +3,15 @@
 //! [`MatroxError::InvalidInput`] — never a panic, never a silently wrong
 //! answer — and a rejected request must leave the session in a state where
 //! the next clean call returns bit-for-bit the same result it would have
-//! without the rejection.
+//! without the rejection.  A model that panics the executor or the solver,
+//! or makes them produce NaN, fails the request the same way
+//! (`PoolPanic` / `NumericalBreakdown`) on every evaluate and solve entry
+//! point.
 
 use matrox::core::MatroxError;
-use matrox::{generate, inspector, DatasetId, EvalSession, Kernel, MatRoxParams, Matrix, PointSet};
+use matrox::{
+    generate, inspector, DatasetId, EvalSession, HMatrix, Kernel, MatRoxParams, Matrix, PointSet,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -135,4 +140,78 @@ fn points_whose_distances_overflow_are_rejected() {
         }
         inspector(&scaled(1e100), &kernel, &MatRoxParams::h2b()).expect("finite distances inspect");
     }
+}
+
+/// A small ridge-regularized HSS model (it factors).
+fn hss_model() -> &'static HMatrix {
+    static MODEL: OnceLock<HMatrix> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let points = generate(DatasetId::Grid, N, 0);
+        let kernel = Kernel::GaussianRidge {
+            bandwidth: 0.125,
+            ridge: 8.0,
+        };
+        let params = MatRoxParams::hss().with_bacc(1e-3).with_leaf_size(16);
+        inspector(&points, &kernel, &params).expect("inspector")
+    })
+}
+
+/// A plan whose near groups no longer tile the near entries makes the
+/// executor panic; `matmul` contains it instead of unwinding.
+#[test]
+fn an_executor_panic_comes_back_as_pool_panic() {
+    let h = hss_model();
+    let w = clean_rhs(1.0);
+    let mut broken = h.clone();
+    let last = broken.plan.cds.d_groups.len() - 1;
+    broken.plan.cds.d_groups[last].end -= 1;
+    let got = broken.matmul(&w);
+    assert!(matches!(got, Err(MatroxError::PoolPanic(_))), "{got:?}");
+    // The clean model is untouched by the contained panic.
+    h.matmul(&w).expect("clean matmul");
+}
+
+/// A NaN in a stored near block reaches the output of every evaluation
+/// path; each reports it as `NumericalBreakdown` instead of `Ok` with NaN.
+#[test]
+fn a_non_finite_evaluation_is_a_numerical_breakdown() {
+    let w = clean_rhs(1.0);
+    let mut poisoned = hss_model().clone();
+    poisoned.plan.cds.d_values[0] = f64::NAN;
+    let got = poisoned.matmul(&w);
+    assert!(
+        matches!(got, Err(MatroxError::NumericalBreakdown(_))),
+        "matmul: {got:?}"
+    );
+    let session = EvalSession::from_hmatrix(poisoned);
+    let got = session.evaluate(&w);
+    assert!(
+        matches!(got, Err(MatroxError::NumericalBreakdown(_))),
+        "evaluate: {got:?}"
+    );
+    assert_eq!(session.stats().evaluations, 0);
+}
+
+/// A NaN in the strictly-lower part of a leaf's Cholesky factor (which
+/// factor validation does not look at) poisons the solution; `solve`
+/// reports it as `NumericalBreakdown`.
+#[test]
+fn a_non_finite_solve_is_a_numerical_breakdown() {
+    let mut factored = hss_model().factorize().expect("factorize");
+    let b: Vec<f64> = (0..N).map(|i| (i as f64 * 0.3).cos()).collect();
+    factored.solve(&b).expect("clean solve");
+    let leaf = factored
+        .factor
+        .leaves
+        .iter_mut()
+        .flatten()
+        .next()
+        .expect("a leaf factor");
+    assert!(leaf.chol.rows() >= 2, "leaf too small to have a lower part");
+    leaf.chol.set(1, 0, f64::NAN);
+    let got = factored.solve(&b);
+    assert!(
+        matches!(got, Err(MatroxError::NumericalBreakdown(_))),
+        "{got:?}"
+    );
 }
