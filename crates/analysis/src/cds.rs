@@ -15,6 +15,14 @@
 //! consecutive in memory — this is the data-layout half of MatRox's locality
 //! optimization (the loop-structure half is in [`crate::plan`] and
 //! `matrox-exec`).
+//!
+//! Each off-diagonal twin pair — `D_ij` / `D_ji`, `B_ij` / `B_ji`, exact
+//! transposes of each other for a symmetric kernel — is stored once
+//! (DESIGN.md substitution S9).  The entry of a pair that comes first in
+//! table order owns a window; the later one is flagged
+//! [`transposed`](CdsBlockEntry::transposed), points at the same window and
+//! is applied through the `A^T B` product.  So every window's first use is
+//! in execution order, and a twin reads the earlier window again.
 
 //! Packing runs on the work-stealing pool with fixed combination order:
 //! a sequential pass lays out every entry's offset (in blockset/coarsenset
@@ -29,19 +37,22 @@ use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::collections::HashMap;
 
-/// Placement of one stored submatrix inside a CDS value buffer.
+/// Placement of one submatrix inside a CDS value buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CdsBlockEntry {
     /// Target node `i` (rows of the block scatter into this node's output).
     pub target: usize,
     /// Source node `j` (columns of the block gather from this node's input).
     pub source: usize,
-    /// Offset of the block's first element in the value buffer.
+    /// Offset of the first element of the block's window in the value buffer.
     pub offset: usize,
-    /// Number of rows.
+    /// Number of rows of the block (the target's extent).
     pub rows: usize,
-    /// Number of columns.
+    /// Number of columns of the block (the source's extent).
     pub cols: usize,
+    /// The window at `offset` is the earlier twin `(source, target)`,
+    /// stored `cols x rows`; this block is its transpose.
+    pub transposed: bool,
 }
 
 /// Range of block entries belonging to one blockset group.
@@ -168,12 +179,15 @@ impl Cds {
         )
     }
 
-    /// Borrow the values of near-block entry `e`.
+    /// Borrow the window of near-block entry `e`: `e.rows x e.cols`
+    /// row-major, or its transpose stored `e.cols x e.rows` when
+    /// `e.transposed`.
     pub fn d_block(&self, e: &CdsBlockEntry) -> &[f64] {
         &self.d_values[e.offset..e.offset + e.rows * e.cols]
     }
 
-    /// Borrow the values of coupling-block entry `e`.
+    /// Borrow the window of coupling-block entry `e`, laid out as for
+    /// [`Cds::d_block`].
     pub fn b_block(&self, e: &CdsBlockEntry) -> &[f64] {
         &self.b_values[e.offset..e.offset + e.rows * e.cols]
     }
@@ -323,8 +337,10 @@ pub fn build_cds_with_grain(
 }
 
 /// Pack the blocks referenced by a blockset into a flat buffer, preserving
-/// the blockset iteration order.  Offsets are laid out sequentially; the
-/// copies run in parallel into disjoint per-entry slices.
+/// the blockset iteration order.  A block whose twin was met earlier gets a
+/// transposed entry on the twin's window instead of a window of its own.
+/// Offsets are laid out sequentially; the copies run in parallel into
+/// disjoint per-window slices.
 fn pack_blocks(
     blockset: &BlockSet,
     blocks: &HashMap<(usize, usize), &matrox_linalg::Matrix>,
@@ -332,6 +348,7 @@ fn pack_blocks(
 ) -> (Vec<f64>, Vec<CdsBlockEntry>, Vec<GroupRange>) {
     let mut entries = Vec::new();
     let mut groups = Vec::with_capacity(blockset.groups.len());
+    let mut windows: HashMap<(usize, usize), usize> = HashMap::new();
     let mut offset = 0usize;
     for group in &blockset.groups {
         let start = entries.len();
@@ -339,14 +356,19 @@ fn pack_blocks(
             let m = blocks
                 .get(&(i, j))
                 .unwrap_or_else(|| panic!("blockset references missing block ({i},{j})"));
+            let twin = windows.get(&(j, i)).copied().filter(|_| i != j);
             entries.push(CdsBlockEntry {
                 target: i,
                 source: j,
-                offset,
+                offset: twin.unwrap_or(offset),
                 rows: m.rows(),
                 cols: m.cols(),
+                transposed: twin.is_some(),
             });
-            offset += m.len();
+            if twin.is_none() {
+                windows.insert((i, j), offset);
+                offset += m.len();
+            }
         }
         groups.push(GroupRange {
             start,
@@ -355,14 +377,13 @@ fn pack_blocks(
     }
     let mut values = vec![0.0f64; offset];
     {
-        let mut slots: Vec<&mut [f64]> = Vec::with_capacity(entries.len());
+        let mut work: Vec<(&CdsBlockEntry, &mut [f64])> = Vec::with_capacity(windows.len());
         let mut rest: &mut [f64] = &mut values;
-        for e in &entries {
+        for e in entries.iter().filter(|e| !e.transposed) {
             let (chunk, tail) = rest.split_at_mut(e.rows * e.cols);
-            slots.push(chunk);
+            work.push((e, chunk));
             rest = tail;
         }
-        let work: Vec<(&CdsBlockEntry, &mut [f64])> = entries.iter().zip(slots).collect();
         work.into_par_iter()
             .with_min_len(grain)
             .for_each(|(e, chunk)| {
@@ -415,19 +436,20 @@ mod tests {
 
     #[test]
     fn offsets_are_dense_and_non_overlapping() {
-        let (_, _, _, cds) = setup(Structure::Hss);
-        let mut expected = 0usize;
-        for e in &cds.d_entries {
-            assert_eq!(e.offset, expected);
-            expected += e.rows * e.cols;
+        for structure in [Structure::Hss, Structure::Geometric { tau: 0.65 }] {
+            let (_, _, _, cds) = setup(structure);
+            for (entries, len) in [
+                (&cds.d_entries, cds.d_values.len()),
+                (&cds.b_entries, cds.b_values.len()),
+            ] {
+                let mut expected = 0usize;
+                for e in entries.iter().filter(|e| !e.transposed) {
+                    assert_eq!(e.offset, expected);
+                    expected += e.rows * e.cols;
+                }
+                assert_eq!(expected, len);
+            }
         }
-        assert_eq!(expected, cds.d_values.len());
-        let mut expected = 0usize;
-        for e in &cds.b_entries {
-            assert_eq!(e.offset, expected);
-            expected += e.rows * e.cols;
-        }
-        assert_eq!(expected, cds.b_values.len());
     }
 
     #[test]
@@ -441,7 +463,12 @@ mod tests {
         for e in &cds.d_entries {
             let m = map[&(e.target, e.source)];
             assert_eq!((e.rows, e.cols), m.shape());
-            assert_eq!(cds.d_block(e), m.as_slice());
+            let window = if e.transposed {
+                map[&(e.source, e.target)]
+            } else {
+                m
+            };
+            assert_eq!(cds.d_block(e), window.as_slice());
         }
     }
 
@@ -482,11 +509,18 @@ mod tests {
 
     #[test]
     fn storage_matches_compression_payload() {
-        let (tree, _, c, cds) = setup(Structure::Hss);
-        // CDS stores every near/far block and every non-empty generator, so
-        // the total element count must match the compression's payload.
-        let _ = tree;
-        assert_eq!(cds.storage_bytes(), c.storage_bytes());
+        for structure in [Structure::Hss, Structure::Geometric { tau: 0.65 }] {
+            let (_, _, c, cds) = setup(structure);
+            // CDS stores every non-empty generator and one block of each
+            // near/far twin pair, so its payload is the compression's minus
+            // the later twin of every pair.
+            let twins: usize = (cds.d_entries.iter().chain(&cds.b_entries))
+                .filter(|e| e.transposed)
+                .map(|e| e.rows * e.cols * std::mem::size_of::<f64>())
+                .sum();
+            assert!(twins > 0, "{}: no twin pair", structure.name());
+            assert_eq!(cds.storage_bytes(), c.storage_bytes() - twins);
+        }
     }
 
     #[test]

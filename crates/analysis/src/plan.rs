@@ -111,7 +111,8 @@ impl EvalPlan {
     ///   `points(target) x points(source)`; every coupling block is
     ///   `srank(target) x srank(source)`, as `build_cds` packs them
     ///   (zero-dimension blocks included); both name nodes of the tree and
-    ///   lie inside their value buffer;
+    ///   lie inside their value buffer; a transposed entry (one that reads
+    ///   its twin's window) is off-diagonal;
     /// * **P4** the group ranges of each block table tile it in order, and a
     ///   target node belongs to exactly one group (Algorithm 1);
     /// * **P5** coarsen partitions name nodes of the tree;
@@ -242,6 +243,9 @@ fn check_block_table(
         ensure(in_window(e.offset, r, c, values_len), || {
             format!("{what} block ({t}, {s}) exceeds its {values_len}-element value buffer")
         })?;
+        ensure(!e.transposed || t != s, || {
+            format!("{what} block ({t}, {t}) is diagonal but marked transposed")
+        })?;
     }
     let untiled = || format!("{what} group ranges do not tile the entry table");
     let mut owner = vec![usize::MAX; n_nodes];
@@ -326,6 +330,10 @@ mod tests {
     use matrox_tree::{ClusterTree, HTree, PartitionMethod, Structure};
 
     fn make_plan(structure: Structure, params: &CodegenParams) -> EvalPlan {
+        tree_and_plan(structure, params).1
+    }
+
+    fn tree_and_plan(structure: Structure, params: &CodegenParams) -> (ClusterTree, EvalPlan) {
         let pts = generate(DatasetId::Grid, 512, 3);
         let kernel = Kernel::Gaussian { bandwidth: 1.0 };
         let tree = ClusterTree::build(&pts, PartitionMethod::KdTree, 16, 0);
@@ -343,7 +351,11 @@ mod tests {
         let far = build_blockset(&htree.far_pairs(), tree.num_nodes(), 4);
         let cs = build_coarsenset(&tree, &c.sranks, &CoarsenParams { p: 4, agg: 2 });
         let cds = build_cds(&tree, &c, &near, &far, &cs);
-        generate_plan(near, far, cs, cds, tree.height, tree.leaves().len(), params)
+        let (height, leaves) = (tree.height, tree.leaves().len());
+        (
+            tree,
+            generate_plan(near, far, cs, cds, height, leaves, params),
+        )
     }
 
     #[test]
@@ -400,6 +412,19 @@ mod tests {
         let f4 = plan.flops(4);
         assert!(f1 > 0);
         assert_eq!(f4, 4 * f1);
+    }
+
+    #[test]
+    fn a_transposed_diagonal_block_is_rejected() {
+        let (tree, mut plan) = tree_and_plan(Structure::Hss, &CodegenParams::default());
+        assert_eq!(plan.validate(&tree), Ok(()));
+        let e = &mut plan.cds.d_entries[0];
+        assert_eq!(e.target, e.source, "HSS near blocks are diagonal");
+        e.transposed = true;
+        let err = plan
+            .validate(&tree)
+            .expect_err("a transposed diagonal block");
+        assert!(err.contains("diagonal but marked transposed"), "{err}");
     }
 
     #[test]

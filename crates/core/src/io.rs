@@ -8,9 +8,16 @@
 //! magic header: this build writes and reads `MATROX2` (`MATROX02`) and
 //! `MATROXF2`, which store each fact once — one generator window per node
 //! (DESIGN.md substitution S8), no blockset tables beside the CDS entry
-//! tables that already are them, the tree's height and nothing else's.  There
+//! tables that already are them, one window per off-diagonal twin pair
+//! (DESIGN.md substitution S9), the tree's height and nothing else's.  There
 //! is no reader for the `MATROX1` / `MATROXF1` layouts; their magic is a
 //! `Format` error naming it.
+//!
+//! A near or coupling block entry is five `u64` fields (target, source,
+//! offset, rows, cols) and one flag byte: `0` for a block stored in its own
+//! window, `1` for a twin read transposed from the earlier entry's window.
+//! Every other value is reserved (for a per-block storage precision) and
+//! rejected as a `Format` error.
 //!
 //! Bytes are written and read through the hardened cursor of [`crate::wire`]
 //! (length fields capped by the bytes remaining, canonical bools, no panics).
@@ -282,11 +289,12 @@ fn put_block_entries(w: &mut WireWriter, entries: &[CdsBlockEntry]) {
         w.put_usize(e.offset);
         w.put_usize(e.rows);
         w.put_usize(e.cols);
+        w.put_u8(u8::from(e.transposed));
     }
 }
 
 fn get_block_entries(r: &mut WireReader<'_>) -> Result<Vec<CdsBlockEntry>, MatroxError> {
-    let n = r.take_len(40, "block entry table")?;
+    let n = r.take_len(41, "block entry table")?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push(CdsBlockEntry {
@@ -295,6 +303,15 @@ fn get_block_entries(r: &mut WireReader<'_>) -> Result<Vec<CdsBlockEntry>, Matro
             offset: r.take_usize("block offset")?,
             rows: r.take_usize("block rows")?,
             cols: r.take_usize("block cols")?,
+            transposed: match r.take_u8("block flag")? {
+                0 => false,
+                1 => true,
+                b => {
+                    return Err(MatroxError::Format(format!(
+                        "reserved block flag byte {b:#04x}"
+                    )))
+                }
+            },
         });
     }
     Ok(v)

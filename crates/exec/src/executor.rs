@@ -54,7 +54,7 @@
 )]
 
 use crate::schedule::LevelSchedule;
-use matrox_analysis::EvalPlan;
+use matrox_analysis::{CdsBlockEntry, EvalPlan};
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
@@ -585,10 +585,28 @@ fn near_phase(
             let dst = unsafe { y.slice_mut(tn.start * q, (tn.end - tn.start) * q) };
             let sn = &tree.nodes[e.source];
             let src = &w_perm[sn.start * q..sn.end * q];
-            prep.dispatch
-                .gemm(cds.d_block(e), e.rows, e.cols, src, q, dst);
+            apply_block(&prep.dispatch, e, cds.d_block(e), src, q, dst);
         }
     });
+}
+
+/// `dst += block * src` for one near or coupling entry over its stored
+/// window: a transposed twin (`EvalPlan::validate` P3) reads the window of
+/// the block it mirrors through the `A^T B` product, which returns bit for
+/// bit what the plain product over a stored copy of its transpose would.
+fn apply_block(
+    dispatch: &KernelDispatch,
+    e: &CdsBlockEntry,
+    window: &[f64],
+    src: &[f64],
+    q: usize,
+    dst: &mut [f64],
+) {
+    if e.transposed {
+        dispatch.gemm_tn(window, e.cols, e.rows, src, q, dst);
+    } else {
+        dispatch.gemm(window, e.rows, e.cols, src, q, dst);
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -714,8 +732,7 @@ fn coupling_phase(
             // S slot (`EvalPlan::validate` P4), `e.rows` is that slot's
             // height (P3), and slots of distinct nodes are disjoint.
             let dst = unsafe { s.slice_mut(prep.rank_off(e.target) * q, e.rows * q) };
-            prep.dispatch
-                .gemm(cds.b_block(e), e.rows, e.cols, src, q, dst);
+            apply_block(&prep.dispatch, e, cds.b_block(e), src, q, dst);
         }
     });
 }

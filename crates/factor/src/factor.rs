@@ -8,6 +8,7 @@ use matrox_linalg::{
 };
 use matrox_tree::{ensure, ClusterTree};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Error raised while factoring a compressed matrix.
@@ -158,14 +159,17 @@ impl HssFactor {
 /// * **F1** every near block is the diagonal block of a leaf and every
 ///   leaf stores exactly one;
 /// * **F2** every coupling block links a node to its sibling and every
-///   node but the root stores exactly one.
+///   node but the root has exactly one coupling entry, stored or
+///   transposed.
 pub struct HssIndex<'a> {
     /// `diag[id]`: the dense diagonal block `D_id` of leaf `id` (empty for
     /// internal nodes).
     pub(crate) diag: Vec<&'a [f64]>,
-    /// `coupling[id]`: `B_{id, sibling(id)}`, `srank(id) x srank(sibling)`
-    /// (empty for the root, and whenever either srank is zero).
-    pub(crate) coupling: Vec<&'a [f64]>,
+    /// `coupling[id]`: the window of `B_{id, sibling(id)}`,
+    /// `srank(id) x srank(sibling)`, and whether it is read transposed (the
+    /// window is then the sibling's block `B_{sibling(id), id}`); empty for
+    /// the root, and whenever either srank is zero.
+    pub(crate) coupling: Vec<(&'a [f64], bool)>,
 }
 
 impl<'a> HssIndex<'a> {
@@ -201,11 +205,16 @@ impl<'a> HssIndex<'a> {
                      requires HSS sibling coupling only"
                 ))
             })?;
-            ensure(coupling[t].replace(cds.b_block(e)).is_none(), || {
-                unsupported(format!(
-                    "node {t} stores two coupling blocks to its sibling"
-                ))
-            })?;
+            ensure(
+                coupling[t]
+                    .replace((cds.b_block(e), e.transposed))
+                    .is_none(),
+                || {
+                    unsupported(format!(
+                        "node {t} stores two coupling blocks to its sibling"
+                    ))
+                },
+            )?;
         }
         for (id, node) in nodes.iter().enumerate() {
             ensure(!node.is_leaf() || diag[id].is_some(), || {
@@ -217,12 +226,48 @@ impl<'a> HssIndex<'a> {
                 ))
             })?;
         }
-        let dense =
-            |v: Vec<Option<&'a [f64]>>| v.into_iter().map(Option::unwrap_or_default).collect();
+        fn dense<T: Default>(v: Vec<Option<T>>) -> Vec<T> {
+            v.into_iter().map(Option::unwrap_or_default).collect()
+        }
         Ok(HssIndex {
             diag: dense(diag),
             coupling: dense(coupling),
         })
+    }
+
+    /// `s += B_{id, sibling(id)} t` for a `q`-column `t`, with `B`
+    /// `rows x cols`: a transposed window goes through the `A^T B` product,
+    /// which returns bit for bit what the plain product over a stored
+    /// transpose would.
+    pub(crate) fn apply_coupling(
+        &self,
+        id: usize,
+        (rows, cols): (usize, usize),
+        t: &[f64],
+        q: usize,
+        s: &mut [f64],
+    ) {
+        match self.coupling[id] {
+            (window, true) => gemm_tn_slices(window, cols, rows, t, q, s),
+            (window, false) => gemm_panel(window, rows, cols, t, q, s),
+        }
+    }
+
+    /// `B_{id, sibling(id)}` as a `rows x cols` row-major block: the stored
+    /// window, or an exact transposed copy of the sibling's.
+    fn coupling_block(&self, id: usize, rows: usize, cols: usize) -> Cow<'a, [f64]> {
+        match self.coupling[id] {
+            (window, true) => {
+                let mut b = vec![0.0; rows * cols];
+                for (j, col) in window.chunks_exact(rows).enumerate() {
+                    for (i, &x) in col.iter().enumerate() {
+                        b[i * cols + j] = x;
+                    }
+                }
+                Cow::Owned(b)
+            }
+            (window, false) => Cow::Borrowed(window),
+        }
     }
 }
 
@@ -479,18 +524,19 @@ fn factor_internal(
 
     let mut mm = Matrix::identity(m);
     if kl > 0 && kr > 0 {
-        let (b_lr, b_rl) = (index.coupling[l], index.coupling[r]);
+        let b_lr = index.coupling_block(l, kl, kr);
+        let b_rl = index.coupling_block(r, kr, kl);
         debug_assert_eq!(b_lr.len(), kl * kr);
         debug_assert_eq!(b_rl.len(), kr * kl);
         // Top-right block: G_l * B_{l,r}.
         let mut tr = Matrix::zeros(kl, kr);
-        gemm_panel(g[l].as_slice(), kl, kl, b_lr, kr, tr.as_mut_slice());
+        gemm_panel(g[l].as_slice(), kl, kl, &b_lr, kr, tr.as_mut_slice());
         for i in 0..kl {
             mm.row_mut(i)[kl..m].copy_from_slice(tr.row(i));
         }
         // Bottom-left block: G_r * B_{r,l}.
         let mut bl = Matrix::zeros(kr, kl);
-        gemm_panel(g[r].as_slice(), kr, kr, b_rl, kl, bl.as_mut_slice());
+        gemm_panel(g[r].as_slice(), kr, kr, &b_rl, kl, bl.as_mut_slice());
         for i in 0..kr {
             mm.row_mut(kl + i)[0..kl].copy_from_slice(bl.row(i));
         }

@@ -287,7 +287,7 @@ impl Sweeps<'_> {
                 let (r_l, r_r) = self.cds.v(id).0.split_at(kl * kp);
                 if kl > 0 {
                     if kr > 0 {
-                        gemm_panel(self.index.coupling[l], kl, kr, t_r, q, s_l);
+                        self.index.apply_coupling(l, (kl, kr), t_r, q, s_l);
                     }
                     if kp > 0 {
                         gemm_panel(r_l, kl, kp, s_p, q, s_l);
@@ -295,7 +295,7 @@ impl Sweeps<'_> {
                 }
                 if kr > 0 {
                     if kl > 0 {
-                        gemm_panel(self.index.coupling[r], kr, kl, t_l, q, s_r);
+                        self.index.apply_coupling(r, (kr, kl), t_l, q, s_r);
                     }
                     if kp > 0 {
                         gemm_panel(r_r, kr, kp, s_p, q, s_r);

@@ -4,7 +4,7 @@
 //! column-at-a-time Householder QR below is the parent's, kept verbatim as
 //! the oracle.  Rank, permutation and every bit of `R` must agree — the ID,
 //! and through it every skeleton, generator and stored image, is built on
-//! them (`crates/core/tests/serialization_roundtrip.rs` pins the result).
+//! them (`tests/serialization_roundtrip.rs` pins the result).
 
 use matrox_linalg::{matmul, pivoted_qr, Matrix, PivotedQr};
 use rand::{Rng, SeedableRng};

@@ -6,8 +6,10 @@
 //! without the rejection.  A model that panics the executor or the solver,
 //! or makes them produce NaN, fails the request the same way
 //! (`PoolPanic` / `NumericalBreakdown`) on every evaluate and solve entry
-//! point.
+//! point.  A model image whose block-entry flag is corrupt is a `Format`
+//! error.
 
+use matrox::core::io::{from_bytes, to_bytes};
 use matrox::core::MatroxError;
 use matrox::{
     generate, inspector, DatasetId, EvalSession, HMatrix, Kernel, MatRoxParams, Matrix, PointSet,
@@ -212,6 +214,46 @@ fn a_non_finite_solve_is_a_numerical_breakdown() {
     let got = factored.solve(&b);
     assert!(
         matches!(got, Err(MatroxError::NumericalBreakdown(_))),
+        "{got:?}"
+    );
+}
+
+/// The block-entry flag byte takes 0 (stored) or 1 (transposed twin) only;
+/// a reader handed any other value reports a corrupt model.  The byte is
+/// located as the one that differs between the images of a model and of
+/// its copy with the first coupling entry's flag flipped.
+#[test]
+fn a_reserved_block_flag_byte_is_a_format_error() {
+    let h = hss_model();
+    let image = to_bytes(h);
+    let mut flipped = h.clone();
+    let e = &mut flipped.plan.cds.b_entries[0];
+    assert!(!e.transposed && e.target != e.source);
+    e.transposed = true;
+    let other = to_bytes(&flipped);
+    assert_eq!(image.len(), other.len());
+    let mut diff = (0..image.len()).filter(|&i| image[i] != other[i]);
+    let at = diff.next().expect("the flag byte");
+    assert_eq!((diff.next(), image[at], other[at]), (None, 0, 1));
+    from_bytes(&other).expect("a transposed off-diagonal entry is well formed");
+    let mut corrupt = image;
+    corrupt[at] = 2;
+    let got = from_bytes(&corrupt);
+    assert!(
+        matches!(&got, Err(MatroxError::Format(m)) if m.contains("reserved block flag")),
+        "{got:?}"
+    );
+}
+
+/// A diagonal near block cannot be anyone's twin: a model marking one
+/// transposed fails validation, at the reader as everywhere else.
+#[test]
+fn a_transposed_diagonal_block_is_a_format_error() {
+    let mut broken = hss_model().clone();
+    broken.plan.cds.d_entries[0].transposed = true;
+    let got = from_bytes(to_bytes(&broken));
+    assert!(
+        matches!(&got, Err(MatroxError::Format(m)) if m.contains("diagonal but marked transposed")),
         "{got:?}"
     );
 }

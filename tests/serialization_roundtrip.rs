@@ -7,14 +7,17 @@
 //! metadata, and (d) be byte-stable (serialize → deserialize → serialize
 //! yields identical bytes).
 
-use matrox_core::io::{
+use matrox::analysis::{Cds, CdsBlockEntry};
+use matrox::core::io::{
     from_bytes, from_bytes_factored, load, load_factored, save, save_factored, to_bytes,
     to_bytes_factored,
 };
-use matrox_core::{inspector, FactoredHMatrix, HMatrix, MatRoxParams};
-use matrox_linalg::{relative_error, Matrix};
-use matrox_points::{generate, DatasetId, Kernel, PointSet};
-use matrox_tree::Structure;
+use matrox::core::KernelDispatch;
+use matrox::linalg::relative_error;
+use matrox::{
+    generate, inspector, DatasetId, FactoredHMatrix, HMatrix, Kernel, MatRoxParams, Matrix,
+    PointSet, Structure,
+};
 use rand::SeedableRng;
 
 const N: usize = 384;
@@ -228,19 +231,45 @@ fn fnv1a_values<'a>(runs: impl IntoIterator<Item = &'a [f64]>) -> u64 {
     fnv1a(&bytes)
 }
 
+/// The logical `rows x cols` block of entry `e` in `values`, row-major: its
+/// window, or the transpose of its twin's window when `e.transposed`.
+fn logical_block(values: &[f64], e: &CdsBlockEntry) -> Vec<f64> {
+    let window = &values[e.offset..e.offset + e.rows * e.cols];
+    if !e.transposed {
+        return window.to_vec();
+    }
+    (0..e.rows * e.cols)
+        .map(|at| window[(at % e.cols) * e.rows + at / e.cols])
+        .collect()
+}
+
+/// FNV-1a over what a CDS *means*, not how it lays it out: the `V` window
+/// of every stored node in node-id order, then every near block in entry
+/// order, then every coupling block in entry order.
+fn logical_payload_hash(cds: &Cds) -> u64 {
+    let windows = (0..cds.generators.len()).map(|id| cds.v(id).0.to_vec());
+    let near = cds
+        .d_entries
+        .iter()
+        .map(|e| logical_block(&cds.d_values, e));
+    let far = cds
+        .b_entries
+        .iter()
+        .map(|e| logical_block(&cds.b_values, e));
+    let blocks: Vec<Vec<f64>> = windows.chain(near).chain(far).collect();
+    fnv1a_values(blocks.iter().map(Vec::as_slice))
+}
+
 /// What a model *stores* is pinned apart from how the image frames it, so a
 /// format bump re-records the image pins below and leaves these alone: the
-/// `V` window of every stored node in node-id order, then the near and the
-/// coupling values; and the factor's `chol` / `e` / `lu` / `t` payload (one
-/// constant per kernel family, as for the factored image).
+/// logical CDS payload ([`logical_payload_hash`]); and the factor's `chol` /
+/// `e` / `lu` / `t` payload (one constant per kernel family, as for the
+/// factored image).
 #[test]
 fn payload_values_are_pinned() {
     let h = pinned_model();
-    let cds = &h.plan.cds;
-    let windows = (0..cds.generators.len()).map(|id| cds.v(id).0);
-    let model = windows.chain([cds.d_values.as_slice(), cds.b_values.as_slice()]);
     assert_eq!(
-        fnv1a_values(model),
+        logical_payload_hash(&h.plan.cds),
         0x20d7_1737_6641_ab5f,
         "model payload hash"
     );
@@ -251,7 +280,7 @@ fn payload_values_are_pinned() {
     let factor = leaves
         .flat_map(|l| [l.chol.as_slice(), l.e.as_slice()])
         .chain(merges.flat_map(|m| [m.lu.lu.as_slice(), m.t.as_slice()]));
-    let pinned: u64 = if matrox_core::KernelDispatch::global().is_simd() {
+    let pinned: u64 = if KernelDispatch::global().is_simd() {
         0x55ce_8e1b_a3a6_056f
     } else {
         0x8641_1f57_4c9e_e692
@@ -259,8 +288,30 @@ fn payload_values_are_pinned() {
     assert_eq!(fnv1a_values(factor), pinned, "factor payload hash");
 }
 
+/// The H²-b sibling of [`payload_values_are_pinned`]: a small Covtype
+/// model whose off-diagonal near blocks come in twin pairs, so the near
+/// table's logical payload is pinned too.
+#[test]
+fn h2b_payload_values_are_pinned() {
+    let points = generate(DatasetId::Covtype, 512, 3);
+    let kernel = Kernel::Gaussian { bandwidth: 5.0 };
+    let params = MatRoxParams::h2b().with_bacc(1e-5).with_leaf_size(32);
+    let h = inspector(&points, &kernel, &params).expect("inspector");
+    let cds = &h.plan.cds;
+    assert!(
+        cds.d_entries.iter().any(|e| e.target != e.source),
+        "the model must store off-diagonal near blocks"
+    );
+    assert_eq!(
+        logical_payload_hash(cds),
+        0x1ab6_7051_a375_c9b4,
+        "H2-b model payload hash"
+    );
+}
+
 /// The byte formats are frozen: the images of [`pinned_model`] keep the
-/// length and hash recorded when `MATROX2` / `MATROXF2` were introduced.
+/// length and hash recorded when the `MATROX2` / `MATROXF2` block entries
+/// gained their flag byte and twin pairs their single window.
 /// The inspector is bitwise deterministic across pool widths and kernels;
 /// the ULV factors are not across kernels (the SIMD microkernel fuses
 /// multiply-adds), so the factored image has one recorded hash per kernel
@@ -270,16 +321,15 @@ fn image_bytes_of_a_fixed_model_are_pinned() {
     let h = pinned_model();
 
     let plain = to_bytes(&h);
-    assert_eq!(plain.len(), 11029, "MATROX2 image length");
-    assert_eq!(fnv1a(&plain), 0x2299_4e23_b39f_ebb2, "MATROX2 image hash");
+    assert_eq!(plain.len(), 9455, "MATROX2 image length");
+    assert_eq!(fnv1a(&plain), 0x7119_33a2_252d_7c72, "MATROX2 image hash");
 
     let factored = to_bytes_factored(&h.factorize().expect("factorize"));
-    assert_eq!(factored.len(), 24171, "MATROXF2 image length");
-    eprintln!("FACT {} {:#x}", factored.len(), fnv1a(&factored));
-    let pinned: u64 = if matrox_core::KernelDispatch::global().is_simd() {
-        0x1c7b_1f4b_5ed8_8598
+    assert_eq!(factored.len(), 22597, "MATROXF2 image length");
+    let pinned: u64 = if KernelDispatch::global().is_simd() {
+        0xa0ab_ac81_970f_7df0
     } else {
-        0x6d36_1ea9_a9b4_1043
+        0x68a7_6b7b_d081_d5cb
     };
     assert_eq!(fnv1a(&factored), pinned, "MATROXF2 image hash");
 }
