@@ -89,11 +89,13 @@ pub struct ExecOptions {
     pub panel_width: usize,
     /// GEMM kernel selection for every product the executor issues.
     /// [`KernelChoice::Auto`] (the default) defers to the process-wide
-    /// selection (`MATROX_KERNEL` env var, then CPU feature detection); the
-    /// explicit choices pin a kernel for ablations and tests.  For a fixed
-    /// selection, results are bitwise identical across thread counts,
-    /// grains and panel widths; changing the selection is the one knob that
-    /// moves results (within kernel-accuracy tolerance).
+    /// selection (`MATROX_KERNEL` env var, then CPU feature detection: the
+    /// AVX-512 arm where the CPU has it, else AVX2); the explicit choices
+    /// pin a kernel for ablations and tests (`Avx2` the 256-bit arm).  For a
+    /// fixed selection, results are bitwise identical across thread counts,
+    /// grains and panel widths.  The two SIMD arms share one chain and
+    /// return the same bits; switching between scalar and SIMD is the one
+    /// choice that moves results (within kernel-accuracy tolerance).
     pub kernel: KernelChoice,
 }
 

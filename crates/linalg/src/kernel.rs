@@ -15,7 +15,7 @@
 //! lengths, then makes one call of one private product,
 //! `C += op(A) * B` with `A` read as stored or transposed from a row
 //! offset, which has one arm per architecture (the parallel entry points
-//! split the rows of `C` over the pool first).  Two architectures exist
+//! split the rows of `C` over the pool first).  Three architectures exist
 //! today:
 //!
 //! * **scalar** — one cache-blocked, strided scalar loop (`C += op(A)*B`
@@ -31,24 +31,34 @@
 //!   the solve issue — and packs larger ones first.  The block sizes are
 //!   constants derived from one cache model ([`mod@crate::kernel::pack`],
 //!   which also documents the panel formats).  Both routes keep one
-//!   per-element chain.  Selected by `auto` when the CPU supports it;
-//!   requesting `avx2` on hardware without the features silently falls
-//!   back to `scalar` (recorded in [`KernelDispatch::name`]).
+//!   per-element chain.  Selected by `auto` when the CPU supports AVX2+FMA
+//!   but not AVX-512, and by `avx2` whenever it does; requesting `avx2` on
+//!   hardware without the features silently falls back to `scalar`
+//!   (recorded in [`KernelDispatch::name`]).
+//! * **avx512** — an 8x16 `f64` tile on `zmm` registers
+//!   (`kernel/avx512.rs`) for every in-place product with at least [`NR`]
+//!   right-hand-side columns (the executor's wide panels, the factor's
+//!   panel products), on the AVX2 arm's per-element chain; products with
+//!   fewer columns and packed ones run the AVX2 arm.  Selected by `auto`
+//!   when the CPU has `avx512f` on top of AVX2+FMA (never under Miri); no
+//!   `MATROX_KERNEL` value names it, and `avx2` pins the 256-bit arm.
 //!
 //! # The bitwise-determinism contract
 //!
 //! For a **fixed** dispatch, every entry point guarantees that each output
 //! element accumulates its `k` products in storage order as one fixed
-//! operation chain (`mul`+`add` for scalar, `fma` for AVX2).  The chain
-//! depends only on the logical operands — never on thread count, row
-//! chunking, RHS panel grouping, the pack-block sizes, or
-//! whether the AVX2 arm read the operands in place or packed.
+//! operation chain (`mul`+`add` for scalar, `fma` for the SIMD arms).  The
+//! chain depends only on the logical operands — never on thread count, row
+//! chunking, RHS panel grouping, the pack-block sizes, or which route or
+//! register tile of a SIMD arm ran the product.
 //! That is the property the executor's "results are bitwise identical
-//! across `RAYON_NUM_THREADS`, grain and panel width" tests pin.  Results
-//! **do** differ between architectures (FMA rounds once, mul+add rounds
-//! twice); switching kernels is the one knob that moves results, which is
-//! why the selection is made once and logged rather than decided per call
-//! site.
+//! across `RAYON_NUM_THREADS`, grain and panel width" tests pin.  The avx2
+//! and avx512 arms share one chain (loaded from `C`, one `fma` per `p`
+//! ascending, no zero-skipping), so they return the same bits; results
+//! **do** differ between scalar and SIMD (FMA rounds once, mul+add rounds
+//! twice).  Switching between scalar and SIMD is the one knob that moves
+//! results, which is why the selection is made once and logged rather than
+//! decided per call site.
 //!
 //! ```
 //! use matrox_linalg::kernel::{KernelChoice, KernelDispatch};
@@ -75,6 +85,8 @@ pub mod pack;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 use crate::gemm::scalar_product;
 use rayon::prelude::*;
@@ -90,8 +102,9 @@ pub enum KernelChoice {
     Auto,
     /// Force the portable scalar kernel.
     Scalar,
-    /// Request the AVX2+FMA microkernel; falls back to scalar when the CPU
-    /// lacks the features.
+    /// Pin the 256-bit AVX2+FMA arm, even on a CPU with AVX-512 (it returns
+    /// the AVX-512 arm's bits); falls back to scalar when the CPU lacks
+    /// AVX2+FMA.
     Avx2,
 }
 
@@ -118,6 +131,9 @@ enum KernelArch {
     /// 4x8 AVX2+FMA microkernel, on the operands in place when they fit
     /// the pack buffers or have fewer than [`NR`] columns, packed otherwise.
     Avx2,
+    /// 8x16 AVX-512 tile for the in-place products with at least [`NR`]
+    /// columns, the AVX2 arm for every other product; the AVX2 arm's chain.
+    Avx512,
 }
 
 /// Whether the AVX2+FMA microkernel can run on this host.
@@ -140,10 +156,24 @@ pub fn simd_available() -> bool {
     }
 }
 
+/// Whether the AVX-512 tile can run on this host, on top of
+/// [`simd_available`] (never under Miri, for the same reason).
+fn avx512_available() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        simd_available() && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(any(not(target_arch = "x86_64"), miri))]
+    {
+        false
+    }
+}
+
 /// A resolved kernel selection: the architecture, and nothing else.  Its
-/// field is private so that an AVX2 dispatch exists only after
-/// [`simd_available`] said yes.  `Copy` and tiny, so callers resolve once
-/// and pass it by value into their hot loops.
+/// field is private so that a SIMD dispatch exists only after
+/// [`simd_available`] (and, for AVX-512, `avx512f` detection) said yes.
+/// `Copy` and tiny, so callers resolve once and pass it by value into their
+/// hot loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelDispatch {
     arch: KernelArch,
@@ -158,11 +188,13 @@ static GLOBAL: OnceLock<KernelDispatch> = OnceLock::new();
 const MIN_PAR_ROWS: usize = 8;
 
 impl KernelDispatch {
-    /// Resolve a choice against the host CPU.  `Auto` picks AVX2 when
-    /// available; `Avx2` on unsupported hardware degrades to `Scalar`.
+    /// Resolve a choice against the host CPU.  `Auto` picks AVX-512 when
+    /// available, else AVX2 when available; `Avx2` pins the AVX2 arm and
+    /// on unsupported hardware degrades to `Scalar`.
     pub fn resolve(choice: KernelChoice) -> Self {
         let arch = match choice {
             KernelChoice::Scalar => KernelArch::Scalar,
+            KernelChoice::Auto if avx512_available() => KernelArch::Avx512,
             KernelChoice::Auto | KernelChoice::Avx2 => {
                 if simd_available() {
                     KernelArch::Avx2
@@ -207,17 +239,20 @@ impl KernelDispatch {
         Self::resolve(KernelChoice::Scalar)
     }
 
-    /// Stable name for logs and benchmark output (`"scalar"` / `"avx2"`).
+    /// Stable name for logs and benchmark output (`"scalar"` / `"avx2"` /
+    /// `"avx512"`).
     pub fn name(&self) -> &'static str {
         match self.arch {
             KernelArch::Scalar => "scalar",
             KernelArch::Avx2 => "avx2",
+            KernelArch::Avx512 => "avx512",
         }
     }
 
-    /// Whether this dispatch runs the SIMD microkernel.
+    /// Whether this dispatch runs a SIMD arm (AVX2 or AVX-512), whose
+    /// results are one another's bit for bit.
     pub fn is_simd(&self) -> bool {
-        self.arch == KernelArch::Avx2
+        self.arch != KernelArch::Scalar
     }
 
     /// `C += A * B`: `A` is `m x k`, `B` is `k x n`, `C` is `m x n`, all
@@ -294,8 +329,12 @@ impl KernelDispatch {
             KernelArch::Scalar => scalar_product(trans_a, a, lda, i0, m, k, b, n, c),
             #[cfg(target_arch = "x86_64")]
             KernelArch::Avx2 => avx2::gemm_blocked(trans_a, a, lda, i0, m, k, b, n, c),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx512 => avx512::gemm_blocked(trans_a, a, lda, i0, m, k, b, n, c),
             #[cfg(not(target_arch = "x86_64"))]
-            KernelArch::Avx2 => unreachable!("avx2 dispatch cannot exist off x86_64"),
+            KernelArch::Avx2 | KernelArch::Avx512 => {
+                unreachable!("SIMD dispatch cannot exist off x86_64")
+            }
         }
     }
 
@@ -341,9 +380,11 @@ impl KernelDispatch {
                 s
             }
             #[cfg(target_arch = "x86_64")]
-            KernelArch::Avx2 => avx2::dot(x, y),
+            KernelArch::Avx2 | KernelArch::Avx512 => avx2::dot(x, y),
             #[cfg(not(target_arch = "x86_64"))]
-            KernelArch::Avx2 => unreachable!("avx2 dispatch cannot exist off x86_64"),
+            KernelArch::Avx2 | KernelArch::Avx512 => {
+                unreachable!("SIMD dispatch cannot exist off x86_64")
+            }
         }
     }
 
@@ -360,9 +401,11 @@ impl KernelDispatch {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            KernelArch::Avx2 => avx2::axpy(alpha, x, y),
+            KernelArch::Avx2 | KernelArch::Avx512 => avx2::axpy(alpha, x, y),
             #[cfg(not(target_arch = "x86_64"))]
-            KernelArch::Avx2 => unreachable!("avx2 dispatch cannot exist off x86_64"),
+            KernelArch::Avx2 | KernelArch::Avx512 => {
+                unreachable!("SIMD dispatch cannot exist off x86_64")
+            }
         }
     }
 }
@@ -406,10 +449,12 @@ mod tests {
     }
 
     fn dispatches() -> Vec<KernelDispatch> {
-        let mut d = vec![KernelDispatch::scalar()];
-        if simd_available() {
-            d.push(KernelDispatch::resolve(KernelChoice::Avx2));
-        }
+        let mut d = vec![
+            KernelDispatch::scalar(),
+            KernelDispatch::resolve(KernelChoice::Avx2),
+            KernelDispatch::resolve(KernelChoice::Auto),
+        ];
+        d.dedup();
         d
     }
 
@@ -572,5 +617,8 @@ mod tests {
         assert_eq!(d.is_simd(), simd_available());
         let auto = KernelDispatch::resolve(KernelChoice::Auto);
         assert_eq!(auto.is_simd(), simd_available());
+        // `Auto` takes the widest arm; `Avx2` pins the 256-bit one.
+        assert_eq!(auto.name() == "avx512", avx512_available());
+        assert_ne!(d.name(), "avx512");
     }
 }

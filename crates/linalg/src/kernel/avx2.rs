@@ -306,6 +306,31 @@ unsafe fn in_place(
             }
         }
     }
+    // SAFETY: avx2+fma per the fn contract.
+    unsafe { narrow_columns(trans_a, a, lda, i0, m, k, b, n, c, n8) }
+}
+
+/// The `n - n8 < NR` columns of `C += op(A) * B` from column `n8` on (none
+/// when `n8 == n`), through [`narrow`] at leading dimensions `n`: the
+/// column remainder of the in-place routes of both SIMD arms (`n8` is a
+/// multiple of [`NR`]).
+///
+/// # Safety
+/// Requires the `avx2` and `fma` CPU features; every access is
+/// bounds-checked slice indexing.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn narrow_columns(
+    trans_a: bool,
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    c: &mut [f64],
+    n8: usize,
+) {
     if n8 == n {
         return;
     }
@@ -482,14 +507,14 @@ fn narrow_tn<'b, const N: usize, I: Iterator<Item = &'b [f64]>>(
     }
 }
 
-// `in_place`'s `match n - n8` has one arm per narrow width below `NR`, and
-// its `match m - m4` one per row count below `MR`.
+// `narrow_columns`'s `match n - n8` has one arm per narrow width below `NR`,
+// and `in_place`'s `match m - m4` one per row count below `MR`.
 const _: () = assert!(NR == 8 && MR == 4);
 
 /// Whether [`gemm_blocked`] reads the operands in place: the product has no
 /// full 8-column tile, or both blocks fit the pack buffers they would be
 /// copied into (`m * k <= MC * KC`, `k * n <= KC * NC`).
-fn reads_in_place(m: usize, k: usize, n: usize) -> bool {
+pub(super) fn reads_in_place(m: usize, k: usize, n: usize) -> bool {
     let fits = |rows: usize, block: usize| rows.saturating_mul(k) <= block * KC;
     n < NR || (fits(m, MC) && fits(n, NC))
 }
@@ -535,6 +560,36 @@ pub fn gemm_blocked(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    assert_operands(trans_a, a, lda, i0, m, k, b, n, c);
+    if reads_in_place(m, k, n) {
+        // SAFETY: dispatch resolution verified avx2+fma
+        // (`simd_available()`) before any dispatch could reach this
+        // function; `m, k >= 1` and the three slice bounds were asserted
+        // just above.
+        unsafe { in_place(trans_a, a, lda, i0, m, k, b, n, c) }
+    } else {
+        // SAFETY: avx2+fma as above; `c` holds `m * n` (asserted above).
+        unsafe { packed(trans_a, a, lda, i0, m, k, b, n, c) }
+    }
+}
+
+/// The release bounds check both SIMD arms run before any raw-pointer
+/// access: `a` holds the last element the product reads in it, `b` holds
+/// `k * n` values and `c` `m * n`; `m, k >= 1`.
+///
+/// # Panics
+/// Panics if one of the three is too short.
+pub(super) fn assert_operands(
+    trans_a: bool,
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    c: &[f64],
+) {
     assert!(
         last_a_index(trans_a, lda, i0, m, k).is_some_and(|last| last < a.len()),
         "gemm: A ({} values) is too short for a {m} x {k} operand at lda {lda}, i0 {i0}",
@@ -550,16 +605,6 @@ pub fn gemm_blocked(
         "gemm: C ({} values) is shorter than {m} x {n}",
         c.len()
     );
-    if reads_in_place(m, k, n) {
-        // SAFETY: dispatch resolution verified avx2+fma
-        // (`simd_available()`) before any dispatch could reach this
-        // function; `m, k >= 1` and the three slice bounds were asserted
-        // just above.
-        unsafe { in_place(trans_a, a, lda, i0, m, k, b, n, c) }
-    } else {
-        // SAFETY: avx2+fma as above; `c` holds `m * n` (asserted above).
-        unsafe { packed(trans_a, a, lda, i0, m, k, b, n, c) }
-    }
 }
 
 /// AVX2 dot product: four independent 4-lane accumulators over 16-element

@@ -1,7 +1,8 @@
 //! Property coverage for the kernel-dispatch layer.
 //!
-//! Four pins, each per dispatchable architecture (scalar always; AVX2 when
-//! the host has it — requesting it elsewhere must degrade to scalar):
+//! Four pins, each per dispatchable architecture (scalar always; AVX2 and
+//! AVX-512 when the host has them — requesting AVX2 elsewhere must degrade
+//! to scalar):
 //!
 //! 1. **accuracy** — every dispatch path (NoTrans/TN, sequential/parallel)
 //!    stays within `1e-12` relative error of the scalar reference
@@ -14,26 +15,31 @@
 //!    anything is written past it;
 //! 4. **the chain** — on each arm, every route (scalar: across its
 //!    64 x 128 x 256 loop blocking; AVX2: in place or packed, full tiles,
-//!    row and column remainders; sequential or parallel) must equal, bit
-//!    for bit, an independent reference that runs the arm's step for `p`
-//!    ascending from `C0`: `c = a_ip.mul_add(b_pj, c)` for AVX2,
-//!    `c = c + a_ip * b_pj` with `a_ip == 0` skipped for scalar.
+//!    row and column remainders; AVX-512: its 8 x 16 tile, the 8-column
+//!    stripe, the narrow rest and the AVX2 routes it delegates to;
+//!    sequential or parallel) must equal, bit for bit, an independent
+//!    reference that runs the arm's step for `p` ascending from `C0`:
+//!    `c = a_ip.mul_add(b_pj, c)` for both SIMD arms, `c = c + a_ip * b_pj`
+//!    with `a_ip == 0` skipped for scalar.
 
 use matrox_linalg::kernel::{KC, MC};
 use matrox_linalg::{gemm_seq, simd_available, GemmOp, KernelChoice, KernelDispatch, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
+use rayon::prelude::*;
 
 /// The dispatches that must all be exercised on this host: the scalar
-/// fallback unconditionally, the SIMD microkernel when present.  (On a
+/// fallback unconditionally, the AVX2 and AVX-512 arms when present.  (On a
 /// non-AVX2 host `resolve(Avx2)` degrades to scalar, so the scalar path is
-/// what "requesting avx2" runs — covered either way.)
+/// what "requesting avx2" runs — covered either way; without AVX-512,
+/// `Auto` is the AVX2 arm.)
 fn dispatches() -> Vec<KernelDispatch> {
     let mut d = vec![
         KernelDispatch::scalar(),
         KernelDispatch::resolve(KernelChoice::Avx2),
+        KernelDispatch::resolve(KernelChoice::Auto),
     ];
-    d.dedup_by_key(|k| k.is_simd());
+    d.dedup_by_key(|k| k.name());
     d
 }
 
@@ -284,20 +290,26 @@ fn scalar_step(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// The AVX2 arm's step: one `fma`.  `f64::mul_add` rounds once, exactly as
-/// `vfmadd` does.
+/// The step of both SIMD arms: one `fma`.  `f64::mul_add` rounds once,
+/// exactly as `vfmadd` does on a `ymm` or `zmm` lane.
 fn fma_step(a: f64, b: f64, c: f64) -> f64 {
     a.mul_add(b, c)
 }
 
 /// Every arm this host runs, with its chain step and the depth its loops
-/// block by (the scalar loop's 128, the AVX2 packed route's [`KC`]), which
-/// the oracles straddle.  Empty under Miri: the sweeps are far too large to
-/// interpret, and the scalar arm holds no unsafe code.
+/// block by (the scalar loop's 128, the packed route's [`KC`], which the
+/// AVX-512 arm delegates to the AVX2 one), which the oracles straddle.
+/// Empty under Miri: the sweeps are far too large to interpret, and the
+/// scalar arm holds no unsafe code.
 fn arms() -> Vec<(KernelDispatch, Step, usize)> {
     let mut arms = vec![(KernelDispatch::scalar(), scalar_step as Step, 128)];
     if simd_available() {
-        arms.push((KernelDispatch::resolve(KernelChoice::Avx2), fma_step, KC));
+        let avx2 = KernelDispatch::resolve(KernelChoice::Avx2);
+        let auto = KernelDispatch::resolve(KernelChoice::Auto);
+        arms.push((avx2, fma_step, KC));
+        if auto != avx2 {
+            arms.push((auto, fma_step, KC));
+        }
     }
     if cfg!(miri) {
         arms.clear();
@@ -422,19 +434,20 @@ fn assert_matches_chain(disp: KernelDispatch, fam: &Family, m: usize, ns: &[usiz
     }
 }
 
-/// Every route of both arms against its chain: row counts around the
-/// microkernel's 4-row tiles and the scalar loop's 64-row blocks, every
-/// column remainder of the 8-column tiles, the executor's wide panels and
-/// the scalar loop's 256-column blocks, depths around each arm's depth
-/// blocking, and shapes on both sides of the AVX2 in-place / packed rule
-/// (`k * n` against `KC * NC` in the first family, `m * k` against
-/// `MC * KC` in the second).
+/// Every route of every arm against its chain: row counts around the
+/// microkernels' 4- and 8-row tiles and the scalar loop's 64-row blocks,
+/// every column remainder of the 8-column tiles, the 16-column tiles'
+/// splits (16 + 8, 16 + 8 + 7), the executor's wide panels and the scalar
+/// loop's 256-column blocks, depths around each arm's depth blocking, and
+/// shapes on both sides of the in-place / packed rule (`k * n` against
+/// `KC * NC` in the first family, `m * k` against `MC * KC` in the second).
 #[test]
 fn every_path_matches_its_chain() {
     let ns: Vec<usize> = (1..=17)
-        .chain([183, 184, 192, 193, 255, 256, 257])
+        .chain([24, 31, 183, 184, 192, 193, 255, 256, 257])
         .collect();
-    for (disp, step, kc) in arms() {
+    // The arms are independent; they run side by side on the pool.
+    arms().into_par_iter().for_each(|(disp, step, kc)| {
         let mut fam = Family::new(65, 2 * kc + 1, 257, 11, step);
         for k in [0, 1, kc - 1, kc, kc + 1, 2 * kc + 1] {
             fam.advance_to(k);
@@ -449,7 +462,7 @@ fn every_path_matches_its_chain() {
                 assert_matches_chain(disp, &fam, m, &[7, 8, 9, 17]);
             }
         }
-    }
+    });
 }
 
 /// `par_gemm` / `par_gemm_tn` hand each row chunk the whole `A` at an offset
@@ -495,14 +508,17 @@ fn par_paths_match_the_chain_across_pool_widths() {
 /// The exhaustive sweep at the executor's block shapes (release CI step:
 /// `cargo test --release -p matrox-linalg -- --ignored chain_oracle`):
 /// every `(m, k)` in `1..=96` squared (across the scalar loop's 64-row
-/// blocks), plus depths straddling each arm's depth blocking and twice it,
-/// at every width `1..=17` and the executor's 184- and 256-column panels,
-/// both forms, both arms.
+/// blocks and every row remainder of the 4- and 8-row tiles), plus depths
+/// straddling each arm's depth blocking and twice it, at every width
+/// `1..=17` and `24..=33` (every split of a width into the AVX-512 arm's
+/// 16-column tiles, its 8-column stripe and the narrow rest) and the
+/// executor's 184- and 256-column panels, both forms, every arm (side by
+/// side on the pool).
 #[test]
 #[ignore = "exhaustive; run in release"]
 fn chain_oracle_at_executor_shapes() {
-    let ns: Vec<usize> = (1..=17).chain([184, 256]).collect();
-    for (disp, step, kc) in arms() {
+    let ns: Vec<usize> = (1..=17).chain(24..=33).chain([184, 256]).collect();
+    arms().into_par_iter().for_each(|(disp, step, kc)| {
         let straddle = [kc - 1, kc, kc + 1, 2 * kc - 1, 2 * kc, 2 * kc + 1];
         let mut fam = Family::new(96, 2 * kc + 1, 256, 7, step);
         for k in (1..=96usize).chain(straddle) {
@@ -511,5 +527,5 @@ fn chain_oracle_at_executor_shapes() {
                 assert_matches_chain(disp, &fam, m, &ns);
             }
         }
-    }
+    });
 }

@@ -17,8 +17,8 @@
 //! same assertions run, so the pool-parallel phases stay under the
 //! interpreter's aliasing checks.
 
-use matrox_core::{inspector, to_bytes, HMatrix, MatRoxParams};
-use matrox_points::{generate, DatasetId, Kernel, PointSet};
+use matrox::core::to_bytes;
+use matrox::{generate, inspector, DatasetId, HMatrix, Kernel, MatRoxParams, PointSet};
 
 fn problem(n: usize) -> (PointSet, Kernel) {
     let pts = generate(DatasetId::Grid, n, 21);
