@@ -3,13 +3,16 @@
 //! The solver-side analogue of [`crate::DenseBaseline`]: it assembles the
 //! full `N x N` kernel matrix and factors it with the same dense Cholesky
 //! kernel the structured factorization uses for its *leaf* blocks
-//! (`matrox_linalg::cholesky`).  Because factorization and triangular solves
-//! are shared code, the time and accuracy gap measured against
-//! `HMatrix::solve` isolates exactly the effect of the rank structure —
-//! `O(N^3)` dense elimination versus the ULV sweeps — mirroring how the
-//! GEMM baseline isolates the structure effect for `matmul`.
+//! (`matrox_linalg::cholesky`, on the process-wide `KernelDispatch`, which
+//! is the factor's under its default options).  Because factorization and
+//! triangular solves are shared code, the time and accuracy gap measured
+//! against `HMatrix::solve` isolates exactly the effect of the rank
+//! structure — `O(N^3)` dense elimination versus the ULV sweeps — mirroring
+//! how the GEMM baseline isolates the structure effect for `matmul`.
 
-use matrox_linalg::{cholesky, cholesky_solve, cholesky_solve_matrix, Matrix, NotPositiveDefinite};
+use matrox_linalg::{
+    cholesky, cholesky_solve, cholesky_solve_matrix, KernelDispatch, Matrix, NotPositiveDefinite,
+};
 use matrox_points::{kernel_block_par, Kernel, PointSet};
 
 /// Dense Cholesky comparator: assembled `K = L L^T`, direct solves.
@@ -26,7 +29,7 @@ impl DenseCholeskyBaseline {
     pub fn new(points: &PointSet, kernel: &Kernel) -> Result<Self, NotPositiveDefinite> {
         let idx: Vec<usize> = (0..points.len()).collect();
         let k = kernel_block_par(points, kernel, &idx, &idx);
-        let l = cholesky(&k)?;
+        let l = cholesky(&k, KernelDispatch::global())?;
         Ok(DenseCholeskyBaseline { l })
     }
 

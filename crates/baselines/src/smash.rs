@@ -13,7 +13,7 @@
 //! compression substrate.
 
 use matrox_compress::Compression;
-use matrox_linalg::{gemm_panel, gemm_tn_slices, Matrix};
+use matrox_linalg::{gemm_panel, KernelDispatch, Matrix};
 use matrox_tree::{ClusterTree, HTree};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -97,8 +97,8 @@ impl<'a> SmashEvaluator<'a> {
                     v
                 };
                 let mut out = vec![0.0; basis.srank];
-                let v = &basis.v;
-                gemm_tn_slices(v.as_slice(), v.rows(), v.cols(), &input, 1, &mut out);
+                let (v, disp) = (&basis.v, KernelDispatch::global());
+                disp.gemm_tn(v.as_slice(), v.rows(), v.cols(), &input, 1, &mut out);
                 (id, out)
             };
             let results: Vec<(usize, Vec<f64>)> = if parallel {

@@ -42,14 +42,13 @@ pub struct MatRoxParams {
     /// from the CDS block extents so a block plus its panels fit in L2).
     /// Results are bitwise independent of this knob.
     pub panel_width: usize,
-    /// GEMM kernel selection for the evaluation session built from these
-    /// parameters ([`KernelChoice::Auto`] defers to the `MATROX_KERNEL`
-    /// env var, then CPU feature detection).  Reaches every executor path
-    /// (`matmul`, sessions); the factorization sweeps follow the
-    /// process-wide `MATROX_KERNEL` selection instead.  A runtime/perf
-    /// knob like `panel_width`: it is not serialized with the HMatrix, and
-    /// for a fixed selection results are bitwise reproducible across
-    /// thread counts and panel widths.
+    /// GEMM kernel selection for the matrix built from these parameters
+    /// ([`KernelChoice::Auto`] defers to the `MATROX_KERNEL` env var, then
+    /// CPU feature detection).  Reaches every product the matrix issues:
+    /// evaluation (`matmul`, sessions), the factorization and the solve.
+    /// A runtime/perf knob like `panel_width`: it is not serialized with
+    /// the HMatrix, and for a fixed selection results are bitwise
+    /// reproducible across thread counts and panel widths.
     pub kernel: KernelChoice,
     /// Minimum work items per parallel task across the inspector's parallel
     /// phases (tree partitioning, kNN, sampling, compression, CDS packing);

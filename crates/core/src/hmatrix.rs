@@ -42,14 +42,12 @@ pub struct HMatrix {
     /// matrices fall back to auto.
     pub panel_width: usize,
     /// GEMM kernel selection requested at inspection time
-    /// ([`MatRoxParams::kernel`](crate::MatRoxParams)).  Honoured by every
-    /// *executor* path derived from this matrix ([`HMatrix::matmul`],
-    /// [`HMatrix::matvec`], sessions).  The factorization/solve sweeps
-    /// (`crates/factor`) run their products through the process-wide
-    /// selection instead (`MATROX_KERNEL`), so pinning a kernel for those
-    /// requires the env var.  A runtime knob like `panel_width` —
-    /// machine-specific, so not serialized; reloaded matrices fall back to
-    /// [`KernelChoice::Auto`].
+    /// ([`MatRoxParams::kernel`](crate::MatRoxParams)), carried by
+    /// [`HMatrix::default_exec_options`] to every product derived from this
+    /// matrix: evaluation ([`HMatrix::matmul`], [`HMatrix::matvec`],
+    /// sessions), [`HMatrix::factorize`] and the solves of its factor.  A
+    /// runtime knob like `panel_width` — machine-specific, so not
+    /// serialized; reloaded matrices fall back to [`KernelChoice::Auto`].
     pub gemm_kernel: KernelChoice,
 }
 
@@ -172,8 +170,10 @@ impl HMatrix {
         self.factorize_with(&self.default_exec_options())
     }
 
-    /// [`factorize`](HMatrix::factorize) with explicit executor options
-    /// (parallel sweeps + grain; results are bitwise identical either way).
+    /// [`factorize`](HMatrix::factorize) with explicit executor options:
+    /// parallel sweeps and grain (results are bitwise identical either way)
+    /// and the kernel every product runs on (`opts.kernel`; scalar and SIMD
+    /// factors differ in the last bits, the two SIMD arms do not).
     pub fn factorize_with(&self, opts: &ExecOptions) -> Result<FactoredHMatrix, MatroxError> {
         let mut ridge = 0.0f64;
         let mut attempts = 0u32;

@@ -138,15 +138,6 @@ impl SessionStats {
         }
     }
 
-    /// Marginal executor cost per query (inspection excluded).
-    pub fn eval_per_query(&self) -> f64 {
-        if self.queries == 0 {
-            f64::INFINITY
-        } else {
-            self.eval_seconds / self.queries as f64
-        }
-    }
-
     /// Mean right-hand-side columns per `evaluate` call — the coalescing
     /// width a serving layer achieved on this session.  `0.0` before the
     /// first evaluation.
@@ -226,7 +217,6 @@ mod tests {
         s.queries = 100;
         assert!((s.total_seconds() - 12.0).abs() < 1e-12);
         assert!((s.amortized_per_query() - 0.12).abs() < 1e-12);
-        assert!((s.eval_per_query() - 0.02).abs() < 1e-12);
         assert!((s.mean_batch_width() - 50.0).abs() < 1e-12);
         assert_eq!(SessionStats::default().mean_batch_width(), 0.0);
         // More queries on the same plan only ever lower the amortized cost

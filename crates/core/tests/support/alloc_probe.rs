@@ -2,7 +2,7 @@
 //! pin allocation behaviour: the executor's allocation-free panel loop
 //! (`crates/exec/tests/alloc_free.rs`), the solver's fixed allocation count
 //! (`crates/factor/tests/alloc_free.rs`) and the two corruption sweeps
-//! (`crates/core/tests/corruption_fuzz.rs`, `crates/serve/tests/
+//! (`tests/corruption_fuzz.rs` at the root, `crates/serve/tests/
 //! proto_fuzz.rs`).  Including this file installs the probe as the binary's
 //! global allocator.
 //!
@@ -129,6 +129,12 @@ const ALLOC_CAP: usize = 16 * 1024 * 1024;
 /// explosions).
 const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
 
+/// Byte positions between two flipped ones: every byte in release builds;
+/// every seventh in debug builds, which are an order of magnitude slower.
+/// Seven is coprime to 8, so the strided sweep still flips every byte lane
+/// of the streams' `u64` fields.
+const STRIDE: usize = if cfg!(debug_assertions) { 7 } else { 1 };
+
 /// One decode attempt under the probe (`decode` may go on to use what it
 /// accepted): it must not panic and must not ask the allocator for more
 /// than [`ALLOC_CAP`] in one request.
@@ -150,8 +156,8 @@ fn decode_guarded(
 
 /// The corruption-fuzz property over one encoded stream.  `decode` returns
 /// the re-encoding of what it accepted, `None` for a rejection.  The
-/// pristine stream must re-encode bitwise; every single-byte XOR of it must
-/// be rejected or re-encode to exactly the corrupted bytes (the flip landed
+/// pristine stream must re-encode bitwise; every single-byte XOR of it (at
+/// every [`STRIDE`]-th position) must be rejected or re-encode to exactly the corrupted bytes (the flip landed
 /// in a value payload and the decode is lossless) — with no panic and no
 /// request above [`ALLOC_CAP`], whatever the corrupted length fields claim.
 pub fn fuzz_single_byte_flips(
@@ -166,10 +172,11 @@ pub fn fuzz_single_byte_flips(
         "pristine {label} re-encode must be bitwise identical"
     );
 
-    let mut accepted = 0usize;
+    let (mut accepted, mut tried) = (0usize, 0usize);
     let mut corrupted = bytes.to_vec();
-    for pos in 0..corrupted.len() {
+    for pos in (0..corrupted.len()).step_by(STRIDE) {
         for mask in MASKS {
+            tried += 1;
             corrupted[pos] ^= mask;
             let what = || format!("{label} with byte {pos} ^ {mask:#04x}");
             if let Some(reencoded) = decode_guarded(&corrupted, decode, &what) {
@@ -189,7 +196,7 @@ pub fn fuzz_single_byte_flips(
     // lengths) must actually be rejected somewhere — if nothing ever was,
     // the masks or the stream are too small to mean anything.
     assert!(
-        accepted < corrupted.len() * MASKS.len(),
+        accepted < tried,
         "{label}: every corruption was accepted; the validators are not running"
     );
 }

@@ -87,7 +87,9 @@ pub struct ExecOptions {
     /// output column accumulates in the same order regardless of panel
     /// grouping).
     pub panel_width: usize,
-    /// GEMM kernel selection for every product the executor issues.
+    /// GEMM kernel selection for every product the executor issues, and the
+    /// factor and the solve (`matrox-factor`) given these options: each
+    /// resolves it once with [`KernelDispatch::for_choice`].
     /// [`KernelChoice::Auto`] (the default) defers to the process-wide
     /// selection (`MATROX_KERNEL` env var, then CPU feature detection: the
     /// AVX-512 arm where the CPU has it, else AVX2); the explicit choices

@@ -18,7 +18,7 @@ use matrox_analysis::{
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::{execute, ExecOptions};
 use matrox_factor::factor;
-use matrox_linalg::{relative_error, Matrix};
+use matrox_linalg::{relative_error, KernelChoice, KernelDispatch, Matrix};
 use matrox_points::{generate, DatasetId, Kernel};
 use matrox_sampling::sample_nodes_exhaustive;
 use matrox_tree::{ClusterTree, HTree, PartitionMethod, Structure};
@@ -128,7 +128,6 @@ fn deterministic_across_thread_counts_geometric() {
 /// must hold.)
 #[test]
 fn fixed_kernel_is_deterministic_across_threads_and_panels() {
-    use matrox_linalg::KernelChoice;
     let (tree, plan, w) = fixture(DatasetId::Grid, 512, Structure::h2b(), 9);
     for kernel in [KernelChoice::Scalar, KernelChoice::Avx2] {
         let opts = ExecOptions::full().with_kernel(kernel);
@@ -198,18 +197,13 @@ const CROSS_ARM_PANELS: [usize; 9] = [1, 7, 8, 15, 16, 17, 24, 184, 0];
 /// only add debug-build time.
 const CROSS_ARM_COLUMNS: usize = 40;
 
-/// Marks the lines [`cross_arm_child`] prints for its parent.
-const CROSS_ARM_TAG: &str = "cross-arm";
-
-/// One line per result of the cross-arm workload, under the process-wide
-/// kernel selection: the bits of an H²-b and an HSS evaluation at every
+/// Every result of the cross-arm workload on the kernel `kernel` names, by
+/// label: the bits of an H²-b and an HSS evaluation at every
 /// [`CROSS_ARM_PANELS`] width, of the HSS model's ULV factor, and of its
-/// `solve_matrix` at the same widths, each folded into a 64-bit FNV-1a hash.
-fn cross_arm_results() -> Vec<String> {
-    fn hash(values: &[f64]) -> u64 {
-        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+/// `solve_matrix` at the same widths.
+fn cross_arm_results(kernel: KernelChoice) -> Vec<(String, Vec<u64>)> {
+    fn bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
+        values.into_iter().map(|v| v.to_bits()).collect()
     }
     let q = CROSS_ARM_COLUMNS;
     let spd = Kernel::GaussianRidge {
@@ -218,103 +212,60 @@ fn cross_arm_results() -> Vec<String> {
     };
     let h2b = fixture(DatasetId::Susy, 256, Structure::h2b(), q);
     let hss = fixture_with(DatasetId::Grid, 256, Structure::Hss, q, spd);
-    let mut lines = Vec::new();
+    let opts = |panel| {
+        ExecOptions::full()
+            .with_panel_width(panel)
+            .with_kernel(kernel)
+    };
+    let mut results = Vec::new();
     for (name, (tree, plan, w)) in [("h2-b", &h2b), ("hss", &hss)] {
         for panel in CROSS_ARM_PANELS {
-            let opts = ExecOptions::full().with_panel_width(panel);
-            let y = execute(plan, tree, w, &opts);
-            lines.push(format!(
-                "{name} evaluate panel {panel}: {:016x}",
-                hash(y.as_slice())
-            ));
+            let y = execute(plan, tree, w, &opts(panel));
+            results.push((format!("{name} evaluate panel {panel}"), bits(y.as_slice())));
         }
     }
     let (tree, plan, b) = &hss;
-    let f = factor(plan, tree, &ExecOptions::full()).expect("the HSS model factors");
+    let f = factor(plan, tree, &opts(0)).expect("the HSS model factors");
     let parts = f.leaves.iter().flatten().flat_map(|l| [&l.chol, &l.e]);
     let parts = parts.chain(f.merges.iter().flatten().flat_map(|m| [&m.lu.lu, &m.t]));
-    let values: Vec<f64> = parts.flat_map(|m| m.as_slice().iter().copied()).collect();
-    lines.push(format!("hss factor: {:016x}", hash(&values)));
+    results.push(("hss factor".into(), bits(parts.flat_map(|m| m.as_slice()))));
     for panel in CROSS_ARM_PANELS {
-        let opts = ExecOptions::full().with_panel_width(panel);
-        let x = f.solve_matrix(plan, tree, b, &opts).expect("solve");
-        lines.push(format!(
-            "hss solve panel {panel}: {:016x}",
-            hash(x.as_slice())
-        ));
+        let x = f.solve_matrix(plan, tree, b, &opts(panel)).expect("solve");
+        results.push((format!("hss solve panel {panel}"), bits(x.as_slice())));
     }
-    lines
+    results
 }
 
-/// The child half of [`simd_arms_agree_bitwise_at_the_executor`]: prints
-/// the arm it runs and [`cross_arm_results`].  The factor and the solve
-/// follow the process-wide kernel selection, not `ExecOptions::kernel`, so
-/// comparing two arms end to end takes one process per selection.
-#[test]
-#[ignore = "spawned by simd_arms_agree_bitwise_at_the_executor"]
-fn cross_arm_child() {
-    println!(
-        "{CROSS_ARM_TAG} kernel {}",
-        matrox_linalg::KernelDispatch::global().name()
-    );
-    for line in cross_arm_results() {
-        println!("{CROSS_ARM_TAG} {line}");
-    }
-}
-
-/// `auto` and `avx2` resolve to different SIMD arms on an AVX-512 host,
-/// which share one fma chain: an H²-b and an HSS evaluation at panel
-/// widths {1, 7, 8, 15, 16, 17, 24, 184, auto}, the HSS factor and its
-/// `solve_matrix` must be bitwise identical between them.  Each selection
-/// runs [`cross_arm_child`] in a process of its own.
+/// Where `auto` and `avx2` resolve to different SIMD arms (`avx512` and
+/// `avx2` on an AVX-512 host under the default selection), which share one
+/// fma chain: an H²-b and an HSS evaluation at panel widths {1, 7, 8, 15,
+/// 16, 17, 24, 184, auto}, the HSS factor and its `solve_matrix` must be
+/// bitwise identical between them.  The options carry the kernel to every
+/// one of them, so both arms run in this process.
 #[test]
 fn simd_arms_agree_bitwise_at_the_executor() {
-    use matrox_linalg::{KernelChoice, KernelDispatch};
     let (auto, avx2) = (
-        KernelDispatch::resolve(KernelChoice::Auto),
-        KernelDispatch::resolve(KernelChoice::Avx2),
+        KernelDispatch::for_choice(KernelChoice::Auto),
+        KernelDispatch::for_choice(KernelChoice::Avx2),
     );
-    if auto.name() == avx2.name() {
+    if !(auto.is_simd() && avx2.is_simd() && auto.name() != avx2.name()) {
         println!(
-            "auto and avx2 both resolve to {} on this host: one arm, nothing to compare",
-            auto.name()
+            "auto resolves to {} and avx2 to {} here: not two SIMD arms, nothing to compare",
+            auto.name(),
+            avx2.name()
         );
         return;
     }
-    let spawn = |choice: &'static str| {
-        let exe = std::env::current_exe().expect("test binary path");
-        let child = std::process::Command::new(exe)
-            .args(["cross_arm_child", "--exact", "--ignored", "--nocapture"])
-            .env("MATROX_KERNEL", choice)
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn the child test");
-        (choice, child)
-    };
-    let lines = |(choice, child): (&str, std::process::Child)| -> Vec<String> {
-        let out = child.wait_with_output().expect("wait for the child test");
-        let stdout = String::from_utf8_lossy(&out.stdout);
+    let on_auto = cross_arm_results(KernelChoice::Auto);
+    let on_avx2 = cross_arm_results(KernelChoice::Avx2);
+    // Three results per panel width and the factor.
+    assert_eq!(on_auto.len(), 3 * CROSS_ARM_PANELS.len() + 1);
+    for ((label, a), (_, b)) in on_auto.iter().zip(&on_avx2) {
         assert!(
-            out.status.success(),
-            "{choice} child failed:\n{stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
+            a == b,
+            "{label}: {} and {} differ",
+            auto.name(),
+            avx2.name()
         );
-        stdout
-            .lines()
-            .filter_map(|l| l.strip_prefix(CROSS_ARM_TAG))
-            .map(|l| l.trim().to_string())
-            .collect()
-    };
-    // Both children run at once.
-    let (auto_child, avx2_child) = (spawn("auto"), spawn("avx2"));
-    let (on_auto, on_avx2) = (lines(auto_child), lines(avx2_child));
-    assert_eq!(on_auto.first().map(String::as_str), Some("kernel avx512"));
-    assert_eq!(on_avx2.first().map(String::as_str), Some("kernel avx2"));
-    // The kernel line, three results per panel width and the factor.
-    let expected = 3 * CROSS_ARM_PANELS.len() + 2;
-    assert_eq!((on_auto.len(), on_avx2.len()), (expected, expected));
-    for (a, b) in on_auto[1..].iter().zip(&on_avx2[1..]) {
-        assert_eq!(a, b, "avx512 and avx2 differ");
     }
 }

@@ -12,8 +12,9 @@
 //!   into a stored copy of its own evaluates (at pool widths 1 and 2, panel
 //!   widths 1, 8 and auto) and, on HSS, factors and solves to the same bits.
 //!
-//! The oracle holds on each kernel arm on its own; CI runs this suite again
-//! under `MATROX_KERNEL=scalar`.
+//! The oracle holds on each kernel arm on its own, so it runs on every arm
+//! of [`KERNELS`]: the options carry the kernel to the evaluation, the
+//! factor and the solve alike.
 
 use matrox_analysis::{
     build_blockset, build_cds, build_coarsenset, generate_plan, Cds, CdsBlockEntry, CoarsenParams,
@@ -22,7 +23,7 @@ use matrox_analysis::{
 use matrox_compress::{compress, CompressionParams};
 use matrox_exec::{execute, ExecOptions};
 use matrox_factor::{factor, HssFactor};
-use matrox_linalg::Matrix;
+use matrox_linalg::{KernelChoice, Matrix};
 use matrox_points::{generate, DatasetId, Kernel};
 use matrox_sampling::sample_nodes_exhaustive;
 use matrox_tree::{ClusterTree, HTree, PartitionMethod, Structure};
@@ -172,6 +173,10 @@ fn rhs(n: usize, q: usize) -> Matrix {
     Matrix::random_uniform(n, q, &mut rng)
 }
 
+/// The arms the oracle runs on: the selected one (`MATROX_KERNEL`, then CPU
+/// detection) and the scalar one.
+const KERNELS: [KernelChoice; 2] = [KernelChoice::Auto, KernelChoice::Scalar];
+
 fn pool(width: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(width)
@@ -186,9 +191,11 @@ fn evaluation_matches_the_expanded_plan_bitwise() {
         assert!(full.storage_bytes() > plan.storage_bytes());
         full.validate(&tree).expect("expanded plan validates");
         let w = rhs(tree.perm.len(), 10);
-        for width in [1, 2] {
+        for (kernel, width) in KERNELS.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
             for panel in [1, 8, 0] {
-                let opts = ExecOptions::full().with_panel_width(panel);
+                let opts = ExecOptions::full()
+                    .with_kernel(kernel)
+                    .with_panel_width(panel);
                 let (y, y_full) = pool(width).install(|| {
                     (
                         execute(&plan, &tree, &w, &opts),
@@ -198,7 +205,7 @@ fn evaluation_matches_the_expanded_plan_bitwise() {
                 assert_eq!(
                     bits(&y),
                     bits(&y_full),
-                    "{name}: pool width {width}, panel width {panel}"
+                    "{name}: {kernel:?}, pool width {width}, panel width {panel}"
                 );
             }
         }
@@ -219,15 +226,15 @@ fn hss_factor_and_solve_match_the_expanded_plan_bitwise() {
     let (tree, plan) = hss();
     let full = expanded(&plan);
     let b = rhs(tree.perm.len(), 10);
-    for width in [1, 2] {
+    for (kernel, width) in KERNELS.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
         pool(width).install(|| {
-            let opts = ExecOptions::full();
+            let opts = ExecOptions::full().with_kernel(kernel);
             let f = factor(&plan, &tree, &opts).expect("factor");
             let f_full = factor(&full, &tree, &opts).expect("factor");
             assert_eq!(
                 factor_bits(&f),
                 factor_bits(&f_full),
-                "factor, width {width}"
+                "factor, {kernel:?}, width {width}"
             );
             for panel in [1, 8, 0] {
                 let opts = opts.with_panel_width(panel);
@@ -236,7 +243,7 @@ fn hss_factor_and_solve_match_the_expanded_plan_bitwise() {
                 assert_eq!(
                     bits(&x),
                     bits(&x_full),
-                    "solve, width {width}, panel {panel}"
+                    "solve, {kernel:?}, width {width}, panel {panel}"
                 );
             }
         });

@@ -3,8 +3,8 @@
 use matrox_analysis::EvalPlan;
 use matrox_exec::ExecOptions;
 use matrox_linalg::{
-    cholesky, cholesky_solve_in_place, gemm_panel, gemm_tn_slices, lu_factor, lu_solve_in_place,
-    LuFactors, Matrix,
+    cholesky, cholesky_solve_in_place, lu_factor, lu_solve_in_place, KernelDispatch, LuFactors,
+    Matrix,
 };
 use matrox_tree::{ensure, ClusterTree};
 use rayon::prelude::*;
@@ -236,11 +236,12 @@ impl<'a> HssIndex<'a> {
     }
 
     /// `s += B_{id, sibling(id)} t` for a `q`-column `t`, with `B`
-    /// `rows x cols`: a transposed window goes through the `A^T B` product,
-    /// which returns bit for bit what the plain product over a stored
-    /// transpose would.
+    /// `rows x cols`, on `disp`: a transposed window goes through the
+    /// `A^T B` product, which returns bit for bit what the plain product
+    /// over a stored transpose would.
     pub(crate) fn apply_coupling(
         &self,
+        disp: KernelDispatch,
         id: usize,
         (rows, cols): (usize, usize),
         t: &[f64],
@@ -248,8 +249,8 @@ impl<'a> HssIndex<'a> {
         s: &mut [f64],
     ) {
         match self.coupling[id] {
-            (window, true) => gemm_tn_slices(window, cols, rows, t, q, s),
-            (window, false) => gemm_panel(window, rows, cols, t, q, s),
+            (window, true) => disp.gemm_tn(window, cols, rows, t, q, s),
+            (window, false) => disp.gemm(window, rows, cols, t, q, s),
         }
     }
 
@@ -358,7 +359,8 @@ impl HssFactor {
 /// `opts.parallel_tree` selects the level-parallel sweeps (the per-node
 /// arithmetic is identical either way, so results are bitwise independent of
 /// the choice and of the pool width); `opts.grain` is honored exactly as in
-/// the executor.
+/// the executor, and every product, Cholesky and LU runs on the
+/// [`KernelDispatch`] `opts.kernel` resolves, as the executor's do.
 pub fn factor(
     plan: &EvalPlan,
     tree: &ClusterTree,
@@ -389,6 +391,7 @@ pub fn factor_with_ridge(
         )));
     }
     let index = HssIndex::build(plan, tree)?;
+    let disp = KernelDispatch::for_choice(opts.kernel);
     let n_nodes = tree.num_nodes();
     let parallel = opts.parallel_tree;
     let grain = opts.grain.max(1);
@@ -407,12 +410,12 @@ pub fn factor_with_ridge(
         leaf_ids
             .par_iter()
             .with_min_len(grain)
-            .map(|&id| factor_leaf(plan, tree, &index, id, ridge))
+            .map(|&id| factor_leaf(disp, plan, tree, &index, id, ridge))
             .collect()
     } else {
         leaf_ids
             .iter()
-            .map(|&id| factor_leaf(plan, tree, &index, id, ridge))
+            .map(|&id| factor_leaf(disp, plan, tree, &index, id, ridge))
             .collect()
     };
     for r in leaf_results {
@@ -436,11 +439,11 @@ pub fn factor_with_ridge(
         let results: Vec<Result<(usize, MergeFactor, Matrix), FactorError>> = if parallel {
             ids.par_iter()
                 .with_min_len(grain)
-                .map(|&id| factor_internal(plan, tree, &index, &g, id))
+                .map(|&id| factor_internal(disp, plan, tree, &index, &g, id))
                 .collect()
         } else {
             ids.iter()
-                .map(|&id| factor_internal(plan, tree, &index, &g, id))
+                .map(|&id| factor_internal(disp, plan, tree, &index, &g, id))
                 .collect()
         };
         for r in results {
@@ -467,6 +470,7 @@ pub fn factor_with_ridge(
 /// Leaf step: Cholesky of the diagonal block, `E_i = D_i^{-1} U_i`,
 /// `G_i = V_i^T E_i`.
 fn factor_leaf(
+    disp: KernelDispatch,
     plan: &EvalPlan,
     tree: &ClusterTree,
     index: &HssIndex<'_>,
@@ -483,7 +487,7 @@ fn factor_leaf(
             d.set(i, i, v);
         }
     }
-    let chol = cholesky(&d).map_err(|e| FactorError::NotPositiveDefinite {
+    let chol = cholesky(&d, disp).map_err(|e| FactorError::NotPositiveDefinite {
         node: id,
         pivot: e.pivot,
         value: e.value,
@@ -496,7 +500,7 @@ fn factor_leaf(
         let mut e = Matrix::from_vec(rows, k, v.to_vec());
         cholesky_solve_in_place(&chol, e.as_mut_slice(), k);
         let mut gi = Matrix::zeros(k, k);
-        gemm_tn_slices(v, rows, k, e.as_slice(), k, gi.as_mut_slice());
+        disp.gemm_tn(v, rows, k, e.as_slice(), k, gi.as_mut_slice());
         (e, gi)
     };
     Ok((id, LeafFactor { node: id, chol, e }, gi))
@@ -506,6 +510,7 @@ fn factor_leaf(
 /// `M_p = [I, G_l B_{l,r}; G_r B_{r,l}, I]`, then push the reduced matrix
 /// through the transfer matrices: `G_p = W_p^T M_p^{-1} [G_l R_l; G_r R_r]`.
 fn factor_internal(
+    disp: KernelDispatch,
     plan: &EvalPlan,
     tree: &ClusterTree,
     index: &HssIndex<'_>,
@@ -530,18 +535,18 @@ fn factor_internal(
         debug_assert_eq!(b_rl.len(), kr * kl);
         // Top-right block: G_l * B_{l,r}.
         let mut tr = Matrix::zeros(kl, kr);
-        gemm_panel(g[l].as_slice(), kl, kl, &b_lr, kr, tr.as_mut_slice());
+        disp.gemm(g[l].as_slice(), kl, kl, &b_lr, kr, tr.as_mut_slice());
         for i in 0..kl {
             mm.row_mut(i)[kl..m].copy_from_slice(tr.row(i));
         }
         // Bottom-left block: G_r * B_{r,l}.
         let mut bl = Matrix::zeros(kr, kl);
-        gemm_panel(g[r].as_slice(), kr, kr, &b_rl, kl, bl.as_mut_slice());
+        disp.gemm(g[r].as_slice(), kr, kr, &b_rl, kl, bl.as_mut_slice());
         for i in 0..kr {
             mm.row_mut(kl + i)[0..kl].copy_from_slice(bl.row(i));
         }
     }
-    let lu = lu_factor(&mm).map_err(|_| FactorError::SingularMerge { node: id })?;
+    let lu = lu_factor(&mm, disp).map_err(|_| FactorError::SingularMerge { node: id })?;
 
     let kp = cds.sranks[id];
     let (t, gp) = if kp == 0 {
@@ -553,7 +558,7 @@ fn factor_internal(
         // RHS = [G_l R_l; G_r R_r] stacked by child.
         let mut rhs = Matrix::zeros(m, kp);
         if kl > 0 {
-            gemm_panel(
+            disp.gemm(
                 g[l].as_slice(),
                 kl,
                 kl,
@@ -563,7 +568,7 @@ fn factor_internal(
             );
         }
         if kr > 0 {
-            gemm_panel(
+            disp.gemm(
                 g[r].as_slice(),
                 kr,
                 kr,
@@ -577,7 +582,7 @@ fn factor_internal(
         let (w, wrows, wcols) = cds.v(id);
         debug_assert_eq!((wrows, wcols), (m, kp));
         let mut gp = Matrix::zeros(kp, kp);
-        gemm_tn_slices(w, wrows, wcols, t.as_slice(), kp, gp.as_mut_slice());
+        disp.gemm_tn(w, wrows, wcols, t.as_slice(), kp, gp.as_mut_slice());
         (t, gp)
     };
     Ok((id, MergeFactor { node: id, lu, t }, gp))

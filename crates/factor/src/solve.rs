@@ -21,16 +21,15 @@
 //! its part by `split_at_mut` (`LevelCarve`) — no `unsafe`.
 //!
 //! The arithmetic per node and per column is fixed (the substitution chains
-//! of `matrox_linalg::solve`, the dispatched GEMM), so a solution column is
+//! of `matrox_linalg::solve`, the products on the one `KernelDispatch` that
+//! `ExecOptions::kernel` resolves), so for a fixed kernel a solution column is
 //! bitwise independent of the pool width, the grain, the panel width, the
 //! number of columns solved with it and its position among them.
 
 use crate::factor::{FactorError, HssFactor, HssIndex};
 use matrox_analysis::{Cds, EvalPlan};
 use matrox_exec::{requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
-use matrox_linalg::{
-    cholesky_solve_in_place, gemm_panel, gemm_tn_slices, lu_solve_in_place, Matrix,
-};
+use matrox_linalg::{cholesky_solve_in_place, lu_solve_in_place, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -144,13 +143,14 @@ fn sub_assign(x: &mut [f64], c: &[f64]) {
 }
 
 /// What the two passes read: the validated factor, plan and tree, the level
-/// schedule, and how to run a level.
+/// schedule, the kernel every product runs on, and how to run a level.
 struct Sweeps<'a> {
     factor: &'a HssFactor,
     cds: &'a Cds,
     tree: &'a ClusterTree,
     index: HssIndex<'a>,
     sched: LevelSchedule,
+    disp: KernelDispatch,
     parallel: bool,
     grain: usize,
 }
@@ -227,7 +227,7 @@ impl Sweeps<'_> {
                 };
                 let (v, vrows, vcols) = self.cds.v(id);
                 if vcols > 0 {
-                    gemm_tn_slices(v, vrows, vcols, solved, q, bhat);
+                    self.disp.gemm_tn(v, vrows, vcols, solved, q, bhat);
                 }
             });
         }
@@ -269,7 +269,7 @@ impl Sweeps<'_> {
                     let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
                     if kp > 0 {
                         cx.fill(0.0);
-                        gemm_panel(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx);
+                        self.disp.gemm(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx);
                         sub_assign(x, cx);
                     }
                     return;
@@ -279,7 +279,7 @@ impl Sweeps<'_> {
                     #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
                     let mf = self.factor.merges[id].as_ref().expect("merge factor");
                     ct.fill(0.0);
-                    gemm_panel(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
+                    self.disp.gemm(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
                     sub_assign(t, ct);
                 }
                 let (t_l, t_r) = t.split_at(kl * q);
@@ -287,18 +287,20 @@ impl Sweeps<'_> {
                 let (r_l, r_r) = self.cds.v(id).0.split_at(kl * kp);
                 if kl > 0 {
                     if kr > 0 {
-                        self.index.apply_coupling(l, (kl, kr), t_r, q, s_l);
+                        self.index
+                            .apply_coupling(self.disp, l, (kl, kr), t_r, q, s_l);
                     }
                     if kp > 0 {
-                        gemm_panel(r_l, kl, kp, s_p, q, s_l);
+                        self.disp.gemm(r_l, kl, kp, s_p, q, s_l);
                     }
                 }
                 if kr > 0 {
                     if kl > 0 {
-                        self.index.apply_coupling(r, (kr, kl), t_l, q, s_r);
+                        self.index
+                            .apply_coupling(self.disp, r, (kr, kl), t_l, q, s_r);
                     }
                     if kp > 0 {
-                        gemm_panel(r_r, kr, kp, s_p, q, s_r);
+                        self.disp.gemm(r_r, kr, kp, s_p, q, s_r);
                     }
                 }
             });
@@ -310,7 +312,8 @@ impl HssFactor {
     /// Solve `K~ X = B` for a multi-column right-hand side, one panel of
     /// columns per pass over the factor: [`ExecOptions::panel_width`] columns
     /// when set, otherwise up to [`PANEL_MAX`].  Like the executor's, the
-    /// width never changes a bit of the result.
+    /// width never changes a bit of the result.  Every product runs on the
+    /// [`KernelDispatch`] [`ExecOptions::kernel`] resolves.
     ///
     /// `plan` and `tree` must be the ones this factorization was computed
     /// from (the sweeps re-read the bases, transfer and coupling blocks from
@@ -345,6 +348,7 @@ impl HssFactor {
             cds: &plan.cds,
             tree,
             sched: LevelSchedule::new(tree, &plan.cds.sranks),
+            disp: KernelDispatch::for_choice(opts.kernel),
             parallel: opts.parallel_tree,
             grain: opts.grain.max(1),
         };

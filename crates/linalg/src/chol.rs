@@ -7,7 +7,9 @@
 //! The original framework would call LAPACK `dpotrf`/`dpotrs` here; this is
 //! the pure-Rust equivalent (DESIGN.md substitution S7): a right-looking
 //! blocked factorization whose trailing update is a symmetric rank-`k`
-//! update ([`syrk_lower`]) touching only the lower triangle.
+//! update touching only the lower triangle, its dot products on the
+//! [`KernelDispatch`] the caller passes (the factor's, or the process-wide
+//! one for the dense baseline).
 
 use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;
@@ -42,11 +44,12 @@ const CHOL_BLOCK: usize = 64;
 ///
 /// Only the lower triangle of `a` is read; the strict upper triangle of the
 /// returned factor is zero.  Fails with [`NotPositiveDefinite`] when a pivot
-/// is non-positive or non-finite.
+/// is non-positive or non-finite.  The trailing update's dot products run
+/// on `disp`.
 ///
 /// # Panics
 /// Panics if `a` is not square.
-pub fn cholesky(a: &Matrix) -> Result<Matrix, NotPositiveDefinite> {
+pub fn cholesky(a: &Matrix, disp: KernelDispatch) -> Result<Matrix, NotPositiveDefinite> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "cholesky: matrix must be square");
     let mut l = a.clone();
@@ -67,7 +70,7 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, NotPositiveDefinite> {
                 }
             }
             // Trailing symmetric update: A22 -= L21 * L21^T (lower only).
-            syrk_lower_slices(data, n, k1, n, k0, k1);
+            trailing_update(disp, data, n, k1, n, k0, k1);
         }
     }
     // The factor only ever reads the lower triangle; zero the rest so the
@@ -111,10 +114,17 @@ fn factor_diag_block(
 
 /// `C[i, j] -= sum_p A[i, p] * A[j, p]` for `start <= j <= i < end`, with the
 /// rank columns `p` in `[p0, p1)`; `C` and `A` share the buffer `data` (the
-/// in-place trailing update of the blocked Cholesky).
-fn syrk_lower_slices(data: &mut [f64], ld: usize, start: usize, end: usize, p0: usize, p1: usize) {
+/// in-place trailing update of the blocked Cholesky), on `disp`.
+fn trailing_update(
+    disp: KernelDispatch,
+    data: &mut [f64],
+    ld: usize,
+    start: usize,
+    end: usize,
+    p0: usize,
+    p1: usize,
+) {
     const TILE: usize = 32;
-    let disp = KernelDispatch::global();
     let pw = p1 - p0;
     // One scratch buffer for the whole update: the borrow checker cannot see
     // that the written entries (columns >= p1) never alias the panel columns
@@ -136,26 +146,6 @@ fn syrk_lower_slices(data: &mut [f64], ld: usize, start: usize, end: usize, p0: 
                     data[i * ld + j] -= s;
                 }
             }
-        }
-    }
-}
-
-/// Symmetric rank-`k` update on the lower triangle: `C[i, j] += alpha *
-/// (A A^T)[i, j]` for `j <= i`.  The strict upper triangle of `C` is left
-/// untouched.
-///
-/// # Panics
-/// Panics if `C` is not square with `C.rows() == A.rows()`.
-pub fn syrk_lower(alpha: f64, a: &Matrix, c: &mut Matrix) {
-    let n = c.rows();
-    assert_eq!(n, c.cols(), "syrk_lower: C must be square");
-    assert_eq!(n, a.rows(), "syrk_lower: A rows must match C");
-    let disp = KernelDispatch::global();
-    for i in 0..n {
-        let crow = c.row_mut(i);
-        for j in 0..=i {
-            let s = disp.dot(a.row(i), a.row(j));
-            crow[j] += alpha * s;
         }
     }
 }
@@ -186,6 +176,7 @@ pub fn cholesky_solve_matrix(l: &Matrix, b: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use crate::gemm::matmul;
+    use crate::kernel::KernelChoice;
     use crate::norms::relative_error;
     use rand::SeedableRng;
 
@@ -202,19 +193,25 @@ mod tests {
 
     #[test]
     fn factor_reconstructs_matrix() {
-        for n in [1usize, 5, 63, 64, 65, 130] {
-            let a = spd(n, n as u64);
-            let l = cholesky(&a).expect("SPD input must factor");
-            let back = matmul(&l, &l.transpose());
-            assert!(
-                relative_error(&back, &a) < 1e-12,
-                "n = {n}: L L^T != A (err {})",
-                relative_error(&back, &a)
-            );
-            // Strict upper triangle must be exactly zero.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    assert_eq!(l.get(i, j), 0.0);
+        for disp in [
+            KernelDispatch::scalar(),
+            KernelDispatch::resolve(KernelChoice::Auto),
+        ] {
+            for n in [1usize, 5, 63, 64, 65, 130] {
+                let a = spd(n, n as u64);
+                let l = cholesky(&a, disp).expect("SPD input must factor");
+                let back = matmul(&l, &l.transpose());
+                let err = relative_error(&back, &a);
+                assert!(
+                    err < 1e-12,
+                    "{}, n = {n}: L L^T != A (err {err})",
+                    disp.name()
+                );
+                // Strict upper triangle must be exactly zero.
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        assert_eq!(l.get(i, j), 0.0);
+                    }
                 }
             }
         }
@@ -226,7 +223,7 @@ mod tests {
         let a = spd(n, 7);
         let x_true = Matrix::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.1).sin());
         let b = matmul(&a, &x_true);
-        let l = cholesky(&a).unwrap();
+        let l = cholesky(&a, KernelDispatch::scalar()).unwrap();
         let x = cholesky_solve_matrix(&l, &b);
         assert!(relative_error(&x, &x_true) < 1e-10);
         let bv: Vec<f64> = b.col(0);
@@ -240,7 +237,7 @@ mod tests {
     fn indefinite_matrix_is_rejected() {
         let mut a = spd(6, 3);
         a[(4, 4)] = -50.0;
-        let err = cholesky(&a).unwrap_err();
+        let err = cholesky(&a, KernelDispatch::scalar()).unwrap_err();
         assert!(err.pivot <= 4);
         assert!(err.value <= 0.0);
     }
@@ -248,25 +245,7 @@ mod tests {
     #[test]
     fn empty_matrix_factors_trivially() {
         let a = Matrix::zeros(0, 0);
-        let l = cholesky(&a).unwrap();
+        let l = cholesky(&a, KernelDispatch::scalar()).unwrap();
         assert_eq!(l.shape(), (0, 0));
-    }
-
-    #[test]
-    fn syrk_matches_explicit_product_on_lower_triangle() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let a = Matrix::random_uniform(9, 4, &mut rng);
-        let full = matmul(&a, &a.transpose());
-        let mut c = Matrix::filled(9, 9, 2.0);
-        syrk_lower(-1.0, &a, &mut c);
-        for i in 0..9 {
-            for j in 0..9 {
-                if j <= i {
-                    assert!((c.get(i, j) - (2.0 - full.get(i, j))).abs() < 1e-12);
-                } else {
-                    assert_eq!(c.get(i, j), 2.0, "upper triangle must be untouched");
-                }
-            }
-        }
     }
 }

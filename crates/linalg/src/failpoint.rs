@@ -17,7 +17,7 @@
 //!   Cholesky breakdown and an always-on evaluation poison.  An omitted
 //!   count arms the failpoint permanently.  This is how the CI
 //!   fault-injection leg drives whole-process tests.
-//! * programmatically via [`set`] / [`clear`] / [`clear_all`] — this is what
+//! * programmatically via [`set`] / [`clear`] — this is what
 //!   deterministic unit tests use.  Tests that arm failpoints share process
 //!   globals, so they live in a dedicated integration-test binary and run
 //!   single-threaded sites (see `crates/core/tests/failpoints.rs`).
@@ -142,11 +142,6 @@ pub fn set(name: &str, count: u64) {
 /// Disarm `name`.
 pub fn clear(name: &str) {
     set(name, 0);
-}
-
-/// Disarm every failpoint (including ones armed via the environment).
-pub fn clear_all() {
-    lock().clear();
 }
 
 /// True when `name` is currently armed (does not consume a fire).

@@ -12,9 +12,12 @@
 //!   pinned against it in tests.
 //! * [`matmul`] — `A * B` as a fresh matrix on the process-wide dispatch,
 //!   split over the pool's rows from about a million multiply-adds up.
-//! * [`gemm_panel`] / [`gemm_tn_slices`] — the process-wide dispatch on raw
-//!   row-major slices, for the executor's, the solver's and the baselines'
-//!   flat buffers (`n = 1` is a matrix-vector product).
+//! * [`gemm_panel`] — `C += A * B` on raw row-major slices, on the
+//!   process-wide dispatch (`n = 1` is a matrix-vector product).
+//!
+//! The executor, the factor and the solve call the [`KernelDispatch`] their
+//! options resolve instead, so none of them reads the process-wide
+//! selection behind its caller's back.
 //!
 //! The scalar arm itself is here too: one strided loop that reads `A`
 //! as stored or transposed (`scalar_product`).
@@ -200,13 +203,13 @@ fn matrix_product(
 }
 
 /// Raw-slice kernel: `C += A * B` where `A` is `m x k`, `B` is `k x n` and
-/// `C` is `m x n`, all row-major and densely packed.
+/// `C` is `m x n`, all row-major and densely packed, on the process-wide
+/// dispatch ([`KernelDispatch::global`]'s [`KernelDispatch::gemm`]).
 ///
-/// The executor and the solver operate directly on the flat CDS buffers and
-/// on permuted right-hand-side/output buffers, so they need a GEMM that does
-/// not require wrapping slices into [`Matrix`] values.  `B` is typically a
-/// narrow RHS panel (`n` is the panel width), and panel-by-panel evaluation
-/// is **bitwise identical** to full-width evaluation.
+/// For callers without options of their own (the baselines, kernel
+/// probes); `B` is typically a narrow RHS panel (`n` is the panel width),
+/// and panel-by-panel evaluation is **bitwise identical** to full-width
+/// evaluation.
 ///
 /// ```
 /// let a = [1.0, 2.0, 3.0, 4.0]; // 2 x 2
@@ -217,17 +220,6 @@ fn matrix_product(
 /// ```
 pub fn gemm_panel(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
     KernelDispatch::global().gemm(a, m, k, b, n, c);
-}
-
-/// Raw-slice kernel: `C += A^T * B` where `A` is `k x m` (so `A^T` is
-/// `m x k`), `B` is `k x n` and `C` is `m x n`, all row-major.
-///
-/// This is the upward-pass kernel `T_i = V_i^T * W_i`: `V_i` is stored
-/// untransposed in CDS and the transpose is absorbed by the kernel (strided
-/// reads of the stored block, or transposing packing when it is too large
-/// to read in place), keeping the accesses to `B` and `C` contiguous.
-pub fn gemm_tn_slices(a: &[f64], k: usize, m: usize, b: &[f64], n: usize, c: &mut [f64]) {
-    KernelDispatch::global().gemm_tn(a, k, m, b, n, c);
 }
 
 #[cfg(test)]
@@ -334,18 +326,6 @@ mod tests {
         let expected = matmul(&a, &b);
         let mut c = vec![0.0; 13 * 7];
         gemm_panel(a.as_slice(), 13, 9, b.as_slice(), 7, &mut c);
-        for (x, y) in c.iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gemm_tn_slices_matches_transposed_gemm() {
-        let a = random_matrix(11, 6, 23); // k x m
-        let b = random_matrix(11, 5, 24); // k x n
-        let expected = matmul(&a.transpose(), &b);
-        let mut c = vec![0.0; 6 * 5];
-        gemm_tn_slices(a.as_slice(), 11, 6, b.as_slice(), 5, &mut c);
         for (x, y) in c.iter().zip(expected.as_slice()) {
             assert!((x - y).abs() < 1e-12);
         }

@@ -1,13 +1,19 @@
 //! Kernel selection: the SIMD microkernel layer and its dispatch.
 //!
 //! Every hot product in the workspace (executor leaf/coupling/transfer
-//! phases, the ULV factorization's reduced-matrix updates, the dense
-//! baselines) funnels through a [`KernelDispatch`]: a kernel *architecture*
-//! resolved **once** at startup from, in priority order,
+//! phases, the ULV factorization's reduced-matrix updates, its Cholesky
+//! and LU, the solve sweeps, the dense baselines) funnels through a
+//! [`KernelDispatch`]: a kernel *architecture* resolved from, in priority
+//! order,
 //!
 //! 1. an explicit [`KernelChoice`] carried by the caller
-//!    (`ExecOptions::kernel` / `MatRoxParams::kernel` upstream);
-//! 2. the `MATROX_KERNEL` environment variable (`auto`, `scalar`, `avx2`);
+//!    (`ExecOptions::kernel` / `MatRoxParams::kernel` upstream), resolved
+//!    once per prepared plan, factor or solve by
+//!    [`KernelDispatch::for_choice`];
+//! 2. the `MATROX_KERNEL` environment variable (`auto`, `scalar`, `avx2`),
+//!    read once per process ([`KernelDispatch::global`], what `Auto` and the
+//!    option-less callers — the baselines, [`crate::matmul`],
+//!    [`crate::gemm_panel`] — take);
 //! 3. runtime CPU feature detection (`auto`).
 //!
 //! The dispatch is the architecture and nothing else.  Each of its four
@@ -57,8 +63,9 @@
 //! ascending, no zero-skipping), so they return the same bits; results
 //! **do** differ between scalar and SIMD (FMA rounds once, mul+add rounds
 //! twice).  Switching between scalar and SIMD is the one knob that moves
-//! results, which is why the selection is made once and logged rather than
-//! decided per call site.
+//! results, which is why the selection is resolved once per plan, factor
+//! or solve and passed to every product it issues, never decided per call
+//! site: one model's evaluation, factor and solve run on one arm.
 //!
 //! ```
 //! use matrox_linalg::kernel::{KernelChoice, KernelDispatch};

@@ -11,30 +11,34 @@
 //!   operations the rest of the workspace needs.
 //! * [`mod@gemm`] — the front-ends of the one product: [`gemm_seq`]
 //!   (`C ← α op(A) op(B) + βC` on the scalar reference) and [`matmul`] on
-//!   [`Matrix`] values, [`gemm_panel`] / [`gemm_tn_slices`] on raw slices,
-//!   and the scalar arm's strided loop.
+//!   [`Matrix`] values, [`gemm_panel`] on raw slices, and the scalar arm's
+//!   strided loop.
 //! * [`mod@kernel`] — the kernel layer under those products: a
 //!   register-blocked AVX2+FMA microkernel (on the operands in place, or
 //!   packed when they are large) with runtime feature detection,
 //!   the portable scalar fallback, and the [`KernelDispatch`] every hot
-//!   caller resolves once (overridable via `MATROX_KERNEL=auto|scalar|avx2`).
+//!   caller resolves once from its options (`Auto` defers to
+//!   `MATROX_KERNEL=auto|scalar|avx2`, then to CPU detection).
 //!   See its module docs for the block sizes, the packing formats and the
 //!   bitwise-determinism contract.
 //! * [`qr`] — Householder column-pivoted QR (Businger–Golub) with adaptive
 //!   rank detection; forms `R` in place and never `Q`.
 //! * [`chol`] — blocked dense Cholesky with a symmetric rank-`k` trailing
-//!   update; factors the ULV leaf blocks and the dense solver baseline.
+//!   update; factors the ULV leaf blocks and the dense solver baseline, on
+//!   the [`KernelDispatch`] its caller passes.
 //! * [`lu`] — partial-pivoted LU for the small nonsymmetric sibling-merge
-//!   systems of the HSS factorization.
+//!   systems of the HSS factorization, likewise on the caller's dispatch.
 //! * [`id`] — row/column interpolative decompositions built on top of the
 //!   pivoted QR; this is the compression workhorse of MatRox.
 //! * [`norms`] — Frobenius norms and relative-error helpers used by the
 //!   accuracy experiments (Figure 9 of the paper).
 //!
 //! All evaluation strategies in the workspace (MatRox itself as well as the
-//! GOFMM-, STRUMPACK- and SMASH-style baselines) run the same process-wide
-//! [`KernelDispatch`], so the relative performance the benchmark reports is
-//! not skewed by different BLAS backends.  The scalar reference [`gemm_seq`]
+//! GOFMM-, STRUMPACK- and SMASH-style baselines) run the same kernel layer:
+//! MatRox's executor, factor and solve on the [`KernelDispatch`] their
+//! `ExecOptions` resolve (by default the process-wide one), the baselines on
+//! the process-wide [`KernelDispatch::global`], so the relative performance
+//! the benchmark reports is not skewed by different BLAS backends.  The scalar reference [`gemm_seq`]
 //! is the tests' oracle (and `matrox_compress::reference`'s kernel), never a
 //! timed evaluator's.
 //!
@@ -71,10 +75,9 @@ pub mod qr;
 pub mod solve;
 
 pub use chol::{
-    cholesky, cholesky_solve, cholesky_solve_in_place, cholesky_solve_matrix, syrk_lower,
-    NotPositiveDefinite,
+    cholesky, cholesky_solve, cholesky_solve_in_place, cholesky_solve_matrix, NotPositiveDefinite,
 };
-pub use gemm::{gemm_panel, gemm_seq, gemm_tn_slices, matmul, GemmOp};
+pub use gemm::{gemm_panel, gemm_seq, matmul, GemmOp};
 pub use id::{column_id, row_id, row_id_of_transpose, IdResult};
 pub use kernel::{simd_available, KernelChoice, KernelDispatch};
 pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};

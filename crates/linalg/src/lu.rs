@@ -37,16 +37,16 @@ pub struct LuFactors {
     pub piv: Vec<usize>,
 }
 
-/// Factor a square matrix with partial pivoting.
+/// Factor a square matrix with partial pivoting; the trailing updates run
+/// on `disp`.
 ///
 /// # Panics
 /// Panics if `a` is not square.
-pub fn lu_factor(a: &Matrix) -> Result<LuFactors, SingularMatrix> {
+pub fn lu_factor(a: &Matrix, disp: KernelDispatch) -> Result<LuFactors, SingularMatrix> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "lu_factor: matrix must be square");
     let mut lu = a.clone();
     let mut piv = Vec::with_capacity(n);
-    let disp = KernelDispatch::global();
     let data = lu.as_mut_slice();
     for k in 0..n {
         // Partial pivot: the largest magnitude in column k at or below row k.
@@ -112,6 +112,7 @@ pub fn lu_solve_in_place(f: &LuFactors, x: &mut [f64], q: usize) {
 mod tests {
     use super::*;
     use crate::gemm::matmul;
+    use crate::kernel::KernelChoice;
     use crate::norms::relative_error;
     use crate::solve::testing::*;
     use rand::SeedableRng;
@@ -125,17 +126,26 @@ mod tests {
                 a[(i, i)] += 3.0; // keep comfortably nonsingular
             }
             let x_true = Matrix::from_fn(n, 3, |i, j| ((i + 2 * j) as f64 * 0.37).cos());
-            let mut x = matmul(&a, &x_true);
-            let f = lu_factor(&a).unwrap();
-            lu_solve_in_place(&f, x.as_mut_slice(), 3);
-            assert!(relative_error(&x, &x_true) < 1e-11, "n = {n}");
+            for disp in [
+                KernelDispatch::scalar(),
+                KernelDispatch::resolve(KernelChoice::Auto),
+            ] {
+                let mut x = matmul(&a, &x_true);
+                let f = lu_factor(&a, disp).unwrap();
+                lu_solve_in_place(&f, x.as_mut_slice(), 3);
+                assert!(
+                    relative_error(&x, &x_true) < 1e-11,
+                    "{}, n = {n}",
+                    disp.name()
+                );
+            }
         }
     }
 
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let f = lu_factor(&a).unwrap();
+        let f = lu_factor(&a, KernelDispatch::scalar()).unwrap();
         let mut x = [2.0, 3.0];
         lu_solve_in_place(&f, &mut x, 1);
         assert!((x[0] - 3.0).abs() < 1e-14);
@@ -145,12 +155,12 @@ mod tests {
     #[test]
     fn singular_matrix_is_an_error() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(lu_factor(&a).is_err());
+        assert!(lu_factor(&a, KernelDispatch::scalar()).is_err());
     }
 
     #[test]
     fn empty_system_solves_trivially() {
-        let f = lu_factor(&Matrix::zeros(0, 0)).unwrap();
+        let f = lu_factor(&Matrix::zeros(0, 0), KernelDispatch::scalar()).unwrap();
         lu_solve_in_place(&f, &mut [], 4);
     }
 

@@ -284,11 +284,6 @@ impl Matrix {
         }
     }
 
-    /// Maximum absolute element; 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
     /// True when every element is finite (no NaN, no infinity).  The public
     /// evaluation and solve entry points screen their inputs with this so a
     /// poisoned request is rejected up front instead of propagating NaNs
@@ -456,12 +451,6 @@ mod tests {
     #[should_panic]
     fn from_vec_panics_on_bad_length() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn max_abs_finds_largest_magnitude() {
-        let m = Matrix::from_rows(&[vec![1.0, -5.0], vec![3.0, 2.0]]);
-        assert_eq!(m.max_abs(), 5.0);
     }
 
     #[test]

@@ -11,11 +11,6 @@ pub fn frobenius_norm(a: &Matrix) -> f64 {
     a.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Frobenius norm of a raw slice (treated as a flat vector).
-pub fn frobenius_norm_slice(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Relative Frobenius error `||a - b||_F / ||b||_F`.
 ///
 /// When `b` is exactly zero the absolute error `||a||_F` is returned instead,
@@ -65,11 +60,5 @@ mod tests {
         let a = Matrix::filled(2, 2, 3.0);
         let b = Matrix::zeros(2, 2);
         assert!((relative_error(&a, &b) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slice_norm_matches_matrix_norm() {
-        let m = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-        assert_eq!(frobenius_norm(&m), frobenius_norm_slice(m.as_slice()));
     }
 }

@@ -55,12 +55,21 @@ impl NetClient {
     /// pipelined on the connection and may be answered out of order.
     ///
     /// # Errors
+    /// [`MatroxError::InvalidInput`] if the encoded request exceeds the
+    /// frame payload cap (nothing is written, the connection stays usable);
     /// [`MatroxError::Io`] if the socket write fails.
     pub fn send(&mut self, req: &Request) -> Result<u64, MatroxError> {
+        let payload = req.encode();
+        if payload.len() > self.max_frame_bytes {
+            return Err(MatroxError::InvalidInput(format!(
+                "request of {} bytes exceeds the {}-byte frame limit",
+                payload.len(),
+                self.max_frame_bytes
+            )));
+        }
         let corr = self.next_corr;
         self.next_corr += 1;
-        let frame = encode_frame(corr, &req.encode());
-        self.stream.write_all(&frame)?;
+        self.stream.write_all(&encode_frame(corr, &payload))?;
         Ok(corr)
     }
 

@@ -44,9 +44,18 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 /// Frame an encoded message for the socket:
 /// `[u32 len][u64 corr_id][payload]`, little-endian, where `len` counts the
 /// correlation id plus the payload.
+///
+/// # Panics
+/// Panics if that length does not fit the `u32` field (a payload of 4 GiB
+/// or more), rather than wrap it and desynchronize the stream.
 pub fn encode_frame(corr_id: u64, payload: &[u8]) -> Vec<u8> {
+    let len = payload.len() + 8;
+    assert!(
+        u32::try_from(len).is_ok(),
+        "frame of {len} bytes does not fit the u32 length field"
+    );
     let mut w = WireWriter::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    w.put_u32((payload.len() + 8) as u32);
+    w.put_u32(len as u32);
     w.put_u64(corr_id);
     w.put_bytes(payload);
     w.into_bytes()

@@ -319,7 +319,9 @@ impl Server {
     /// [`MatroxError::PoolPanic`] if the reactor died early (it propagates
     /// the panic context via the join).
     pub fn shutdown(mut self) -> Result<ServerStats, MatroxError> {
-        let stats = self.handle.stats();
+        // Flush first: queries still waiting out their coalescing window are
+        // served before the snapshot, so the statistics count them.
+        let stats = self.handle.flush().and_then(|()| self.handle.stats());
         let _ = self.handle.tx.send(Msg::Shutdown);
         if let Some(t) = self.thread.take() {
             if t.join().is_err() {

@@ -43,25 +43,6 @@ impl TenantStats {
             self.queries as f64 / self.batches as f64
         }
     }
-
-    /// Mean queue wait per query (`0.0` before the first query).
-    pub fn mean_queue_wait_seconds(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.queue_wait_seconds / self.queries as f64
-        }
-    }
-
-    /// Mean in-evaluator service time per query (`0.0` before the first
-    /// query).
-    pub fn mean_service_seconds(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.service_seconds / self.queries as f64
-        }
-    }
 }
 
 /// A point-in-time snapshot of everything the server counts.
@@ -81,21 +62,6 @@ impl ServerStats {
     pub fn tenant(&self, id: &str) -> Option<&TenantStats> {
         self.tenants.iter().find(|(t, _)| t == id).map(|(_, s)| s)
     }
-
-    /// Totals across tenants.
-    pub fn totals(&self) -> TenantStats {
-        let mut t = TenantStats::default();
-        for (_, s) in &self.tenants {
-            t.queries += s.queries;
-            t.batches += s.batches;
-            t.queue_wait_seconds += s.queue_wait_seconds;
-            t.service_seconds += s.service_seconds;
-            t.errors += s.errors;
-            t.contained_panics += s.contained_panics;
-            t.retried_queries += s.retried_queries;
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -103,45 +69,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tenant_means_are_total_over_count() {
+    fn mean_batch_width_is_queries_over_batches() {
         let t = TenantStats {
             queries: 20,
             batches: 4,
-            queue_wait_seconds: 2.0,
-            service_seconds: 5.0,
             ..Default::default()
         };
         assert!((t.mean_batch_width() - 5.0).abs() < 1e-12);
-        assert!((t.mean_queue_wait_seconds() - 0.1).abs() < 1e-12);
-        assert!((t.mean_service_seconds() - 0.25).abs() < 1e-12);
         let empty = TenantStats::default();
         assert_eq!(empty.mean_batch_width(), 0.0);
-        assert_eq!(empty.mean_queue_wait_seconds(), 0.0);
     }
 
     #[test]
-    fn totals_sum_tenants() {
-        let a = TenantStats {
-            queries: 3,
-            batches: 1,
-            errors: 1,
-            ..Default::default()
-        };
+    fn tenant_looks_up_by_id() {
         let b = TenantStats {
             queries: 5,
-            batches: 2,
-            contained_panics: 1,
             ..Default::default()
         };
         let s = ServerStats {
-            tenants: vec![("a".into(), a), ("b".into(), b)],
+            tenants: vec![("a".into(), TenantStats::default()), ("b".into(), b)],
             ..Default::default()
         };
-        let t = s.totals();
-        assert_eq!(t.queries, 8);
-        assert_eq!(t.batches, 3);
-        assert_eq!(t.errors, 1);
-        assert_eq!(t.contained_panics, 1);
         assert_eq!(s.tenant("b").map(|x| x.queries), Some(5));
         assert!(s.tenant("zzz").is_none());
     }

@@ -387,6 +387,29 @@ fn decode_error_replies_cleanly_and_the_connection_survives() {
     server.shutdown().expect("server shutdown");
 }
 
+#[test]
+fn an_oversized_request_is_refused_before_it_is_sent() {
+    let n = 128;
+    let (server, net, reference) = serve_net(
+        n,
+        ServeConfig::default().with_max_batch(1),
+        NetConfig::default(),
+    );
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    // 17 MiB of right-hand side: over the 16 MiB frame payload cap.
+    let huge = vec![0.5; (17 << 20) / 8];
+    match client.query("m", "t", huge) {
+        Err(MatroxError::InvalidInput(_)) => {}
+        other => panic!("expected InvalidInput, got {other:?}"),
+    }
+    // Nothing reached the socket, so the same connection still serves.
+    let reply = client.query("m", "t", rhs(n, 0)).expect("served");
+    let expected = reference.evaluate_vec(&rhs(n, 0)).expect("reference");
+    assert!(bitwise_eq(&reply.y, &expected));
+    net.shutdown().expect("net shutdown");
+    server.shutdown().expect("server shutdown");
+}
+
 /// Read exactly one `[len][corr][payload]` frame off a blocking socket.
 fn read_one_frame(stream: &mut TcpStream) -> Option<(u64, Vec<u8>)> {
     let mut header = [0u8; 12];

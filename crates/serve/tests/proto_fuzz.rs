@@ -1,9 +1,10 @@
 //! Protocol corruption fuzz: the wire decoders must survive *any*
 //! single-byte corruption of an encoded `Request` / `Response`.
 //!
-//! Same contract as the PR-7 model-reader fuzz (`crates/core/tests/
-//! corruption_fuzz.rs`), extended to the serving protocol: for every byte
-//! position and several XOR masks, the corrupted message must either
+//! Same contract as the model-reader fuzz (`tests/corruption_fuzz.rs` at
+//! the root), extended to the serving protocol: for every byte position
+//! (every seventh in debug builds) and several XOR masks, the corrupted
+//! message must either
 //!
 //! * be rejected with an `Err` (never a panic), or
 //! * decode into a message whose re-encoding is bitwise identical to the

@@ -332,6 +332,29 @@ fn max_batch_flushes_without_waiting_out_the_window() {
 }
 
 #[test]
+fn shutdown_serves_and_counts_queries_still_in_their_window() {
+    let n = 128;
+    let session = matvec_session(n, 17);
+    let server = Server::spawn(
+        ServeConfig::default()
+            .with_max_batch(8)
+            // Far longer than the test: only the shutdown can flush them.
+            .with_coalesce_window(Duration::from_secs(10)),
+    )
+    .expect("spawn");
+    let handle = server.handle();
+    handle
+        .insert_model("m", Model::Matvec(Arc::new(session)))
+        .expect("insert");
+    let pending: Vec<_> = (0..3).map(|j| handle.query("m", "t", rhs(n, j))).collect();
+    let stats = server.shutdown().expect("shutdown");
+    assert_eq!(stats.tenant("t").map(|t| t.queries), Some(3));
+    for p in pending {
+        p.wait().expect("served before the reactor stopped");
+    }
+}
+
+#[test]
 fn op_enum_displays_for_error_messages() {
     assert_eq!(Op::Matvec.to_string(), "matvec");
     assert_eq!(Op::Solve.to_string(), "solve");

@@ -15,9 +15,11 @@
 //! and the parser must never allocate more than 16 MiB in a single request,
 //! no matter what the corrupted length fields claim — the
 //! remaining-bytes-capped `Vec::with_capacity` hardening, pinned with the
-//! shared allocation probe (`support/alloc_probe.rs`), which also owns the
-//! sweep itself; the protocol sweep (`crates/serve/tests/proto_fuzz.rs`)
-//! runs the same one over `MATROXS1`.
+//! shared allocation probe (`crates/core/tests/support/alloc_probe.rs`),
+//! which also owns the sweep itself; the protocol sweep
+//! (`crates/serve/tests/proto_fuzz.rs`) runs the same one over `MATROXS1`.
+//! Debug builds flip every seventh byte, release builds every byte (CI's
+//! corruption-fuzz step).
 //!
 //! Single-byte flips cannot reach every malformed model, so the second half
 //! of this file re-encodes *structured* mutations of a healthy model — each
@@ -27,14 +29,14 @@
 //! imply "prepare / evaluate / solve cannot panic" (DESIGN.md, "Model
 //! well-formedness").
 
-use matrox_core::{
+use matrox::core::{
     from_bytes, from_bytes_factored, inspector, to_bytes, to_bytes_factored, FactoredHMatrix,
     HMatrix, MatRoxParams, MatroxError,
 };
-use matrox_linalg::Matrix;
-use matrox_points::{generate, DatasetId, Kernel};
+use matrox::linalg::Matrix;
+use matrox::points::{generate, DatasetId, Kernel};
 
-#[path = "support/alloc_probe.rs"]
+#[path = "../crates/core/tests/support/alloc_probe.rs"]
 mod alloc_probe;
 use alloc_probe::fuzz_single_byte_flips;
 

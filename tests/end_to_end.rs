@@ -4,7 +4,7 @@
 
 use matrox::baselines::{DenseBaseline, GofmmEvaluator, SmashEvaluator, StrumpackEvaluator};
 use matrox::compress::{compress, reference_evaluate, CompressionParams};
-use matrox::linalg::relative_error;
+use matrox::linalg::{relative_error, KernelChoice, KernelDispatch};
 use matrox::points::dense_kernel_matmul;
 use matrox::sampling::sample_nodes;
 use matrox::tree::{ClusterTree, HTree};
@@ -12,6 +12,7 @@ use matrox::{
     generate, inspector, inspector_p1, inspector_p2, DatasetId, ExecOptions, Kernel, MatRoxParams,
     Matrix, Structure,
 };
+use matrox_bench::solve_setting;
 use rand::SeedableRng;
 
 fn rhs(n: usize, q: usize, seed: u64) -> Matrix {
@@ -234,4 +235,47 @@ fn dense_baseline_matches_hmatrix_within_accuracy() {
         &dense.evaluate_assembled(&w),
     );
     assert!(err < 1e-2, "error vs dense {err}");
+}
+
+/// The factor and the solve run on the kernel their options name, as the
+/// executor does: under `with_kernel(Scalar)` both return other bits than
+/// under `with_kernel(Avx2)`, while the two SIMD arms (`Auto` on an AVX-512
+/// host, and `Avx2`) return the same ones.  Skips where `Avx2` resolves to
+/// the scalar arm (Miri, or a host without AVX2+FMA).
+#[test]
+fn factor_and_solve_run_on_the_kernel_their_options_name() {
+    if !KernelDispatch::resolve(KernelChoice::Avx2).is_simd() {
+        println!("avx2 resolves to scalar here: one arm, nothing to compare");
+        return;
+    }
+    let n = 512;
+    let points = generate(DatasetId::Grid, n, 3);
+    let (kernel, params) = solve_setting(n, 1e-7);
+    let h = inspector(&points, &kernel, &params).expect("inspector");
+    let b = rhs(n, 3, 5);
+    let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let opts = |kernel| ExecOptions::full().with_kernel(kernel);
+    let factor_bits = |kernel| {
+        let f = h.factorize_with(&opts(kernel)).expect("factor").factor;
+        let leaves = f.leaves.into_iter().flatten();
+        let parts = leaves.flat_map(|l| [l.chol, l.e]);
+        let parts = parts.chain(f.merges.into_iter().flatten().flat_map(|m| [m.lu.lu, m.t]));
+        parts.flat_map(|m| bits(&m)).collect::<Vec<_>>()
+    };
+    let on_avx2 = h.factorize_with(&opts(KernelChoice::Avx2)).expect("factor");
+    let solve_bits = |kernel| bits(&on_avx2.solve_matrix_with(&b, &opts(kernel)).expect("solve"));
+    assert_ne!(
+        factor_bits(KernelChoice::Scalar),
+        factor_bits(KernelChoice::Avx2),
+        "the factor ignored with_kernel(Scalar)"
+    );
+    assert_ne!(
+        solve_bits(KernelChoice::Scalar),
+        solve_bits(KernelChoice::Avx2),
+        "the solve ignored with_kernel(Scalar)"
+    );
+    if KernelDispatch::for_choice(KernelChoice::Auto).is_simd() {
+        assert!(factor_bits(KernelChoice::Auto) == factor_bits(KernelChoice::Avx2));
+        assert!(solve_bits(KernelChoice::Auto) == solve_bits(KernelChoice::Avx2));
+    }
 }
