@@ -6,12 +6,15 @@
 //! [`HMatrix`] handle: the cluster tree, the lowering decisions, the coarsen
 //! set and the CDS buffers.  The format is little-endian and versioned by a
 //! magic header: this build writes and reads `MATROX2` (`MATROX02`) and
-//! `MATROXF2`, which store each fact once — one generator window per node
+//! `MATROXF3`, which store each fact once — one generator window per node
 //! (DESIGN.md substitution S8), no blockset tables beside the CDS entry
 //! tables that already are them, one window per off-diagonal twin pair
-//! (DESIGN.md substitution S9), the tree's height and nothing else's.  There
-//! is no reader for the `MATROX1` / `MATROXF1` layouts; their magic is a
-//! `Format` error naming it.
+//! (DESIGN.md substitution S9), the tree's height and nothing else's.
+//! `MATROXF3` stores the factor as the solve applies it: per leaf
+//! `D_i^{-1}` and `E_i`, per merge `M_p^{-1}` and `T_p`.  There is no reader
+//! for the `MATROX1` / `MATROXF1` / `MATROXF2` layouts (`MATROXF2` stored
+//! Cholesky and LU factors with pivots); their magic is a `Format` error
+//! naming it.
 //!
 //! A near or coupling block entry is five `u64` fields (target, source,
 //! offset, rows, cols) and one flag byte: `0` for a block stored in its own
@@ -28,7 +31,7 @@
 //! *model* — tree topology, plan tables against the tree, factor slots
 //! against the plan — is not defined here: the readers run the one shared
 //! definition, [`EvalPlan::validate`](matrox_analysis::EvalPlan::validate)
-//! (`MATROX2`) or [`HssFactor::validate`] (`MATROXF2`, which includes the
+//! (`MATROX2`) or [`HssFactor::validate`] (`MATROXF3`, which includes the
 //! former), after the stream is consumed, and report its message as
 //! `Format`.  The executor and the solver run the same functions, so the
 //! contract enforced by the corruption-fuzz suite is: for any byte stream, a
@@ -45,7 +48,7 @@ use matrox_analysis::{
     Cds, CdsBlockEntry, CoarsenSet, EvalPlan, GeneratorEntry, GroupRange, LoweringDecisions,
 };
 use matrox_factor::{FactorTimings, HssFactor, LeafFactor, MergeFactor};
-use matrox_linalg::{LuFactors, Matrix};
+use matrox_linalg::Matrix;
 use matrox_points::Kernel;
 use matrox_tree::{ClusterTree, Structure, TreeNode};
 use std::path::Path;
@@ -53,7 +56,7 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"MATROX02";
 /// Magic header of a *factored* HMatrix file (`hmat.ulv`): the compressed
 /// matrix followed by its ULV-style factorization.
-const MAGIC_FACTORED: &[u8; 8] = b"MATROXF2";
+const MAGIC_FACTORED: &[u8; 8] = b"MATROXF3";
 
 /// A count-prefixed value buffer.  No valid model stores a NaN or infinity,
 /// and accepting one would poison every later evaluation.
@@ -523,7 +526,7 @@ fn put_factor(w: &mut WireWriter, f: &HssFactor) {
             Some(lf) => {
                 w.put_bool(true);
                 w.put_usize(lf.node);
-                put_matrix(w, &lf.chol);
+                put_matrix(w, &lf.dinv);
                 put_matrix(w, &lf.e);
             }
             None => w.put_bool(false),
@@ -535,8 +538,7 @@ fn put_factor(w: &mut WireWriter, f: &HssFactor) {
             Some(mf) => {
                 w.put_bool(true);
                 w.put_usize(mf.node);
-                put_matrix(w, &mf.lu.lu);
-                w.put_usize_slice(&mf.lu.piv);
+                put_matrix(w, &mf.minv);
                 put_matrix(w, &mf.t);
             }
             None => w.put_bool(false),
@@ -553,7 +555,7 @@ fn get_factor(r: &mut WireReader<'_>) -> Result<HssFactor, MatroxError> {
         leaves.push(if r.take_bool("leaf factor presence")? {
             Some(LeafFactor {
                 node: r.take_usize("leaf factor node")?,
-                chol: get_matrix(r)?,
+                dinv: get_matrix(r)?,
                 e: get_matrix(r)?,
             })
         } else {
@@ -566,10 +568,7 @@ fn get_factor(r: &mut WireReader<'_>) -> Result<HssFactor, MatroxError> {
         merges.push(if r.take_bool("merge factor presence")? {
             Some(MergeFactor {
                 node: r.take_usize("merge factor node")?,
-                lu: LuFactors {
-                    lu: get_matrix(r)?,
-                    piv: r.take_usize_vec("merge factor pivots")?,
-                },
+                minv: get_matrix(r)?,
                 t: get_matrix(r)?,
             })
         } else {
@@ -630,7 +629,7 @@ pub fn load_factored(path: &Path) -> Result<FactoredHMatrix, MatroxError> {
 pub enum ModelFile {
     /// A `MATROX2` file written by [`save`].
     Compressed(HMatrix),
-    /// A `MATROXF2` file written by [`save_factored`].
+    /// A `MATROXF3` file written by [`save_factored`].
     Factored(FactoredHMatrix),
 }
 
@@ -719,13 +718,13 @@ mod tests {
         let dir = std::env::temp_dir().join("matrox_io_old_magic_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("hmat.cds");
-        for old in [b"MATROX01", b"MATROXF1"] {
+        for old in [b"MATROX01", b"MATROXF1", b"MATROXF2"] {
             image[..8].copy_from_slice(old);
             std::fs::write(&path, &image).unwrap();
             let refusals = [
                 (from_bytes(&image).err(), &["MATROX02"][..]),
-                (from_bytes_factored(&image).err(), &["MATROXF2"]),
-                (load_model(&path).err(), &["MATROX02", "MATROXF2"]),
+                (from_bytes_factored(&image).err(), &["MATROXF3"]),
+                (load_model(&path).err(), &["MATROX02", "MATROXF3"]),
             ];
             for (err, reads) in refusals {
                 let Some(MatroxError::Format(m)) = err else {
@@ -759,7 +758,7 @@ mod tests {
             let err = from_bytes_factored(&bytes[..len]).unwrap_err();
             assert!(
                 matches!(err, MatroxError::Format(_)),
-                "MATROXF2 prefix {len}"
+                "MATROXF3 prefix {len}"
             );
         }
     }

@@ -2,7 +2,7 @@
 //! written and read.
 //!
 //! Every byte format of the workspace is coded through this pair of cursor
-//! types — the `MATROX2` / `MATROXF2` model files ([`crate::io`]) and the
+//! types — the `MATROX2` / `MATROXF3` model files ([`crate::io`]) and the
 //! `MATROXS1` serving protocol (`matrox_serve::proto`).  A model file comes
 //! from disk and a request from a socket, so every decoded stream is
 //! **untrusted input**, and all three formats inherit one contract:

@@ -216,8 +216,8 @@ fn factor_bits(f: &HssFactor) -> Vec<u64> {
     let leaves = f.leaves.iter().flatten();
     let merges = f.merges.iter().flatten();
     let parts = leaves
-        .flat_map(|l| [&l.chol, &l.e])
-        .chain(merges.flat_map(|m| [&m.lu.lu, &m.t]));
+        .flat_map(|l| [&l.dinv, &l.e])
+        .chain(merges.flat_map(|m| [&m.minv, &m.t]));
     parts.flat_map(bits).collect()
 }
 

@@ -3,8 +3,8 @@
 use matrox_analysis::EvalPlan;
 use matrox_exec::ExecOptions;
 use matrox_linalg::{
-    cholesky, cholesky_solve_in_place, lu_factor, lu_solve_in_place, KernelDispatch, LuFactors,
-    Matrix,
+    cholesky, cholesky_inverse, cholesky_solve_in_place, lu_factor, lu_inverse, lu_solve_in_place,
+    KernelDispatch, Matrix,
 };
 use matrox_tree::{ensure, ClusterTree};
 use rayon::prelude::*;
@@ -62,11 +62,12 @@ impl std::error::Error for FactorError {}
 /// `InspectorTimings` for the inspector phases.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FactorTimings {
-    /// Leaf phase: dense Cholesky of every diagonal block plus the
-    /// `E_i = D_i^{-1} U_i` solves.
+    /// Leaf phase: dense Cholesky of every diagonal block, the
+    /// `E_i = D_i^{-1} U_i` substitutions and the inverses `D_i^{-1}`.
     pub leaf_cholesky: Duration,
-    /// Merge phase: assembling and LU-factoring the sibling systems and
-    /// propagating the reduced matrices `G_i` up the tree.
+    /// Merge phase: assembling and LU-factoring the sibling systems, the
+    /// `T_p` substitutions, the inverses `M_p^{-1}`, and propagating the
+    /// reduced matrices `G_i` up the tree.
     pub merge: Duration,
     /// Number of ridge-escalation retries the breakdown-recovery loop needed
     /// before the factorization succeeded (0 = first attempt was clean).
@@ -85,15 +86,18 @@ impl FactorTimings {
     }
 }
 
-/// Per-leaf factors: the Cholesky factor of the diagonal block and the
-/// pre-solved basis `E_i = D_i^{-1} U_i` reused by every solve.
+/// Per-leaf factors: the inverse of the diagonal block and the pre-solved
+/// basis `E_i = D_i^{-1} U_i` reused by every solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafFactor {
     /// Leaf node id.
     pub node: usize,
-    /// Lower Cholesky factor `L_i` of the leaf diagonal block.
-    pub chol: Matrix,
-    /// `E_i = D_i^{-1} U_i` (`n_i x srank_i`).
+    /// `D_i^{-1}` (`n_i x n_i`, symmetric), formed from the Cholesky factor
+    /// of the (ridge-shifted) leaf diagonal block: the upward sweep's
+    /// `y_i = D_i^{-1} b_i` is one product.
+    pub dinv: Matrix,
+    /// `E_i = D_i^{-1} U_i` (`n_i x srank_i`), by substitution against the
+    /// Cholesky factor.
     pub e: Matrix,
 }
 
@@ -102,12 +106,14 @@ pub struct LeafFactor {
 pub struct MergeFactor {
     /// Internal node id `p` (children `l`, `r`).
     pub node: usize,
-    /// Packed LU of `M_p = [I, G_l B_{l,r}; G_r B_{r,l}, I]`
-    /// (`(k_l + k_r)` square).
-    pub lu: LuFactors,
-    /// `T_p = M_p^{-1} [G_l R_l; G_r R_r]` (`(k_l + k_r) x k_p`): maps the
-    /// outer skeleton load `s_p` to the correction of the children's
-    /// skeleton coefficients during the downward sweep.
+    /// `M_p^{-1}` of `M_p = [I, G_l B_{l,r}; G_r B_{r,l}, I]`
+    /// (`(k_l + k_r)` square), formed from its partial-pivoted LU: the
+    /// upward sweep's `t_p = M_p^{-1} [bhat_l; bhat_r]` is one product.
+    pub minv: Matrix,
+    /// `T_p = M_p^{-1} [G_l R_l; G_r R_r]` (`(k_l + k_r) x k_p`), by
+    /// substitution against the LU: maps the outer skeleton load `s_p` to
+    /// the correction of the children's skeleton coefficients during the
+    /// downward sweep.
     pub t: Matrix,
 }
 
@@ -131,20 +137,21 @@ pub struct HssFactor {
 }
 
 impl HssFactor {
-    /// Bytes of factor payload (Cholesky factors, pre-solved bases, merge
-    /// systems) — the storage the solver adds on top of the CDS buffers.
+    /// Bytes of factor payload (the inverses of the leaf blocks and merge
+    /// systems, the pre-solved bases and `T_p` maps) — the storage the
+    /// solver adds on top of the CDS buffers.
     pub fn storage_bytes(&self) -> usize {
         let leaf: usize = self
             .leaves
             .iter()
             .flatten()
-            .map(|l| l.chol.len() + l.e.len())
+            .map(|l| l.dinv.len() + l.e.len())
             .sum();
         let merge: usize = self
             .merges
             .iter()
             .flatten()
-            .map(|m| m.lu.lu.len() + m.lu.piv.len() + m.t.len())
+            .map(|m| m.minv.len() + m.t.len())
             .sum();
         (leaf + merge) * std::mem::size_of::<f64>()
     }
@@ -280,13 +287,13 @@ impl HssFactor {
     /// * **F3** `n` is the tree's point count and there is one leaf and one
     ///   merge slot per node; a leaf holds exactly a [`LeafFactor`], an
     ///   internal node exactly a [`MergeFactor`], each naming its node;
-    /// * **F4** shapes: `chol` is `points x points` and `e` is
-    ///   `points x srank`; with `m` the children's summed sranks, `lu` is
-    ///   `m x m`, `piv` has `m` entries below `m`, and `t` is `m x srank`;
-    /// * **F5** pivots: every diagonal entry of a `chol` is finite and
-    ///   positive, every diagonal entry of an `lu` finite and non-zero —
-    ///   what [`cholesky`] / [`lu_factor`] guarantee on success, and what
-    ///   the substitution kernels divide by.
+    /// * **F4** shapes: `dinv` is `points x points` and `e` is
+    ///   `points x srank`; with `m` the children's summed sranks, `minv` is
+    ///   `m x m` and `t` is `m x srank`;
+    /// * **F5** every diagonal entry of a `dinv` is finite and positive, as
+    ///   it is in the inverse of any SPD block (and in what
+    ///   [`cholesky_inverse`] returns: sums of squares).  Nothing divides by
+    ///   a stored entry, so the merge inverses carry no such condition.
     ///
     /// # Errors
     /// [`FactorError::PlanMismatch`] for a malformed plan and for F3 – F5,
@@ -319,15 +326,11 @@ impl HssFactor {
             let fits = match (node.children, &self.leaves[id], &self.merges[id]) {
                 (None, Some(lf), None) => {
                     let ni = node.num_points();
-                    lf.node == id && lf.chol.shape() == (ni, ni) && lf.e.shape() == (ni, k)
+                    lf.node == id && lf.dinv.shape() == (ni, ni) && lf.e.shape() == (ni, k)
                 }
                 (Some((l, r)), None, Some(mf)) => {
                     let m = sranks[l] + sranks[r];
-                    mf.node == id
-                        && mf.lu.lu.shape() == (m, m)
-                        && mf.lu.piv.len() == m
-                        && mf.lu.piv.iter().all(|&p| p < m)
-                        && mf.t.shape() == (m, k)
+                    mf.node == id && mf.minv.shape() == (m, m) && mf.t.shape() == (m, k)
                 }
                 _ => false,
             };
@@ -338,15 +341,16 @@ impl HssFactor {
                      factor computed from a different plan or tree?"
                 ))
             })?;
-            let diag = |m: &Matrix, ok: fn(f64) -> bool| (0..m.rows()).all(|i| ok(m.get(i, i)));
-            let pivots = match (&self.leaves[id], &self.merges[id]) {
-                (Some(lf), _) => diag(&lf.chol, |d| d.is_finite() && d > 0.0),
-                (_, Some(mf)) => diag(&mf.lu.lu, |d| d.is_finite() && d != 0.0),
-                _ => true,
-            };
-            ensure(pivots, || {
+            let positive = self.leaves[id].as_ref().is_none_or(|lf| {
+                (0..lf.dinv.rows()).all(|i| {
+                    let d = lf.dinv.get(i, i);
+                    d.is_finite() && d > 0.0
+                })
+            });
+            ensure(positive, || {
                 mismatch(format!(
-                    "{kind} factor of node {id} has a zero, negative or non-finite pivot"
+                    "leaf factor of node {id} has a zero, negative or non-finite diagonal entry \
+                     in its inverse"
                 ))
             })?;
         }
@@ -359,7 +363,7 @@ impl HssFactor {
 /// `opts.parallel_tree` selects the level-parallel sweeps (the per-node
 /// arithmetic is identical either way, so results are bitwise independent of
 /// the choice and of the pool width); `opts.grain` is honored exactly as in
-/// the executor, and every product, Cholesky and LU runs on the
+/// the executor, and every product, Cholesky, LU and inverse runs on the
 /// [`KernelDispatch`] `opts.kernel` resolves, as the executor's do.
 pub fn factor(
     plan: &EvalPlan,
@@ -467,8 +471,9 @@ pub fn factor_with_ridge(
     })
 }
 
-/// Leaf step: Cholesky of the diagonal block, `E_i = D_i^{-1} U_i`,
-/// `G_i = V_i^T E_i`.
+/// Leaf step: Cholesky of the diagonal block, `E_i = D_i^{-1} U_i` by
+/// substitution against it, `G_i = V_i^T E_i`, and `D_i^{-1}` for the
+/// solve.
 fn factor_leaf(
     disp: KernelDispatch,
     plan: &EvalPlan,
@@ -492,6 +497,7 @@ fn factor_leaf(
         pivot: e.pivot,
         value: e.value,
     })?;
+    let dinv = cholesky_inverse(&chol, disp);
     let (v, rows, k) = cds.v(id);
     let (e, gi) = if k == 0 {
         (Matrix::zeros(ni, 0), Matrix::zeros(0, 0))
@@ -503,12 +509,14 @@ fn factor_leaf(
         disp.gemm_tn(v, rows, k, e.as_slice(), k, gi.as_mut_slice());
         (e, gi)
     };
-    Ok((id, LeafFactor { node: id, chol, e }, gi))
+    Ok((id, LeafFactor { node: id, dinv, e }, gi))
 }
 
 /// Merge step for internal node `p`: assemble and LU-factor
-/// `M_p = [I, G_l B_{l,r}; G_r B_{r,l}, I]`, then push the reduced matrix
-/// through the transfer matrices: `G_p = W_p^T M_p^{-1} [G_l R_l; G_r R_r]`.
+/// `M_p = [I, G_l B_{l,r}; G_r B_{r,l}, I]`, push the reduced matrix
+/// through the transfer matrices, `G_p = W_p^T T_p` with
+/// `T_p = M_p^{-1} [G_l R_l; G_r R_r]` by substitution against the LU, and
+/// form `M_p^{-1}` for the solve.
 fn factor_internal(
     disp: KernelDispatch,
     plan: &EvalPlan,
@@ -547,6 +555,7 @@ fn factor_internal(
         }
     }
     let lu = lu_factor(&mm, disp).map_err(|_| FactorError::SingularMerge { node: id })?;
+    let minv = lu_inverse(&lu, disp);
 
     let kp = cds.sranks[id];
     let (t, gp) = if kp == 0 {
@@ -585,5 +594,5 @@ fn factor_internal(
         disp.gemm_tn(w, wrows, wcols, t.as_slice(), kp, gp.as_mut_slice());
         (t, gp)
     };
-    Ok((id, MergeFactor { node: id, lu, t }, gp))
+    Ok((id, MergeFactor { node: id, minv, t }, gp))
 }

@@ -18,20 +18,22 @@
 //! *below* `i`), the factorization computes bottom-up, per node, the small
 //! reduced matrix `G_i = V_i^T K_i^{-1} U_i` (`srank x srank`):
 //!
-//! * **leaf** — Cholesky `D_i = L_i L_i^T`, then `E_i = D_i^{-1} U_i` and
-//!   `G_i = V_i^T E_i`;
+//! * **leaf** — Cholesky `D_i = L_i L_i^T`, then `E_i = D_i^{-1} U_i` by
+//!   substitution and `G_i = V_i^T E_i`; the factor keeps `E_i` and the
+//!   explicit inverse `D_i^{-1}`;
 //! * **merge (internal node `p`, children `l`, `r`)** — eliminating both
 //!   children's interiors reduces `K_p z = c` to the `(k_l + k_r)`-square
 //!   system `M_p = [I, G_l B_{l,r}; G_r B_{r,l}, I]` in the children's
-//!   skeleton coefficients; `M_p` is factored with partial-pivoted LU, and
-//!   `G_p = W_p^T M_p^{-1} [G_l R_l; G_r R_r]` follows from the transfer
-//!   matrices alone — no large dense algebra above the leaves.
+//!   skeleton coefficients; `M_p` is factored with partial-pivoted LU,
+//!   `T_p = M_p^{-1} [G_l R_l; G_r R_r]` follows by substitution and
+//!   `G_p = W_p^T T_p` from the transfer matrices alone — no large dense
+//!   algebra above the leaves.  The factor keeps `T_p` and `M_p^{-1}`.
 //!
-//! The solve is two tree sweeps: an **upward sweep** (leaf forward/backward
-//! substitutions, then one small `M_p` solve per internal node) and a
-//! **downward sweep** that propagates outer skeleton loads `s_i` back down
-//! with nothing but small GEMMs, finishing with `x_i = y_i - E_i s_i` at the
-//! leaves.  Both sweeps are parallel over nodes within a tree level on the
+//! The solve is two tree sweeps made of products only: an **upward sweep**
+//! (`y_i = D_i^{-1} b_i` at the leaves, then `t_p = M_p^{-1} [bhat_l;
+//! bhat_r]` per internal node) and a **downward sweep** that propagates
+//! outer skeleton loads `s_i` back down, finishing with
+//! `x_i = y_i - E_i s_i` at the leaves.  Both sweeps are parallel over nodes within a tree level on the
 //! workspace's work-stealing pool; every node's arithmetic is sequential and
 //! identical at any pool width, so factor and solve are *bitwise
 //! deterministic* across thread counts, mirroring the executor's

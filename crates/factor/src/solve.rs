@@ -6,30 +6,33 @@
 //! [`LevelSchedule`]:
 //!
 //! * `xp`, the permuted panel: a leaf's rows hold `b_i`, then
-//!   `y_i = D_i^{-1} b_i` (solved in place), then `x_i = y_i - E_i s_i`;
+//!   `y_i = D_i^{-1} b_i`, then `x_i = y_i - E_i s_i`;
 //! * `tb`, one rank slot per node: node `c` writes `bhat_c = V_c^T y_c` into
 //!   its slot, which is its half of its parent's **stacked pair**
-//!   `[bhat_l; bhat_r]`; the parent solves `M_p` in place there (the pair now
-//!   holds `t_p`), and the downward pass corrects it in place to
-//!   `t'_p = t_p - T_p s_p`;
+//!   `[bhat_l; bhat_r]`; the parent replaces the pair with
+//!   `t_p = M_p^{-1} [bhat_l; bhat_r]`, and the downward pass corrects it in
+//!   place to `t'_p = t_p - T_p s_p`;
 //! * `sb`, the same slots: `s_c`, the outer skeleton load of node `c`;
-//! * `cx` / `ct`: where a product is formed before it is subtracted.
+//! * `cx` / `ct`, shaped like `xp` / `tb`: where a product is formed before
+//!   it replaces (upward) or is subtracted from (downward) its target.
 //!
 //! Nothing is allocated per node, per level or per panel.  Within a level
 //! every node owns its rows, its slot and its children's pair, and along the
 //! schedule those ascend without overlap, so a parallel level hands each task
 //! its part by `split_at_mut` (`LevelCarve`) — no `unsafe`.
 //!
-//! The arithmetic per node and per column is fixed (the substitution chains
-//! of `matrox_linalg::solve`, the products on the one `KernelDispatch` that
-//! `ExecOptions::kernel` resolves), so for a fixed kernel a solution column is
-//! bitwise independent of the pool width, the grain, the panel width, the
-//! number of columns solved with it and its position among them.
+//! Every step is a product with a stored block — `D_i^{-1}`, `M_p^{-1}`,
+//! `V`, `E_i`, `T_p`, `R`, `B` — on the one `KernelDispatch` that
+//! `ExecOptions::kernel` resolves; there is no substitution.  A product's
+//! per-element chain does not depend on the other columns, so for a fixed
+//! kernel a solution column is bitwise independent of the pool width, the
+//! grain, the panel width, the number of columns solved with it and its
+//! position among them.
 
 use crate::factor::{FactorError, HssFactor, HssIndex};
 use matrox_analysis::{Cds, EvalPlan};
 use matrox_exec::{requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
-use matrox_linalg::{cholesky_solve_in_place, lu_solve_in_place, KernelDispatch, Matrix};
+use matrox_linalg::{KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -192,39 +195,51 @@ impl Sweeps<'_> {
         ]
     }
 
-    /// Upward pass, deepest level first.  A leaf solves `y_i = D_i^{-1} b_i`
-    /// in its rows; an internal node solves `M_p t_p = [bhat_l; bhat_r]` in
-    /// its children's pair; either then writes `bhat = V^T (that solution)`
-    /// into its own slot.
-    fn up(&self, q: usize, xp: &mut [f64], tb: &mut [f64]) {
+    /// Upward pass, deepest level first.  A leaf replaces its rows `b_i`
+    /// with `y_i = D_i^{-1} b_i`; an internal node replaces its children's
+    /// pair with `t_p = M_p^{-1} [bhat_l; bhat_r]`; either product is formed
+    /// in `cx` / `ct` first, and either node then writes
+    /// `bhat = V^T (that solution)` into its own slot.
+    fn up(&self, q: usize, [xp, cx, tb, ct]: [&mut [f64]; 4]) {
         let s = &self.sched;
         for level in (0..s.num_levels()).rev() {
             let range = s.level(level);
             let cut = s.rank_at(range.end) * q;
             let (own, kids) = tb.split_at_mut(cut);
-            let span = |p: usize| self.spans(p, q);
-            let wins = [Window::at(xp, 0), Window::at(own, 0), Window::at(kids, cut)];
+            let span = |p: usize| {
+                let [rows, slot, pair] = self.spans(p, q);
+                [rows, rows, slot, pair, pair]
+            };
+            let wins = [
+                Window::at(xp, 0),
+                Window::at(cx, 0),
+                Window::at(own, 0),
+                Window::at(kids, cut),
+                Window::at(&mut ct[cut..], cut),
+            ];
             let carve = LevelCarve {
                 range,
                 wins,
                 span: &span,
             };
-            self.for_each_node(carve, |p, [rows, bhat, pair]| {
+            self.for_each_node(carve, |p, [rows, cx, bhat, pair, ct]| {
                 let id = s.node(p);
-                let solved = if self.tree.nodes[id].is_leaf() {
+                let (inv, solved, product) = if self.tree.nodes[id].is_leaf() {
                     #[expect(
                         clippy::expect_used,
                         reason = "INVARIANT: `HssFactor::validate` (F3) found a leaf factor at every leaf and a merge factor at every internal node before the sweeps started"
                     )]
                     let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
-                    cholesky_solve_in_place(&lf.chol, rows, q);
-                    rows
+                    (&lf.dinv, rows, cx)
                 } else {
                     #[expect(clippy::expect_used, reason = "INVARIANT: F3, as above")]
                     let mf = self.factor.merges[id].as_ref().expect("merge factor");
-                    lu_solve_in_place(&mf.lu, pair, q);
-                    pair
+                    (&mf.minv, pair, ct)
                 };
+                let m = inv.rows();
+                product.fill(0.0);
+                self.disp.gemm(inv.as_slice(), m, m, solved, q, product);
+                solved.copy_from_slice(product);
                 let (v, vrows, vcols) = self.cds.v(id);
                 if vcols > 0 {
                     self.disp.gemm_tn(v, vrows, vcols, solved, q, bhat);
@@ -377,8 +392,8 @@ impl HssFactor {
             let (tb, sb) = (&mut tb[..ranks * cur], &mut sb[..ranks * cur]);
             tb.fill(0.0);
             sb.fill(0.0);
-            sweeps.up(cur, xp, tb);
             let (cx, ct) = (&mut cx[..n * cur], &mut ct[..ranks * cur]);
+            sweeps.up(cur, [xp, cx, tb, ct]);
             sweeps.down(cur, [xp, cx, tb, ct, sb]);
             for (row, &i) in xp.chunks_exact(cur).zip(&tree.perm) {
                 x.row_mut(i)[j0..j1].copy_from_slice(row);

@@ -28,6 +28,10 @@
 //!   the [`KernelDispatch`] its caller passes.
 //! * [`lu`] — partial-pivoted LU for the small nonsymmetric sibling-merge
 //!   systems of the HSS factorization, likewise on the caller's dispatch.
+//! * [`inverse`] — explicit inverses from those factors
+//!   ([`cholesky_inverse`], [`lu_inverse`]): block substitutions whose
+//!   `O(n^3)` part runs on the caller's products, so the ULV solve applies
+//!   every block as one product.
 //! * [`id`] — row/column interpolative decompositions built on top of the
 //!   pivoted QR; this is the compression workhorse of MatRox.
 //! * [`norms`] — Frobenius norms and relative-error helpers used by the
@@ -67,6 +71,7 @@ pub mod chol;
 pub mod failpoint;
 pub mod gemm;
 pub mod id;
+pub mod inverse;
 pub mod kernel;
 pub mod lu;
 pub mod matrix;
@@ -79,6 +84,7 @@ pub use chol::{
 };
 pub use gemm::{gemm_panel, gemm_seq, matmul, GemmOp};
 pub use id::{column_id, row_id, row_id_of_transpose, IdResult};
+pub use inverse::{cholesky_inverse, lu_inverse};
 pub use kernel::{simd_available, KernelChoice, KernelDispatch};
 pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};
 pub use matrix::{all_finite, Matrix};

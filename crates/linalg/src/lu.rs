@@ -4,9 +4,10 @@
 //! `(k_l + k_r)`-square system `[I, G_l B_lr; G_r B_rl, I]` coupling the two
 //! children's skeleton coefficients.  That system is square and well
 //! conditioned for SPD inputs but *not* symmetric, so it is factored once
-//! here (LAPACK `dgetrf`/`dgetrs` territory) and re-solved during every
-//! upward sweep.  Sizes are bounded by twice the maximum srank (2 x 256 in
-//! the paper's configuration), so an unblocked kernel is sufficient.
+//! here (LAPACK `dgetrf`/`dgetrs` territory), solved against for the
+//! factor's `T_p`, and inverted ([`crate::lu_inverse`]) for the upward
+//! sweeps.  Sizes are bounded by twice the maximum srank (2 x 256 in the
+//! paper's configuration), so an unblocked kernel is sufficient.
 
 use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;

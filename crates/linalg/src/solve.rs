@@ -2,11 +2,15 @@
 //!
 //! Everything that substitutes against a triangular factor goes through the
 //! three kernels here: the Cholesky solves (`crate::chol`: `L` then `L^T`),
-//! the packed-LU solve (`crate::lu`: unit `L` then `U`), the interpolative
-//! decomposition's `R11^{-1} R12` (`crate::id`), and through those the ULV
-//! sweeps of `matrox-factor`.  Each takes the factor as a [`Matrix`] (only
-//! its leading `k x k` triangle is read) and a row-major `k x q` right-hand
-//! side slice that it overwrites with the solution; none allocates.
+//! the packed-LU solve (`crate::lu`: unit `L` then `U`) and the
+//! interpolative decomposition's `R11^{-1} R12` (`crate::id`).  Through
+//! those their callers are the factorizations — `matrox-factor`'s
+//! `E_i = D_i^{-1} U_i` and `T_p = M_p^{-1} R~_p`, the dense Cholesky
+//! baseline — and the ID, not the ULV sweeps: the solve applies the
+//! inverses of `crate::inverse` as products.  Each takes the factor as a
+//! [`Matrix`] (only its leading `k x k` triangle is read) and a row-major
+//! `k x q` right-hand side slice that it overwrites with the solution; none
+//! allocates.
 //!
 //! # The per-column chain
 //!
@@ -15,8 +19,8 @@
 //! `j` over the row's off-diagonal entries (skipping exact zeros of the
 //! factor), divide once by the diagonal.  No other column takes part, so a
 //! column's result is **bitwise independent** of `q` and of its position in
-//! the panel — what lets `matrox-serve` coalesce solves and the solver block
-//! its right-hand sides without changing a bit.  Forward substitution
+//! the panel, so a factor's `E_i` / `T_p` do not depend on how many columns
+//! the basis has.  Forward substitution
 //! interleaves `ROW_BLOCK` (4) rows over the already-final prefix (independent
 //! chains, each still ascending in `j`); the backward kernels cannot, because
 //! a row's chain *starts* with the last entry to become final.

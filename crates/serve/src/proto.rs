@@ -119,7 +119,7 @@ pub enum Request {
         /// Right-hand-side column; length must match the model dimension.
         rhs: Vec<f64>,
     },
-    /// Register a path-backed model (`MATROX2` or `MATROXF2` file).
+    /// Register a path-backed model (`MATROX2` or `MATROXF3` file).
     LoadModel {
         /// Registry id to serve the model under.
         id: String,

@@ -3,7 +3,7 @@
 //! A *model* is either a compressed operator prepared for matvec serving
 //! (an [`EvalSession`], usually from a `MATROX2` model file) or a factored
 //! operator prepared for solve serving (a [`FactoredHMatrix`], usually from
-//! a `MATROXF2` file).  The registry tracks the CDS payload bytes each
+//! a `MATROXF3` file).  The registry tracks the CDS payload bytes each
 //! resident model pins and evicts least-recently-used models once the
 //! configured budget is exceeded — the MatRox storage format is exactly
 //! what makes eviction cheap to undo: a path-backed model that is evicted
@@ -103,7 +103,7 @@ impl ModelRegistry {
 
     /// Register a model from a MatRox model file and make it resident.
     /// Both formats are accepted: a `MATROX2` stream becomes a
-    /// [`Model::Matvec`] session, a `MATROXF2` stream a [`Model::Solve`].
+    /// [`Model::Matvec`] session, a `MATROXF3` stream a [`Model::Solve`].
     /// The path is remembered, so if the model is later evicted it reloads
     /// transparently on the next request.
     ///
@@ -217,7 +217,7 @@ impl ModelRegistry {
     }
 }
 
-/// Read a model file of either on-disk format (`MATROX2` or `MATROXF2`;
+/// Read a model file of either on-disk format (`MATROX2` or `MATROXF3`;
 /// [`load_model`] reads it once and tells them apart by the magic).
 fn load_model_file(path: &std::path::Path) -> Result<Model, MatroxError> {
     Ok(match load_model(path)? {

@@ -668,7 +668,7 @@ fn eval_model(model: &Model, op: Op, w: &Matrix) -> Result<Matrix, MatroxError> 
         (Model::Matvec(s), Op::Matvec) => s.evaluate(w),
         (Model::Solve(f), Op::Solve) => f.solve_matrix(w),
         (Model::Matvec(_), Op::Solve) => Err(MatroxError::PlanMismatch(
-            "model is a compressed operator (matvec); load a factored model (MATROXF2) to solve"
+            "model is a compressed operator (matvec); load a factored model (MATROXF3) to solve"
                 .to_string(),
         )),
         (Model::Solve(_), Op::Matvec) => Err(MatroxError::PlanMismatch(

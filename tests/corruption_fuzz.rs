@@ -1,7 +1,7 @@
 //! Corruption fuzz: the hardened model readers must survive *any*
 //! single-byte corruption of a saved model.
 //!
-//! For every byte position of a small `MATROX2` and `MATROXF2` stream (and
+//! For every byte position of a small `MATROX2` and `MATROXF3` stream (and
 //! several XOR masks per byte, covering low-bit value perturbations and
 //! structural byte rewrites), the corrupted stream must either
 //!
@@ -10,7 +10,7 @@
 //!   corrupted stream (the flip landed in a value payload and the parse is
 //!   lossless — nothing is silently normalized or truncated) **and that
 //!   can be used**: preparing and evaluating it (`MATROX2`) or solving with
-//!   it (`MATROXF2`) does not panic and is not refused as a mismatch;
+//!   it (`MATROXF3`) does not panic and is not refused as a mismatch;
 //!
 //! and the parser must never allocate more than 16 MiB in a single request,
 //! no matter what the corrupted length fields claim — the
@@ -24,8 +24,8 @@
 //! Single-byte flips cannot reach every malformed model, so the second half
 //! of this file re-encodes *structured* mutations of a healthy model — each
 //! self-consistent enough to pass any per-table check — and pins that the
-//! readers refuse them with `Format` (and, for the factor's pivots, that an
-//! in-memory factor is refused with `PlanMismatch`): "`from_bytes` Ok" has to
+//! readers refuse them with `Format` (and, for the diagonal of a leaf's
+//! inverse, that an in-memory factor is refused with `PlanMismatch`): "`from_bytes` Ok" has to
 //! imply "prepare / evaluate / solve cannot panic" (DESIGN.md, "Model
 //! well-formedness").
 
@@ -79,7 +79,7 @@ fn every_single_byte_corruption_is_rejected_or_lossless() {
     });
 
     let factored = to_bytes_factored(&h.factorize().expect("factorize"));
-    fuzz_single_byte_flips("MATROXF2", &factored, &|data| {
+    fuzz_single_byte_flips("MATROXF3", &factored, &|data| {
         let fh = from_bytes_factored(data).ok()?;
         usable(fh.solve(&rhs));
         Some(to_bytes_factored(&fh))
@@ -164,11 +164,11 @@ fn structurally_hostile_factor_images_are_refused() {
         &fh,
         read,
         &[
-            // Self-consistent (`chol` square, `e` as tall), but not the leaf's.
+            // Self-consistent (`dinv` square, `e` as tall), but not the leaf's.
             ("leaf factor of the wrong size", &|fh| {
                 let lf = fh.factor.leaves[leaf].as_mut().expect("leaf factor");
                 let (ni, k) = lf.e.shape();
-                lf.chol = Matrix::identity(ni - 1);
+                lf.dinv = Matrix::identity(ni - 1);
                 lf.e = Matrix::zeros(ni - 1, k);
             }),
             ("coupling block between non-siblings", &|fh| {
@@ -177,8 +177,7 @@ fn structurally_hostile_factor_images_are_refused() {
             ("tree height raised", &|fh| {
                 raise_tree_height(&mut fh.hmatrix)
             }),
-            ("Cholesky pivot zeroed", &zero_chol_pivot),
-            ("LU pivot zeroed", &zero_lu_pivot),
+            ("leaf inverse diagonal entry zeroed", &zero_dinv_diagonal),
         ],
     );
     assert!(holes.is_empty(), "from_bytes_factored accepted: {holes:?}");
@@ -190,38 +189,28 @@ fn raise_tree_height(h: &mut HMatrix) {
     h.tree.height = 1 << 40;
 }
 
-/// Zero one pivot of the first leaf's Cholesky factor: the forward
-/// substitution would divide by it.
-fn zero_chol_pivot(fh: &mut FactoredHMatrix) {
+/// Zero one diagonal entry of the first leaf's `D_i^{-1}`: no inverse of an
+/// SPD block has one.
+fn zero_dinv_diagonal(fh: &mut FactoredHMatrix) {
     let lf = fh.factor.leaves.iter_mut().flatten().next();
-    lf.expect("a leaf factor").chol.set(2, 2, 0.0);
+    lf.expect("a leaf factor").dinv.set(2, 2, 0.0);
 }
 
-/// Zero one pivot of the root's merge system: the back substitution would
-/// divide by it.
-fn zero_lu_pivot(fh: &mut FactoredHMatrix) {
-    let mf = fh.factor.merges[0].as_mut().expect("root merge factor");
-    mf.lu.lu.set(1, 1, 0.0);
-}
-
-/// F5 on a factor that never went through the reader: a zeroed pivot is a
-/// `PlanMismatch` from `solve`, not a panic in (or non-finite output from)
-/// a substitution kernel.  No single-byte flip produces an exact zero, so
-/// the sweep above cannot reach this.
+/// F5 on a factor that never went through the reader: a zeroed diagonal
+/// entry of a leaf's `D_i^{-1}` (the pivot of the applied inverse) is a
+/// `PlanMismatch` from `solve`, not a silently wrong solution.  No
+/// single-byte flip produces an exact zero, so the sweep above cannot reach
+/// this.  The merge inverses carry no such condition: nothing divides by
+/// their entries.
 #[test]
 fn zeroed_pivots_in_memory_are_plan_mismatches() {
     let healthy = hss_model(256, 16).factorize().expect("factorize");
     let rhs = vec![1.0; healthy.dim()];
     assert!(healthy.solve(&rhs).is_ok());
-    for (what, edit) in [
-        ("Cholesky", zero_chol_pivot as fn(&mut FactoredHMatrix)),
-        ("LU", zero_lu_pivot),
-    ] {
-        let mut bad = healthy.clone();
-        edit(&mut bad);
-        match bad.solve(&rhs) {
-            Err(MatroxError::PlanMismatch(m)) => assert!(m.contains("pivot"), "{what}: {m}"),
-            other => panic!("{what} pivot zeroed: expected PlanMismatch, got {other:?}"),
-        }
+    let mut bad = healthy.clone();
+    zero_dinv_diagonal(&mut bad);
+    match bad.solve(&rhs) {
+        Err(MatroxError::PlanMismatch(m)) => assert!(m.contains("diagonal"), "{m}"),
+        other => panic!("leaf inverse diagonal zeroed: expected PlanMismatch, got {other:?}"),
     }
 }

@@ -194,9 +194,9 @@ fn a_non_finite_evaluation_is_a_numerical_breakdown() {
     assert_eq!(session.stats().evaluations, 0);
 }
 
-/// A NaN in the strictly-lower part of a leaf's Cholesky factor (which
-/// factor validation does not look at) poisons the solution; `solve`
-/// reports it as `NumericalBreakdown`.
+/// A NaN off the diagonal of a leaf's `D_i^{-1}` (which factor validation
+/// does not look at) poisons the solution; `solve` reports it as
+/// `NumericalBreakdown`.
 #[test]
 fn a_non_finite_solve_is_a_numerical_breakdown() {
     let mut factored = hss_model().factorize().expect("factorize");
@@ -209,8 +209,11 @@ fn a_non_finite_solve_is_a_numerical_breakdown() {
         .flatten()
         .next()
         .expect("a leaf factor");
-    assert!(leaf.chol.rows() >= 2, "leaf too small to have a lower part");
-    leaf.chol.set(1, 0, f64::NAN);
+    assert!(
+        leaf.dinv.rows() >= 2,
+        "leaf too small to have an off-diagonal part"
+    );
+    leaf.dinv.set(1, 0, f64::NAN);
     let got = factored.solve(&b);
     assert!(
         matches!(got, Err(MatroxError::NumericalBreakdown(_))),

@@ -262,8 +262,8 @@ fn logical_payload_hash(cds: &Cds) -> u64 {
 
 /// What a model *stores* is pinned apart from how the image frames it, so a
 /// format bump re-records the image pins below and leaves these alone: the
-/// logical CDS payload ([`logical_payload_hash`]); and the factor's `chol` /
-/// `e` / `lu` / `t` payload (one constant per kernel family, as for the
+/// logical CDS payload ([`logical_payload_hash`]); and the factor's `dinv` /
+/// `e` / `minv` / `t` payload (one constant per kernel family, as for the
 /// factored image).
 #[test]
 fn payload_values_are_pinned() {
@@ -278,12 +278,12 @@ fn payload_values_are_pinned() {
     let leaves = f.leaves.iter().flatten();
     let merges = f.merges.iter().flatten();
     let factor = leaves
-        .flat_map(|l| [l.chol.as_slice(), l.e.as_slice()])
-        .chain(merges.flat_map(|m| [m.lu.lu.as_slice(), m.t.as_slice()]));
+        .flat_map(|l| [l.dinv.as_slice(), l.e.as_slice()])
+        .chain(merges.flat_map(|m| [m.minv.as_slice(), m.t.as_slice()]));
     let pinned: u64 = if KernelDispatch::global().is_simd() {
-        0x55ce_8e1b_a3a6_056f
+        0x644b_4dfa_c1bf_e04a
     } else {
-        0x8641_1f57_4c9e_e692
+        0x5ce7_3380_e56b_07ae
     };
     assert_eq!(fnv1a_values(factor), pinned, "factor payload hash");
 }
@@ -310,8 +310,10 @@ fn h2b_payload_values_are_pinned() {
 }
 
 /// The byte formats are frozen: the images of [`pinned_model`] keep the
-/// length and hash recorded when the `MATROX2` / `MATROXF2` block entries
-/// gained their flag byte and twin pairs their single window.
+/// length and hash recorded when the `MATROX2` block entries gained their
+/// flag byte and twin pairs their single window, and when `MATROXF3` came to
+/// store the inverses `D_i^{-1}` / `M_p^{-1}` in place of the Cholesky and LU
+/// factors.
 /// The inspector is bitwise deterministic across pool widths and kernels;
 /// the ULV factors are not across kernels (the SIMD microkernel fuses
 /// multiply-adds), so the factored image has one recorded hash per kernel
@@ -325,11 +327,11 @@ fn image_bytes_of_a_fixed_model_are_pinned() {
     assert_eq!(fnv1a(&plain), 0x7119_33a2_252d_7c72, "MATROX2 image hash");
 
     let factored = to_bytes_factored(&h.factorize().expect("factorize"));
-    assert_eq!(factored.len(), 22597, "MATROXF2 image length");
+    assert_eq!(factored.len(), 22189, "MATROXF3 image length");
     let pinned: u64 = if KernelDispatch::global().is_simd() {
-        0xa0ab_ac81_970f_7df0
+        0xd877_8051_9e25_ea96
     } else {
-        0x68a7_6b7b_d081_d5cb
+        0x4321_2e14_2833_ea50
     };
-    assert_eq!(fnv1a(&factored), pinned, "MATROXF2 image hash");
+    assert_eq!(fnv1a(&factored), pinned, "MATROXF3 image hash");
 }
