@@ -49,6 +49,15 @@
 //!   when the CPU has `avx512f` on top of AVX2+FMA (never under Miri); no
 //!   `MATROX_KERNEL` value names it, and `avx2` pins the 256-bit arm.
 //!
+//! The dispatch also runs the squared-distance body under every kernel
+//! entry ([`KernelDispatch::dist2`], [`mod@dist`]): column points gathered
+//! transposed into [`DistPanels`], four rows against one 8-column panel a
+//! pass on the SIMD arms (one `zmm`, or two `ymm`, accumulators per row),
+//! one row at a time on the scalar arm.  Its chain is fixed — `k`
+//! ascending from `0.0`, `mul` then `add`, no FMA — so, unlike the
+//! products, **every arm returns the same bits** and the arm moves speed
+//! only; `matrox_points::block` takes [`KernelDispatch::global`] for it.
+//!
 //! # The bitwise-determinism contract
 //!
 //! For a **fixed** dispatch, every entry point guarantees that each output
@@ -88,6 +97,7 @@
 //! }
 //! ```
 
+pub mod dist;
 pub mod pack;
 
 #[cfg(target_arch = "x86_64")]
@@ -99,6 +109,7 @@ use crate::gemm::scalar_product;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
+pub use dist::{DistPanels, PANEL};
 pub use pack::{KC, L2_BYTES, MC, MR, NC, NR};
 
 /// User-facing kernel request (the `MATROX_KERNEL` values).
@@ -369,6 +380,43 @@ impl KernelDispatch {
                 let rows = c_chunk.len() / n;
                 self.product(trans_a, a, lda, ci * chunk_rows, rows, k, b, n, c_chunk);
             });
+    }
+
+    /// Squared distances: row `i` of `out` (stride `ldo`) gets
+    /// `‖x_{rows[i]} − y_c‖²` for the columns `c` of `panels` from panel
+    /// `first` on (`out[i * ldo]` is column `first * PANEL`), where `x_r`
+    /// is point `r` of the row-major `coords` (as many values a point as
+    /// the gathered columns have).  Each entry is one chain, `k` ascending
+    /// from `0.0` with a separate `mul` and `add` and no FMA —
+    /// `PointSet::dist2`'s bits on **every** arm, so this is the one
+    /// routine whose arm moves speed only ([`mod@dist`]).
+    ///
+    /// # Panics
+    /// Panics if `first` lies past the last panel, if a row index lies
+    /// past `coords`, or if `out` is shorter than `rows.len()` rows of the
+    /// remaining columns at stride `ldo` (checked in release: the SIMD arms
+    /// read and store through raw pointers).
+    pub fn dist2(
+        &self,
+        coords: &[f64],
+        rows: &[usize],
+        panels: &DistPanels,
+        first: usize,
+        out: &mut [f64],
+        ldo: usize,
+    ) {
+        let (dim, y, n) = panels.panels_from(first);
+        match self.arch {
+            KernelArch::Scalar => dist::scalar(coords, dim, rows, y, n, out, ldo),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx2 => avx2::dist2(coords, dim, rows, y, n, out, ldo),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx512 => avx512::dist2(coords, dim, rows, y, n, out, ldo),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelArch::Avx2 | KernelArch::Avx512 => {
+                unreachable!("SIMD dispatch cannot exist off x86_64")
+            }
+        }
     }
 
     /// Dot product `sum_i x[i] * y[i]` (the Cholesky trailing-update

@@ -45,10 +45,17 @@
 //! operands and the depth `k` — not on the route, row chunking (thread
 //! count), column grouping (RHS panel width), or the block sizes
 //! `MC` / `KC` / `NC`.
+//!
+//! # The distance arm
+//!
+//! [`dist2`] is the AVX2 arm of the squared-distance body
+//! ([`super::dist`]): four rows against one 8-column panel a pass, two
+//! `ymm` accumulators per row, `sub`, `mul`, `add` per lane — the scalar
+//! arm's chain, so its bits are every arm's.
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (MC, KC, NC, MR, NR) the tile loops use, and the narrow bodies index slices; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
+    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (MC, KC, NC, MR, NR) the tile loops use, and the narrow bodies index slices; the distance tile runs behind dist::assert_operands (whole points, panels for n columns, out rows of n at stride ldo) and copies a partial panel from a stack row; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
 )]
 
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, KC, MC, MR, NC, NR};
@@ -695,6 +702,117 @@ unsafe fn axpy_inner(alpha: f64, x: &[f64], y: &mut [f64]) {
         while i < n {
             *yp.add(i) = alpha.mul_add(*xp.add(i), *yp.add(i));
             i += 1;
+        }
+    }
+}
+
+/// Rows of the distance block per pass: four independent accumulator pairs
+/// per coordinate step.
+const DIST_ROWS: usize = 4;
+
+/// The distance tile: `out[i * ldo + c] = Σ_k (x_i[k] − y_c[k])²` for
+/// `i < R` and the `n` columns of `panels`, two `ymm` accumulators per row
+/// and panel, `sub`, `mul`, `add` per lane for `k` ascending from `0.0`
+/// (the scalar arm's chain, [`super::dist`]).  A last partial panel goes
+/// through a stack row and stores its first `n % 8` values only.
+///
+/// # Safety
+/// Requires the `avx2` CPU feature.  Each `x[i]` must be readable for
+/// `dim` values, `panels` for `n.div_ceil(8) * dim * 8` values, and
+/// `out + i * ldo + c` writable for `i < R`, `c < n`.
+#[target_feature(enable = "avx2")]
+unsafe fn dist2_tile<const R: usize>(
+    dim: usize,
+    x: [*const f64; R],
+    panels: *const f64,
+    n: usize,
+    out: *mut f64,
+    ldo: usize,
+) {
+    // SAFETY: every access is one the fn contract lists — `x[i]` at
+    // `k < dim`, `panels` at `p * dim * 8 + k * 8 + {0..8}` for the
+    // `n.div_ceil(8)` panels, and `out` at `i * ldo + p * 8 + {0..cols}`
+    // with `p * 8 + cols <= n`.  Loads/stores are unaligned, so `f64`
+    // alignment suffices.
+    unsafe {
+        for p in 0..n.div_ceil(NR) {
+            let y = panels.add(p * dim * NR);
+            let mut acc = [[_mm256_setzero_pd(); 2]; R];
+            for k in 0..dim {
+                let y0 = _mm256_loadu_pd(y.add(k * NR));
+                let y1 = _mm256_loadu_pd(y.add(k * NR + 4));
+                for (a, xi) in acc.iter_mut().zip(&x) {
+                    let xk = _mm256_set1_pd(*xi.add(k));
+                    let d0 = _mm256_sub_pd(xk, y0);
+                    let d1 = _mm256_sub_pd(xk, y1);
+                    a[0] = _mm256_add_pd(a[0], _mm256_mul_pd(d0, d0));
+                    a[1] = _mm256_add_pd(a[1], _mm256_mul_pd(d1, d1));
+                }
+            }
+            let cols = (n - p * NR).min(NR);
+            for (i, a) in acc.iter().enumerate() {
+                let o = out.add(i * ldo + p * NR);
+                if cols == NR {
+                    _mm256_storeu_pd(o, a[0]);
+                    _mm256_storeu_pd(o.add(4), a[1]);
+                } else {
+                    let mut row = [0.0; NR];
+                    _mm256_storeu_pd(row.as_mut_ptr(), a[0]);
+                    _mm256_storeu_pd(row.as_mut_ptr().add(4), a[1]);
+                    std::ptr::copy_nonoverlapping(row.as_ptr(), o, cols);
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 distance arm ([`super::dist`]): row `i` of `out` (stride
+/// `ldo`) gets the squared distances from point `rows[i]` of `coords` to
+/// the `n` columns of `panels`, [`DIST_ROWS`] rows a pass, each pair its
+/// own chain — bitwise the scalar arm's.  Caller guarantees `avx2`
+/// (checked once at dispatch resolution).
+///
+/// # Panics
+/// Panics, before any raw-pointer access, if an operand does not hold what
+/// [`super::dist::assert_operands`] checks.
+pub fn dist2(
+    coords: &[f64],
+    dim: usize,
+    rows: &[usize],
+    panels: &[f64],
+    n: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    super::dist::assert_operands(coords, dim, rows, panels, n, out, ldo);
+    if rows.is_empty() || n == 0 {
+        return;
+    }
+    let x = |r: &usize| coords[r * dim..].as_ptr();
+    let (yp, op) = (panels.as_ptr(), out.as_mut_ptr());
+    let groups = rows.chunks_exact(DIST_ROWS);
+    let rest = groups.remainder();
+    let m4 = rows.len() - rest.len();
+    // SAFETY: dispatch resolution verified avx2 before any dispatch could
+    // reach this function.  The asserts above give every `rows` index a
+    // whole `dim`-value point in `coords` (so `x` reads `dim` values),
+    // `n.div_ceil(8)` panels in `panels`, and `out` rows `i < rows.len()`
+    // of `n` values at stride `ldo`; each tile covers rows `[g, g + R)`
+    // with `g + R <= rows.len()`.
+    unsafe {
+        for (g, group) in groups.enumerate() {
+            let xs = std::array::from_fn(|i| x(&group[i]));
+            dist2_tile::<DIST_ROWS>(dim, xs, yp, n, op.add(g * DIST_ROWS * ldo), ldo);
+        }
+        match *rest {
+            [] => {}
+            [a] => dist2_tile::<1>(dim, [x(&a)], yp, n, op.add(m4 * ldo), ldo),
+            [a, b] => dist2_tile::<2>(dim, [x(&a), x(&b)], yp, n, op.add(m4 * ldo), ldo),
+            [a, b, c] => {
+                let xs = [x(&a), x(&b), x(&c)];
+                dist2_tile::<3>(dim, xs, yp, n, op.add(m4 * ldo), ldo);
+            }
+            _ => unreachable!("chunks_exact leaves fewer than DIST_ROWS rows"),
         }
     }
 }

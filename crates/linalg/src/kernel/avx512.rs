@@ -29,10 +29,17 @@
 //! is stored.  A `zmm` lane rounds each fma once, as a `ymm` lane does, so
 //! this arm returns the AVX2 arm's bits on every product — whatever the
 //! route, row chunking or column grouping.
+//!
+//! # The distance arm
+//!
+//! [`dist2`] is the AVX-512 arm of the squared-distance body
+//! ([`super::dist`]): four rows against one 8-column panel a pass, one
+//! `zmm` accumulator per row, `sub`, `mul`, `add` per lane — the scalar
+//! arm's chain, so its bits are every arm's.
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "8x16 AVX-512 tile on raw-pointer in-place operands: gemm_blocked runs the AVX2 arm's release bounds asserts (avx2::assert_operands) before any raw-pointer access, and every tile access lies inside the region those asserts cover; the target_feature fns are reached only behind avx512_available() (DESIGN.md unsafe inventory)"
+    reason = "8x16 AVX-512 tile on raw-pointer in-place operands: gemm_blocked runs the AVX2 arm's release bounds asserts (avx2::assert_operands) before any raw-pointer access, and every tile access lies inside the region those asserts cover; the distance tile runs behind dist::assert_operands (whole points, panels for n columns, out rows of n at stride ldo) and stores a partial panel through a lane mask; the target_feature fns are reached only behind avx512_available() (DESIGN.md unsafe inventory)"
 )]
 
 use super::avx2;
@@ -221,4 +228,107 @@ pub fn gemm_blocked(
     // dispatch could reach this function; `m, k >= 1` and the three slice
     // bounds were asserted just above.
     unsafe { in_place(trans_a, a, lda, i0, m, k, b, n, c) }
+}
+
+/// Rows of the distance block per pass: four independent accumulator
+/// vectors per coordinate step.
+const DIST_ROWS: usize = 4;
+
+/// The distance tile: `out[i * ldo + c] = Σ_k (x_i[k] − y_c[k])²` for
+/// `i < R` and the `n` columns of `panels`, one `zmm` accumulator per row
+/// and panel, `sub`, `mul`, `add` per lane for `k` ascending from `0.0`
+/// (the scalar arm's chain, [`super::dist`]).  A last partial panel stores
+/// its first `n % 8` lanes only.
+///
+/// # Safety
+/// Requires the `avx512f` CPU feature.  Each `x[i]` must be readable for
+/// `dim` values, `panels` for `n.div_ceil(8) * dim * 8` values, and
+/// `out + i * ldo + c` writable for `i < R`, `c < n`.
+#[target_feature(enable = "avx512f")]
+unsafe fn dist2_tile<const R: usize>(
+    dim: usize,
+    x: [*const f64; R],
+    panels: *const f64,
+    n: usize,
+    out: *mut f64,
+    ldo: usize,
+) {
+    // SAFETY: every access is one the fn contract lists — `x[i]` at
+    // `k < dim`, `panels` at `p * dim * 8 + k * 8 + {0..8}` for the
+    // `n.div_ceil(8)` panels, and `out` at `i * ldo + p * 8 + {0..8}` for
+    // full panels or the first `n - p * 8` lanes (the store mask) of the
+    // last.  Loads/stores are unaligned, so `f64` alignment suffices.
+    unsafe {
+        for p in 0..n.div_ceil(LANES) {
+            let y = panels.add(p * dim * LANES);
+            let mut acc = [_mm512_setzero_pd(); R];
+            for k in 0..dim {
+                let yk = _mm512_loadu_pd(y.add(k * LANES));
+                for (a, xi) in acc.iter_mut().zip(&x) {
+                    let d = _mm512_sub_pd(_mm512_set1_pd(*xi.add(k)), yk);
+                    *a = _mm512_add_pd(*a, _mm512_mul_pd(d, d));
+                }
+            }
+            let cols = (n - p * LANES).min(LANES);
+            let mask: __mmask8 = if cols == LANES {
+                0xff
+            } else {
+                (1u8 << cols) - 1
+            };
+            for (i, &a) in acc.iter().enumerate() {
+                _mm512_mask_storeu_pd(out.add(i * ldo + p * LANES), mask, a);
+            }
+        }
+    }
+}
+
+/// The AVX-512 distance arm ([`super::dist`]): row `i` of `out` (stride
+/// `ldo`) gets the squared distances from point `rows[i]` of `coords` to
+/// the `n` columns of `panels`, [`DIST_ROWS`] rows a pass, each pair its
+/// own chain — bitwise the scalar arm's.  Caller guarantees `avx512f`
+/// (checked once at dispatch resolution).
+///
+/// # Panics
+/// Panics, before any raw-pointer access, if an operand does not hold what
+/// [`super::dist::assert_operands`] checks.
+pub fn dist2(
+    coords: &[f64],
+    dim: usize,
+    rows: &[usize],
+    panels: &[f64],
+    n: usize,
+    out: &mut [f64],
+    ldo: usize,
+) {
+    super::dist::assert_operands(coords, dim, rows, panels, n, out, ldo);
+    if rows.is_empty() || n == 0 {
+        return;
+    }
+    let x = |r: &usize| coords[r * dim..].as_ptr();
+    let (yp, op) = (panels.as_ptr(), out.as_mut_ptr());
+    let groups = rows.chunks_exact(DIST_ROWS);
+    let rest = groups.remainder();
+    let m4 = rows.len() - rest.len();
+    // SAFETY: dispatch resolution verified avx512f before any dispatch
+    // could reach this function.  The asserts above give every `rows`
+    // index a whole `dim`-value point in `coords` (so `x` reads `dim`
+    // values), `n.div_ceil(8)` panels in `panels`, and `out` rows
+    // `i < rows.len()` of `n` values at stride `ldo`; each tile covers rows
+    // `[g, g + R)` with `g + R <= rows.len()`.
+    unsafe {
+        for (g, group) in groups.enumerate() {
+            let xs = std::array::from_fn(|i| x(&group[i]));
+            dist2_tile::<DIST_ROWS>(dim, xs, yp, n, op.add(g * DIST_ROWS * ldo), ldo);
+        }
+        match *rest {
+            [] => {}
+            [a] => dist2_tile::<1>(dim, [x(&a)], yp, n, op.add(m4 * ldo), ldo),
+            [a, b] => dist2_tile::<2>(dim, [x(&a), x(&b)], yp, n, op.add(m4 * ldo), ldo),
+            [a, b, c] => {
+                let xs = [x(&a), x(&b), x(&c)];
+                dist2_tile::<3>(dim, xs, yp, n, op.add(m4 * ldo), ldo);
+            }
+            _ => unreachable!("chunks_exact leaves fewer than DIST_ROWS rows"),
+        }
+    }
 }

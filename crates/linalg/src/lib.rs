@@ -19,6 +19,8 @@
 //!   the portable scalar fallback, and the [`KernelDispatch`] every hot
 //!   caller resolves once from its options (`Auto` defers to
 //!   `MATROX_KERNEL=auto|scalar|avx2`, then to CPU detection).
+//!   It also holds the squared-distance body under every kernel entry
+//!   ([`KernelDispatch::dist2`]), bit-equal on every arm.
 //!   See its module docs for the block sizes, the packing formats and the
 //!   bitwise-determinism contract.
 //! * [`qr`] — Householder column-pivoted QR (Businger–Golub) with adaptive

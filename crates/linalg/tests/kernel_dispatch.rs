@@ -21,8 +21,14 @@
 //!    reference that runs the arm's step for `p` ascending from `C0`:
 //!    `c = a_ip.mul_add(b_pj, c)` for both SIMD arms, `c = c + a_ip * b_pj`
 //!    with `a_ip == 0` skipped for scalar.
+//!
+//! The squared-distance body ([`KernelDispatch::dist2`]) has one chain on
+//! every arm, `d = x_k - y_k; s = s + d * d` for `k` ascending from `0.0`,
+//! so each arm is pinned against that chain bit for bit, rows of its
+//! output past the columns it owns untouched, and a short output panics
+//! before anything is written.
 
-use matrox_linalg::kernel::{KC, MC};
+use matrox_linalg::kernel::{DistPanels, KC, MC, PANEL};
 use matrox_linalg::{gemm_seq, simd_available, GemmOp, KernelChoice, KernelDispatch, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -525,6 +531,170 @@ fn chain_oracle_at_executor_shapes() {
             fam.advance_to(k);
             for m in 1..=96usize {
                 assert_matches_chain(disp, &fam, m, &ns);
+            }
+        }
+    });
+}
+
+/// The distance chain every arm must reproduce: `k` ascending from `0.0`,
+/// `mul` then `add`, no FMA.
+fn dist2_chain(x: &[f64], y: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (a, b) in x.iter().zip(y) {
+        let d = a - b;
+        s += d * d;
+    }
+    s
+}
+
+/// `points` points of dimension `dim`, every fifth a copy of the one
+/// before it (exact zeros among the distances).
+fn dist_points(points: usize, dim: usize, seed: u64) -> Vec<f64> {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut coords: Vec<f64> = Vec::with_capacity(points * dim);
+    for i in 0..points {
+        if i % 5 == 4 {
+            coords.extend_from_within((i - 1) * dim..i * dim);
+        } else {
+            coords.extend((0..dim).map(|_| rng.gen_range(-3.0..3.0)));
+        }
+    }
+    coords
+}
+
+/// One `dist2` call on `disp` against the chain: `m` rows from row
+/// offset `r0` (so a call may start mid-panel of its own index list),
+/// the columns from panel `first` on, at stride `n + 3`; the three values
+/// past each row's columns, and everything past the last row, must keep
+/// their sentinel.
+fn assert_dist2_matches_chain(
+    disp: KernelDispatch,
+    coords: &[f64],
+    dim: usize,
+    idx: &[usize],
+    r0: usize,
+    m: usize,
+    cols: usize,
+    first: usize,
+) {
+    let col_idx: Vec<usize> = idx.iter().rev().copied().take(cols).collect();
+    let panels = DistPanels::gather(coords, dim, &col_idx);
+    let rows = &idx[r0..r0 + m];
+    let n = cols.saturating_sub(first * PANEL);
+    let ldo = n + 3;
+    let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+    let mut out = vec![sentinel; m * ldo + 5];
+    disp.dist2(coords, rows, &panels, first, &mut out, ldo);
+    let what = format!(
+        "{} d {dim} m {m} at {r0} cols {cols} from panel {first}",
+        disp.name()
+    );
+    for (i, &r) in rows.iter().enumerate() {
+        let x = &coords[r * dim..(r + 1) * dim];
+        for (c, &j) in col_idx[first * PANEL..].iter().enumerate() {
+            let want = dist2_chain(x, &coords[j * dim..(j + 1) * dim]);
+            assert_eq!(
+                out[i * ldo + c].to_bits(),
+                want.to_bits(),
+                "{what} ({i}, {c})"
+            );
+        }
+    }
+    let untouched = (0..out.len()).filter(|&p| p / ldo >= m || p % ldo >= n);
+    for p in untouched {
+        assert_eq!(out[p].to_bits(), sentinel.to_bits(), "{what}: wrote {p}");
+    }
+}
+
+/// Every arm's distance body is the chain, bit for bit, at a few shapes
+/// around the 4-row pass and the 8-column panel (the wide sweep is
+/// `dist2_chain_oracle_sweep`).
+#[test]
+fn every_dist2_arm_matches_the_chain() {
+    for disp in dispatches() {
+        for dim in [1, 3, 8, 54] {
+            let coords = dist_points(40, dim, dim as u64);
+            let idx: Vec<usize> = (0..40).map(|i| (i * 11) % 40).collect();
+            for (r0, m) in [(0, 0), (0, 1), (0, 4), (4, 5), (3, 9), (0, 13)] {
+                for cols in [0, 1, 7, 8, 9, 15, 17] {
+                    for first in 0..=cols / PANEL {
+                        assert_dist2_matches_chain(disp, &coords, dim, &idx, r0, m, cols, first);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The release bounds check of the distance body: an output one value
+/// short, a row index past the points, and a panel past the last all
+/// panic on every arm, and the short output is not written past.
+#[test]
+fn dist2_short_operands_panic_on_every_arm() {
+    let dim = 5;
+    let coords = dist_points(20, dim, 3);
+    let idx: Vec<usize> = (0..20).collect();
+    let panels = DistPanels::gather(&coords, dim, &idx);
+    for disp in dispatches() {
+        let mut buf = vec![0.0; 6 * 20];
+        let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            disp.dist2(&coords, &idx[..6], &panels, 0, &mut buf[..5 * 20 + 19], 20);
+        }));
+        assert!(
+            short.is_err(),
+            "{}: a short output did not panic",
+            disp.name()
+        );
+        assert!(
+            buf[5 * 20 + 19..].iter().all(|&v| v == 0.0),
+            "{}",
+            disp.name()
+        );
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            disp.dist2(&coords, &[20], &panels, 0, &mut [0.0; 20], 20);
+        }));
+        assert!(
+            past.is_err(),
+            "{}: a row past the points did not panic",
+            disp.name()
+        );
+        let panel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            disp.dist2(&coords, &[0], &panels, 4, &mut [0.0; 20], 20);
+        }));
+        assert!(
+            panel.is_err(),
+            "{}: a panel past the last did not panic",
+            disp.name()
+        );
+    }
+}
+
+/// The wide distance sweep (release CI step, with the GEMM chain oracles:
+/// `cargo test --release -p matrox-linalg -- --ignored chain_oracle`):
+/// every arm against the chain at dimensions `1..=17` and around 32, 54
+/// and 64, every row count through three 4-row passes and each
+/// remainder, from row offsets on and off a panel, column counts on and
+/// off the panel up to 129, from each of the first three panels.
+#[test]
+#[ignore = "exhaustive; run in release"]
+fn dist2_chain_oracle_sweep() {
+    let dims: Vec<usize> = (1..=70).chain([100, 128]).collect();
+    let col_counts: Vec<usize> = (0..=17).chain([24, 31, 32, 33, 63, 64, 65, 129]).collect();
+    dispatches().into_par_iter().for_each(|disp| {
+        for &dim in &dims {
+            let coords = dist_points(160, dim, 100 + dim as u64);
+            let idx: Vec<usize> = (0..160).map(|i| (i * 37) % 160).collect();
+            for r0 in [0, 3, 4] {
+                for m in 0..=13 {
+                    for &cols in &col_counts {
+                        for first in 0..=(cols / PANEL).min(2) {
+                            assert_dist2_matches_chain(
+                                disp, &coords, dim, &idx, r0, m, cols, first,
+                            );
+                        }
+                    }
+                }
             }
         }
     });

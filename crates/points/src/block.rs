@@ -4,76 +4,47 @@
 //! distance is one chain per pair — `k` ascending, summed from `0.0`, no
 //! FMA — exactly [`PointSet::dist2`] and [`Kernel::eval`]'s, so each entry
 //! is bitwise the one `Kernel::eval` returns.  The chains of different pairs
-//! are independent, so the inner loop runs *across* them: the column points
-//! are gathered transposed in panels of eight columns (`d × 8` each), and a
-//! row holds one panel's accumulators in registers across all `d`
-//! coordinates — no reassociation, and the compiler vectorises across
-//! columns.
+//! are independent, so the kernel layer runs them *across* pairs
+//! ([`KernelDispatch::dist2`]): the column points are gathered transposed
+//! in panels of eight columns ([`DistPanels`]), and the SIMD arms run four
+//! rows against one panel at a time, each pair's accumulator in its own
+//! lane over all `d` coordinates — no reassociation.  Every distance arm
+//! returns the same bits, so the blocks run on the process-wide
+//! [`KernelDispatch::global`]: `MATROX_KERNEL` and the CPU move their speed,
+//! never an entry.
 //!
 //! Every kernel is radial and `(a − b)² == (b − a)²` exactly, so
 //! `K(x, y)` and `K(y, x)` are the same bits.  The symmetric forms below
 //! evaluate each unordered pair once (the upper triangle, mirrored), and the
 //! inspector stores a block's transpose for its twin (`compress`).
+//!
+//! Each block function allocates the blocks it returns before it gathers
+//! the panels, so the panels are freed above what the caller keeps and do
+//! not leave holes among stored blocks.
 
 use crate::{Kernel, PointSet};
+use matrox_linalg::kernel::{DistPanels, KernelDispatch, PANEL};
 use matrox_linalg::Matrix;
 use rayon::prelude::*;
 
-/// Columns per register block: one panel's accumulators stay in registers
-/// across every coordinate.
-const LANES: usize = 8;
+/// Rows of `K(rows, cols)` per parallel task in [`kernel_block_par`].
+const PAR_ROWS: usize = 2 * PANEL;
 
-/// Column points gathered transposed, `LANES` columns a panel: coordinate
-/// `k` of column `c` sits at `(c / LANES) * d * LANES + k * LANES + c %
-/// LANES`.  The last panel is padded with zeros whose results are dropped.
-///
-/// Each block function allocates the blocks it returns before it gathers
-/// the panels, so the panels are freed above what the caller keeps and do
-/// not leave holes among stored blocks.
-struct Panels {
-    dim: usize,
-    data: Vec<f64>,
-}
-
-impl Panels {
-    fn gather(points: &PointSet, cols: &[usize]) -> Self {
-        let dim = points.dim();
-        let mut data = vec![0.0; cols.len().div_ceil(LANES) * dim * LANES];
-        for (panel, group) in data.chunks_exact_mut(dim * LANES).zip(cols.chunks(LANES)) {
-            for (l, &j) in group.iter().enumerate() {
-                for (k, &x) in points.point(j).iter().enumerate() {
-                    panel[k * LANES + l] = x;
-                }
-            }
-        }
-        Panels { dim, data }
-    }
-
-    /// `out[c] = ‖x − y_c‖²` for the columns from panel `first` on
-    /// (`out[0]` is column `first * LANES`), each as the pair's own chain.
-    fn dist2_row(&self, x: &[f64], first: usize, out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.dim);
-        let step = self.dim * LANES;
-        for (panel, chunk) in self.data[first * step..]
-            .chunks_exact(step)
-            .zip(out.chunks_mut(LANES))
-        {
-            let mut acc = [0.0f64; LANES];
-            for (&xk, yk) in x.iter().zip(panel.chunks_exact(LANES)) {
-                for l in 0..LANES {
-                    let d = xk - yk[l];
-                    acc[l] += d * d;
-                }
-            }
-            chunk.copy_from_slice(&acc[..chunk.len()]);
-        }
-    }
-
-    /// One row of `K(x, cols)`.
-    fn kernel_row(&self, kernel: &Kernel, x: &[f64], row: &mut [f64]) {
-        self.dist2_row(x, 0, row);
-        row.iter_mut().for_each(|v| *v = kernel.eval_dist2(*v));
-    }
+/// `f(‖x_i − y_j‖²)` for every pair of `rows` × `cols` on `disp`'s distance
+/// arm.
+fn block(
+    disp: KernelDispatch,
+    points: &PointSet,
+    rows: &[usize],
+    cols: &[usize],
+    f: impl Fn(f64) -> f64,
+) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), cols.len());
+    let panels = DistPanels::gather(points.coords(), points.dim(), cols);
+    let data = out.as_mut_slice();
+    disp.dist2(points.coords(), rows, &panels, 0, data, cols.len());
+    data.iter_mut().for_each(|v| *v = f(*v));
+    out
 }
 
 /// Evaluate the dense kernel block `K(rows, cols)` for the given global point
@@ -81,30 +52,67 @@ impl Panels {
 /// entries, mirroring the "implicit" kernel matrix of the paper.  Every
 /// entry is bitwise `kernel.eval(points.point(i), points.point(j))`.
 pub fn kernel_block(points: &PointSet, kernel: &Kernel, rows: &[usize], cols: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), cols.len());
-    let panels = Panels::gather(points, cols);
-    for (row, &i) in out.as_mut_slice().chunks_mut(cols.len().max(1)).zip(rows) {
-        panels.kernel_row(kernel, points.point(i), row);
+    block(KernelDispatch::global(), points, rows, cols, |d2| {
+        kernel.eval_dist2(d2)
+    })
+}
+
+/// [`kernel_block`] on `disp`, split into [`PAR_ROWS`]-row tasks over the
+/// pool.
+fn block_par(
+    disp: KernelDispatch,
+    points: &PointSet,
+    kernel: &Kernel,
+    rows: &[usize],
+    cols: &[usize],
+) -> Matrix {
+    let n = cols.len();
+    let mut out = Matrix::zeros(rows.len(), n);
+    if n == 0 {
+        return out;
     }
+    let panels = DistPanels::gather(points.coords(), points.dim(), cols);
+    out.as_mut_slice()
+        .par_chunks_mut(PAR_ROWS * n)
+        .enumerate()
+        .for_each(|(t, chunk)| {
+            let task_rows = &rows[t * PAR_ROWS..][..chunk.len() / n];
+            disp.dist2(points.coords(), task_rows, &panels, 0, chunk, n);
+            chunk.iter_mut().for_each(|v| *v = kernel.eval_dist2(*v));
+        });
     out
 }
 
 /// Parallel version of [`kernel_block`] for large blocks (used by the dense
 /// GEMM baseline and the accuracy checks, where the block is `N x N`-ish).
-/// The same row body, so the same bits.
+/// The same chains, so the same bits.
 pub fn kernel_block_par(
     points: &PointSet,
     kernel: &Kernel,
     rows: &[usize],
     cols: &[usize],
 ) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), cols.len());
-    let panels = Panels::gather(points, cols);
-    out.as_mut_slice()
-        .par_chunks_mut(cols.len().max(1))
-        .zip(rows.par_iter())
-        .for_each(|(row, &i)| panels.kernel_row(kernel, points.point(i), row));
-    out
+    block_par(KernelDispatch::global(), points, kernel, rows, cols)
+}
+
+/// [`kernel_block_twins`] on `disp`.
+fn twins(
+    disp: KernelDispatch,
+    points: &PointSet,
+    kernel: &Kernel,
+    rows: &[usize],
+    cols: &[usize],
+) -> (Matrix, Matrix) {
+    let (m, n) = (rows.len(), cols.len());
+    let mut twin = Matrix::zeros(n, m);
+    let out = block(disp, points, rows, cols, |d2| kernel.eval_dist2(d2));
+    let twin_data = twin.as_mut_slice();
+    for (r, row) in out.as_slice().chunks(n.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            twin_data[c * m + r] = v;
+        }
+    }
+    (out, twin)
 }
 
 /// `(K(rows, cols), K(cols, rows))` with each entry evaluated once: the
@@ -115,39 +123,40 @@ pub fn kernel_block_twins(
     rows: &[usize],
     cols: &[usize],
 ) -> (Matrix, Matrix) {
-    let (m, n) = (rows.len(), cols.len());
-    let mut out = Matrix::zeros(m, n);
-    let mut twin = Matrix::zeros(n, m);
-    let panels = Panels::gather(points, cols);
-    let twin_data = twin.as_mut_slice();
-    for (r, (row, &i)) in out
-        .as_mut_slice()
-        .chunks_mut(n.max(1))
-        .zip(rows)
-        .enumerate()
-    {
-        panels.kernel_row(kernel, points.point(i), row);
-        for (c, &v) in row.iter().enumerate() {
-            twin_data[c * m + r] = v;
-        }
-    }
-    (out, twin)
+    twins(KernelDispatch::global(), points, kernel, rows, cols)
 }
 
-/// `f(‖x_a − x_b‖²)` for every pair of `idx`, each unordered pair computed
-/// once: row `r` evaluates columns `r..` (from the panel holding `r`), and
-/// the strict upper triangle is mirrored below it.
-fn symmetric_block(points: &PointSet, idx: &[usize], f: impl Fn(f64) -> f64) -> Matrix {
+/// `f(‖x_a − x_b‖²)` for every pair of `idx` on `disp`'s distance arm,
+/// each unordered pair computed once: the rows run in groups of one
+/// panel's width, a group evaluates the columns from its own panel on (the
+/// arms split it into row passes, the second starting mid-panel), and the
+/// strict upper triangle is mirrored below it.
+fn symmetric_block(
+    disp: KernelDispatch,
+    points: &PointSet,
+    idx: &[usize],
+    f: impl Fn(f64) -> f64,
+) -> Matrix {
     let n = idx.len();
     let mut out = Matrix::zeros(n, n);
-    let panels = Panels::gather(points, idx);
-    for (r, &i) in idx.iter().enumerate() {
-        let first = r / LANES;
-        let row = out.row_mut(r);
-        panels.dist2_row(points.point(i), first, &mut row[first * LANES..]);
-        row[r..].iter_mut().for_each(|v| *v = f(*v));
-    }
+    let panels = DistPanels::gather(points.coords(), points.dim(), idx);
     let data = out.as_mut_slice();
+    for (first, group) in idx.chunks(PANEL).enumerate() {
+        let r0 = first * PANEL;
+        disp.dist2(
+            points.coords(),
+            group,
+            &panels,
+            first,
+            &mut data[r0 * n + r0..],
+            n,
+        );
+        for r in r0..r0 + group.len() {
+            data[r * n + r..(r + 1) * n]
+                .iter_mut()
+                .for_each(|v| *v = f(*v));
+        }
+    }
     for r in 0..n {
         for c in r + 1..n {
             data[c * n + r] = data[r * n + c];
@@ -160,13 +169,15 @@ fn symmetric_block(points: &PointSet, idx: &[usize], f: impl Fn(f64) -> f64) -> 
 /// (`idx.len()²`, row-major), each unordered pair computed once.  Entry
 /// `(a, b)` is bitwise `points.dist2(idx[a], idx[b])`.
 pub fn dist2_block_symmetric(points: &PointSet, idx: &[usize]) -> Matrix {
-    symmetric_block(points, idx, |d2| d2)
+    symmetric_block(KernelDispatch::global(), points, idx, |d2| d2)
 }
 
 /// [`kernel_block`]`(points, kernel, idx, idx)` with each unordered pair
 /// evaluated once; the same bits.
 pub fn kernel_block_symmetric(points: &PointSet, kernel: &Kernel, idx: &[usize]) -> Matrix {
-    symmetric_block(points, idx, |d2| kernel.eval_dist2(d2))
+    symmetric_block(KernelDispatch::global(), points, idx, |d2| {
+        kernel.eval_dist2(d2)
+    })
 }
 
 #[cfg(test)]
@@ -222,6 +233,85 @@ mod tests {
                         want.to_bits(),
                         "{what} ({a}, {b})"
                     );
+                }
+            }
+        }
+    }
+
+    /// Every distance arm this host runs (scalar, and avx2 / avx512 where
+    /// the CPU has them), deduplicated by name.
+    fn arms() -> Vec<KernelDispatch> {
+        use matrox_linalg::KernelChoice;
+        let mut arms = vec![
+            KernelDispatch::scalar(),
+            KernelDispatch::resolve(KernelChoice::Avx2),
+            KernelDispatch::resolve(KernelChoice::Auto),
+        ];
+        arms.dedup_by_key(|d| d.name());
+        arms
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The arm oracle: on every arm, every entry of the plain, parallel,
+    /// twin and symmetric blocks is bitwise `PointSet::dist2` /
+    /// `Kernel::eval`, at dimensions around the 8-lane panel and the
+    /// workloads' 54, every row count through two 4-row passes and a
+    /// remainder, and column counts on and off the panel.  Coincident
+    /// indices and duplicate points hit the `d2 == 0` branches.  The
+    /// symmetric blocks run 8-row groups whose second 4-row pass starts
+    /// mid-panel.
+    #[test]
+    fn every_distance_arm_matches_eval_bitwise() {
+        const POINTS: usize = 80;
+        for dim in [1, 2, 3, 7, 8, 9, 53, 54, 55, 64] {
+            let pts = points_with_duplicates(POINTS, dim, 11 + dim as u64);
+            for disp in arms() {
+                let what = |m: &str| format!("{} d {dim} {m}", disp.name());
+                for m in 0..=9 {
+                    let rows: Vec<usize> = (0..m).map(|i| (i * 7 + 3) % POINTS).collect();
+                    for n in [0, 1, 7, 8, 9, 63, 64, 65] {
+                        let cols: Vec<usize> = (0..n).map(|j| (j * 13 + 5) % POINTS).collect();
+                        let d2 = block(disp, &pts, &rows, &cols, |d2| d2);
+                        for (a, &i) in rows.iter().enumerate() {
+                            for (b, &j) in cols.iter().enumerate() {
+                                let want = pts.dist2(i, j).to_bits();
+                                assert_eq!(d2.get(a, b).to_bits(), want, "{}", what("dist2"));
+                            }
+                        }
+                        for kernel in &KERNELS {
+                            let k = block(disp, &pts, &rows, &cols, |d2| kernel.eval_dist2(d2));
+                            for (a, &i) in rows.iter().enumerate() {
+                                for (b, &j) in cols.iter().enumerate() {
+                                    let want = kernel.eval(pts.point(i), pts.point(j)).to_bits();
+                                    assert_eq!(
+                                        k.get(a, b).to_bits(),
+                                        want,
+                                        "{}",
+                                        what(kernel.name())
+                                    );
+                                }
+                            }
+                            let (t, tt) = twins(disp, &pts, kernel, &rows, &cols);
+                            assert_eq!(bits(&t), bits(&k), "{}", what("twins"));
+                            assert_eq!(bits(&tt), bits(&k.transpose()), "{}", what("twins"));
+                            let p = block_par(disp, &pts, kernel, &rows, &cols);
+                            assert_eq!(bits(&p), bits(&k), "{}", what("par"));
+                        }
+                    }
+                }
+                for n in (0..=17).chain([63, 64, 65]) {
+                    let idx: Vec<usize> = (0..n).map(|i| (i * 17) % POINTS).collect();
+                    let d2 = symmetric_block(disp, &pts, &idx, |d2| d2);
+                    let full = block(disp, &pts, &idx, &idx, |d2| d2);
+                    assert_eq!(bits(&d2), bits(&full), "{}", what("symmetric dist2"));
+                    for kernel in &KERNELS {
+                        let f = |d2| kernel.eval_dist2(d2);
+                        let sym = symmetric_block(disp, &pts, &idx, f);
+                        assert_eq!(bits(&sym), bits(&block(disp, &pts, &idx, &idx, f)));
+                    }
                 }
             }
         }
