@@ -172,6 +172,30 @@ pub fn dist2_block_symmetric(points: &PointSet, idx: &[usize]) -> Matrix {
     symmetric_block(KernelDispatch::global(), points, idx, |d2| d2)
 }
 
+/// The squared distances from every point of `rows` to every one of
+/// `targets` (row-major, `points.dim()` values a target, so `targets.len()
+/// / dim` columns), on the distance body.  Entry `(a, t)` is bitwise
+/// `points.dist2_to(rows[a], target t)`: the chain runs `x − t` as
+/// `dist2_to` does, and for a target that is itself a point `y`,
+/// `(x − y)² == (y − x)²` makes it `points.dist2(y, rows[a])` too.
+///
+/// # Panics
+/// Panics if `targets` does not hold whole points.
+pub fn dist2_block_to(points: &PointSet, rows: &[usize], targets: &[f64]) -> Matrix {
+    let dim = points.dim();
+    assert!(
+        targets.len().is_multiple_of(dim),
+        "dist2_block_to: {} target values are not whole {dim}-value points",
+        targets.len()
+    );
+    let n = targets.len() / dim;
+    let mut out = Matrix::zeros(rows.len(), n);
+    let cols: Vec<usize> = (0..n).collect();
+    let panels = DistPanels::gather(targets, dim, &cols);
+    KernelDispatch::global().dist2(points.coords(), rows, &panels, 0, out.as_mut_slice(), n);
+    out
+}
+
 /// [`kernel_block`]`(points, kernel, idx, idx)` with each unordered pair
 /// evaluated once; the same bits.
 pub fn kernel_block_symmetric(points: &PointSet, kernel: &Kernel, idx: &[usize]) -> Matrix {
@@ -362,6 +386,31 @@ mod tests {
                     let full = kernel_block(&pts, kernel, &idx, &idx);
                     let sym = kernel_block_symmetric(&pts, kernel, &idx);
                     assert_eq!(bits(&sym), bits(&full), "{} d {dim} n {n}", kernel.name());
+                }
+            }
+        }
+    }
+
+    /// Distances to free targets are `dist2_to`'s bits, and to a target
+    /// that is a point, `dist2`'s from either side.
+    #[test]
+    fn distances_to_targets_match_the_pointset_chains() {
+        for dim in [1, 3, 8, 54] {
+            let pts = points_with_duplicates(29, dim, 5 + dim as u64);
+            let rows: Vec<usize> = (0..29).rev().chain([3, 3]).collect();
+            let centre = pts.centroid(&rows);
+            for t in [0, 1, 2, 9] {
+                let mut targets: Vec<f64> =
+                    (0..t).flat_map(|c| pts.point(c * 3).to_vec()).collect();
+                targets.extend_from_slice(&centre);
+                let d2 = dist2_block_to(&pts, &rows, &targets);
+                assert_eq!(d2.shape(), (rows.len(), t + 1));
+                for (a, &i) in rows.iter().enumerate() {
+                    for c in 0..t {
+                        assert_eq!(d2.get(a, c).to_bits(), pts.dist2(c * 3, i).to_bits());
+                        assert_eq!(d2.get(a, c).to_bits(), pts.dist2(i, c * 3).to_bits());
+                    }
+                    assert_eq!(d2.get(a, t).to_bits(), pts.dist2_to(i, &centre).to_bits());
                 }
             }
         }

@@ -25,7 +25,7 @@ pub mod kernel;
 pub mod pointset;
 
 pub use block::{
-    dist2_block_symmetric, kernel_block, kernel_block_par, kernel_block_symmetric,
+    dist2_block_symmetric, dist2_block_to, kernel_block, kernel_block_par, kernel_block_symmetric,
     kernel_block_twins,
 };
 pub use datasets::{generate, DatasetId, DatasetSpec, TABLE1};

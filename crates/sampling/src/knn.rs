@@ -7,8 +7,9 @@
 //! approach builds a handful of randomized trees, restricts candidate pairs
 //! to RP-tree leaves, and keeps the best `k` candidates per point.
 //!
-//! Both phases run on the work-stealing pool and are bitwise deterministic
-//! across pool widths:
+//! The three phases run on the work-stealing pool, are exposed one by one
+//! as [`RpForest`] (so a probe can time them), and are bitwise
+//! deterministic across pool widths:
 //!
 //! * **Tree construction** parallelizes *across* trees.  Every tree draws
 //!   its projection directions from its own RNG seeded by `(seed, tree
@@ -18,19 +19,24 @@
 //!   pairs are scored once, as the upper triangle of one distance block;
 //!   `dist2` is bitwise symmetric, so both points of a pair get the entry
 //!   each would compute.
-//! * **Neighbour search** parallelizes *across points*.  Each point gathers
-//!   its row of its leaf's block in every tree in fixed tree order, then
-//!   ranks the candidates by `(distance, index)` — the index tie-break makes
-//!   the result independent of gathering order even for equidistant
-//!   candidates.  Each point's list lands in its own pre-sized output slot;
-//!   there is no shared candidate accumulation anywhere.
+//! * **Ranking** parallelizes *across points*.  Each point gathers its row
+//!   of its leaf's block in every tree in fixed tree order, dropping a
+//!   candidate it has already seen by index (an `N`-bit set per task): a
+//!   point found in several trees carries the same distance bits each
+//!   time.  One selection on the distance bits then finds the `k`-th
+//!   smallest distance, and only the candidates at or below it are sorted
+//!   by `(distance, index)` — the index tie-break makes the result
+//!   independent of gathering order even for equidistant candidates.  Each
+//!   point's list lands in its own pre-sized output slot; there is no
+//!   shared candidate accumulation anywhere.
 
+use crate::scratch::{task_len, Marks};
+use matrox_linalg::Matrix;
 use matrox_points::{dist2_block_symmetric, PointSet};
 use matrox_tree::median_split_by_key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::cmp::Ordering;
 
 /// Parameters for the approximate k-NN search.
 #[derive(Debug, Clone, Copy)]
@@ -106,28 +112,120 @@ fn build_rp_tree(points: &PointSet, leaf_bound: usize, seed: u64, tree: usize) -
     RpTree { idx, leaves, slot }
 }
 
-/// The ranking order of candidates: distance, then index — a total order
-/// on distinct candidates.  Distances are sums of squares (never `-0.0`),
-/// so `total_cmp` orders them as `<` does.
-fn by_distance_then_index(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+/// Rank one point's distinct candidates `(distance bits, index)`: push the
+/// `k >= 1` nearest onto `out` in `(distance, index)` order.  The `k`-th
+/// smallest distance bounds the list, so one selection on the bits (`bits`
+/// is its scratch) finds it and only the candidates at or below it are
+/// sorted.  Distances are sums of squares from `0.0` (never `-0.0`), so
+/// their bits order as the values do.
+fn rank_nearest(
+    cands: &mut Vec<(u64, usize)>,
+    bits: &mut Vec<u64>,
+    k: usize,
+    out: &mut Vec<usize>,
+) {
+    if cands.len() > k {
+        bits.clear();
+        bits.extend(cands.iter().map(|&(d, _)| d));
+        let (_, &mut bound, _) = bits.select_nth_unstable(k - 1);
+        cands.retain(|&(d, _)| d <= bound);
+    }
+    cands.sort_unstable();
+    out.extend(cands.iter().take(k).map(|&(_, j)| j));
 }
 
-/// Rank one point's candidates: afterwards `cands` holds the `k` nearest
-/// in `(distance, index)` order.  A point found in several trees' leaves
-/// carries the same distance bits each time, so a duplicate is an equal
-/// entry, and one leaf holds a point once: the `k` smallest distinct
-/// entries lie among the `trees * k` smallest entries, and only those are
-/// sorted.
-fn rank_nearest(cands: &mut Vec<(f64, usize)>, k: usize, trees: usize) {
-    let m = trees * k;
-    if m < cands.len() {
-        cands.select_nth_unstable_by(m, by_distance_then_index);
-        cands.truncate(m);
+/// The random-projection forest of [`approximate_knn`], one phase a call:
+/// [`build`](RpForest::build) the trees, score their leaves
+/// ([`leaf_distances`](RpForest::leaf_distances)), then
+/// [`rank_into`](RpForest::rank_into) the lists.
+pub struct RpForest {
+    trees: Vec<RpTree>,
+    /// Neighbours kept per point, `params.k` capped at `n - 1`.
+    k: usize,
+    /// The most points a leaf holds.
+    leaf_bound: usize,
+    /// Minimum points per ranking task.
+    grain: usize,
+}
+
+/// The squared distances of every leaf's pairs, `[tree][leaf]`, each
+/// unordered pair computed once.
+pub struct LeafDistances {
+    blocks: Vec<Vec<Matrix>>,
+}
+
+impl RpForest {
+    /// Phase 1: build the trees, one parallel task per tree.
+    pub fn build(points: &PointSet, params: &KnnParams) -> RpForest {
+        let k = params.k.min(points.len().saturating_sub(1));
+        let leaf_bound = params.leaf_cap.max(2 * k).max(4);
+        let trees = (0..params.num_trees.max(1))
+            .into_par_iter()
+            .map(|t| build_rp_tree(points, leaf_bound, params.seed, t))
+            .collect();
+        RpForest {
+            trees,
+            k,
+            leaf_bound,
+            grain: params.grain.max(1),
+        }
     }
-    cands.sort_unstable_by(by_distance_then_index);
-    cands.dedup();
-    cands.truncate(k);
+
+    /// Phase 2: score every leaf's pairs once, in parallel over each tree's
+    /// leaves.
+    pub fn leaf_distances(&self, points: &PointSet) -> LeafDistances {
+        let blocks = self
+            .trees
+            .iter()
+            .map(|tree| {
+                tree.leaves
+                    .par_iter()
+                    .map(|&(s, e)| dist2_block_symmetric(points, &tree.idx[s..e]))
+                    .collect()
+            })
+            .collect();
+        LeafDistances { blocks }
+    }
+
+    /// Phase 3: push every point's `k` nearest candidates onto its (empty)
+    /// list, `lists[i]` for point `i`.  Trees are visited in fixed order
+    /// and ties rank by index, so the schedule cannot influence the lists.
+    ///
+    /// # Panics
+    /// If `lists` does not hold one list a point of the forest.
+    pub fn rank_into(&self, scores: &LeafDistances, lists: &mut [Vec<usize>]) {
+        let n = self.trees.first().map_or(0, |t| t.slot.len());
+        assert_eq!(lists.len(), n, "rank_into: one list a point");
+        if self.k == 0 {
+            return;
+        }
+        let chunk = task_len(n, self.grain);
+        let cap = self.trees.len() * self.leaf_bound;
+        lists
+            .par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(c, lists)| {
+                let mut seen = Marks::new(n);
+                let mut cands: Vec<(u64, usize)> = Vec::with_capacity(cap);
+                let mut bits: Vec<u64> = Vec::with_capacity(cap);
+                for (i, out) in (c * chunk..).zip(lists.iter_mut()) {
+                    seen.insert(i);
+                    for (tree, blocks) in self.trees.iter().zip(&scores.blocks) {
+                        let (leaf, row) = tree.slot[i];
+                        let (s, e) = tree.leaves[leaf];
+                        for (&j, &d2) in tree.idx[s..e].iter().zip(blocks[leaf].row(row)) {
+                            if seen.insert(j) {
+                                cands.push((d2.to_bits(), j));
+                            }
+                        }
+                    }
+                    seen.remove(i);
+                    cands.iter().for_each(|&(_, j)| seen.remove(j));
+                    rank_nearest(&mut cands, &mut bits, self.k, out);
+                    cands.clear();
+                }
+            });
+    }
 }
 
 /// Approximate k-nearest neighbours of every point.
@@ -138,51 +236,16 @@ fn rank_nearest(cands: &mut Vec<(f64, usize)>, k: usize, trees: usize) {
 /// and grain.
 pub fn approximate_knn(points: &PointSet, params: &KnnParams) -> Vec<Vec<usize>> {
     let n = points.len();
-    if n <= 1 {
+    if n <= 1 || params.k == 0 {
         return vec![Vec::new(); n];
     }
-    let k = params.k.min(n - 1);
-    let grain = params.grain.max(1);
-    let leaf_bound = params.leaf_cap.max(2 * k).max(4);
-
     // The lists outlive everything below, so they are allocated first: the
     // trees and leaf blocks are then freed as one region above them.
+    let k = params.k.min(n - 1);
     let mut knn: Vec<Vec<usize>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
-
-    // Phase 1: build the trees, one parallel task per tree.
-    let trees: Vec<RpTree> = (0..params.num_trees.max(1))
-        .into_par_iter()
-        .map(|t| build_rp_tree(points, leaf_bound, params.seed, t))
-        .collect();
-
-    // Phase 2: score every leaf's pairs once, `blocks[tree][leaf]`.
-    let blocks: Vec<Vec<_>> = trees
-        .iter()
-        .map(|tree| {
-            tree.leaves
-                .par_iter()
-                .map(|&(s, e)| dist2_block_symmetric(points, &tree.idx[s..e]))
-                .collect()
-        })
-        .collect();
-
-    // Phase 3: per-point gathering and ranking, one output slot per point.
-    // Trees are visited in fixed order and ties rank by index, so the
-    // schedule cannot influence the lists.
-    knn.par_iter_mut()
-        .enumerate()
-        .with_min_len(grain)
-        .for_each(|(i, out)| {
-            let mut cands: Vec<(f64, usize)> = Vec::with_capacity(trees.len() * leaf_bound);
-            for (tree, blocks) in trees.iter().zip(&blocks) {
-                let (leaf, row) = tree.slot[i];
-                let (s, e) = tree.leaves[leaf];
-                let row = tree.idx[s..e].iter().zip(blocks[leaf].row(row));
-                cands.extend(row.filter(|&(&j, _)| j != i).map(|(&j, &d2)| (d2, j)));
-            }
-            rank_nearest(&mut cands, k, trees.len());
-            out.extend(cands.iter().map(|&(_, j)| j));
-        });
+    let forest = RpForest::build(points, params);
+    let scores = forest.leaf_distances(points);
+    forest.rank_into(&scores, &mut knn);
     knn
 }
 

@@ -20,6 +20,9 @@
 
 pub mod knn;
 pub mod node_sampling;
+mod scratch;
 
-pub use knn::{approximate_knn, exact_knn, KnnParams};
-pub use node_sampling::{sample_nodes, sample_nodes_exhaustive, SamplingInfo, SamplingParams};
+pub use knn::{approximate_knn, exact_knn, KnnParams, LeafDistances, RpForest};
+pub use node_sampling::{
+    sample_nodes, sample_nodes_exhaustive, sample_nodes_from_knn, SamplingInfo, SamplingParams,
+};

@@ -6,10 +6,19 @@
 //! applies importance sampling to select the final sample set for that block
 //! (Section 3.1).  The sampled far-field points are the proxy columns against
 //! which the interpolative decomposition of each node is computed.
+//!
+//! The node lists cost what they hold: the nodes run level by level from
+//! the deepest, a leaf merges its members' lists and an inner node its two
+//! children's merged lists, repeats are dropped with an `N`-bit set per
+//! pool task, and the kept samples are one selection plus a sort of only
+//! the kept entries ([`sample_nodes_from_knn`]).  Every list and sample is
+//! the one a per-node hash set over all member lists and a stable sort of
+//! every weight give (`tests/node_sampling_oracle.rs`).
 
 use crate::knn::{approximate_knn, KnnParams};
+use crate::scratch::{task_len, Marks};
 use matrox_points::{Kernel, PointSet};
-use matrox_tree::ClusterTree;
+use matrox_tree::{ClusterTree, TreeNode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -78,81 +87,175 @@ pub fn sample_nodes(
     params: &SamplingParams,
 ) -> SamplingInfo {
     let point_knn = approximate_knn(points, &params.knn);
+    sample_nodes_from_knn(points, tree, kernel, params, point_knn)
+}
 
-    // Inverse permutation: position of each point in the tree ordering, used
-    // to test node membership in O(1).
-    let pos = &tree.pos;
-
-    let samples: Vec<Vec<usize>> = tree
-        .nodes
-        .par_iter()
-        .with_min_len(params.grain.max(1))
-        .map(|node| {
-            let mut rng = StdRng::seed_from_u64(
-                params.seed ^ (node.id as u64).wrapping_mul(0x9e3779b97f4a7c15),
-            );
-            let inside = |q: usize| pos[q] >= node.start && pos[q] < node.end;
-
-            // Merge member-point neighbour lists, excluding points inside the
-            // node itself (those belong to the near field / diagonal block).
-            let mut merged: Vec<usize> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for &p in tree.perm[node.start..node.end].iter() {
-                for &q in &point_knn[p] {
-                    if !inside(q) && seen.insert(q) {
-                        merged.push(q);
-                    }
-                }
+/// [`sample_nodes`] from per-point neighbour lists already computed
+/// (`params.knn` is not read): the node lists, their kernel weights and the
+/// samples.
+///
+/// A node's list is its members' neighbour lists merged in member order,
+/// without points inside the node and without repeats.  The nodes run level
+/// by level from the deepest, and an inner node merges its two children's
+/// lists instead of its members': the children own its members in order and
+/// every point outside the node is outside both, so keeping what lies
+/// outside the node, first occurrences only, gives the same list from far
+/// fewer entries.  Repeats are dropped with an `N`-bit set per task.
+///
+/// The merged points are weighed by the kernel against the node's centroid,
+/// and the `sampling_size` heaviest are kept by `(weight descending,
+/// first-seen position)` — the order a stable sort by weight leaves — with
+/// one selection and a sort of only the kept entries.
+///
+/// The tree is a built (or validated) one: each node's children sit one
+/// level below it (`ClusterTree::validate`'s T4).
+///
+/// # Panics
+/// If `point_knn` does not hold one list a point or a kernel weight is NaN.
+pub fn sample_nodes_from_knn(
+    points: &PointSet,
+    tree: &ClusterTree,
+    kernel: &Kernel,
+    params: &SamplingParams,
+    point_knn: Vec<Vec<usize>>,
+) -> SamplingInfo {
+    let n = points.len();
+    assert_eq!(
+        point_knn.len(),
+        n,
+        "sample_nodes: one neighbour list a point"
+    );
+    let nodes = &tree.nodes;
+    let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); tree.height + 1];
+    for node in nodes {
+        by_level[node.level].push(node.id);
+    }
+    // `lists[id]`: node `id`'s merged list, held until its parent merges it.
+    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    let mut samples: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for ids in by_level.iter().rev() {
+        let chunk = task_len(ids.len(), params.grain);
+        let below = &lists;
+        let done: Vec<Vec<(Vec<usize>, Vec<usize>)>> = (0..ids.len().div_ceil(chunk))
+            .into_par_iter()
+            .map(|c| {
+                let mut seen = Marks::new(n);
+                let mut weighted: Vec<(f64, usize)> = Vec::new();
+                ids[c * chunk..]
+                    .iter()
+                    .take(chunk)
+                    .map(|&id| {
+                        let node = &nodes[id];
+                        let merged = match node.children {
+                            None => {
+                                let members = tree.perm[node.start..node.end].iter();
+                                let entries = members.flat_map(|&p| &point_knn[p]);
+                                merge_outside(tree, node, entries, &mut seen)
+                            }
+                            Some((l, r)) => {
+                                let entries = below[l].iter().chain(&below[r]);
+                                merge_outside(tree, node, entries, &mut seen)
+                            }
+                        };
+                        let chosen =
+                            choose(points, tree, kernel, params, node, &merged, &mut weighted);
+                        (merged, chosen)
+                    })
+                    .collect()
+            })
+            .collect();
+        for (&id, (merged, chosen)) in ids.iter().zip(done.into_iter().flatten()) {
+            if let Some((l, r)) = nodes[id].children {
+                lists[l] = Vec::new();
+                lists[r] = Vec::new();
             }
-
-            // Importance sampling: rank merged neighbours by kernel magnitude
-            // w.r.t. the node centroid (for decaying kernels this favours the
-            // strongest far interactions) and keep the top `sampling_size`.
-            let mut weighted: Vec<(f64, usize)> = merged
-                .iter()
-                .map(|&q| {
-                    let w = kernel.eval(&node.centroid, points.point(q));
-                    (w, q)
-                })
-                .collect();
-            weighted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            let mut chosen: Vec<usize> = weighted
-                .iter()
-                .take(params.sampling_size)
-                .map(|&(_, q)| q)
-                .collect();
-
-            // Top up with uniform samples from outside the node so the ID
-            // sample also represents the weak, distant interactions.
-            let outside_count = points.len() - node.num_points();
-            let want_uniform = params
-                .uniform_samples
-                .min(outside_count.saturating_sub(chosen.len()));
-            let mut guard = 0;
-            while chosen.len() < params.sampling_size.min(outside_count) + want_uniform
-                && guard < 20 * (want_uniform + 1)
-            {
-                guard += 1;
-                let q = rng.gen_range(0..points.len());
-                if !inside(q) && !chosen.contains(&q) {
-                    chosen.push(q);
-                }
-            }
-            chosen
-        })
-        .collect();
-
+            lists[id] = merged;
+            samples[id] = chosen;
+        }
+    }
     SamplingInfo { samples, point_knn }
+}
+
+/// The first occurrences of the `entries` that lie outside `node` (those
+/// inside belong to the near field / diagonal block), in entry order.
+/// `seen` is empty before and after.
+fn merge_outside<'a>(
+    tree: &ClusterTree,
+    node: &TreeNode,
+    entries: impl Iterator<Item = &'a usize>,
+    seen: &mut Marks,
+) -> Vec<usize> {
+    let pos = &tree.pos;
+    let mut merged = Vec::new();
+    for &q in entries {
+        if (pos[q] < node.start || pos[q] >= node.end) && seen.insert(q) {
+            merged.push(q);
+        }
+    }
+    merged.iter().for_each(|&q| seen.remove(q));
+    merged
+}
+
+/// One node's samples from its merged list.  `weighted` is scratch.
+fn choose(
+    points: &PointSet,
+    tree: &ClusterTree,
+    kernel: &Kernel,
+    params: &SamplingParams,
+    node: &TreeNode,
+    merged: &[usize],
+    weighted: &mut Vec<(f64, usize)>,
+) -> Vec<usize> {
+    let n = points.len();
+    let mut rng =
+        StdRng::seed_from_u64(params.seed ^ (node.id as u64).wrapping_mul(0x9e3779b97f4a7c15));
+
+    // Importance sampling: rank merged neighbours by kernel magnitude w.r.t.
+    // the node centroid (for decaying kernels this favours the strongest far
+    // interactions) and keep the top `sampling_size`, earlier-seen first
+    // among equals.
+    weighted.clear();
+    weighted.extend(
+        merged
+            .iter()
+            .enumerate()
+            .map(|(at, &q)| (kernel.eval(&node.centroid, points.point(q)), at)),
+    );
+    let heavier =
+        |a: &(f64, usize), b: &(f64, usize)| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1));
+    let keep = params.sampling_size.min(weighted.len());
+    if keep > 0 && keep < weighted.len() {
+        weighted.select_nth_unstable_by(keep - 1, heavier);
+    }
+    weighted[..keep].sort_unstable_by(heavier);
+    let mut chosen: Vec<usize> = weighted[..keep].iter().map(|&(_, at)| merged[at]).collect();
+
+    // Top up with uniform samples from outside the node so the ID sample
+    // also represents the weak, distant interactions.
+    let pos = &tree.pos;
+    let inside = |q: usize| pos[q] >= node.start && pos[q] < node.end;
+    let outside_count = n - node.num_points();
+    let want_uniform = params
+        .uniform_samples
+        .min(outside_count.saturating_sub(chosen.len()));
+    let mut guard = 0;
+    while chosen.len() < params.sampling_size.min(outside_count) + want_uniform
+        && guard < 20 * (want_uniform + 1)
+    {
+        guard += 1;
+        let q = rng.gen_range(0..n);
+        if !inside(q) && !chosen.contains(&q) {
+            chosen.push(q);
+        }
+    }
+    chosen
 }
 
 /// Exhaustive "sampling": every point outside the node is a sample.  This is
 /// only feasible for small `N` and is used by tests and accuracy studies to
 /// isolate the error of the ID itself from the sampling error.
 pub fn sample_nodes_exhaustive(points: &PointSet, tree: &ClusterTree) -> SamplingInfo {
-    let mut pos = vec![0usize; points.len()];
-    for (p, &i) in tree.perm.iter().enumerate() {
-        pos[i] = p;
-    }
+    let pos = &tree.pos;
     let samples = tree
         .nodes
         .iter()

@@ -1,8 +1,9 @@
 //! The approximate k-NN search against the one it replaced.
 //!
 //! `approximate_knn` splits by keys computed once per point, scores each
-//! rp-tree leaf's pairs once and sorts only a point's `trees * k` nearest
-//! candidates; the per-point gather-and-sort below is the parent's, kept
+//! rp-tree leaf's pairs once, drops a point's repeated candidates by index
+//! and sorts only those at or below its `k`-th smallest distance; the
+//! per-point gather-and-sort below is the form all of that replaced, kept
 //! verbatim as the oracle.  The lists must be equal: node sampling, and through it every
 //! skeleton and stored image, is built on them.
 
@@ -133,18 +134,23 @@ fn knn_matches_reference() {
     }
 }
 
-/// `n <= leaf_cap` (one leaf a tree) and `k >= n - 1` (every other point).
+/// `n <= leaf_cap` (one leaf a tree), `k >= n - 1` (every other point),
+/// `k = 0` (empty lists) and `num_trees = 0` (one tree).
 #[test]
 fn knn_matches_reference_on_small_sets() {
     for n in [0, 1, 2, 3, 9, 50, 96, 97] {
         let points = generate(DatasetId::Covtype, n.max(1), 3);
         let points = PointSet::new(points.dim(), points.coords()[..n * points.dim()].to_vec());
-        for k in [1, n.saturating_sub(1), n, n + 5] {
-            let params = KnnParams {
-                k,
-                ..Default::default()
-            };
-            assert_matches_reference(&points, &params, &format!("n {n} k {k}"));
+        for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+            for num_trees in [0, 4] {
+                let params = KnnParams {
+                    k,
+                    num_trees,
+                    ..Default::default()
+                };
+                let what = format!("n {n} k {k} trees {num_trees}");
+                assert_matches_reference(&points, &params, &what);
+            }
         }
     }
 }

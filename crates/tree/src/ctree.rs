@@ -25,7 +25,7 @@
 //! (`seed ^ node_id * 0x9e3779b97f4a7c15`) instead of a shared stream whose
 //! consumption order would depend on scheduling.
 
-use matrox_points::PointSet;
+use matrox_points::{dist2_block_to, PointSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -474,54 +474,67 @@ fn kd_split(points: &PointSet, idx: &mut [usize]) -> usize {
 /// two Lloyd iterations, then split at the median of the distance difference
 /// so the two halves are balanced (keeping the binary tree complete, which
 /// the coarsening algorithm relies on for load balance).
+///
+/// Every distance runs on the distance body ([`dist2_block_to`]): the far
+/// seed's against one target, each Lloyd step's and the median keys'
+/// against the two centres gathered as one panel.  Each is bitwise the
+/// `PointSet::dist2` / `dist2_to` chain, so every split is the scalar
+/// form's.
 fn two_means_split(points: &PointSet, idx: &mut [usize], rng: &mut StdRng) -> usize {
     // Seed selection: a random point, then the point farthest from it.
     let a = idx[rng.gen_range(0..idx.len())];
-    let far: Vec<f64> = idx.iter().map(|&x| points.dist2(a, x)).collect();
+    let far = dist2_block_to(points, idx, points.point(a));
     let (&b, _) = idx
         .iter()
-        .zip(&far)
+        .zip(far.as_slice())
         .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
         .unwrap();
-    let mut c1: Vec<f64> = points.point(a).to_vec();
-    let mut c2: Vec<f64> = points.point(b).to_vec();
+    let dim = points.dim();
+    // The two centres, `c1` then `c2`, as one row-major target block.
+    let mut centres: Vec<f64> = [points.point(a), points.point(b)].concat();
 
     // A couple of Lloyd iterations to settle the two centers.
     for _ in 0..2 {
-        let mut s1 = vec![0.0; points.dim()];
-        let mut s2 = vec![0.0; points.dim()];
+        let d = dist2_block_to(points, idx, &centres);
+        let mut s1 = vec![0.0; dim];
+        let mut s2 = vec![0.0; dim];
         let mut n1 = 0usize;
         let mut n2 = 0usize;
-        for &i in idx.iter() {
-            let d1 = points.dist2_to(i, &c1);
-            let d2 = points.dist2_to(i, &c2);
+        for (&i, d12) in idx.iter().zip(d.as_slice().chunks_exact(2)) {
             let p = points.point(i);
-            if d1 <= d2 {
-                for k in 0..points.dim() {
+            if d12[0] <= d12[1] {
+                for k in 0..dim {
                     s1[k] += p[k];
                 }
                 n1 += 1;
             } else {
-                for k in 0..points.dim() {
+                for k in 0..dim {
                     s2[k] += p[k];
                 }
                 n2 += 1;
             }
         }
+        let (c1, c2) = centres.split_at_mut(dim);
         if n1 > 0 {
-            for k in 0..points.dim() {
+            for k in 0..dim {
                 c1[k] = s1[k] / n1 as f64;
             }
         }
         if n2 > 0 {
-            for k in 0..points.dim() {
+            for k in 0..dim {
                 c2[k] = s2[k] / n2 as f64;
             }
         }
     }
 
     // Balanced split on the signed distance difference.
-    median_split_by_key(idx, |x| points.dist2_to(x, &c1) - points.dist2_to(x, &c2))
+    let d = dist2_block_to(points, idx, &centres);
+    let keys: Vec<f64> = d
+        .as_slice()
+        .chunks_exact(2)
+        .map(|d12| d12[0] - d12[1])
+        .collect();
+    median_split_by_keys(idx, &keys)
 }
 
 /// Split `idx` at its median by a per-point key: reorders `idx` exactly as
@@ -529,14 +542,28 @@ fn two_means_split(points: &PointSet, idx: &mut [usize], rng: &mut StdRng) -> us
 /// would and returns `len / 2`, but computes each point's key once instead
 /// of twice per comparison.
 ///
+/// # Panics
+/// If `idx` is empty or a key is NaN (as the comparator form would).
+pub fn median_split_by_key(idx: &mut [usize], key: impl Fn(usize) -> f64) -> usize {
+    let keys: Vec<f64> = idx.iter().map(|&p| key(p)).collect();
+    median_split_by_keys(idx, &keys)
+}
+
+/// [`median_split_by_key`] with the keys already computed in slice order:
+/// `keys[s]` is the key of `idx[s]`.
+///
 /// The selection runs on a slice of positions with the same comparison
 /// outcomes, so it makes the same moves, and `idx` is then permuted by it.
 ///
 /// # Panics
-/// If `idx` is empty or a key is NaN (as the comparator form would).
-pub fn median_split_by_key(idx: &mut [usize], key: impl Fn(usize) -> f64) -> usize {
+/// If `idx` is empty, `keys` is not as long as `idx`, or a key is NaN.
+pub fn median_split_by_keys(idx: &mut [usize], keys: &[f64]) -> usize {
+    assert_eq!(
+        keys.len(),
+        idx.len(),
+        "median_split_by_keys: one key a point"
+    );
     let mid = idx.len() / 2;
-    let keys: Vec<f64> = idx.iter().map(|&p| key(p)).collect();
     let mut order: Vec<usize> = (0..idx.len()).collect();
     order.select_nth_unstable_by(mid, |&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
     let before = idx.to_vec();
