@@ -33,6 +33,7 @@
 use crate::blocking::BlockSet;
 use crate::coarsen::CoarsenSet;
 use matrox_compress::Compression;
+use matrox_linalg::KernelDispatch;
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -53,6 +54,28 @@ pub struct CdsBlockEntry {
     /// The window at `offset` is the earlier twin `(source, target)`,
     /// stored `cols x rows`; this block is its transpose.
     pub transposed: bool,
+}
+
+impl CdsBlockEntry {
+    /// `dst += block * src` for this entry's `rows x cols` block over its
+    /// `window`, `src` and `dst` holding `q` columns: a transposed twin
+    /// reads the window of the block it mirrors through the `A^T B`
+    /// product, which returns bit for bit what the plain product over a
+    /// stored copy of its transpose would.
+    pub fn apply(
+        &self,
+        dispatch: KernelDispatch,
+        window: &[f64],
+        src: &[f64],
+        q: usize,
+        dst: &mut [f64],
+    ) {
+        if self.transposed {
+            dispatch.gemm_tn(window, self.cols, self.rows, src, q, dst);
+        } else {
+            dispatch.gemm(window, self.rows, self.cols, src, q, dst);
+        }
+    }
 }
 
 /// Range of block entries belonging to one blockset group.

@@ -1,21 +1,25 @@
 //! The MatRox executor: parallel HMatrix-matrix multiplication over CDS.
 //!
-//! The executor interprets an [`EvalPlan`] (the "generated code") in four
-//! phases, mirroring the specialized loops of Figure 1e:
+//! The executor interprets an [`EvalPlan`] (the "generated code") with the
+//! two loop shapes of Figure 1e, each run twice per panel:
 //!
-//! 1. **near phase** — the blocked loop over the dense `D` blocks,
-//!    parallel over blockset groups (which by construction never write the
-//!    same output rows, so no reductions/atomics are needed);
-//! 2. **upward phase** — the coarsened loop over the `V` generators,
-//!    sequential over coarsen levels, parallel over load-balanced sub-trees;
-//! 3. **coupling phase** — the blocked loop over the `B` blocks;
-//! 4. **downward phase** — the coarsened loop over the same `V`
-//!    generators (the operator is symmetric: `V` applied plain is the row
-//!    basis) in reverse coarsen-level order, scattering into the output.
+//! * **the blocked loop** over blockset groups, which by construction never
+//!   write the same output rows, so no reductions or atomics are needed.
+//!   It runs the near blocks, `Y_i += D_ij W_j` over leaf rows of the
+//!   permuted panels, and the coupling blocks, `S_i += B_ij T_j` over rank
+//!   slots; a transposed twin reads its window through the `A^T B` product
+//!   ([`CdsBlockEntry::apply`]);
+//! * **the coarsened loop** over the `V` generators, sequential over coarsen
+//!   levels and parallel over their load-balanced sub-trees, with one
+//!   product per node between `V_i` and the rows it stacks
+//!   ([`LevelSchedule::stack`]): a leaf's rows of the permuted panel, or its
+//!   children's stacked pair of rank slots `[l; r]`, which lie side by side
+//!   in `V_i`'s row order.  Upward it sets `T_i = V_i^T stack`; downward,
+//!   in reverse coarsen-level order, it adds `V_i S_i` into the stack (the
+//!   operator is symmetric: `V` applied plain is the row basis).
 //!
-//! Each phase is one loop over its structure set (blockset groups, coarsen
-//! partitions) whose body runs on the pool when the corresponding lowering is
-//! on and in the same order on the calling thread when it is off — because
+//! Each loop's body runs on the pool when the corresponding lowering is on
+//! and in the same order on the calling thread when it is off — because
 //! code generation decided the lowering is not profitable, or for the Figure 5
 //! ablation (`CDS(seq)`, `CDS + coarsen`, `CDS + block`, ...).
 //! The `peel_root` option applies the paper's low-level specialization: the
@@ -29,12 +33,12 @@
 //! # Memory discipline
 //!
 //! Everything a panel iteration needs is derived once: the plan-dependent
-//! state (panel width, kernel dispatch, per-node scratch offsets) lives in
-//! [`PreparedExec`], and the per-evaluation scratch
+//! state (panel width, kernel dispatch, the level schedule's rank slots)
+//! lives in [`PreparedExec`], and the per-evaluation scratch
 //! (permuted input/output panels plus the flat `T`/`S` coefficient buffers)
 //! is allocated once per [`execute_prepared`] call.  The panel loop itself
 //! allocates **nothing** — every GEMM writes into a precomputed offset range,
-//! and the phases hand tasks raw disjoint sub-slices (the private `RawSlots`
+//! and the loops hand tasks raw disjoint sub-slices (the private `RawSlots`
 //! helper) instead of rebuilding hash maps.
 //!
 //! The disjointness that makes those raw slices sound is not assumed: it is
@@ -50,14 +54,15 @@
 
 #![expect(
     unsafe_code,
-    reason = "RawSlots disjoint raw slicing for the allocation-free panel loop: blockset groups and coarsen partitions own disjoint slots, checked by EvalPlan::validate at prepare time and per call (DESIGN.md unsafe inventory)"
+    reason = "RawSlots disjoint raw slicing for the allocation-free panel loop: blockset groups own their targets' rows and slots, coarsen partitions their nodes' slots and stacked rows, checked by EvalPlan::validate at prepare time and per call (DESIGN.md unsafe inventory)"
 )]
 
 use crate::schedule::LevelSchedule;
-use matrox_analysis::{CdsBlockEntry, EvalPlan};
+use matrox_analysis::{CdsBlockEntry, EvalPlan, GroupRange};
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which phases run in parallel; derived from the plan's lowering decisions
 /// or overridden for ablation studies.
@@ -261,16 +266,6 @@ impl PreparedExec {
     pub fn dispatch(&self) -> KernelDispatch {
         self.dispatch
     }
-
-    /// Rank offset of a node's `T`/`S` coefficient slot.
-    fn rank_off(&self, id: usize) -> usize {
-        self.sched.slot(id).start
-    }
-
-    /// Skeleton rank of a node (width of its `T`/`S` coefficient slot).
-    fn srank(&self, id: usize) -> usize {
-        self.sched.slot(id).len()
-    }
 }
 
 /// Hold `(tree, plan)` to [`EvalPlan::validate`] — the invariants every
@@ -370,9 +365,9 @@ fn run_panels(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matr
     y
 }
 
-/// Run the four executor phases for the RHS columns `[j0, j1)`, writing the
-/// result into the same columns of `y`.  All scratch slices are caller-owned
-/// and reused across panels.
+/// Run the blocked and the coarsened loop, twice each, for the RHS columns
+/// `[j0, j1)`, writing the result into the same columns of `y`.  All
+/// scratch slices are caller-owned and reused across panels.
 fn execute_panel(
     plan: &EvalPlan,
     tree: &ClusterTree,
@@ -414,17 +409,35 @@ fn execute_panel(
     t_buf.fill(0.0);
     s_buf.fill(0.0);
 
-    // Phase 1: near (dense) contributions.
-    near_phase(plan, tree, prep, w_perm, y_perm, qp);
-
-    // Phase 2: upward pass producing the skeleton coefficients T.
-    upward_phase(plan, tree, prep, w_perm, t_buf, qp);
-
-    // Phase 3: coupling through the B blocks.
-    coupling_phase(plan, prep, t_buf, s_buf, qp);
-
-    // Phase 4: downward pass scattering V * S into the output.
-    downward_phase(plan, tree, prep, s_buf, y_perm, qp);
+    let cds = &plan.cds;
+    // Near: `Y_i += D_ij W_j`, the blocked loop over leaf rows.
+    blocked_phase(
+        prep,
+        &cds.d_groups,
+        &cds.d_entries,
+        |e| cds.d_block(e),
+        |id| tree.nodes[id].start..tree.nodes[id].end,
+        opts.parallel_near,
+        w_perm,
+        y_perm,
+        qp,
+    );
+    // Upward: `T_i = V_i^T [W_i | T_l; T_r]`, the coarsened loop.
+    coarsened_phase(plan, tree, prep, true, w_perm, t_buf, qp);
+    // Coupling: `S_i += B_ij T_j`, the blocked loop over rank slots.
+    blocked_phase(
+        prep,
+        &cds.b_groups,
+        &cds.b_entries,
+        |e| cds.b_block(e),
+        |id| prep.sched.slot(id),
+        opts.parallel_far,
+        t_buf,
+        s_buf,
+        qp,
+    );
+    // Downward: `[Y_i | S_l; S_r] += V_i S_i`, the coarsened loop reversed.
+    coarsened_phase(plan, tree, prep, false, y_perm, s_buf, qp);
 
     // Un-permute the panel into the output columns.  Iterate over the
     // *destination* rows (each task owns a contiguous block of `y`) and
@@ -462,10 +475,9 @@ const PERM_PAR_ELEMS: usize = 64 * 1024;
 /// bitwise identical.
 const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 
-/// Raw shared view of one scratch buffer, handed to the phase loops so tasks
+/// Raw shared view of one scratch buffer, handed to the two loops so tasks
 /// can slice their own disjoint sub-ranges without per-panel splitting
-/// machinery (the old implementation rebuilt per-group `HashMap`s of `&mut`
-/// slices on every RHS panel).
+/// machinery.
 ///
 /// # Safety contract
 ///
@@ -473,23 +485,23 @@ const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 /// every other concurrently live range (mutable or shared) of the same
 /// buffer.  The executor guarantees this through the items of
 /// [`EvalPlan::validate`], which both entry points have run on the very
-/// `(tree, plan)` the phases read (a phase whose lowering is off runs its
+/// `(tree, plan)` the loops read (a loop whose lowering is off runs its
 /// tasks one after another on the calling thread, where the same ranges are
 /// trivially unshared):
 ///
-/// * near/coupling: a target node belongs to exactly one blockset group
+/// * blocked loop: a target node belongs to exactly one blockset group
 ///   (P4); distinct target leaves own disjoint `y_perm` rows (T6) and
 ///   distinct nodes disjoint `S` slots (the prefix sums of `sranks`), and a
 ///   block is exactly as tall as the range it is multiplied into (P3);
-/// * upward: a node is in at most one coarsen partition, so one task writes
-///   its `T` slot, and the child slots it reads were written either earlier
-///   by the same task or on an earlier coarsen level (P6; the loop over a
-///   level's partitions is a barrier); a generator is as wide as its slot
-///   and as tall as what it reads (P2);
-/// * downward: a node's children each have exactly one parent (T3), so no
-///   two tasks push into the same `S` slot within a level, and a leaf (the
-///   `y_perm` writes) belongs to exactly one partition (P6) and owns its
-///   rows alone (T6).
+/// * coarsened loop: a node with a generator is in exactly one coarsen
+///   partition, and its children come before it, earlier in the partition
+///   or on an earlier level (P6; the loop over a level's partitions is a
+///   barrier), so one task owns its slot and the rows it stacks — a leaf's
+///   own rows (T6), or its children's pair, whose one parent it is (T3).
+///   Upward the task writes the slot and reads the stack, written before;
+///   downward it reads the slot, written before, and writes the stack,
+///   which the children read only after.  A generator is as wide as its
+///   slot and as tall as its stack (P2).
 #[derive(Clone, Copy)]
 struct RawSlots {
     ptr: *mut f64,
@@ -515,27 +527,33 @@ impl RawSlots {
     }
 
     /// # Safety
-    /// `[off, off + len)` must not be concurrently aliased (see the
-    /// type-level contract).  Bounds are checked unconditionally — the
-    /// check is trivial next to the product the slice feeds, and it turns
-    /// an invariant-violation bug into a panic instead of an
-    /// out-of-bounds write.
-    unsafe fn slice_mut<'a>(&self, off: usize, len: usize) -> &'a mut [f64] {
-        assert!(off + len <= self.len, "RawSlots: slice out of bounds");
+    /// `range` must not be concurrently aliased (see the type-level
+    /// contract).  Bounds are checked unconditionally — the check is trivial
+    /// next to the product the slice feeds, and it turns an
+    /// invariant-violation bug into a panic instead of an out-of-bounds
+    /// write.
+    unsafe fn slice_mut<'a>(&self, range: Range<usize>) -> &'a mut [f64] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "RawSlots: slice out of bounds"
+        );
         // SAFETY: in bounds by the assert (`ptr..ptr+len` is one live
         // allocation — the scratch Vec borrowed by `RawSlots::new`);
         // non-aliasing is the caller's contract.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(off), len) }
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
 
     /// # Safety
-    /// `[off, off + len)` must not be concurrently written (see the
-    /// type-level contract); bounds are checked unconditionally.
-    unsafe fn slice<'a>(&self, off: usize, len: usize) -> &'a [f64] {
-        assert!(off + len <= self.len, "RawSlots: slice out of bounds");
+    /// `range` must not be concurrently written (see the type-level
+    /// contract); bounds are checked unconditionally.
+    unsafe fn slice<'a>(&self, range: Range<usize>) -> &'a [f64] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "RawSlots: slice out of bounds"
+        );
         // SAFETY: in bounds by the assert; no concurrent writer is the
         // caller's contract.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(off), len) }
+        unsafe { std::slice::from_raw_parts(self.ptr.add(range.start), range.len()) }
     }
 }
 
@@ -560,297 +578,117 @@ fn for_each_task<T: Sync>(
     }
 }
 
-// --------------------------------------------------------------------------
-// Phase 1: near contributions
-// --------------------------------------------------------------------------
-
-fn near_phase(
-    plan: &EvalPlan,
-    tree: &ClusterTree,
+/// The blocked loop, for the near and the coupling blocks alike: every
+/// entry of `entries` adds `block * src[at(source)]` into `dst[at(target)]`
+/// over its window, the groups on the pool when `parallel`.  `at` maps a
+/// node to its range of `src` / `dst` rows: a leaf's rows of the permuted
+/// panels for the near blocks, a node's rank slot for the coupling blocks.
+fn blocked_phase<'a>(
     prep: &PreparedExec,
-    w_perm: &[f64],
-    y_perm: &mut [f64],
-    q: usize,
-) {
-    let cds = &plan.cds;
-    // Blocked loop: every group owns the output slices of its target nodes
-    // exclusively (Algorithm 1 guarantees disjoint targets across groups;
-    // `EvalPlan::validate` P4), so each task writes its targets' `y_perm`
-    // rows directly.  The groups tile `d_entries` in order (P4), so run
-    // sequentially this is the plain loop over the entry table.
-    let y = RawSlots::new(y_perm);
-    for_each_task(&cds.d_groups, prep.opts.parallel_near, &prep.opts, |g| {
-        for e in &cds.d_entries[g.start..g.end] {
-            let tn = &tree.nodes[e.target];
-            // SAFETY: this group is the sole owner of node `e.target`
-            // (`EvalPlan::validate` P4), targets are leaves (P3) and
-            // distinct leaves own disjoint row ranges (T6), and entries
-            // within a group run sequentially on this task.
-            let dst = unsafe { y.slice_mut(tn.start * q, (tn.end - tn.start) * q) };
-            let sn = &tree.nodes[e.source];
-            let src = &w_perm[sn.start * q..sn.end * q];
-            apply_block(&prep.dispatch, e, cds.d_block(e), src, q, dst);
-        }
-    });
-}
-
-/// `dst += block * src` for one near or coupling entry over its stored
-/// window: a transposed twin (`EvalPlan::validate` P3) reads the window of
-/// the block it mirrors through the `A^T B` product, which returns bit for
-/// bit what the plain product over a stored copy of its transpose would.
-fn apply_block(
-    dispatch: &KernelDispatch,
-    e: &CdsBlockEntry,
-    window: &[f64],
+    groups: &[GroupRange],
+    entries: &[CdsBlockEntry],
+    window: impl Fn(&CdsBlockEntry) -> &'a [f64] + Sync,
+    at: impl Fn(usize) -> Range<usize> + Sync,
+    parallel: bool,
     src: &[f64],
-    q: usize,
     dst: &mut [f64],
-) {
-    if e.transposed {
-        dispatch.gemm_tn(window, e.cols, e.rows, src, q, dst);
-    } else {
-        dispatch.gemm(window, e.rows, e.cols, src, q, dst);
-    }
-}
-
-// --------------------------------------------------------------------------
-// Phase 2: upward pass (T = V^T * ...)
-// --------------------------------------------------------------------------
-
-/// Compute node `id`'s skeleton coefficients `T_i` into its `t` slot.
-///
-/// # Safety
-/// The caller must guarantee exclusive access to `id`'s slot and that the
-/// children's slots are fully written (same task earlier, or an earlier
-/// coarsen level) — see [`RawSlots`].
-unsafe fn compute_t_into(
-    plan: &EvalPlan,
-    tree: &ClusterTree,
-    prep: &PreparedExec,
-    id: usize,
-    w_perm: &[f64],
-    q: usize,
-    t: RawSlots,
-    peel: bool,
-) {
-    let cds = &plan.cds;
-    let (v, rows, cols) = cds.v(id);
-    if cols == 0 {
-        return;
-    }
-    debug_assert_eq!(cols, prep.srank(id), "generator width != srank at {id}");
-    // SAFETY: `[rank_off[id], rank_off[id] + srank(id)) * q` is node `id`'s
-    // own T slot (slots of distinct nodes are disjoint by the prefix-sum
-    // construction, and `cols == srank(id)` by `EvalPlan::validate` P2 plus
-    // `execute_prepared`'s sranks cross-check); exclusive access to it is
-    // the fn contract.
-    let out = unsafe { t.slice_mut(prep.rank_off(id) * q, cols * q) };
-    let node = &tree.nodes[id];
-    let par = peel && rows * cols * q >= PEEL_PAR_THRESHOLD;
-    if node.is_leaf() {
-        debug_assert_eq!(rows, node.num_points());
-        let src = &w_perm[node.start * q..node.end * q];
-        if par {
-            prep.dispatch.par_gemm_tn(v, rows, cols, src, q, out);
-        } else {
-            prep.dispatch.gemm_tn(v, rows, cols, src, q, out);
-        }
-    } else {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "INVARIANT: non-leaf ClusterTree nodes always carry a child pair by construction"
-        )]
-        let (l, r) = node.children.unwrap();
-        let rl = prep.srank(l);
-        let rr = prep.srank(r);
-        debug_assert_eq!(rows, rl + rr, "transfer matrix rows mismatch at node {id}");
-        if rl > 0 {
-            // SAFETY: the children's T slots are disjoint from `out` (per
-            // the prefix-sum layout) and fully written before this call —
-            // by this task earlier or on an earlier level (fn contract).
-            let tl = unsafe { t.slice(prep.rank_off(l) * q, rl * q) };
-            prep.dispatch
-                .gemm_tn(&v[0..rl * cols], rl, cols, tl, q, out);
-        }
-        if rr > 0 {
-            // SAFETY: as for the left child.
-            let tr = unsafe { t.slice(prep.rank_off(r) * q, rr * q) };
-            prep.dispatch.gemm_tn(&v[rl * cols..], rr, cols, tr, q, out);
-        }
-    }
-}
-
-fn upward_phase(
-    plan: &EvalPlan,
-    tree: &ClusterTree,
-    prep: &PreparedExec,
-    w_perm: &[f64],
-    t_buf: &mut [f64],
     q: usize,
 ) {
-    let opts = &prep.opts;
-    let t = RawSlots::new(t_buf);
-    let levels = &plan.coarsenset.levels;
-    for (cl, parts) in levels.iter().enumerate() {
-        // Root-most coarsen level: little task parallelism left, so run its
-        // partitions one after another and use block-level parallelism
-        // inside each node instead.
-        let peel = opts.parallel_tree && opts.peel_root && cl + 1 == levels.len();
-        for_each_task(parts, opts.parallel_tree && !peel, opts, |part| {
-            for &id in part {
-                // SAFETY: partitions own disjoint node sets and a node's
-                // children are in this partition, earlier (already computed
-                // by this task), or on an earlier level (completed before
-                // this level's loop started) — `EvalPlan::validate` P6.
-                unsafe { compute_t_into(plan, tree, prep, id, w_perm, q, t, peel) };
-            }
-        });
-    }
-}
-
-// --------------------------------------------------------------------------
-// Phase 3: coupling (S_i += B_{i,j} * T_j)
-// --------------------------------------------------------------------------
-
-fn coupling_phase(
-    plan: &EvalPlan,
-    prep: &PreparedExec,
-    t_buf: &[f64],
-    s_buf: &mut [f64],
-    q: usize,
-) {
-    let cds = &plan.cds;
-    // Blocked loop over far groups; each group owns its target nodes' S
-    // slots exclusively (`EvalPlan::validate` P4), and the groups tile
-    // `b_entries` in order.
-    let s = RawSlots::new(s_buf);
-    for_each_task(&cds.b_groups, prep.opts.parallel_far, &prep.opts, |g| {
-        for e in &cds.b_entries[g.start..g.end] {
+    let out = RawSlots::new(dst);
+    for_each_task(groups, parallel, &prep.opts, |g| {
+        for e in &entries[g.start..g.end] {
             if e.rows == 0 || e.cols == 0 {
                 continue;
             }
-            debug_assert_eq!(e.cols, prep.srank(e.source));
-            debug_assert_eq!(e.rows, prep.srank(e.target));
-            let src = &t_buf[prep.rank_off(e.source) * q..][..e.cols * q];
-            // SAFETY: this group is the sole owner of node `e.target`'s
-            // S slot (`EvalPlan::validate` P4), `e.rows` is that slot's
-            // height (P3), and slots of distinct nodes are disjoint.
-            let dst = unsafe { s.slice_mut(prep.rank_off(e.target) * q, e.rows * q) };
-            apply_block(&prep.dispatch, e, cds.b_block(e), src, q, dst);
+            let (to, from) = (at(e.target), at(e.source));
+            debug_assert_eq!((to.len(), from.len()), (e.rows, e.cols));
+            // SAFETY: this group is the sole owner of node `e.target`
+            // (`EvalPlan::validate` P4), whose range is as tall as the block
+            // (P3) and disjoint from every other target's: near targets are
+            // leaves (P3), which own disjoint rows (T6), and distinct nodes
+            // own disjoint rank slots.  A group's entries run one after
+            // another on this task.
+            let dst = unsafe { out.slice_mut(to.start * q..to.end * q) };
+            e.apply(
+                prep.dispatch,
+                window(e),
+                &src[from.start * q..from.end * q],
+                q,
+                dst,
+            );
         }
     });
 }
 
-// --------------------------------------------------------------------------
-// Phase 4: downward pass (Y += V * S, pushed through the transfer matrices)
-// --------------------------------------------------------------------------
-
-/// Process one node of the downward pass: a leaf adds `V_i * S_i` into its
-/// contiguous `y_perm` rows; an internal node accumulates the expanded
-/// contribution directly into its children's `S` slots (the two halves of
-/// `V_i` hit the two children).
-///
-/// # Safety
-/// Caller must guarantee (via `EvalPlan::validate` P6 and T3) that no
-/// other task concurrently touches `id`'s `S` slot, its children's `S`
-/// slots, or its `y_perm` rows — see [`RawSlots`].
-unsafe fn down_node(
+/// The coarsened loop, for the upward and the downward pass alike: one
+/// product per node between its basis `V_i` and the rows `V_i` stacks
+/// ([`LevelSchedule::stack`]) — a leaf's rows of `panel`, an internal node's
+/// children's pair of `coef` slots.  Upward (`panel` the permuted input,
+/// `coef` the `T` slots) it sets `T_i = V_i^T stack`, leaf-most coarsen
+/// level first and a partition's nodes in order, so children come before
+/// their parent.  Downward (`panel` the permuted output, `coef` the `S`
+/// slots) it adds `V_i S_i` into the stack, in the reverse of both orders.
+/// The root-most level runs its partitions one after another, each product
+/// on the pool instead (`peel_root`).
+fn coarsened_phase(
     plan: &EvalPlan,
     tree: &ClusterTree,
     prep: &PreparedExec,
-    id: usize,
-    s: RawSlots,
-    y: RawSlots,
-    q: usize,
-    peel: bool,
-) {
-    let cds = &plan.cds;
-    let (v, rows, cols) = cds.v(id);
-    if cols == 0 {
-        return;
-    }
-    debug_assert_eq!(cols, prep.srank(id));
-    // SAFETY: node `id`'s S slot is fully written before this node is
-    // processed (its parent ran earlier — same task or an earlier level)
-    // and nothing concurrently writes it (fn contract).
-    let s_i = unsafe { s.slice(prep.rank_off(id) * q, cols * q) };
-    let node = &tree.nodes[id];
-    let par = peel && rows * cols * q >= PEEL_PAR_THRESHOLD;
-    if node.is_leaf() {
-        debug_assert_eq!(rows, node.num_points());
-        // SAFETY: leaves tile `y_perm` disjointly (`ClusterTree::validate`
-        // T6: `[start, start + rows)` belongs to this leaf alone, and
-        // `rows` is its point count by `EvalPlan::validate` P2) and each
-        // leaf belongs to exactly one partition (fn contract).
-        let dst = unsafe { y.slice_mut(node.start * q, rows * q) };
-        if par {
-            prep.dispatch.par_gemm(v, rows, cols, s_i, q, dst);
-        } else {
-            prep.dispatch.gemm(v, rows, cols, s_i, q, dst);
-        }
-    } else {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "INVARIANT: non-leaf ClusterTree nodes always carry a child pair by construction"
-        )]
-        let (l, r) = node.children.unwrap();
-        let rl = prep.srank(l);
-        let rr = prep.srank(r);
-        debug_assert_eq!(rows, rl + rr);
-        if rl > 0 {
-            // SAFETY: every child has exactly one parent (T3), so this task
-            // is the only writer of the child's S slot at this level; the
-            // child itself reads it only after this node completes
-            // (in-partition ordering or the next level's barrier).
-            let dst = unsafe { s.slice_mut(prep.rank_off(l) * q, rl * q) };
-            if par {
-                prep.dispatch
-                    .par_gemm(&v[0..rl * cols], rl, cols, s_i, q, dst);
-            } else {
-                prep.dispatch.gemm(&v[0..rl * cols], rl, cols, s_i, q, dst);
-            }
-        }
-        if rr > 0 {
-            // SAFETY: as for the left child.
-            let dst = unsafe { s.slice_mut(prep.rank_off(r) * q, rr * q) };
-            if par {
-                prep.dispatch
-                    .par_gemm(&v[rl * cols..rows * cols], rr, cols, s_i, q, dst);
-            } else {
-                prep.dispatch
-                    .gemm(&v[rl * cols..rows * cols], rr, cols, s_i, q, dst);
-            }
-        }
-    }
-}
-
-fn downward_phase(
-    plan: &EvalPlan,
-    tree: &ClusterTree,
-    prep: &PreparedExec,
-    s_buf: &mut [f64],
-    y_perm: &mut [f64],
+    upward: bool,
+    panel: &mut [f64],
+    coef: &mut [f64],
     q: usize,
 ) {
-    let opts = &prep.opts;
-    let s = RawSlots::new(s_buf);
-    let y = RawSlots::new(y_perm);
+    let (opts, sched) = (&prep.opts, &prep.sched);
+    let (panel, coef) = (RawSlots::new(panel), RawSlots::new(coef));
     let levels = &plan.coarsenset.levels;
-    for (cl, parts) in levels.iter().enumerate().rev() {
-        // Root-most level: sequential over its few nodes, parallel inside
-        // the GEMMs (see `upward_phase`).
+    let ordered = |i: usize, len: usize| if upward { i } else { len - 1 - i };
+    for i in 0..levels.len() {
+        let cl = ordered(i, levels.len());
         let peel = opts.parallel_tree && opts.peel_root && cl + 1 == levels.len();
-        // A task pushes into the S slots of its nodes' children: a child
-        // inside the partition is processed later by the same task (reverse
-        // order, `EvalPlan::validate` P6); a child on a deeper coarsen level
-        // is untouched until the next `cl` iteration (the loop below is a
-        // barrier); and every child has exactly one parent, so no two tasks
-        // push into the same slot.  Leaves (the y_perm writes) belong to
-        // exactly one partition.
-        for_each_task(parts, opts.parallel_tree && !peel, opts, |part| {
-            for &id in part.iter().rev() {
-                // SAFETY: see the loop comment above.
-                unsafe { down_node(plan, tree, prep, id, s, y, q, peel) };
+        for_each_task(&levels[cl], opts.parallel_tree && !peel, opts, |part| {
+            for j in 0..part.len() {
+                let id = part[ordered(j, part.len())];
+                let (v, rows, cols) = plan.cds.v(id);
+                if cols == 0 {
+                    continue;
+                }
+                let (points, pair) = sched.stack(tree, id);
+                let (buf, stack) = if tree.nodes[id].is_leaf() {
+                    (panel, points.start * q..points.end * q)
+                } else {
+                    (coef, pair.start * q..pair.end * q)
+                };
+                let own = sched.slot(id);
+                let own = own.start * q..own.end * q;
+                debug_assert_eq!((stack.len(), own.len()), (rows * q, cols * q));
+                // SAFETY: a node with a generator is in exactly one coarsen
+                // partition (`EvalPlan::validate` P6), so this task alone
+                // touches its slot `own` and the rows it stacks: a leaf's
+                // own rows (T6) or its children's pair, of which it is the
+                // one parent (T3); the two ranges are disjoint.  Upward,
+                // `own` is written and the stack read: the input panel,
+                // which this loop never writes, or the children's slots,
+                // written by this task earlier or on an earlier level (P6;
+                // the loop over a level's partitions is a barrier).
+                // Downward, `own` is read, complete since the coupling loop
+                // and the parent (this task earlier, or a root-ward level)
+                // wrote it, and the stack written, which the children read
+                // only after this.
+                let (src, dst) = unsafe {
+                    if upward {
+                        (buf.slice(stack), coef.slice_mut(own))
+                    } else {
+                        (coef.slice(own), buf.slice_mut(stack))
+                    }
+                };
+                let product = match (upward, peel && rows * cols * q >= PEEL_PAR_THRESHOLD) {
+                    (true, false) => KernelDispatch::gemm_tn,
+                    (true, true) => KernelDispatch::par_gemm_tn,
+                    (false, false) => KernelDispatch::gemm,
+                    (false, true) => KernelDispatch::par_gemm,
+                };
+                product(&prep.dispatch, v, rows, cols, src, q, dst);
             }
         });
     }

@@ -20,8 +20,8 @@ use std::ops::Range;
 /// * a level's slots form one contiguous run, in the same order as its nodes
 ///   (so a level splits into disjoint sub-slices with `split_at_mut`);
 /// * an internal node's two children own adjacent slots: the **stacked
-///   pair** `[bhat_l; bhat_r]` the solver's merge systems are solved in, at
-///   [`children`](Self::children)`(pos)` and the position after it.
+///   pair** `[bhat_l; bhat_r]` the solver's merge systems are solved in
+///   ([`stack`](Self::stack)).
 ///
 /// For a tree numbered breadth-first (every tree `ClusterTree::build`
 /// produces) position and node id coincide.
@@ -33,7 +33,11 @@ pub struct LevelSchedule {
     pos: Vec<usize>,
     /// `order[level_off[l]..level_off[l + 1]]` is level `l`.
     level_off: Vec<usize>,
-    /// See [`children`](Self::children); `num_nodes + 1` entries.
+    /// `children[p]`: the position of the first child of the first
+    /// internal node at or after position `p` on `p`'s level — for an
+    /// internal node at `p`, its left child; one past the next level's end
+    /// when no internal node follows.  `num_nodes + 1` entries, so
+    /// `children[p]..children[p + 1]` are the children of position `p`.
     children: Vec<usize>,
     /// Prefix sums of the sranks in walk order: position `p` owns rank
     /// offsets `[rank_off[p], rank_off[p + 1])`.
@@ -115,12 +119,19 @@ impl LevelSchedule {
         self.order[p]
     }
 
-    /// Position of the first child of the first internal node at or after
-    /// position `p` on `p`'s level — for an internal node at `p`, its left
-    /// child; one past the next level's end when no internal node follows.
-    /// Defined up to `p == num_nodes` (where it is `num_nodes`).
-    pub fn children(&self, p: usize) -> usize {
-        self.children[p]
+    /// The rows the basis `V` of node `id` stacks, in rows of one panel
+    /// column, as `(points, pair)`.  A leaf's basis spans its `points`, its
+    /// rows of the permuted panel; an internal node's spans its children's
+    /// `pair`, their adjacent rank slots, left then right — the row order of
+    /// `V`.  The range a node does not span is empty and sits where its
+    /// level's next such range begins (an internal node's first point, a
+    /// leaf's next pair), so along a level either range ascends without
+    /// overlap.
+    pub fn stack(&self, tree: &ClusterTree, id: usize) -> (Range<usize>, Range<usize>) {
+        let (p, node) = (self.pos[id], &tree.nodes[id]);
+        let last = if node.is_leaf() { node.end } else { node.start };
+        let pair = self.rank_off[self.children[p]]..self.rank_off[self.children[p + 1]];
+        (node.start..last, pair)
     }
 
     /// Rank offset at which position `p`'s slot begins
@@ -168,10 +179,16 @@ mod tests {
                 let node = &tree.nodes[s.node(p)];
                 assert_eq!(node.level, l);
                 assert_eq!(s.slot(node.id), s.rank_at(p)..s.rank_at(p + 1));
-                assert_eq!(s.children(p), next_child);
+                let (points, pair) = s.stack(&tree, node.id);
                 if let Some((lc, rc)) = node.children {
                     assert_eq!((s.node(next_child), s.node(next_child + 1)), (lc, rc));
+                    assert_eq!(points, node.start..node.start);
+                    assert_eq!(pair, s.rank_at(next_child)..s.rank_at(next_child + 2));
+                    assert_eq!(pair, s.slot(lc).start..s.slot(rc).end);
                     next_child += 2;
+                } else {
+                    assert_eq!(points, node.start..node.end);
+                    assert_eq!(pair, s.rank_at(next_child)..s.rank_at(next_child));
                 }
                 seen += 1;
             }

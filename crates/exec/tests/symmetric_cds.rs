@@ -13,8 +13,13 @@
 //!   widths 1, 8 and auto) and, on HSS, factors and solves to the same bits.
 //!
 //! The oracle holds on each kernel arm on its own, so it runs on every arm
-//! of [`KERNELS`]: the options carry the kernel to the evaluation, the
+//! of [`kernels`]: the options carry the kernel to the evaluation, the
 //! factor and the solve alike.
+//!
+//! Under Miri (CI's Miri leg runs this suite for the executor's transposed
+//! reads and stacked pairs) the models shrink to [`N`] points in leaves of
+//! [`LEAF`], and the oracle to the scalar arm, which the interpreter forces
+//! anyway, and two panel widths.
 
 use matrox_analysis::{
     build_blockset, build_cds, build_coarsenset, generate_plan, Cds, CdsBlockEntry, CoarsenParams,
@@ -30,6 +35,14 @@ use matrox_tree::{ClusterTree, HTree, PartitionMethod, Structure};
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 
+/// Points per model and per leaf: eight leaves under Miri still give every
+/// table but HSS's near one its twins.
+const N: usize = if cfg!(miri) { 128 } else { 512 };
+const LEAF: usize = if cfg!(miri) { 16 } else { 32 };
+
+/// Panel widths of the oracle (`0`: auto).
+const PANELS: &[usize] = if cfg!(miri) { &[1, 0] } else { &[1, 8, 0] };
+
 fn model(
     dataset: DatasetId,
     n: usize,
@@ -37,7 +50,7 @@ fn model(
     kernel: Kernel,
 ) -> (ClusterTree, EvalPlan) {
     let pts = generate(dataset, n, 5);
-    let tree = ClusterTree::build(&pts, PartitionMethod::Auto, 32, 0);
+    let tree = ClusterTree::build(&pts, PartitionMethod::Auto, LEAF, 0);
     let htree = HTree::build(&tree, structure);
     let sampling = sample_nodes_exhaustive(&pts, &tree);
     let params = CompressionParams {
@@ -69,15 +82,15 @@ fn hss() -> (ClusterTree, EvalPlan) {
         bandwidth: 0.25,
         ridge: 1.0,
     };
-    model(DatasetId::Grid, 512, Structure::Hss, kernel)
+    model(DatasetId::Grid, N, Structure::Hss, kernel)
 }
 
 fn all_models() -> [(&'static str, ClusterTree, EvalPlan); 3] {
     let gaussian = Kernel::Gaussian { bandwidth: 1.0 };
     let (ht, hp) = hss();
-    let (bt, bp) = model(DatasetId::Susy, 512, Structure::h2b(), gaussian);
+    let (bt, bp) = model(DatasetId::Susy, N, Structure::h2b(), gaussian);
     let geometric = Structure::Geometric { tau: 1.5 };
-    let (gt, gp) = model(DatasetId::Grid, 512, geometric, gaussian);
+    let (gt, gp) = model(DatasetId::Grid, N, geometric, gaussian);
     [("hss", ht, hp), ("h2-b", bt, bp), ("geometric", gt, gp)]
 }
 
@@ -174,8 +187,14 @@ fn rhs(n: usize, q: usize) -> Matrix {
 }
 
 /// The arms the oracle runs on: the selected one (`MATROX_KERNEL`, then CPU
-/// detection) and the scalar one.
-const KERNELS: [KernelChoice; 2] = [KernelChoice::Auto, KernelChoice::Scalar];
+/// detection) and the scalar one; under Miri the scalar one is both.
+fn kernels() -> &'static [KernelChoice] {
+    if cfg!(miri) {
+        &[KernelChoice::Scalar]
+    } else {
+        &[KernelChoice::Auto, KernelChoice::Scalar]
+    }
+}
 
 fn pool(width: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -191,8 +210,8 @@ fn evaluation_matches_the_expanded_plan_bitwise() {
         assert!(full.storage_bytes() > plan.storage_bytes());
         full.validate(&tree).expect("expanded plan validates");
         let w = rhs(tree.perm.len(), 10);
-        for (kernel, width) in KERNELS.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
-            for panel in [1, 8, 0] {
+        for (kernel, width) in kernels().iter().flat_map(|&k| [(k, 1), (k, 2)]) {
+            for &panel in PANELS {
                 let opts = ExecOptions::full()
                     .with_kernel(kernel)
                     .with_panel_width(panel);
@@ -226,7 +245,7 @@ fn hss_factor_and_solve_match_the_expanded_plan_bitwise() {
     let (tree, plan) = hss();
     let full = expanded(&plan);
     let b = rhs(tree.perm.len(), 10);
-    for (kernel, width) in KERNELS.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
+    for (kernel, width) in kernels().iter().flat_map(|&k| [(k, 1), (k, 2)]) {
         pool(width).install(|| {
             let opts = ExecOptions::full().with_kernel(kernel);
             let f = factor(&plan, &tree, &opts).expect("factor");
@@ -236,7 +255,7 @@ fn hss_factor_and_solve_match_the_expanded_plan_bitwise() {
                 factor_bits(&f_full),
                 "factor, {kernel:?}, width {width}"
             );
-            for panel in [1, 8, 0] {
+            for &panel in PANELS {
                 let opts = opts.with_panel_width(panel);
                 let x = f.solve_matrix(&plan, &tree, &b, &opts).expect("solve");
                 let x_full = f_full.solve_matrix(&full, &tree, &b, &opts).expect("solve");

@@ -1,7 +1,7 @@
 //! The ULV-style HSS factorization (leaf Cholesky + sibling merges).
 
-use matrox_analysis::EvalPlan;
-use matrox_exec::ExecOptions;
+use matrox_analysis::{CdsBlockEntry, EvalPlan};
+use matrox_exec::{ExecOptions, LevelSchedule};
 use matrox_linalg::{
     cholesky, cholesky_inverse, cholesky_solve_in_place, lu_factor, lu_inverse, lu_solve_in_place,
     KernelDispatch, Matrix,
@@ -172,11 +172,11 @@ pub struct HssIndex<'a> {
     /// `diag[id]`: the dense diagonal block `D_id` of leaf `id` (empty for
     /// internal nodes).
     pub(crate) diag: Vec<&'a [f64]>,
-    /// `coupling[id]`: the window of `B_{id, sibling(id)}`,
-    /// `srank(id) x srank(sibling)`, and whether it is read transposed (the
-    /// window is then the sibling's block `B_{sibling(id), id}`); empty for
-    /// the root, and whenever either srank is zero.
-    pub(crate) coupling: Vec<(&'a [f64], bool)>,
+    /// `coupling[id]`: the entry of `B_{id, sibling(id)}`,
+    /// `srank(id) x srank(sibling)`, with its window (the sibling's block
+    /// `B_{sibling(id), id}` when the entry is transposed); `None` for the
+    /// root.
+    coupling: Vec<Option<(&'a CdsBlockEntry, &'a [f64])>>,
 }
 
 impl<'a> HssIndex<'a> {
@@ -212,16 +212,11 @@ impl<'a> HssIndex<'a> {
                      requires HSS sibling coupling only"
                 ))
             })?;
-            ensure(
-                coupling[t]
-                    .replace((cds.b_block(e), e.transposed))
-                    .is_none(),
-                || {
-                    unsupported(format!(
-                        "node {t} stores two coupling blocks to its sibling"
-                    ))
-                },
-            )?;
+            ensure(coupling[t].replace((e, cds.b_block(e))).is_none(), || {
+                unsupported(format!(
+                    "node {t} stores two coupling blocks to its sibling"
+                ))
+            })?;
         }
         for (id, node) in nodes.iter().enumerate() {
             ensure(!node.is_leaf() || diag[id].is_some(), || {
@@ -233,48 +228,44 @@ impl<'a> HssIndex<'a> {
                 ))
             })?;
         }
-        fn dense<T: Default>(v: Vec<Option<T>>) -> Vec<T> {
-            v.into_iter().map(Option::unwrap_or_default).collect()
-        }
         Ok(HssIndex {
-            diag: dense(diag),
-            coupling: dense(coupling),
+            diag: diag.into_iter().map(Option::unwrap_or_default).collect(),
+            coupling,
         })
     }
 
-    /// `s += B_{id, sibling(id)} t` for a `q`-column `t`, with `B`
-    /// `rows x cols`, on `disp`: a transposed window goes through the
-    /// `A^T B` product, which returns bit for bit what the plain product
-    /// over a stored transpose would.
+    /// `s += B_{id, sibling(id)} t` for a `q`-column `t`, on `disp`, as
+    /// [`CdsBlockEntry::apply`] reads the block.
     pub(crate) fn apply_coupling(
         &self,
         disp: KernelDispatch,
         id: usize,
-        (rows, cols): (usize, usize),
         t: &[f64],
         q: usize,
         s: &mut [f64],
     ) {
-        match self.coupling[id] {
-            (window, true) => disp.gemm_tn(window, cols, rows, t, q, s),
-            (window, false) => disp.gemm(window, rows, cols, t, q, s),
+        if let Some((e, window)) = self.coupling[id] {
+            e.apply(disp, window, t, q, s);
         }
     }
 
-    /// `B_{id, sibling(id)}` as a `rows x cols` row-major block: the stored
-    /// window, or an exact transposed copy of the sibling's.
-    fn coupling_block(&self, id: usize, rows: usize, cols: usize) -> Cow<'a, [f64]> {
+    /// `B_{id, sibling(id)}` as a row-major block for the merge's `G B`
+    /// products, which take it as the right operand, where no product reads
+    /// a window transposed: the stored window, or an exact transposed copy
+    /// of the sibling's.
+    fn coupling_block(&self, id: usize) -> Cow<'a, [f64]> {
         match self.coupling[id] {
-            (window, true) => {
-                let mut b = vec![0.0; rows * cols];
-                for (j, col) in window.chunks_exact(rows).enumerate() {
+            Some((e, window)) if e.transposed => {
+                let mut b = vec![0.0; window.len()];
+                for (j, col) in window.chunks_exact(e.rows).enumerate() {
                     for (i, &x) in col.iter().enumerate() {
-                        b[i * cols + j] = x;
+                        b[i * e.cols + j] = x;
                     }
                 }
                 Cow::Owned(b)
             }
-            (window, false) => Cow::Borrowed(window),
+            Some((_, window)) => Cow::Borrowed(window),
+            None => Cow::Borrowed(&[]),
         }
     }
 }
@@ -409,48 +400,23 @@ pub fn factor_with_ridge(
 
     // ---- leaf phase -------------------------------------------------------
     let t0 = Instant::now();
-    let leaf_ids = tree.leaves();
-    let leaf_results: Vec<Result<(usize, LeafFactor, Matrix), FactorError>> = if parallel {
-        leaf_ids
-            .par_iter()
-            .with_min_len(grain)
-            .map(|&id| factor_leaf(disp, plan, tree, &index, id, ridge))
-            .collect()
-    } else {
-        leaf_ids
-            .iter()
-            .map(|&id| factor_leaf(disp, plan, tree, &index, id, ridge))
-            .collect()
-    };
-    for r in leaf_results {
+    let leaf = |id| factor_leaf(disp, plan, tree, &index, id, ridge);
+    for r in map_nodes(&tree.leaves(), parallel, grain, leaf) {
         let (id, lf, gi) = r?;
         leaves[id] = Some(lf);
         g[id] = gi;
     }
     let leaf_cholesky = t0.elapsed();
 
-    // ---- merge phase: internal levels bottom-up ---------------------------
+    // ---- merge phase: internal nodes, deepest level first ----------------
     let t0 = Instant::now();
-    for level in (0..tree.height).rev() {
-        let ids: Vec<usize> = tree
-            .nodes_at_level(level)
-            .into_iter()
-            .filter(|&id| !tree.nodes[id].is_leaf())
-            .collect();
-        if ids.is_empty() {
-            continue;
-        }
-        let results: Vec<Result<(usize, MergeFactor, Matrix), FactorError>> = if parallel {
-            ids.par_iter()
-                .with_min_len(grain)
-                .map(|&id| factor_internal(disp, plan, tree, &index, &g, id))
-                .collect()
-        } else {
-            ids.iter()
-                .map(|&id| factor_internal(disp, plan, tree, &index, &g, id))
-                .collect()
-        };
-        for r in results {
+    let sched = LevelSchedule::new(tree, &plan.cds.sranks);
+    for level in (0..sched.num_levels()).rev() {
+        let merged = map_nodes(sched.nodes(sched.level(level)), parallel, grain, |id| {
+            let internal = !tree.nodes[id].is_leaf();
+            internal.then(|| factor_internal(disp, plan, tree, &index, &g, id))
+        });
+        for r in merged.into_iter().flatten() {
             let (id, mf, gp) = r?;
             merges[id] = Some(mf);
             g[id] = gp;
@@ -469,6 +435,24 @@ pub fn factor_with_ridge(
             applied_ridge: ridge,
         },
     })
+}
+
+/// `f` of every node in `ids`, in order: on the pool, at least `grain` nodes
+/// to a job, when `parallel`, else one after another on the calling thread.
+fn map_nodes<T: Send>(
+    ids: &[usize],
+    parallel: bool,
+    grain: usize,
+    f: impl Fn(usize) -> T + Send + Sync,
+) -> Vec<T> {
+    if parallel {
+        ids.par_iter()
+            .with_min_len(grain)
+            .map(|&id| f(id))
+            .collect()
+    } else {
+        ids.iter().map(|&id| f(id)).collect()
+    }
 }
 
 /// Leaf step: Cholesky of the diagonal block, `E_i = D_i^{-1} U_i` by
@@ -537,8 +521,8 @@ fn factor_internal(
 
     let mut mm = Matrix::identity(m);
     if kl > 0 && kr > 0 {
-        let b_lr = index.coupling_block(l, kl, kr);
-        let b_rl = index.coupling_block(r, kr, kl);
+        let b_lr = index.coupling_block(l);
+        let b_rl = index.coupling_block(r);
         debug_assert_eq!(b_lr.len(), kl * kr);
         debug_assert_eq!(b_rl.len(), kr * kl);
         // Top-right block: G_l * B_{l,r}.

@@ -180,19 +180,10 @@ impl Sweeps<'_> {
     /// panel: its rows (a leaf's; none for an internal node), its rank slot,
     /// and its children's stacked pair (none for a leaf).
     fn spans(&self, p: usize, q: usize) -> [(usize, usize); 3] {
-        let (s, node) = (&self.sched, &self.tree.nodes[self.sched.node(p)]);
-        let (rows, kids) = match node.children {
-            None => (node.num_points(), 0),
-            Some(_) => (0, 2),
-        };
-        let c = s.children(p);
-        let ranks =
-            |from: usize, to: usize| (s.rank_at(from) * q, (s.rank_at(to) - s.rank_at(from)) * q);
-        [
-            (node.start * q, rows * q),
-            ranks(p, p + 1),
-            ranks(c, c + kids),
-        ]
+        let (s, id) = (&self.sched, self.sched.node(p));
+        let (points, pair) = s.stack(self.tree, id);
+        let at = |r: Range<usize>| (r.start * q, r.len() * q);
+        [at(points), at(s.slot(id)), at(pair)]
     }
 
     /// Upward pass, deepest level first.  A leaf replaces its rows `b_i`
@@ -251,8 +242,8 @@ impl Sweeps<'_> {
     /// Downward pass, root first.  `s_i` is the far-field load imposed on
     /// node `i` from outside its subtree (none at the root).  An internal
     /// node corrects `t'_p = t_p - T_p s_p` and hands each child
-    /// `s_c = B_{c,sib} t'_sib + R_c s_p`; a leaf finishes
-    /// `x_i = y_i - E_i s_i`.
+    /// `s_c = B_{c,sib} t'_sib + R_c s_p`, the `R` half for both children
+    /// at once; a leaf finishes `x_i = y_i - E_i s_i`.
     fn down(&self, q: usize, [xp, cx, tb, ct, sb]: [&mut [f64]; 5]) {
         let s = &self.sched;
         for level in 0..s.num_levels() {
@@ -277,7 +268,9 @@ impl Sweeps<'_> {
                 span: &span,
             };
             self.for_each_node(carve, |p, [x, cx, t, ct, s_kids]| {
-                let (id, s_p) = (s.node(p), &s_own[s.rank_at(p) * q..s.rank_at(p + 1) * q]);
+                let id = s.node(p);
+                let slot = s.slot(id);
+                let s_p = &s_own[slot.start * q..slot.end * q];
                 let kp = s_p.len() / q;
                 let Some((l, r)) = self.tree.nodes[id].children else {
                     #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
@@ -297,26 +290,17 @@ impl Sweeps<'_> {
                     self.disp.gemm(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
                     sub_assign(t, ct);
                 }
-                let (t_l, t_r) = t.split_at(kl * q);
-                let (s_l, s_r) = s_kids.split_at_mut(kl * q);
-                let (r_l, r_r) = self.cds.v(id).0.split_at(kl * kp);
-                if kl > 0 {
-                    if kr > 0 {
-                        self.index
-                            .apply_coupling(self.disp, l, (kl, kr), t_r, q, s_l);
-                    }
-                    if kp > 0 {
-                        self.disp.gemm(r_l, kl, kp, s_p, q, s_l);
-                    }
+                if kl > 0 && kr > 0 {
+                    let (t_l, t_r) = t.split_at(kl * q);
+                    let (s_l, s_r) = s_kids.split_at_mut(kl * q);
+                    self.index.apply_coupling(self.disp, l, t_r, q, s_l);
+                    self.index.apply_coupling(self.disp, r, t_l, q, s_r);
                 }
-                if kr > 0 {
-                    if kl > 0 {
-                        self.index
-                            .apply_coupling(self.disp, r, (kr, kl), t_l, q, s_r);
-                    }
-                    if kp > 0 {
-                        self.disp.gemm(r_r, kr, kp, s_p, q, s_r);
-                    }
+                // `[s_l; s_r] += R s_p`: one product over the pair, which
+                // continues each child's chain where its coupling left it.
+                if kp > 0 {
+                    let v = self.cds.v(id).0;
+                    self.disp.gemm(v, kl + kr, kp, s_p, q, s_kids);
                 }
             });
         }

@@ -1,6 +1,6 @@
 //! Property coverage for the kernel-dispatch layer.
 //!
-//! Four pins, each per dispatchable architecture (scalar always; AVX2 and
+//! Five pins, each per dispatchable architecture (scalar always; AVX2 and
 //! AVX-512 when the host has them — requesting AVX2 elsewhere must degrade
 //! to scalar):
 //!
@@ -20,7 +20,11 @@
 //!    sequential or parallel) must equal, bit for bit, an independent
 //!    reference that runs the arm's step for `p` ascending from `C0`:
 //!    `c = a_ip.mul_add(b_pj, c)` for both SIMD arms, `c = c + a_ip * b_pj`
-//!    with `a_ip == 0` skipped for scalar.
+//!    with `a_ip == 0` skipped for scalar;
+//! 5. **the stacked pair** — one product over a pair of row blocks `[l; r]`
+//!    (the executor's and the solve's per-node product over two children's
+//!    adjacent slots) equals the two products over its halves, bit for bit,
+//!    in both forms and their `par_` variants.
 //!
 //! The squared-distance body ([`KernelDispatch::dist2`]) has one chain on
 //! every arm, `d = x_k - y_k; s = s + d * d` for `k` ascending from `0.0`,
@@ -215,6 +219,91 @@ fn par_kernels_bitwise_identical_across_pool_widths() {
                 "{}: par_gemm_tn varies with pool width",
                 disp.name()
             );
+        }
+    }
+}
+
+/// A random `rows x cols` buffer holding exact zeros (which the scalar
+/// chain skips) and `-0.0` (which a chain that adds a skipped zero, or
+/// starts anywhere but `C`, would lose).
+fn signed_zeros(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
+    let mut v = random_matrix(rows.max(1), cols.max(1), seed)
+        .as_slice()
+        .to_vec();
+    v.truncate(rows * cols);
+    for (i, x) in v.iter_mut().enumerate() {
+        match i % 7 {
+            0 => *x = 0.0,
+            3 => *x = -0.0,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// The executor's coarsened loop issues one product per internal node over
+/// its children's stacked pair `[kl; kr]`, where the parent once issued one
+/// per child.  On every arm and in both forms the one product is the two bit
+/// for bit: `gemm_tn` over depth `kl + kr` continues each chain from where
+/// the left half left `C`, `p` ascending; `gemm` over `kl + kr` rows computes
+/// each output row alone.  The `par_` forms split output rows, so they agree
+/// too (run on a two-wide pool).
+#[test]
+fn stacked_pair_is_its_halves() {
+    let (pairs, widths, cols): (Vec<(usize, usize)>, &[usize], usize) = if cfg!(miri) {
+        (vec![(0, 3), (2, 0), (2, 3)], &[1, 8], 3)
+    } else {
+        let half = KC / 2 + 1;
+        let pairs = vec![
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (3, 4),
+            (17, 40),
+            (64, 64),
+            (half, half),
+        ];
+        (pairs, &[1, 7, 8, 16, 168], 37)
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for disp in dispatches() {
+        let name = disp.name();
+        for &(kl, kr) in &pairs {
+            let k = kl + kr;
+            let v = signed_zeros(k, cols, 31);
+            let (v_l, v_r) = v.split_at(kl * cols);
+            for &n in widths {
+                // Upward: `T = V^T [T_l; T_r]`.
+                let pair = signed_zeros(k, n, 32);
+                let (t_l, t_r) = pair.split_at(kl * n);
+                let t0 = signed_zeros(cols, n, 33);
+                let mut halves = t0.clone();
+                disp.gemm_tn(v_l, kl, cols, t_l, n, &mut halves);
+                disp.gemm_tn(v_r, kr, cols, t_r, n, &mut halves);
+                let (mut one, mut par) = (t0.clone(), t0.clone());
+                disp.gemm_tn(&v, k, cols, &pair, n, &mut one);
+                pool.install(|| disp.par_gemm_tn(&v, k, cols, &pair, n, &mut par));
+                let at = format!("{name} (kl, kr) = ({kl}, {kr}) n={n}");
+                assert_eq!(bits(&one), bits(&halves), "gemm_tn over the pair, {at}");
+                assert_eq!(bits(&par), bits(&halves), "par_gemm_tn over the pair, {at}");
+
+                // Downward: `[S_l; S_r] += V S`.
+                let s = signed_zeros(cols, n, 34);
+                let s0 = signed_zeros(k, n, 35);
+                let mut halves = s0.clone();
+                let (h_l, h_r) = halves.split_at_mut(kl * n);
+                disp.gemm(v_l, kl, cols, &s, n, h_l);
+                disp.gemm(v_r, kr, cols, &s, n, h_r);
+                let (mut one, mut par) = (s0.clone(), s0.clone());
+                disp.gemm(&v, k, cols, &s, n, &mut one);
+                pool.install(|| disp.par_gemm(&v, k, cols, &s, n, &mut par));
+                assert_eq!(bits(&one), bits(&halves), "gemm over the pair, {at}");
+                assert_eq!(bits(&par), bits(&halves), "par_gemm over the pair, {at}");
+            }
         }
     }
 }

@@ -309,6 +309,45 @@ fn h2b_payload_values_are_pinned() {
     );
 }
 
+/// What a model *serves* is pinned across commits, as its payload is:
+/// `matmul` of the H²-b model (twin near blocks, read transposed) and of
+/// [`pinned_model`] (HSS) at one and at seven columns, and
+/// [`pinned_model`]'s `solve_matrix` at seven.  One constant per kernel
+/// family: the two SIMD arms share one chain, the scalar arm has its own.
+/// The walls inside the executor and the solver compare variants within one
+/// build; this is what holds a rewrite of either to the bits it replaced.
+#[test]
+fn served_values_are_pinned() {
+    let rhs = |n: usize, q: usize| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        Matrix::random_uniform(n, q, &mut rng)
+    };
+    // The model of `h2b_payload_values_are_pinned`.
+    let points = generate(DatasetId::Covtype, 512, 3);
+    let kernel = Kernel::Gaussian { bandwidth: 5.0 };
+    let params = MatRoxParams::h2b().with_bacc(1e-5).with_leaf_size(32);
+    let h2b = inspector(&points, &kernel, &params).expect("inspector");
+    let hss = pinned_model();
+    let mut served = Vec::new();
+    for h in [&h2b, &hss] {
+        for q in [1, 7] {
+            served.push(h.matmul(&rhs(h.dim(), q)).expect("matmul"));
+        }
+    }
+    let factored = hss.factorize().expect("factorize");
+    served.push(factored.solve_matrix(&rhs(hss.dim(), 7)).expect("solve"));
+    let pinned: u64 = if KernelDispatch::global().is_simd() {
+        0x2504_d489_5fc3_2948
+    } else {
+        0x9404_ee13_8c6e_2291
+    };
+    assert_eq!(
+        fnv1a_values(served.iter().map(Matrix::as_slice)),
+        pinned,
+        "served values hash"
+    );
+}
+
 /// The byte formats are frozen: the images of [`pinned_model`] keep the
 /// length and hash recorded when the `MATROX2` block entries gained their
 /// flag byte and twin pairs their single window, and when `MATROXF3` came to
