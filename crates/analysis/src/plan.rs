@@ -116,10 +116,11 @@ impl EvalPlan {
     /// * **P4** the group ranges of each block table tile it in order, and a
     ///   target node belongs to exactly one group (Algorithm 1);
     /// * **P5** coarsen partitions name nodes of the tree;
-    /// * **P6** a node is in at most one coarsen partition, every node with
-    ///   a stored generator is in one, and a node's children come before it:
-    ///   on an earlier coarsen level, or earlier in the same partition
-    ///   (Algorithm 2's happens-before order).
+    /// * **P6** every node but the root is in exactly one coarsen partition
+    ///   and the root is in none (Figure 1b: the tree sweeps visit it on its
+    ///   own), and a node's children come before it: on an earlier coarsen
+    ///   level, or earlier in the same partition (Algorithm 2's
+    ///   happens-before order).
     ///
     /// Costs `O(nodes + blocks)` and three allocations on success.
     ///
@@ -191,6 +192,9 @@ impl EvalPlan {
                     ensure(done[id].is_none(), || {
                         format!("coarsen partitions must own disjoint node sets (node {id})")
                     })?;
+                    ensure(nodes[id].parent.is_some(), || {
+                        format!("coarsen set: the root (node {id}) is in a partition")
+                    })?;
                     let after_parent = nodes[id].parent.is_some_and(|p| done[p].is_some());
                     let foreign = |c: usize| done[c].is_some_and(|at| at.0 == cl && at.1 != pi);
                     let children = nodes[id].children;
@@ -205,11 +209,10 @@ impl EvalPlan {
                 }
             }
         }
-        let mut stored = cds.generators.iter().zip(&done);
-        ensure(
-            stored.all(|(g, at)| !g.is_present() || at.is_some()),
-            || "a node with a stored generator is in no coarsen partition".to_string(),
-        )
+        match (1..n_nodes).find(|&id| done[id].is_none()) {
+            Some(id) => Err(format!("coarsen set: node {id} is in no partition")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -425,6 +428,33 @@ mod tests {
             .validate(&tree)
             .expect_err("a transposed diagonal block");
         assert!(err.contains("diagonal but marked transposed"), "{err}");
+    }
+
+    #[test]
+    fn a_coarsen_set_must_hold_every_node_but_the_root() {
+        let (tree, plan) = tree_and_plan(Structure::Hss, &CodegenParams::default());
+        assert_eq!(plan.validate(&tree), Ok(()));
+        // The root on a coarsen level of its own: after its children, so
+        // the happens-before order alone would accept it.
+        let mut with_root = plan.clone();
+        with_root.coarsenset.levels.push(vec![vec![0]]);
+        with_root.coarsenset.costs.push(vec![0]);
+        let err = with_root
+            .validate(&tree)
+            .expect_err("the root in a partition");
+        assert!(err.contains("the root (node 0) is in a partition"), "{err}");
+        // A leaf dropped from its partition.
+        let mut without_leaf = plan.clone();
+        let part = &mut without_leaf.coarsenset.levels[0][0];
+        let leaf = part.remove(0);
+        assert!(tree.nodes[leaf].is_leaf());
+        let err = without_leaf
+            .validate(&tree)
+            .expect_err("a node in no partition");
+        assert!(
+            err.contains(&format!("node {leaf} is in no partition")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -9,14 +9,19 @@
 //!   permuted panels, and the coupling blocks, `S_i += B_ij T_j` over rank
 //!   slots; a transposed twin reads its window through the `A^T B` product
 //!   ([`CdsBlockEntry::apply`]);
-//! * **the coarsened loop** over the `V` generators, sequential over coarsen
-//!   levels and parallel over their load-balanced sub-trees, with one
-//!   product per node between `V_i` and the rows it stacks
-//!   ([`LevelSchedule::stack`]): a leaf's rows of the permuted panel, or its
-//!   children's stacked pair of rank slots `[l; r]`, which lie side by side
-//!   in `V_i`'s row order.  Upward it sets `T_i = V_i^T stack`; downward,
-//!   in reverse coarsen-level order, it adds `V_i S_i` into the stack (the
-//!   operator is symmetric: `V` applied plain is the row basis).
+//! * **the coarsened loop** over the `V` generators, one product per node
+//!   between `V_i` and the rows it stacks ([`LevelSchedule::stack`]): a
+//!   leaf's rows of the permuted panel, or its children's stacked pair of
+//!   rank slots `[l; r]`, which lie side by side in `V_i`'s row order.
+//!   Upward it sets `T_i = V_i^T stack`; downward it adds `V_i S_i` into the
+//!   stack (the operator is symmetric: `V` applied plain is the row basis).
+//!
+//! The coarsened loop's skeleton is [`tree_sweep`], the one tree-sweep
+//! driver, which the ULV solve (`matrox-factor`) drives with bodies of its
+//! own: sequential over coarsen levels (in order upward, reversed downward)
+//! and parallel over their load-balanced sub-trees, the root visited on its
+//! own — last upward, first downward.  It hands each node its disjoint parts
+//! of caller-owned scratch buffers.
 //!
 //! Each loop's body runs on the pool when the corresponding lowering is on
 //! and in the same order on the calling thread when it is off — because
@@ -47,14 +52,17 @@
 //! has one parent, leaves tile the permuted rows).  This module does not
 //! define it: [`EvalPlan::validate`] does, once, for the model readers, the
 //! solver and this executor alike (its items T1–T6 for the tree and P2–P6
-//! for the plan are what the `SAFETY:` comments below cite).
-//! [`PreparedExec::new`] and every [`execute_prepared`] call run it on the
-//! pair they are handed and panic on a malformed one rather than race on it
-//! ([`execute`], which prepares and evaluates the same pair, runs it once).
+//! for the plan are what the `SAFETY:` comments below cite).  Its proof is
+//! a [`ValidPlan`], whose one constructor runs it and which borrows the
+//! pair it checked: the panel loop holds one and [`tree_sweep`] takes one.
+//! [`PreparedExec::new`] and every [`execute_prepared`] call build one from
+//! the pair they are handed and panic on a malformed one rather than race
+//! on it ([`execute`], which prepares and evaluates the same pair, builds
+//! it once).
 
 #![expect(
     unsafe_code,
-    reason = "RawSlots disjoint raw slicing for the allocation-free panel loop: blockset groups own their targets' rows and slots, coarsen partitions their nodes' slots and stacked rows, checked by EvalPlan::validate at prepare time and per call (DESIGN.md unsafe inventory)"
+    reason = "RawSlots disjoint raw slicing for the allocation-free loops: blockset groups own their targets' rows and slots, the tree sweep hands each node its rows, slot and children's pair, checked by EvalPlan::validate through ValidPlan (DESIGN.md unsafe inventory)"
 )]
 
 use crate::schedule::LevelSchedule;
@@ -237,9 +245,8 @@ pub struct PreparedExec {
     /// Resolved GEMM kernel (see [`ExecOptions::kernel`]).
     dispatch: KernelDispatch,
     /// Per-node rank slots into the flat `T`/`S` buffers (scaled by the
-    /// panel width at evaluation time) — laid out by the same
-    /// [`LevelSchedule`] the solver's sweeps are driven by; the executor's
-    /// own order of nodes is the plan's coarsen set.
+    /// panel width at evaluation time), laid out by the same
+    /// [`LevelSchedule`] the solver's sweeps carve their scratch by.
     sched: LevelSchedule,
 }
 
@@ -253,7 +260,11 @@ impl PreparedExec {
     /// after its parent, overlapping leaves, ...).  A plan the inspector
     /// produced, or a model reader returned, always validates.
     pub fn new(plan: &EvalPlan, tree: &ClusterTree, opts: &ExecOptions) -> Self {
-        verify_plan(plan, tree);
+        Self::prepare(&verify_plan(plan, tree), opts)
+    }
+
+    fn prepare(valid: &ValidPlan<'_>, opts: &ExecOptions) -> Self {
+        let (plan, tree) = (valid.plan, valid.tree);
         PreparedExec {
             opts: *opts,
             panel_width: effective_panel_width(opts, plan),
@@ -268,16 +279,46 @@ impl PreparedExec {
     }
 }
 
-/// Hold `(tree, plan)` to [`EvalPlan::validate`] — the invariants every
-/// `SAFETY:` comment below cites — and panic with its message.  Every public
-/// entry point runs it exactly once on the pair it is handed before any raw
-/// slicing: `plan` and `tree` are loose arguments with public fields, so
-/// state prepared earlier proves nothing about the pair passed now.  Cost is
-/// `O(plan structure)`, far below one panel's products.
-fn verify_plan(plan: &EvalPlan, tree: &ClusterTree) {
-    if let Err(why) = plan.validate(tree) {
-        panic!("execute: malformed evaluation plan: {why}");
+/// A `(plan, tree)` pair that passed [`EvalPlan::validate`] — the
+/// invariants every `SAFETY:` comment below cites.  The one constructor runs
+/// it, and the proof borrows the pair it checked, so neither can change
+/// while the proof lives.  The loops that slice raw take one instead of
+/// trusting their caller.
+#[derive(Debug, Clone, Copy)]
+pub struct ValidPlan<'a> {
+    plan: &'a EvalPlan,
+    tree: &'a ClusterTree,
+}
+
+impl<'a> ValidPlan<'a> {
+    /// Validate `(tree, plan)`.  Cost is `O(plan structure)` and
+    /// [`EvalPlan::validate`]'s three allocations.
+    ///
+    /// # Errors
+    /// [`EvalPlan::validate`]'s message naming the first violated item.
+    pub fn new(plan: &'a EvalPlan, tree: &'a ClusterTree) -> Result<Self, String> {
+        plan.validate(tree)?;
+        Ok(ValidPlan { plan, tree })
     }
+
+    /// The validated plan.
+    pub fn plan(&self) -> &'a EvalPlan {
+        self.plan
+    }
+
+    /// The tree the plan was validated against.
+    pub fn tree(&self) -> &'a ClusterTree {
+        self.tree
+    }
+}
+
+/// [`ValidPlan::new`], panicking with its message.  Every public entry point
+/// runs it exactly once on the pair it is handed before any raw slicing:
+/// `plan` and `tree` are loose arguments with public fields, so state
+/// prepared earlier proves nothing about the pair passed now.
+fn verify_plan<'a>(plan: &'a EvalPlan, tree: &'a ClusterTree) -> ValidPlan<'a> {
+    ValidPlan::new(plan, tree)
+        .unwrap_or_else(|why| panic!("execute: malformed evaluation plan: {why}"))
 }
 
 /// Evaluate `Y = K~ * W` using the generated plan.
@@ -290,8 +331,8 @@ fn verify_plan(plan: &EvalPlan, tree: &ClusterTree) {
 /// # Panics
 /// As [`PreparedExec::new`], and when `w` has the wrong number of rows.
 pub fn execute(plan: &EvalPlan, tree: &ClusterTree, w: &Matrix, opts: &ExecOptions) -> Matrix {
-    // `PreparedExec::new` validated this very pair; no second walk.
-    run_panels(plan, tree, &PreparedExec::new(plan, tree, opts), w)
+    let valid = verify_plan(plan, tree);
+    run_panels(&valid, &PreparedExec::prepare(&valid, opts), w)
 }
 
 /// Evaluate `Y = K~ * W` with previously prepared executor state, processing
@@ -316,18 +357,18 @@ pub fn execute_prepared(
     prep: &PreparedExec,
     w: &Matrix,
 ) -> Matrix {
+    let valid = verify_plan(plan, tree);
     assert!(
-        prep.sched.matches(tree.num_nodes(), &plan.cds.sranks),
+        prep.sched.matches(tree, &plan.cds.sranks),
         "execute: PreparedExec belongs to a different tree or a plan with different skeleton ranks"
     );
-    verify_plan(plan, tree);
-    run_panels(plan, tree, prep, w)
+    run_panels(&valid, prep, w)
 }
 
-/// The evaluation proper, behind both entry points.  The caller has run
-/// [`verify_plan`] on `(tree, plan)` and `prep` was laid out for them.
-fn run_panels(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matrix) -> Matrix {
-    let n = tree.perm.len();
+/// The evaluation proper, behind both entry points; `prep` was laid out for
+/// the validated pair.
+fn run_panels(valid: &ValidPlan<'_>, prep: &PreparedExec, w: &Matrix) -> Matrix {
+    let n = valid.tree.perm.len();
     let q = w.cols();
     assert_eq!(w.rows(), n, "execute: W must have N = {n} rows");
     let mut y = Matrix::zeros(n, q);
@@ -348,8 +389,7 @@ fn run_panels(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matr
         let j1 = (j0 + qp).min(q);
         let cur = j1 - j0;
         execute_panel(
-            plan,
-            tree,
+            valid,
             prep,
             w,
             j0,
@@ -369,8 +409,7 @@ fn run_panels(plan: &EvalPlan, tree: &ClusterTree, prep: &PreparedExec, w: &Matr
 /// `[j0, j1)`, writing the result into the same columns of `y`.  All
 /// scratch slices are caller-owned and reused across panels.
 fn execute_panel(
-    plan: &EvalPlan,
-    tree: &ClusterTree,
+    valid: &ValidPlan<'_>,
     prep: &PreparedExec,
     w: &Matrix,
     j0: usize,
@@ -381,7 +420,7 @@ fn execute_panel(
     s_buf: &mut [f64],
     y: &mut Matrix,
 ) {
-    let opts = &prep.opts;
+    let (opts, tree) = (&prep.opts, valid.tree);
     let n = tree.perm.len();
     let q = w.cols();
     let qp = j1 - j0;
@@ -409,7 +448,7 @@ fn execute_panel(
     t_buf.fill(0.0);
     s_buf.fill(0.0);
 
-    let cds = &plan.cds;
+    let cds = &valid.plan.cds;
     // Near: `Y_i += D_ij W_j`, the blocked loop over leaf rows.
     blocked_phase(
         prep,
@@ -423,7 +462,7 @@ fn execute_panel(
         qp,
     );
     // Upward: `T_i = V_i^T [W_i | T_l; T_r]`, the coarsened loop.
-    coarsened_phase(plan, tree, prep, true, w_perm, t_buf, qp);
+    coarsened_phase(valid, prep, true, w_perm, t_buf, qp);
     // Coupling: `S_i += B_ij T_j`, the blocked loop over rank slots.
     blocked_phase(
         prep,
@@ -437,7 +476,7 @@ fn execute_panel(
         qp,
     );
     // Downward: `[Y_i | S_l; S_r] += V_i S_i`, the coarsened loop reversed.
-    coarsened_phase(plan, tree, prep, false, y_perm, s_buf, qp);
+    coarsened_phase(valid, prep, false, y_perm, s_buf, qp);
 
     // Un-permute the panel into the output columns.  Iterate over the
     // *destination* rows (each task owns a contiguous block of `y`) and
@@ -482,26 +521,26 @@ const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 /// # Safety contract
 ///
 /// Every `slice_mut` range handed out concurrently must be disjoint from
-/// every other concurrently live range (mutable or shared) of the same
-/// buffer.  The executor guarantees this through the items of
-/// [`EvalPlan::validate`], which both entry points have run on the very
-/// `(tree, plan)` the loops read (a loop whose lowering is off runs its
-/// tasks one after another on the calling thread, where the same ranges are
-/// trivially unshared):
+/// every other concurrently live range of the same buffer.  Both users hold
+/// a [`ValidPlan`] for the very `(tree, plan)` they read, and the items of
+/// [`EvalPlan::validate`] it proves give the disjointness (a loop whose
+/// lowering is off runs its tasks one after another on the calling thread,
+/// where the same ranges are trivially unshared):
 ///
 /// * blocked loop: a target node belongs to exactly one blockset group
 ///   (P4); distinct target leaves own disjoint `y_perm` rows (T6) and
 ///   distinct nodes disjoint `S` slots (the prefix sums of `sranks`), and a
 ///   block is exactly as tall as the range it is multiplied into (P3);
-/// * coarsened loop: a node with a generator is in exactly one coarsen
-///   partition, and its children come before it, earlier in the partition
-///   or on an earlier level (P6; the loop over a level's partitions is a
-///   barrier), so one task owns its slot and the rows it stacks — a leaf's
-///   own rows (T6), or its children's pair, whose one parent it is (T3).
-///   Upward the task writes the slot and reads the stack, written before;
-///   downward it reads the slot, written before, and writes the stack,
-///   which the children read only after.  A generator is as wide as its
-///   slot and as tall as its stack (P2).
+/// * tree sweep ([`tree_sweep`]): every node but the root is in exactly one
+///   coarsen partition and the root, in none, is visited on its own, so
+///   each node is visited once; a node's children come before it, earlier
+///   in the partition or on an earlier level (P6; the loop over a level's
+///   partitions is a barrier).  A visit is handed the node's rows (a
+///   leaf's, T6), its slot, and its children's pair — their slots, since
+///   the schedule [`matches`](LevelSchedule::matches) the tree's links, and
+///   theirs alone, since each child has one parent (T3).  So a slot is
+///   handed out only to its node and to its parent, which are visited by
+///   one task or on either side of a barrier.
 #[derive(Clone, Copy)]
 struct RawSlots {
     ptr: *mut f64,
@@ -513,7 +552,7 @@ struct RawSlots {
 // pointer itself may cross threads freely (the data is plain f64).
 unsafe impl Send for RawSlots {}
 // SAFETY: sharing `&RawSlots` across threads only shares the (ptr, len)
-// pair; actual accesses go through `slice`/`slice_mut`, whose disjointness
+// pair; actual accesses go through `slice_mut`, whose disjointness
 // contract (`EvalPlan::validate`, items as listed on the type) is what
 // prevents data races.
 unsafe impl Sync for RawSlots {}
@@ -541,19 +580,6 @@ impl RawSlots {
         // allocation — the scratch Vec borrowed by `RawSlots::new`);
         // non-aliasing is the caller's contract.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
-    }
-
-    /// # Safety
-    /// `range` must not be concurrently written (see the type-level
-    /// contract); bounds are checked unconditionally.
-    unsafe fn slice<'a>(&self, range: Range<usize>) -> &'a [f64] {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "RawSlots: slice out of bounds"
-        );
-        // SAFETY: in bounds by the assert; no concurrent writer is the
-        // caller's contract.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(range.start), range.len()) }
     }
 }
 
@@ -583,6 +609,8 @@ fn for_each_task<T: Sync>(
 /// over its window, the groups on the pool when `parallel`.  `at` maps a
 /// node to its range of `src` / `dst` rows: a leaf's rows of the permuted
 /// panels for the near blocks, a node's rank slot for the coupling blocks.
+/// `groups` and `entries` are one of the block tables of the
+/// [`ValidPlan`] its caller holds.
 fn blocked_phase<'a>(
     prep: &PreparedExec,
     groups: &[GroupRange],
@@ -620,78 +648,172 @@ fn blocked_phase<'a>(
     });
 }
 
+/// One caller-owned scratch buffer of a [`tree_sweep`], `q` values a row.
+#[derive(Debug)]
+pub enum Scratch<'a> {
+    /// One row per point, in tree order: `N * q` values.
+    Points(&'a mut [f64]),
+    /// One row per rank unit, laid out by the [`LevelSchedule`]'s slots:
+    /// `total_rank * q` values.
+    Ranks(&'a mut [f64]),
+}
+
+/// What one visit of [`tree_sweep`] owns of one [`Scratch`] buffer.
+#[derive(Debug)]
+pub struct Part<'a> {
+    /// Of a `Points` buffer, a leaf's rows (empty for an internal node); of
+    /// a `Ranks` buffer, the node's slot.
+    pub own: &'a mut [f64],
+    /// Of a `Ranks` buffer, the children's stacked pair `[l; r]` (empty for
+    /// a leaf); of a `Points` buffer, empty.
+    pub pair: &'a mut [f64],
+}
+
+/// The one tree-sweep driver, behind the executor's coarsened loop and the
+/// ULV solve's two passes: visit every node of `valid`'s tree once, calling
+/// `body(id, peeled, parts)` with the node's [`Part`] of each of the `K`
+/// buffers.  Allocates nothing.
+///
+/// Upward, the coarsen levels run in order and each partition's nodes in
+/// order, then the root; downward, the root first, then the levels and each
+/// partition's nodes reversed.  So a node's children are visited before it
+/// upward and its parent before it downward.  A level's partitions run on
+/// the pool, at least `opts.grain` to a job, when `opts.parallel_tree`, and
+/// in order on the calling thread otherwise.  With `opts.peel_root` too, the
+/// root-most level runs its partitions one after another instead and its
+/// visits, and the root's, are `peeled`: the body may run a product on the
+/// pool there.
+///
+/// # Panics
+/// When `sched` does not [`match`](LevelSchedule::matches) `valid`'s tree
+/// and sranks, or a buffer does not hold `q` values per row of its kind.
+pub fn tree_sweep<const K: usize>(
+    valid: &ValidPlan<'_>,
+    sched: &LevelSchedule,
+    upward: bool,
+    opts: &ExecOptions,
+    q: usize,
+    bufs: [Scratch<'_>; K],
+    body: impl Fn(usize, bool, [Part<'_>; K]) + Send + Sync,
+) {
+    let (plan, tree) = (valid.plan, valid.tree);
+    assert!(
+        sched.matches(tree, &plan.cds.sranks),
+        "tree_sweep: the level schedule was laid out for another tree or other sranks"
+    );
+    let bufs = bufs.map(|buf| {
+        let (points, buf) = match buf {
+            Scratch::Points(buf) => (true, buf),
+            Scratch::Ranks(buf) => (false, buf),
+        };
+        let rows = if points {
+            tree.perm.len()
+        } else {
+            sched.total_rank()
+        };
+        assert_eq!(buf.len(), rows * q, "tree_sweep: scratch of the wrong size");
+        (points, RawSlots::new(buf))
+    });
+    let visit = |id: usize, peeled: bool| {
+        let (rows, pair) = sched.stack(tree, id);
+        let slot = sched.slot(id);
+        let at = |r: &Range<usize>| r.start * q..r.end * q;
+        let parts = bufs.map(|(points, buf)| {
+            let (own, pair) = if points {
+                (&rows, &(0..0))
+            } else {
+                (&slot, &pair)
+            };
+            // SAFETY: this is the one visit of node `id` in this sweep
+            // (`EvalPlan::validate` P6: every node but the root in exactly
+            // one partition, the root in none and visited here alone).
+            // `own` is its rows, a leaf's alone (T6), or its slot; `pair`
+            // its children's slots (`sched` matches the tree's links) or
+            // empty; the two are disjoint.  A slot is handed out only to
+            // its node and to the node's one parent (T3), and the two are
+            // visited by one task or on either side of a barrier between
+            // levels (P6); the parts live only for this `body` call.
+            unsafe {
+                Part {
+                    own: buf.slice_mut(at(own)),
+                    pair: buf.slice_mut(at(pair)),
+                }
+            }
+        });
+        body(id, peeled, parts);
+    };
+    // Node 0 is the root (T2).
+    let (root, peel) = (0, opts.parallel_tree && opts.peel_root);
+    let levels = &plan.coarsenset.levels;
+    let ordered = |i: usize, len: usize| if upward { i } else { len - 1 - i };
+    if !upward {
+        visit(root, peel);
+    }
+    for i in 0..levels.len() {
+        let cl = ordered(i, levels.len());
+        let peeled = peel && cl + 1 == levels.len();
+        for_each_task(&levels[cl], opts.parallel_tree && !peeled, opts, |part| {
+            for j in 0..part.len() {
+                visit(part[ordered(j, part.len())], peeled);
+            }
+        });
+    }
+    if upward {
+        visit(root, peel);
+    }
+}
+
 /// The coarsened loop, for the upward and the downward pass alike: one
-/// product per node between its basis `V_i` and the rows `V_i` stacks
-/// ([`LevelSchedule::stack`]) — a leaf's rows of `panel`, an internal node's
-/// children's pair of `coef` slots.  Upward (`panel` the permuted input,
-/// `coef` the `T` slots) it sets `T_i = V_i^T stack`, leaf-most coarsen
-/// level first and a partition's nodes in order, so children come before
-/// their parent.  Downward (`panel` the permuted output, `coef` the `S`
-/// slots) it adds `V_i S_i` into the stack, in the reverse of both orders.
-/// The root-most level runs its partitions one after another, each product
-/// on the pool instead (`peel_root`).
+/// [`tree_sweep`] visit per node, one product between its basis `V_i` and
+/// the rows `V_i` stacks ([`LevelSchedule::stack`]) — a leaf's rows of
+/// `panel`, an internal node's children's pair of `coef` slots.  Upward
+/// (`panel` the permuted input, `coef` the `T` slots) it sets
+/// `T_i = V_i^T stack`; downward (`panel` the permuted output, `coef` the
+/// `S` slots) it adds `V_i S_i` into the stack.  A peeled visit runs a large
+/// product on the pool (`peel_root`).
 fn coarsened_phase(
-    plan: &EvalPlan,
-    tree: &ClusterTree,
+    valid: &ValidPlan<'_>,
     prep: &PreparedExec,
     upward: bool,
     panel: &mut [f64],
     coef: &mut [f64],
     q: usize,
 ) {
-    let (opts, sched) = (&prep.opts, &prep.sched);
-    let (panel, coef) = (RawSlots::new(panel), RawSlots::new(coef));
-    let levels = &plan.coarsenset.levels;
-    let ordered = |i: usize, len: usize| if upward { i } else { len - 1 - i };
-    for i in 0..levels.len() {
-        let cl = ordered(i, levels.len());
-        let peel = opts.parallel_tree && opts.peel_root && cl + 1 == levels.len();
-        for_each_task(&levels[cl], opts.parallel_tree && !peel, opts, |part| {
-            for j in 0..part.len() {
-                let id = part[ordered(j, part.len())];
-                let (v, rows, cols) = plan.cds.v(id);
-                if cols == 0 {
-                    continue;
-                }
-                let (points, pair) = sched.stack(tree, id);
-                let (buf, stack) = if tree.nodes[id].is_leaf() {
-                    (panel, points.start * q..points.end * q)
-                } else {
-                    (coef, pair.start * q..pair.end * q)
-                };
-                let own = sched.slot(id);
-                let own = own.start * q..own.end * q;
-                debug_assert_eq!((stack.len(), own.len()), (rows * q, cols * q));
-                // SAFETY: a node with a generator is in exactly one coarsen
-                // partition (`EvalPlan::validate` P6), so this task alone
-                // touches its slot `own` and the rows it stacks: a leaf's
-                // own rows (T6) or its children's pair, of which it is the
-                // one parent (T3); the two ranges are disjoint.  Upward,
-                // `own` is written and the stack read: the input panel,
-                // which this loop never writes, or the children's slots,
-                // written by this task earlier or on an earlier level (P6;
-                // the loop over a level's partitions is a barrier).
-                // Downward, `own` is read, complete since the coupling loop
-                // and the parent (this task earlier, or a root-ward level)
-                // wrote it, and the stack written, which the children read
-                // only after this.
-                let (src, dst) = unsafe {
-                    if upward {
-                        (buf.slice(stack), coef.slice_mut(own))
-                    } else {
-                        (coef.slice(own), buf.slice_mut(stack))
-                    }
-                };
-                let product = match (upward, peel && rows * cols * q >= PEEL_PAR_THRESHOLD) {
-                    (true, false) => KernelDispatch::gemm_tn,
-                    (true, true) => KernelDispatch::par_gemm_tn,
-                    (false, false) => KernelDispatch::gemm,
-                    (false, true) => KernelDispatch::par_gemm,
-                };
-                product(&prep.dispatch, v, rows, cols, src, q, dst);
+    let (cds, tree) = (&valid.plan.cds, valid.tree);
+    let bufs = [Scratch::Points(panel), Scratch::Ranks(coef)];
+    tree_sweep(
+        valid,
+        &prep.sched,
+        upward,
+        &prep.opts,
+        q,
+        bufs,
+        |id, peeled, [rows, slots]| {
+            let (v, vrows, cols) = cds.v(id);
+            if cols == 0 {
+                return;
             }
-        });
-    }
+            let stack = if tree.nodes[id].is_leaf() {
+                rows.own
+            } else {
+                slots.pair
+            };
+            let own = slots.own;
+            debug_assert_eq!((stack.len(), own.len()), (vrows * q, cols * q));
+            let product = match (upward, peeled && vrows * cols * q >= PEEL_PAR_THRESHOLD) {
+                (true, false) => KernelDispatch::gemm_tn,
+                (true, true) => KernelDispatch::par_gemm_tn,
+                (false, false) => KernelDispatch::gemm,
+                (false, true) => KernelDispatch::par_gemm,
+            };
+            let (src, dst) = if upward {
+                (&*stack, own)
+            } else {
+                (&*own, stack)
+            };
+            product(&prep.dispatch, v, vrows, cols, src, q, dst);
+        },
+    );
 }
 
 #[cfg(test)]
@@ -992,6 +1114,114 @@ mod tests {
         let h2b = fixture(DatasetId::Grid, 1024, Structure::h2b(), 1);
         let qp = choose_panel_width(&h2b.plan, 64 * 1024);
         assert!(qp < 256, "small budget must shrink the panel ({qp})");
+    }
+
+    /// One [`tree_sweep`] over a `stamp` and a `count` rank buffer and a
+    /// point buffer, `q` = 2.  Every visit adds 1 to its own count slot and
+    /// 16 to its children's, so a count of 17 says a node was visited once
+    /// and so was its parent.  Upward a node checks its children stamped
+    /// their slots (their id + 1) before it stamps its own, a leaf its rows;
+    /// the root negates its pair.  Downward a node checks its parent
+    /// stamped its slot before it stamps its children's.  Since each node
+    /// waits for its children (upward) or its parent (downward), the root
+    /// comes last upward and first downward.
+    fn sweep_stamps(f: &Fixture, opts: &ExecOptions, upward: bool) {
+        const Q: usize = 2;
+        let (tree, sranks) = (&f.tree, &f.plan.cds.sranks);
+        let valid = ValidPlan::new(&f.plan, tree).expect("a valid plan");
+        let sched = LevelSchedule::new(tree, sranks);
+        let fill = |id: usize, n: usize| vec![id as f64 + 1.0; n * Q];
+        let (mut rows, mut stamp, mut count) = (
+            vec![0.0; tree.perm.len() * Q],
+            vec![0.0; sched.total_rank() * Q],
+            vec![0.0; sched.total_rank() * Q],
+        );
+        let bufs = [
+            Scratch::Points(&mut rows),
+            Scratch::Ranks(&mut stamp),
+            Scratch::Ranks(&mut count),
+        ];
+        tree_sweep(
+            &valid,
+            &sched,
+            upward,
+            opts,
+            Q,
+            bufs,
+            |id, peeled, [rows, stamp, count]| {
+                assert!(!peeled || opts.peel_root, "peeled without peel_root");
+                count.own.iter_mut().for_each(|c| *c += 1.0);
+                count.pair.iter_mut().for_each(|c| *c += 16.0);
+                let node = &tree.nodes[id];
+                let kids = node.children.map_or(vec![], |(l, r)| {
+                    [fill(l, sranks[l]), fill(r, sranks[r])].concat()
+                });
+                if upward {
+                    assert_eq!(stamp.pair, kids, "node {id} before its children");
+                    if node.is_leaf() {
+                        assert!(rows.own.iter().all(|&x| x == 0.0), "leaf {id} twice");
+                        rows.own.fill(id as f64 + 1.0);
+                    } else {
+                        assert!(rows.own.is_empty());
+                    }
+                    stamp.own.fill(id as f64 + 1.0);
+                    if node.parent.is_none() {
+                        stamp.pair.iter_mut().for_each(|x| *x = -*x);
+                    }
+                } else {
+                    let own = if node.parent.is_some() {
+                        fill(id, sranks[id])
+                    } else {
+                        vec![]
+                    };
+                    assert_eq!(stamp.own, own, "node {id} before its parent");
+                    stamp.pair.copy_from_slice(&kids);
+                }
+            },
+        );
+        for node in &tree.nodes[1..] {
+            let slot = sched.slot(node.id);
+            let at = slot.start * Q..slot.end * Q;
+            assert!(
+                count[at.clone()].iter().all(|&c| c == 17.0),
+                "node {}",
+                node.id
+            );
+            let root_child = node.parent == Some(0) && upward;
+            let sign = if root_child { -1.0 } else { 1.0 };
+            let want = sign * (node.id as f64 + 1.0);
+            assert!(stamp[at].iter().all(|&x| x == want), "node {}", node.id);
+        }
+        if upward {
+            for leaf in tree.leaves() {
+                let (a, b) = (tree.nodes[leaf].start * Q, tree.nodes[leaf].end * Q);
+                assert!(rows[a..b].iter().all(|&x| x == leaf as f64 + 1.0));
+            }
+        }
+    }
+
+    #[test]
+    fn tree_sweep_visits_each_node_once_children_or_parent_first() {
+        let f = fixture(DatasetId::Grid, 512, Structure::Hss, 1);
+        assert_eq!(f.plan.cds.sranks[0], 0);
+        assert!(
+            f.plan.cds.sranks[1..].iter().all(|&k| k > 0),
+            "every non-root slot must be observable"
+        );
+        assert!(f.plan.coarsenset.num_levels() > 1, "fixture too shallow");
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("a two-wide pool");
+        for upward in [true, false] {
+            sweep_stamps(&f, &ExecOptions::sequential(), upward);
+            pool.install(|| sweep_stamps(&f, &ExecOptions::full(), upward));
+            let no_peel = ExecOptions {
+                peel_root: false,
+                ..ExecOptions::full()
+            };
+            pool.install(|| sweep_stamps(&f, &no_peel, upward));
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod schedule;
 
 pub use executor::{
     choose_panel_width, effective_panel_width, execute, execute_prepared, requested_panel_width,
-    ExecOptions, PreparedExec, DEFAULT_L2_BYTES, PANEL_MAX,
+    tree_sweep, ExecOptions, Part, PreparedExec, Scratch, ValidPlan, DEFAULT_L2_BYTES, PANEL_MAX,
 };
 pub use matrox_linalg::{KernelChoice, KernelDispatch};
 pub use schedule::LevelSchedule;

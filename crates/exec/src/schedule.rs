@@ -1,8 +1,10 @@
-//! The level schedule shared by the executor's tree sweeps and the ULV
-//! solver's sweeps (`matrox-factor`): one breadth-first walk of the cluster
-//! tree that fixes, once per `(tree, sranks)`, the order nodes are visited
-//! level by level and where each node's skeleton coefficients live in a flat
-//! scratch buffer.
+//! The level schedule shared by the executor and the ULV solver
+//! (`matrox-factor`): one breadth-first walk of the cluster tree that fixes,
+//! once per `(tree, sranks)`, where each node's skeleton coefficients live in
+//! a flat scratch buffer, and which rows each node's basis stacks.  The tree
+//! sweeps of both engines walk the plan's coarsen set through
+//! [`tree_sweep`](crate::tree_sweep), which carves their scratch by these
+//! slots; the factor's merge phase walks the schedule's levels.
 
 use matrox_tree::ClusterTree;
 use std::ops::Range;
@@ -15,10 +17,8 @@ use std::ops::Range;
 /// internal nodes are consecutive on the next level.  Rank slots are the
 /// prefix sums of the sranks *in walk order*, so
 ///
-/// * distinct nodes own disjoint slots (what the executor's raw slicing
+/// * distinct nodes own disjoint slots (what the tree sweep's raw slicing
 ///   needs);
-/// * a level's slots form one contiguous run, in the same order as its nodes
-///   (so a level splits into disjoint sub-slices with `split_at_mut`);
 /// * an internal node's two children own adjacent slots: the **stacked
 ///   pair** `[bhat_l; bhat_r]` the solver's merge systems are solved in
 ///   ([`stack`](Self::stack)).
@@ -91,12 +91,27 @@ impl LevelSchedule {
         }
     }
 
-    /// Was this schedule laid out for a tree of this size with exactly these
-    /// sranks?
-    pub fn matches(&self, num_nodes: usize, sranks: &[usize]) -> bool {
-        self.order.len() == num_nodes
-            && sranks.len() == num_nodes
-            && (0..num_nodes).all(|id| sranks[id] == self.slot(id).len())
+    /// Was this schedule laid out for this tree with exactly these sranks?
+    /// Every node's slot width and child links are checked against the walk,
+    /// so a tree of the same size and sranks whose links differ does not
+    /// match: [`stack`](Self::stack) would hand a node another node's
+    /// children.  `O(nodes)`, allocates nothing.
+    pub fn matches(&self, tree: &ClusterTree, sranks: &[usize]) -> bool {
+        let n = self.order.len();
+        let links = |p: usize, id: usize| {
+            let kids = self.children[p]..self.children[p + 1];
+            match tree.nodes[id].children {
+                None => kids.is_empty(),
+                Some(pair) => {
+                    kids.len() == 2 && (self.order[kids.start], self.order[kids.start + 1]) == pair
+                }
+            }
+        };
+        tree.num_nodes() == n
+            && sranks.len() == n
+            && (self.order.iter().enumerate()).all(|(p, &id)| {
+                sranks[id] == self.rank_off[p + 1] - self.rank_off[p] && links(p, id)
+            })
     }
 
     /// Number of levels (tree height + 1).
@@ -114,30 +129,16 @@ impl LevelSchedule {
         &self.order[positions]
     }
 
-    /// Node id at position `p`.
-    pub fn node(&self, p: usize) -> usize {
-        self.order[p]
-    }
-
     /// The rows the basis `V` of node `id` stacks, in rows of one panel
     /// column, as `(points, pair)`.  A leaf's basis spans its `points`, its
     /// rows of the permuted panel; an internal node's spans its children's
     /// `pair`, their adjacent rank slots, left then right — the row order of
-    /// `V`.  The range a node does not span is empty and sits where its
-    /// level's next such range begins (an internal node's first point, a
-    /// leaf's next pair), so along a level either range ascends without
-    /// overlap.
+    /// `V`.  The range a node does not span is empty.
     pub fn stack(&self, tree: &ClusterTree, id: usize) -> (Range<usize>, Range<usize>) {
         let (p, node) = (self.pos[id], &tree.nodes[id]);
         let last = if node.is_leaf() { node.end } else { node.start };
         let pair = self.rank_off[self.children[p]]..self.rank_off[self.children[p + 1]];
         (node.start..last, pair)
-    }
-
-    /// Rank offset at which position `p`'s slot begins
-    /// (`p == num_nodes`: the total).
-    pub fn rank_at(&self, p: usize) -> usize {
-        self.rank_off[p]
     }
 
     /// Node `id`'s rank slot.
@@ -170,36 +171,37 @@ mod tests {
         let sranks: Vec<usize> = (0..tree.num_nodes()).map(|id| id % 5).collect();
         let s = LevelSchedule::new(&tree, &sranks);
         assert_eq!(s.num_levels(), tree.height + 1);
-        assert!(s.matches(tree.num_nodes(), &sranks));
+        assert!(s.matches(&tree, &sranks));
         assert_eq!(s.total_rank(), sranks.iter().sum::<usize>());
-        let mut seen = 0;
+        let (mut seen, mut next_slot) = (0, 0);
         for l in 0..s.num_levels() {
-            let mut next_child = s.level(l).end;
-            for p in s.level(l) {
-                let node = &tree.nodes[s.node(p)];
+            let below = if l + 1 < s.num_levels() {
+                s.nodes(s.level(l + 1))
+            } else {
+                &[]
+            };
+            let mut kids = below.iter();
+            for &id in s.nodes(s.level(l)) {
+                let node = &tree.nodes[id];
                 assert_eq!(node.level, l);
-                assert_eq!(s.slot(node.id), s.rank_at(p)..s.rank_at(p + 1));
-                let (points, pair) = s.stack(&tree, node.id);
+                // Slots are the prefix sums of the sranks in walk order.
+                assert_eq!(s.slot(id), next_slot..next_slot + sranks[id]);
+                next_slot += sranks[id];
+                let (points, pair) = s.stack(&tree, id);
                 if let Some((lc, rc)) = node.children {
-                    assert_eq!((s.node(next_child), s.node(next_child + 1)), (lc, rc));
+                    assert_eq!((kids.next(), kids.next()), (Some(&lc), Some(&rc)));
                     assert_eq!(points, node.start..node.start);
-                    assert_eq!(pair, s.rank_at(next_child)..s.rank_at(next_child + 2));
                     assert_eq!(pair, s.slot(lc).start..s.slot(rc).end);
-                    next_child += 2;
                 } else {
                     assert_eq!(points, node.start..node.end);
-                    assert_eq!(pair, s.rank_at(next_child)..s.rank_at(next_child));
+                    assert!(pair.is_empty());
                 }
                 seen += 1;
             }
             assert_eq!(
-                next_child,
-                s.level(l).end
-                    + if l + 1 < s.num_levels() {
-                        s.level(l + 1).len()
-                    } else {
-                        0
-                    }
+                kids.next(),
+                None,
+                "level {l}'s children fill the next level"
             );
         }
         assert_eq!(seen, tree.num_nodes());
@@ -215,12 +217,13 @@ mod tests {
     fn renumbered_tree_is_walked_by_links_not_by_id() {
         // Swap the ids of the root's two children: still a valid tree, no
         // longer numbered left-before-right.
-        let mut tree = ClusterTree::build(
+        let original = ClusterTree::build(
             &generate(DatasetId::Grid, 64, 1),
             PartitionMethod::Auto,
             16,
             0,
         );
+        let mut tree = original.clone();
         tree.nodes.swap(1, 2);
         for id in [1, 2] {
             tree.nodes[id].id = id;
@@ -237,6 +240,14 @@ mod tests {
         assert_eq!(s.nodes(s.level(1)), &[2, 1]);
         assert_eq!(s.slot(2), 3..6);
         assert_eq!(s.slot(1), 6..9);
-        assert!(!s.matches(tree.num_nodes(), &vec![2; tree.num_nodes()]));
+        assert!(s.matches(&tree, &sranks));
+        assert!(!s.matches(&tree, &vec![2; tree.num_nodes()]));
+        // Same size, same sranks, other links: the original's schedule
+        // would stack node 1's children as node 2's, so neither matches
+        // the other's tree.
+        let laid_out_for_original = LevelSchedule::new(&original, &sranks);
+        assert!(laid_out_for_original.matches(&original, &sranks));
+        assert!(!laid_out_for_original.matches(&tree, &sranks));
+        assert!(!s.matches(&original, &sranks));
     }
 }

@@ -1,7 +1,7 @@
 //! The ULV-style HSS factorization (leaf Cholesky + sibling merges).
 
 use matrox_analysis::{CdsBlockEntry, EvalPlan};
-use matrox_exec::{ExecOptions, LevelSchedule};
+use matrox_exec::{ExecOptions, LevelSchedule, ValidPlan};
 use matrox_linalg::{
     cholesky, cholesky_inverse, cholesky_solve_in_place, lu_factor, lu_inverse, lu_solve_in_place,
     KernelDispatch, Matrix,
@@ -158,7 +158,8 @@ impl HssFactor {
 }
 
 /// The blocks of a validated HSS plan by node id: what the factorization
-/// and the solve sweeps index instead of searching the CDS tables.  Only
+/// and the solve sweeps index instead of searching the CDS tables, with the
+/// [`ValidPlan`] proof the solve hands the tree-sweep driver.  Only
 /// [`HssFactor::validate`] and [`factor_with_ridge`] build one, and building
 /// it is the one definition of an HSS plan the merge recursion can fold —
 /// on top of [`EvalPlan::validate`] (T1–T6, P2–P6):
@@ -169,6 +170,8 @@ impl HssFactor {
 ///   node but the root has exactly one coupling entry, stored or
 ///   transposed.
 pub struct HssIndex<'a> {
+    /// The `(plan, tree)` pair [`EvalPlan::validate`] accepted.
+    pub(crate) valid: ValidPlan<'a>,
     /// `diag[id]`: the dense diagonal block `D_id` of leaf `id` (empty for
     /// internal nodes).
     pub(crate) diag: Vec<&'a [f64]>,
@@ -184,8 +187,8 @@ impl<'a> HssIndex<'a> {
     /// [`FactorError::PlanMismatch`] for a malformed plan,
     /// [`FactorError::UnsupportedStructure`] for a well-formed one that is
     /// not HSS (weak admissibility).
-    pub(crate) fn build(plan: &'a EvalPlan, tree: &ClusterTree) -> Result<Self, FactorError> {
-        plan.validate(tree).map_err(FactorError::PlanMismatch)?;
+    pub(crate) fn build(plan: &'a EvalPlan, tree: &'a ClusterTree) -> Result<Self, FactorError> {
+        let valid = ValidPlan::new(plan, tree).map_err(FactorError::PlanMismatch)?;
         let (cds, nodes) = (&plan.cds, &tree.nodes);
         let unsupported = FactorError::UnsupportedStructure;
         let mut diag = vec![None; nodes.len()];
@@ -229,6 +232,7 @@ impl<'a> HssIndex<'a> {
             })?;
         }
         Ok(HssIndex {
+            valid,
             diag: diag.into_iter().map(Option::unwrap_or_default).collect(),
             coupling,
         })
@@ -292,7 +296,7 @@ impl HssFactor {
     pub fn validate<'a>(
         &self,
         plan: &'a EvalPlan,
-        tree: &ClusterTree,
+        tree: &'a ClusterTree,
     ) -> Result<HssIndex<'a>, FactorError> {
         let index = HssIndex::build(plan, tree)?;
         let mismatch = FactorError::PlanMismatch;

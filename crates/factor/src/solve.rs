@@ -1,8 +1,10 @@
 //! Forward/backward solve sweeps over an [`HssFactor`].
 //!
-//! One solve is two passes over the levels of the tree — up from the deepest
-//! level, then down from the root — over flat scratch sized for one panel of
-//! right-hand-side columns and laid out by the executor's
+//! One solve is two passes over the tree on the executor's tree-sweep
+//! driver ([`tree_sweep`]): up the plan's coarsen levels and then the root,
+//! and down from the root through the levels reversed.  Each pass is one
+//! body the driver calls per node with its parts of flat scratch sized for
+//! one panel of right-hand-side columns and laid out by the
 //! [`LevelSchedule`]:
 //!
 //! * `xp`, the permuted panel: a leaf's rows hold `b_i`, then
@@ -16,10 +18,10 @@
 //! * `cx` / `ct`, shaped like `xp` / `tb`: where a product is formed before
 //!   it replaces (upward) or is subtracted from (downward) its target.
 //!
-//! Nothing is allocated per node, per level or per panel.  Within a level
-//! every node owns its rows, its slot and its children's pair, and along the
-//! schedule those ascend without overlap, so a parallel level hands each task
-//! its part by `split_at_mut` (`LevelCarve`) — no `unsafe`.
+//! Nothing is allocated per node, per level or per panel.  The driver hands
+//! each visit its rows, its slot and its children's pair under the
+//! [`ValidPlan`](matrox_exec::ValidPlan) that [`HssIndex`] keeps, so this
+//! crate slices nothing itself and has no `unsafe`.
 //!
 //! Every step is a product with a stored block — `D_i^{-1}`, `M_p^{-1}`,
 //! `V`, `E_i`, `T_p`, `R`, `B` — on the one `KernelDispatch` that
@@ -30,113 +32,12 @@
 //! position among them.
 
 use crate::factor::{FactorError, HssFactor, HssIndex};
-use matrox_analysis::{Cds, EvalPlan};
-use matrox_exec::{requested_panel_width, ExecOptions, LevelSchedule, PANEL_MAX};
+use matrox_analysis::EvalPlan;
+use matrox_exec::{
+    requested_panel_width, tree_sweep, ExecOptions, LevelSchedule, Part, Scratch, PANEL_MAX,
+};
 use matrox_linalg::{KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
-use rayon::prelude::*;
-use std::ops::Range;
-
-/// The part `[base, base + buf.len())` of a flat scratch buffer.
-#[derive(Default)]
-struct Window<'a> {
-    buf: &'a mut [f64],
-    base: usize,
-}
-
-impl<'a> Window<'a> {
-    /// `buf` as the part of its buffer that starts at offset `base`.
-    fn at(buf: &'a mut [f64], base: usize) -> Self {
-        Window { buf, base }
-    }
-
-    /// Split at the (absolute) offset `at`.
-    fn split_at(self, at: usize) -> (Self, Self) {
-        let (lo, hi) = self.buf.split_at_mut(at - self.base);
-        (Window::at(lo, self.base), Window::at(hi, at))
-    }
-
-    /// Detach `[off, off + len)`; the window keeps what lies behind it.
-    fn take(&mut self, off: usize, len: usize) -> &'a mut [f64] {
-        let (head, rest) = std::mem::take(&mut self.buf).split_at_mut(off + len - self.base);
-        let taken = &mut head[off - self.base..];
-        *self = Window::at(rest, off + len);
-        taken
-    }
-}
-
-/// The nodes at positions `range` of one level with the `K` scratch windows
-/// they own.  `span(p)` names, per window, the `(offset, len)` that belongs
-/// to the node at position `p`; along a level these ascend and never
-/// overlap (rows: T5; slots and pairs: [`LevelSchedule`]), so the nodes from
-/// `mid` on own exactly what lies at or behind `span(mid)`'s offsets.  As a
-/// parallel iterator it splits there; sequentially it yields each node with
-/// its `K` slices.  A span that broke the ordering would fail a slice bound,
-/// never alias.
-struct LevelCarve<'a, const K: usize, S> {
-    range: Range<usize>,
-    wins: [Window<'a>; K],
-    span: &'a S,
-}
-
-impl<'a, const K: usize, S> ParallelIterator for LevelCarve<'a, K, S>
-where
-    S: Fn(usize) -> [(usize, usize); K] + Sync,
-{
-    type Item = (usize, [&'a mut [f64]; K]);
-    type Seq = CarveIter<'a, K, S>;
-
-    fn par_len(&self) -> usize {
-        self.range.len()
-    }
-
-    fn par_split_at(self, index: usize) -> (Self, Self) {
-        let mid = self.range.start + index;
-        let cuts = if mid < self.range.end {
-            (self.span)(mid).map(|(off, _)| off)
-        } else {
-            std::array::from_fn(|k| self.wins[k].base + self.wins[k].buf.len())
-        };
-        let mut left = self.wins;
-        let right = std::array::from_fn(|k| {
-            let (lo, hi) = std::mem::take(&mut left[k]).split_at(cuts[k]);
-            left[k] = lo;
-            hi
-        });
-        let part = |range, wins| LevelCarve {
-            range,
-            wins,
-            span: self.span,
-        };
-        (
-            part(self.range.start..mid, left),
-            part(mid..self.range.end, right),
-        )
-    }
-
-    fn par_seq(self) -> Self::Seq {
-        CarveIter(self)
-    }
-}
-
-/// [`LevelCarve`] as a sequential iterator.
-struct CarveIter<'a, const K: usize, S>(LevelCarve<'a, K, S>);
-
-impl<'a, const K: usize, S> Iterator for CarveIter<'a, K, S>
-where
-    S: Fn(usize) -> [(usize, usize); K],
-{
-    type Item = (usize, [&'a mut [f64]; K]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let p = self.0.range.next()?;
-        let span = (self.0.span)(p);
-        Some((
-            p,
-            std::array::from_fn(|k| self.0.wins[k].take(span[k].0, span[k].1)),
-        ))
-    }
-}
 
 /// `x -= c`, element by element.
 fn sub_assign(x: &mut [f64], c: &[f64]) {
@@ -145,144 +46,104 @@ fn sub_assign(x: &mut [f64], c: &[f64]) {
     }
 }
 
-/// What the two passes read: the validated factor, plan and tree, the level
-/// schedule, the kernel every product runs on, and how to run a level.
+/// What the two passes read: the factor, the block index with the validated
+/// plan and tree it keeps, the level schedule, the kernel every product runs
+/// on, and how the driver runs a level.
 struct Sweeps<'a> {
     factor: &'a HssFactor,
-    cds: &'a Cds,
-    tree: &'a ClusterTree,
     index: HssIndex<'a>,
     sched: LevelSchedule,
     disp: KernelDispatch,
-    parallel: bool,
-    grain: usize,
+    opts: ExecOptions,
 }
 
 impl Sweeps<'_> {
-    /// Run `body` on every node of a level, in parallel when asked to.
-    fn for_each_node<const K: usize, S>(
-        &self,
-        carve: LevelCarve<'_, K, S>,
-        body: impl Fn(usize, [&mut [f64]; K]) + Send + Sync,
-    ) where
-        S: Fn(usize) -> [(usize, usize); K] + Sync,
-    {
-        if self.parallel {
-            carve
-                .with_min_len(self.grain)
-                .for_each(|(p, wins)| body(p, wins));
-        } else {
-            carve.par_seq().for_each(|(p, wins)| body(p, wins));
-        }
-    }
-
-    /// What the node at position `p` owns, in elements of a `q`-column
-    /// panel: its rows (a leaf's; none for an internal node), its rank slot,
-    /// and its children's stacked pair (none for a leaf).
-    fn spans(&self, p: usize, q: usize) -> [(usize, usize); 3] {
-        let (s, id) = (&self.sched, self.sched.node(p));
-        let (points, pair) = s.stack(self.tree, id);
-        let at = |r: Range<usize>| (r.start * q, r.len() * q);
-        [at(points), at(s.slot(id)), at(pair)]
-    }
-
-    /// Upward pass, deepest level first.  A leaf replaces its rows `b_i`
-    /// with `y_i = D_i^{-1} b_i`; an internal node replaces its children's
-    /// pair with `t_p = M_p^{-1} [bhat_l; bhat_r]`; either product is formed
-    /// in `cx` / `ct` first, and either node then writes
+    /// Upward pass, children before parents.  A leaf replaces its rows
+    /// `b_i` with `y_i = D_i^{-1} b_i`; an internal node replaces its
+    /// children's pair with `t_p = M_p^{-1} [bhat_l; bhat_r]`; either
+    /// product is formed in `cx` / `ct` first, and either node then writes
     /// `bhat = V^T (that solution)` into its own slot.
     fn up(&self, q: usize, [xp, cx, tb, ct]: [&mut [f64]; 4]) {
-        let s = &self.sched;
-        for level in (0..s.num_levels()).rev() {
-            let range = s.level(level);
-            let cut = s.rank_at(range.end) * q;
-            let (own, kids) = tb.split_at_mut(cut);
-            let span = |p: usize| {
-                let [rows, slot, pair] = self.spans(p, q);
-                [rows, rows, slot, pair, pair]
-            };
-            let wins = [
-                Window::at(xp, 0),
-                Window::at(cx, 0),
-                Window::at(own, 0),
-                Window::at(kids, cut),
-                Window::at(&mut ct[cut..], cut),
-            ];
-            let carve = LevelCarve {
-                range,
-                wins,
-                span: &span,
-            };
-            self.for_each_node(carve, |p, [rows, cx, bhat, pair, ct]| {
-                let id = s.node(p);
-                let (inv, solved, product) = if self.tree.nodes[id].is_leaf() {
+        let valid = &self.index.valid;
+        let (cds, tree) = (&valid.plan().cds, valid.tree());
+        let bufs = [
+            Scratch::Points(xp),
+            Scratch::Points(cx),
+            Scratch::Ranks(tb),
+            Scratch::Ranks(ct),
+        ];
+        tree_sweep(
+            valid,
+            &self.sched,
+            true,
+            &self.opts,
+            q,
+            bufs,
+            |id, _, parts| {
+                let [rows, cx, Part { own: bhat, pair }, ct] = parts;
+                let (inv, solved, product) = if tree.nodes[id].is_leaf() {
                     #[expect(
                         clippy::expect_used,
                         reason = "INVARIANT: `HssFactor::validate` (F3) found a leaf factor at every leaf and a merge factor at every internal node before the sweeps started"
                     )]
                     let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
-                    (&lf.dinv, rows, cx)
+                    (&lf.dinv, rows.own, cx.own)
                 } else {
                     #[expect(clippy::expect_used, reason = "INVARIANT: F3, as above")]
                     let mf = self.factor.merges[id].as_ref().expect("merge factor");
-                    (&mf.minv, pair, ct)
+                    (&mf.minv, pair, ct.pair)
                 };
                 let m = inv.rows();
                 product.fill(0.0);
                 self.disp.gemm(inv.as_slice(), m, m, solved, q, product);
                 solved.copy_from_slice(product);
-                let (v, vrows, vcols) = self.cds.v(id);
+                let (v, vrows, vcols) = cds.v(id);
                 if vcols > 0 {
                     self.disp.gemm_tn(v, vrows, vcols, solved, q, bhat);
                 }
-            });
-        }
+            },
+        );
     }
 
-    /// Downward pass, root first.  `s_i` is the far-field load imposed on
-    /// node `i` from outside its subtree (none at the root).  An internal
-    /// node corrects `t'_p = t_p - T_p s_p` and hands each child
+    /// Downward pass, parents before children.  `s_i` is the far-field load
+    /// imposed on node `i` from outside its subtree (none at the root).  An
+    /// internal node corrects `t'_p = t_p - T_p s_p` and hands each child
     /// `s_c = B_{c,sib} t'_sib + R_c s_p`, the `R` half for both children
     /// at once; a leaf finishes `x_i = y_i - E_i s_i`.
     fn down(&self, q: usize, [xp, cx, tb, ct, sb]: [&mut [f64]; 5]) {
-        let s = &self.sched;
-        for level in 0..s.num_levels() {
-            let range = s.level(level);
-            let cut = s.rank_at(range.end) * q;
-            let (s_own, s_kids) = sb.split_at_mut(cut);
-            let s_own = &*s_own;
-            let span = |p: usize| {
-                let [rows, _, pair] = self.spans(p, q);
-                [rows, rows, pair, pair, pair]
-            };
-            let wins = [
-                Window::at(xp, 0),
-                Window::at(cx, 0),
-                Window::at(&mut tb[cut..], cut),
-                Window::at(&mut ct[cut..], cut),
-                Window::at(s_kids, cut),
-            ];
-            let carve = LevelCarve {
-                range,
-                wins,
-                span: &span,
-            };
-            self.for_each_node(carve, |p, [x, cx, t, ct, s_kids]| {
-                let id = s.node(p);
-                let slot = s.slot(id);
-                let s_p = &s_own[slot.start * q..slot.end * q];
+        let valid = &self.index.valid;
+        let (cds, tree) = (&valid.plan().cds, valid.tree());
+        let bufs = [
+            Scratch::Points(xp),
+            Scratch::Points(cx),
+            Scratch::Ranks(tb),
+            Scratch::Ranks(ct),
+            Scratch::Ranks(sb),
+        ];
+        tree_sweep(
+            valid,
+            &self.sched,
+            false,
+            &self.opts,
+            q,
+            bufs,
+            |id, _, parts| {
+                let [x, cx, t, ct, s] = parts;
+                let s_p = &*s.own;
                 let kp = s_p.len() / q;
-                let Some((l, r)) = self.tree.nodes[id].children else {
+                let Some((l, r)) = tree.nodes[id].children else {
                     #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
                     let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
                     if kp > 0 {
-                        cx.fill(0.0);
-                        self.disp.gemm(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx);
-                        sub_assign(x, cx);
+                        cx.own.fill(0.0);
+                        self.disp
+                            .gemm(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx.own);
+                        sub_assign(x.own, cx.own);
                     }
                     return;
                 };
-                let (kl, kr) = (self.cds.sranks[l], self.cds.sranks[r]);
+                let (t, ct, s_kids) = (t.pair, ct.pair, s.pair);
+                let (kl, kr) = (cds.sranks[l], cds.sranks[r]);
                 if kp > 0 {
                     #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
                     let mf = self.factor.merges[id].as_ref().expect("merge factor");
@@ -299,11 +160,11 @@ impl Sweeps<'_> {
                 // `[s_l; s_r] += R s_p`: one product over the pair, which
                 // continues each child's chain where its coupling left it.
                 if kp > 0 {
-                    let v = self.cds.v(id).0;
+                    let v = cds.v(id).0;
                     self.disp.gemm(v, kl + kr, kp, s_p, q, s_kids);
                 }
-            });
-        }
+            },
+        );
     }
 }
 
@@ -344,12 +205,9 @@ impl HssFactor {
         let sweeps = Sweeps {
             index: self.validate(plan, tree)?,
             factor: self,
-            cds: &plan.cds,
-            tree,
             sched: LevelSchedule::new(tree, &plan.cds.sranks),
             disp: KernelDispatch::for_choice(opts.kernel),
-            parallel: opts.parallel_tree,
-            grain: opts.grain.max(1),
+            opts: *opts,
         };
         let mut x = Matrix::zeros(n, q);
         if q == 0 {

@@ -127,6 +127,7 @@ fn structurally_hostile_model_images_are_refused() {
                 let parts = h.plan.coarsenset.levels.iter_mut().flatten();
                 parts.for_each(|part| part.reverse());
             }),
+            ("root on a coarsen level of its own", &root_coarsen_level),
             ("node level beyond the tree height", &|h| {
                 h.tree.nodes[3].level = h.tree.height + 5;
             }),
@@ -177,6 +178,9 @@ fn structurally_hostile_factor_images_are_refused() {
             ("tree height raised", &|fh| {
                 raise_tree_height(&mut fh.hmatrix)
             }),
+            ("root on a coarsen level of its own", &|fh| {
+                root_coarsen_level(&mut fh.hmatrix)
+            }),
             ("leaf inverse diagonal entry zeroed", &zero_dinv_diagonal),
         ],
     );
@@ -187,6 +191,14 @@ fn structurally_hostile_factor_images_are_refused() {
 /// so only T4's equality stands between this and a height-sized reservation.
 fn raise_tree_height(h: &mut HMatrix) {
     h.tree.height = 1 << 40;
+}
+
+/// The root in a partition of a last coarsen level: every child still comes
+/// before its parent, but the tree sweeps visit the root on their own, so
+/// the root would be visited twice.
+fn root_coarsen_level(h: &mut HMatrix) {
+    h.plan.coarsenset.levels.push(vec![vec![0]]);
+    h.plan.coarsenset.costs.push(vec![0]);
 }
 
 /// Zero one diagonal entry of the first leaf's `D_i^{-1}`: no inverse of an
