@@ -10,8 +10,14 @@
 //! (DESIGN.md substitution S8), no blockset tables beside the CDS entry
 //! tables that already are them, one window per off-diagonal twin pair
 //! (DESIGN.md substitution S9), the tree's height and nothing else's.
-//! `MATROXF3` stores the factor as the solve applies it: per leaf
-//! `D_i^{-1}` and `E_i`, per merge `M_p^{-1}` and `T_p`.  There is no reader
+//! `MATROXF3` stores the factor as the solve applies it, in two tables of
+//! one slot per node: the leaf table holds `D_i^{-1}` and `E_i` at each
+//! leaf, the merge table `M_p^{-1}` and `T_p` at each internal node, and
+//! every other slot is a bare absence flag.  The writer works out the
+//! presence flags from the tree; the reader owns the canonical layout and
+//! refuses any other (a table of another length, a flag that disagrees
+//! with its node's kind, a slot naming another node), so a decoded
+//! [`HssFactor`] holds one record per node.  There is no reader
 //! for the `MATROX1` / `MATROXF1` / `MATROXF2` layouts (`MATROXF2` stored
 //! Cholesky and LU factors with pivots); their magic is a `Format` error
 //! naming it.
@@ -27,11 +33,11 @@
 //! What this module adds is the knowledge of the format: enum tags, the
 //! minimum encoded size of each table's elements, finite-float screening of
 //! parameters and value buffers, and canonical encodings (child pairs,
-//! generator presence, HSS padding).  What makes the decoded structures a
-//! *model* — tree topology, plan tables against the tree, factor slots
-//! against the plan — is not defined here: the readers run the one shared
-//! definition, [`EvalPlan::validate`](matrox_analysis::EvalPlan::validate)
-//! (`MATROX2`) or [`HssFactor::validate`] (`MATROXF3`, which includes the
+//! generator presence, HSS padding, factor slots).  What makes the decoded
+//! structures a *model* — tree topology, plan tables against the tree,
+//! factor shapes against the plan — is not defined here: the readers run
+//! the one shared definition,
+//! [`EvalPlan::validate`](matrox_analysis::EvalPlan::validate) (`MATROX2`) or [`HssFactor::validate`] (`MATROXF3`, which includes the
 //! former), after the stream is consumed, and report its message as
 //! `Format`.  The executor and the solver run the same functions, so the
 //! contract enforced by the corruption-fuzz suite is: for any byte stream, a
@@ -47,7 +53,7 @@ use crate::wire::{WireReader, WireWriter};
 use matrox_analysis::{
     Cds, CdsBlockEntry, CoarsenSet, EvalPlan, GeneratorEntry, GroupRange, LoweringDecisions,
 };
-use matrox_factor::{FactorTimings, HssFactor, LeafFactor, MergeFactor};
+use matrox_factor::{FactorTimings, HssFactor, NodeFactor};
 use matrox_linalg::Matrix;
 use matrox_points::Kernel;
 use matrox_tree::{ClusterTree, Structure, TreeNode};
@@ -518,67 +524,62 @@ fn get_matrix(r: &mut WireReader<'_>) -> Result<Matrix, MatroxError> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn put_factor(w: &mut WireWriter, f: &HssFactor) {
+/// The factor as two tables of one slot per node, a leaf table and a merge
+/// table: a slot is a presence flag, then the node id and the node's `inv`
+/// and `map` where the node is of the table's kind (a leaf, an internal
+/// node), and the flag alone elsewhere.
+fn put_factor(w: &mut WireWriter, f: &HssFactor, tree: &ClusterTree) {
     w.put_usize(f.n);
-    w.put_usize(f.leaves.len());
-    for leaf in &f.leaves {
-        match leaf {
-            Some(lf) => {
-                w.put_bool(true);
-                w.put_usize(lf.node);
-                put_matrix(w, &lf.dinv);
-                put_matrix(w, &lf.e);
+    for leaf_table in [true, false] {
+        w.put_usize(f.nodes.len());
+        for (id, nf) in f.nodes.iter().enumerate() {
+            let present = tree.nodes.get(id).map(TreeNode::is_leaf) == Some(leaf_table);
+            w.put_bool(present);
+            if present {
+                w.put_usize(id);
+                put_matrix(w, &nf.inv);
+                put_matrix(w, &nf.map);
             }
-            None => w.put_bool(false),
-        }
-    }
-    w.put_usize(f.merges.len());
-    for merge in &f.merges {
-        match merge {
-            Some(mf) => {
-                w.put_bool(true);
-                w.put_usize(mf.node);
-                put_matrix(w, &mf.minv);
-                put_matrix(w, &mf.t);
-            }
-            None => w.put_bool(false),
         }
     }
 }
 
-fn get_factor(r: &mut WireReader<'_>) -> Result<HssFactor, MatroxError> {
+/// Read what [`put_factor`] writes for `tree`, and nothing else: each table
+/// holds one slot per node, present exactly at the nodes of its kind and
+/// naming its own node.
+fn get_factor(r: &mut WireReader<'_>, tree: &ClusterTree) -> Result<HssFactor, MatroxError> {
     let n = r.take_usize("factor dimension")?;
-    // A serialized slot is at least its presence byte.
-    let n_leaves = r.take_len(1, "leaf factor table")?;
-    let mut leaves = Vec::with_capacity(n_leaves);
-    for _ in 0..n_leaves {
-        leaves.push(if r.take_bool("leaf factor presence")? {
-            Some(LeafFactor {
-                node: r.take_usize("leaf factor node")?,
-                dinv: get_matrix(r)?,
-                e: get_matrix(r)?,
-            })
-        } else {
-            None
-        });
-    }
-    let n_merges = r.take_len(1, "merge factor table")?;
-    let mut merges = Vec::with_capacity(n_merges);
-    for _ in 0..n_merges {
-        merges.push(if r.take_bool("merge factor presence")? {
-            Some(MergeFactor {
-                node: r.take_usize("merge factor node")?,
-                minv: get_matrix(r)?,
-                t: get_matrix(r)?,
-            })
-        } else {
-            None
-        });
+    let n_nodes = tree.num_nodes();
+    let mut slots = vec![None; n_nodes];
+    for kind in ["leaf", "merge"] {
+        let bad = |m: String| Err(MatroxError::Format(format!("{kind} factor {m}")));
+        // A serialized slot is at least its presence byte.
+        let len = r.take_len(1, "factor table")?;
+        if len != n_nodes {
+            return bad(format!(
+                "table has {len} slots but the tree has {n_nodes} nodes"
+            ));
+        }
+        for (id, node) in tree.nodes.iter().enumerate() {
+            let present = r.take_bool("factor slot presence")?;
+            if present != (node.is_leaf() == (kind == "leaf")) {
+                let is = if present { "present" } else { "absent" };
+                let node = if node.is_leaf() { "a leaf" } else { "internal" };
+                return bad(format!("slot {id} is {is} but node {id} is {node}"));
+            }
+            if present {
+                let named = r.take_usize("factor slot node")?;
+                if named != id {
+                    return bad(format!("slot {id} names node {named}"));
+                }
+                let (inv, map) = (get_matrix(r)?, get_matrix(r)?);
+                slots[id] = Some(NodeFactor { inv, map });
+            }
+        }
     }
     Ok(HssFactor {
         n,
-        leaves,
-        merges,
+        nodes: slots.into_iter().flatten().collect(),
         timings: FactorTimings::default(),
     })
 }
@@ -589,7 +590,7 @@ pub fn to_bytes_factored(fh: &FactoredHMatrix) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.put_bytes(MAGIC_FACTORED);
     put_hmatrix_body(&mut w, &fh.hmatrix);
-    put_factor(&mut w, &fh.factor);
+    put_factor(&mut w, &fh.factor, &fh.hmatrix.tree);
     w.into_bytes()
 }
 
@@ -603,7 +604,7 @@ pub fn from_bytes_factored(data: impl AsRef<[u8]>) -> Result<FactoredHMatrix, Ma
     let mut r = WireReader::new(data.as_ref());
     r.expect_magic(MAGIC_FACTORED, "factored HMatrix")?;
     let hmatrix = get_hmatrix_body(&mut r)?;
-    let factor = get_factor(&mut r)?;
+    let factor = get_factor(&mut r, &hmatrix.tree)?;
     r.finish("the factored payload")?;
     factor
         .validate(&hmatrix.plan, &hmatrix.tree)

@@ -226,8 +226,7 @@ fn cross_arm_results(kernel: KernelChoice) -> Vec<(String, Vec<u64>)> {
     }
     let (tree, plan, b) = &hss;
     let f = factor(plan, tree, &opts(0)).expect("the HSS model factors");
-    let parts = f.leaves.iter().flatten().flat_map(|l| [&l.dinv, &l.e]);
-    let parts = parts.chain(f.merges.iter().flatten().flat_map(|m| [&m.minv, &m.t]));
+    let parts = f.nodes.iter().flat_map(|n| [&n.inv, &n.map]);
     results.push(("hss factor".into(), bits(parts.flat_map(|m| m.as_slice()))));
     for panel in CROSS_ARM_PANELS {
         let x = f.solve_matrix(plan, tree, b, &opts(panel)).expect("solve");

@@ -232,11 +232,7 @@ fn evaluation_matches_the_expanded_plan_bitwise() {
 }
 
 fn factor_bits(f: &HssFactor) -> Vec<u64> {
-    let leaves = f.leaves.iter().flatten();
-    let merges = f.merges.iter().flatten();
-    let parts = leaves
-        .flat_map(|l| [&l.dinv, &l.e])
-        .chain(merges.flat_map(|m| [&m.minv, &m.t]));
+    let parts = f.nodes.iter().flat_map(|n| [&n.inv, &n.map]);
     parts.flat_map(bits).collect()
 }
 

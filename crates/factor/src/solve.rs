@@ -58,11 +58,11 @@ struct Sweeps<'a> {
 }
 
 impl Sweeps<'_> {
-    /// Upward pass, children before parents.  A leaf replaces its rows
-    /// `b_i` with `y_i = D_i^{-1} b_i`; an internal node replaces its
-    /// children's pair with `t_p = M_p^{-1} [bhat_l; bhat_r]`; either
-    /// product is formed in `cx` / `ct` first, and either node then writes
-    /// `bhat = V^T (that solution)` into its own slot.
+    /// Upward pass, children before parents.  Every node replaces the rows
+    /// its basis stacks with its factor's `inv` times them (a leaf's `b_i`
+    /// becomes `y_i = D_i^{-1} b_i`, an internal node's pair becomes
+    /// `t_p = M_p^{-1} [bhat_l; bhat_r]`), forming the product in `cx` /
+    /// `ct` first, and writes `bhat = V^T (that solution)` into its slot.
     fn up(&self, q: usize, [xp, cx, tb, ct]: [&mut [f64]; 4]) {
         let valid = &self.index.valid;
         let (cds, tree) = (&valid.plan().cds, valid.tree());
@@ -81,35 +81,31 @@ impl Sweeps<'_> {
             bufs,
             |id, _, parts| {
                 let [rows, cx, Part { own: bhat, pair }, ct] = parts;
-                let (inv, solved, product) = if tree.nodes[id].is_leaf() {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "INVARIANT: `HssFactor::validate` (F3) found a leaf factor at every leaf and a merge factor at every internal node before the sweeps started"
-                    )]
-                    let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
-                    (&lf.dinv, rows.own, cx.own)
+                let (stack, product) = if tree.nodes[id].is_leaf() {
+                    (rows.own, cx.own)
                 } else {
-                    #[expect(clippy::expect_used, reason = "INVARIANT: F3, as above")]
-                    let mf = self.factor.merges[id].as_ref().expect("merge factor");
-                    (&mf.minv, pair, ct.pair)
+                    (pair, ct.pair)
                 };
+                let inv = &self.factor.nodes[id].inv;
                 let m = inv.rows();
                 product.fill(0.0);
-                self.disp.gemm(inv.as_slice(), m, m, solved, q, product);
-                solved.copy_from_slice(product);
+                self.disp.gemm(inv.as_slice(), m, m, stack, q, product);
+                stack.copy_from_slice(product);
                 let (v, vrows, vcols) = cds.v(id);
                 if vcols > 0 {
-                    self.disp.gemm_tn(v, vrows, vcols, solved, q, bhat);
+                    self.disp.gemm_tn(v, vrows, vcols, stack, q, bhat);
                 }
             },
         );
     }
 
     /// Downward pass, parents before children.  `s_i` is the far-field load
-    /// imposed on node `i` from outside its subtree (none at the root).  An
-    /// internal node corrects `t'_p = t_p - T_p s_p` and hands each child
-    /// `s_c = B_{c,sib} t'_sib + R_c s_p`, the `R` half for both children
-    /// at once; a leaf finishes `x_i = y_i - E_i s_i`.
+    /// imposed on node `i` from outside its subtree (none at the root).
+    /// Every node subtracts its factor's `map` times `s` from the rows its
+    /// basis stacks (a leaf finishes `x_i = y_i - E_i s_i`, an internal
+    /// node corrects `t'_p = t_p - T_p s_p`); an internal node then hands
+    /// each child `s_c = B_{c,sib} t'_sib + R_c s_p`, the `R` half for both
+    /// children at once.
     fn down(&self, q: usize, [xp, cx, tb, ct, sb]: [&mut [f64]; 5]) {
         let valid = &self.index.valid;
         let (cds, tree) = (&valid.plan().cds, valid.tree());
@@ -131,28 +127,25 @@ impl Sweeps<'_> {
                 let [x, cx, t, ct, s] = parts;
                 let s_p = &*s.own;
                 let kp = s_p.len() / q;
+                let (stack, product) = if tree.nodes[id].is_leaf() {
+                    (x.own, cx.own)
+                } else {
+                    (t.pair, ct.pair)
+                };
+                if kp > 0 {
+                    let map = &self.factor.nodes[id].map;
+                    product.fill(0.0);
+                    self.disp
+                        .gemm(map.as_slice(), map.rows(), kp, s_p, q, product);
+                    sub_assign(stack, product);
+                }
                 let Some((l, r)) = tree.nodes[id].children else {
-                    #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
-                    let lf = self.factor.leaves[id].as_ref().expect("leaf factor");
-                    if kp > 0 {
-                        cx.own.fill(0.0);
-                        self.disp
-                            .gemm(lf.e.as_slice(), lf.e.rows(), kp, s_p, q, cx.own);
-                        sub_assign(x.own, cx.own);
-                    }
                     return;
                 };
-                let (t, ct, s_kids) = (t.pair, ct.pair, s.pair);
                 let (kl, kr) = (cds.sranks[l], cds.sranks[r]);
-                if kp > 0 {
-                    #[expect(clippy::expect_used, reason = "INVARIANT: F3, as in `up`")]
-                    let mf = self.factor.merges[id].as_ref().expect("merge factor");
-                    ct.fill(0.0);
-                    self.disp.gemm(mf.t.as_slice(), kl + kr, kp, s_p, q, ct);
-                    sub_assign(t, ct);
-                }
+                let s_kids = s.pair;
                 if kl > 0 && kr > 0 {
-                    let (t_l, t_r) = t.split_at(kl * q);
+                    let (t_l, t_r) = stack.split_at(kl * q);
                     let (s_l, s_r) = s_kids.split_at_mut(kl * q);
                     self.index.apply_coupling(self.disp, l, t_r, q, s_l);
                     self.index.apply_coupling(self.disp, r, t_l, q, s_r);
@@ -352,8 +345,7 @@ mod tests {
         let (tree, plan) = fixture(n, Structure::Hss, grid_spacing(n));
         let f_seq = factor(&plan, &tree, &ExecOptions::sequential()).unwrap();
         let f_par = factor(&plan, &tree, &ExecOptions::full()).unwrap();
-        assert_eq!(f_seq.leaves, f_par.leaves);
-        assert_eq!(f_seq.merges, f_par.merges);
+        assert_eq!(f_seq.nodes, f_par.nodes);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let b = Matrix::random_uniform(n, 3, &mut rng);
         let x_seq = f_seq
@@ -442,7 +434,7 @@ mod tests {
         // before any sweep touches it.
         let mut broken = f.clone();
         let leaf = tree.leaves()[0];
-        broken.leaves[leaf] = None;
+        broken.nodes[leaf].inv = Matrix::zeros(0, 0);
         let b = Matrix::zeros(n, 1);
         match broken.solve_matrix(&plan, &tree, &b, &ExecOptions::sequential()) {
             Err(FactorError::PlanMismatch(m)) => {

@@ -87,7 +87,7 @@ fn allocs_for(
 #[test]
 fn solve_allocates_a_fixed_number_of_buffers() {
     // Miri interprets the whole pipeline ~100x slower; 4 and 16 leaves still
-    // put leaves and merges on every level through the carving.
+    // hand the tree-sweep driver leaves and internal nodes to visit.
     let (small, large) = if cfg!(miri) { (4, 16) } else { (64, 256) };
     measure(|| {
         let (small, large) = (fixture(small), fixture(large));

@@ -91,12 +91,8 @@ fn factor_and_solve_are_deterministic_across_thread_counts() {
             (f, x)
         });
         assert_eq!(
-            f.leaves, f_ref.leaves,
-            "leaf factors at {nt} threads differ from sequential"
-        );
-        assert_eq!(
-            f.merges, f_ref.merges,
-            "merge factors at {nt} threads differ from sequential"
+            f.nodes, f_ref.nodes,
+            "node factors at {nt} threads differ from sequential"
         );
         assert_eq!(
             x.as_slice(),

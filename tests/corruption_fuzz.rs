@@ -165,12 +165,18 @@ fn structurally_hostile_factor_images_are_refused() {
         &fh,
         read,
         &[
-            // Self-consistent (`dinv` square, `e` as tall), but not the leaf's.
+            // Self-consistent (`inv` square, `map` as tall), but not the leaf's.
             ("leaf factor of the wrong size", &|fh| {
-                let lf = fh.factor.leaves[leaf].as_mut().expect("leaf factor");
-                let (ni, k) = lf.e.shape();
-                lf.dinv = Matrix::identity(ni - 1);
-                lf.e = Matrix::zeros(ni - 1, k);
+                let lf = &mut fh.factor.nodes[leaf];
+                let (ni, k) = lf.map.shape();
+                lf.inv = Matrix::identity(ni - 1);
+                lf.map = Matrix::zeros(ni - 1, k);
+            }),
+            // The root's `M_p^{-1}` one row short.
+            ("merge factor of the wrong size", &|fh| {
+                let mf = &mut fh.factor.nodes[0];
+                let m = mf.inv.cols();
+                mf.inv = Matrix::zeros(m - 1, m);
             }),
             ("coupling block between non-siblings", &|fh| {
                 fh.hmatrix.plan.cds.b_entries[entry].source = stranger;
@@ -185,6 +191,84 @@ fn structurally_hostile_factor_images_are_refused() {
         ],
     );
     assert!(holes.is_empty(), "from_bytes_factored accepted: {holes:?}");
+}
+
+/// Byte offsets of a factored image's two factor tables, the leaf table
+/// and then the merge table: each table's count field and the start of
+/// each of its slots, one per node.  The `MATROXF3` layout after the model
+/// body is `n`, then per table the count and the slots; a slot is its
+/// presence byte, then, where the node is of the table's kind, the node id
+/// and its `inv` and `map`, each a row count, a column count and the values.
+fn factor_tables(fh: &FactoredHMatrix) -> [(usize, Vec<usize>); 2] {
+    let mut at = to_bytes(&fh.hmatrix).len() + 8;
+    [true, false].map(|leaf_table| {
+        let count = at;
+        at += 8;
+        let nodes = fh.hmatrix.tree.nodes.iter().zip(&fh.factor.nodes);
+        let slots = nodes
+            .map(|(node, f)| {
+                let slot = at;
+                at += 1;
+                if node.is_leaf() == leaf_table {
+                    at += 8 + 16 + 8 * f.inv.len() + 16 + 8 * f.map.len();
+                }
+                slot
+            })
+            .collect();
+        (count, slots)
+    })
+}
+
+/// Hand edits of a factored image's slot tables: each one leaves every
+/// matrix readable, so only the reader's layout checks stand between it and
+/// a factor whose slots are not the tree's.
+#[test]
+fn hand_edited_factor_slots_are_refused() {
+    let fh = hss_model(256, 16).factorize().expect("factorize");
+    let tree = &fh.hmatrix.tree;
+    let (leaf, last) = (tree.leaves()[0], tree.num_nodes() - 1);
+    assert!(!tree.nodes[0].is_leaf() && tree.nodes[last].is_leaf());
+    let bytes = to_bytes_factored(&fh);
+    let [(_, leaf_slots), (merge_count, _)] = factor_tables(&fh);
+    assert_eq!(bytes[leaf_slots[leaf]], 1, "the layout walk is off");
+    let put_u64 = |b: &mut Vec<u8>, at: usize, v: usize| {
+        b[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
+    };
+    let edits: [(Edit<'_, Vec<u8>>, String); 4] = [
+        (
+            ("a leaf slot flagged absent", &|b| b[leaf_slots[leaf]] = 0),
+            format!("leaf factor slot {leaf} is absent"),
+        ),
+        (
+            ("a slot present at an internal node", &|b| {
+                b[leaf_slots[0]] = 1
+            }),
+            "leaf factor slot 0 is present".into(),
+        ),
+        (
+            ("a slot naming another node", &|b| {
+                put_u64(b, leaf_slots[leaf] + 1, leaf + 1)
+            }),
+            format!("leaf factor slot {leaf} names node {}", leaf + 1),
+        ),
+        (
+            // The merge table's last slot is a leaf's: its presence byte
+            // alone, the image's last byte.
+            ("a table one slot short", &|b| {
+                put_u64(b, merge_count, last);
+                b.pop();
+            }),
+            format!("merge factor table has {last} slots"),
+        ),
+    ];
+    for ((name, edit), says) in edits {
+        let mut bad = bytes.clone();
+        edit(&mut bad);
+        match from_bytes_factored(&bad).err() {
+            Some(MatroxError::Format(m)) => assert!(m.contains(&says), "{name}: {m}"),
+            other => panic!("{name}: expected Format, got {other:?}"),
+        }
+    }
 }
 
 /// A height no node reaches: nothing else in the image records the height,
@@ -204,8 +288,9 @@ fn root_coarsen_level(h: &mut HMatrix) {
 /// Zero one diagonal entry of the first leaf's `D_i^{-1}`: no inverse of an
 /// SPD block has one.
 fn zero_dinv_diagonal(fh: &mut FactoredHMatrix) {
-    let lf = fh.factor.leaves.iter_mut().flatten().next();
-    lf.expect("a leaf factor").dinv.set(2, 2, 0.0);
+    let nodes = &fh.hmatrix.tree.nodes;
+    let leaf = nodes.iter().position(|n| n.is_leaf()).expect("a leaf");
+    fh.factor.nodes[leaf].inv.set(2, 2, 0.0);
 }
 
 /// F5 on a factor that never went through the reader: a zeroed diagonal

@@ -257,9 +257,7 @@ fn factor_and_solve_run_on_the_kernel_their_options_name() {
     let opts = |kernel| ExecOptions::full().with_kernel(kernel);
     let factor_bits = |kernel| {
         let f = h.factorize_with(&opts(kernel)).expect("factor").factor;
-        let leaves = f.leaves.into_iter().flatten();
-        let parts = leaves.flat_map(|l| [l.dinv, l.e]);
-        let parts = parts.chain(f.merges.into_iter().flatten().flat_map(|m| [m.minv, m.t]));
+        let parts = f.nodes.into_iter().flat_map(|n| [n.inv, n.map]);
         parts.flat_map(|m| bits(&m)).collect::<Vec<_>>()
     };
     let on_avx2 = h.factorize_with(&opts(KernelChoice::Avx2)).expect("factor");

@@ -202,18 +202,14 @@ fn a_non_finite_solve_is_a_numerical_breakdown() {
     let mut factored = hss_model().factorize().expect("factorize");
     let b: Vec<f64> = (0..N).map(|i| (i as f64 * 0.3).cos()).collect();
     factored.solve(&b).expect("clean solve");
-    let leaf = factored
-        .factor
-        .leaves
-        .iter_mut()
-        .flatten()
-        .next()
-        .expect("a leaf factor");
+    let nodes = &factored.hmatrix.tree.nodes;
+    let leaf = nodes.iter().position(|n| n.is_leaf()).expect("a leaf");
+    let dinv = &mut factored.factor.nodes[leaf].inv;
     assert!(
-        leaf.dinv.rows() >= 2,
+        dinv.rows() >= 2,
         "leaf too small to have an off-diagonal part"
     );
-    leaf.dinv.set(1, 0, f64::NAN);
+    dinv.set(1, 0, f64::NAN);
     let got = factored.solve(&b);
     assert!(
         matches!(got, Err(MatroxError::NumericalBreakdown(_))),

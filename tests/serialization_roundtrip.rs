@@ -262,8 +262,8 @@ fn logical_payload_hash(cds: &Cds) -> u64 {
 
 /// What a model *stores* is pinned apart from how the image frames it, so a
 /// format bump re-records the image pins below and leaves these alone: the
-/// logical CDS payload ([`logical_payload_hash`]); and the factor's `dinv` /
-/// `e` / `minv` / `t` payload (one constant per kernel family, as for the
+/// logical CDS payload ([`logical_payload_hash`]); and the factor's `inv` /
+/// `map` payload (one constant per kernel family, as for the
 /// factored image).
 #[test]
 fn payload_values_are_pinned() {
@@ -275,11 +275,11 @@ fn payload_values_are_pinned() {
     );
 
     let f = h.factorize().expect("factorize").factor;
-    let leaves = f.leaves.iter().flatten();
-    let merges = f.merges.iter().flatten();
-    let factor = leaves
-        .flat_map(|l| [l.dinv.as_slice(), l.e.as_slice()])
-        .chain(merges.flat_map(|m| [m.minv.as_slice(), m.t.as_slice()]));
+    // Leaves first, then merges, each in node order.
+    let (leaves, merges): (Vec<usize>, Vec<usize>) =
+        (0..f.nodes.len()).partition(|&id| h.tree.nodes[id].is_leaf());
+    let factor = (leaves.iter().chain(&merges))
+        .flat_map(|&id| [f.nodes[id].inv.as_slice(), f.nodes[id].map.as_slice()]);
     let pinned: u64 = if KernelDispatch::global().is_simd() {
         0x644b_4dfa_c1bf_e04a
     } else {
