@@ -107,8 +107,9 @@ fn node_cost(tree: &ClusterTree, sranks: &[usize], x: usize) -> u64 {
 /// coarsen level always contains the leaves, as in Figure 1b.
 fn node_heights(tree: &ClusterTree) -> Vec<usize> {
     let mut height = vec![0usize; tree.num_nodes()];
-    // Children always have larger ids than parents (BFS numbering), so one
-    // reverse sweep computes heights bottom-up.
+    // Ids are the breadth-first walk (`ClusterTree::validate`'s T7), so
+    // children have larger ids than their parents and one reverse sweep
+    // computes heights bottom-up.
     for id in (0..tree.num_nodes()).rev() {
         if let Some((l, r)) = tree.nodes[id].children {
             height[id] = 1 + height[l].max(height[r]);

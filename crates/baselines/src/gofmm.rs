@@ -133,7 +133,7 @@ impl<'a> GofmmEvaluator<'a> {
         } else {
             let mut t = vec![Matrix::zeros(0, q); n_nodes];
             for level in (1..=tree.height).rev() {
-                for id in tree.nodes_at_level(level) {
+                for id in tree.level(level) {
                     t[id] = self.compute_t(id, w, &t);
                 }
             }
@@ -205,7 +205,7 @@ impl<'a> GofmmEvaluator<'a> {
         } else {
             let mut s = s;
             for level in 1..=tree.height {
-                for id in tree.nodes_at_level(level) {
+                for id in tree.level(level) {
                     let s_i = std::mem::replace(&mut s[id], Matrix::zeros(0, 0));
                     self.apply_down(id, &s_i, &mut s, &mut y, q);
                 }

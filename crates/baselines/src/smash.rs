@@ -81,8 +81,8 @@ impl<'a> SmashEvaluator<'a> {
         // Upward pass over the vector, level by level.
         let mut t: Vec<Vec<f64>> = vec![Vec::new(); n_nodes];
         for level in (1..=tree.height).rev() {
-            let ids = tree.nodes_at_level(level);
-            let compute = |&id: &usize| -> (usize, Vec<f64>) {
+            let ids = tree.level(level);
+            let compute = |id: usize| -> (usize, Vec<f64>) {
                 let basis = &self.compression.bases[id];
                 if basis.srank == 0 {
                     return (id, Vec::new());
@@ -102,9 +102,9 @@ impl<'a> SmashEvaluator<'a> {
                 (id, out)
             };
             let results: Vec<(usize, Vec<f64>)> = if parallel {
-                ids.par_iter().map(compute).collect()
+                ids.into_par_iter().map(compute).collect()
             } else {
-                ids.iter().map(compute).collect()
+                ids.map(compute).collect()
             };
             for (id, v) in results {
                 t[id] = v;
@@ -144,7 +144,7 @@ impl<'a> SmashEvaluator<'a> {
         // Downward pass, level by level, plus near blocks.
         let mut y = vec![0.0; n];
         for level in 1..=tree.height {
-            for id in tree.nodes_at_level(level) {
+            for id in tree.level(level) {
                 let basis = &self.compression.bases[id];
                 if basis.srank == 0 || s[id].len() != basis.srank {
                     continue;

@@ -90,15 +90,13 @@ impl<'a> StrumpackEvaluator<'a> {
         // Upward pass, one parallel loop + barrier per level.
         let mut t: Vec<Matrix> = vec![Matrix::zeros(0, q); n_nodes];
         for level in (1..=tree.height).rev() {
-            let ids = tree.nodes_at_level(level);
+            let ids = tree.level(level);
             let level_t: Vec<(usize, Matrix)> = if parallel {
-                ids.par_iter()
-                    .map(|&id| (id, self.compute_t(id, w, &t)))
+                ids.into_par_iter()
+                    .map(|id| (id, self.compute_t(id, w, &t)))
                     .collect()
             } else {
-                ids.iter()
-                    .map(|&id| (id, self.compute_t(id, w, &t)))
-                    .collect()
+                ids.map(|id| (id, self.compute_t(id, w, &t))).collect()
             };
             for (id, m) in level_t {
                 t[id] = m;
@@ -134,17 +132,15 @@ impl<'a> StrumpackEvaluator<'a> {
         // Downward pass, level by level with a barrier per level.
         let mut y = Matrix::zeros(n, q);
         for level in 1..=tree.height {
-            let ids = tree.nodes_at_level(level);
+            let ids = tree.level(level);
             // Compute expansions in parallel, then apply pushes/outputs
             // sequentially (the barrier).
             let expansions: Vec<(usize, Matrix)> = if parallel {
-                ids.par_iter()
-                    .map(|&id| (id, self.expand(id, &s[id], q)))
+                ids.into_par_iter()
+                    .map(|id| (id, self.expand(id, &s[id], q)))
                     .collect()
             } else {
-                ids.iter()
-                    .map(|&id| (id, self.expand(id, &s[id], q)))
-                    .collect()
+                ids.map(|id| (id, self.expand(id, &s[id], q))).collect()
             };
             for (id, expanded) in expansions {
                 if expanded.is_empty() {

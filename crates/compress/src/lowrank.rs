@@ -133,11 +133,11 @@ pub fn compress(
     // Bases must be built bottom-up because an internal node's sample rows
     // are its children's skeletons.
     for level in (1..=tree.height).rev() {
-        let level_nodes = tree.nodes_at_level(level);
-        let level_bases: Vec<(usize, NodeBasis)> = level_nodes
-            .par_iter()
+        let level_bases: Vec<(usize, NodeBasis)> = tree
+            .level(level)
+            .into_par_iter()
             .with_min_len(grain)
-            .map(|&id| {
+            .map(|id| {
                 if failpoint::should_fire(failpoint::names::COMPRESS_PANIC) {
                     panic!("injected failpoint `{}`", failpoint::names::COMPRESS_PANIC);
                 }

@@ -31,7 +31,7 @@ pub fn evaluate(
     // ---- upward pass: T_i = V_i^T * W_{I_i} (leaves), V_i^T * [T_lc; T_rc] (internal)
     let mut t: Vec<Matrix> = vec![Matrix::zeros(0, 0); n_nodes];
     for level in (1..=tree.height).rev() {
-        for id in tree.nodes_at_level(level) {
+        for id in tree.level(level) {
             let basis = &compression.bases[id];
             if basis.srank == 0 {
                 t[id] = Matrix::zeros(0, q);
@@ -83,7 +83,7 @@ pub fn evaluate(
 
     // ---- downward pass: push S through the transfer matrices, leaves add V_i * S_i
     for level in 1..=tree.height {
-        for id in tree.nodes_at_level(level) {
+        for id in tree.level(level) {
             let basis = &compression.bases[id];
             if basis.srank == 0 {
                 continue;

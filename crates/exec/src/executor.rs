@@ -10,9 +10,12 @@
 //!   slots; a transposed twin reads its window through the `A^T B` product
 //!   ([`CdsBlockEntry::apply`]);
 //! * **the coarsened loop** over the `V` generators, one product per node
-//!   between `V_i` and the rows it stacks ([`LevelSchedule::stack`]): a
-//!   leaf's rows of the permuted panel, or its children's stacked pair of
-//!   rank slots `[l; r]`, which lie side by side in `V_i`'s row order.
+//!   between `V_i` and the rows it stacks: a leaf's rows of the permuted
+//!   panel, or its children's stacked pair of rank slots `[l; r]`, which
+//!   lie side by side in `V_i`'s row order.  Rank slots are laid out in
+//!   node-id order ([`rank_offsets`]), and ids are the breadth-first walk
+//!   (`ClusterTree::validate`'s T7), so a node's two children own adjacent
+//!   slots.
 //!   Upward it sets `T_i = V_i^T stack`; downward it adds `V_i S_i` into the
 //!   stack (the operator is symmetric: `V` applied plain is the row basis).
 //!
@@ -38,8 +41,8 @@
 //! # Memory discipline
 //!
 //! Everything a panel iteration needs is derived once: the plan-dependent
-//! state (panel width, kernel dispatch, the level schedule's rank slots)
-//! lives in [`PreparedExec`], and the per-evaluation scratch
+//! state (panel width, kernel dispatch, the rank slots) lives in
+//! [`PreparedExec`], and the per-evaluation scratch
 //! (permuted input/output panels plus the flat `T`/`S` coefficient buffers)
 //! is allocated once per [`execute_prepared`] call.  The panel loop itself
 //! allocates **nothing** — every GEMM writes into a precomputed offset range,
@@ -51,7 +54,7 @@
 //! their target nodes, coarsen partitions own their sub-trees, every child
 //! has one parent, leaves tile the permuted rows).  This module does not
 //! define it: [`EvalPlan::validate`] does, once, for the model readers, the
-//! solver and this executor alike (its items T1–T6 for the tree and P2–P6
+//! solver and this executor alike (its items T1–T7 for the tree and P2–P6
 //! for the plan are what the `SAFETY:` comments below cite).  Its proof is
 //! a [`ValidPlan`], whose one constructor runs it and which borrows the
 //! pair it checked: the panel loop holds one and [`tree_sweep`] takes one.
@@ -65,7 +68,6 @@
     reason = "RawSlots disjoint raw slicing for the allocation-free loops: blockset groups own their targets' rows and slots, the tree sweep hands each node its rows, slot and children's pair, checked by EvalPlan::validate through ValidPlan (DESIGN.md unsafe inventory)"
 )]
 
-use crate::schedule::LevelSchedule;
 use matrox_analysis::{CdsBlockEntry, EvalPlan, GroupRange};
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
@@ -245,9 +247,9 @@ pub struct PreparedExec {
     /// Resolved GEMM kernel (see [`ExecOptions::kernel`]).
     dispatch: KernelDispatch,
     /// Per-node rank slots into the flat `T`/`S` buffers (scaled by the
-    /// panel width at evaluation time), laid out by the same
-    /// [`LevelSchedule`] the solver's sweeps carve their scratch by.
-    sched: LevelSchedule,
+    /// panel width at evaluation time): the [`rank_offsets`] of the plan's
+    /// sranks, the layout the solver's sweeps carve their scratch by too.
+    rank_off: Vec<usize>,
 }
 
 impl PreparedExec {
@@ -264,12 +266,12 @@ impl PreparedExec {
     }
 
     fn prepare(valid: &ValidPlan<'_>, opts: &ExecOptions) -> Self {
-        let (plan, tree) = (valid.plan, valid.tree);
+        let plan = valid.plan;
         PreparedExec {
             opts: *opts,
             panel_width: effective_panel_width(opts, plan),
             dispatch: KernelDispatch::for_choice(opts.kernel),
-            sched: LevelSchedule::new(tree, &plan.cds.sranks),
+            rank_off: rank_offsets(&plan.cds.sranks),
         }
     }
 
@@ -310,6 +312,28 @@ impl<'a> ValidPlan<'a> {
     pub fn tree(&self) -> &'a ClusterTree {
         self.tree
     }
+}
+
+/// Each node's rank slot in a flat coefficient buffer: the prefix sums of
+/// `sranks` in node-id order (`sranks.len() + 1` entries), so node `id` owns
+/// `off[id]..off[id + 1]`.  Ids are the breadth-first walk (T7), so an
+/// internal node's children `(l, l + 1)` own adjacent slots, the **stacked
+/// pair** `off[l]..off[l + 2]`; the last entry is the total rank.
+pub fn rank_offsets(sranks: &[usize]) -> Vec<usize> {
+    let mut off = Vec::with_capacity(sranks.len() + 1);
+    off.push(0);
+    for (id, &k) in sranks.iter().enumerate() {
+        off.push(off[id] + k);
+    }
+    off
+}
+
+/// Are `off` the [`rank_offsets`] of `sranks`?  `O(nodes)`, allocates
+/// nothing.
+fn offsets_match(off: &[usize], sranks: &[usize]) -> bool {
+    off.len() == sranks.len() + 1
+        && off[0] == 0
+        && (off.windows(2).zip(sranks)).all(|(w, &k)| w[1].checked_sub(w[0]) == Some(k))
 }
 
 /// [`ValidPlan::new`], panicking with its message.  Every public entry point
@@ -359,8 +383,8 @@ pub fn execute_prepared(
 ) -> Matrix {
     let valid = verify_plan(plan, tree);
     assert!(
-        prep.sched.matches(tree, &plan.cds.sranks),
-        "execute: PreparedExec belongs to a different tree or a plan with different skeleton ranks"
+        offsets_match(&prep.rank_off, &plan.cds.sranks),
+        "execute: PreparedExec belongs to a plan with different skeleton ranks"
     );
     run_panels(&valid, prep, w)
 }
@@ -376,7 +400,7 @@ fn run_panels(valid: &ValidPlan<'_>, prep: &PreparedExec, w: &Matrix) -> Matrix 
         return y;
     }
     let qp = prep.panel_width.max(1).min(q);
-    let total_rank = prep.sched.total_rank();
+    let total_rank = prep.rank_off[valid.tree.num_nodes()];
     // Scratch shared by every panel: the gather fully overwrites the active
     // slice of `w_perm`, and `execute_panel` re-zeroes the other three, so
     // four allocations serve the whole evaluation.
@@ -469,7 +493,7 @@ fn execute_panel(
         &cds.b_groups,
         &cds.b_entries,
         |e| cds.b_block(e),
-        |id| prep.sched.slot(id),
+        |id| prep.rank_off[id]..prep.rank_off[id + 1],
         opts.parallel_far,
         t_buf,
         s_buf,
@@ -536,11 +560,12 @@ const PEEL_PAR_THRESHOLD: usize = 1 << 18;
 ///   each node is visited once; a node's children come before it, earlier
 ///   in the partition or on an earlier level (P6; the loop over a level's
 ///   partitions is a barrier).  A visit is handed the node's rows (a
-///   leaf's, T6), its slot, and its children's pair — their slots, since
-///   the schedule [`matches`](LevelSchedule::matches) the tree's links, and
-///   theirs alone, since each child has one parent (T3).  So a slot is
-///   handed out only to its node and to its parent, which are visited by
-///   one task or on either side of a barrier.
+///   leaf's, T6), its slot, and its children's pair — their two slots,
+///   adjacent since the children of a node are `(l, l + 1)` (T7) and the
+///   slots are the [`rank_offsets`] of the plan's own sranks, and theirs
+///   alone, since each child has one parent (T3).  So a slot is handed out
+///   only to its node and to its parent, which are visited by one task or
+///   on either side of a barrier.
 #[derive(Clone, Copy)]
 struct RawSlots {
     ptr: *mut f64,
@@ -653,7 +678,7 @@ fn blocked_phase<'a>(
 pub enum Scratch<'a> {
     /// One row per point, in tree order: `N * q` values.
     Points(&'a mut [f64]),
-    /// One row per rank unit, laid out by the [`LevelSchedule`]'s slots:
+    /// One row per rank unit, laid out by the [`rank_offsets`]:
     /// `total_rank * q` values.
     Ranks(&'a mut [f64]),
 }
@@ -685,11 +710,11 @@ pub struct Part<'a> {
 /// pool there.
 ///
 /// # Panics
-/// When `sched` does not [`match`](LevelSchedule::matches) `valid`'s tree
-/// and sranks, or a buffer does not hold `q` values per row of its kind.
+/// When `rank_off` are not the [`rank_offsets`] of `valid`'s sranks, or a
+/// buffer does not hold `q` values per row of its kind.
 pub fn tree_sweep<const K: usize>(
     valid: &ValidPlan<'_>,
-    sched: &LevelSchedule,
+    rank_off: &[usize],
     upward: bool,
     opts: &ExecOptions,
     q: usize,
@@ -698,8 +723,8 @@ pub fn tree_sweep<const K: usize>(
 ) {
     let (plan, tree) = (valid.plan, valid.tree);
     assert!(
-        sched.matches(tree, &plan.cds.sranks),
-        "tree_sweep: the level schedule was laid out for another tree or other sranks"
+        offsets_match(rank_off, &plan.cds.sranks),
+        "tree_sweep: the rank offsets were laid out for other sranks"
     );
     let bufs = bufs.map(|buf| {
         let (points, buf) = match buf {
@@ -709,14 +734,20 @@ pub fn tree_sweep<const K: usize>(
         let rows = if points {
             tree.perm.len()
         } else {
-            sched.total_rank()
+            rank_off[tree.num_nodes()]
         };
         assert_eq!(buf.len(), rows * q, "tree_sweep: scratch of the wrong size");
         (points, RawSlots::new(buf))
     });
     let visit = |id: usize, peeled: bool| {
-        let (rows, pair) = sched.stack(tree, id);
-        let slot = sched.slot(id);
+        let node = &tree.nodes[id];
+        // The rows the node's basis stacks: a leaf's points, or its children
+        // `(l, l + 1)`'s adjacent slots (T7).
+        let (rows, pair) = match node.children {
+            None => (node.start..node.end, 0..0),
+            Some((l, _)) => (0..0, rank_off[l]..rank_off[l + 2]),
+        };
+        let slot = rank_off[id]..rank_off[id + 1];
         let at = |r: &Range<usize>| r.start * q..r.end * q;
         let parts = bufs.map(|(points, buf)| {
             let (own, pair) = if points {
@@ -728,11 +759,12 @@ pub fn tree_sweep<const K: usize>(
             // (`EvalPlan::validate` P6: every node but the root in exactly
             // one partition, the root in none and visited here alone).
             // `own` is its rows, a leaf's alone (T6), or its slot; `pair`
-            // its children's slots (`sched` matches the tree's links) or
-            // empty; the two are disjoint.  A slot is handed out only to
-            // its node and to the node's one parent (T3), and the two are
-            // visited by one task or on either side of a barrier between
-            // levels (P6); the parts live only for this `body` call.
+            // its children's two slots (adjacent by T7, the offsets match
+            // the sranks) or empty; the two are disjoint.  A slot is handed
+            // out only to its node and to the node's one parent (T3), and
+            // the two are visited by one task or on either side of a
+            // barrier between levels (P6); the parts live only for this
+            // `body` call.
             unsafe {
                 Part {
                     own: buf.slice_mut(at(own)),
@@ -765,12 +797,11 @@ pub fn tree_sweep<const K: usize>(
 
 /// The coarsened loop, for the upward and the downward pass alike: one
 /// [`tree_sweep`] visit per node, one product between its basis `V_i` and
-/// the rows `V_i` stacks ([`LevelSchedule::stack`]) — a leaf's rows of
-/// `panel`, an internal node's children's pair of `coef` slots.  Upward
-/// (`panel` the permuted input, `coef` the `T` slots) it sets
-/// `T_i = V_i^T stack`; downward (`panel` the permuted output, `coef` the
-/// `S` slots) it adds `V_i S_i` into the stack.  A peeled visit runs a large
-/// product on the pool (`peel_root`).
+/// the rows `V_i` stacks — a leaf's rows of `panel`, an internal node's
+/// children's pair of `coef` slots.  Upward (`panel` the permuted input,
+/// `coef` the `T` slots) it sets `T_i = V_i^T stack`; downward (`panel` the
+/// permuted output, `coef` the `S` slots) it adds `V_i S_i` into the stack.
+/// A peeled visit runs a large product on the pool (`peel_root`).
 fn coarsened_phase(
     valid: &ValidPlan<'_>,
     prep: &PreparedExec,
@@ -783,7 +814,7 @@ fn coarsened_phase(
     let bufs = [Scratch::Points(panel), Scratch::Ranks(coef)];
     tree_sweep(
         valid,
-        &prep.sched,
+        &prep.rank_off,
         upward,
         &prep.opts,
         q,
@@ -1129,12 +1160,13 @@ mod tests {
         const Q: usize = 2;
         let (tree, sranks) = (&f.tree, &f.plan.cds.sranks);
         let valid = ValidPlan::new(&f.plan, tree).expect("a valid plan");
-        let sched = LevelSchedule::new(tree, sranks);
+        let off = rank_offsets(sranks);
+        let total_rank = off[tree.num_nodes()];
         let fill = |id: usize, n: usize| vec![id as f64 + 1.0; n * Q];
         let (mut rows, mut stamp, mut count) = (
             vec![0.0; tree.perm.len() * Q],
-            vec![0.0; sched.total_rank() * Q],
-            vec![0.0; sched.total_rank() * Q],
+            vec![0.0; total_rank * Q],
+            vec![0.0; total_rank * Q],
         );
         let bufs = [
             Scratch::Points(&mut rows),
@@ -1143,7 +1175,7 @@ mod tests {
         ];
         tree_sweep(
             &valid,
-            &sched,
+            &off,
             upward,
             opts,
             Q,
@@ -1180,8 +1212,7 @@ mod tests {
             },
         );
         for node in &tree.nodes[1..] {
-            let slot = sched.slot(node.id);
-            let at = slot.start * Q..slot.end * Q;
+            let at = off[node.id] * Q..off[node.id + 1] * Q;
             assert!(
                 count[at.clone()].iter().all(|&c| c == 17.0),
                 "node {}",
@@ -1202,7 +1233,10 @@ mod tests {
 
     #[test]
     fn tree_sweep_visits_each_node_once_children_or_parent_first() {
-        let f = fixture(DatasetId::Grid, 512, Structure::Hss, 1);
+        // Under Miri (CI), 256 points in 32-point leaves still give two
+        // coarsen levels.
+        let n = if cfg!(miri) { 256 } else { 512 };
+        let f = fixture(DatasetId::Grid, n, Structure::Hss, 1);
         assert_eq!(f.plan.cds.sranks[0], 0);
         assert!(
             f.plan.cds.sranks[1..].iter().all(|&k| k > 0),

@@ -13,11 +13,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod executor;
-pub mod schedule;
 
 pub use executor::{
-    choose_panel_width, effective_panel_width, execute, execute_prepared, requested_panel_width,
-    tree_sweep, ExecOptions, Part, PreparedExec, Scratch, ValidPlan, DEFAULT_L2_BYTES, PANEL_MAX,
+    choose_panel_width, effective_panel_width, execute, execute_prepared, rank_offsets,
+    requested_panel_width, tree_sweep, ExecOptions, Part, PreparedExec, Scratch, ValidPlan,
+    DEFAULT_L2_BYTES, PANEL_MAX,
 };
 pub use matrox_linalg::{KernelChoice, KernelDispatch};
-pub use schedule::LevelSchedule;

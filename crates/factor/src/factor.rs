@@ -2,14 +2,13 @@
 //! Cholesky or a sibling merge's LU).
 
 use matrox_analysis::{CdsBlockEntry, EvalPlan};
-use matrox_exec::{ExecOptions, LevelSchedule, ValidPlan};
+use matrox_exec::{ExecOptions, ValidPlan};
 use matrox_linalg::{
     cholesky, cholesky_inverse, cholesky_solve_in_place, lu_factor, lu_inverse, lu_solve_in_place,
     KernelDispatch, Matrix,
 };
 use matrox_tree::{ensure, ClusterTree};
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Error raised while factoring a compressed matrix.
@@ -229,23 +228,36 @@ impl<'a> HssIndex<'a> {
         }
     }
 
-    /// `B_{id, sibling(id)}` as a row-major block for the merge's `G B`
-    /// products, which take it as the right operand, where no product reads
-    /// a window transposed: the stored window, or an exact transposed copy
-    /// of the sibling's.
-    fn coupling_block(&self, id: usize) -> Cow<'a, [f64]> {
-        match self.coupling[id] {
-            Some((e, window)) if e.transposed => {
-                let mut b = vec![0.0; window.len()];
-                for (j, col) in window.chunks_exact(e.rows).enumerate() {
-                    for (i, &x) in col.iter().enumerate() {
-                        b[i * e.cols + j] = x;
-                    }
+    /// Write `G_id B_{id, sibling(id)}` into `mm` at row `r0`, column `c0`,
+    /// from `gt = G_id^T`.  A stored block is the right operand of
+    /// `gt^T B`; a twin's window `B_{sibling(id), id}` is the left operand of
+    /// `window gt`, the block's transpose, which is written transposed.
+    /// Either way each entry is the same products, `p` ascending.
+    fn write_coupled(
+        &self,
+        disp: KernelDispatch,
+        id: usize,
+        gt: &[f64],
+        mm: &mut Matrix,
+        (r0, c0): (usize, usize),
+    ) {
+        let Some((e, window)) = self.coupling[id] else {
+            return;
+        };
+        let (k, ks) = (e.rows, e.cols);
+        let mut prod = vec![0.0; k * ks];
+        if e.transposed {
+            disp.gemm(window, ks, k, gt, k, &mut prod);
+            for (j, row) in prod.chunks_exact(k).enumerate() {
+                for (i, &x) in row.iter().enumerate() {
+                    mm.set(r0 + i, c0 + j, x);
                 }
-                Cow::Owned(b)
             }
-            Some((_, window)) => Cow::Borrowed(window),
-            None => Cow::Borrowed(&[]),
+        } else {
+            disp.gemm_tn(gt, k, k, window, ks, &mut prod);
+            for (i, row) in prod.chunks_exact(ks).enumerate() {
+                mm.row_mut(r0 + i)[c0..c0 + ks].copy_from_slice(row);
+            }
         }
     }
 }
@@ -361,17 +373,17 @@ pub fn factor_with_ridge(
         map: Matrix::zeros(0, 0),
     };
     let mut nodes = vec![empty; n_nodes];
-    // Reduced matrices G_i = V_i^T K_i^{-1} U_i, alive only during the
-    // factorization (the solve never needs them: they are folded into the
-    // merge systems and T_p maps).
-    let mut g: Vec<Matrix> = vec![Matrix::zeros(0, 0); n_nodes];
+    // Transposed reduced matrices G_i^T, G_i = V_i^T K_i^{-1} U_i, alive
+    // only during the factorization (the solve never needs them: they are
+    // folded into the merge systems and T_p maps).
+    let mut gt: Vec<Matrix> = vec![Matrix::zeros(0, 0); n_nodes];
     // The node step of every node in `ids`, none of them another's parent.
     let mut step_all = |ids: &[usize]| -> Result<(), FactorError> {
         let done = map_nodes(ids, parallel, grain, |id| {
-            factor_node(disp, plan, tree, &index, &g, id, ridge)
+            factor_node(disp, plan, tree, &index, &gt, id, ridge)
         });
         for (&id, r) in ids.iter().zip(done) {
-            (nodes[id], g[id]) = r?;
+            (nodes[id], gt[id]) = r?;
         }
         Ok(())
     };
@@ -383,9 +395,8 @@ pub fn factor_with_ridge(
 
     // ---- merge phase: internal nodes, deepest level first ----------------
     let t0 = Instant::now();
-    let sched = LevelSchedule::new(tree, &plan.cds.sranks);
-    for level in (0..sched.num_levels()).rev() {
-        let ids = sched.nodes(sched.level(level)).iter().copied();
+    for level in (0..=tree.height).rev() {
+        let ids = tree.level(level);
         let internal: Vec<usize> = ids.filter(|&id| !tree.nodes[id].is_leaf()).collect();
         step_all(&internal)?;
     }
@@ -423,7 +434,8 @@ fn map_nodes<T: Send>(
 
 /// The node step, one for every node: factor the system of the rows the
 /// node's basis stacks, form its inverse for the solve and the map by
-/// substitution against the factorization, then `G = V^T map`.
+/// substitution against the factorization, then `G^T = map^T V` (the same
+/// products per entry as `G = V^T map`).  `gt` holds the children's `G^T`.
 ///
 /// * A leaf's system is its diagonal block `D_i` (plus the ridge),
 ///   Cholesky-factored; its map is `E_i = D_i^{-1} U_i`.
@@ -439,7 +451,7 @@ fn factor_node(
     plan: &EvalPlan,
     tree: &ClusterTree,
     index: &HssIndex<'_>,
-    g: &[Matrix],
+    gt: &[Matrix],
     id: usize,
     ridge: f64,
 ) -> Result<(NodeFactor, Matrix), FactorError> {
@@ -473,22 +485,9 @@ fn factor_node(
             let m = kl + kr;
             let mut mm = Matrix::identity(m);
             if kl > 0 && kr > 0 {
-                let b_lr = index.coupling_block(l);
-                let b_rl = index.coupling_block(r);
-                debug_assert_eq!(b_lr.len(), kl * kr);
-                debug_assert_eq!(b_rl.len(), kr * kl);
-                // Top-right block: G_l * B_{l,r}.
-                let mut tr = Matrix::zeros(kl, kr);
-                disp.gemm(g[l].as_slice(), kl, kl, &b_lr, kr, tr.as_mut_slice());
-                for i in 0..kl {
-                    mm.row_mut(i)[kl..m].copy_from_slice(tr.row(i));
-                }
-                // Bottom-left block: G_r * B_{r,l}.
-                let mut bl = Matrix::zeros(kr, kl);
-                disp.gemm(g[r].as_slice(), kr, kr, &b_rl, kl, bl.as_mut_slice());
-                for i in 0..kr {
-                    mm.row_mut(kl + i)[0..kl].copy_from_slice(bl.row(i));
-                }
+                // Top-right block G_l B_{l,r}, bottom-left block G_r B_{r,l}.
+                index.write_coupled(disp, l, gt[l].as_slice(), &mut mm, (0, kl));
+                index.write_coupled(disp, r, gt[r].as_slice(), &mut mm, (kl, 0));
             }
             let lu = lu_factor(&mm, disp).map_err(|_| FactorError::SingularMerge { node: id })?;
             let inv = lu_inverse(&lu, disp);
@@ -497,20 +496,20 @@ fn factor_node(
             if k > 0 {
                 let (t_l, t_r) = t.as_mut_slice().split_at_mut(kl * k);
                 if kl > 0 {
-                    disp.gemm(g[l].as_slice(), kl, kl, &v[..kl * k], k, t_l);
+                    disp.gemm_tn(gt[l].as_slice(), kl, kl, &v[..kl * k], k, t_l);
                 }
                 if kr > 0 {
-                    disp.gemm(g[r].as_slice(), kr, kr, &v[kl * k..], k, t_r);
+                    disp.gemm_tn(gt[r].as_slice(), kr, kr, &v[kl * k..], k, t_r);
                 }
                 lu_solve_in_place(&lu, t.as_mut_slice(), k);
             }
             (inv, t)
         }
     };
-    let mut gi = Matrix::zeros(k, k);
+    let mut gt = Matrix::zeros(k, k);
     if k > 0 {
         debug_assert_eq!(rows, map.rows(), "basis rows must match the stacked rows");
-        disp.gemm_tn(v, rows, k, map.as_slice(), k, gi.as_mut_slice());
+        disp.gemm_tn(map.as_slice(), rows, k, v, k, gt.as_mut_slice());
     }
-    Ok((NodeFactor { inv, map }, gi))
+    Ok((NodeFactor { inv, map }, gt))
 }

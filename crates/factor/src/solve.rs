@@ -4,14 +4,15 @@
 //! driver ([`tree_sweep`]): up the plan's coarsen levels and then the root,
 //! and down from the root through the levels reversed.  Each pass is one
 //! body the driver calls per node with its parts of flat scratch sized for
-//! one panel of right-hand-side columns and laid out by the
-//! [`LevelSchedule`]:
+//! one panel of right-hand-side columns, one row per point or per rank unit
+//! with the slots at the [`rank_offsets`] of the sranks (node-id order):
 //!
 //! * `xp`, the permuted panel: a leaf's rows hold `b_i`, then
 //!   `y_i = D_i^{-1} b_i`, then `x_i = y_i - E_i s_i`;
 //! * `tb`, one rank slot per node: node `c` writes `bhat_c = V_c^T y_c` into
 //!   its slot, which is its half of its parent's **stacked pair**
-//!   `[bhat_l; bhat_r]`; the parent replaces the pair with
+//!   `[bhat_l; bhat_r]` (siblings have adjacent ids, `ClusterTree::validate`'s
+//!   T7, hence adjacent slots); the parent replaces the pair with
 //!   `t_p = M_p^{-1} [bhat_l; bhat_r]`, and the downward pass corrects it in
 //!   place to `t'_p = t_p - T_p s_p`;
 //! * `sb`, the same slots: `s_c`, the outer skeleton load of node `c`;
@@ -34,7 +35,7 @@
 use crate::factor::{FactorError, HssFactor, HssIndex};
 use matrox_analysis::EvalPlan;
 use matrox_exec::{
-    requested_panel_width, tree_sweep, ExecOptions, LevelSchedule, Part, Scratch, PANEL_MAX,
+    rank_offsets, requested_panel_width, tree_sweep, ExecOptions, Part, Scratch, PANEL_MAX,
 };
 use matrox_linalg::{KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
@@ -47,12 +48,12 @@ fn sub_assign(x: &mut [f64], c: &[f64]) {
 }
 
 /// What the two passes read: the factor, the block index with the validated
-/// plan and tree it keeps, the level schedule, the kernel every product runs
-/// on, and how the driver runs a level.
+/// plan and tree it keeps, the rank slots, the kernel every product runs on,
+/// and how the driver runs a level.
 struct Sweeps<'a> {
     factor: &'a HssFactor,
     index: HssIndex<'a>,
-    sched: LevelSchedule,
+    rank_off: Vec<usize>,
     disp: KernelDispatch,
     opts: ExecOptions,
 }
@@ -74,7 +75,7 @@ impl Sweeps<'_> {
         ];
         tree_sweep(
             valid,
-            &self.sched,
+            &self.rank_off,
             true,
             &self.opts,
             q,
@@ -118,7 +119,7 @@ impl Sweeps<'_> {
         ];
         tree_sweep(
             valid,
-            &self.sched,
+            &self.rank_off,
             false,
             &self.opts,
             q,
@@ -172,9 +173,9 @@ impl HssFactor {
     /// from (the sweeps re-read the bases, transfer and coupling blocks from
     /// the CDS buffers instead of duplicating them in the factor).
     ///
-    /// Allocates the solution, five scratch buffers and what validation and
-    /// the level schedule need — a count independent of the number of
-    /// nodes, columns and panels (`tests/alloc_free.rs`).
+    /// Allocates the solution, five scratch buffers, the rank offsets and
+    /// what validation needs — a count independent of the number of nodes,
+    /// columns and panels (`tests/alloc_free.rs`).
     ///
     /// # Errors
     /// [`FactorError::PlanMismatch`] when `b` has the wrong row count, and
@@ -198,7 +199,7 @@ impl HssFactor {
         let sweeps = Sweeps {
             index: self.validate(plan, tree)?,
             factor: self,
-            sched: LevelSchedule::new(tree, &plan.cds.sranks),
+            rank_off: rank_offsets(&plan.cds.sranks),
             disp: KernelDispatch::for_choice(opts.kernel),
             opts: *opts,
         };
@@ -211,7 +212,7 @@ impl HssFactor {
         // auto width is sized for CDS blocks to stay in L2 across panels,
         // which nothing here does.
         let qp = requested_panel_width(opts).unwrap_or(PANEL_MAX).clamp(1, q);
-        let ranks = sweeps.sched.total_rank();
+        let ranks = sweeps.rank_off[tree.num_nodes()];
         let (rows, slots) = (|| vec![0.0f64; n * qp], || vec![0.0f64; ranks * qp]);
         let (mut xp, mut cx) = (rows(), rows());
         let (mut tb, mut ct, mut sb) = (slots(), slots(), slots());

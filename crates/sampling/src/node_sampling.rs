@@ -107,8 +107,9 @@ pub fn sample_nodes(
 /// first-seen position)` — the order a stable sort by weight leaves — with
 /// one selection and a sort of only the kept entries.
 ///
-/// The tree is a built (or validated) one: each node's children sit one
-/// level below it (`ClusterTree::validate`'s T4).
+/// The tree is a built (or validated) one: each level is one id range
+/// (`ClusterTree::validate`'s T7) and each node's children sit one level
+/// below it (T4).
 ///
 /// # Panics
 /// If `point_knn` does not hold one list a point or a kernel weight is NaN.
@@ -126,14 +127,11 @@ pub fn sample_nodes_from_knn(
         "sample_nodes: one neighbour list a point"
     );
     let nodes = &tree.nodes;
-    let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); tree.height + 1];
-    for node in nodes {
-        by_level[node.level].push(node.id);
-    }
     // `lists[id]`: node `id`'s merged list, held until its parent merges it.
     let mut lists: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     let mut samples: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for ids in by_level.iter().rev() {
+    for level in (0..=tree.height).rev() {
+        let ids = tree.level(level);
         let chunk = task_len(ids.len(), params.grain);
         let below = &lists;
         let done: Vec<Vec<(Vec<usize>, Vec<usize>)>> = (0..ids.len().div_ceil(chunk))
@@ -141,10 +139,10 @@ pub fn sample_nodes_from_knn(
             .map(|c| {
                 let mut seen = Marks::new(n);
                 let mut weighted: Vec<(f64, usize)> = Vec::new();
-                ids[c * chunk..]
-                    .iter()
+                ids.clone()
+                    .skip(c * chunk)
                     .take(chunk)
-                    .map(|&id| {
+                    .map(|id| {
                         let node = &nodes[id];
                         let merged = match node.children {
                             None => {
@@ -164,7 +162,7 @@ pub fn sample_nodes_from_knn(
                     .collect()
             })
             .collect();
-        for (&id, (merged, chosen)) in ids.iter().zip(done.into_iter().flatten()) {
+        for (id, (merged, chosen)) in ids.zip(done.into_iter().flatten()) {
             if let Some((l, r)) = nodes[id].children {
                 lists[l] = Vec::new();
                 lists[r] = Vec::new();

@@ -29,6 +29,7 @@ use matrox_points::{dist2_block_to, PointSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which partitioning algorithm to use when splitting a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,7 +333,14 @@ impl ClusterTree {
     /// * **T5** children partition their parent's range (`l.start == start`,
     ///   `l.end == r.start`, `r.end == end`);
     /// * **T6** (by induction over T2–T5) the leaves tile `[0, n)`: distinct
-    ///   leaves own disjoint row ranges.
+    ///   leaves own disjoint row ranges;
+    /// * **T7** ids are the breadth-first walk: levels never decrease with
+    ///   id, and the `k`-th internal node in id order has children
+    ///   `(2k + 1, 2k + 2)`.  So each level is one id range
+    ///   ([`level`](Self::level)), siblings are adjacent, and the children
+    ///   of consecutive internal nodes are consecutive — what every
+    ///   per-node array laid out in id order (rank slots, the factor, the
+    ///   CDS) relies on.
     ///
     /// Allocates nothing on success.
     ///
@@ -390,6 +398,15 @@ impl ClusterTree {
                 || format!("children of tree node {i} do not partition its point range"),
             )?;
         }
+        let mut internal = 0;
+        for (i, node) in nodes.iter().enumerate() {
+            let next = node.children.map(|_| (2 * internal + 1, 2 * internal + 2));
+            let climbs = i == 0 || nodes[i - 1].level <= node.level;
+            ensure(climbs && node.children == next, || {
+                format!("tree node {i} breaks the breadth-first numbering of node ids")
+            })?;
+            internal += usize::from(next.is_some());
+        }
         Ok(())
     }
 
@@ -409,13 +426,12 @@ impl ClusterTree {
             .collect()
     }
 
-    /// Ids of all nodes at the given level.
-    pub fn nodes_at_level(&self, level: usize) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .filter(|n| n.level == level)
-            .map(|n| n.id)
-            .collect()
+    /// Ids of the nodes at level `l`, ascending: one range, since ids are
+    /// the breadth-first walk (T7).  Empty for `l` beyond the height.
+    /// Allocates nothing.
+    pub fn level(&self, l: usize) -> Range<usize> {
+        let start = self.nodes.partition_point(|n| n.level < l);
+        start..start + self.nodes[start..].partition_point(|n| n.level == l)
     }
 
     /// Geometric distance between the centroids of two nodes.
@@ -667,6 +683,35 @@ mod tests {
         for w in tree.nodes.windows(2) {
             assert!(w[0].level <= w[1].level);
         }
+        // So the level ranges tile the ids, each holding exactly its level.
+        let mut next = 0;
+        for l in 0..=tree.height {
+            let ids = tree.level(l);
+            assert_eq!(ids.start, next, "level {l} starts where the one above ends");
+            assert!(!ids.is_empty() && ids.clone().all(|id| tree.nodes[id].level == l));
+            next = ids.end;
+        }
+        assert_eq!(next, tree.num_nodes());
+        assert!(tree.level(tree.height + 1).is_empty());
+    }
+
+    /// Swap the ids of nodes `a` and `b`, links included: T1–T6 still hold.
+    fn swap_ids(t: &mut ClusterTree, a: usize, b: usize) {
+        let swap = |id: usize| {
+            if id == a {
+                b
+            } else if id == b {
+                a
+            } else {
+                id
+            }
+        };
+        t.nodes.swap(a, b);
+        for node in &mut t.nodes {
+            node.id = swap(node.id);
+            node.parent = node.parent.map(swap);
+            node.children = node.children.map(|(l, r)| (swap(l), swap(r)));
+        }
     }
 
     #[test]
@@ -705,10 +750,15 @@ mod tests {
         assert!(broken(&|t| t.nodes[r].level += 1).contains("one level below"));
         // A leaf slid onto its sibling: both ranges stay inside the parent.
         assert!(broken(&|t| t.nodes[r].start -= 1).contains("partition"));
+        // Well-formed trees numbered some other way: the root's children
+        // swapped (root -> (2, 1)), and a level-2 node (3) numbered before
+        // a level-1 node (2).
+        assert!(broken(&|t| swap_ids(t, 1, 2)).contains("breadth-first"));
+        assert!(broken(&|t| swap_ids(t, 2, 3)).contains("breadth-first"));
     }
 
-    /// T4 is an equality: consumers reserve and loop by `height`, so a
-    /// height above the deepest level is as malformed as one below it.
+    /// T4 is an equality: consumers loop by `height`, so a height above the
+    /// deepest level is as malformed as one below it.
     #[test]
     fn validate_requires_the_exact_height() {
         let pts = generate(DatasetId::Grid, 128, 5);

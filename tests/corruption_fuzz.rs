@@ -131,8 +131,12 @@ fn structurally_hostile_model_images_are_refused() {
             ("node level beyond the tree height", &|h| {
                 h.tree.nodes[3].level = h.tree.height + 5;
             }),
-            // The schedule reserves, and the factorization loops, by height.
+            // The factorization, compression and sampling loop by height.
             ("tree height raised", &raise_tree_height),
+            // Consistent throughout the model, but no longer numbered
+            // breadth-first: the rank slots and the stacked pairs are laid
+            // out by id.
+            ("root's children renumbered", &renumber_root_children),
             // Same point count, so every block shape still matches — but two
             // leaves now own the same rows of the permuted panel.
             ("leaf range slid onto its sibling", &|h| {
@@ -275,6 +279,32 @@ fn hand_edited_factor_slots_are_refused() {
 /// so only T4's equality stands between this and a height-sized reservation.
 fn raise_tree_height(h: &mut HMatrix) {
     h.tree.height = 1 << 40;
+}
+
+/// Swap the ids of the root's two children everywhere the model names them:
+/// the tree's nodes and links, the sranks and generators, the block
+/// entries and the coarsen partitions.  The result is the same model under
+/// other ids, with the root's children `(2, 1)`.
+fn renumber_root_children(h: &mut HMatrix) {
+    let swap = |id: usize| match id {
+        1 => 2,
+        2 => 1,
+        id => id,
+    };
+    h.tree.nodes.swap(1, 2);
+    for node in &mut h.tree.nodes {
+        node.id = swap(node.id);
+        node.parent = node.parent.map(swap);
+        node.children = node.children.map(|(l, r)| (swap(l), swap(r)));
+    }
+    let cds = &mut h.plan.cds;
+    cds.sranks.swap(1, 2);
+    cds.generators.swap(1, 2);
+    for e in cds.d_entries.iter_mut().chain(&mut cds.b_entries) {
+        (e.target, e.source) = (swap(e.target), swap(e.source));
+    }
+    let parts = h.plan.coarsenset.levels.iter_mut().flatten();
+    parts.flatten().for_each(|id| *id = swap(*id));
 }
 
 /// The root in a partition of a last coarsen level: every child still comes
