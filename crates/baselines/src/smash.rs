@@ -173,7 +173,7 @@ impl<'a> SmashEvaluator<'a> {
                 }
             }
         }
-        for ((i, j), d) in &self.compression.near_blocks {
+        for ((i, j), d) in self.compression.near_blocks.iter() {
             let wj: Vec<f64> = self.tree.indices(*j).iter().map(|&p| w[p]).collect();
             let mut contrib = vec![0.0; d.rows()];
             gemm_panel(d.as_slice(), d.rows(), d.cols(), &wj, 1, &mut contrib);

@@ -19,9 +19,9 @@
 //!   `B_{i,j} = K(skel_i, skel_j)`.
 
 use matrox_linalg::{failpoint, row_id_of_transpose, Matrix};
-use matrox_points::{kernel_block, kernel_block_symmetric, kernel_block_twins, Kernel, PointSet};
+use matrox_points::{kernel_block, pair_blocks, Kernel, PointSet};
 use matrox_sampling::SamplingInfo;
-use matrox_tree::{ClusterTree, HTree};
+use matrox_tree::{ClusterTree, HTree, NearBlocks};
 use rayon::prelude::*;
 
 /// Parameters of the low-rank approximation module.
@@ -84,8 +84,10 @@ pub struct Compression {
     /// Per-node sranks (copy of `bases[i].srank`, kept separate because the
     /// coarsening cost model of Algorithm 2 consumes exactly this vector).
     pub sranks: Vec<usize>,
-    /// Dense near blocks: `((i, j), D_{i,j})` with `D_{i,j} = K(I_i, I_j)`.
-    pub near_blocks: Vec<((usize, usize), Matrix)>,
+    /// Dense near blocks: `((i, j), D_{i,j})` with `D_{i,j} = K(I_i, I_j)`,
+    /// shared with the HTree that evaluated them ([`HTree::near_blocks`]):
+    /// they do not depend on `bacc`.
+    pub near_blocks: NearBlocks,
     /// Low-rank coupling blocks: `((i, j), B_{i,j})` with
     /// `B_{i,j} = K(skel_i, skel_j)`.
     pub far_blocks: Vec<((usize, usize), Matrix)>,
@@ -183,9 +185,10 @@ pub fn compress(
 
     let sranks: Vec<usize> = bases.iter().map(|b| b.srank).collect();
 
-    // Dense near blocks D_{i,j} = K(I_i, I_j) and coupling blocks
-    // B_{i,j} = K(skel_i, skel_j), each twin evaluated once.
-    let near_blocks = pair_blocks(points, kernel, &htree.near, grain, |i| tree.indices(i));
+    // Dense near blocks D_{i,j} = K(I_i, I_j), evaluated once per HTree and
+    // kernel, and coupling blocks B_{i,j} = K(skel_i, skel_j), each twin
+    // evaluated once.
+    let near_blocks = htree.near_blocks(points, tree, kernel, grain);
     let far_blocks = pair_blocks(points, kernel, &htree.far, grain, |i| &bases[i].skeleton);
 
     Compression {
@@ -195,82 +198,6 @@ pub fn compress(
         near_blocks,
         far_blocks,
     }
-}
-
-/// `((i, j), K(rows_of(i), rows_of(j)))` for every directed pair of the
-/// interaction `lists`, in list order, evaluating each entry once:
-///
-/// * when `(j, i)` is listed too, the pair with `i < j` is evaluated and its
-///   transpose stored for `(j, i)` (every kernel is radial, so `K(J, I)` is
-///   `K(I, J)ᵀ` bit for bit — `matrox_points::block`);
-/// * a diagonal pair `(i, i)` evaluates its upper triangle and mirrors it;
-/// * a pair whose twin is not listed is evaluated as it stands, so the
-///   lists need not be symmetric (nor sorted, nor free of repeats).
-fn pair_blocks<'a>(
-    points: &PointSet,
-    kernel: &Kernel,
-    lists: &[Vec<usize>],
-    grain: usize,
-    rows_of: impl Fn(usize) -> &'a [usize] + Sync,
-) -> Vec<((usize, usize), Matrix)> {
-    let offsets: Vec<usize> = lists
-        .iter()
-        .scan(0, |next, list| {
-            let start = *next;
-            *next += list.len();
-            Some(start)
-        })
-        .collect();
-    let slot = |i: usize, j: usize| {
-        let at = lists.get(i)?.iter().position(|&x| x == j)?;
-        Some(offsets[i] + at)
-    };
-    let pairs: Vec<(usize, usize)> = lists
-        .iter()
-        .enumerate()
-        .flat_map(|(i, js)| js.iter().map(move |&j| (i, j)))
-        .collect();
-    // `(slot, twin's slot)` of every pair evaluated directly: all but the
-    // second of a twin.  Twins are the first `(i, j)` and the first
-    // `(j, i)`, so they pair up one to one even where a list repeats an
-    // entry.
-    let work: Vec<(usize, Option<usize>)> = pairs
-        .iter()
-        .enumerate()
-        .filter_map(|(at, &(i, j))| {
-            let first = slot(i, j) == Some(at);
-            let twin = if i != j && first { slot(j, i) } else { None };
-            (i < j || twin.is_none()).then_some((at, twin))
-        })
-        .collect();
-    let evaluated: Vec<(Matrix, Option<Matrix>)> = work
-        .par_iter()
-        .with_min_len(grain)
-        .map(|&(at, twin)| {
-            let (i, j) = pairs[at];
-            let (rows, cols) = (rows_of(i), rows_of(j));
-            match twin {
-                Some(_) => {
-                    let (block, transposed) = kernel_block_twins(points, kernel, rows, cols);
-                    (block, Some(transposed))
-                }
-                None if i == j => (kernel_block_symmetric(points, kernel, rows), None),
-                None => (kernel_block(points, kernel, rows, cols), None),
-            }
-        })
-        .collect();
-    let mut blocks: Vec<Option<Matrix>> = vec![None; pairs.len()];
-    for (&(at, twin), (block, transposed)) in work.iter().zip(evaluated) {
-        blocks[at] = Some(block);
-        if let (Some(twin), Some(transposed)) = (twin, transposed) {
-            blocks[twin] = Some(transposed);
-        }
-    }
-    pairs
-        .into_iter()
-        .zip(blocks)
-        .map(|(pair, block)| (pair, block.expect("every pair is evaluated or is a twin")))
-        .collect()
 }
 
 #[cfg(test)]
@@ -487,6 +414,122 @@ mod tests {
             &CompressionParams::default(),
         );
         assert_blocks_are_kernel_entries(&pts, &tree, &htree, &kernel, &c);
+    }
+
+    /// Every block's pair, shape and entries by bits.
+    type BlockBits = Vec<((usize, usize), (usize, usize), Vec<u64>)>;
+
+    fn block_bits(blocks: &[((usize, usize), Matrix)]) -> BlockBits {
+        blocks
+            .iter()
+            .map(|(pair, m)| {
+                let bits = m.as_slice().iter().map(|v| v.to_bits()).collect();
+                (*pair, m.shape(), bits)
+            })
+            .collect()
+    }
+
+    fn at_bacc(bacc: f64) -> CompressionParams {
+        CompressionParams {
+            bacc,
+            ..CompressionParams::default()
+        }
+    }
+
+    /// Two p2 on one HTree share one near field, and it is the blocks a
+    /// memo-free evaluation gives.
+    #[test]
+    fn near_blocks_are_evaluated_once_per_tree() {
+        let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
+        let coarse = compress(&pts, &tree, &htree, &kernel, &sampling, &at_bacc(1e-1));
+        let fine = compress(&pts, &tree, &htree, &kernel, &sampling, &at_bacc(1e-5));
+        assert!(std::sync::Arc::ptr_eq(
+            &coarse.near_blocks,
+            &fine.near_blocks
+        ));
+        let fresh = pair_blocks(&pts, &kernel, &htree.near, 1, |i| tree.indices(i));
+        assert_eq!(block_bits(&fine.near_blocks), block_bits(&fresh));
+        let shown = format!("{htree:?}");
+        assert!(
+            shown.contains("NearField(") && shown.len() < 100_000,
+            "{}",
+            shown.len()
+        );
+    }
+
+    /// The memo is keyed on everything the blocks read: another kernel,
+    /// points that differ in one coordinate, another tree over the same
+    /// points and edited near lists each evaluate afresh, to the blocks a
+    /// fresh HTree gives, and the kept field still serves its own inputs.
+    #[test]
+    fn a_changed_input_evaluates_afresh() {
+        let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
+        let params = CompressionParams::default();
+        let kept = compress(&pts, &tree, &htree, &kernel, &sampling, &params).near_blocks;
+        let check = |pts: &PointSet, tree: &ClusterTree, htree: &HTree, kernel: &Kernel| {
+            let got = compress(pts, tree, htree, kernel, &sampling, &params).near_blocks;
+            assert!(!std::sync::Arc::ptr_eq(&got, &kept));
+            let mut fresh = HTree::build(tree, htree.structure);
+            fresh.near = htree.near.clone();
+            let want = compress(pts, tree, &fresh, kernel, &sampling, &params).near_blocks;
+            assert_eq!(block_bits(&got), block_bits(&want));
+            assert_ne!(block_bits(&got), block_bits(&kept));
+        };
+
+        check(&pts, &tree, &htree, &Kernel::Laplace { bandwidth: 1.0 });
+        // `PartialEq` takes -0.0 for 0.0; the diagonal entries `K(x, x)` do not.
+        let diag = |diag: f64| Kernel::InverseDistance { diag };
+        let other_tree = HTree::build(&tree, htree.structure);
+        let plus = compress(&pts, &tree, &other_tree, &diag(0.0), &sampling, &params);
+        let minus = compress(&pts, &tree, &other_tree, &diag(-0.0), &sampling, &params);
+        assert_ne!(
+            block_bits(&plus.near_blocks),
+            block_bits(&minus.near_blocks)
+        );
+
+        let mut coords = pts.coords().to_vec();
+        coords[3 * pts.dim() + 1] += 0.25;
+        check(&PointSet::new(pts.dim(), coords), &tree, &htree, &kernel);
+
+        // Two points swapped between two leaves: the same shape and points,
+        // other leaf index sets.
+        let leaves = tree.leaves();
+        let (a, b) = (tree.nodes[leaves[0]].start, tree.nodes[leaves[1]].start);
+        let mut other = tree.clone();
+        other.perm.swap(a, b);
+        other.pos = matrox_tree::invert_permutation(&other.perm);
+        check(&pts, &other, &htree, &kernel);
+
+        let mut edited = htree.clone();
+        let (i, j) = edited
+            .near_pairs()
+            .into_iter()
+            .find(|&(i, j)| i != j)
+            .unwrap();
+        edited.near[i].retain(|&x| x != j);
+        edited.near[j].retain(|&x| x != i);
+        check(&pts, &tree, &edited, &kernel);
+
+        let again = compress(&pts, &tree, &htree, &kernel, &sampling, &params).near_blocks;
+        assert!(std::sync::Arc::ptr_eq(&again, &kept));
+    }
+
+    /// Two first calls on one HTree racing on a 2-wide pool agree bitwise.
+    #[test]
+    fn concurrent_first_calls_agree() {
+        let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
+        let params = CompressionParams::default();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let run = || compress(&pts, &tree, &htree, &kernel, &sampling, &params);
+        let (a, b) = pool.install(|| rayon::join(run, run));
+        assert_eq!(block_bits(&a.near_blocks), block_bits(&b.near_blocks));
+        assert_eq!(block_bits(&a.far_blocks), block_bits(&b.far_blocks));
+        assert_eq!(a.sranks, b.sranks);
+        let fresh = pair_blocks(&pts, &kernel, &htree.near, 1, |i| tree.indices(i));
+        assert_eq!(block_bits(&a.near_blocks), block_bits(&fresh));
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn evaluate(
     }
 
     // ---- near contributions: Y_{I_i} += D_{i,j} * W_{I_j}
-    for ((i, j), d) in &compression.near_blocks {
+    for ((i, j), d) in compression.near_blocks.iter() {
         let wj = w.gather_rows(tree.indices(*j));
         let mut contrib = Matrix::zeros(d.rows(), q);
         gemm_seq(

@@ -190,10 +190,18 @@ pub fn inspector_p1(
 /// given kernel and accuracy, coarsening, CDS construction and code
 /// generation.  Returns the ready-to-evaluate [`HMatrix`].
 ///
+/// The dense near blocks do not depend on `bacc`: the first p2 on a p1
+/// evaluates them and keeps them on `p1.htree`, and every later p2 with the
+/// same points and kernel reuses them ([`HTree::near_blocks`]).  The
+/// result is the same bits either way.
+///
 /// # Errors
 /// [`MatroxError::InvalidInput`] under the same screening as
-/// [`inspector_p1`], plus [`MatroxError::PlanMismatch`] when `p1` was built
-/// from a different point set.
+/// [`inspector_p1`], plus [`MatroxError::PlanMismatch`] when `points` does
+/// not hold as many points as `p1`'s tree orders.  The count is all that is
+/// checked: a p1 built over other points of the same count is not
+/// detected, and the model is then `p1`'s tree, lists and samples applied to
+/// `points`.
 pub fn inspector_p2(
     points: &PointSet,
     p1: &InspectorP1,
@@ -354,6 +362,33 @@ mod tests {
         let h = inspector_p2(&pts, &p1, &laplace, 1e-5).expect("p2");
         let err = h.overall_accuracy(&pts, &w).expect("accuracy");
         assert!(err < 0.3, "kernel change produced error {err}");
+    }
+
+    /// An accuracy ladder through one p1 — the first p2 fills the HTree's
+    /// near field, the other four reuse it — stores every model as five
+    /// independent full inspections would, image byte for byte.
+    #[test]
+    fn ladder_through_one_p1_matches_full_inspections() {
+        let pts = generate(DatasetId::Covtype, 512, 4);
+        let kernel = Kernel::paper_gaussian();
+        let ladder = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
+        for params in [
+            MatRoxParams::h2b(),
+            MatRoxParams::hss(),
+            MatRoxParams::smash_setting(),
+        ] {
+            let params = params.with_leaf_size(32);
+            let p1 = inspector_p1(&pts, &kernel, &params).expect("p1");
+            for bacc in ladder {
+                let reused = inspector_p2(&pts, &p1, &kernel, bacc).expect("p2");
+                let full = inspector(&pts, &kernel, &params.with_bacc(bacc)).expect("inspect");
+                assert!(
+                    crate::io::to_bytes(&reused) == crate::io::to_bytes(&full),
+                    "{} at bacc {bacc:e}",
+                    params.structure.name()
+                );
+            }
+        }
     }
 
     #[test]

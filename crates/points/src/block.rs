@@ -204,6 +204,84 @@ pub fn kernel_block_symmetric(points: &PointSet, kernel: &Kernel, idx: &[usize])
     })
 }
 
+/// `((i, j), K(rows_of(i), rows_of(j)))` for every directed pair of the
+/// interaction `lists`, in list order, evaluating each entry once:
+///
+/// * when `(j, i)` is listed too, the pair with `i < j` is evaluated and its
+///   transpose stored for `(j, i)` ([`kernel_block_twins`]);
+/// * a diagonal pair `(i, i)` evaluates its upper triangle and mirrors it;
+/// * a pair whose twin is not listed is evaluated as it stands, so the
+///   lists need not be symmetric (nor sorted, nor free of repeats).
+///
+/// `grain` is the fewest blocks a parallel task evaluates; it chunks the
+/// work and never changes a bit.
+pub fn pair_blocks<'a>(
+    points: &PointSet,
+    kernel: &Kernel,
+    lists: &[Vec<usize>],
+    grain: usize,
+    rows_of: impl Fn(usize) -> &'a [usize] + Sync,
+) -> Vec<((usize, usize), Matrix)> {
+    let offsets: Vec<usize> = lists
+        .iter()
+        .scan(0, |next, list| {
+            let start = *next;
+            *next += list.len();
+            Some(start)
+        })
+        .collect();
+    let slot = |i: usize, j: usize| {
+        let at = lists.get(i)?.iter().position(|&x| x == j)?;
+        Some(offsets[i] + at)
+    };
+    let pairs: Vec<(usize, usize)> = lists
+        .iter()
+        .enumerate()
+        .flat_map(|(i, js)| js.iter().map(move |&j| (i, j)))
+        .collect();
+    // `(slot, twin's slot)` of every pair evaluated directly: all but the
+    // second of a twin.  Twins are the first `(i, j)` and the first
+    // `(j, i)`, so they pair up one to one even where a list repeats an
+    // entry.
+    let work: Vec<(usize, Option<usize>)> = pairs
+        .iter()
+        .enumerate()
+        .filter_map(|(at, &(i, j))| {
+            let first = slot(i, j) == Some(at);
+            let twin = if i != j && first { slot(j, i) } else { None };
+            (i < j || twin.is_none()).then_some((at, twin))
+        })
+        .collect();
+    let evaluated: Vec<(Matrix, Option<Matrix>)> = work
+        .par_iter()
+        .with_min_len(grain.max(1))
+        .map(|&(at, twin)| {
+            let (i, j) = pairs[at];
+            let (rows, cols) = (rows_of(i), rows_of(j));
+            match twin {
+                Some(_) => {
+                    let (block, transposed) = kernel_block_twins(points, kernel, rows, cols);
+                    (block, Some(transposed))
+                }
+                None if i == j => (kernel_block_symmetric(points, kernel, rows), None),
+                None => (kernel_block(points, kernel, rows, cols), None),
+            }
+        })
+        .collect();
+    let mut blocks: Vec<Option<Matrix>> = vec![None; pairs.len()];
+    for (&(at, twin), (block, transposed)) in work.iter().zip(evaluated) {
+        blocks[at] = Some(block);
+        if let (Some(twin), Some(transposed)) = (twin, transposed) {
+            blocks[twin] = Some(transposed);
+        }
+    }
+    pairs
+        .into_iter()
+        .zip(blocks)
+        .map(|(pair, block)| (pair, block.expect("every pair is evaluated or is a twin")))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

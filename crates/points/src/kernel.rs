@@ -111,6 +111,21 @@ impl Kernel {
             Kernel::Cauchy { .. } => "cauchy",
         }
     }
+
+    /// The variant and its parameters by bits, for exact comparison:
+    /// `PartialEq` takes `-0.0` for `0.0`, which an `InverseDistance`
+    /// diagonal or a Laplace bandwidth tells apart in the entries.
+    pub fn to_bits(&self) -> (u8, [u64; 2]) {
+        match *self {
+            Kernel::Gaussian { bandwidth } => (0, [bandwidth.to_bits(), 0]),
+            Kernel::GaussianRidge { bandwidth, ridge } => {
+                (1, [bandwidth.to_bits(), ridge.to_bits()])
+            }
+            Kernel::InverseDistance { diag } => (2, [diag.to_bits(), 0]),
+            Kernel::Laplace { bandwidth } => (3, [bandwidth.to_bits(), 0]),
+            Kernel::Cauchy { bandwidth } => (4, [bandwidth.to_bits(), 0]),
+        }
+    }
 }
 
 #[cfg(test)]

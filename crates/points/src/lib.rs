@@ -26,7 +26,7 @@ pub mod pointset;
 
 pub use block::{
     dist2_block_symmetric, dist2_block_to, kernel_block, kernel_block_par, kernel_block_symmetric,
-    kernel_block_twins,
+    kernel_block_twins, pair_blocks,
 };
 pub use datasets::{generate, DatasetId, DatasetSpec, TABLE1};
 pub use kernel::Kernel;

@@ -33,7 +33,7 @@
 use crate::scratch::{task_len, Marks};
 use matrox_linalg::Matrix;
 use matrox_points::{dist2_block_symmetric, PointSet};
-use matrox_tree::median_split_by_key;
+use matrox_tree::median_split_by_keys;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -88,6 +88,7 @@ fn build_rp_tree(points: &PointSet, leaf_bound: usize, seed: u64, tree: usize) -
     let mut idx: Vec<usize> = (0..n).collect();
     let mut leaves: Vec<(usize, usize)> = Vec::new();
     let mut stack: Vec<(usize, usize)> = vec![(0, n)];
+    let mut keys: Vec<f64> = Vec::with_capacity(n);
     // In-place recursive partitioning of `idx` along random directions.
     while let Some((start, end)) = stack.pop() {
         if end - start <= leaf_bound {
@@ -96,10 +97,8 @@ fn build_rp_tree(points: &PointSet, leaf_bound: usize, seed: u64, tree: usize) -
         }
         // Random unit-ish direction; each point's projection is its key.
         let dir: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mid = start
-            + median_split_by_key(&mut idx[start..end], |p| {
-                points.point(p).iter().zip(&dir).map(|(x, d)| x * d).sum()
-            });
+        projection_keys(points, &idx[start..end], &dir, &mut keys);
+        let mid = start + median_split_by_keys(&mut idx[start..end], &keys);
         stack.push((start, mid));
         stack.push((mid, end));
     }
@@ -110,6 +109,32 @@ fn build_rp_tree(points: &PointSet, leaf_bound: usize, seed: u64, tree: usize) -
         }
     }
     RpTree { idx, leaves, slot }
+}
+
+/// Each point's projection onto `dir`, `keys[s]` for `idx[s]`: the chain
+/// `Iterator::sum` runs (`x * d` added in coordinate order from `-0.0`), so
+/// every key keeps its bits, with four points' independent chains a pass.
+fn projection_keys(points: &PointSet, idx: &[usize], dir: &[f64], keys: &mut Vec<f64>) {
+    keys.clear();
+    let mut quads = idx.chunks_exact(4);
+    for quad in &mut quads {
+        let [a, b, c, e] = [0, 1, 2, 3].map(|q| points.point(quad[q]));
+        let mut sum = [-0.0f64; 4];
+        for ((((&d, &xa), &xb), &xc), &xe) in dir.iter().zip(a).zip(b).zip(c).zip(e) {
+            sum[0] += xa * d;
+            sum[1] += xb * d;
+            sum[2] += xc * d;
+            sum[3] += xe * d;
+        }
+        keys.extend_from_slice(&sum);
+    }
+    for &p in quads.remainder() {
+        let mut sum = -0.0f64;
+        for (&x, &d) in points.point(p).iter().zip(dir) {
+            sum += x * d;
+        }
+        keys.push(sum);
+    }
 }
 
 /// Rank one point's distinct candidates `(distance bits, index)`: push the
@@ -270,6 +295,48 @@ pub fn exact_knn(points: &PointSet, k: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use matrox_points::{generate, DatasetId};
+
+    /// Four chains a pass give each key the bits of its own `sum()` chain,
+    /// at every remainder, and `-0.0` where every product is `-0.0`.
+    #[test]
+    fn projection_keys_match_the_sum_chain_bitwise() {
+        for dim in [1, 2, 3, 54] {
+            // Point 0 sits at the origin: its products are signed zeros.
+            let coords = (0..11 * dim)
+                .map(|i| {
+                    if i < dim {
+                        0.0
+                    } else {
+                        (i as f64 * 0.37).sin()
+                    }
+                })
+                .collect();
+            let pts = PointSet::new(dim, coords);
+            let dir: Vec<f64> = (0..dim).map(|k| -0.5 - (k as f64 * 0.71).cos()).collect();
+            for len in 0..=11 {
+                let idx: Vec<usize> = (0..len).rev().collect();
+                let mut keys = Vec::new();
+                projection_keys(&pts, &idx, &dir, &mut keys);
+                let want: Vec<u64> = idx
+                    .iter()
+                    .map(|&p| {
+                        let key: f64 = pts.point(p).iter().zip(&dir).map(|(x, d)| x * d).sum();
+                        key.to_bits()
+                    })
+                    .collect();
+                let got: Vec<u64> = keys.iter().map(|k| k.to_bits()).collect();
+                assert_eq!(got, want, "dim {dim}, {len} points");
+            }
+        }
+        let mut keys = Vec::new();
+        projection_keys(
+            &PointSet::new(2, vec![0.0; 8]),
+            &[0, 1, 2, 3],
+            &[-1.0, -2.0],
+            &mut keys,
+        );
+        assert!(keys.iter().all(|k| k.to_bits() == (-0.0f64).to_bits()));
+    }
 
     #[test]
     fn knn_lists_have_requested_size_and_no_self() {

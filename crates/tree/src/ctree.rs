@@ -553,20 +553,11 @@ fn two_means_split(points: &PointSet, idx: &mut [usize], rng: &mut StdRng) -> us
     median_split_by_keys(idx, &keys)
 }
 
-/// Split `idx` at its median by a per-point key: reorders `idx` exactly as
+/// Split `idx` at its median by a per-point key, `keys[s]` the key of
+/// `idx[s]`: reorders `idx` exactly as
 /// `idx.select_nth_unstable_by(len / 2, |&a, &b| key(a).partial_cmp(&key(b)).unwrap())`
-/// would and returns `len / 2`, but computes each point's key once instead
-/// of twice per comparison.
-///
-/// # Panics
-/// If `idx` is empty or a key is NaN (as the comparator form would).
-pub fn median_split_by_key(idx: &mut [usize], key: impl Fn(usize) -> f64) -> usize {
-    let keys: Vec<f64> = idx.iter().map(|&p| key(p)).collect();
-    median_split_by_keys(idx, &keys)
-}
-
-/// [`median_split_by_key`] with the keys already computed in slice order:
-/// `keys[s]` is the key of `idx[s]`.
+/// would and returns `len / 2`, but with each point's key computed once
+/// instead of twice per comparison.
 ///
 /// The selection runs on a slice of positions with the same comparison
 /// outcomes, so it makes the same moves, and `idx` is then permuted by it.
@@ -875,7 +866,8 @@ mod tests {
             let mut want: Vec<usize> = (0..len).rev().collect();
             let mut got = want.clone();
             want.select_nth_unstable_by(len / 2, |&a, &b| keys[a].partial_cmp(&keys[b]).unwrap());
-            assert_eq!(median_split_by_key(&mut got, |p| keys[p]), len / 2);
+            let slice_keys: Vec<f64> = got.iter().map(|&p| keys[p]).collect();
+            assert_eq!(median_split_by_keys(&mut got, &slice_keys), len / 2);
             assert_eq!(got, want, "len {len}");
         }
         for (id, n) in [

@@ -17,6 +17,10 @@
 //!   low-rank (STRUMPACK's only supported structure).
 
 use crate::ctree::ClusterTree;
+use matrox_linalg::Matrix;
+use matrox_points::{pair_blocks, Kernel, PointSet};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// HMatrix structure selection (admissibility flavour).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +63,11 @@ impl Structure {
 /// coupling block `B_{i,j}` must be computed.  Both lists are *directed*: if
 /// `(i, j)` is present, `(j, i)` is present as well, mirroring the loop
 /// structure in Figure 1d of the paper.
+///
+/// The HTree also keeps the dense blocks of its near lists once they are
+/// evaluated ([`HTree::near_blocks`]): they depend on the points, the tree
+/// and the kernel but not on the accuracy, so every p2 of an accuracy
+/// sweep over one p1 shares them.
 #[derive(Debug, Clone)]
 pub struct HTree {
     /// Near (dense) interaction lists, indexed by node id.
@@ -67,6 +76,90 @@ pub struct HTree {
     pub far: Vec<Vec<usize>>,
     /// The structure mode used to build the lists.
     pub structure: Structure,
+    /// The first near field [`HTree::near_blocks`] evaluated, with every
+    /// input it read.  A clone shares it.
+    near_memo: OnceLock<Arc<NearField>>,
+}
+
+/// Dense near blocks `((i, j), D_{i,j})` in near-list order, behind one
+/// shared allocation: handing them out again copies nothing.
+pub type NearBlocks = Arc<[((usize, usize), Matrix)]>;
+
+/// Near blocks and the exact inputs they were evaluated from: the kernel
+/// and the coordinates by bits, the near lists, and the point indices of
+/// every node a near pair reads.
+struct NearField {
+    kernel: (u8, [u64; 2]),
+    dim: usize,
+    coords: Vec<f64>,
+    near: Vec<Vec<usize>>,
+    /// `(node, tree.indices(node))` for every node in a near pair, ascending.
+    rows: Vec<(usize, Vec<usize>)>,
+    blocks: NearBlocks,
+}
+
+impl fmt::Debug for NearField {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NearField({} blocks)", self.blocks.len())
+    }
+}
+
+/// Every node a near pair reads the points of, ascending.
+fn near_nodes(near: &[Vec<usize>]) -> Vec<usize> {
+    let mut ids: Vec<usize> = (0..near.len())
+        .filter(|&i| !near[i].is_empty())
+        .chain(near.iter().flatten().copied())
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+impl NearField {
+    fn new(
+        points: &PointSet,
+        tree: &ClusterTree,
+        kernel: &Kernel,
+        near: &[Vec<usize>],
+        blocks: NearBlocks,
+    ) -> Self {
+        NearField {
+            kernel: kernel.to_bits(),
+            dim: points.dim(),
+            coords: points.coords().to_vec(),
+            near: near.to_vec(),
+            rows: near_nodes(near)
+                .into_iter()
+                .map(|id| (id, tree.indices(id).to_vec()))
+                .collect(),
+            blocks,
+        }
+    }
+
+    /// Whether these blocks are the ones `(points, tree, kernel, near)`
+    /// evaluate to: each input equal to the snapshot, bit for bit.
+    fn reads(
+        &self,
+        points: &PointSet,
+        tree: &ClusterTree,
+        kernel: &Kernel,
+        near: &[Vec<usize>],
+    ) -> bool {
+        let coords = points.coords();
+        self.kernel == kernel.to_bits()
+            && self.near == near
+            && self.dim == points.dim()
+            && self.coords.len() == coords.len()
+            && self
+                .coords
+                .iter()
+                .zip(coords)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self
+                .rows
+                .iter()
+                .all(|(id, rows)| *id < tree.num_nodes() && tree.indices(*id) == &rows[..])
+    }
 }
 
 impl HTree {
@@ -83,6 +176,7 @@ impl HTree {
                 near,
                 far,
                 structure,
+                near_memo: OnceLock::new(),
             };
         }
 
@@ -150,7 +244,43 @@ impl HTree {
             near,
             far,
             structure,
+            near_memo: OnceLock::new(),
         }
+    }
+
+    /// The dense near blocks `((i, j), K(I_i, I_j))` of every pair of
+    /// [`HTree::near`], in list order ([`pair_blocks`], `grain` blocks a
+    /// task at least).
+    ///
+    /// They are evaluated once per tree and kernel.  The first call keeps
+    /// them with a copy of everything they read — the kernel and the
+    /// coordinates by bits, the near lists and the point indices of every
+    /// node in a near pair — and a later call whose inputs all equal that
+    /// copy gets the same allocation back.  Any other call evaluates afresh
+    /// and keeps nothing, so no input is ever served another input's blocks.
+    pub fn near_blocks(
+        &self,
+        points: &PointSet,
+        tree: &ClusterTree,
+        kernel: &Kernel,
+        grain: usize,
+    ) -> NearBlocks {
+        // Read with `get`, filled with `set` once the blocks exist, never
+        // through `get_or_init`: a pool worker waiting inside the evaluation
+        // runs other jobs, and one may ask this tree for its blocks.
+        let kept = self.near_memo.get();
+        if let Some(field) = kept.filter(|f| f.reads(points, tree, kernel, &self.near)) {
+            return Arc::clone(&field.blocks);
+        }
+        let blocks: NearBlocks =
+            pair_blocks(points, kernel, &self.near, grain, |i| tree.indices(i)).into();
+        if kept.is_none() {
+            let field = NearField::new(points, tree, kernel, &self.near, Arc::clone(&blocks));
+            // A concurrent first call may have filled the cell meanwhile; its
+            // blocks are the same bits, so either may stay.
+            let _ = self.near_memo.set(Arc::new(field));
+        }
+        blocks
     }
 
     /// Total number of (directed) near interactions.

@@ -22,6 +22,6 @@ pub mod ctree;
 pub mod htree;
 
 pub use ctree::{
-    ensure, invert_permutation, median_split_by_key, ClusterTree, PartitionMethod, TreeNode,
+    ensure, invert_permutation, median_split_by_keys, ClusterTree, PartitionMethod, TreeNode,
 };
-pub use htree::{HTree, Structure};
+pub use htree::{HTree, NearBlocks, Structure};

@@ -4,18 +4,25 @@
 //! overall accuracy of the HMatrix-matrix product is only loosely bounded by
 //! it.  Libraries re-run the whole compression for every new `bacc`; MatRox
 //! re-runs only inspector-p2 (low-rank approximation, coarsening, CDS) and
-//! reuses inspector-p1 (tree, interactions, sampling, blocking).
+//! reuses inspector-p1 (tree, interactions, sampling, blocking).  The first
+//! p2 also evaluates the dense near blocks, which depend on neither `bacc`
+//! nor anything p2 computes; the later ones reuse them from p1's HTree.
+//!
+//! The example checks that reuse: every ladder member's image must equal the
+//! full inspection's at the same `bacc`, byte for byte, or it exits non-zero.
 //!
 //! ```bash
 //! cargo run --release --example accuracy_tuning
 //! ```
 
+use matrox::core::to_bytes;
 use matrox::{
     generate, inspector, inspector_p1, inspector_p2, DatasetId, Kernel, MatRoxParams, Matrix,
 };
-use std::time::Instant;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
-fn main() {
+fn main() -> ExitCode {
     let n = 2048;
     let points = generate(DatasetId::Letter, n, 3);
     let kernel = Kernel::Gaussian { bandwidth: 5.0 };
@@ -37,6 +44,7 @@ fn main() {
         "{:>8}  {:>12}  {:>12}  {:>10}",
         "bacc", "p2 time (s)", "eval (s)", "eps_f"
     );
+    let (mut p2_times, mut images) = (Vec::new(), Vec::new());
     for &bacc in &baccs {
         let t0 = Instant::now();
         let h = inspector_p2(&points, &p1, &kernel, bacc).expect("inspector p2");
@@ -45,6 +53,8 @@ fn main() {
         let _y = h.matmul(&w).expect("matmul");
         let eval_time = t0.elapsed();
         reuse_total += p2_time + eval_time;
+        p2_times.push(p2_time);
+        images.push(to_bytes(&h));
         let acc = h.overall_accuracy(&points, &w).expect("accuracy probe");
         println!(
             "{bacc:>8.0e}  {:>12.3}  {:>12.3}  {acc:>10.2e}",
@@ -53,13 +63,25 @@ fn main() {
         );
     }
 
+    let later = &p2_times[1..];
+    println!(
+        "\np2 at the first rung (evaluates the near field): {:.3} s; later rungs (reuse it): {:.3} s mean",
+        p2_times[0].as_secs_f64(),
+        later.iter().sum::<Duration>().as_secs_f64() / later.len() as f64
+    );
+
     // ---- library behaviour: full re-inspection per accuracy ----------------
-    let t0 = Instant::now();
-    for &bacc in &baccs {
+    let mut full_total = Duration::ZERO;
+    let mut mismatched = Vec::new();
+    for (&bacc, image) in baccs.iter().zip(&images) {
+        let t0 = Instant::now();
         let h = inspector(&points, &kernel, &params.with_bacc(bacc)).expect("inspector");
         let _y = h.matmul(&w).expect("matmul");
+        full_total += t0.elapsed();
+        if to_bytes(&h) != *image {
+            mismatched.push(bacc);
+        }
     }
-    let full_total = t0.elapsed();
 
     println!(
         "\ntotal with inspector-p1 reuse : {:.3} s",
@@ -74,4 +96,11 @@ fn main() {
         baccs.len(),
         full_total.as_secs_f64() / reuse_total.as_secs_f64()
     );
+    if mismatched.is_empty() {
+        println!("every reused model's image equals the full inspection's");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("reused model's image differs from the full inspection's at bacc {mismatched:?}");
+        ExitCode::FAILURE
+    }
 }
