@@ -18,9 +18,20 @@
 //! (`ml_wide`'s covtype-like set), alone and followed by a Gaussian's
 //! `exp` per entry — what a kernel entry costs, and how much of it the
 //! `exp` is.
+//!
+//! The QR lines time [`KernelDispatch::pivoted_qr`] on Gaussian sample
+//! blocks of the ID's shapes (512 x 64 and 512 x 160 on `sci_solve`,
+//! 64 x 64 on `reuse_sweep`, tolerance 1e-7), in ms per factorization and
+//! GF/s of its reflector dots and updates; the LU line times the two
+//! substitutions of an LU solve ([`KernelDispatch::substitute`], unit `L`
+//! then `U`) at a 160 x 160 sibling merge with 48 right-hand sides.  Every
+//! arm must return the scalar arm's bits there: the probe exits non-zero
+//! if one does not.
 
 use matrox_linalg::kernel::{DistPanels, KC, MC, NC};
-use matrox_linalg::{simd_available, KernelChoice, KernelDispatch};
+use matrox_linalg::{
+    lu_factor, simd_available, KernelChoice, KernelDispatch, Matrix, PivotedQr, Substitution,
+};
 use std::time::Instant;
 
 fn gflops(disp: KernelDispatch, m: usize, k: usize, n: usize) -> f64 {
@@ -71,6 +82,74 @@ fn dist_ns(disp: KernelDispatch, dim: usize) -> (f64, f64) {
     (time(false), time(true))
 }
 
+/// A Gaussian sample block of `sci_solve`'s kind: `m` sample points (every
+/// other one near the patch, the rest spread wide) against a patch of `n`
+/// grid points 16 wide, bandwidth 8 spacings.
+fn qr_block(m: usize, n: usize) -> Matrix {
+    let patch = |c: usize| ((c % 16) as f64, (c / 16) as f64);
+    let sample = |s: usize| {
+        let (a, b) = (((s * 37) % 97) as f64, ((s * 61) % 89) as f64);
+        if s.is_multiple_of(2) {
+            (a * 0.4 - 12.0, b * 0.4 - 12.0)
+        } else {
+            (a * 1.3 - 60.0, b * 1.4 - 60.0)
+        }
+    };
+    Matrix::from_fn(m, n, |s, c| {
+        let ((x0, y0), (x1, y1)) = (sample(s), patch(c));
+        (-((x0 - x1).powi(2) + (y0 - y1).powi(2)) / 128.0).exp()
+    })
+}
+
+/// Milliseconds per factorization of `a` and GF/s of its `4 (m - k)(n - k
+/// - 1)` flops a step, with the factorization (for the cross-arm check).
+fn qr_time(disp: KernelDispatch, a: &Matrix) -> (f64, f64, PivotedQr) {
+    let f = disp.pivoted_qr(a.clone(), 1e-7, 256);
+    let (m, n) = a.shape();
+    let flops: f64 = (0..f.rank)
+        .map(|k| 4.0 * ((m - k) * (n - k - 1)) as f64)
+        .sum();
+    let reps = ((4e8 / flops.max(1.0)) as usize).clamp(4, 4000);
+    let copies: Vec<Matrix> = (0..reps).map(|_| a.clone()).collect();
+    let t0 = Instant::now();
+    for c in copies {
+        std::hint::black_box(disp.pivoted_qr(c, 1e-7, 256));
+    }
+    let dt = t0.elapsed().as_secs_f64() / reps as f64;
+    (dt * 1e3, flops / dt / 1e9, f)
+}
+
+/// Milliseconds per LU solve (unit `L`, then `U`) at an `n x n` merge with
+/// `q` right-hand sides, with the solution.
+fn lu_time(disp: KernelDispatch, n: usize, q: usize) -> (f64, Vec<f64>) {
+    let a = Matrix::from_fn(n, n, |i, j| {
+        let off = ((i * 7 + j * 13) as f64).sin() * 0.1;
+        if i == j {
+            4.0 + off
+        } else {
+            off
+        }
+    });
+    let Ok(f) = lu_factor(&a, KernelDispatch::scalar()) else {
+        unreachable!("a diagonally dominant matrix factors")
+    };
+    let b: Vec<f64> = (0..n * q).map(|i| (i as f64 * 0.3).cos()).collect();
+    let solve = |x: &mut [f64]| {
+        disp.substitute(Substitution::UnitLower, &f.lu, n, x, q);
+        disp.substitute(Substitution::Upper, &f.lu, n, x, q);
+    };
+    let mut x = b.clone();
+    solve(&mut x);
+    let reps = 200;
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        let mut y = b.clone();
+        solve(&mut y);
+        std::hint::black_box(&y);
+    }
+    (t0.elapsed().as_secs_f64() * 1e3 / reps as f64, x)
+}
+
 fn main() {
     let auto = KernelDispatch::resolve(KernelChoice::Auto);
     println!(
@@ -113,5 +192,44 @@ fn main() {
             "dist2 64 x 64, d = {dim:>2}: {} ns per pair (distance / with exp)",
             row.join(", ")
         );
+    }
+    // The QR and the substitutions return the scalar arm's bits on every
+    // arm; anything else is a broken build of the bodies.
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut mismatch = false;
+    for (m, n) in [(512usize, 64usize), (512, 160), (64, 64)] {
+        let a = qr_block(m, n);
+        let mut want: Option<PivotedQr> = None;
+        let mut row = Vec::new();
+        for &d in &arms {
+            let (ms, gf, f) = qr_time(d, &a);
+            row.push(format!("{} {ms:6.3} ms {gf:5.2}", d.name()));
+            let w = want.get_or_insert_with(|| f.clone());
+            if (f.rank, &f.perm) != (w.rank, &w.perm)
+                || bits(f.r.as_slice()) != bits(w.r.as_slice())
+            {
+                eprintln!("pivoted_qr {m} x {n}: the {} arm's bits differ", d.name());
+                mismatch = true;
+            }
+        }
+        println!(
+            "pivoted_qr {m:>3} x {n:>3}: {} GF/s (rank {})",
+            row.join(", "),
+            want.map_or(0, |w| w.rank)
+        );
+    }
+    let mut want: Option<Vec<u64>> = None;
+    let mut row = Vec::new();
+    for &d in &arms {
+        let (ms, x) = lu_time(d, 160, 48);
+        row.push(format!("{} {ms:6.3}", d.name()));
+        if *want.get_or_insert_with(|| bits(&x)) != bits(&x) {
+            eprintln!("lu solve: the {} arm's bits differ", d.name());
+            mismatch = true;
+        }
+    }
+    println!("lu solve 160 x 160, q = 48: {} ms", row.join(", "));
+    if mismatch {
+        std::process::exit(1);
     }
 }

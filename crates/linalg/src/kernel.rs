@@ -58,6 +58,15 @@
 //! products, **every arm returns the same bits** and the arm moves speed
 //! only; `matrox_points::block` takes [`KernelDispatch::global`] for it.
 //!
+//! The ID's pivoted QR ([`KernelDispatch::pivoted_qr`]) and the triangular
+//! substitutions ([`KernelDispatch::substitute`]) are the same kind of
+//! routine: one `#[inline(always)]` body in plain Rust (`qr.rs`,
+//! `solve.rs`), compiled once more inside an AVX2 and an AVX-512
+//! `target_feature` trampoline, with FMA left off the AVX2 one.  Rust
+//! never reassociates a sum or contracts `a * b + c` into an `fma` (under
+//! any target feature), so the wider instances run the scalar arm's
+//! chains lane by lane and every arm returns the same bits.
+//!
 //! # The bitwise-determinism contract
 //!
 //! For a **fixed** dispatch, every entry point guarantees that each output
@@ -106,6 +115,9 @@ mod avx2;
 mod avx512;
 
 use crate::gemm::scalar_product;
+use crate::matrix::Matrix;
+use crate::qr::{self, PivotedQr};
+use crate::solve::{self, Substitution};
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
@@ -412,6 +424,51 @@ impl KernelDispatch {
             KernelArch::Avx2 => avx2::dist2(coords, dim, rows, y, n, out, ldo),
             #[cfg(target_arch = "x86_64")]
             KernelArch::Avx512 => avx512::dist2(coords, dim, rows, y, n, out, ldo),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelArch::Avx2 | KernelArch::Avx512 => {
+                unreachable!("SIMD dispatch cannot exist off x86_64")
+            }
+        }
+    }
+
+    /// Column-pivoted QR of `a` in its own buffer, truncated at relative
+    /// tolerance `tol` and rank `max_rank` ([`crate::qr`], the ID's
+    /// factorization).  The one-pass body is compiled once per arm — the
+    /// SIMD arms' instances run it at AVX2 / AVX-512 width, with no FMA —
+    /// so **every arm returns the same bits** (rank, permutation and `R`)
+    /// and the arm moves speed only; [`crate::pivoted_qr`] takes
+    /// [`KernelDispatch::global`].
+    pub fn pivoted_qr(&self, a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+        match self.arch {
+            KernelArch::Scalar => qr::pivoted_qr_body(a, tol, max_rank),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx2 => avx2::pivoted_qr(a, tol, max_rank),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx512 => avx512::pivoted_qr(a, tol, max_rank),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelArch::Avx2 | KernelArch::Avx512 => {
+                unreachable!("SIMD dispatch cannot exist off x86_64")
+            }
+        }
+    }
+
+    /// Triangular substitution in place ([`crate::solve`]): solve `kind`
+    /// against the leading `k x k` triangle of `t`, `x` the row-major
+    /// `k x q` right-hand side on entry and the solution on return.  Like
+    /// [`KernelDispatch::pivoted_qr`], one body compiled per arm, so
+    /// **every arm returns the same bits**; the `solve_*_in_place` kernels,
+    /// the Cholesky and LU solves and the ID take [`KernelDispatch::global`].
+    ///
+    /// # Panics
+    /// Panics if the factor is smaller than `k x k`, if `x` is not `k x q`,
+    /// or on an exactly zero diagonal entry.
+    pub fn substitute(&self, kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+        match self.arch {
+            KernelArch::Scalar => solve::substitute(kind, t, k, x, q),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx2 => avx2::substitute(kind, t, k, x, q),
+            #[cfg(target_arch = "x86_64")]
+            KernelArch::Avx512 => avx512::substitute(kind, t, k, x, q),
             #[cfg(not(target_arch = "x86_64"))]
             KernelArch::Avx2 | KernelArch::Avx512 => {
                 unreachable!("SIMD dispatch cannot exist off x86_64")

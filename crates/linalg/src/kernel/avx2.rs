@@ -52,13 +52,23 @@
 //! ([`super::dist`]): four rows against one 8-column panel a pass, two
 //! `ymm` accumulators per row, `sub`, `mul`, `add` per lane — the scalar
 //! arm's chain, so its bits are every arm's.
+//!
+//! # The QR and substitution instances
+//!
+//! [`pivoted_qr`] and [`substitute`] compile the plain-Rust bodies of
+//! `qr.rs` and `solve.rs` inside an `avx2` `target_feature` function (no
+//! `fma`, so nothing can be contracted): the same source and chains as the
+//! scalar arm, at 256-bit width, so the same bits.
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (MC, KC, NC, MR, NR) the tile loops use, and the narrow bodies index slices; the distance tile runs behind dist::assert_operands (whole points, panels for n columns, out rows of n at stride ldo) and copies a partial panel from a stack row; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
+    reason = "4x8 AVX2+FMA microkernel on raw-pointer tiles, in place or packed: gemm_blocked asserts in release that the last element every access pattern touches lies inside its slice, pack-buffer lengths come from the same (MC, KC, NC, MR, NR) the tile loops use, and the narrow bodies index slices; the distance tile runs behind dist::assert_operands (whole points, panels for n columns, out rows of n at stride ldo) and copies a partial panel from a stack row; the QR and substitution trampolines call their safe target_feature instances of the plain bodies; the target_feature fns are reached only behind simd_available() (DESIGN.md unsafe inventory)"
 )]
 
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, KC, MC, MR, NC, NR};
+use crate::matrix::Matrix;
+use crate::qr::PivotedQr;
+use crate::solve::Substitution;
 use core::arch::x86_64::*;
 use std::cell::RefCell;
 
@@ -815,4 +825,45 @@ pub fn dist2(
             _ => unreachable!("chunks_exact leaves fewer than DIST_ROWS rows"),
         }
     }
+}
+
+/// The one-pass pivoted QR ([`crate::qr`]) compiled for AVX2: the scalar
+/// arm's bits.  Caller guarantees avx2 (checked once at dispatch
+/// resolution).
+pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+    // SAFETY: dispatch resolution verified avx2 before any dispatch
+    // could reach this function; the instance itself is safe code.
+    unsafe { pivoted_qr_instance(a, tol, max_rank) }
+}
+
+/// The QR body's `avx2` instance: safe code throughout.
+///
+/// # Safety
+/// Callable only where the CPU has `avx2` (the trampoline's dispatch
+/// checked it).
+#[target_feature(enable = "avx2")]
+fn pivoted_qr_instance(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+    crate::qr::pivoted_qr_body(a, tol, max_rank)
+}
+
+/// The triangular substitutions ([`crate::solve`]) compiled for AVX2: the
+/// scalar arm's bits.  Caller guarantees avx2 (checked once at
+/// dispatch resolution).
+///
+/// # Panics
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+pub fn substitute(kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    // SAFETY: dispatch resolution verified avx2 before any dispatch
+    // could reach this function; the instance itself is safe code.
+    unsafe { substitute_instance(kind, t, k, x, q) }
+}
+
+/// The substitution body's `avx2` instance: safe code throughout.
+///
+/// # Safety
+/// Callable only where the CPU has `avx2` (the trampoline's dispatch
+/// checked it).
+#[target_feature(enable = "avx2")]
+fn substitute_instance(kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    crate::solve::substitute(kind, t, k, x, q);
 }

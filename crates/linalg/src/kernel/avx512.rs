@@ -36,14 +36,25 @@
 //! ([`super::dist`]): four rows against one 8-column panel a pass, one
 //! `zmm` accumulator per row, `sub`, `mul`, `add` per lane — the scalar
 //! arm's chain, so its bits are every arm's.
+//!
+//! # The QR and substitution instances
+//!
+//! [`pivoted_qr`] and [`substitute`] compile the plain-Rust bodies of
+//! `qr.rs` and `solve.rs` inside an `avx512f` `target_feature` function:
+//! the same source and chains as the scalar arm, at 512-bit width, so the
+//! same bits.  (`avx512f` implies `fma` to the code generator, but Rust
+//! emits no contractible operations, so no `fma` is formed.)
 #![cfg(target_arch = "x86_64")]
 #![expect(
     unsafe_code,
-    reason = "8x16 AVX-512 tile on raw-pointer in-place operands: gemm_blocked runs the AVX2 arm's release bounds asserts (avx2::assert_operands) before any raw-pointer access, and every tile access lies inside the region those asserts cover; the distance tile runs behind dist::assert_operands (whole points, panels for n columns, out rows of n at stride ldo) and stores a partial panel through a lane mask; the target_feature fns are reached only behind avx512_available() (DESIGN.md unsafe inventory)"
+    reason = "8x16 AVX-512 tile on raw-pointer in-place operands: gemm_blocked runs the AVX2 arm's release bounds asserts (avx2::assert_operands) before any raw-pointer access, and every tile access lies inside the region those asserts cover; the distance tile runs behind dist::assert_operands (whole points, panels for n columns, out rows of n at stride ldo) and stores a partial panel through a lane mask; the QR and substitution trampolines call their safe target_feature instances of the plain bodies; the target_feature fns are reached only behind avx512_available() (DESIGN.md unsafe inventory)"
 )]
 
 use super::avx2;
 use super::pack::NR;
+use crate::matrix::Matrix;
+use crate::qr::PivotedQr;
+use crate::solve::Substitution;
 use core::arch::x86_64::*;
 
 /// Rows of `C` per tile.
@@ -331,4 +342,45 @@ pub fn dist2(
             _ => unreachable!("chunks_exact leaves fewer than DIST_ROWS rows"),
         }
     }
+}
+
+/// The one-pass pivoted QR ([`crate::qr`]) compiled for AVX-512: the scalar
+/// arm's bits.  Caller guarantees avx512f (checked once at dispatch
+/// resolution).
+pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+    // SAFETY: dispatch resolution verified avx512f before any dispatch
+    // could reach this function; the instance itself is safe code.
+    unsafe { pivoted_qr_instance(a, tol, max_rank) }
+}
+
+/// The QR body's `avx512f` instance: safe code throughout.
+///
+/// # Safety
+/// Callable only where the CPU has `avx512f` (the trampoline's dispatch
+/// checked it).
+#[target_feature(enable = "avx512f")]
+fn pivoted_qr_instance(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+    crate::qr::pivoted_qr_body(a, tol, max_rank)
+}
+
+/// The triangular substitutions ([`crate::solve`]) compiled for AVX-512: the
+/// scalar arm's bits.  Caller guarantees avx512f (checked once at
+/// dispatch resolution).
+///
+/// # Panics
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+pub fn substitute(kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    // SAFETY: dispatch resolution verified avx512f before any dispatch
+    // could reach this function; the instance itself is safe code.
+    unsafe { substitute_instance(kind, t, k, x, q) }
+}
+
+/// The substitution body's `avx512f` instance: safe code throughout.
+///
+/// # Safety
+/// Callable only where the CPU has `avx512f` (the trampoline's dispatch
+/// checked it).
+#[target_feature(enable = "avx512f")]
+fn substitute_instance(kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    crate::solve::substitute(kind, t, k, x, q);
 }

@@ -24,7 +24,12 @@
 //!   See its module docs for the block sizes, the packing formats and the
 //!   bitwise-determinism contract.
 //! * [`qr`] — Householder column-pivoted QR (Businger–Golub) with adaptive
-//!   rank detection; forms `R` in place and never `Q`.
+//!   rank detection; forms `R` in place and never `Q`, one pass over the
+//!   trailing block a step, compiled once per kernel arm with the same
+//!   bits on each ([`KernelDispatch::pivoted_qr`]).
+//! * [`solve`] — the triangular substitutions under the Cholesky and LU
+//!   solves and the ID, likewise one body per arm
+//!   ([`KernelDispatch::substitute`]).
 //! * [`chol`] — blocked dense Cholesky with a symmetric rank-`k` trailing
 //!   update; factors the ULV leaf blocks and the dense solver baseline, on
 //!   the [`KernelDispatch`] its caller passes.
@@ -92,4 +97,6 @@ pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};
 pub use matrix::{all_finite, Matrix};
 pub use norms::{frobenius_norm, relative_error};
 pub use qr::{pivoted_qr, PivotedQr};
-pub use solve::{solve_lower_in_place, solve_lower_transpose_in_place, solve_upper_in_place};
+pub use solve::{
+    solve_lower_in_place, solve_lower_transpose_in_place, solve_upper_in_place, Substitution,
+};

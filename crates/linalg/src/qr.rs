@@ -15,25 +15,41 @@
 //! discards each reflector once it is applied, so `R` is the leading `rank`
 //! rows of that buffer with the sub-diagonal cleared.
 //!
+//! # One pass a step
+//!
+//! Step `k` streams the trailing block once.  Step `k − 1`'s update of rows
+//! `k..m` is left pending, with its reflector and its scales; step `k`
+//! picks the pivot from the downdated norms and swaps it in (scale and
+//! all), brings the pivot column up to date, takes its exact norm and its
+//! reflector, and then makes one pass over rows `k..m`, `ROW_BLOCK` rows
+//! at a time: each row of the trailing columns gets step `k − 1`'s update
+//! and goes, while still in registers, into step `k`'s dots.  Row `k` (the
+//! row of `R`) then gets step `k`'s update at once, for the norm downdate.
+//! The rows past the final rank never get the last step's update: they are
+//! truncated anyway.
+//!
 //! # The per-column chain
 //!
 //! Every entry of `R` comes from one fixed operation chain per column,
 //! that of a column-at-a-time Householder QR (`tests/qr_oracle.rs` keeps
-//! the one this replaced and compares by `to_bits`): the reflector dot
-//! `Σ v[i] · C[k+i, j]` starts at `0.0` and runs over ascending `i`, is
-//! scaled once by `tau`, and the update `C[k+i, j] -= scale · v[i]` skips a
-//! column whose scale is exactly zero.  The loops run *by rows* (the dot
-//! `ROW_BLOCK` rows at a time, each column's sum still in row order),
-//! across independent columns, so they vectorize without reassociating any
-//! chain: skeletons, ranks and every stored bit downstream do not depend on
-//! how the loops are laid out, and Rust never contracts `a * b + c` to an
-//! FMA.
+//! the one this replaced and compares by `to_bits`, on every kernel arm):
+//! the reflector dot `Σ v[i] · C[k+i, j]` starts at `0.0` and runs over
+//! ascending `i`, is scaled once by `tau`, and the update
+//! `C[k+i, j] -= scale · v[i]` skips a column whose scale is exactly zero.
+//! The pass runs *by rows*, across independent columns, so it vectorizes
+//! without reassociating any chain, and Rust never contracts `a * b + c`
+//! to an FMA.  `pivoted_qr_body` is `#[inline(always)]`: the
+//! [`KernelDispatch`] compiles it once more for each SIMD arm it has
+//! (`kernel/{avx2,avx512}.rs`), and every arm returns the same bits — the
+//! arm moves speed only, so [`pivoted_qr`] takes
+//! [`KernelDispatch::global`].
 
+use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;
 
-/// Rows the reflector dot takes at once: every column's sum still adds one
-/// row at a time in ascending order, but stays in a register across the
-/// block instead of going back to memory after each row.
+/// Rows the pass takes at once: every column's dot still adds one row at a
+/// time in ascending order, but stays in a register across the block, and
+/// each row is loaded and stored once for both steps.
 const ROW_BLOCK: usize = 4;
 
 /// Result of a (possibly truncated) column-pivoted QR factorization
@@ -53,7 +69,8 @@ pub struct PivotedQr {
 
 /// Compute a column-pivoted QR factorization of `a` in `a`'s own buffer,
 /// truncated at relative tolerance `tol` and absolute maximum rank
-/// `max_rank`.
+/// `max_rank`, on the process-wide kernel arm (every arm returns the same
+/// bits; [`KernelDispatch::pivoted_qr`] picks one).
 ///
 /// * `tol` — stop when `|R[k,k]| <= tol * |R[0,0]|`.  Pass `0.0` for a full
 ///   factorization (up to `max_rank`).
@@ -62,6 +79,13 @@ pub struct PivotedQr {
 ///
 /// Returns `R` together with the detected rank and the column permutation.
 pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+    KernelDispatch::global().pivoted_qr(a, tol, max_rank)
+}
+
+/// The factorization [`pivoted_qr`] runs, inlined into each kernel arm's
+/// instance (see the module docs).
+#[inline(always)]
+pub(crate) fn pivoted_qr_body(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
     let (m, n) = a.shape();
     let kmax = m.min(n).min(max_rank);
     let mut c = a.into_vec();
@@ -74,10 +98,14 @@ pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
         }
     }
 
-    // The current reflector and the scaled dot `tau * v^T C[k.., j]` of
-    // every trailing column.
-    let mut v: Vec<f64> = Vec::with_capacity(m);
+    // Step `k`'s reflector and scaled dots `tau * v^T C[k.., j]`, and step
+    // `k − 1`'s, whose update of rows `k..` is pending.  Before step 0 the
+    // pending step has zero scales, and a zero reflector one row taller
+    // than the block (the pivot sweep reads it from its second entry).
+    let mut v: Vec<f64> = Vec::with_capacity(m + 1);
     let mut w = vec![0.0; n];
+    let mut v_prev: Vec<f64> = vec![0.0; m + 1];
+    let mut s = vec![0.0; n];
     let mut r00: f64 = 0.0;
     let mut rank = 0;
 
@@ -90,14 +118,26 @@ pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
             .map(|(i, _)| i + k)
             .unwrap();
         if pivot != k {
-            for row in c.chunks_exact_mut(n) {
+            for row in c[..k * n].chunks_exact_mut(n) {
                 row.swap(k, pivot);
             }
             perm.swap(k, pivot);
             norms.swap(k, pivot);
+            s.swap(k, pivot);
         }
-        // Recompute the pivot norm exactly to avoid downdating drift.
-        let exact: f64 = c[k * n + k..].iter().step_by(n).map(|x| x * x).sum();
+        // One sweep down rows k..m swaps the pivot in, brings it up to date
+        // with step k − 1 and copies it out as the reflector; its norm is
+        // recomputed exactly to avoid downdating drift.
+        let sk = s[k];
+        v.clear();
+        for (row, &pi) in c[k * n..].chunks_exact_mut(n).zip(&v_prev[1..]) {
+            row.swap(k, pivot);
+            if sk != 0.0 {
+                row[k] -= sk * pi;
+            }
+            v.push(row[k]);
+        }
+        let exact: f64 = v.iter().map(|x| x * x).sum();
         let alpha = exact.sqrt();
         if k == 0 {
             r00 = alpha;
@@ -108,58 +148,52 @@ pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
         }
 
         // Householder reflector for column k, rows k..m.
-        v.clear();
-        v.extend(c[k * n + k..].iter().step_by(n));
         let beta = if v[0] >= 0.0 { -alpha } else { alpha };
         v[0] -= beta;
         let vnorm2: f64 = v.iter().map(|x| x * x).sum();
         let tau = if vnorm2 == 0.0 { 0.0 } else { 2.0 / vnorm2 };
 
-        // Apply the reflector to the trailing columns, by rows.
-        let w = &mut w[k + 1..];
-        w.fill(0.0);
-        let cols = w.len();
-        let mut rows = c[k * n..].chunks_exact(n).map(|row| &row[k + 1..][..cols]);
-        let mut blocks = v.chunks_exact(ROW_BLOCK);
-        for vb in blocks.by_ref() {
-            let r: [&[f64]; ROW_BLOCK] = std::array::from_fn(|_| rows.next().unwrap());
-            for (j, s) in w.iter_mut().enumerate() {
-                let mut acc = *s;
-                for (row, vi) in r.iter().zip(vb) {
-                    acc += vi * row[j];
-                }
-                *s = acc;
-            }
+        // The pass over rows k..m: step k − 1's pending update of the
+        // trailing columns, and step k's dots.
+        let j0 = k + 1;
+        let wk = &mut w[j0..];
+        wk.fill(0.0);
+        let (rows, sp, vp) = (&mut c[k * n..], &s[j0..], &v_prev[1..]);
+        if k == 0 {
+            pass::<false, false>(rows, n, j0, sp, vp, &v, wk);
+        } else if sp.iter().all(|&x| x != 0.0) {
+            pass::<true, false>(rows, n, j0, sp, vp, &v, wk);
+        } else {
+            pass::<true, true>(rows, n, j0, sp, vp, &v, wk);
         }
-        for (vi, row) in blocks.remainder().iter().zip(rows) {
-            for (s, x) in w.iter_mut().zip(row) {
-                *s += vi * x;
-            }
+        for x in wk.iter_mut() {
+            *x *= tau;
         }
-        for s in w.iter_mut() {
-            *s *= tau;
+        // Row k of R gets step k's update now (`x - 0 * vi` is not `x` for
+        // `x = -0.0`, so a zero scale leaves its column untouched), and the
+        // running column norms are downdated from it.
+        let row_k = &mut c[k * n + j0..(k + 1) * n];
+        let v0 = v[0];
+        if wk.iter().all(|&x| x != 0.0) {
+            row_k
+                .iter_mut()
+                .zip(wk.iter())
+                .for_each(|(x, s)| *x -= s * v0);
+        } else {
+            row_k
+                .iter_mut()
+                .zip(wk.iter())
+                .filter(|(_, &s)| s != 0.0)
+                .for_each(|(x, s)| *x -= s * v0);
         }
-        // A zero scale leaves its column untouched (`x - 0 * vi` is not `x`
-        // for `x = -0.0`); a step without one takes the branch-free loop.
-        let dense = w.iter().all(|&s| s != 0.0);
-        for (vi, row) in v.iter().zip(c[k * n..].chunks_exact_mut(n)) {
-            let pairs = row[k + 1..].iter_mut().zip(w.iter());
-            if dense {
-                pairs.for_each(|(x, s)| *x -= s * vi);
-            } else {
-                pairs
-                    .filter(|(_, &s)| s != 0.0)
-                    .for_each(|(x, s)| *x -= s * vi);
-            }
-        }
-        // Downdate the running column norms from the new row k of R.
-        let row_k = &c[k * n + k + 1..(k + 1) * n];
-        for (nj, r_kj) in norms[k + 1..].iter_mut().zip(row_k) {
+        for (nj, r_kj) in norms[j0..].iter_mut().zip(row_k.iter()) {
             *nj = (*nj - r_kj * r_kj).max(0.0);
         }
 
         c[k * n + k] = beta;
         rank = k + 1;
+        std::mem::swap(&mut v, &mut v_prev);
+        std::mem::swap(&mut w, &mut s);
     }
 
     // R is the leading `rank` rows; below the diagonal lie spent columns.
@@ -171,6 +205,85 @@ pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
         rank,
         perm,
         r: Matrix::from_vec(rank, n, c),
+    }
+}
+
+/// One step's pass over the rows `rows` (row-major, `n` wide) at columns
+/// `j0..n`: with `UPDATE`, row `i` first takes step `k − 1`'s update
+/// `x -= s[j] · vp[i]` (with `SKIP_ZERO`, not where `s[j]` is exactly
+/// zero), then every row adds `v[i] · x` into `w[j]`, rows ascending.
+/// Without `UPDATE`, `vp` and `s` are not read.
+#[inline(always)]
+fn pass<const UPDATE: bool, const SKIP_ZERO: bool>(
+    rows: &mut [f64],
+    n: usize,
+    j0: usize,
+    s: &[f64],
+    vp: &[f64],
+    v: &[f64],
+    w: &mut [f64],
+) {
+    let cols = w.len();
+    let mut rows = rows.chunks_exact_mut(n).map(|row| &mut row[j0..][..cols]);
+    let (vb, vpb) = (v.chunks_exact(ROW_BLOCK), vp.chunks_exact(ROW_BLOCK));
+    let (v_rest, vp_rest) = (vb.remainder(), vpb.remainder());
+    for (vb, vpb) in vb.zip(vpb) {
+        let r: [&mut [f64]; ROW_BLOCK] = std::array::from_fn(|_| rows.next().unwrap());
+        let [r0, r1, r2, r3] = r;
+        let (v, vp) = (vb.try_into().unwrap(), vpb.try_into().unwrap());
+        block::<UPDATE, SKIP_ZERO>(r0, r1, r2, r3, s, vp, v, w);
+    }
+    for ((row, &vi), &pi) in rows.zip(v_rest).zip(vp_rest) {
+        let s = &s[..cols];
+        for j in 0..cols {
+            let x = updated::<UPDATE, SKIP_ZERO>(row[j], s[j], pi);
+            row[j] = x;
+            w[j] += vi * x;
+        }
+    }
+}
+
+/// [`pass`] over four rows: each column's dot is loaded once, takes the
+/// four rows in order and is stored once.  The rows are separate arguments
+/// so the compiler knows they do not alias.
+#[inline(always)]
+fn block<const UPDATE: bool, const SKIP_ZERO: bool>(
+    r0: &mut [f64],
+    r1: &mut [f64],
+    r2: &mut [f64],
+    r3: &mut [f64],
+    s: &[f64],
+    vp: [f64; ROW_BLOCK],
+    v: [f64; ROW_BLOCK],
+    w: &mut [f64],
+) {
+    let cols = w.len();
+    let (r0, r1, r2, r3) = (
+        &mut r0[..cols],
+        &mut r1[..cols],
+        &mut r2[..cols],
+        &mut r3[..cols],
+    );
+    let s = &s[..cols];
+    for j in 0..cols {
+        let sj = s[j];
+        let x0 = updated::<UPDATE, SKIP_ZERO>(r0[j], sj, vp[0]);
+        let x1 = updated::<UPDATE, SKIP_ZERO>(r1[j], sj, vp[1]);
+        let x2 = updated::<UPDATE, SKIP_ZERO>(r2[j], sj, vp[2]);
+        let x3 = updated::<UPDATE, SKIP_ZERO>(r3[j], sj, vp[3]);
+        (r0[j], r1[j], r2[j], r3[j]) = (x0, x1, x2, x3);
+        w[j] = (((w[j] + v[0] * x0) + v[1] * x1) + v[2] * x2) + v[3] * x3;
+    }
+}
+
+/// `x - s · p`, or `x` itself without `UPDATE` or (with `SKIP_ZERO`) for
+/// an exactly zero `s`.
+#[inline(always)]
+fn updated<const UPDATE: bool, const SKIP_ZERO: bool>(x: f64, s: f64, p: f64) -> f64 {
+    if UPDATE && (!SKIP_ZERO || s != 0.0) {
+        x - s * p
+    } else {
+        x
     }
 }
 

@@ -25,11 +25,21 @@
 //! chains, each still ascending in `j`); the backward kernels cannot, because
 //! a row's chain *starts* with the last entry to become final.
 //!
-//! Each public kernel calls its `#[inline(always)]` body twice, once with the
+//! `substitute` calls the `#[inline(always)]` bodies twice, once with the
 //! literal width `1`: the single-vector solve then compiles to scalar loops
 //! with no per-entry row slicing, from the same source and with the same
 //! operations as every other width.
+//!
+//! # One body, every kernel arm
+//!
+//! [`KernelDispatch::substitute`] runs `substitute` on its arm: the
+//! scalar arm calls it, and the SIMD arms compile it once more inside an
+//! AVX2 and an AVX-512 `target_feature` function (`kernel/{avx2,avx512}.rs`)
+//! so the row loops run at those widths.  Rust never reassociates or
+//! contracts, so every arm returns the same bits and the arm moves speed
+//! only: the public kernels take [`KernelDispatch::global`].
 
+use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;
 
 /// Rows the forward kernels advance in lockstep over the final prefix: at
@@ -90,6 +100,51 @@ fn forward<const UNIT: bool>(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
     }
 }
 
+/// Which triangle a substitution solves against
+/// ([`KernelDispatch::substitute`]); only the leading `k x k` triangle of
+/// the factor is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Substitution {
+    /// `L X = B`, `L` the lower triangle.
+    Lower,
+    /// `L X = B` with the diagonal taken as ones: the forward half of a
+    /// packed-LU solve (the stored diagonal belongs to `U`).
+    UnitLower,
+    /// `L^T X = B` against the *stored lower* factor (the backward half of
+    /// a Cholesky solve, without materializing the transpose).
+    LowerTranspose,
+    /// `U X = B`, `U` the upper triangle (in a packed LU the strict lower
+    /// part holds `L` and is never read).
+    Upper,
+}
+
+/// The body under every substitution: solve `kind` against the leading
+/// `k x k` triangle of `t` in place, `x` the row-major `k x q` right-hand
+/// side on entry and the solution on return.  Inlined into each kernel
+/// arm's instance (see the module docs).
+///
+/// # Panics
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+#[inline(always)]
+pub(crate) fn substitute(kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    check_shapes(t, k, x, q);
+    if q == 1 {
+        by_kind(kind, t, k, x, 1);
+    } else {
+        by_kind(kind, t, k, x, q);
+    }
+}
+
+#[inline(always)]
+fn by_kind(kind: Substitution, t: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    match kind {
+        Substitution::Lower => forward::<false>(t, k, x, q),
+        Substitution::UnitLower => forward::<true>(t, k, x, q),
+        Substitution::LowerTranspose => backward_transpose(t, k, x, q),
+        Substitution::Upper => backward(t, k, x, q),
+    }
+}
+
 /// Solve `L X = B` in place, `L` the leading `k x k` lower triangle of `l`
 /// (the strict upper part is never read): `x` holds `B` on entry and `X` on
 /// return.  See the module docs for the per-column chain.
@@ -97,23 +152,13 @@ fn forward<const UNIT: bool>(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
 /// # Panics
 /// Panics on a shape mismatch or an exactly zero diagonal entry.
 pub fn solve_lower_in_place(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
-    check_shapes(l, k, x, q);
-    if q == 1 {
-        forward::<false>(l, k, x, 1);
-    } else {
-        forward::<false>(l, k, x, q);
-    }
+    KernelDispatch::global().substitute(Substitution::Lower, l, k, x, q);
 }
 
 /// [`solve_lower_in_place`] with an implied unit diagonal: the forward half
 /// of a packed-LU solve (the stored diagonal belongs to `U`).
 pub(crate) fn solve_unit_lower_in_place(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
-    check_shapes(l, k, x, q);
-    if q == 1 {
-        forward::<true>(l, k, x, 1);
-    } else {
-        forward::<true>(l, k, x, q);
-    }
+    KernelDispatch::global().substitute(Substitution::UnitLower, l, k, x, q);
 }
 
 /// Solve `L^T X = B` in place against the *stored lower* factor (the
@@ -122,12 +167,16 @@ pub(crate) fn solve_unit_lower_in_place(l: &Matrix, k: usize, x: &mut [f64], q: 
 /// # Panics
 /// Panics on a shape mismatch or an exactly zero diagonal entry.
 pub fn solve_lower_transpose_in_place(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
-    check_shapes(l, k, x, q);
-    if q == 1 {
-        backward_transpose(l, k, x, 1);
-    } else {
-        backward_transpose(l, k, x, q);
-    }
+    KernelDispatch::global().substitute(Substitution::LowerTranspose, l, k, x, q);
+}
+
+/// Solve `U X = B` in place, `U` the leading `k x k` upper triangle of `u`
+/// (the strict lower part is never read — in a packed LU it holds `L`).
+///
+/// # Panics
+/// Panics on a shape mismatch or an exactly zero diagonal entry.
+pub fn solve_upper_in_place(u: &Matrix, k: usize, x: &mut [f64], q: usize) {
+    KernelDispatch::global().substitute(Substitution::Upper, u, k, x, q);
 }
 
 #[inline(always)]
@@ -143,20 +192,6 @@ fn backward_transpose(l: &Matrix, k: usize, x: &mut [f64], q: usize) {
             }
         }
         row_div(xi, l.row(i)[i], i);
-    }
-}
-
-/// Solve `U X = B` in place, `U` the leading `k x k` upper triangle of `u`
-/// (the strict lower part is never read — in a packed LU it holds `L`).
-///
-/// # Panics
-/// Panics on a shape mismatch or an exactly zero diagonal entry.
-pub fn solve_upper_in_place(u: &Matrix, k: usize, x: &mut [f64], q: usize) {
-    check_shapes(u, k, x, q);
-    if q == 1 {
-        backward(u, k, x, 1);
-    } else {
-        backward(u, k, x, q);
     }
 }
 
@@ -266,33 +301,72 @@ mod tests {
     use super::testing::*;
     use super::*;
     use crate::gemm::matmul;
+    use crate::kernel::KernelChoice;
     use crate::norms::relative_error;
+
+    /// Every arm this host runs: scalar, the 256-bit arm and the widest one
+    /// (`Avx2` degrades to scalar without the features, and `Auto` is `Avx2`
+    /// without AVX-512).
+    fn arms() -> Vec<KernelDispatch> {
+        let mut arms = vec![
+            KernelDispatch::scalar(),
+            KernelDispatch::resolve(KernelChoice::Avx2),
+            KernelDispatch::resolve(KernelChoice::Auto),
+        ];
+        arms.dedup();
+        arms
+    }
+
+    /// `kind` on every arm against the per-column chain, at size `n` and
+    /// width `q` (`seed` picks the factor).
+    fn assert_chain_on_every_arm(kind: Substitution, n: usize, q: usize, seed: u64) {
+        let l = lower(n, seed);
+        let (t, diag_unit) = match kind {
+            Substitution::Upper => (l.transpose(), false),
+            Substitution::UnitLower => (l, true),
+            _ => (l, false),
+        };
+        let b = rhs(n, q, seed ^ 0x45);
+        let reference = |col: &[f64]| match kind {
+            Substitution::Lower | Substitution::UnitLower => reference_column(
+                n,
+                0..n,
+                |i| 0..i,
+                |i, j| t.get(i, j),
+                |i| (!diag_unit).then(|| t.get(i, i)),
+                col,
+            ),
+            Substitution::LowerTranspose => reference_column(
+                n,
+                (0..n).rev(),
+                |i| i + 1..n,
+                |i, j| t.get(j, i),
+                |i| Some(t.get(i, i)),
+                col,
+            ),
+            Substitution::Upper => reference_column(
+                n,
+                (0..n).rev(),
+                |i| i + 1..n,
+                |i, j| t.get(i, j),
+                |i| Some(t.get(i, i)),
+                col,
+            ),
+        };
+        for disp in arms() {
+            let mut x = b.clone();
+            disp.substitute(kind, &t, n, x.as_mut_slice(), q);
+            let what = format!("{kind:?} on the {} arm", disp.name());
+            assert_columns_bitwise(&x, &b, reference, &what);
+        }
+    }
 
     #[test]
     fn lower_solve_is_the_per_column_chain_bitwise() {
         for n in SIZES {
-            let l = lower(n, n as u64);
             for q in WIDTHS {
-                let b = rhs(n, q, 1);
-                let mut x = b.clone();
-                solve_lower_in_place(&l, n, x.as_mut_slice(), q);
-                let reference = |col: &[f64]| {
-                    reference_column(
-                        n,
-                        0..n,
-                        |i| 0..i,
-                        |i, j| l.get(i, j),
-                        |i| Some(l.get(i, i)),
-                        col,
-                    )
-                };
-                assert_columns_bitwise(&x, &b, reference, "L");
-                let mut xu = b.clone();
-                solve_unit_lower_in_place(&l, n, xu.as_mut_slice(), q);
-                let reference = |col: &[f64]| {
-                    reference_column(n, 0..n, |i| 0..i, |i, j| l.get(i, j), |_| None, col)
-                };
-                assert_columns_bitwise(&xu, &b, reference, "unit L");
+                assert_chain_on_every_arm(Substitution::Lower, n, q, n as u64);
+                assert_chain_on_every_arm(Substitution::UnitLower, n, q, n as u64);
             }
         }
     }
@@ -300,16 +374,8 @@ mod tests {
     #[test]
     fn lower_transpose_solve_is_the_per_column_chain_bitwise() {
         for n in SIZES {
-            let l = lower(n, 40 + n as u64);
             for q in WIDTHS {
-                let b = rhs(n, q, 2);
-                let mut x = b.clone();
-                solve_lower_transpose_in_place(&l, n, x.as_mut_slice(), q);
-                let reference = |col: &[f64]| {
-                    let t = |i, j| l.get(j, i);
-                    reference_column(n, (0..n).rev(), |i| i + 1..n, t, |i| Some(l.get(i, i)), col)
-                };
-                assert_columns_bitwise(&x, &b, reference, "L^T");
+                assert_chain_on_every_arm(Substitution::LowerTranspose, n, q, 40 + n as u64);
             }
         }
     }
@@ -317,16 +383,31 @@ mod tests {
     #[test]
     fn upper_solve_is_the_per_column_chain_bitwise() {
         for n in SIZES {
-            let u = lower(n, 80 + n as u64).transpose();
             for q in WIDTHS {
-                let b = rhs(n, q, 3);
-                let mut x = b.clone();
-                solve_upper_in_place(&u, n, x.as_mut_slice(), q);
-                let reference = |col: &[f64]| {
-                    let t = |i, j| u.get(i, j);
-                    reference_column(n, (0..n).rev(), |i| i + 1..n, t, |i| Some(u.get(i, i)), col)
-                };
-                assert_columns_bitwise(&x, &b, reference, "U");
+                assert_chain_on_every_arm(Substitution::Upper, n, q, 80 + n as u64);
+            }
+        }
+    }
+
+    /// The four substitutions on every arm against the per-column chain at
+    /// the sizes the factor and the ID solve (merges up to 2 x 160, ranks
+    /// up to 256) and at every width 1..=17 around the vector lengths, plus
+    /// the ID's 64- to 320-column panels.  Release only (`chain_oracle`, the
+    /// CI step that runs the GEMM and distance sweeps).
+    #[test]
+    #[ignore = "exhaustive; run in release"]
+    fn substitution_chain_oracle_sweep() {
+        let kinds = [
+            Substitution::Lower,
+            Substitution::UnitLower,
+            Substitution::LowerTranspose,
+            Substitution::Upper,
+        ];
+        for n in [3, 4, 5, 7, 8, 9, 31, 32, 33, 96, 160, 257, 320] {
+            for q in (1..=17).chain([48, 64, 160, 320]) {
+                for (i, kind) in kinds.into_iter().enumerate() {
+                    assert_chain_on_every_arm(kind, n, q, (n * 31 + q * 7 + i) as u64);
+                }
             }
         }
     }

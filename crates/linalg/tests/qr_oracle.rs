@@ -1,12 +1,15 @@
-//! The pivoted QR against the factorization it replaced.
+//! The pivoted QR against the factorization it replaced, on every kernel
+//! arm.
 //!
-//! `pivoted_qr` factors a row-major buffer by rows and never forms `Q`; the
-//! column-at-a-time Householder QR below is the parent's, kept verbatim as
-//! the oracle.  Rank, permutation and every bit of `R` must agree — the ID,
-//! and through it every skeleton, generator and stored image, is built on
-//! them (`tests/serialization_roundtrip.rs` pins the result).
+//! `pivoted_qr` factors a row-major buffer in one pass a step and never
+//! forms `Q`; the column-at-a-time Householder QR below is the one it
+//! replaced, kept verbatim as the oracle.  Rank, permutation and every bit
+//! of `R` must agree on each arm the host has (scalar, avx2, avx512,
+//! resolved explicitly) — the ID, and through it every skeleton, generator
+//! and stored image, is built on them (`tests/serialization_roundtrip.rs`
+//! pins the result).
 
-use matrox_linalg::{matmul, pivoted_qr, Matrix, PivotedQr};
+use matrox_linalg::{matmul, KernelChoice, KernelDispatch, Matrix, PivotedQr};
 use rand::{Rng, SeedableRng};
 
 /// The column-at-a-time factorization `pivoted_qr` replaced, verbatim
@@ -76,16 +79,37 @@ fn reference_qr(a: &Matrix, tol: f64, max_rank: usize) -> PivotedQr {
     PivotedQr { rank, perm, r }
 }
 
-/// Rank, permutation and every bit of `R` agree with the oracle.
-fn assert_matches_reference(a: &Matrix, tol: f64, max_rank: usize) {
+/// Every arm this host runs: scalar, the 256-bit arm and the widest one
+/// (`Avx2` degrades to scalar without the features, and `Auto` is `Avx2`
+/// without AVX-512).
+fn arms() -> Vec<KernelDispatch> {
+    let mut arms = vec![
+        KernelDispatch::scalar(),
+        KernelDispatch::resolve(KernelChoice::Avx2),
+        KernelDispatch::resolve(KernelChoice::Auto),
+    ];
+    arms.dedup();
+    arms
+}
+
+/// Rank, permutation and every bit of `R` agree with the oracle on every
+/// arm; returns the oracle's rank.
+fn assert_matches_reference(a: &Matrix, tol: f64, max_rank: usize) -> usize {
     let want = reference_qr(a, tol, max_rank);
-    let got = pivoted_qr(a.clone(), tol, max_rank);
-    let what = format!("{:?} tol {tol} cap {max_rank}", a.shape());
-    assert_eq!(got.rank, want.rank, "rank, {what}");
-    assert_eq!(got.perm, want.perm, "perm, {what}");
-    assert_eq!(got.r.shape(), want.r.shape(), "R shape, {what}");
     let bits = |r: &Matrix| r.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&got.r), bits(&want.r), "R bits, {what}");
+    for disp in arms() {
+        let got = disp.pivoted_qr(a.clone(), tol, max_rank);
+        let what = format!(
+            "{} arm, {:?} tol {tol} cap {max_rank}",
+            disp.name(),
+            a.shape()
+        );
+        assert_eq!(got.rank, want.rank, "rank, {what}");
+        assert_eq!(got.perm, want.perm, "perm, {what}");
+        assert_eq!(got.r.shape(), want.r.shape(), "R shape, {what}");
+        assert_eq!(bits(&got.r), bits(&want.r), "R bits, {what}");
+    }
+    want.rank
 }
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -127,6 +151,84 @@ fn matches_reference_bitwise() {
                 assert_matches_reference(a, tol, cap);
             }
         }
+    }
+}
+
+/// The cases the one-pass form handles apart: a stop at step 0 and at
+/// step 1 (the pivot column's pending update, then no pass), a rank cap
+/// hit exactly, zero scales (columns of `0.0` and `-0.0`, and `-0.0`
+/// entries in live columns), duplicate columns whose downdated norm
+/// reaches exactly zero, pivot ties, and row counts of every residue mod
+/// 4 (the pass's remainder rows).  Each premise is asserted on the oracle.
+#[test]
+fn one_pass_edge_cases_match_reference_bitwise() {
+    // Stop at step 0: |R[0,0]| <= tol * |R[0,0]| for tol >= 1.
+    let a = random_matrix(13, 9, 30);
+    assert_eq!(assert_matches_reference(&a, 1.0, usize::MAX), 0);
+    assert_eq!(assert_matches_reference(&a, 2.0, 4), 0);
+    // Stop at step 1: a rank-one block.
+    let one = low_rank_matrix(14, 11, 1, 31);
+    assert_eq!(assert_matches_reference(&one, 1e-10, usize::MAX), 1);
+    // A cap equal to the numerical rank, and to min(m, n).
+    let five = low_rank_matrix(19, 12, 5, 33);
+    assert_eq!(assert_matches_reference(&five, 1e-10, 5), 5);
+    assert_eq!(assert_matches_reference(&five, 1e-10, usize::MAX), 5);
+    assert_eq!(assert_matches_reference(&a, 0.0, 9), 9);
+    // Exactly zero scales: a `0.0` and a `-0.0` column, and signed zeros
+    // sprinkled through live columns.
+    let mut zeros = random_matrix(18, 11, 34);
+    for i in 0..18 {
+        zeros.set(i, 2, 0.0);
+        zeros.set(i, 9, -0.0);
+        zeros.set(i, (i * 5) % 11, if i % 2 == 0 { -0.0 } else { 0.0 });
+    }
+    // Small integers, duplicate columns and equal norms: the downdated
+    // norms of the duplicates reach exactly zero, and the pivot rule meets
+    // ties (the last of equal norms wins).
+    let ints = Matrix::from_fn(15, 6, |i, j| ((i * 3 + j * 5) % 7) as f64 - 3.0);
+    let dups = ints.gather_cols(&[0, 1, 0, 2, 1, 3, 4, 5, 5, 2, 0]);
+    let ties = Matrix::from_fn(12, 12, |i, j| if (i + 3 * j) % 12 == 0 { 1.0 } else { 0.0 });
+    let mut cases = vec![
+        zeros,
+        dups,
+        ties,
+        Matrix::from_fn(6, 9, |_, j| (j % 3) as f64),
+    ];
+    // Every residue of the row count mod 4, tall and wide.
+    for m in 13..=16 {
+        cases.push(random_matrix(m, 10, m as u64));
+        cases.push(random_matrix(m, m + 7, 50 + m as u64));
+    }
+    for a in &cases {
+        for tol in [0.0, 1e-14, 1e-3] {
+            for cap in [usize::MAX, 2, 1] {
+                assert_matches_reference(a, tol, cap);
+            }
+        }
+    }
+}
+
+/// `reuse_sweep`'s block shape: a Gaussian kernel between 64 covtype-like
+/// points (d = 54) and 64 samples, at each rung of its accuracy ladder.
+#[test]
+fn matches_reference_at_reuse_sweep_shape() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+    let points = |rng: &mut rand::rngs::StdRng| {
+        (0..64)
+            .map(|_| {
+                (0..54)
+                    .map(|_| rng.gen_range(0.0..1.0))
+                    .collect::<Vec<f64>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let (x, y) = (points(&mut rng), points(&mut rng));
+    let at = Matrix::from_fn(64, 64, |s, c| {
+        let d2: f64 = x[s].iter().zip(&y[c]).map(|(a, b)| (a - b) * (a - b)).sum();
+        (-d2 / 2.0).exp()
+    });
+    for bacc in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5] {
+        assert_matches_reference(&at, bacc, 256);
     }
 }
 
