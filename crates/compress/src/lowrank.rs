@@ -457,6 +457,33 @@ mod tests {
         );
     }
 
+    /// With the points kept on the HTree, the memo shares that copy: a call
+    /// over the copy and one over the caller's equal set both get the kept
+    /// blocks back, one coordinate moved evaluates afresh, and neither the
+    /// copy nor the blocks are printed.
+    #[test]
+    fn the_kept_points_key_the_memo() {
+        let (pts, tree, mut htree, sampling, kernel) = setup(512, Structure::h2b());
+        htree.keep_points(&pts);
+        let params = CompressionParams::default();
+        let kept = htree.kept_points().unwrap();
+        assert_eq!(htree.built_over(&pts), Some(true));
+        let first = compress(kept, &tree, &htree, &kernel, &sampling, &params).near_blocks;
+        for p in [kept, &pts] {
+            let again = compress(p, &tree, &htree, &kernel, &sampling, &params).near_blocks;
+            assert!(std::sync::Arc::ptr_eq(&again, &first));
+        }
+        let mut coords = pts.coords().to_vec();
+        coords[pts.dim()] += 0.25;
+        let moved = PointSet::new(pts.dim(), coords);
+        assert_eq!(htree.built_over(&moved), Some(false));
+        let got = compress(&moved, &tree, &htree, &kernel, &sampling, &params).near_blocks;
+        assert!(!std::sync::Arc::ptr_eq(&got, &first));
+        let fresh = pair_blocks(&moved, &kernel, &htree.near, 1, |i| tree.indices(i));
+        assert_eq!(block_bits(&got), block_bits(&fresh));
+        assert!(format!("{htree:?}").len() < 100_000);
+    }
+
     /// The memo is keyed on everything the blocks read: another kernel,
     /// points that differ in one coordinate, another tree over the same
     /// points and edited near lists each evaluate afresh, to the blocks a

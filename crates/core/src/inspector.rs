@@ -160,7 +160,8 @@ pub fn inspector_p1(
         timings.tree_construction = t0.elapsed();
 
         let t0 = Instant::now();
-        let htree = HTree::build(&tree, params.structure);
+        let mut htree = HTree::build(&tree, params.structure);
+        htree.keep_points(points);
         timings.interaction = t0.elapsed();
 
         let t0 = Instant::now();
@@ -197,11 +198,13 @@ pub fn inspector_p1(
 ///
 /// # Errors
 /// [`MatroxError::InvalidInput`] under the same screening as
-/// [`inspector_p1`], plus [`MatroxError::PlanMismatch`] when `points` does
-/// not hold as many points as `p1`'s tree orders.  The count is all that is
-/// checked: a p1 built over other points of the same count is not
-/// detected, and the model is then `p1`'s tree, lists and samples applied to
-/// `points`.
+/// [`inspector_p1`], plus [`MatroxError::PlanMismatch`] when `points` are
+/// not the points `p1` was built over: [`inspector_p1`] keeps a copy on
+/// `p1.htree` ([`HTree::keep_points`]), `points` is compared with it once,
+/// bit for bit, and the stages then run on the copy, whose near blocks the
+/// memo matches by address ([`HTree::kept_points`]).  A `p1` assembled by
+/// hand around an `HTree` that kept no points is checked by its point count
+/// only.
 pub fn inspector_p2(
     points: &PointSet,
     p1: &InspectorP1,
@@ -217,6 +220,22 @@ pub fn inspector_p2(
             points.len()
         )));
     }
+    if p1.htree.built_over(points) == Some(false) {
+        return Err(MatroxError::PlanMismatch(
+            "p1 was built over other points of the same count".into(),
+        ));
+    }
+    p2_stages(p1.htree.kept_points().unwrap_or(points), p1, kernel, bacc)
+}
+
+/// The stages of [`inspector_p2`], on inputs already screened and matched
+/// to `p1`.
+fn p2_stages(
+    points: &PointSet,
+    p1: &InspectorP1,
+    kernel: &Kernel,
+    bacc: f64,
+) -> Result<HMatrix, MatroxError> {
     contain(|| {
         let mut timings = p1.timings;
         let params = &p1.params;
@@ -289,7 +308,14 @@ pub fn inspector(
 ) -> Result<HMatrix, MatroxError> {
     screen_bacc(params.bacc)?;
     let p1 = inspector_p1(points, kernel, params)?;
-    inspector_p2(points, &p1, kernel, params.bacc)
+    // `p1` was just built over `points`, under the same screening: run on
+    // the copy it kept, with nothing to compare.
+    p2_stages(
+        p1.htree.kept_points().unwrap_or(points),
+        &p1,
+        kernel,
+        params.bacc,
+    )
 }
 
 #[cfg(test)]

@@ -24,9 +24,12 @@
 //! 64 x 64 on `reuse_sweep`, tolerance 1e-7), in ms per factorization and
 //! GF/s of its reflector dots and updates; the LU line times the two
 //! substitutions of an LU solve ([`KernelDispatch::substitute`], unit `L`
-//! then `U`) at a 160 x 160 sibling merge with 48 right-hand sides.  Every
-//! arm must return the scalar arm's bits there: the probe exits non-zero
-//! if one does not.
+//! then `U`) at a 160 x 160 sibling merge with 48 right-hand sides.
+//!
+//! Every line is also a bit check, and the probe exits non-zero on a
+//! mismatch: at each GEMM shape the two SIMD arms (one chain) must return
+//! the same bits, and on the distance, QR and LU lines every arm must
+//! return the scalar arm's.
 
 use matrox_linalg::kernel::{DistPanels, KC, MC, NC};
 use matrox_linalg::{
@@ -34,7 +37,13 @@ use matrox_linalg::{
 };
 use std::time::Instant;
 
-fn gflops(disp: KernelDispatch, m: usize, k: usize, n: usize) -> f64 {
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// GF/s of `C += A * B` at `m x k x n`, with the bits of one product from
+/// `C = 0`.
+fn gflops(disp: KernelDispatch, m: usize, k: usize, n: usize) -> (f64, Vec<u64>) {
     let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.37).sin()).collect();
     let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.11).cos()).collect();
     let mut c = vec![0.0; m * n];
@@ -42,17 +51,19 @@ fn gflops(disp: KernelDispatch, m: usize, k: usize, n: usize) -> f64 {
     let reps = ((2e8 / flops) as usize).max(4);
     // Warm up (packs buffers, faults pages).
     disp.gemm(&a, m, k, &b, n, &mut c);
+    let first = bits(&c);
     let t0 = Instant::now();
     for _ in 0..reps {
         disp.gemm(&a, m, k, &b, n, &mut c);
     }
     let dt = t0.elapsed().as_secs_f64();
-    flops * reps as f64 / dt / 1e9
+    (flops * reps as f64 / dt / 1e9, first)
 }
 
 /// Nanoseconds per pair of a 64 x 64 distance block at dimension `dim`:
-/// the squared distance alone, and with an `exp` per entry.
-fn dist_ns(disp: KernelDispatch, dim: usize) -> (f64, f64) {
+/// the squared distance alone, and with an `exp` per entry; with the bits
+/// of every block's distances.
+fn dist_ns(disp: KernelDispatch, dim: usize) -> (f64, f64, Vec<u64>) {
     const N: usize = 64;
     // Sixteen blocks of 64 points, so the working set stays in L2 and the
     // rows are not the columns.
@@ -65,6 +76,11 @@ fn dist_ns(disp: KernelDispatch, dim: usize) -> (f64, f64) {
         })
         .collect();
     let mut out = vec![0.0; N * N];
+    let mut first = Vec::new();
+    for (rows, panels) in &blocks {
+        disp.dist2(&coords, rows, panels, 0, &mut out, N);
+        first.extend(bits(&out));
+    }
     let reps = ((4e8 / (16 * N * N * dim) as f64) as usize).max(4);
     let mut time = |with_exp: bool| {
         let t0 = Instant::now();
@@ -79,7 +95,7 @@ fn dist_ns(disp: KernelDispatch, dim: usize) -> (f64, f64) {
         t0.elapsed().as_secs_f64() * 1e9 / (reps * 16 * N * N) as f64
     };
     time(false);
-    (time(false), time(true))
+    (time(false), time(true), first)
 }
 
 /// A Gaussian sample block of `sci_solve`'s kind: `m` sample points (every
@@ -165,6 +181,14 @@ fn main() {
         auto,
     ];
     arms.dedup();
+    let mut mismatch = false;
+    // `want` holds the first result seen; every later one must equal it.
+    let mut check = |what: &str, name: &str, want: &mut Option<Vec<u64>>, got: Vec<u64>| {
+        if *want.get_or_insert_with(|| got.clone()) != got {
+            eprintln!("{what}: the {name} arm's bits differ");
+            mismatch = true;
+        }
+    };
     for &(m, k, n) in &[
         (64usize, 64usize, 16usize),
         (64, 64, 184),
@@ -174,17 +198,27 @@ fn main() {
         (256, 256, 256),
         (1024, 64, 128),
     ] {
+        // The SIMD arms share one chain; the scalar arm has its own.
+        let mut want = None;
         let row: Vec<String> = arms
             .iter()
-            .map(|&d| format!("{} {:6.2}", d.name(), gflops(d, m, k, n)))
+            .map(|&d| {
+                let (gf, got) = gflops(d, m, k, n);
+                if d.is_simd() {
+                    check(&format!("gemm {m} x {k} x {n}"), d.name(), &mut want, got);
+                }
+                format!("{} {gf:6.2}", d.name())
+            })
             .collect();
         println!("{m:>5} x {k:>4} x {n:>4}: {} GF/s", row.join(", "));
     }
     for dim in [2usize, 54] {
+        let mut want = None;
         let row: Vec<String> = arms
             .iter()
             .map(|&d| {
-                let (dist, entry) = dist_ns(d, dim);
+                let (dist, entry, got) = dist_ns(d, dim);
+                check(&format!("dist2 d = {dim}"), d.name(), &mut want, got);
                 format!("{} {dist:5.2} / {entry:5.2}", d.name())
             })
             .collect();
@@ -195,38 +229,32 @@ fn main() {
     }
     // The QR and the substitutions return the scalar arm's bits on every
     // arm; anything else is a broken build of the bodies.
-    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let mut mismatch = false;
     for (m, n) in [(512usize, 64usize), (512, 160), (64, 64)] {
         let a = qr_block(m, n);
-        let mut want: Option<PivotedQr> = None;
+        let (mut want, mut rank) = (None, 0);
         let mut row = Vec::new();
         for &d in &arms {
             let (ms, gf, f) = qr_time(d, &a);
             row.push(format!("{} {ms:6.3} ms {gf:5.2}", d.name()));
-            let w = want.get_or_insert_with(|| f.clone());
-            if (f.rank, &f.perm) != (w.rank, &w.perm)
-                || bits(f.r.as_slice()) != bits(w.r.as_slice())
-            {
-                eprintln!("pivoted_qr {m} x {n}: the {} arm's bits differ", d.name());
-                mismatch = true;
-            }
+            rank = f.rank;
+            let got = std::iter::once(&f.rank)
+                .chain(&f.perm)
+                .map(|&p| p as u64)
+                .chain(bits(f.r.as_slice()))
+                .collect();
+            check(&format!("pivoted_qr {m} x {n}"), d.name(), &mut want, got);
         }
         println!(
-            "pivoted_qr {m:>3} x {n:>3}: {} GF/s (rank {})",
-            row.join(", "),
-            want.map_or(0, |w| w.rank)
+            "pivoted_qr {m:>3} x {n:>3}: {} GF/s (rank {rank})",
+            row.join(", ")
         );
     }
-    let mut want: Option<Vec<u64>> = None;
+    let mut want = None;
     let mut row = Vec::new();
     for &d in &arms {
         let (ms, x) = lu_time(d, 160, 48);
         row.push(format!("{} {ms:6.3}", d.name()));
-        if *want.get_or_insert_with(|| bits(&x)) != bits(&x) {
-            eprintln!("lu solve: the {} arm's bits differ", d.name());
-            mismatch = true;
-        }
+        check("lu solve", d.name(), &mut want, bits(&x));
     }
     println!("lu solve 160 x 160, q = 48: {} ms", row.join(", "));
     if mismatch {

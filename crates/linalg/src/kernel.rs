@@ -29,8 +29,8 @@
 //!   stored or transposed through a (row stride, column stride) pair.
 //!   This is the portable fallback and is bitwise-identical to the
 //!   pre-SIMD behaviour of the workspace.
-//! * **avx2** — a register-blocked 4x8 `f64` microkernel
-//!   using AVX2 + FMA intrinsics (`kernel/avx2.rs`).  It reads the operands
+//! * **avx2** — a register-blocked 4x8 `f64` tile on `ymm` registers
+//!   (AVX2 + FMA, `kernel/avx2.rs`).  It reads the operands
 //!   where they lie whenever they fit the pack buffers (`m * k <= MC * KC`
 //!   and `k * n <= KC * NC`) or the product has fewer than [`NR`]
 //!   right-hand-side columns — every product the executor, the factor and
@@ -41,13 +41,21 @@
 //!   but not AVX-512, and by `avx2` whenever it does; requesting `avx2` on
 //!   hardware without the features silently falls back to `scalar`
 //!   (recorded in [`KernelDispatch::name`]).
-//! * **avx512** — an 8x16 `f64` tile on `zmm` registers
+//! * **avx512** — the same tile at 8x16 on `zmm` registers
 //!   (`kernel/avx512.rs`) for every in-place product with at least [`NR`]
 //!   right-hand-side columns (the executor's wide panels, the factor's
 //!   panel products), on the AVX2 arm's per-element chain; products with
 //!   fewer columns and packed ones run the AVX2 arm.  Selected by `auto`
 //!   when the CPU has `avx512f` on top of AVX2+FMA (never under Miri); no
 //!   `MATROX_KERNEL` value names it, and `avx2` pins the 256-bit arm.
+//!
+//! The two SIMD arms differ in register width and tile shape only, so each
+//! of their bodies is written once (`kernel/lanes.rs`): the GEMM tile, the
+//! in-place driver and the distance tile are generic over a lane type —
+//! `Ymm` or `Zmm`, a zero-sized token made only inside a `target_feature`
+//! function of its features — whose two impls are the only code that names
+//! an intrinsic.  Each arm compiles the bodies inside its own
+//! `target_feature` instance, with its tile shape and route rule.
 //!
 //! The dispatch also runs the squared-distance body under every kernel
 //! entry ([`KernelDispatch::dist2`], [`mod@dist`]): column points gathered
@@ -113,6 +121,8 @@ pub mod pack;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 use crate::gemm::scalar_product;
 use crate::matrix::Matrix;

@@ -13,10 +13,10 @@
 //! * **scalar** — one row at a time, the panel's eight accumulators held
 //!   across all `d` coordinates (the compiler vectorises the lanes).  It
 //!   is the oracle and the arm of hosts without SIMD (and of Miri);
-//! * **avx2** / **avx512** (`kernel/{avx2,avx512}.rs`) — four rows at a
-//!   time against one panel, so four independent accumulator vectors per
-//!   coordinate step (one `zmm`, or two `ymm`, per row), `sub`, `mul`,
-//!   `add` on every lane.
+//! * **avx2** / **avx512** — one body over both lane types
+//!   (`kernel/lanes.rs`): four rows at a time against one panel, so four
+//!   independent accumulator vectors per coordinate step (one `zmm`, or two
+//!   `ymm`, per row), `sub`, `mul`, `add` on every lane.
 //!
 //! Each lane rounds each `sub`, `mul` and `add` once, as the scalar loop
 //! does, so **every arm returns the same bits** — the distance arm moves

@@ -30,7 +30,9 @@
 //! every arm, `d = x_k - y_k; s = s + d * d` for `k` ascending from `0.0`,
 //! so each arm is pinned against that chain bit for bit, rows of its
 //! output past the columns it owns untouched, and a short output panics
-//! before anything is written.
+//! before anything is written.  `dot` and `axpy` (the Cholesky's and the
+//! LU's primitives) are pinned the same way, each arm against a model of
+//! its own chain.
 
 use matrox_linalg::kernel::{DistPanels, KC, MC, PANEL};
 use matrox_linalg::{gemm_seq, simd_available, GemmOp, KernelChoice, KernelDispatch, Matrix};
@@ -787,4 +789,97 @@ fn dist2_chain_oracle_sweep() {
             }
         }
     });
+}
+
+/// The SIMD arms' `dot` chain, modelled lane by lane: four 4-lane `fma`
+/// accumulators over 16-element strides, then a 4-element stride into the
+/// first, then `(acc0 + acc1) + (acc2 + acc3)` per lane and
+/// `((l0 + l1) + l2) + l3` across, then one `fma` per tail element.
+fn simd_dot_chain(x: &[f64], y: &[f64]) -> f64 {
+    let mut acc = [[0.0f64; 4]; 4];
+    let mut i = 0;
+    while i + 16 <= x.len() {
+        for (lane, a) in acc.iter_mut().enumerate() {
+            for (j, aj) in a.iter_mut().enumerate() {
+                *aj = x[i + 4 * lane + j].mul_add(y[i + 4 * lane + j], *aj);
+            }
+        }
+        i += 16;
+    }
+    while i + 4 <= x.len() {
+        for (j, aj) in acc[0].iter_mut().enumerate() {
+            *aj = x[i + j].mul_add(y[i + j], *aj);
+        }
+        i += 4;
+    }
+    let v: [f64; 4] = std::array::from_fn(|j| (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]));
+    let mut s = ((v[0] + v[1]) + v[2]) + v[3];
+    for (a, b) in x[i..].iter().zip(&y[i..]) {
+        s = a.mul_add(*b, s);
+    }
+    s
+}
+
+/// The scalar arm's `dot`: `s + a * b` from `0.0`, `mul` then `add`.
+fn scalar_dot_chain(x: &[f64], y: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (a, b) in x.iter().zip(y) {
+        s += a * b;
+    }
+    s
+}
+
+/// `n` values of mixed magnitude: every seventh `-0.0`, every fifth a
+/// subnormal, every eleventh `0.0`, the rest uniform in `[-1, 1)` scaled by
+/// a power of two from `2^-8` to `2^8`.
+fn dot_operand(n: usize, seed: u64) -> Vec<f64> {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| match i % 385 {
+            r if r % 7 == 0 => -0.0,
+            r if r % 5 == 0 => f64::from_bits(1 + (i as u64 % 97) * 0x1_0000_0001),
+            r if r % 11 == 0 => 0.0,
+            _ => rng.gen_range(-1.0..1.0) * 2f64.powi(rng.gen_range(-8..9)),
+        })
+        .collect()
+}
+
+/// `dot` and `axpy` on every arm against an independent model of the arm's
+/// chain, by `to_bits`: the SIMD arms' lane chain above and an `fma` per
+/// element of `axpy`, the scalar arm's `mul` + `add`.  Lengths `0..=40`
+/// (every stride remainder) and 1000 / 1001.
+#[test]
+fn dot_and_axpy_match_their_chains_bitwise() {
+    let alphas = [0.37, -1.5, -0.0, f64::from_bits(3)];
+    for disp in dispatches() {
+        let name = disp.name();
+        for n in (0..=40).chain([1000, 1001]) {
+            let x = dot_operand(n, 2 * n as u64 + 1);
+            let y = dot_operand(n, 2 * n as u64 + 2);
+            let want = if disp.is_simd() {
+                simd_dot_chain(&x, &y)
+            } else {
+                scalar_dot_chain(&x, &y)
+            };
+            let got = disp.dot(&x, &y);
+            assert_eq!(got.to_bits(), want.to_bits(), "{name} dot at n = {n}");
+            for alpha in alphas {
+                let mut got = y.clone();
+                disp.axpy(alpha, &x, &mut got);
+                for (i, (g, (&xi, &yi))) in got.iter().zip(x.iter().zip(&y)).enumerate() {
+                    let want = if disp.is_simd() {
+                        alpha.mul_add(xi, yi)
+                    } else {
+                        yi + alpha * xi
+                    };
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "{name} axpy({alpha:e}) at n = {n}, element {i}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -67,7 +67,10 @@ impl Structure {
 /// The HTree also keeps the dense blocks of its near lists once they are
 /// evaluated ([`HTree::near_blocks`]): they depend on the points, the tree
 /// and the kernel but not on the accuracy, so every p2 of an accuracy
-/// sweep over one p1 shares them.
+/// sweep over one p1 shares them.  It can keep a copy of the points it was
+/// built over ([`HTree::keep_points`]), so that a later stage can check it
+/// is handed the same ones ([`HTree::built_over`]) and then run on the copy
+/// ([`HTree::kept_points`]).
 #[derive(Debug, Clone)]
 pub struct HTree {
     /// Near (dense) interaction lists, indexed by node id.
@@ -76,9 +79,36 @@ pub struct HTree {
     pub far: Vec<Vec<usize>>,
     /// The structure mode used to build the lists.
     pub structure: Structure,
+    /// The points [`HTree::keep_points`] kept.  A clone shares them.
+    points: Option<Arc<Points>>,
     /// The first near field [`HTree::near_blocks`] evaluated, with every
     /// input it read.  A clone shares it.
     near_memo: OnceLock<Arc<NearField>>,
+}
+
+/// A copy of a point set, compared by bits.
+struct Points(PointSet);
+
+impl Points {
+    /// Whether `points` is this copy itself, or holds its coordinates bit
+    /// for bit.  The copy is never mutated, so a reference to it holds
+    /// its bits.
+    fn are(&self, points: &PointSet) -> bool {
+        let (kept, coords) = (self.0.coords(), points.coords());
+        std::ptr::eq(&self.0, points)
+            || (self.0.dim() == points.dim()
+                && kept.len() == coords.len()
+                && kept
+                    .iter()
+                    .zip(coords)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()))
+    }
+}
+
+impl fmt::Debug for Points {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Points({} x {})", self.0.len(), self.0.dim())
+    }
 }
 
 /// Dense near blocks `((i, j), D_{i,j})` in near-list order, behind one
@@ -90,8 +120,7 @@ pub type NearBlocks = Arc<[((usize, usize), Matrix)]>;
 /// every node a near pair reads.
 struct NearField {
     kernel: (u8, [u64; 2]),
-    dim: usize,
-    coords: Vec<f64>,
+    points: Arc<Points>,
     near: Vec<Vec<usize>>,
     /// `(node, tree.indices(node))` for every node in a near pair, ascending.
     rows: Vec<(usize, Vec<usize>)>,
@@ -116,8 +145,10 @@ fn near_nodes(near: &[Vec<usize>]) -> Vec<usize> {
 }
 
 impl NearField {
+    /// `points` is the snapshot of the points the blocks were evaluated
+    /// from.
     fn new(
-        points: &PointSet,
+        points: Arc<Points>,
         tree: &ClusterTree,
         kernel: &Kernel,
         near: &[Vec<usize>],
@@ -125,8 +156,7 @@ impl NearField {
     ) -> Self {
         NearField {
             kernel: kernel.to_bits(),
-            dim: points.dim(),
-            coords: points.coords().to_vec(),
+            points,
             near: near.to_vec(),
             rows: near_nodes(near)
                 .into_iter()
@@ -145,16 +175,9 @@ impl NearField {
         kernel: &Kernel,
         near: &[Vec<usize>],
     ) -> bool {
-        let coords = points.coords();
         self.kernel == kernel.to_bits()
             && self.near == near
-            && self.dim == points.dim()
-            && self.coords.len() == coords.len()
-            && self
-                .coords
-                .iter()
-                .zip(coords)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.points.are(points)
             && self
                 .rows
                 .iter()
@@ -176,6 +199,7 @@ impl HTree {
                 near,
                 far,
                 structure,
+                points: None,
                 near_memo: OnceLock::new(),
             };
         }
@@ -244,8 +268,28 @@ impl HTree {
             near,
             far,
             structure,
+            points: None,
             near_memo: OnceLock::new(),
         }
+    }
+
+    /// Keep a copy of `points`, the set this tree was built over, for
+    /// [`HTree::built_over`] and [`HTree::kept_points`].
+    pub fn keep_points(&mut self, points: &PointSet) {
+        self.points = Some(Arc::new(Points(points.clone())));
+    }
+
+    /// Whether `points` are the points [`HTree::keep_points`] kept, bit for
+    /// bit; `None` if it kept none.
+    pub fn built_over(&self, points: &PointSet) -> Option<bool> {
+        self.points.as_ref().map(|kept| kept.are(points))
+    }
+
+    /// The copy [`HTree::keep_points`] kept.  [`HTree::near_blocks`] over
+    /// it compares no coordinates: its memo shares the copy and knows it by
+    /// address.
+    pub fn kept_points(&self) -> Option<&PointSet> {
+        self.points.as_ref().map(|kept| &kept.0)
     }
 
     /// The dense near blocks `((i, j), K(I_i, I_j))` of every pair of
@@ -254,10 +298,13 @@ impl HTree {
     ///
     /// They are evaluated once per tree and kernel.  The first call keeps
     /// them with a copy of everything they read — the kernel and the
-    /// coordinates by bits, the near lists and the point indices of every
-    /// node in a near pair — and a later call whose inputs all equal that
-    /// copy gets the same allocation back.  Any other call evaluates afresh
-    /// and keeps nothing, so no input is ever served another input's blocks.
+    /// coordinates by bits (shared with [`HTree::kept_points`] when `points`
+    /// is that copy, else a copy of its own), the near lists and the point
+    /// indices of every node in a near pair — and a later call whose inputs
+    /// all equal that copy gets the same allocation back; `points` equals
+    /// it without a compare when it is the copy itself.  Any other call
+    /// evaluates afresh and keeps nothing, so no input is ever served
+    /// another input's blocks.
     pub fn near_blocks(
         &self,
         points: &PointSet,
@@ -275,7 +322,11 @@ impl HTree {
         let blocks: NearBlocks =
             pair_blocks(points, kernel, &self.near, grain, |i| tree.indices(i)).into();
         if kept.is_none() {
-            let field = NearField::new(points, tree, kernel, &self.near, Arc::clone(&blocks));
+            let snapshot = match &self.points {
+                Some(kept) if std::ptr::eq(&kept.0, points) => Arc::clone(kept),
+                _ => Arc::new(Points(points.clone())),
+            };
+            let field = NearField::new(snapshot, tree, kernel, &self.near, Arc::clone(&blocks));
             // A concurrent first call may have filled the cell meanwhile; its
             // blocks are the same bits, so either may stay.
             let _ = self.near_memo.set(Arc::new(field));

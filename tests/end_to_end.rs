@@ -4,13 +4,14 @@
 
 use matrox::baselines::{DenseBaseline, GofmmEvaluator, SmashEvaluator, StrumpackEvaluator};
 use matrox::compress::{compress, reference_evaluate, CompressionParams};
+use matrox::core::MatroxError;
 use matrox::linalg::{relative_error, KernelChoice, KernelDispatch};
 use matrox::points::dense_kernel_matmul;
 use matrox::sampling::sample_nodes;
 use matrox::tree::{ClusterTree, HTree};
 use matrox::{
     generate, inspector, inspector_p1, inspector_p2, DatasetId, ExecOptions, Kernel, MatRoxParams,
-    Matrix, Structure,
+    Matrix, PointSet, Structure,
 };
 use matrox_bench::solve_setting;
 use rand::SeedableRng;
@@ -276,4 +277,25 @@ fn factor_and_solve_run_on_the_kernel_their_options_name() {
         assert!(factor_bits(KernelChoice::Auto) == factor_bits(KernelChoice::Avx2));
         assert!(solve_bits(KernelChoice::Auto) == solve_bits(KernelChoice::Avx2));
     }
+}
+
+/// `inspector_p2` checks that it is handed the points `inspector_p1` was
+/// built over, bit for bit: one coordinate changed (same count) is a plan
+/// mismatch, and the same points compress to `inspector`'s image.
+#[test]
+fn inspector_p2_refuses_points_p1_was_not_built_over() {
+    let points = generate(DatasetId::Covtype, 512, 4);
+    let kernel = Kernel::paper_gaussian();
+    let params = MatRoxParams::h2b().with_leaf_size(32);
+    let p1 = inspector_p1(&points, &kernel, &params).expect("inspector p1");
+    let mut coords = points.coords().to_vec();
+    coords[3 * points.dim() + 1] += 1e-3;
+    let moved = PointSet::new(points.dim(), coords);
+    assert!(matches!(
+        inspector_p2(&moved, &p1, &kernel, params.bacc),
+        Err(MatroxError::PlanMismatch(_))
+    ));
+    let reused = inspector_p2(&points, &p1, &kernel, params.bacc).expect("inspector p2");
+    let full = inspector(&points, &kernel, &params).expect("inspector");
+    assert!(matrox::core::to_bytes(&reused) == matrox::core::to_bytes(&full));
 }
