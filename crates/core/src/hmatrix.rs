@@ -171,7 +171,7 @@ impl HMatrix {
     }
 
     /// [`factorize`](HMatrix::factorize) with explicit executor options:
-    /// parallel sweeps and grain (results are bitwise identical either way)
+    /// parallel sweeps or not (results are bitwise identical either way)
     /// and the kernel every product runs on (`opts.kernel`; scalar and SIMD
     /// factors differ in the last bits, the two SIMD arms do not).
     pub fn factorize_with(&self, opts: &ExecOptions) -> Result<FactoredHMatrix, MatroxError> {

@@ -19,20 +19,26 @@
 //!   Upward it sets `T_i = V_i^T stack`; downward it adds `V_i S_i` into the
 //!   stack (the operator is symmetric: `V` applied plain is the row basis).
 //!
-//! The coarsened loop's skeleton is [`tree_sweep`], the one tree-sweep
-//! driver, which the ULV solve (`matrox-factor`) drives with bodies of its
-//! own: sequential over coarsen levels (in order upward, reversed downward)
-//! and parallel over their load-balanced sub-trees, the root visited on its
-//! own — last upward, first downward.  It hands each node its disjoint parts
-//! of caller-owned scratch buffers.
+//! Two drivers carry both operators over a plan, the evaluation here and
+//! the ULV solve (`matrox-factor`), each with bodies of its own:
 //!
-//! Each loop's body runs on the pool when the corresponding lowering is on
-//! and in the same order on the calling thread when it is off — because
-//! code generation decided the lowering is not profitable, or for the Figure 5
-//! ablation (`CDS(seq)`, `CDS + coarsen`, `CDS + block`, ...).
-//! The `peel_root` option applies the paper's low-level specialization: the
-//! root-most coarsen level is executed with block-level (parallel GEMM)
-//! parallelism because task-level parallelism has run out near the root.
+//! * [`panel_loop`], the one panel driver: it gathers each panel of
+//!   right-hand-side columns into tree order, zeroes the scratch its caller
+//!   names, runs the body and scatters the panel back;
+//! * [`tree_sweep`], the one tree-sweep driver and the coarsened loop's
+//!   skeleton: sequential over coarsen levels (in order upward, reversed
+//!   downward) and parallel over their load-balanced sub-trees, the root
+//!   visited on its own — last upward, first downward.  It hands each node
+//!   its disjoint parts of caller-owned scratch buffers.
+//!
+//! Each loop's body runs on the pool when the corresponding lowering of
+//! [`ExecOptions::lowering`] is on and in the same order on the calling
+//! thread when it is off — because code generation decided the lowering is
+//! not profitable, or for the Figure 5 ablation (`CDS(seq)`,
+//! `CDS + coarsen`, `CDS + block`, ...).  The `peel_root` lowering applies
+//! the paper's low-level specialization: the root-most coarsen level is
+//! executed with block-level (parallel GEMM) parallelism because task-level
+//! parallelism has run out near the root.
 //!
 //! All intermediate state is kept in the permuted (tree) ordering so that a
 //! node's rows of `W` and `Y` are contiguous; the input is permuted on entry
@@ -42,12 +48,13 @@
 //!
 //! Everything a panel iteration needs is derived once: the plan-dependent
 //! state (panel width, kernel dispatch, the rank slots) lives in
-//! [`PreparedExec`], and the per-evaluation scratch
-//! (permuted input/output panels plus the flat `T`/`S` coefficient buffers)
-//! is allocated once per [`execute_prepared`] call.  The panel loop itself
-//! allocates **nothing** — every GEMM writes into a precomputed offset range,
-//! and the loops hand tasks raw disjoint sub-slices (the private `RawSlots`
-//! helper) instead of rebuilding hash maps.
+//! [`PreparedExec`], which the solve builds too, and the scratch (for an
+//! evaluation, the permuted input/output panels plus the flat `T`/`S`
+//! coefficient buffers) is allocated once per [`panel_loop`] call.  The
+//! panel loop itself allocates **nothing** — every GEMM writes into a
+//! precomputed offset range, and the loops hand tasks raw disjoint
+//! sub-slices (the private `RawSlots` helper) instead of rebuilding hash
+//! maps.
 //!
 //! The disjointness that makes those raw slices sound is not assumed: it is
 //! the paper's conflict-free-scheduling invariant (blockset groups own
@@ -57,7 +64,7 @@
 //! solver and this executor alike (its items T1–T7 for the tree and P2–P6
 //! for the plan are what the `SAFETY:` comments below cite).  Its proof is
 //! a [`ValidPlan`], whose one constructor runs it and which borrows the
-//! pair it checked: the panel loop holds one and [`tree_sweep`] takes one.
+//! pair it checked: [`panel_loop`] and [`tree_sweep`] take one.
 //! [`PreparedExec::new`] and every [`execute_prepared`] call build one from
 //! the pair they are handed and panic on a malformed one rather than race
 //! on it ([`execute`], which prepares and evaluates the same pair, builds
@@ -68,32 +75,24 @@
     reason = "RawSlots disjoint raw slicing for the allocation-free loops: blockset groups own their targets' rows and slots, the tree sweep hands each node its rows, slot and children's pair, checked by EvalPlan::validate through ValidPlan (DESIGN.md unsafe inventory)"
 )]
 
-use matrox_analysis::{CdsBlockEntry, EvalPlan, GroupRange};
+use matrox_analysis::{CdsBlockEntry, EvalPlan, GroupRange, LoweringDecisions};
 use matrox_linalg::{KernelChoice, KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Which phases run in parallel; derived from the plan's lowering decisions
-/// or overridden for ablation studies.
+/// How an evaluation runs: which loops go on the pool, the panel width and
+/// the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Run the near loop blocked & parallel (block lowering).
-    pub parallel_near: bool,
-    /// Run the coupling loop blocked & parallel (block lowering, far).
-    pub parallel_far: bool,
-    /// Run the tree loops coarsened & parallel (coarsen lowering).
-    pub parallel_tree: bool,
-    /// Peel the root-most coarsen level and use parallel GEMM inside it
-    /// (low-level specialization).
-    pub peel_root: bool,
-    /// Minimum number of work items (blockset groups, coarsen partitions) a
-    /// parallel task may own; `0` means auto (1: the pool's own split
-    /// heuristic decides).  Larger grains trade load balance for lower
-    /// scheduling overhead — useful when groups are many and tiny.  Within a
-    /// panel-blocked evaluation the grain applies to every panel's parallel
-    /// loops individually.
-    pub grain: usize,
+    /// Which loops run blocked or coarsened on the pool: the plan's own
+    /// lowering decisions ([`ExecOptions::from_plan`]), or an ablation's
+    /// (the Figure 5 bars switch them one at a time).  `block_near` and
+    /// `block_far` put the near and the coupling loop's groups on the pool,
+    /// `coarsen_tree` the tree loops' partitions, and `peel_root` (with
+    /// `coarsen_tree`) runs the root-most coarsen level with parallel GEMMs
+    /// instead (low-level specialization).
+    pub lowering: LoweringDecisions,
     /// Width (in RHS columns) of the panels the four phases operate on; a
     /// multi-column evaluation `Y = K~ W` is processed `panel_width` columns
     /// at a time so a block's submatrix plus its input/output panels fit in
@@ -110,7 +109,7 @@ pub struct ExecOptions {
     /// AVX-512 arm where the CPU has it, else AVX2); the explicit choices
     /// pin a kernel for ablations and tests (`Avx2` the 256-bit arm).  For a
     /// fixed selection, results are bitwise identical across thread counts,
-    /// grains and panel widths.  The two SIMD arms share one chain and
+    /// lowerings and panel widths.  The two SIMD arms share one chain and
     /// return the same bits; switching between scalar and SIMD is the one
     /// choice that moves results (within kernel-accuracy tolerance).
     pub kernel: KernelChoice,
@@ -119,47 +118,35 @@ pub struct ExecOptions {
 impl ExecOptions {
     /// Follow the lowering decisions recorded in the plan.
     pub fn from_plan(plan: &EvalPlan) -> Self {
-        ExecOptions {
-            parallel_near: plan.decisions.block_near,
-            parallel_far: plan.decisions.block_far,
-            parallel_tree: plan.decisions.coarsen_tree,
-            peel_root: plan.decisions.peel_root,
-            grain: 0,
-            panel_width: 0,
-            kernel: KernelChoice::Auto,
-        }
+        Self::lowered(plan.decisions)
     }
 
     /// Fully sequential execution over CDS (the `CDS(seq)` ablation bar).
     pub fn sequential() -> Self {
-        ExecOptions {
-            parallel_near: false,
-            parallel_far: false,
-            parallel_tree: false,
+        Self::lowered(LoweringDecisions {
+            block_near: false,
+            block_far: false,
+            coarsen_tree: false,
             peel_root: false,
-            grain: 0,
-            panel_width: 0,
-            kernel: KernelChoice::Auto,
-        }
+        })
     }
 
     /// All optimizations on, regardless of the plan's thresholds.
     pub fn full() -> Self {
-        ExecOptions {
-            parallel_near: true,
-            parallel_far: true,
-            parallel_tree: true,
+        Self::lowered(LoweringDecisions {
+            block_near: true,
+            block_far: true,
+            coarsen_tree: true,
             peel_root: true,
-            grain: 0,
+        })
+    }
+
+    fn lowered(lowering: LoweringDecisions) -> Self {
+        ExecOptions {
+            lowering,
             panel_width: 0,
             kernel: KernelChoice::Auto,
         }
-    }
-
-    /// Set the minimum work items per parallel task (see [`ExecOptions::grain`]).
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain;
-        self
     }
 
     /// Set the RHS panel width (see [`ExecOptions::panel_width`]).
@@ -240,7 +227,8 @@ pub fn effective_panel_width(opts: &ExecOptions, plan: &EvalPlan) -> usize {
 /// was prepared from.
 #[derive(Debug, Clone)]
 pub struct PreparedExec {
-    /// The options (lowerings + grain + kernel) the plan was prepared with.
+    /// The options (lowering, panel width, kernel) the plan was prepared
+    /// with.
     pub opts: ExecOptions,
     /// Resolved RHS panel width (see [`ExecOptions::panel_width`]).
     pub panel_width: usize,
@@ -262,10 +250,12 @@ impl PreparedExec {
     /// after its parent, overlapping leaves, ...).  A plan the inspector
     /// produced, or a model reader returned, always validates.
     pub fn new(plan: &EvalPlan, tree: &ClusterTree, opts: &ExecOptions) -> Self {
-        Self::prepare(&verify_plan(plan, tree), opts)
+        Self::from_valid(&verify_plan(plan, tree), opts)
     }
 
-    fn prepare(valid: &ValidPlan<'_>, opts: &ExecOptions) -> Self {
+    /// [`PreparedExec::new`] for a pair validated already, such as the one
+    /// the solve's block index keeps.
+    pub fn from_valid(valid: &ValidPlan<'_>, opts: &ExecOptions) -> Self {
         let plan = valid.plan;
         PreparedExec {
             opts: *opts,
@@ -356,7 +346,7 @@ fn verify_plan<'a>(plan: &'a EvalPlan, tree: &'a ClusterTree) -> ValidPlan<'a> {
 /// As [`PreparedExec::new`], and when `w` has the wrong number of rows.
 pub fn execute(plan: &EvalPlan, tree: &ClusterTree, w: &Matrix, opts: &ExecOptions) -> Matrix {
     let valid = verify_plan(plan, tree);
-    run_panels(&valid, &PreparedExec::prepare(&valid, opts), w)
+    evaluate(&valid, &PreparedExec::from_valid(&valid, opts), w)
 }
 
 /// Evaluate `Y = K~ * W` with previously prepared executor state, processing
@@ -381,145 +371,173 @@ pub fn execute_prepared(
     prep: &PreparedExec,
     w: &Matrix,
 ) -> Matrix {
-    let valid = verify_plan(plan, tree);
-    assert!(
-        offsets_match(&prep.rank_off, &plan.cds.sranks),
-        "execute: PreparedExec belongs to a plan with different skeleton ranks"
-    );
-    run_panels(&valid, prep, w)
+    evaluate(&verify_plan(plan, tree), prep, w)
 }
 
-/// The evaluation proper, behind both entry points; `prep` was laid out for
-/// the validated pair.
-fn run_panels(valid: &ValidPlan<'_>, prep: &PreparedExec, w: &Matrix) -> Matrix {
-    let n = valid.tree.perm.len();
-    let q = w.cols();
-    assert_eq!(w.rows(), n, "execute: W must have N = {n} rows");
-    let mut y = Matrix::zeros(n, q);
-    if q == 0 {
-        return y;
-    }
-    let qp = prep.panel_width.max(1).min(q);
-    let total_rank = prep.rank_off[valid.tree.num_nodes()];
-    // Scratch shared by every panel: the gather fully overwrites the active
-    // slice of `w_perm`, and `execute_panel` re-zeroes the other three, so
-    // four allocations serve the whole evaluation.
-    let mut w_perm = vec![0.0f64; n * qp];
-    let mut y_perm = vec![0.0f64; n * qp];
-    let mut t_buf = vec![0.0f64; total_rank * qp];
-    let mut s_buf = vec![0.0f64; total_rank * qp];
-    let mut j0 = 0;
-    while j0 < q {
-        let j1 = (j0 + qp).min(q);
-        let cur = j1 - j0;
-        execute_panel(
-            valid,
+/// The evaluation proper, behind both entry points: one [`panel_loop`]
+/// whose body runs the blocked and the coarsened loop twice each, over the
+/// permuted input `w_perm` (gathered), the permuted output `y_perm`
+/// (scattered) and the flat `T` / `S` coefficient slots.
+fn evaluate(valid: &ValidPlan<'_>, prep: &PreparedExec, w: &Matrix) -> Matrix {
+    let (lowering, cds, tree) = (&prep.opts.lowering, &valid.plan.cds, valid.tree);
+    // `[w_perm, y_perm, t, s]`: the panel is gathered into `w_perm` and
+    // scattered from `y_perm`; the products accumulate into the other three.
+    let rows = [Rows::Points, Rows::Points, Rows::Ranks, Rows::Ranks];
+    panel_loop(valid, prep, w, rows, 0, &[1, 2, 3], 1, |q, bufs| {
+        let [w_perm, y_perm, t, s] = bufs;
+        // Near: `Y_i += D_ij W_j`, the blocked loop over leaf rows.
+        blocked_phase(
             prep,
-            w,
-            j0,
-            j1,
-            &mut w_perm[..n * cur],
-            &mut y_perm[..n * cur],
-            &mut t_buf[..total_rank * cur],
-            &mut s_buf[..total_rank * cur],
-            &mut y,
+            &cds.d_groups,
+            &cds.d_entries,
+            |e| cds.d_block(e),
+            |id| tree.nodes[id].start..tree.nodes[id].end,
+            lowering.block_near,
+            w_perm,
+            y_perm,
+            q,
         );
-        j0 = j1;
-    }
-    y
+        // Upward: `T_i = V_i^T [W_i | T_l; T_r]`, the coarsened loop.
+        coarsened_phase(valid, prep, true, w_perm, t, q);
+        // Coupling: `S_i += B_ij T_j`, the blocked loop over rank slots.
+        blocked_phase(
+            prep,
+            &cds.b_groups,
+            &cds.b_entries,
+            |e| cds.b_block(e),
+            |id| prep.rank_off[id]..prep.rank_off[id + 1],
+            lowering.block_far,
+            t,
+            s,
+            q,
+        );
+        // Downward: `[Y_i | S_l; S_r] += V_i S_i`, the coarsened loop reversed.
+        coarsened_phase(valid, prep, false, y_perm, s, q);
+    })
 }
 
-/// Run the blocked and the coarsened loop, twice each, for the RHS columns
-/// `[j0, j1)`, writing the result into the same columns of `y`.  All
-/// scratch slices are caller-owned and reused across panels.
-fn execute_panel(
+/// What the rows of one [`panel_loop`] or [`tree_sweep`] buffer are; each
+/// row holds one value per column of the panel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rows {
+    /// One row per point, in tree order: `N` rows.
+    Points,
+    /// One row per rank unit, laid out by the [`rank_offsets`]: `total_rank`
+    /// rows.
+    Ranks,
+}
+
+impl Rows {
+    /// The row count of a buffer of this kind over `n` points and the rank
+    /// slots `rank_off`.
+    fn count(self, n: usize, rank_off: &[usize]) -> usize {
+        match self {
+            Rows::Points => n,
+            Rows::Ranks => rank_off.last().copied().unwrap_or(0),
+        }
+    }
+}
+
+/// The one panel driver, behind the executor's evaluation and the ULV
+/// solve: apply a tree operator to `input` (`N x Q`, one row per point)
+/// `prep.panel_width` columns at a time and return the `N x Q` result.
+///
+/// It allocates the result and one buffer per entry of `rows`, sized for
+/// one panel, and nothing after.  For each panel of columns `j0..j1` it
+/// gathers those columns of `input` into buffer `gather` in tree order,
+/// zeroes the buffers `zeroed` names, calls `body(j1 - j0, buffers)` with
+/// every buffer cut to that width, and scatters buffer `scatter` back into
+/// the same columns of the result.  The gather and the scatter are copies;
+/// they run on the pool when any lowering of `prep.opts` is on and a panel
+/// holds at least `PERM_PAR_ELEMS` values, and on the calling thread
+/// otherwise.
+///
+/// # Panics
+/// When `input` does not have one row per point, `prep` was laid out for
+/// other sranks than `valid`'s, or `gather` / `scatter` is not a
+/// [`Rows::Points`] buffer.
+pub fn panel_loop<const K: usize>(
     valid: &ValidPlan<'_>,
     prep: &PreparedExec,
-    w: &Matrix,
-    j0: usize,
-    j1: usize,
-    w_perm: &mut [f64],
-    y_perm: &mut [f64],
-    t_buf: &mut [f64],
-    s_buf: &mut [f64],
-    y: &mut Matrix,
-) {
-    let (opts, tree) = (&prep.opts, valid.tree);
-    let n = tree.perm.len();
-    let q = w.cols();
-    let qp = j1 - j0;
-    debug_assert_eq!(w_perm.len(), n * qp);
-    debug_assert_eq!(y_perm.len(), n * qp);
-
-    // Permute the panel of W into tree order so every node's rows are
-    // contiguous.  The gather writes disjoint contiguous destination rows, so
-    // it parallelizes over row blocks; below ~PERM_PAR_ELEMS elements the
-    // copy is too memory-bound and short for a fork to pay off.
-    let any_parallel = opts.parallel_near || opts.parallel_far || opts.parallel_tree;
-    let perm_rows_per_task = PERM_PAR_ELEMS.div_ceil(qp).max(1);
-    if any_parallel && n * qp >= PERM_PAR_ELEMS {
-        w_perm
-            .par_chunks_mut(qp)
-            .with_min_len(perm_rows_per_task)
-            .enumerate()
-            .for_each(|(p, row)| row.copy_from_slice(&w.row(tree.perm[p])[j0..j1]));
-    } else {
-        for p in 0..n {
-            w_perm[p * qp..(p + 1) * qp].copy_from_slice(&w.row(tree.perm[p])[j0..j1]);
+    input: &Matrix,
+    rows: [Rows; K],
+    gather: usize,
+    zeroed: &[usize],
+    scatter: usize,
+    mut body: impl FnMut(usize, [&mut [f64]; K]),
+) -> Matrix {
+    let tree = valid.tree;
+    let (n, q) = (tree.perm.len(), input.cols());
+    assert_eq!(input.rows(), n, "panel_loop: input needs N = {n} rows");
+    assert!(
+        offsets_match(&prep.rank_off, &valid.plan.cds.sranks),
+        "panel_loop: PreparedExec belongs to a plan with different skeleton ranks"
+    );
+    assert!(
+        rows[gather] == Rows::Points && rows[scatter] == Rows::Points,
+        "panel_loop: only a point buffer is gathered or scattered"
+    );
+    let mut out = Matrix::zeros(n, q);
+    if q == 0 {
+        return out;
+    }
+    let qp = prep.panel_width.max(1).min(q);
+    let row_count = |r: Rows| r.count(n, &prep.rank_off);
+    // One allocation per buffer serves every panel: the gather overwrites
+    // the active part of its buffer, the zeroed ones are re-zeroed, and the
+    // body owns what the rest hold.
+    let mut bufs = rows.map(|r| (r, vec![0.0f64; row_count(r) * qp]));
+    // The copies are pure memory traffic: below ~PERM_PAR_ELEMS elements a
+    // fork costs more than it saves.
+    let l = &prep.opts.lowering;
+    let any_parallel = l.block_near || l.block_far || l.coarsen_tree;
+    for j0 in (0..q).step_by(qp) {
+        let j1 = (j0 + qp).min(q);
+        let cur = j1 - j0;
+        let par = any_parallel && n * cur >= PERM_PAR_ELEMS;
+        let rows_per_task = PERM_PAR_ELEMS.div_ceil(cur);
+        // Gather the panel into tree order so every node's rows are
+        // contiguous.  Each destination row is written once, so the copy
+        // splits over row blocks.
+        let dst = &mut bufs[gather].1[..n * cur];
+        if par {
+            dst.par_chunks_mut(cur)
+                .with_min_len(rows_per_task)
+                .enumerate()
+                .for_each(|(p, row)| row.copy_from_slice(&input.row(tree.perm[p])[j0..j1]));
+        } else {
+            for (row, &i) in dst.chunks_exact_mut(cur).zip(&tree.perm) {
+                row.copy_from_slice(&input.row(i)[j0..j1]);
+            }
+        }
+        for &z in zeroed {
+            let (r, buf) = &mut bufs[z];
+            buf[..row_count(*r) * cur].fill(0.0);
+        }
+        let parts = bufs
+            .each_mut()
+            .map(|(r, buf)| &mut buf[..row_count(*r) * cur]);
+        body(cur, parts);
+        // Scatter the panel into the result's columns.  In parallel, each
+        // task owns a block of *destination* rows and reads its rows through
+        // the inverse permutation, so the copy needs no synchronization.
+        let res = &bufs[scatter].1[..n * cur];
+        if par {
+            out.as_mut_slice()
+                .par_chunks_mut(q)
+                .with_min_len(rows_per_task)
+                .enumerate()
+                .for_each(|(i, row)| {
+                    let p = tree.pos[i];
+                    row[j0..j1].copy_from_slice(&res[p * cur..(p + 1) * cur]);
+                });
+        } else {
+            for (row, &i) in res.chunks_exact(cur).zip(&tree.perm) {
+                out.row_mut(i)[j0..j1].copy_from_slice(row);
+            }
         }
     }
-    y_perm.fill(0.0);
-    t_buf.fill(0.0);
-    s_buf.fill(0.0);
-
-    let cds = &valid.plan.cds;
-    // Near: `Y_i += D_ij W_j`, the blocked loop over leaf rows.
-    blocked_phase(
-        prep,
-        &cds.d_groups,
-        &cds.d_entries,
-        |e| cds.d_block(e),
-        |id| tree.nodes[id].start..tree.nodes[id].end,
-        opts.parallel_near,
-        w_perm,
-        y_perm,
-        qp,
-    );
-    // Upward: `T_i = V_i^T [W_i | T_l; T_r]`, the coarsened loop.
-    coarsened_phase(valid, prep, true, w_perm, t_buf, qp);
-    // Coupling: `S_i += B_ij T_j`, the blocked loop over rank slots.
-    blocked_phase(
-        prep,
-        &cds.b_groups,
-        &cds.b_entries,
-        |e| cds.b_block(e),
-        |id| prep.rank_off[id]..prep.rank_off[id + 1],
-        opts.parallel_far,
-        t_buf,
-        s_buf,
-        qp,
-    );
-    // Downward: `[Y_i | S_l; S_r] += V_i S_i`, the coarsened loop reversed.
-    coarsened_phase(valid, prep, false, y_perm, s_buf, qp);
-
-    // Un-permute the panel into the output columns.  Iterate over the
-    // *destination* rows (each task owns a contiguous block of `y`) and
-    // gather from the permuted buffer via the inverse permutation, so the
-    // parallel copy needs no synchronization.
-    if any_parallel && n * qp >= PERM_PAR_ELEMS {
-        y.as_mut_slice()
-            .par_chunks_mut(q)
-            .with_min_len(perm_rows_per_task)
-            .enumerate()
-            .for_each(|(i, row)| {
-                let p = tree.pos[i];
-                row[j0..j1].copy_from_slice(&y_perm[p * qp..(p + 1) * qp]);
-            });
-    } else {
-        for p in 0..n {
-            y.row_mut(tree.perm[p])[j0..j1].copy_from_slice(&y_perm[p * qp..(p + 1) * qp]);
-        }
-    }
+    out
 }
 
 /// Element count below which the entry/exit permutation copies stay
@@ -609,21 +627,13 @@ impl RawSlots {
 }
 
 /// Run `body` on every task of a phase — blockset groups, or the partitions
-/// of one coarsen level: on the pool, at least `opts.grain` tasks to a job,
-/// when the phase's lowering is on, and in order on the calling thread when it
-/// is off.  One body serves both, so a sequential ablation is the parallel
+/// of one coarsen level: on the pool, split as the pool decides, when the
+/// phase's lowering is on, and in order on the calling thread when it is
+/// off.  One body serves both, so a sequential ablation is the parallel
 /// loop minus the pool.  Returns once every task has finished.
-fn for_each_task<T: Sync>(
-    tasks: &[T],
-    parallel: bool,
-    opts: &ExecOptions,
-    body: impl Fn(&T) + Send + Sync,
-) {
+fn for_each_task<T: Sync>(tasks: &[T], parallel: bool, body: impl Fn(&T) + Send + Sync) {
     if parallel {
-        tasks
-            .par_iter()
-            .with_min_len(opts.grain.max(1))
-            .for_each(body);
+        tasks.par_iter().for_each(body);
     } else {
         tasks.iter().for_each(body);
     }
@@ -648,7 +658,7 @@ fn blocked_phase<'a>(
     q: usize,
 ) {
     let out = RawSlots::new(dst);
-    for_each_task(groups, parallel, &prep.opts, |g| {
+    for_each_task(groups, parallel, |g| {
         for e in &entries[g.start..g.end] {
             if e.rows == 0 || e.cols == 0 {
                 continue;
@@ -673,21 +683,11 @@ fn blocked_phase<'a>(
     });
 }
 
-/// One caller-owned scratch buffer of a [`tree_sweep`], `q` values a row.
-#[derive(Debug)]
-pub enum Scratch<'a> {
-    /// One row per point, in tree order: `N * q` values.
-    Points(&'a mut [f64]),
-    /// One row per rank unit, laid out by the [`rank_offsets`]:
-    /// `total_rank * q` values.
-    Ranks(&'a mut [f64]),
-}
-
-/// What one visit of [`tree_sweep`] owns of one [`Scratch`] buffer.
+/// What one visit of [`tree_sweep`] owns of one buffer.
 #[derive(Debug)]
 pub struct Part<'a> {
-    /// Of a `Points` buffer, a leaf's rows (empty for an internal node); of
-    /// a `Ranks` buffer, the node's slot.
+    /// Of a [`Rows::Points`] buffer, a leaf's rows (empty for an internal
+    /// node); of a [`Rows::Ranks`] buffer, the node's slot.
     pub own: &'a mut [f64],
     /// Of a `Ranks` buffer, the children's stacked pair `[l; r]` (empty for
     /// a leaf); of a `Points` buffer, empty.
@@ -697,47 +697,38 @@ pub struct Part<'a> {
 /// The one tree-sweep driver, behind the executor's coarsened loop and the
 /// ULV solve's two passes: visit every node of `valid`'s tree once, calling
 /// `body(id, peeled, parts)` with the node's [`Part`] of each of the `K`
-/// buffers.  Allocates nothing.
+/// caller-owned buffers, `q` values a row, whose rank slots are `prep`'s.
+/// Allocates nothing.
 ///
 /// Upward, the coarsen levels run in order and each partition's nodes in
 /// order, then the root; downward, the root first, then the levels and each
 /// partition's nodes reversed.  So a node's children are visited before it
 /// upward and its parent before it downward.  A level's partitions run on
-/// the pool, at least `opts.grain` to a job, when `opts.parallel_tree`, and
-/// in order on the calling thread otherwise.  With `opts.peel_root` too, the
-/// root-most level runs its partitions one after another instead and its
-/// visits, and the root's, are `peeled`: the body may run a product on the
-/// pool there.
+/// the pool when `prep`'s lowering has `coarsen_tree`, and in order on the
+/// calling thread otherwise.  With `peel_root` too, the root-most level runs
+/// its partitions one after another instead and its visits, and the
+/// root's, are `peeled`: the body may run a product on the pool there.
 ///
 /// # Panics
-/// When `rank_off` are not the [`rank_offsets`] of `valid`'s sranks, or a
-/// buffer does not hold `q` values per row of its kind.
+/// When `prep` was laid out for other sranks than `valid`'s, or a buffer
+/// does not hold `q` values per row of its kind.
 pub fn tree_sweep<const K: usize>(
     valid: &ValidPlan<'_>,
-    rank_off: &[usize],
+    prep: &PreparedExec,
     upward: bool,
-    opts: &ExecOptions,
     q: usize,
-    bufs: [Scratch<'_>; K],
+    bufs: [(Rows, &mut [f64]); K],
     body: impl Fn(usize, bool, [Part<'_>; K]) + Send + Sync,
 ) {
-    let (plan, tree) = (valid.plan, valid.tree);
+    let (plan, tree, rank_off) = (valid.plan, valid.tree, prep.rank_off.as_slice());
     assert!(
         offsets_match(rank_off, &plan.cds.sranks),
         "tree_sweep: the rank offsets were laid out for other sranks"
     );
-    let bufs = bufs.map(|buf| {
-        let (points, buf) = match buf {
-            Scratch::Points(buf) => (true, buf),
-            Scratch::Ranks(buf) => (false, buf),
-        };
-        let rows = if points {
-            tree.perm.len()
-        } else {
-            rank_off[tree.num_nodes()]
-        };
-        assert_eq!(buf.len(), rows * q, "tree_sweep: scratch of the wrong size");
-        (points, RawSlots::new(buf))
+    let bufs = bufs.map(|(rows, buf)| {
+        let len = rows.count(tree.perm.len(), rank_off) * q;
+        assert_eq!(buf.len(), len, "tree_sweep: scratch of the wrong size");
+        (rows == Rows::Points, RawSlots::new(buf))
     });
     let visit = |id: usize, peeled: bool| {
         let node = &tree.nodes[id];
@@ -775,7 +766,8 @@ pub fn tree_sweep<const K: usize>(
         body(id, peeled, parts);
     };
     // Node 0 is the root (T2).
-    let (root, peel) = (0, opts.parallel_tree && opts.peel_root);
+    let lowering = &prep.opts.lowering;
+    let (root, peel) = (0, lowering.coarsen_tree && lowering.peel_root);
     let levels = &plan.coarsenset.levels;
     let ordered = |i: usize, len: usize| if upward { i } else { len - 1 - i };
     if !upward {
@@ -784,7 +776,7 @@ pub fn tree_sweep<const K: usize>(
     for i in 0..levels.len() {
         let cl = ordered(i, levels.len());
         let peeled = peel && cl + 1 == levels.len();
-        for_each_task(&levels[cl], opts.parallel_tree && !peeled, opts, |part| {
+        for_each_task(&levels[cl], lowering.coarsen_tree && !peeled, |part| {
             for j in 0..part.len() {
                 visit(part[ordered(j, part.len())], peeled);
             }
@@ -811,40 +803,32 @@ fn coarsened_phase(
     q: usize,
 ) {
     let (cds, tree) = (&valid.plan.cds, valid.tree);
-    let bufs = [Scratch::Points(panel), Scratch::Ranks(coef)];
-    tree_sweep(
-        valid,
-        &prep.rank_off,
-        upward,
-        &prep.opts,
-        q,
-        bufs,
-        |id, peeled, [rows, slots]| {
-            let (v, vrows, cols) = cds.v(id);
-            if cols == 0 {
-                return;
-            }
-            let stack = if tree.nodes[id].is_leaf() {
-                rows.own
-            } else {
-                slots.pair
-            };
-            let own = slots.own;
-            debug_assert_eq!((stack.len(), own.len()), (vrows * q, cols * q));
-            let product = match (upward, peeled && vrows * cols * q >= PEEL_PAR_THRESHOLD) {
-                (true, false) => KernelDispatch::gemm_tn,
-                (true, true) => KernelDispatch::par_gemm_tn,
-                (false, false) => KernelDispatch::gemm,
-                (false, true) => KernelDispatch::par_gemm,
-            };
-            let (src, dst) = if upward {
-                (&*stack, own)
-            } else {
-                (&*own, stack)
-            };
-            product(&prep.dispatch, v, vrows, cols, src, q, dst);
-        },
-    );
+    let bufs = [(Rows::Points, panel), (Rows::Ranks, coef)];
+    tree_sweep(valid, prep, upward, q, bufs, |id, peeled, [rows, slots]| {
+        let (v, vrows, cols) = cds.v(id);
+        if cols == 0 {
+            return;
+        }
+        let stack = if tree.nodes[id].is_leaf() {
+            rows.own
+        } else {
+            slots.pair
+        };
+        let own = slots.own;
+        debug_assert_eq!((stack.len(), own.len()), (vrows * q, cols * q));
+        let product = match (upward, peeled && vrows * cols * q >= PEEL_PAR_THRESHOLD) {
+            (true, false) => KernelDispatch::gemm_tn,
+            (true, true) => KernelDispatch::par_gemm_tn,
+            (false, false) => KernelDispatch::gemm,
+            (false, true) => KernelDispatch::par_gemm,
+        };
+        let (src, dst) = if upward {
+            (&*stack, own)
+        } else {
+            (&*own, stack)
+        };
+        product(&prep.dispatch, v, vrows, cols, src, q, dst);
+    });
 }
 
 #[cfg(test)]
@@ -954,26 +938,22 @@ mod tests {
     #[test]
     fn all_ablation_variants_agree() {
         let f = fixture(DatasetId::Grid, 512, Structure::Geometric { tau: 0.65 }, 3);
+        // `(block_near, block_far, coarsen_tree, peel_root)`.
+        let lowered = |(block_near, block_far, coarsen_tree, peel_root)| ExecOptions {
+            lowering: LoweringDecisions {
+                block_near,
+                block_far,
+                coarsen_tree,
+                peel_root,
+            },
+            ..ExecOptions::sequential()
+        };
         let variants = [
             ExecOptions::sequential(),
-            ExecOptions {
-                parallel_near: true,
-                ..ExecOptions::sequential()
-            },
-            ExecOptions {
-                parallel_tree: true,
-                ..ExecOptions::sequential()
-            },
-            ExecOptions {
-                parallel_tree: true,
-                peel_root: true,
-                ..ExecOptions::sequential()
-            },
-            ExecOptions {
-                parallel_near: true,
-                parallel_far: true,
-                ..ExecOptions::sequential()
-            },
+            lowered((true, false, false, false)),
+            lowered((false, false, true, false)),
+            lowered((false, false, true, true)),
+            lowered((true, true, false, false)),
             ExecOptions::full(),
             ExecOptions::from_plan(&f.plan),
         ];
@@ -1160,6 +1140,7 @@ mod tests {
         const Q: usize = 2;
         let (tree, sranks) = (&f.tree, &f.plan.cds.sranks);
         let valid = ValidPlan::new(&f.plan, tree).expect("a valid plan");
+        let prep = PreparedExec::from_valid(&valid, opts);
         let off = rank_offsets(sranks);
         let total_rank = off[tree.num_nodes()];
         let fill = |id: usize, n: usize| vec![id as f64 + 1.0; n * Q];
@@ -1169,19 +1150,21 @@ mod tests {
             vec![0.0; total_rank * Q],
         );
         let bufs = [
-            Scratch::Points(&mut rows),
-            Scratch::Ranks(&mut stamp),
-            Scratch::Ranks(&mut count),
+            (Rows::Points, &mut rows[..]),
+            (Rows::Ranks, &mut stamp[..]),
+            (Rows::Ranks, &mut count[..]),
         ];
         tree_sweep(
             &valid,
-            &off,
+            &prep,
             upward,
-            opts,
             Q,
             bufs,
             |id, peeled, [rows, stamp, count]| {
-                assert!(!peeled || opts.peel_root, "peeled without peel_root");
+                assert!(
+                    !peeled || opts.lowering.peel_root,
+                    "peeled without peel_root"
+                );
                 count.own.iter_mut().for_each(|c| *c += 1.0);
                 count.pair.iter_mut().for_each(|c| *c += 16.0);
                 let node = &tree.nodes[id];
@@ -1250,10 +1233,8 @@ mod tests {
         for upward in [true, false] {
             sweep_stamps(&f, &ExecOptions::sequential(), upward);
             pool.install(|| sweep_stamps(&f, &ExecOptions::full(), upward));
-            let no_peel = ExecOptions {
-                peel_root: false,
-                ..ExecOptions::full()
-            };
+            let mut no_peel = ExecOptions::full();
+            no_peel.lowering.peel_root = false;
             pool.install(|| sweep_stamps(&f, &no_peel, upward));
         }
     }

@@ -5,18 +5,24 @@
 //! (both from `matrox-analysis`), using rayon for the parallel blocked and
 //! coarsened loops.
 //!
-//! The [`ExecOptions`] switches expose each lowering independently so the
+//! [`ExecOptions`] carries the plan's
+//! [`LoweringDecisions`](matrox_analysis::LoweringDecisions), or an
+//! ablation's, so each lowering can be switched independently for the
 //! Figure 5 ablation (CDS(seq), CDS + coarsen, CDS + block, CDS + block +
-//! coarsen + low-level) can be reproduced, and so thread-count sweeps
-//! (Figure 7) can pin execution to custom rayon pools.
+//! coarsen + low-level), and thread-count sweeps (Figure 7) can pin
+//! execution to custom rayon pools.
+//!
+//! The executor's two drivers, [`panel_loop`] over panels of right-hand-side
+//! columns and [`tree_sweep`] over the tree, are public: the ULV solve
+//! (`matrox-factor`) runs its passes on both, with bodies of its own.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod executor;
 
 pub use executor::{
-    choose_panel_width, effective_panel_width, execute, execute_prepared, rank_offsets,
-    requested_panel_width, tree_sweep, ExecOptions, Part, PreparedExec, Scratch, ValidPlan,
+    choose_panel_width, effective_panel_width, execute, execute_prepared, panel_loop, rank_offsets,
+    requested_panel_width, tree_sweep, ExecOptions, Part, PreparedExec, Rows, ValidPlan,
     DEFAULT_L2_BYTES, PANEL_MAX,
 };
 pub use matrox_linalg::{KernelChoice, KernelDispatch};

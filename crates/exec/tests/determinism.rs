@@ -122,7 +122,7 @@ fn deterministic_across_thread_counts_geometric() {
 
 /// Every explicit kernel selection must hold the bitwise thread-width
 /// invariant on its own: for a *fixed* kernel the executor's output may not
-/// depend on the pool width, the grain, or the RHS panel width.  (Scalar
+/// depend on the pool width, the lowering, or the RHS panel width.  (Scalar
 /// runs the portable fallback even on SIMD hosts; Avx2 degrades to scalar
 /// on hosts without the features — both ways the pinned-kernel contract
 /// must hold.)
@@ -166,21 +166,39 @@ fn fixed_kernel_is_deterministic_across_threads_and_panels() {
     }
 }
 
-/// The grain knob must change scheduling only, never results.
+/// A panel of at least 65 536 values (the executor's `PERM_PAR_ELEMS`; here
+/// 512 x 160, one panel) is gathered into tree order and scattered back on
+/// the pool whenever a lowering is on.  Those copies must move no bit: the
+/// plan's own lowering at pool widths 1, 2 and 4 and the sequential
+/// evaluation, which copies on the calling thread, agree bitwise.
 #[test]
-fn grain_settings_do_not_change_results() {
-    let (tree, plan, w) = fixture(DatasetId::Grid, 512, Structure::Geometric { tau: 0.65 }, 3);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let base = pool.install(|| execute(&plan, &tree, &w, &ExecOptions::full()));
-    for grain in [1usize, 2, 7, 64] {
-        let y = pool.install(|| execute(&plan, &tree, &w, &ExecOptions::full().with_grain(grain)));
-        assert_eq!(
-            y.as_slice(),
-            base.as_slice(),
-            "grain {grain} changed the numerical result"
+fn parallel_permute_is_bitwise_the_sequential_one() {
+    const Q: usize = 160;
+    let (tree, plan, w) = fixture(DatasetId::Grid, 512, Structure::h2b(), Q);
+    let l = plan.decisions;
+    assert!(
+        l.block_near || l.block_far || l.coarsen_tree,
+        "the plan lowers nothing, so nothing copies on the pool"
+    );
+    let opts = ExecOptions::from_plan(&plan).with_panel_width(Q);
+    let seq = execute(
+        &plan,
+        &tree,
+        &w,
+        &ExecOptions::sequential().with_panel_width(Q),
+    );
+    for nt in [1usize, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(nt)
+            .build()
+            .unwrap();
+        let y = pool.install(|| execute(&plan, &tree, &w, &opts));
+        assert!(
+            y.as_slice()
+                .iter()
+                .zip(seq.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{nt} workers: the pool's permute changed the result"
         );
     }
 }

@@ -330,11 +330,11 @@ impl HssFactor {
 
 /// Compute the ULV-style factorization of an HSS-compressed SPD matrix.
 ///
-/// `opts.parallel_tree` selects the level-parallel sweeps (the per-node
-/// arithmetic is identical either way, so results are bitwise independent of
-/// the choice and of the pool width); `opts.grain` is honored exactly as in
-/// the executor, and every product, Cholesky, LU and inverse runs on the
-/// [`KernelDispatch`] `opts.kernel` resolves, as the executor's do.
+/// `opts.lowering.coarsen_tree` selects the level-parallel sweeps (the
+/// per-node arithmetic is identical either way, so results are bitwise
+/// independent of the choice and of the pool width), and every product,
+/// Cholesky, LU and inverse runs on the [`KernelDispatch`] `opts.kernel`
+/// resolves, as the executor's do.
 pub fn factor(
     plan: &EvalPlan,
     tree: &ClusterTree,
@@ -367,7 +367,7 @@ pub fn factor_with_ridge(
     let index = HssIndex::build(plan, tree)?;
     let disp = KernelDispatch::for_choice(opts.kernel);
     let n_nodes = tree.num_nodes();
-    let (parallel, grain) = (opts.parallel_tree, opts.grain.max(1));
+    let parallel = opts.lowering.coarsen_tree;
     let empty = NodeFactor {
         inv: Matrix::zeros(0, 0),
         map: Matrix::zeros(0, 0),
@@ -379,7 +379,7 @@ pub fn factor_with_ridge(
     let mut gt: Vec<Matrix> = vec![Matrix::zeros(0, 0); n_nodes];
     // The node step of every node in `ids`, none of them another's parent.
     let mut step_all = |ids: &[usize]| -> Result<(), FactorError> {
-        let done = map_nodes(ids, parallel, grain, |id| {
+        let done = map_nodes(ids, parallel, |id| {
             factor_node(disp, plan, tree, &index, &gt, id, ridge)
         });
         for (&id, r) in ids.iter().zip(done) {
@@ -414,19 +414,15 @@ pub fn factor_with_ridge(
     })
 }
 
-/// `f` of every node in `ids`, in order: on the pool, at least `grain` nodes
-/// to a job, when `parallel`, else one after another on the calling thread.
+/// `f` of every node in `ids`, in order: on the pool, split as the pool
+/// decides, when `parallel`, else one after another on the calling thread.
 fn map_nodes<T: Send>(
     ids: &[usize],
     parallel: bool,
-    grain: usize,
     f: impl Fn(usize) -> T + Send + Sync,
 ) -> Vec<T> {
     if parallel {
-        ids.par_iter()
-            .with_min_len(grain)
-            .map(|&id| f(id))
-            .collect()
+        ids.par_iter().map(|&id| f(id)).collect()
     } else {
         ids.iter().map(|&id| f(id)).collect()
     }

@@ -1,11 +1,15 @@
 //! Forward/backward solve sweeps over an [`HssFactor`].
 //!
-//! One solve is two passes over the tree on the executor's tree-sweep
-//! driver ([`tree_sweep`]): up the plan's coarsen levels and then the root,
-//! and down from the root through the levels reversed.  Each pass is one
-//! body the driver calls per node with its parts of flat scratch sized for
-//! one panel of right-hand-side columns, one row per point or per rank unit
-//! with the slots at the [`rank_offsets`] of the sranks (node-id order):
+//! A solve runs on the executor's two drivers, as an evaluation does.  The
+//! panel driver ([`panel_loop`]) gathers each panel of right-hand-side
+//! columns into tree order, hands it to the two passes and scatters the
+//! solution back; the tree-sweep driver ([`tree_sweep`]) runs each pass, up
+//! the plan's coarsen levels and then the root, and down from the root
+//! through the levels reversed.  Each pass is one body the driver calls per
+//! node with its parts of flat scratch sized for one panel, one row per
+//! point or per rank unit with the slots at the
+//! [`rank_offsets`](matrox_exec::rank_offsets) of the sranks (node-id
+//! order):
 //!
 //! * `xp`, the permuted panel: a leaf's rows hold `b_i`, then
 //!   `y_i = D_i^{-1} b_i`, then `x_i = y_i - E_i s_i`;
@@ -19,8 +23,9 @@
 //! * `cx` / `ct`, shaped like `xp` / `tb`: where a product is formed before
 //!   it replaces (upward) or is subtracted from (downward) its target.
 //!
-//! Nothing is allocated per node, per level or per panel.  The driver hands
-//! each visit its rows, its slot and its children's pair under the
+//! The panel driver allocates these once per solve; nothing is allocated
+//! per node, per level or per panel.  The tree-sweep driver hands each
+//! visit its rows, its slot and its children's pair under the
 //! [`ValidPlan`](matrox_exec::ValidPlan) that [`HssIndex`] keeps, so this
 //! crate slices nothing itself and has no `unsafe`.
 //!
@@ -29,15 +34,15 @@
 //! `ExecOptions::kernel` resolves; there is no substitution.  A product's
 //! per-element chain does not depend on the other columns, so for a fixed
 //! kernel a solution column is bitwise independent of the pool width, the
-//! grain, the panel width, the number of columns solved with it and its
+//! lowering, the panel width, the number of columns solved with it and its
 //! position among them.
 
 use crate::factor::{FactorError, HssFactor, HssIndex};
 use matrox_analysis::EvalPlan;
 use matrox_exec::{
-    rank_offsets, requested_panel_width, tree_sweep, ExecOptions, Part, Scratch, PANEL_MAX,
+    panel_loop, requested_panel_width, tree_sweep, ExecOptions, Part, PreparedExec, Rows, PANEL_MAX,
 };
-use matrox_linalg::{KernelDispatch, Matrix};
+use matrox_linalg::Matrix;
 use matrox_tree::ClusterTree;
 
 /// `x -= c`, element by element.
@@ -48,14 +53,13 @@ fn sub_assign(x: &mut [f64], c: &[f64]) {
 }
 
 /// What the two passes read: the factor, the block index with the validated
-/// plan and tree it keeps, the rank slots, the kernel every product runs on,
-/// and how the driver runs a level.
+/// plan and tree it keeps, and the executor state prepared from that pair
+/// (the rank slots, the kernel every product runs on, how the driver runs a
+/// level).
 struct Sweeps<'a> {
     factor: &'a HssFactor,
     index: HssIndex<'a>,
-    rank_off: Vec<usize>,
-    disp: KernelDispatch,
-    opts: ExecOptions,
+    prep: PreparedExec,
 }
 
 impl Sweeps<'_> {
@@ -66,38 +70,30 @@ impl Sweeps<'_> {
     /// `ct` first, and writes `bhat = V^T (that solution)` into its slot.
     fn up(&self, q: usize, [xp, cx, tb, ct]: [&mut [f64]; 4]) {
         let valid = &self.index.valid;
-        let (cds, tree) = (&valid.plan().cds, valid.tree());
+        let (cds, tree, disp) = (&valid.plan().cds, valid.tree(), self.prep.dispatch());
         let bufs = [
-            Scratch::Points(xp),
-            Scratch::Points(cx),
-            Scratch::Ranks(tb),
-            Scratch::Ranks(ct),
+            (Rows::Points, xp),
+            (Rows::Points, cx),
+            (Rows::Ranks, tb),
+            (Rows::Ranks, ct),
         ];
-        tree_sweep(
-            valid,
-            &self.rank_off,
-            true,
-            &self.opts,
-            q,
-            bufs,
-            |id, _, parts| {
-                let [rows, cx, Part { own: bhat, pair }, ct] = parts;
-                let (stack, product) = if tree.nodes[id].is_leaf() {
-                    (rows.own, cx.own)
-                } else {
-                    (pair, ct.pair)
-                };
-                let inv = &self.factor.nodes[id].inv;
-                let m = inv.rows();
-                product.fill(0.0);
-                self.disp.gemm(inv.as_slice(), m, m, stack, q, product);
-                stack.copy_from_slice(product);
-                let (v, vrows, vcols) = cds.v(id);
-                if vcols > 0 {
-                    self.disp.gemm_tn(v, vrows, vcols, stack, q, bhat);
-                }
-            },
-        );
+        tree_sweep(valid, &self.prep, true, q, bufs, |id, _, parts| {
+            let [rows, cx, Part { own: bhat, pair }, ct] = parts;
+            let (stack, product) = if tree.nodes[id].is_leaf() {
+                (rows.own, cx.own)
+            } else {
+                (pair, ct.pair)
+            };
+            let inv = &self.factor.nodes[id].inv;
+            let m = inv.rows();
+            product.fill(0.0);
+            disp.gemm(inv.as_slice(), m, m, stack, q, product);
+            stack.copy_from_slice(product);
+            let (v, vrows, vcols) = cds.v(id);
+            if vcols > 0 {
+                disp.gemm_tn(v, vrows, vcols, stack, q, bhat);
+            }
+        });
     }
 
     /// Downward pass, parents before children.  `s_i` is the far-field load
@@ -109,56 +105,47 @@ impl Sweeps<'_> {
     /// children at once.
     fn down(&self, q: usize, [xp, cx, tb, ct, sb]: [&mut [f64]; 5]) {
         let valid = &self.index.valid;
-        let (cds, tree) = (&valid.plan().cds, valid.tree());
+        let (cds, tree, disp) = (&valid.plan().cds, valid.tree(), self.prep.dispatch());
         let bufs = [
-            Scratch::Points(xp),
-            Scratch::Points(cx),
-            Scratch::Ranks(tb),
-            Scratch::Ranks(ct),
-            Scratch::Ranks(sb),
+            (Rows::Points, xp),
+            (Rows::Points, cx),
+            (Rows::Ranks, tb),
+            (Rows::Ranks, ct),
+            (Rows::Ranks, sb),
         ];
-        tree_sweep(
-            valid,
-            &self.rank_off,
-            false,
-            &self.opts,
-            q,
-            bufs,
-            |id, _, parts| {
-                let [x, cx, t, ct, s] = parts;
-                let s_p = &*s.own;
-                let kp = s_p.len() / q;
-                let (stack, product) = if tree.nodes[id].is_leaf() {
-                    (x.own, cx.own)
-                } else {
-                    (t.pair, ct.pair)
-                };
-                if kp > 0 {
-                    let map = &self.factor.nodes[id].map;
-                    product.fill(0.0);
-                    self.disp
-                        .gemm(map.as_slice(), map.rows(), kp, s_p, q, product);
-                    sub_assign(stack, product);
-                }
-                let Some((l, r)) = tree.nodes[id].children else {
-                    return;
-                };
-                let (kl, kr) = (cds.sranks[l], cds.sranks[r]);
-                let s_kids = s.pair;
-                if kl > 0 && kr > 0 {
-                    let (t_l, t_r) = stack.split_at(kl * q);
-                    let (s_l, s_r) = s_kids.split_at_mut(kl * q);
-                    self.index.apply_coupling(self.disp, l, t_r, q, s_l);
-                    self.index.apply_coupling(self.disp, r, t_l, q, s_r);
-                }
-                // `[s_l; s_r] += R s_p`: one product over the pair, which
-                // continues each child's chain where its coupling left it.
-                if kp > 0 {
-                    let v = cds.v(id).0;
-                    self.disp.gemm(v, kl + kr, kp, s_p, q, s_kids);
-                }
-            },
-        );
+        tree_sweep(valid, &self.prep, false, q, bufs, |id, _, parts| {
+            let [x, cx, t, ct, s] = parts;
+            let s_p = &*s.own;
+            let kp = s_p.len() / q;
+            let (stack, product) = if tree.nodes[id].is_leaf() {
+                (x.own, cx.own)
+            } else {
+                (t.pair, ct.pair)
+            };
+            if kp > 0 {
+                let map = &self.factor.nodes[id].map;
+                product.fill(0.0);
+                disp.gemm(map.as_slice(), map.rows(), kp, s_p, q, product);
+                sub_assign(stack, product);
+            }
+            let Some((l, r)) = tree.nodes[id].children else {
+                return;
+            };
+            let (kl, kr) = (cds.sranks[l], cds.sranks[r]);
+            let s_kids = s.pair;
+            if kl > 0 && kr > 0 {
+                let (t_l, t_r) = stack.split_at(kl * q);
+                let (s_l, s_r) = s_kids.split_at_mut(kl * q);
+                self.index.apply_coupling(disp, l, t_r, q, s_l);
+                self.index.apply_coupling(disp, r, t_l, q, s_r);
+            }
+            // `[s_l; s_r] += R s_p`: one product over the pair, which
+            // continues each child's chain where its coupling left it.
+            if kp > 0 {
+                let v = cds.v(id).0;
+                disp.gemm(v, kl + kr, kp, s_p, q, s_kids);
+            }
+        });
     }
 }
 
@@ -167,7 +154,10 @@ impl HssFactor {
     /// columns per pass over the factor: [`ExecOptions::panel_width`] columns
     /// when set, otherwise up to [`PANEL_MAX`].  Like the executor's, the
     /// width never changes a bit of the result.  Every product runs on the
-    /// [`KernelDispatch`] [`ExecOptions::kernel`] resolves.
+    /// [`KernelDispatch`](matrox_linalg::KernelDispatch)
+    /// [`ExecOptions::kernel`] resolves.  The panels run on the executor's
+    /// [`panel_loop`], on the executor state prepared from the pair
+    /// [`HssFactor::validate`] checked.
     ///
     /// `plan` and `tree` must be the ones this factorization was computed
     /// from (the sweeps re-read the bases, transfer and coupling blocks from
@@ -189,52 +179,35 @@ impl HssFactor {
         opts: &ExecOptions,
     ) -> Result<Matrix, FactorError> {
         let n = tree.perm.len();
-        let q = b.cols();
         if b.rows() != n {
             return Err(FactorError::PlanMismatch(format!(
                 "right-hand side has {} rows but the tree orders N = {n} points",
                 b.rows()
             )));
         }
-        let sweeps = Sweeps {
-            index: self.validate(plan, tree)?,
-            factor: self,
-            rank_off: rank_offsets(&plan.cds.sranks),
-            disp: KernelDispatch::for_choice(opts.kernel),
-            opts: *opts,
-        };
-        let mut x = Matrix::zeros(n, q);
-        if q == 0 {
-            return Ok(x);
-        }
         // Every panel streams the whole factor once, so auto takes as many
         // columns per pass as the executor's widest panel; the executor's own
         // auto width is sized for CDS blocks to stay in L2 across panels,
         // which nothing here does.
-        let qp = requested_panel_width(opts).unwrap_or(PANEL_MAX).clamp(1, q);
-        let ranks = sweeps.rank_off[tree.num_nodes()];
-        let (rows, slots) = (|| vec![0.0f64; n * qp], || vec![0.0f64; ranks * qp]);
-        let (mut xp, mut cx) = (rows(), rows());
-        let (mut tb, mut ct, mut sb) = (slots(), slots(), slots());
-        for j0 in (0..q).step_by(qp) {
-            let j1 = (j0 + qp).min(q);
-            let cur = j1 - j0;
-            // Permute the panel into tree order so every node's rows are
-            // contiguous; the GEMMs accumulate, so slots start from zero.
-            let xp = &mut xp[..n * cur];
-            for (row, &i) in xp.chunks_exact_mut(cur).zip(&tree.perm) {
-                row.copy_from_slice(&b.row(i)[j0..j1]);
-            }
-            let (tb, sb) = (&mut tb[..ranks * cur], &mut sb[..ranks * cur]);
-            tb.fill(0.0);
-            sb.fill(0.0);
-            let (cx, ct) = (&mut cx[..n * cur], &mut ct[..ranks * cur]);
-            sweeps.up(cur, [xp, cx, tb, ct]);
-            sweeps.down(cur, [xp, cx, tb, ct, sb]);
-            for (row, &i) in xp.chunks_exact(cur).zip(&tree.perm) {
-                x.row_mut(i)[j0..j1].copy_from_slice(row);
-            }
-        }
+        let width = requested_panel_width(opts).unwrap_or(PANEL_MAX);
+        let index = self.validate(plan, tree)?;
+        let prep = PreparedExec::from_valid(&index.valid, &opts.with_panel_width(width));
+        let sweeps = Sweeps {
+            factor: self,
+            index,
+            prep,
+        };
+        use Rows::{Points, Ranks};
+        // `[xp, cx, tb, ct, sb]`: the panel is gathered into `xp` and
+        // scattered back from it; the products accumulate into `tb` and
+        // `sb`, so those start from zero (`cx` / `ct` are zeroed where used).
+        let rows = [Points, Points, Ranks, Ranks, Ranks];
+        let valid = &sweeps.index.valid;
+        let x = panel_loop(valid, &sweeps.prep, b, rows, 0, &[2, 4], 0, |q, bufs| {
+            let [xp, cx, tb, ct, sb] = bufs;
+            sweeps.up(q, [xp, cx, tb, ct]);
+            sweeps.down(q, [xp, cx, tb, ct, sb]);
+        });
         Ok(x)
     }
 

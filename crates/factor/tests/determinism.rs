@@ -5,8 +5,8 @@
 //! tree level, and every node's arithmetic is sequential and independent of
 //! the pool width.  So — exactly like the executor's conflict-free
 //! schedules — the factors and the solutions must be *bitwise identical* at
-//! every pool width, and the grain knob may change scheduling only, never
-//! results.
+//! every pool width, and so must the solutions whose panels are gathered
+//! and scattered on the pool.
 //!
 //! The same goes for the columns of one solve: a column's arithmetic is the
 //! per-column chain of `matrox_linalg::solve` plus the dispatched GEMM, so
@@ -102,29 +102,37 @@ fn factor_and_solve_are_deterministic_across_thread_counts() {
     }
 }
 
-/// The grain knob must change scheduling only, never results.
+/// A panel of at least 65 536 values (the executor's `PERM_PAR_ELEMS`; here
+/// 512 x 160, one panel) is gathered into tree order and scattered back on
+/// the pool whenever a lowering is on.  Those copies must move no bit: the
+/// solve under the plan's own lowering at pool widths 1, 2 and 4 and the
+/// sequential solve, which copies on the calling thread, agree bitwise.
 #[test]
-fn grain_settings_do_not_change_solutions() {
-    let (tree, plan, b) = fixture(512);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let base = pool.install(|| {
-        let f = factor(&plan, &tree, &ExecOptions::full()).expect("factor");
-        f.solve_matrix(&plan, &tree, &b, &ExecOptions::full())
+fn parallel_permute_solves_the_sequential_bits() {
+    const Q: usize = 160;
+    let (tree, plan, _) = fixture(512);
+    let l = plan.decisions;
+    assert!(
+        l.block_near || l.block_far || l.coarsen_tree,
+        "the plan lowers nothing, so nothing copies on the pool"
+    );
+    let f = factor(&plan, &tree, &ExecOptions::sequential()).expect("factor");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let b = Matrix::random_uniform(512, Q, &mut rng);
+    let solve = |opts: ExecOptions| {
+        f.solve_matrix(&plan, &tree, &b, &opts.with_panel_width(Q))
             .expect("solve")
-    });
-    for grain in [1usize, 2, 7, 64] {
-        let opts = ExecOptions::full().with_grain(grain);
-        let x = pool.install(|| {
-            let f = factor(&plan, &tree, &opts).expect("factor");
-            f.solve_matrix(&plan, &tree, &b, &opts).expect("solve")
-        });
-        assert_eq!(
-            x.as_slice(),
-            base.as_slice(),
-            "grain {grain} changed the solution"
+    };
+    let seq = solve(ExecOptions::sequential());
+    for nt in [1usize, 2, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(nt)
+            .build()
+            .unwrap();
+        let x = pool.install(|| solve(ExecOptions::from_plan(&plan)));
+        assert!(
+            bitwise_eq(x.as_slice(), seq.as_slice()),
+            "{nt} workers: the pool's permute changed the solution"
         );
     }
 }

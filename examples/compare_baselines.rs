@@ -75,15 +75,10 @@ fn main() {
     // Cumulative like the paper's bars.  For HSS code generation never
     // activates block lowering, so "+ block" ~= "+ coarsen" there.
     let seq = ExecOptions::sequential();
-    let coarsen = ExecOptions {
-        parallel_tree: true,
-        ..seq
-    };
-    let block = ExecOptions {
-        parallel_near: true,
-        parallel_far: true,
-        ..coarsen
-    };
+    let mut coarsen = seq;
+    coarsen.lowering.coarsen_tree = true;
+    let mut block = coarsen;
+    (block.lowering.block_near, block.lowering.block_far) = (true, true);
     for (label, opts) in [
         ("  CDS (seq)", seq),
         ("  + coarsen", coarsen),
