@@ -33,10 +33,13 @@
 use crate::blocking::BlockSet;
 use crate::coarsen::CoarsenSet;
 use matrox_compress::Compression;
-use matrox_linalg::KernelDispatch;
+use matrox_linalg::{KernelDispatch, Matrix};
 use matrox_tree::ClusterTree;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Placement of one submatrix inside a CDS value buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +158,54 @@ impl BlockExtent {
     }
 }
 
+/// A copy-on-write value buffer: a `Vec<f64>` behind an [`Arc`].
+///
+/// Cloning shares the allocation.  Reading goes through `Deref`; writing
+/// through `DerefMut` first gives this handle its own copy when another
+/// shares it ([`Arc::make_mut`]), so a write never reaches a sibling.
+#[derive(Clone)]
+pub struct SharedValues(Arc<Vec<f64>>);
+
+impl SharedValues {
+    /// Whether `self` and `other` hold one allocation.
+    pub fn shares(&self, other: &SharedValues) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl From<Vec<f64>> for SharedValues {
+    /// Wraps `values` without copying them.
+    fn from(values: Vec<f64>) -> Self {
+        SharedValues(Arc::new(values))
+    }
+}
+
+impl From<Arc<Vec<f64>>> for SharedValues {
+    fn from(values: Arc<Vec<f64>>) -> Self {
+        SharedValues(values)
+    }
+}
+
+impl Deref for SharedValues {
+    type Target = Vec<f64>;
+
+    fn deref(&self) -> &Vec<f64> {
+        &self.0
+    }
+}
+
+impl DerefMut for SharedValues {
+    fn deref_mut(&mut self) -> &mut Vec<f64> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl fmt::Debug for SharedValues {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
 /// The HMatrix stored in the Compressed Data-Sparse format.
 #[derive(Debug, Clone)]
 pub struct Cds {
@@ -166,8 +217,10 @@ pub struct Cds {
     /// Per-node sranks (duplicated here so the executor does not need the
     /// compression object).
     pub sranks: Vec<usize>,
-    /// Flat buffer of dense near blocks in near-blockset order.
-    pub d_values: Vec<f64>,
+    /// Flat buffer of dense near blocks in near-blockset order, shared by
+    /// every model packed from the same near blocks and blockset
+    /// ([`SharedValues`]).
+    pub d_values: SharedValues,
     /// Near-block placements in storage order.
     pub d_entries: Vec<CdsBlockEntry>,
     /// One range of `d_entries` per near-blockset group.
@@ -331,20 +384,21 @@ pub fn build_cds_with_grain(
     }
 
     // ---- near blocks in blockset order ----------------------------------
-    let near_map: HashMap<(usize, usize), &matrox_linalg::Matrix> = compression
+    // The values read no `bacc`: packed once per near blocks and blockset,
+    // and shared by every model packed from them (`NearSet::packed`).
+    let near_map = block_map(&compression.near_blocks);
+    let (d_entries, d_groups, d_len) = layout_blocks(near_blockset, &near_map);
+    let d_values = compression
         .near_blocks
-        .iter()
-        .map(|((i, j), m)| ((*i, *j), m))
-        .collect();
-    let (d_values, d_entries, d_groups) = pack_blocks(near_blockset, &near_map, grain);
+        .packed(&near_blockset.groups, || {
+            fill_blocks(&d_entries, d_len, &near_map, grain)
+        })
+        .into();
 
     // ---- far blocks in blockset order ------------------------------------
-    let far_map: HashMap<(usize, usize), &matrox_linalg::Matrix> = compression
-        .far_blocks
-        .iter()
-        .map(|((i, j), m)| ((*i, *j), m))
-        .collect();
-    let (b_values, b_entries, b_groups) = pack_blocks(far_blockset, &far_map, grain);
+    let far_map = block_map(&compression.far_blocks);
+    let (b_entries, b_groups, b_len) = layout_blocks(far_blockset, &far_map);
+    let b_values = fill_blocks(&b_entries, b_len, &far_map, grain);
 
     Cds {
         gen_values,
@@ -359,16 +413,19 @@ pub fn build_cds_with_grain(
     }
 }
 
-/// Pack the blocks referenced by a blockset into a flat buffer, preserving
-/// the blockset iteration order.  A block whose twin was met earlier gets a
+/// Each block of `blocks` by its pair.
+fn block_map(blocks: &[((usize, usize), Matrix)]) -> HashMap<(usize, usize), &Matrix> {
+    blocks.iter().map(|((i, j), m)| ((*i, *j), m)).collect()
+}
+
+/// Lay out the blocks a blockset references in one flat buffer, in the
+/// blockset's iteration order: their entries, one range of them per group,
+/// and the buffer's length.  A block whose twin was met earlier gets a
 /// transposed entry on the twin's window instead of a window of its own.
-/// Offsets are laid out sequentially; the copies run in parallel into
-/// disjoint per-window slices.
-fn pack_blocks(
+fn layout_blocks(
     blockset: &BlockSet,
-    blocks: &HashMap<(usize, usize), &matrox_linalg::Matrix>,
-    grain: usize,
-) -> (Vec<f64>, Vec<CdsBlockEntry>, Vec<GroupRange>) {
+    blocks: &HashMap<(usize, usize), &Matrix>,
+) -> (Vec<CdsBlockEntry>, Vec<GroupRange>, usize) {
     let mut entries = Vec::new();
     let mut groups = Vec::with_capacity(blockset.groups.len());
     let mut windows: HashMap<(usize, usize), usize> = HashMap::new();
@@ -398,22 +455,31 @@ fn pack_blocks(
             end: entries.len(),
         });
     }
-    let mut values = vec![0.0f64; offset];
-    {
-        let mut work: Vec<(&CdsBlockEntry, &mut [f64])> = Vec::with_capacity(windows.len());
-        let mut rest: &mut [f64] = &mut values;
-        for e in entries.iter().filter(|e| !e.transposed) {
-            let (chunk, tail) = rest.split_at_mut(e.rows * e.cols);
-            work.push((e, chunk));
-            rest = tail;
-        }
-        work.into_par_iter()
-            .with_min_len(grain)
-            .for_each(|(e, chunk)| {
-                chunk.copy_from_slice(blocks[&(e.target, e.source)].as_slice());
-            });
+    (entries, groups, offset)
+}
+
+/// The `len`-long buffer `entries` lay out ([`layout_blocks`]): each
+/// window's block copied in, in parallel into disjoint per-window slices.
+fn fill_blocks(
+    entries: &[CdsBlockEntry],
+    len: usize,
+    blocks: &HashMap<(usize, usize), &Matrix>,
+    grain: usize,
+) -> Vec<f64> {
+    let mut values = vec![0.0f64; len];
+    let mut work: Vec<(&CdsBlockEntry, &mut [f64])> = Vec::with_capacity(entries.len());
+    let mut rest: &mut [f64] = &mut values;
+    for e in entries.iter().filter(|e| !e.transposed) {
+        let (chunk, tail) = rest.split_at_mut(e.rows * e.cols);
+        work.push((e, chunk));
+        rest = tail;
     }
-    (values, entries, groups)
+    work.into_par_iter()
+        .with_min_len(grain)
+        .for_each(|(e, chunk)| {
+            chunk.copy_from_slice(blocks[&(e.target, e.source)].as_slice());
+        });
+    values
 }
 
 #[cfg(test)]
@@ -573,6 +639,51 @@ mod tests {
         assert!(BlockExtent::default().is_empty());
         assert!(!near.is_empty());
         let _ = c;
+    }
+
+    /// Models packed from one tree's near blocks share one `D` buffer per
+    /// near blockset: another blocksize packs afresh, to the bits a
+    /// memo-free packing gives, and leaves the kept buffer alone; a write
+    /// to one model's buffer gives it a copy of its own.
+    #[test]
+    fn near_values_are_packed_once_per_blockset() {
+        let pts = generate(DatasetId::Grid, 512, 17);
+        let kernel = Kernel::Gaussian { bandwidth: 1.0 };
+        let tree = ClusterTree::build(&pts, PartitionMethod::KdTree, 32, 0);
+        let htree = HTree::build(&tree, Structure::Geometric { tau: 0.65 });
+        let sampling = sample_nodes_exhaustive(&pts, &tree);
+        let far_bs = build_blockset(&htree.far_pairs(), tree.num_nodes(), 4);
+        let cds_at = |htree: &HTree, bacc: f64, near_blocksize: usize| {
+            let params = CompressionParams {
+                bacc,
+                ..CompressionParams::default()
+            };
+            let c = compress(&pts, &tree, htree, &kernel, &sampling, &params);
+            let near_bs = build_blockset(&htree.near_pairs(), tree.num_nodes(), near_blocksize);
+            let cs = build_coarsenset(&tree, &c.sranks, &CoarsenParams { p: 4, agg: 2 });
+            build_cds(&tree, &c, &near_bs, &far_bs, &cs)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let coarse = cds_at(&htree, 1e-1, 2);
+        let fine = cds_at(&htree, 1e-5, 2);
+        assert!(coarse.d_values.shares(&fine.d_values));
+        let other = cds_at(&htree, 1e-5, 3);
+        let want = cds_at(&HTree::build(&tree, htree.structure), 1e-5, 3);
+        assert!(!other.d_values.shares(&fine.d_values));
+        assert_eq!(bits(&other.d_values), bits(&want.d_values));
+        assert_eq!(other.d_entries, want.d_entries);
+        assert_ne!(bits(&other.d_values), bits(&fine.d_values));
+        let again = cds_at(&htree, 1e-3, 2);
+        assert!(again.d_values.shares(&fine.d_values));
+
+        let kept = bits(&fine.d_values);
+        let mut poisoned = fine.clone();
+        poisoned.d_values[0] = f64::NAN;
+        assert!(!poisoned.d_values.shares(&fine.d_values));
+        assert!(again.d_values.shares(&fine.d_values));
+        assert_eq!(bits(&fine.d_values), kept);
+        assert_eq!(bits(&cds_at(&htree, 1e-2, 2).d_values), kept);
     }
 
     #[test]

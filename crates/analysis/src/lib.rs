@@ -28,6 +28,7 @@ pub mod plan;
 pub use blocking::{build_blockset, BlockSet};
 pub use cds::{
     build_cds, build_cds_with_grain, BlockExtent, Cds, CdsBlockEntry, GeneratorEntry, GroupRange,
+    SharedValues,
 };
 pub use coarsen::{build_coarsenset, CoarsenParams, CoarsenSet};
 pub use plan::{generate_plan, lower, CodegenParams, EvalPlan, LoweringDecisions};

@@ -85,8 +85,10 @@ pub struct Compression {
     /// coarsening cost model of Algorithm 2 consumes exactly this vector).
     pub sranks: Vec<usize>,
     /// Dense near blocks: `((i, j), D_{i,j})` with `D_{i,j} = K(I_i, I_j)`,
-    /// shared with the HTree that evaluated them ([`HTree::near_blocks`]):
-    /// they do not depend on `bacc`.
+    /// shared with the HTree that evaluated them ([`HTree::near_blocks`]),
+    /// and with the CDS `D` buffer packed from them
+    /// ([`NearSet::packed`](matrox_tree::NearSet::packed)): they do not
+    /// depend on `bacc`.
     pub near_blocks: NearBlocks,
     /// Low-rank coupling blocks: `((i, j), B_{i,j})` with
     /// `B_{i,j} = K(skel_i, skel_j)`.
@@ -134,6 +136,11 @@ pub fn compress(
     //
     // Bases must be built bottom-up because an internal node's sample rows
     // are its children's skeletons.
+    //
+    // The leaves' sample blocks read no `bacc`: a later compression over
+    // the same inputs copies them from the HTree.  Asked for before the near
+    // blocks, so a first compression keeps none (`HTree::leaf_sample_blocks`).
+    let leaf_blocks = htree.leaf_sample_blocks(points, tree, kernel, &sampling.samples);
     for level in (1..=tree.height).rev() {
         let level_bases: Vec<(usize, NodeBasis)> = tree
             .level(level)
@@ -164,7 +171,11 @@ pub fn compress(
                 // The block is evaluated transposed, `K(S_i, rows)`, so the
                 // ID's QR factors in it directly (bit-equal: every kernel is
                 // symmetric).
-                let sample_block_t = kernel_block(points, kernel, samples, &candidate_rows);
+                let sample_block_t = if node.is_leaf() {
+                    leaf_blocks.block(id)
+                } else {
+                    kernel_block(points, kernel, samples, &candidate_rows)
+                };
                 let id_res = row_id_of_transpose(sample_block_t, params.bacc, params.max_rank);
                 let skeleton: Vec<usize> =
                     id_res.skeleton.iter().map(|&r| candidate_rows[r]).collect();
@@ -557,6 +568,84 @@ mod tests {
         assert_eq!(a.sranks, b.sranks);
         let fresh = pair_blocks(&pts, &kernel, &htree.near, 1, |i| tree.indices(i));
         assert_eq!(block_bits(&a.near_blocks), block_bits(&fresh));
+    }
+
+    /// Every node's rank, skeleton and generator by bits.
+    fn basis_bits(c: &Compression) -> Vec<(usize, Vec<usize>, Vec<u64>)> {
+        c.bases
+            .iter()
+            .map(|b| {
+                let v = b.v.as_slice().iter().map(|x| x.to_bits()).collect();
+                (b.srank, b.skeleton.clone(), v)
+            })
+            .collect()
+    }
+
+    /// The leaves that have samples, so a sample block.
+    fn sampled_leaves(tree: &ClusterTree, sampling: &SamplingInfo) -> usize {
+        let sampled = |l: &usize| !sampling.samples[*l].is_empty();
+        tree.leaves().iter().filter(|l| sampled(l)).count()
+    }
+
+    /// The first compression over a tree keeps no leaf sample block, the
+    /// second keeps every one, and each gives the bases a memo-free
+    /// compression does; the third copies them.
+    #[test]
+    fn the_second_call_keeps_the_leaf_sample_blocks() {
+        let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
+        let leaves = sampled_leaves(&tree, &sampling);
+        assert!(leaves > 1);
+        for (rung, (bacc, kept)) in [(1e-1, 0), (1e-3, leaves), (1e-5, leaves)]
+            .into_iter()
+            .enumerate()
+        {
+            let got = compress(&pts, &tree, &htree, &kernel, &sampling, &at_bacc(bacc));
+            assert_eq!(htree.kept_leaf_blocks(), kept, "rung {rung}");
+            let fresh = HTree::build(&tree, htree.structure);
+            let want = compress(&pts, &tree, &fresh, &kernel, &sampling, &at_bacc(bacc));
+            assert_eq!(basis_bits(&got), basis_bits(&want), "rung {rung}");
+            assert_eq!(fresh.kept_leaf_blocks(), 0);
+        }
+        let shown = format!("{htree:?}");
+        assert!(
+            shown.contains(&format!("{leaves} leaf sample blocks")) && shown.len() < 100_000,
+            "{}",
+            shown.len()
+        );
+    }
+
+    /// The leaf sample blocks are keyed on everything they read: another
+    /// kernel, a moved coordinate and one leaf's samples edited each give
+    /// the bases a memo-free compression does, and the memo still serves its
+    /// own inputs.
+    #[test]
+    fn a_changed_input_evaluates_its_leaf_blocks_afresh() {
+        let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
+        let params = at_bacc(1e-3);
+        let leaves = sampled_leaves(&tree, &sampling);
+        let kept = compress(&pts, &tree, &htree, &kernel, &sampling, &params);
+        compress(&pts, &tree, &htree, &kernel, &sampling, &params);
+        assert_eq!(htree.kept_leaf_blocks(), leaves);
+        let check = |pts: &PointSet, kernel: &Kernel, sampling: &SamplingInfo| {
+            let got = compress(pts, &tree, &htree, kernel, sampling, &params);
+            let fresh = HTree::build(&tree, htree.structure);
+            let want = compress(pts, &tree, &fresh, kernel, sampling, &params);
+            assert_eq!(basis_bits(&got), basis_bits(&want));
+            assert_ne!(basis_bits(&got), basis_bits(&kept));
+            assert_eq!(htree.kept_leaf_blocks(), leaves);
+        };
+
+        check(&pts, &Kernel::Laplace { bandwidth: 1.0 }, &sampling);
+        let mut coords = pts.coords().to_vec();
+        let leaf = tree.leaves()[0];
+        coords[tree.indices(leaf)[0] * pts.dim()] += 0.25;
+        check(&PointSet::new(pts.dim(), coords), &kernel, &sampling);
+        let mut edited = sampling.clone();
+        edited.samples[leaf].pop();
+        check(&pts, &kernel, &edited);
+
+        let again = compress(&pts, &tree, &htree, &kernel, &sampling, &params);
+        assert_eq!(basis_bits(&again), basis_bits(&kept));
     }
 
     #[test]

@@ -191,10 +191,13 @@ pub fn inspector_p1(
 /// given kernel and accuracy, coarsening, CDS construction and code
 /// generation.  Returns the ready-to-evaluate [`HMatrix`].
 ///
-/// The dense near blocks do not depend on `bacc`: the first p2 on a p1
-/// evaluates them and keeps them on `p1.htree`, and every later p2 with the
-/// same points and kernel reuses them ([`HTree::near_blocks`]).  The
-/// result is the same bits either way.
+/// Three things do not depend on `bacc`.  The first p2 on a p1 evaluates
+/// the dense near blocks and keeps them on `p1.htree`, with the CDS `D`
+/// buffer packed from them; every later p2 with the same points and kernel
+/// reuses both, and its model shares that buffer ([`HTree::near_blocks`],
+/// `Cds::d_values`).  The second p2 keeps the leaves' sample blocks, and
+/// every later one copies them ([`HTree::leaf_sample_blocks`]).  The result
+/// is the same bits either way.
 ///
 /// # Errors
 /// [`MatroxError::InvalidInput`] under the same screening as

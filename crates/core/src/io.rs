@@ -381,7 +381,7 @@ fn get_cds(r: &mut WireReader<'_>) -> Result<Cds, MatroxError> {
         gen_values,
         generators,
         sranks,
-        d_values,
+        d_values: d_values.into(),
         d_entries,
         d_groups,
         b_values,

@@ -18,7 +18,7 @@
 
 use crate::ctree::ClusterTree;
 use matrox_linalg::Matrix;
-use matrox_points::{pair_blocks, Kernel, PointSet};
+use matrox_points::{kernel_block, pair_blocks, Kernel, PointSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -67,10 +67,11 @@ impl Structure {
 /// The HTree also keeps the dense blocks of its near lists once they are
 /// evaluated ([`HTree::near_blocks`]): they depend on the points, the tree
 /// and the kernel but not on the accuracy, so every p2 of an accuracy
-/// sweep over one p1 shares them.  It can keep a copy of the points it was
-/// built over ([`HTree::keep_points`]), so that a later stage can check it
-/// is handed the same ones ([`HTree::built_over`]) and then run on the copy
-/// ([`HTree::kept_points`]).
+/// sweep over one p1 shares them, and so do its leaves' sample blocks from
+/// the second p2 on ([`HTree::leaf_sample_blocks`]).  It can keep a copy of
+/// the points it was built over ([`HTree::keep_points`]), so that a later
+/// stage can check it is handed the same ones ([`HTree::built_over`]) and
+/// then run on the copy ([`HTree::kept_points`]).
 #[derive(Debug, Clone)]
 pub struct HTree {
     /// Near (dense) interaction lists, indexed by node id.
@@ -113,11 +114,81 @@ impl fmt::Debug for Points {
 
 /// Dense near blocks `((i, j), D_{i,j})` in near-list order, behind one
 /// shared allocation: handing them out again copies nothing.
-pub type NearBlocks = Arc<[((usize, usize), Matrix)]>;
+pub type NearBlocks = Arc<NearSet>;
+
+/// The near blocks of one evaluation, and the first packing of them a later
+/// stage asked for ([`NearSet::packed`]).  Derefs to the blocks.
+pub struct NearSet {
+    blocks: Vec<((usize, usize), Matrix)>,
+    packed: OnceLock<Packed>,
+}
+
+/// A buffer packed from a [`NearSet`]'s blocks, and the grouping of pairs it
+/// was packed in.
+struct Packed {
+    groups: Vec<Vec<(usize, usize)>>,
+    values: Arc<Vec<f64>>,
+}
+
+impl From<Vec<((usize, usize), Matrix)>> for NearSet {
+    fn from(blocks: Vec<((usize, usize), Matrix)>) -> Self {
+        NearSet {
+            blocks,
+            packed: OnceLock::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for NearSet {
+    type Target = [((usize, usize), Matrix)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.blocks
+    }
+}
+
+impl fmt::Debug for NearSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.blocks, f)
+    }
+}
+
+impl NearSet {
+    /// The buffer `pack` packs these blocks into, visiting their pairs in
+    /// the order `groups` lists them; `pack` must read nothing else.
+    ///
+    /// The first call keeps its buffer with a copy of `groups`, and a later
+    /// call with equal groups gets that allocation back without calling
+    /// `pack`.  A call with other groups packs afresh and keeps nothing.
+    pub fn packed(
+        &self,
+        groups: &[Vec<(usize, usize)>],
+        pack: impl FnOnce() -> Vec<f64>,
+    ) -> Arc<Vec<f64>> {
+        // `get` and `set`, not `get_or_init`: `pack` runs on the pool (see
+        // `HTree::near_blocks`).
+        let kept = self.packed.get();
+        if let Some(p) = kept.filter(|p| p.groups == groups) {
+            return Arc::clone(&p.values);
+        }
+        let values = Arc::new(pack());
+        if kept.is_none() {
+            // A concurrent first call may have filled the cell meanwhile;
+            // its buffer is the same bits.
+            let _ = self.packed.set(Packed {
+                groups: groups.to_vec(),
+                values: Arc::clone(&values),
+            });
+        }
+        values
+    }
+}
 
 /// Near blocks and the exact inputs they were evaluated from: the kernel
 /// and the coordinates by bits, the near lists, and the point indices of
-/// every node a near pair reads.
+/// every node a near pair reads.  It also holds the leaves' sample blocks
+/// once a second call over the same inputs asks for them
+/// ([`HTree::leaf_sample_blocks`]).
 struct NearField {
     kernel: (u8, [u64; 2]),
     points: Arc<Points>,
@@ -125,11 +196,91 @@ struct NearField {
     /// `(node, tree.indices(node))` for every node in a near pair, ascending.
     rows: Vec<(usize, Vec<usize>)>,
     blocks: NearBlocks,
+    leaves: OnceLock<Arc<LeafField>>,
 }
 
 impl fmt::Debug for NearField {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NearField({} blocks)", self.blocks.len())
+        let leaves = self.leaves.get().map_or(0, |l| l.kept());
+        write!(
+            f,
+            "NearField({} blocks, {leaves} leaf sample blocks)",
+            self.blocks.len()
+        )
+    }
+}
+
+/// The sample blocks `K(S_i, I_i)` of every leaf `i`, and the exact inputs
+/// beyond a [`NearField`]'s they read: each leaf's index set and samples.
+struct LeafField {
+    /// `(leaf, tree.indices(leaf), samples[leaf])` for every leaf, in
+    /// `tree.leaves()` order (ascending).
+    keys: Vec<(usize, Vec<usize>, Vec<usize>)>,
+    /// One cell per entry of `keys`, filled by the first call that needs it.
+    blocks: Vec<OnceLock<Matrix>>,
+}
+
+impl LeafField {
+    fn new(tree: &ClusterTree, samples: &[Vec<usize>]) -> Self {
+        let keys: Vec<_> = tree
+            .leaves()
+            .into_iter()
+            .map(|id| (id, tree.indices(id).to_vec(), samples[id].clone()))
+            .collect();
+        let blocks = keys.iter().map(|_| OnceLock::new()).collect();
+        LeafField { keys, blocks }
+    }
+
+    /// Whether every leaf of `tree` has the index set and samples kept.
+    fn reads(&self, tree: &ClusterTree, samples: &[Vec<usize>]) -> bool {
+        let leaves = tree.leaves();
+        leaves.len() == self.keys.len()
+            && leaves.iter().zip(&self.keys).all(|(&id, (kid, rows, s))| {
+                id == *kid && tree.indices(id) == &rows[..] && samples[id] == *s
+            })
+    }
+
+    /// The cell of leaf `id`, if it is one of the kept leaves.
+    fn cell(&self, id: usize) -> Option<&OnceLock<Matrix>> {
+        let at = self.keys.binary_search_by_key(&id, |k| k.0).ok()?;
+        Some(&self.blocks[at])
+    }
+
+    /// Number of blocks kept so far.
+    fn kept(&self) -> usize {
+        self.blocks.iter().filter(|b| b.get().is_some()).count()
+    }
+}
+
+/// The sample blocks of a tree's leaves ([`HTree::leaf_sample_blocks`]).
+pub struct LeafSampleBlocks<'a> {
+    points: &'a PointSet,
+    tree: &'a ClusterTree,
+    kernel: &'a Kernel,
+    samples: &'a [Vec<usize>],
+    kept: Option<Arc<LeafField>>,
+}
+
+impl LeafSampleBlocks<'_> {
+    /// Leaf `id`'s sample block, transposed: `K(samples[id],
+    /// tree.indices(id))`, bitwise [`kernel_block`]'s.  A copy of the kept
+    /// block when there is one; else it is evaluated, and kept when this
+    /// handle fills the memo.
+    pub fn block(&self, id: usize) -> Matrix {
+        let eval = || {
+            let (samples, rows) = (&self.samples[id], self.tree.indices(id));
+            kernel_block(self.points, self.kernel, samples, rows)
+        };
+        let Some(cell) = self.kept.as_ref().and_then(|l| l.cell(id)) else {
+            return eval();
+        };
+        if let Some(block) = cell.get() {
+            return block.clone();
+        }
+        let block = eval();
+        // A concurrent call may have filled the cell meanwhile: same bits.
+        let _ = cell.set(block.clone());
+        block
     }
 }
 
@@ -163,6 +314,7 @@ impl NearField {
                 .map(|id| (id, tree.indices(id).to_vec()))
                 .collect(),
             blocks,
+            leaves: OnceLock::new(),
         }
     }
 
@@ -182,6 +334,21 @@ impl NearField {
                 .rows
                 .iter()
                 .all(|(id, rows)| *id < tree.num_nodes() && tree.indices(*id) == &rows[..])
+    }
+
+    /// The leaf sample blocks kept for `(tree, samples)`: made empty by the
+    /// first call, shared with a later call over the same leaves and
+    /// samples, `None` for any other.
+    fn leaf_field(&self, tree: &ClusterTree, samples: &[Vec<usize>]) -> Option<Arc<LeafField>> {
+        if self.leaves.get().is_none() {
+            // A concurrent call may have filled the cell meanwhile; its key
+            // is compared below like any other.
+            let _ = self.leaves.set(Arc::new(LeafField::new(tree, samples)));
+        }
+        self.leaves
+            .get()
+            .filter(|l| l.reads(tree, samples))
+            .map(Arc::clone)
     }
 }
 
@@ -319,8 +486,13 @@ impl HTree {
         if let Some(field) = kept.filter(|f| f.reads(points, tree, kernel, &self.near)) {
             return Arc::clone(&field.blocks);
         }
-        let blocks: NearBlocks =
-            pair_blocks(points, kernel, &self.near, grain, |i| tree.indices(i)).into();
+        let blocks: NearBlocks = Arc::new(NearSet::from(pair_blocks(
+            points,
+            kernel,
+            &self.near,
+            grain,
+            |i| tree.indices(i),
+        )));
         if kept.is_none() {
             let snapshot = match &self.points {
                 Some(kept) if std::ptr::eq(&kept.0, points) => Arc::clone(kept),
@@ -332,6 +504,47 @@ impl HTree {
             let _ = self.near_memo.set(Arc::new(field));
         }
         blocks
+    }
+
+    /// The sample blocks `K(S_i, I_i)` of the leaves of `tree`, `S_i =
+    /// samples[i]` ([`LeafSampleBlocks::block`]); `samples` has an entry
+    /// per node.
+    ///
+    /// They read no accuracy, so an accuracy sweep over one tree shares
+    /// them; they are kept with the near field ([`HTree::near_blocks`]),
+    /// keyed on its inputs and on every leaf's index set and samples.  Only
+    /// a call that finds the near field already kept for its inputs keeps
+    /// them: asked for before the near blocks, the first compression over a
+    /// tree finds none and keeps nothing, so a one-shot inspection copies
+    /// nothing; the second fills the memo, and every later call over equal
+    /// inputs copies from it.  A call over other inputs evaluates afresh
+    /// and leaves the memo alone.
+    pub fn leaf_sample_blocks<'a>(
+        &self,
+        points: &'a PointSet,
+        tree: &'a ClusterTree,
+        kernel: &'a Kernel,
+        samples: &'a [Vec<usize>],
+    ) -> LeafSampleBlocks<'a> {
+        let kept = self
+            .near_memo
+            .get()
+            .filter(|f| f.reads(points, tree, kernel, &self.near))
+            .and_then(|f| f.leaf_field(tree, samples));
+        LeafSampleBlocks {
+            points,
+            tree,
+            kernel,
+            samples,
+            kept,
+        }
+    }
+
+    /// How many leaf sample blocks the memo of
+    /// [`HTree::leaf_sample_blocks`] holds.
+    pub fn kept_leaf_blocks(&self) -> usize {
+        let leaves = self.near_memo.get().and_then(|f| f.leaves.get());
+        leaves.map_or(0, |l| l.kept())
     }
 
     /// Total number of (directed) near interactions.
