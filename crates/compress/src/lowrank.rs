@@ -18,8 +18,8 @@
 //! * dense near blocks `D_{i,j}` and low-rank coupling blocks
 //!   `B_{i,j} = K(skel_i, skel_j)`.
 
-use matrox_linalg::{failpoint, row_id_of_transpose, Matrix};
-use matrox_points::{kernel_block, pair_blocks, Kernel, PointSet};
+use matrox_linalg::{failpoint, Matrix};
+use matrox_points::{Kernel, PointSet};
 use matrox_sampling::SamplingInfo;
 use matrox_tree::{ClusterTree, HTree, NearBlocks};
 use rayon::prelude::*;
@@ -137,19 +137,17 @@ pub fn compress(
     // Bases must be built bottom-up because an internal node's sample rows
     // are its children's skeletons.
     //
-    // The leaves' sample blocks read no `bacc`: a later compression over
-    // the same inputs copies them from the HTree.  Asked for before the near
-    // blocks, so a first compression keeps none (`HTree::leaf_sample_blocks`).
-    let leaf_blocks = htree.leaf_sample_blocks(points, tree, kernel, &sampling.samples);
+    // Each node's ID and each coupling block go on from the work an
+    // earlier compression over the same inputs kept, where there is any.
+    // Asked for before the near blocks, so a first compression keeps none
+    // (`HTree::ladder`).
+    let ladder = htree.ladder(points, tree, kernel);
     for level in (1..=tree.height).rev() {
         let level_bases: Vec<(usize, NodeBasis)> = tree
             .level(level)
             .into_par_iter()
             .with_min_len(grain)
             .map(|id| {
-                if failpoint::should_fire(failpoint::names::COMPRESS_PANIC) {
-                    panic!("injected failpoint `{}`", failpoint::names::COMPRESS_PANIC);
-                }
                 let node = &tree.nodes[id];
                 let samples = &sampling.samples[id];
                 if samples.is_empty() {
@@ -168,15 +166,14 @@ pub fn compress(
                 if candidate_rows.is_empty() {
                     return (id, NodeBasis::empty());
                 }
-                // The block is evaluated transposed, `K(S_i, rows)`, so the
-                // ID's QR factors in it directly (bit-equal: every kernel is
-                // symmetric).
-                let sample_block_t = if node.is_leaf() {
-                    leaf_blocks.block(id)
-                } else {
-                    kernel_block(points, kernel, samples, &candidate_rows)
-                };
-                let id_res = row_id_of_transpose(sample_block_t, params.bacc, params.max_rank);
+                // The ID's QR factors the block transposed, `K(S_i, rows)`
+                // (bit-equal: every kernel is symmetric), or goes on from
+                // the kept QR of that block.
+                let task = ladder.node(id, &candidate_rows, samples);
+                if failpoint::should_fire(failpoint::names::COMPRESS_PANIC) {
+                    panic!("injected failpoint `{}`", failpoint::names::COMPRESS_PANIC);
+                }
+                let id_res = task.row_id(params.bacc, params.max_rank);
                 let skeleton: Vec<usize> =
                     id_res.skeleton.iter().map(|&r| candidate_rows[r]).collect();
                 (
@@ -200,7 +197,7 @@ pub fn compress(
     // kernel, and coupling blocks B_{i,j} = K(skel_i, skel_j), each twin
     // evaluated once.
     let near_blocks = htree.near_blocks(points, tree, kernel, grain);
-    let far_blocks = pair_blocks(points, kernel, &htree.far, grain, |i| &bases[i].skeleton);
+    let far_blocks = ladder.coupling_blocks(&htree.far, grain, |i| &bases[i].skeleton);
 
     Compression {
         params: *params,
@@ -214,7 +211,7 @@ pub fn compress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use matrox_points::{generate, DatasetId};
+    use matrox_points::{generate, pair_blocks, DatasetId};
     use matrox_sampling::{sample_nodes, sample_nodes_exhaustive, SamplingParams};
     use matrox_tree::{PartitionMethod, Structure};
 
@@ -581,58 +578,59 @@ mod tests {
             .collect()
     }
 
-    /// The leaves that have samples, so a sample block.
-    fn sampled_leaves(tree: &ClusterTree, sampling: &SamplingInfo) -> usize {
-        let sampled = |l: &usize| !sampling.samples[*l].is_empty();
-        tree.leaves().iter().filter(|l| sampled(l)).count()
+    /// The nodes below the root that have samples, so a sample block and
+    /// a QR of it.
+    fn sampled_nodes(tree: &ClusterTree, sampling: &SamplingInfo) -> usize {
+        let sampled = |i: &usize| !sampling.samples[*i].is_empty();
+        (1..tree.num_nodes()).filter(sampled).count()
     }
 
-    /// The first compression over a tree keeps no leaf sample block, the
-    /// second keeps every one, and each gives the bases a memo-free
-    /// compression does; the third copies them.
+    /// The first compression over a tree keeps no node's QR, the second
+    /// keeps every one, and each gives the bases a memo-free compression
+    /// does; the third goes on from them.
     #[test]
     fn the_second_call_keeps_the_leaf_sample_blocks() {
         let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
-        let leaves = sampled_leaves(&tree, &sampling);
-        assert!(leaves > 1);
-        for (rung, (bacc, kept)) in [(1e-1, 0), (1e-3, leaves), (1e-5, leaves)]
+        let nodes = sampled_nodes(&tree, &sampling);
+        assert!(nodes > 1);
+        for (rung, (bacc, kept)) in [(1e-1, 0), (1e-3, nodes), (1e-5, nodes)]
             .into_iter()
             .enumerate()
         {
             let got = compress(&pts, &tree, &htree, &kernel, &sampling, &at_bacc(bacc));
-            assert_eq!(htree.kept_leaf_blocks(), kept, "rung {rung}");
+            assert_eq!(htree.ladder_counts().nodes_kept, kept, "rung {rung}");
             let fresh = HTree::build(&tree, htree.structure);
             let want = compress(&pts, &tree, &fresh, &kernel, &sampling, &at_bacc(bacc));
             assert_eq!(basis_bits(&got), basis_bits(&want), "rung {rung}");
-            assert_eq!(fresh.kept_leaf_blocks(), 0);
+            assert_eq!(fresh.ladder_counts().nodes_kept, 0);
         }
         let shown = format!("{htree:?}");
         assert!(
-            shown.contains(&format!("{leaves} leaf sample blocks")) && shown.len() < 100_000,
+            shown.contains(&format!("{nodes} node QRs")) && shown.len() < 100_000,
             "{}",
             shown.len()
         );
     }
 
-    /// The leaf sample blocks are keyed on everything they read: another
-    /// kernel, a moved coordinate and one leaf's samples edited each give
-    /// the bases a memo-free compression does, and the memo still serves its
-    /// own inputs.
+    /// The kept QRs are keyed on everything they read: another kernel, a
+    /// moved coordinate and one leaf's samples edited each give the bases a
+    /// memo-free compression does, and the memo still serves its own
+    /// inputs.
     #[test]
     fn a_changed_input_evaluates_its_leaf_blocks_afresh() {
         let (pts, tree, htree, sampling, kernel) = setup(512, Structure::h2b());
         let params = at_bacc(1e-3);
-        let leaves = sampled_leaves(&tree, &sampling);
+        let nodes = sampled_nodes(&tree, &sampling);
         let kept = compress(&pts, &tree, &htree, &kernel, &sampling, &params);
         compress(&pts, &tree, &htree, &kernel, &sampling, &params);
-        assert_eq!(htree.kept_leaf_blocks(), leaves);
+        assert_eq!(htree.ladder_counts().nodes_kept, nodes);
         let check = |pts: &PointSet, kernel: &Kernel, sampling: &SamplingInfo| {
             let got = compress(pts, &tree, &htree, kernel, sampling, &params);
             let fresh = HTree::build(&tree, htree.structure);
             let want = compress(pts, &tree, &fresh, kernel, sampling, &params);
             assert_eq!(basis_bits(&got), basis_bits(&want));
             assert_ne!(basis_bits(&got), basis_bits(&kept));
-            assert_eq!(htree.kept_leaf_blocks(), leaves);
+            assert_eq!(htree.ladder_counts().nodes_kept, nodes);
         };
 
         check(&pts, &Kernel::Laplace { bandwidth: 1.0 }, &sampling);

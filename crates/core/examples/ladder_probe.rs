@@ -15,24 +15,21 @@
 //!   `HMatrix::timings` stages;
 //! * **D** — `new` when the rung's `D` buffer is its own, `shared` when it
 //!   is an earlier rung's;
-//! * **leaf kept** — the leaf sample blocks the p1's HTree holds after the
-//!   rung (`HTree::kept_leaf_blocks`): a rung that finds them all kept
-//!   evaluates none;
 //! * **minflt** — minor page faults during the call (`/proc/self/stat`);
-//! * **leaf blk**, **leaf ID**, **leaf cpl** — the leaf level redone
-//!   outside the library with the same public calls: every leaf's sample
-//!   block (`kernel_block`), its ID (`row_id_of_transpose`) and the
-//!   leaf-leaf coupling blocks over those skeletons (`pair_blocks`);
-//! * **prefix** — whether every leaf skeleton of the rung begins with the
-//!   previous rung's.
+//! * **resumed**, **read**, **fresh** — the nodes whose ID went on from the
+//!   QR the rung before kept, read a looser stop off it, or factored
+//!   afresh, and **steps** the QR steps they ran; **evaluated** and
+//!   **copied** — the coupling entries evaluated and copied from a kept
+//!   block; **kept MB** — what the HTree keeps after the rung.  All read
+//!   from `HTree::ladder_counts` after the rung (last sweep): the first p2
+//!   on a p1 keeps nothing, so its row reads zero.
 //!
 //! The tracked numbers are the benchmark's `reuse_sweep` `op_s` and, in a
 //! traced run, `compress.compress_s` / `analysis.cds_s`.
 
 use matrox_core::{inspector_p1, inspector_p2, MatRoxParams};
-use matrox_linalg::row_id_of_transpose;
-use matrox_points::{generate, kernel_block, pair_blocks, DatasetId, Kernel, PointSet};
-use matrox_tree::ClusterTree;
+use matrox_points::{generate, DatasetId, Kernel, PointSet};
+use matrox_tree::LadderCounts;
 use std::time::Instant;
 
 const LADDER: [f64; 5] = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
@@ -56,54 +53,13 @@ fn minor_faults() -> u64 {
         .unwrap_or(0)
 }
 
-/// The leaf level redone by hand: ms of the sample blocks, of the IDs and
-/// of the leaf-leaf coupling blocks, and every node's skeleton (leaves
-/// only).
-fn leaf_level(
-    points: &PointSet,
-    kernel: &Kernel,
-    tree: &ClusterTree,
-    samples: &[Vec<usize>],
-    far: &[Vec<usize>],
-    bacc: f64,
-    max_rank: usize,
-) -> ([f64; 3], Vec<Vec<usize>>) {
-    let leaves: Vec<usize> = tree
-        .leaves()
-        .into_iter()
-        .filter(|&l| !samples[l].is_empty())
-        .collect();
-    let (blk_ms, blocks) = ms(|| {
-        let block = |&l: &usize| kernel_block(points, kernel, &samples[l], tree.indices(l));
-        leaves.iter().map(block).collect::<Vec<_>>()
-    });
-    let mut skeletons = vec![Vec::new(); tree.num_nodes()];
-    let (id_ms, ()) = ms(|| {
-        for (&l, block) in leaves.iter().zip(blocks) {
-            let id = row_id_of_transpose(block, bacc, max_rank);
-            skeletons[l] = id.skeleton.iter().map(|&r| tree.indices(l)[r]).collect();
-        }
-    });
-    let is_leaf = |i: usize| tree.nodes[i].is_leaf();
-    let leaf_far: Vec<Vec<usize>> = (0..far.len())
-        .map(|i| match is_leaf(i) {
-            true => far[i].iter().copied().filter(|&j| is_leaf(j)).collect(),
-            false => Vec::new(),
-        })
-        .collect();
-    let (cpl_ms, _) = ms(|| pair_blocks(points, kernel, &leaf_far, 1, |i| &skeletons[i]));
-    ([blk_ms, id_ms, cpl_ms], skeletons)
-}
-
-/// One rung's numbers: p2, low_rank, cds, leaf blk, leaf ID, leaf cpl (ms),
-/// minor faults, whether its `D` buffer is shared, the leaf blocks kept,
-/// and whether its leaf skeletons extend the previous rung's.
+/// One rung's numbers: p2, low_rank, cds (ms), minor faults, whether its
+/// `D` buffer is shared, and the kept work's counts after it.
 struct Rung {
-    ms: [f64; 6],
+    ms: [f64; 3],
     minflt: u64,
     shared: bool,
-    kept: usize,
-    prefix: Option<bool>,
+    kept: LadderCounts,
 }
 
 /// A fresh p1 (its ms and minor faults) and the ladder's rungs over it.
@@ -111,10 +67,8 @@ fn sweep(points: &PointSet, kernel: &Kernel, params: &MatRoxParams) -> ([f64; 2]
     let faults = minor_faults();
     let (p1_ms, p1) = ms(|| inspector_p1(points, kernel, params).expect("inspector_p1"));
     let p1_faults = (minor_faults() - faults) as f64;
-    let (tree, samples) = (&p1.tree, &p1.sampling.samples);
     let mut models = Vec::new();
     let mut rungs = Vec::new();
-    let mut previous: Option<Vec<Vec<usize>>> = None;
     for &bacc in &LADDER {
         let faults = minor_faults();
         let (p2_ms, h) = ms(|| inspector_p2(points, &p1, kernel, bacc).expect("inspector_p2"));
@@ -123,35 +77,17 @@ fn sweep(points: &PointSet, kernel: &Kernel, params: &MatRoxParams) -> ([f64; 2]
         let shared = models
             .iter()
             .any(|m: &matrox_core::HMatrix| m.plan.cds.d_values.shares(d));
-        let (leaf, skeletons) = leaf_level(
-            points,
-            kernel,
-            tree,
-            samples,
-            &p1.htree.far,
-            bacc,
-            params.max_rank,
-        );
-        let prefix = previous.as_ref().map(|prev| {
-            let extends = |(p, s): (&Vec<usize>, &Vec<usize>)| s.starts_with(p);
-            prev.iter().zip(&skeletons).all(extends)
-        });
         let t = h.timings;
         rungs.push(Rung {
             ms: [
                 p2_ms,
                 t.low_rank.as_secs_f64() * 1e3,
                 t.cds.as_secs_f64() * 1e3,
-                leaf[0],
-                leaf[1],
-                leaf[2],
             ],
             minflt,
             shared,
-            kept: p1.htree.kept_leaf_blocks(),
-            prefix,
+            kept: p1.htree.ladder_counts(),
         });
-        previous = Some(skeletons);
         models.push(h);
     }
     ([p1_ms, p1_faults], rungs)
@@ -190,47 +126,51 @@ fn main() {
         median(p1.iter().map(|p| p[1]).collect())
     );
     println!(
-        "  {:<6} {:>7} {:>8} {:>7} {:>6} {:>9} {:>8} {:>8} {:>7} {:>8} {:>6}",
+        "  {:<6} {:>7} {:>8} {:>7} {:>6} {:>8} {:>7} {:>5} {:>5} {:>6} {:>9} {:>9} {:>7}",
         "bacc",
         "p2",
         "low_rank",
         "cds",
         "D",
-        "leaf kept",
         "minflt",
-        "leaf blk",
-        "leaf ID",
-        "leaf cpl",
-        "prefix"
+        "resumed",
+        "read",
+        "fresh",
+        "steps",
+        "evaluated",
+        "copied",
+        "kept MB"
     );
-    let mut totals = [0.0; 6];
+    let mut totals = [0.0; 3];
+    let (mut evaluated, mut copied) = (0, 0);
     for (r, bacc) in LADDER.iter().enumerate() {
         let col = |c: usize| median(sweeps.iter().map(|s| s[r].ms[c]).collect());
-        let cols: Vec<f64> = (0..6).map(col).collect();
+        let cols: Vec<f64> = (0..3).map(col).collect();
         for (t, c) in totals.iter_mut().zip(&cols) {
             *t += c;
         }
         let faults = median(sweeps.iter().map(|s| s[r].minflt as f64).collect());
         let last = &sweeps[reps - 1][r];
-        let prefix = match last.prefix {
-            None => "-",
-            Some(true) => "yes",
-            Some(false) => "no",
-        };
+        let k = last.kept;
+        evaluated += k.entries_evaluated;
+        copied += k.entries_copied;
         println!(
-            "  {bacc:<6.0e} {:>7.1} {:>8.1} {:>7.1} {:>6} {:>9} {faults:>8.0} {:>8.1} {:>7.1} {:>8.1} {prefix:>6}",
+            "  {bacc:<6.0e} {:>7.1} {:>8.1} {:>7.1} {:>6} {faults:>8.0} {:>7} {:>5} {:>5} {:>6} {:>9} {:>9} {:>7.1}",
             cols[0],
             cols[1],
             cols[2],
             if last.shared { "shared" } else { "new" },
-            last.kept,
-            cols[3],
-            cols[4],
-            cols[5],
+            k.nodes_resumed,
+            k.nodes_read,
+            k.nodes_fresh,
+            k.qr_steps,
+            k.entries_evaluated,
+            k.entries_copied,
+            k.bytes as f64 / 1e6,
         );
     }
     println!(
-        "  {:<6} {:>7.1} {:>8.1} {:>7.1} {:>6} {:>9} {:>8} {:>8.1} {:>7.1} {:>8.1}",
-        "sweep", totals[0], totals[1], totals[2], "", "", "", totals[3], totals[4], totals[5]
+        "  {:<6} {:>7.1} {:>8.1} {:>7.1} {:>6} {:>8} {:>7} {:>5} {:>5} {:>6} {evaluated:>9} {copied:>9}",
+        "sweep", totals[0], totals[1], totals[2], "", "", "", "", "", ""
     );
 }

@@ -195,9 +195,11 @@ pub fn inspector_p1(
 /// the dense near blocks and keeps them on `p1.htree`, with the CDS `D`
 /// buffer packed from them; every later p2 with the same points and kernel
 /// reuses both, and its model shares that buffer ([`HTree::near_blocks`],
-/// `Cds::d_values`).  The second p2 keeps the leaves' sample blocks, and
-/// every later one copies them ([`HTree::leaf_sample_blocks`]).  The result
-/// is the same bits either way.
+/// `Cds::d_values`).  From the second p2 on, each node's pivoted QR is
+/// kept paused at its stop and each far pair's coupling block is kept, and
+/// the next p2 resumes or reads the QRs and grows the blocks instead of
+/// redoing them ([`HTree::ladder`]).  The result is the same bits either
+/// way.
 ///
 /// # Errors
 /// [`MatroxError::InvalidInput`] under the same screening as

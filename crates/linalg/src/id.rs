@@ -23,11 +23,13 @@
 //! ([`crate::qr`]); the compressor evaluates its sample block already
 //! transposed and gives it to [`row_id_of_transpose`], so a node's block is
 //! allocated once and never copied.  [`row_id`] and [`column_id`] are the
-//! by-reference forms.
+//! by-reference forms.  [`row_id_of_qr`] reads the ID off a QR paused at
+//! any stop ([`ResumableQr`]): [`row_id_of_transpose`] is that QR run once
+//! from the start.
 
 use crate::gemm::{gemm_seq, GemmOp};
 use crate::matrix::Matrix;
-use crate::qr::pivoted_qr;
+use crate::qr::{QrStop, ResumableQr};
 use crate::solve::solve_upper_in_place;
 
 /// Result of a row or column interpolative decomposition.
@@ -69,21 +71,31 @@ pub fn row_id(a: &Matrix, tol: f64, max_rank: usize) -> IdResult {
 /// compressor evaluates `K(S_i, I_i)`, bit-equal to `K(I_i, S_i)^T` because
 /// every kernel is symmetric) pays for neither a transpose nor a copy.
 pub fn row_id_of_transpose(at: Matrix, tol: f64, max_rank: usize) -> IdResult {
-    let n = at.cols();
-    let f = pivoted_qr(at, tol, max_rank);
-    let k = f.rank;
+    let mut qr = ResumableQr::new(at);
+    let stop = qr.advance(tol, max_rank);
+    row_id_of_qr(&qr, stop)
+}
+
+/// The row ID of `A` at `stop`, read off a pivoted QR of `A^T` paused at
+/// or past it (`stop` is one `qr.advance` returned): bit for bit the ID
+/// [`row_id_of_transpose`] computes to that stop.  The columns past the
+/// stop may still be in a later step's order; `T` and the scatter into `P`
+/// work column by column, so their order changes no bit.
+pub fn row_id_of_qr(qr: &ResumableQr, stop: QrStop) -> IdResult {
+    let (r, perm) = qr.leading();
+    let (n, k) = (r.cols(), stop.rank);
 
     // R = [R11 R12] with R11 (k x k) upper triangular over the pivoted columns.
     // T = R11^{-1} R12  (k x (n-k)), solved in place over the copy of R12.
-    let mut t = f.r.submatrix(0, k, k, n);
+    let mut t = r.submatrix(0, k, k, n);
     if n > k {
-        solve_upper_in_place(&f.r, k, t.as_mut_slice(), n - k);
+        solve_upper_in_place(r, k, t.as_mut_slice(), n - k);
     }
 
     // P (n x k) in *original* row order: P[perm[j], :] = e_j for j < k,
     // P[perm[j], :] = T[:, j-k]^T for j >= k.
     let mut p = Matrix::zeros(n, k);
-    for (j, &orig) in f.perm.iter().enumerate() {
+    for (j, &orig) in perm.iter().enumerate() {
         let row = p.row_mut(orig);
         if j < k {
             row[j] = 1.0;
@@ -96,7 +108,7 @@ pub fn row_id_of_transpose(at: Matrix, tol: f64, max_rank: usize) -> IdResult {
 
     IdResult {
         rank: k,
-        skeleton: f.perm[..k].to_vec(),
+        skeleton: perm[..k].to_vec(),
         interp: p,
     }
 }

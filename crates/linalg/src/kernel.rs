@@ -66,7 +66,7 @@
 //! products, **every arm returns the same bits** and the arm moves speed
 //! only; `matrox_points::block` takes [`KernelDispatch::global`] for it.
 //!
-//! The ID's pivoted QR ([`KernelDispatch::pivoted_qr`]) and the triangular
+//! The ID's pivoted QR ([`KernelDispatch::advance_qr`]) and the triangular
 //! substitutions ([`KernelDispatch::substitute`]) are the same kind of
 //! routine: one `#[inline(always)]` body in plain Rust (`qr.rs`,
 //! `solve.rs`), compiled once more inside an AVX2 and an AVX-512
@@ -126,7 +126,7 @@ mod lanes;
 
 use crate::gemm::scalar_product;
 use crate::matrix::Matrix;
-use crate::qr::{self, PivotedQr};
+use crate::qr::{PivotedQr, QrStop, ResumableQr};
 use crate::solve::{self, Substitution};
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -443,18 +443,26 @@ impl KernelDispatch {
 
     /// Column-pivoted QR of `a` in its own buffer, truncated at relative
     /// tolerance `tol` and rank `max_rank` ([`crate::qr`], the ID's
-    /// factorization).  The one-pass body is compiled once per arm — the
-    /// SIMD arms' instances run it at AVX2 / AVX-512 width, with no FMA —
-    /// so **every arm returns the same bits** (rank, permutation and `R`)
-    /// and the arm moves speed only; [`crate::pivoted_qr`] takes
-    /// [`KernelDispatch::global`].
+    /// factorization): one [`KernelDispatch::advance_qr`] from the start.
+    /// [`crate::pivoted_qr`] takes [`KernelDispatch::global`].
     pub fn pivoted_qr(&self, a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+        let mut qr = ResumableQr::new(a);
+        let stop = self.advance_qr(&mut qr, tol, max_rank);
+        qr.into_factor(stop)
+    }
+
+    /// Run `qr` to the stop of `(tol, max_rank)` and pause it there
+    /// ([`ResumableQr::advance`]).  The one-pass steps are compiled once
+    /// per arm — the SIMD arms' instances run them at AVX2 / AVX-512
+    /// width, with no FMA — so **every arm returns the same bits** (rank,
+    /// permutation and `R`) and the arm moves speed only.
+    pub fn advance_qr(&self, qr: &mut ResumableQr, tol: f64, max_rank: usize) -> QrStop {
         match self.arch {
-            KernelArch::Scalar => qr::pivoted_qr_body(a, tol, max_rank),
+            KernelArch::Scalar => qr.advance_body(tol, max_rank),
             #[cfg(target_arch = "x86_64")]
-            KernelArch::Avx2 => avx2::pivoted_qr(a, tol, max_rank),
+            KernelArch::Avx2 => avx2::advance_qr(qr, tol, max_rank),
             #[cfg(target_arch = "x86_64")]
-            KernelArch::Avx512 => avx512::pivoted_qr(a, tol, max_rank),
+            KernelArch::Avx512 => avx512::advance_qr(qr, tol, max_rank),
             #[cfg(not(target_arch = "x86_64"))]
             KernelArch::Avx2 | KernelArch::Avx512 => {
                 unreachable!("SIMD dispatch cannot exist off x86_64")
@@ -465,7 +473,7 @@ impl KernelDispatch {
     /// Triangular substitution in place ([`crate::solve`]): solve `kind`
     /// against the leading `k x k` triangle of `t`, `x` the row-major
     /// `k x q` right-hand side on entry and the solution on return.  Like
-    /// [`KernelDispatch::pivoted_qr`], one body compiled per arm, so
+    /// [`KernelDispatch::advance_qr`], one body compiled per arm, so
     /// **every arm returns the same bits**; the `solve_*_in_place` kernels,
     /// the Cholesky and LU solves and the ID take [`KernelDispatch::global`].
     ///

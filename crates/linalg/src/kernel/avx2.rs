@@ -36,7 +36,7 @@
 //! 256-bit width: the in-place and packed routes, `dot`, `axpy` and the
 //! distance driver ([`lanes::dist2`], two `ymm` a row) under `avx2` +
 //! `fma`, and the QR and substitution bodies of `qr.rs` and `solve.rs`
-//! under `avx2` alone ([`pivoted_qr`], [`substitute`]).  Those two form no
+//! under `avx2` alone ([`advance_qr`], [`substitute`]).  Those two form no
 //! `fma` (Rust contracts nothing), so they run the scalar arm's chains and
 //! return its bits.  (One generic runner that calls a closure inside the
 //! features is not enough: the code generator did not inline every closure
@@ -51,7 +51,7 @@
 use super::lanes::{self, lane_type, Lanes};
 use super::pack::{pack_a, pack_a_trans, pack_b, packed_a_len, packed_b_len, KC, MC, MR, NC, NR};
 use crate::matrix::Matrix;
-use crate::qr::PivotedQr;
+use crate::qr::{QrStop, ResumableQr};
 use crate::solve::Substitution;
 use core::arch::x86_64::*;
 use std::cell::RefCell;
@@ -581,23 +581,23 @@ fn dist2_instance(
     lanes::dist2::<_, 2>(Ymm::new(), coords, dim, rows, panels, n, out, ldo);
 }
 
-/// The one-pass pivoted QR ([`crate::qr`]) compiled for AVX2: the scalar
+/// The one-pass pivoted QR's steps ([`crate::qr`], [`ResumableQr::advance`]) compiled for AVX2: the scalar
 /// arm's bits.  Caller guarantees avx2 + fma (checked once at dispatch
 /// resolution).
-pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+pub fn advance_qr(qr: &mut ResumableQr, tol: f64, max_rank: usize) -> QrStop {
     // SAFETY: dispatch resolution verified avx2+fma before any dispatch
     // could reach this function; the instance itself is safe code.
-    unsafe { pivoted_qr_instance(a, tol, max_rank) }
+    unsafe { advance_qr_instance(qr, tol, max_rank) }
 }
 
-/// The QR body's instance: safe code throughout.
+/// The QR steps' instance: safe code throughout.
 ///
 /// # Safety
 /// Callable only where the CPU has `avx2` (the trampoline's dispatch
 /// checked it).  No `fma`, so nothing can be contracted.
 #[target_feature(enable = "avx2")]
-fn pivoted_qr_instance(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
-    crate::qr::pivoted_qr_body(a, tol, max_rank)
+fn advance_qr_instance(qr: &mut ResumableQr, tol: f64, max_rank: usize) -> QrStop {
+    qr.advance_body(tol, max_rank)
 }
 
 /// The triangular substitutions ([`crate::solve`]) compiled for AVX2: the

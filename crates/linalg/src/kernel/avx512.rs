@@ -19,7 +19,7 @@
 //!
 //! Each body runs in an `avx512f` instance of its own, as on the AVX2 arm:
 //! the distance driver (one `zmm` a row) and the QR and substitution
-//! bodies ([`pivoted_qr`], [`substitute`]), with the scalar arm's chains and
+//! bodies ([`advance_qr`], [`substitute`]), with the scalar arm's chains and
 //! bits.  (`avx512f` implies `fma` to the code generator, but Rust emits no
 //! contractible operations.)
 #![cfg(target_arch = "x86_64")]
@@ -32,7 +32,7 @@ use super::avx2;
 use super::lanes::{self, lane_type};
 use super::pack::NR;
 use crate::matrix::Matrix;
-use crate::qr::PivotedQr;
+use crate::qr::{QrStop, ResumableQr};
 use crate::solve::Substitution;
 use core::arch::x86_64::*;
 
@@ -139,23 +139,23 @@ fn dist2_instance(
     lanes::dist2::<_, 1>(Zmm::new(), coords, dim, rows, panels, n, out, ldo);
 }
 
-/// The one-pass pivoted QR ([`crate::qr`]) compiled for AVX-512: the scalar
+/// The one-pass pivoted QR's steps ([`crate::qr`], [`ResumableQr::advance`]) compiled for AVX-512: the scalar
 /// arm's bits.  Caller guarantees avx512f (checked once at dispatch
 /// resolution).
-pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
+pub fn advance_qr(qr: &mut ResumableQr, tol: f64, max_rank: usize) -> QrStop {
     // SAFETY: dispatch resolution verified avx512f before any dispatch
     // could reach this function; the instance itself is safe code.
-    unsafe { pivoted_qr_instance(a, tol, max_rank) }
+    unsafe { advance_qr_instance(qr, tol, max_rank) }
 }
 
-/// The QR body's instance: safe code throughout.
+/// The QR steps' instance: safe code throughout.
 ///
 /// # Safety
 /// Callable only where the CPU has `avx512f` (the trampoline's dispatch
 /// checked it).
 #[target_feature(enable = "avx512f")]
-fn pivoted_qr_instance(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
-    crate::qr::pivoted_qr_body(a, tol, max_rank)
+fn advance_qr_instance(qr: &mut ResumableQr, tol: f64, max_rank: usize) -> QrStop {
+    qr.advance_body(tol, max_rank)
 }
 
 /// The triangular substitutions ([`crate::solve`]) compiled for AVX-512: the

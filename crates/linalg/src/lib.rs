@@ -26,7 +26,9 @@
 //! * [`qr`] — Householder column-pivoted QR (Businger–Golub) with adaptive
 //!   rank detection; forms `R` in place and never `Q`, one pass over the
 //!   trailing block a step, compiled once per kernel arm with the same
-//!   bits on each ([`KernelDispatch::pivoted_qr`]).
+//!   bits on each ([`KernelDispatch::advance_qr`]).  It pauses at its stop
+//!   and goes on to a tighter one or reads a looser one off `R`
+//!   ([`ResumableQr`]).
 //! * [`solve`] — the triangular substitutions under the Cholesky and LU
 //!   solves and the ID, likewise one body per arm
 //!   ([`KernelDispatch::substitute`]).
@@ -90,13 +92,13 @@ pub use chol::{
     cholesky, cholesky_solve, cholesky_solve_in_place, cholesky_solve_matrix, NotPositiveDefinite,
 };
 pub use gemm::{gemm_panel, gemm_seq, matmul, GemmOp};
-pub use id::{column_id, row_id, row_id_of_transpose, IdResult};
+pub use id::{column_id, row_id, row_id_of_qr, row_id_of_transpose, IdResult};
 pub use inverse::{cholesky_inverse, lu_inverse};
 pub use kernel::{simd_available, KernelChoice, KernelDispatch};
 pub use lu::{lu_factor, lu_solve_in_place, LuFactors, SingularMatrix};
 pub use matrix::{all_finite, Matrix};
 pub use norms::{frobenius_norm, relative_error};
-pub use qr::{pivoted_qr, PivotedQr};
+pub use qr::{pivoted_qr, PivotedQr, QrStop, ResumableQr};
 pub use solve::{
     solve_lower_in_place, solve_lower_transpose_in_place, solve_upper_in_place, Substitution,
 };

@@ -11,9 +11,9 @@
 //! # Only what the ID reads
 //!
 //! The ID needs the rank, the permutation and `R`; `Q` is never formed.
-//! [`pivoted_qr`] factors its (row-major) input in its own buffer and
-//! discards each reflector once it is applied, so `R` is the leading `rank`
-//! rows of that buffer with the sub-diagonal cleared.
+//! The factorization runs in its input's own buffer and discards each
+//! reflector once it is applied, so `R` is the leading `rank` rows of that
+//! buffer with the sub-diagonal cleared.
 //!
 //! # One pass a step
 //!
@@ -28,6 +28,29 @@
 //! The rows past the final rank never get the last step's update: they are
 //! truncated anyway.
 //!
+//! # Pausing and resuming
+//!
+//! No step reads `tol` or `max_rank`; they only decide where the loop
+//! stops.  So the factorization is a [`ResumableQr`], and
+//! [`ResumableQr::advance`] runs it to the stop of a `(tol, max_rank)` and
+//! leaves it paused there.  At a `tol` stop, step `k`'s pivot is swapped
+//! in, its column is brought up to date and its `alpha` is taken: exactly
+//! what a run that stops at `k` has done.  From there, a later `advance`:
+//!
+//! * to a tighter `tol` (or a larger cap) goes on from the pause, with the
+//!   operations a fresh run makes;
+//! * to a looser `tol` (or a smaller cap) reads the stop off the steps
+//!   already taken, because `|R[j][j]|` is step `j`'s `alpha` bit for bit
+//!   (`R[j][j]` is `±alpha`, and no later step writes column `j` or row
+//!   `j`).
+//!
+//! After a looser read the buffer still holds the later steps' pivot
+//! swaps.  They only reorder the columns past the stop, together with the
+//! permutation: [`ResumableQr::factor`] undoes them and returns the fresh
+//! run's `R` bit for bit, and the ID ([`crate::id::row_id_of_qr`]) needs no
+//! undoing, since its `R11^{-1} R12` and its scatter work column by column.
+//! [`pivoted_qr`] is one `advance` from the start.
+//!
 //! # The per-column chain
 //!
 //! Every entry of `R` comes from one fixed operation chain per column,
@@ -38,11 +61,11 @@
 //! `C[k+i, j] -= scale · v[i]` skips a column whose scale is exactly zero.
 //! The pass runs *by rows*, across independent columns, so it vectorizes
 //! without reassociating any chain, and Rust never contracts `a * b + c`
-//! to an FMA.  `pivoted_qr_body` is `#[inline(always)]`: the
-//! [`KernelDispatch`] compiles it once more for each SIMD arm it has
-//! (`kernel/{avx2,avx512}.rs`), and every arm returns the same bits — the
-//! arm moves speed only, so [`pivoted_qr`] takes
-//! [`KernelDispatch::global`].
+//! to an FMA.  The steps are `#[inline(always)]`: the [`KernelDispatch`]
+//! compiles [`ResumableQr::advance`]'s loop once more for each SIMD arm it
+//! has (`kernel/{avx2,avx512}.rs`), and every arm returns the same bits —
+//! the arm moves speed only, so [`pivoted_qr`] and
+//! [`ResumableQr::advance`] take [`KernelDispatch::global`].
 
 use crate::kernel::KernelDispatch;
 use crate::matrix::Matrix;
@@ -82,129 +105,298 @@ pub fn pivoted_qr(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
     KernelDispatch::global().pivoted_qr(a, tol, max_rank)
 }
 
-/// The factorization [`pivoted_qr`] runs, inlined into each kernel arm's
-/// instance (see the module docs).
-#[inline(always)]
-pub(crate) fn pivoted_qr_body(a: Matrix, tol: f64, max_rank: usize) -> PivotedQr {
-    let (m, n) = a.shape();
-    let kmax = m.min(n).min(max_rank);
-    let mut c = a.into_vec();
-    let mut perm: Vec<usize> = (0..n).collect();
-    // Squared column norms, updated incrementally (Businger–Golub downdating).
-    let mut norms = vec![0.0; n];
-    for row in c.chunks_exact(n.max(1)) {
-        for (s, x) in norms.iter_mut().zip(row) {
-            *s += x * x;
+/// Where [`ResumableQr::advance`] stopped: the rank, and how many leading
+/// steps' pivot swaps a fresh run to the same stop makes (a `tol` stop at
+/// `k` has swapped step `k`'s pivot in; a stop at the cap has not).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QrStop {
+    /// The detected rank: the number of reflections up to the stop.
+    pub rank: usize,
+    swapped: usize,
+}
+
+/// A column-pivoted QR that pauses at its stop and can go on from there
+/// (module docs, "Pausing and resuming").  Every stop an `advance` of it
+/// returns stays valid: the steps below a stop never change.
+#[derive(Debug, Clone)]
+pub struct ResumableQr {
+    /// The block, factored in place: rows `..done` are `R`'s (below the
+    /// diagonal lie spent columns), rows `done..` still owe step
+    /// `done − 1`'s update, apart from a swapped-in pivot column.
+    c: Matrix,
+    perm: Vec<usize>,
+    /// Squared column norms, downdated step by step; computed by the
+    /// `advance` that takes the first step.
+    norms: Vec<f64>,
+    /// The pivot column of step `done`, once it is swapped in.
+    v: Vec<f64>,
+    /// Scratch for a step's dots.
+    w: Vec<f64>,
+    /// Step `done − 1`'s reflector and scaled dots, whose update of rows
+    /// `done..` is pending; before step 0, zero scales and a zero reflector
+    /// one row taller than the block (the pivot sweep reads it from its
+    /// second entry).
+    v_prev: Vec<f64>,
+    s: Vec<f64>,
+    r00: f64,
+    /// Steps completed: reflections applied.
+    done: usize,
+    /// Step `done`'s `alpha` once its pivot is swapped in.
+    pending: Option<f64>,
+    /// The pivot of every step whose swap is made, in step order.
+    pivots: Vec<usize>,
+}
+
+impl ResumableQr {
+    /// A factorization of `a`, in `a`'s own buffer, before its first step.
+    pub fn new(a: Matrix) -> Self {
+        let (m, n) = a.shape();
+        ResumableQr {
+            c: a,
+            perm: (0..n).collect(),
+            norms: vec![0.0; n],
+            v: Vec::with_capacity(m + 1),
+            w: vec![0.0; n],
+            v_prev: vec![0.0; m + 1],
+            s: vec![0.0; n],
+            r00: 0.0,
+            done: 0,
+            pending: None,
+            pivots: Vec::with_capacity(m.min(n) + 1),
         }
     }
 
-    // Step `k`'s reflector and scaled dots `tau * v^T C[k.., j]`, and step
-    // `k − 1`'s, whose update of rows `k..` is pending.  Before step 0 the
-    // pending step has zero scales, and a zero reflector one row taller
-    // than the block (the pivot sweep reads it from its second entry).
-    let mut v: Vec<f64> = Vec::with_capacity(m + 1);
-    let mut w = vec![0.0; n];
-    let mut v_prev: Vec<f64> = vec![0.0; m + 1];
-    let mut s = vec![0.0; n];
-    let mut r00: f64 = 0.0;
-    let mut rank = 0;
-
-    for k in 0..kmax {
-        // Pivot: bring the column with the largest remaining norm to front.
-        let pivot = norms[k..]
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i + k)
-            .unwrap();
-        if pivot != k {
-            for row in c[..k * n].chunks_exact_mut(n) {
-                row.swap(k, pivot);
-            }
-            perm.swap(k, pivot);
-            norms.swap(k, pivot);
-            s.swap(k, pivot);
-        }
-        // One sweep down rows k..m swaps the pivot in, brings it up to date
-        // with step k − 1 and copies it out as the reflector; its norm is
-        // recomputed exactly to avoid downdating drift.
-        let sk = s[k];
-        v.clear();
-        for (row, &pi) in c[k * n..].chunks_exact_mut(n).zip(&v_prev[1..]) {
-            row.swap(k, pivot);
-            if sk != 0.0 {
-                row[k] -= sk * pi;
-            }
-            v.push(row[k]);
-        }
-        let exact: f64 = v.iter().map(|x| x * x).sum();
-        let alpha = exact.sqrt();
-        if k == 0 {
-            r00 = alpha;
-        }
-        // Rank detection: relative drop of the diagonal of R.
-        if alpha <= tol * r00 || alpha == 0.0 {
-            break;
-        }
-
-        // Householder reflector for column k, rows k..m.
-        let beta = if v[0] >= 0.0 { -alpha } else { alpha };
-        v[0] -= beta;
-        let vnorm2: f64 = v.iter().map(|x| x * x).sum();
-        let tau = if vnorm2 == 0.0 { 0.0 } else { 2.0 / vnorm2 };
-
-        // The pass over rows k..m: step k − 1's pending update of the
-        // trailing columns, and step k's dots.
-        let j0 = k + 1;
-        let wk = &mut w[j0..];
-        wk.fill(0.0);
-        let (rows, sp, vp) = (&mut c[k * n..], &s[j0..], &v_prev[1..]);
-        if k == 0 {
-            pass::<false, false>(rows, n, j0, sp, vp, &v, wk);
-        } else if sp.iter().all(|&x| x != 0.0) {
-            pass::<true, false>(rows, n, j0, sp, vp, &v, wk);
-        } else {
-            pass::<true, true>(rows, n, j0, sp, vp, &v, wk);
-        }
-        for x in wk.iter_mut() {
-            *x *= tau;
-        }
-        // Row k of R gets step k's update now (`x - 0 * vi` is not `x` for
-        // `x = -0.0`, so a zero scale leaves its column untouched), and the
-        // running column norms are downdated from it.
-        let row_k = &mut c[k * n + j0..(k + 1) * n];
-        let v0 = v[0];
-        if wk.iter().all(|&x| x != 0.0) {
-            row_k
-                .iter_mut()
-                .zip(wk.iter())
-                .for_each(|(x, s)| *x -= s * v0);
-        } else {
-            row_k
-                .iter_mut()
-                .zip(wk.iter())
-                .filter(|(_, &s)| s != 0.0)
-                .for_each(|(x, s)| *x -= s * v0);
-        }
-        for (nj, r_kj) in norms[j0..].iter_mut().zip(row_k.iter()) {
-            *nj = (*nj - r_kj * r_kj).max(0.0);
-        }
-
-        c[k * n + k] = beta;
-        rank = k + 1;
-        std::mem::swap(&mut v, &mut v_prev);
-        std::mem::swap(&mut w, &mut s);
+    /// Run to the stop of relative tolerance `tol` and rank cap `max_rank`
+    /// (as [`pivoted_qr`] takes them) and pause there, on the process-wide
+    /// kernel arm: a fresh run's stop, bit for bit, whatever stops this
+    /// factorization was advanced to before.
+    pub fn advance(&mut self, tol: f64, max_rank: usize) -> QrStop {
+        KernelDispatch::global().advance_qr(self, tol, max_rank)
     }
 
-    // R is the leading `rank` rows; below the diagonal lie spent columns.
-    c.truncate(rank * n);
-    for (k, row) in c.chunks_exact_mut(n.max(1)).enumerate() {
+    /// The reflections applied so far.
+    pub fn steps(&self) -> usize {
+        self.done
+    }
+
+    /// Bytes this factorization holds.
+    pub fn bytes(&self) -> usize {
+        let floats = self.c.len()
+            + self.norms.capacity()
+            + self.v.capacity()
+            + self.v_prev.capacity()
+            + self.s.capacity()
+            + self.w.capacity();
+        floats * std::mem::size_of::<f64>()
+            + (self.perm.capacity() + self.pivots.capacity()) * std::mem::size_of::<usize>()
+    }
+
+    /// The factor a fresh [`pivoted_qr`] to `stop` returns, bit for bit:
+    /// the leading `stop.rank` rows, with the swaps of the steps past the
+    /// stop undone.  `stop` is one this factorization's `advance` returned.
+    pub fn factor(&self, stop: QrStop) -> PivotedQr {
+        let n = self.c.cols();
+        let r = self.c.as_slice()[..stop.rank * n].to_vec();
+        leading_factor(r, self.perm.clone(), n, stop, &self.pivots)
+    }
+
+    /// [`ResumableQr::factor`] in this factorization's own buffer.
+    pub fn into_factor(self, stop: QrStop) -> PivotedQr {
+        let n = self.c.cols();
+        let mut r = self.c.into_vec();
+        r.truncate(stop.rank * n);
+        leading_factor(r, self.perm, n, stop, &self.pivots)
+    }
+
+    /// The buffer (its leading `k x k` upper triangle is `R11` at any stop
+    /// of rank `k`) and the permutation its columns are in.
+    pub(crate) fn leading(&self) -> (&Matrix, &[usize]) {
+        (&self.c, &self.perm)
+    }
+
+    /// The loop [`ResumableQr::advance`] runs, inlined into each kernel
+    /// arm's instance (see the module docs).  It runs on locals taken out
+    /// of the paused state and puts them back at the stop, so the step
+    /// loop keeps its scalars in registers.
+    #[inline(always)]
+    pub(crate) fn advance_body(&mut self, tol: f64, max_rank: usize) -> QrStop {
+        let (m, n) = self.c.shape();
+        let kmax = m.min(n).min(max_rank);
+        let c = self.c.as_mut_slice();
+        // A stop among the steps taken: `|R[j][j]|` is step `j`'s `alpha`.
+        let r00 = self.r00;
+        let taken = self.done.min(kmax);
+        if let Some(j) = (0..taken).find(|&j| {
+            let alpha = c[j * n + j].abs();
+            alpha <= tol * r00 || alpha == 0.0
+        }) {
+            return QrStop {
+                rank: j,
+                swapped: j + 1,
+            };
+        }
+        use std::mem::take;
+        let (mut perm, mut norms, mut pivots) = (
+            take(&mut self.perm),
+            take(&mut self.norms),
+            take(&mut self.pivots),
+        );
+        let (mut v, mut w) = (take(&mut self.v), take(&mut self.w));
+        let (mut v_prev, mut s) = (take(&mut self.v_prev), take(&mut self.s));
+        let (mut r00, mut pending) = (self.r00, self.pending);
+        if pivots.is_empty() {
+            // Squared column norms, updated incrementally (Businger–Golub
+            // downdating).
+            norms.fill(0.0);
+            for row in c.chunks_exact(n.max(1)) {
+                for (s, x) in norms.iter_mut().zip(row) {
+                    *s += x * x;
+                }
+            }
+        }
+
+        let mut k = self.done;
+        let stop = loop {
+            if k >= kmax {
+                break QrStop {
+                    rank: kmax,
+                    swapped: kmax,
+                };
+            }
+            let alpha = match pending {
+                Some(alpha) => alpha,
+                None => {
+                    // Pivot: bring the column with the largest remaining
+                    // norm to front.
+                    let pivot = norms[k..]
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                        .map(|(i, _)| i + k)
+                        .unwrap();
+                    if pivot != k {
+                        for row in c[..k * n].chunks_exact_mut(n) {
+                            row.swap(k, pivot);
+                        }
+                        perm.swap(k, pivot);
+                        norms.swap(k, pivot);
+                        s.swap(k, pivot);
+                    }
+                    // One sweep down rows k..m swaps the pivot in, brings it
+                    // up to date with step k − 1 and copies it out as the
+                    // reflector; its norm is recomputed exactly to avoid
+                    // downdating drift.
+                    let sk = s[k];
+                    v.clear();
+                    for (row, &pi) in c[k * n..].chunks_exact_mut(n).zip(&v_prev[1..]) {
+                        row.swap(k, pivot);
+                        if sk != 0.0 {
+                            row[k] -= sk * pi;
+                        }
+                        v.push(row[k]);
+                    }
+                    let exact: f64 = v.iter().map(|x| x * x).sum();
+                    let alpha = exact.sqrt();
+                    if k == 0 {
+                        r00 = alpha;
+                    }
+                    pivots.push(pivot);
+                    alpha
+                }
+            };
+            // Rank detection: relative drop of the diagonal of R.  Here the
+            // loop pauses: step k's pivot is in and its alpha taken.
+            if alpha <= tol * r00 || alpha == 0.0 {
+                pending = Some(alpha);
+                break QrStop {
+                    rank: k,
+                    swapped: k + 1,
+                };
+            }
+            pending = None;
+
+            // Householder reflector for column k, rows k..m.
+            let beta = if v[0] >= 0.0 { -alpha } else { alpha };
+            v[0] -= beta;
+            let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+            let tau = if vnorm2 == 0.0 { 0.0 } else { 2.0 / vnorm2 };
+
+            // The pass over rows k..m: step k − 1's pending update of the
+            // trailing columns, and step k's dots.
+            let j0 = k + 1;
+            let wk = &mut w[j0..];
+            wk.fill(0.0);
+            let (rows, sp, vp) = (&mut c[k * n..], &s[j0..], &v_prev[1..]);
+            if k == 0 {
+                pass::<false, false>(rows, n, j0, sp, vp, &v, wk);
+            } else if sp.iter().all(|&x| x != 0.0) {
+                pass::<true, false>(rows, n, j0, sp, vp, &v, wk);
+            } else {
+                pass::<true, true>(rows, n, j0, sp, vp, &v, wk);
+            }
+            for x in wk.iter_mut() {
+                *x *= tau;
+            }
+            // Row k of R gets step k's update now (`x - 0 * vi` is not `x`
+            // for `x = -0.0`, so a zero scale leaves its column untouched),
+            // and the running column norms are downdated from it.
+            let row_k = &mut c[k * n + j0..(k + 1) * n];
+            let v0 = v[0];
+            if wk.iter().all(|&x| x != 0.0) {
+                row_k
+                    .iter_mut()
+                    .zip(wk.iter())
+                    .for_each(|(x, s)| *x -= s * v0);
+            } else {
+                row_k
+                    .iter_mut()
+                    .zip(wk.iter())
+                    .filter(|(_, &s)| s != 0.0)
+                    .for_each(|(x, s)| *x -= s * v0);
+            }
+            for (nj, r_kj) in norms[j0..].iter_mut().zip(row_k.iter()) {
+                *nj = (*nj - r_kj * r_kj).max(0.0);
+            }
+
+            c[k * n + k] = beta;
+            k += 1;
+            std::mem::swap(&mut v, &mut v_prev);
+            std::mem::swap(&mut w, &mut s);
+        };
+
+        (self.perm, self.norms, self.pivots) = (perm, norms, pivots);
+        (self.v, self.w, self.v_prev, self.s) = (v, w, v_prev, s);
+        (self.r00, self.pending, self.done) = (r00, pending, k);
+        stop
+    }
+}
+
+/// `R` from the leading `stop.rank` rows `r` of a factored buffer (`n`
+/// wide) and its permutation: the swaps of the steps past the stop are
+/// undone, latest first (they only reordered columns past it), and the
+/// spent columns below the diagonal cleared.
+fn leading_factor(
+    mut r: Vec<f64>,
+    mut perm: Vec<usize>,
+    n: usize,
+    stop: QrStop,
+    pivots: &[usize],
+) -> PivotedQr {
+    for (t, &p) in pivots.iter().enumerate().skip(stop.swapped).rev() {
+        if p != t {
+            for row in r.chunks_exact_mut(n) {
+                row.swap(t, p);
+            }
+            perm.swap(t, p);
+        }
+    }
+    for (k, row) in r.chunks_exact_mut(n.max(1)).enumerate() {
         row[..k].fill(0.0);
     }
     PivotedQr {
-        rank,
+        rank: stop.rank,
         perm,
-        r: Matrix::from_vec(rank, n, c),
+        r: Matrix::from_vec(stop.rank, n, r),
     }
 }
 

@@ -9,7 +9,10 @@
 //! and stored image, is built on them (`tests/serialization_roundtrip.rs`
 //! pins the result).
 
-use matrox_linalg::{matmul, KernelChoice, KernelDispatch, Matrix, PivotedQr};
+use matrox_linalg::{
+    matmul, row_id_of_qr, row_id_of_transpose, KernelChoice, KernelDispatch, Matrix, PivotedQr,
+    QrStop, ResumableQr,
+};
 use rand::{Rng, SeedableRng};
 
 /// The column-at-a-time factorization `pivoted_qr` replaced, verbatim
@@ -262,6 +265,130 @@ fn qr_matches_reference_at_inspector_shapes() {
         let at = Matrix::from_fn(512, cand.len(), |s, c| kernel(samples[s], cand[c]));
         for bacc in [1e-7, 1e-5] {
             assert_matches_reference(&at, bacc, 256);
+        }
+    }
+}
+
+/// Rank, permutation, `R`, skeleton and interpolation matrix of `qr` at
+/// `stop` are, by bits, what a fresh factorization and ID on `disp` give
+/// at `(tol, cap)`.
+fn assert_fresh_at(
+    disp: &KernelDispatch,
+    a: &Matrix,
+    qr: &ResumableQr,
+    stop: QrStop,
+    (tol, cap): (f64, usize),
+    what: &str,
+) {
+    let bits = |r: &Matrix| r.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let what = format!(
+        "{} arm, {:?} at tol {tol} cap {cap}, {what}",
+        disp.name(),
+        a.shape()
+    );
+    let want = disp.pivoted_qr(a.clone(), tol, cap);
+    let got = qr.factor(stop);
+    assert_eq!(stop.rank, want.rank, "rank, {what}");
+    assert_eq!(got.rank, want.rank, "factor rank, {what}");
+    assert_eq!(
+        got.perm[..got.rank],
+        want.perm[..want.rank],
+        "perm[..k], {what}"
+    );
+    assert_eq!(got.perm, want.perm, "perm, {what}");
+    assert_eq!(got.r.shape(), want.r.shape(), "R shape, {what}");
+    assert_eq!(bits(&got.r), bits(&want.r), "R bits, {what}");
+    let want = row_id_of_transpose(a.clone(), tol, cap);
+    let got = row_id_of_qr(qr, stop);
+    assert_eq!(got.rank, want.rank, "ID rank, {what}");
+    assert_eq!(got.skeleton, want.skeleton, "skeleton, {what}");
+    assert_eq!(
+        got.interp.shape(),
+        want.interp.shape(),
+        "interp shape, {what}"
+    );
+    assert_eq!(bits(&got.interp), bits(&want.interp), "interp bits, {what}");
+}
+
+/// A pivoted QR paused at one stop and taken on to another — resumed to a
+/// tighter one, read at a looser one, or moved through several in turn —
+/// gives the fresh factorization and ID of every stop it was taken to, by
+/// bits, on every arm.  The blocks: random ones, a Gaussian sample block,
+/// an exactly rank-deficient one (stops on `alpha == 0`) and one of tied
+/// pivot norms; the stops include rank caps below, at and above the
+/// numerical rank.  Each premise is asserted on the oracle.
+#[test]
+fn paused_qr_resumes_and_reads_looser_stops_bitwise() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+    let mut point = || {
+        (0..54)
+            .map(|_| rng.gen_range(0.0..1.0))
+            .collect::<Vec<f64>>()
+    };
+    let (x, y): (Vec<_>, Vec<_>) = (0..40).map(|_| (point(), point())).unzip();
+    let gaussian = Matrix::from_fn(40, 36, |s, c| {
+        let d2: f64 = x[s].iter().zip(&y[c]).map(|(a, b)| (a - b) * (a - b)).sum();
+        (-d2 / 2.0).exp()
+    });
+    // Rows past the fourth are zero, and no update writes them: the fifth
+    // step's pivot column is exactly zero.
+    let mut deficient = random_matrix(14, 11, 63);
+    for i in 4..14 {
+        for j in 0..11 {
+            deficient.set(i, j, 0.0);
+        }
+    }
+    let ties = Matrix::from_fn(12, 12, |i, j| if (i + 3 * j) % 12 == 0 { 1.0 } else { 0.0 });
+    assert_eq!(reference_qr(&deficient, 0.0, usize::MAX).rank, 4);
+    assert!(reference_qr(&gaussian, 1e-6, usize::MAX).rank > 5);
+    let blocks = [
+        random_matrix(24, 18, 60),
+        random_matrix(13, 31, 61),
+        gaussian,
+        deficient,
+        ties,
+    ];
+    const ALL: usize = usize::MAX;
+    let stops = [
+        (1e-1, ALL),
+        (1e-3, ALL),
+        (1e-6, ALL),
+        (0.0, ALL),
+        (1e-6, 5),
+        (0.0, 2),
+    ];
+    // Down the ladder, back up it, and interleaved, caps moving both ways.
+    let hops = [
+        (1e-1, ALL),
+        (1e-3, ALL),
+        (1e-6, 5),
+        (1e-6, ALL),
+        (1e-12, 3),
+        (1e-2, ALL),
+        (0.0, ALL),
+        (1e-4, ALL),
+        (1e-1, 2),
+    ];
+    for a in &blocks {
+        for disp in arms() {
+            for &first in &stops {
+                for &second in &stops {
+                    let mut qr = ResumableQr::new(a.clone());
+                    let paused = disp.advance_qr(&mut qr, first.0, first.1);
+                    let then = disp.advance_qr(&mut qr, second.0, second.1);
+                    let what = format!("after {first:?}");
+                    assert_fresh_at(&disp, a, &qr, then, second, &what);
+                    assert_fresh_at(&disp, a, &qr, paused, first, "paused stop");
+                }
+            }
+            let mut qr = ResumableQr::new(a.clone());
+            let mut seen = Vec::new();
+            for (hop, &at) in hops.iter().enumerate() {
+                seen.push((at, disp.advance_qr(&mut qr, at.0, at.1)));
+                for &(at, stop) in &seen {
+                    assert_fresh_at(&disp, a, &qr, stop, at, &format!("hop {hop}"));
+                }
+            }
         }
     }
 }

@@ -222,6 +222,31 @@ pub fn pair_blocks<'a>(
     grain: usize,
     rows_of: impl Fn(usize) -> &'a [usize] + Sync,
 ) -> Vec<((usize, usize), Matrix)> {
+    pair_blocks_by(lists, grain, |_, i, j, twin| {
+        let (rows, cols) = (rows_of(i), rows_of(j));
+        match twin {
+            true => {
+                let (block, transposed) = kernel_block_twins(points, kernel, rows, cols);
+                (block, Some(transposed))
+            }
+            false if i == j => (kernel_block_symmetric(points, kernel, rows), None),
+            false => (kernel_block(points, kernel, rows, cols), None),
+        }
+    })
+}
+
+/// [`pair_blocks`]' walk over the pairs of `lists`, with the blocks
+/// `block(at, i, j, twin)` gives: `at` is the pair's position in the
+/// flattened lists, and `twin` says that `(j, i)` is listed too and takes
+/// the second block, which must then be the first's transpose.  `block` is
+/// called once for every pair but the second of a twin; for the result to
+/// be [`pair_blocks`]', it must give `K(rows_of(i), rows_of(j))` bit for
+/// bit.
+pub fn pair_blocks_by(
+    lists: &[Vec<usize>],
+    grain: usize,
+    block: impl Fn(usize, usize, usize, bool) -> (Matrix, Option<Matrix>) + Sync,
+) -> Vec<((usize, usize), Matrix)> {
     let offsets: Vec<usize> = lists
         .iter()
         .scan(0, |next, list| {
@@ -257,15 +282,7 @@ pub fn pair_blocks<'a>(
         .with_min_len(grain.max(1))
         .map(|&(at, twin)| {
             let (i, j) = pairs[at];
-            let (rows, cols) = (rows_of(i), rows_of(j));
-            match twin {
-                Some(_) => {
-                    let (block, transposed) = kernel_block_twins(points, kernel, rows, cols);
-                    (block, Some(transposed))
-                }
-                None if i == j => (kernel_block_symmetric(points, kernel, rows), None),
-                None => (kernel_block(points, kernel, rows, cols), None),
-            }
+            block(at, i, j, twin.is_some())
         })
         .collect();
     let mut blocks: Vec<Option<Matrix>> = vec![None; pairs.len()];

@@ -26,7 +26,7 @@ pub mod pointset;
 
 pub use block::{
     dist2_block_symmetric, dist2_block_to, kernel_block, kernel_block_par, kernel_block_symmetric,
-    kernel_block_twins, pair_blocks,
+    kernel_block_twins, pair_blocks, pair_blocks_by,
 };
 pub use datasets::{generate, DatasetId, DatasetSpec, TABLE1};
 pub use kernel::Kernel;

@@ -16,11 +16,18 @@
 //! * [`Structure::Hss`] — weak admissibility: every off-diagonal block is
 //!   low-rank (STRUMPACK's only supported structure).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "CONCURRENCY: the kept ladder work is one std Mutex per node and per far pair, each a Slot taken and put back in a critical section that only moves a value, never held across a pool call or any evaluation; a busy or poisoned cell is a miss (DESIGN.md \"Inspector reuse\")"
+)]
+
 use crate::ctree::ClusterTree;
-use matrox_linalg::Matrix;
-use matrox_points::{kernel_block, pair_blocks, Kernel, PointSet};
+use matrox_linalg::{row_id_of_qr, IdResult, Matrix, ResumableQr};
+use matrox_points::{
+    kernel_block, kernel_block_symmetric, pair_blocks, pair_blocks_by, Kernel, PointSet,
+};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
 /// HMatrix structure selection (admissibility flavour).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,8 +74,9 @@ impl Structure {
 /// The HTree also keeps the dense blocks of its near lists once they are
 /// evaluated ([`HTree::near_blocks`]): they depend on the points, the tree
 /// and the kernel but not on the accuracy, so every p2 of an accuracy
-/// sweep over one p1 shares them, and so do its leaves' sample blocks from
-/// the second p2 on ([`HTree::leaf_sample_blocks`]).  It can keep a copy of
+/// sweep over one p1 shares them.  From the second p2 on it also keeps
+/// what each rung's accuracy-dependent work leaves, for the next rung to
+/// go on from ([`HTree::ladder`]).  It can keep a copy of
 /// the points it was built over ([`HTree::keep_points`]), so that a later
 /// stage can check it is handed the same ones ([`HTree::built_over`]) and
 /// then run on the copy ([`HTree::kept_points`]).
@@ -186,9 +194,9 @@ impl NearSet {
 
 /// Near blocks and the exact inputs they were evaluated from: the kernel
 /// and the coordinates by bits, the near lists, and the point indices of
-/// every node a near pair reads.  It also holds the leaves' sample blocks
-/// once a second call over the same inputs asks for them
-/// ([`HTree::leaf_sample_blocks`]).
+/// every node a near pair reads.  It also holds the work an accuracy
+/// ladder keeps once a second call over the same inputs asks for it
+/// ([`HTree::ladder`]).
 struct NearField {
     kernel: (u8, [u64; 2]),
     points: Arc<Points>,
@@ -196,92 +204,380 @@ struct NearField {
     /// `(node, tree.indices(node))` for every node in a near pair, ascending.
     rows: Vec<(usize, Vec<usize>)>,
     blocks: NearBlocks,
-    leaves: OnceLock<Arc<LeafField>>,
+    ladder: OnceLock<Arc<LadderField>>,
 }
 
 impl fmt::Debug for NearField {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let leaves = self.leaves.get().map_or(0, |l| l.kept());
+        let kept = self.ladder.get().map(|l| l.counts()).unwrap_or_default();
         write!(
             f,
-            "NearField({} blocks, {leaves} leaf sample blocks)",
-            self.blocks.len()
+            "NearField({} blocks, {} node QRs and {} coupling blocks kept)",
+            self.blocks.len(),
+            kept.nodes_kept,
+            kept.pairs_kept
         )
     }
 }
 
-/// The sample blocks `K(S_i, I_i)` of every leaf `i`, and the exact inputs
-/// beyond a [`NearField`]'s they read: each leaf's index set and samples.
-struct LeafField {
-    /// `(leaf, tree.indices(leaf), samples[leaf])` for every leaf, in
-    /// `tree.leaves()` order (ascending).
-    keys: Vec<(usize, Vec<usize>, Vec<usize>)>,
-    /// One cell per entry of `keys`, filled by the first call that needs it.
-    blocks: Vec<OnceLock<Matrix>>,
+/// A cell of kept ladder work.  A call takes it (`Busy`) and puts its own
+/// work back ([`Lease`]); a call that finds it busy works without it.
+enum Slot<T> {
+    Empty,
+    Busy,
+    Kept(T),
 }
 
-impl LeafField {
-    fn new(tree: &ClusterTree, samples: &[Vec<usize>]) -> Self {
-        let keys: Vec<_> = tree
-            .leaves()
-            .into_iter()
-            .map(|id| (id, tree.indices(id).to_vec(), samples[id].clone()))
-            .collect();
-        let blocks = keys.iter().map(|_| OnceLock::new()).collect();
-        LeafField { keys, blocks }
-    }
-
-    /// Whether every leaf of `tree` has the index set and samples kept.
-    fn reads(&self, tree: &ClusterTree, samples: &[Vec<usize>]) -> bool {
-        let leaves = tree.leaves();
-        leaves.len() == self.keys.len()
-            && leaves.iter().zip(&self.keys).all(|(&id, (kid, rows, s))| {
-                id == *kid && tree.indices(id) == &rows[..] && samples[id] == *s
-            })
-    }
-
-    /// The cell of leaf `id`, if it is one of the kept leaves.
-    fn cell(&self, id: usize) -> Option<&OnceLock<Matrix>> {
-        let at = self.keys.binary_search_by_key(&id, |k| k.0).ok()?;
-        Some(&self.blocks[at])
-    }
-
-    /// Number of blocks kept so far.
-    fn kept(&self) -> usize {
-        self.blocks.iter().filter(|b| b.get().is_some()).count()
-    }
+/// One node's pivoted QR of its transposed sample block `K(samples,
+/// rows)`, paused at the stop of the last call that used it, with the
+/// inputs beyond the near field's key that it read.
+struct NodeQr {
+    rows: Vec<usize>,
+    samples: Vec<usize>,
+    qr: ResumableQr,
+    last: NodeUse,
 }
 
-/// The sample blocks of a tree's leaves ([`HTree::leaf_sample_blocks`]).
-pub struct LeafSampleBlocks<'a> {
-    points: &'a PointSet,
-    tree: &'a ClusterTree,
-    kernel: &'a Kernel,
-    samples: &'a [Vec<usize>],
-    kept: Option<Arc<LeafField>>,
+/// What the last call did with a node's QR.
+#[derive(Debug, Clone, Copy)]
+enum NodeUse {
+    /// Factored it afresh, in so many steps.
+    Fresh(usize),
+    /// Went on from the kept pause, in so many steps.
+    Resumed(usize),
+    /// Read its stop off the steps already taken.
+    Read,
 }
 
-impl LeafSampleBlocks<'_> {
-    /// Leaf `id`'s sample block, transposed: `K(samples[id],
-    /// tree.indices(id))`, bitwise [`kernel_block`]'s.  A copy of the kept
-    /// block when there is one; else it is evaluated, and kept when this
-    /// handle fills the memo.
-    pub fn block(&self, id: usize) -> Matrix {
-        let eval = || {
-            let (samples, rows) = (&self.samples[id], self.tree.indices(id));
-            kernel_block(self.points, self.kernel, samples, rows)
-        };
-        let Some(cell) = self.kept.as_ref().and_then(|l| l.cell(id)) else {
-            return eval();
-        };
-        if let Some(block) = cell.get() {
-            return block.clone();
+/// One far pair's coupling block `K(rows, cols)`, and the entries the last
+/// call evaluated and copied from an earlier block.
+struct PairBlock {
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    block: Matrix,
+    evaluated: usize,
+    copied: usize,
+}
+
+/// The work an accuracy ladder keeps: one cell per node id and one per
+/// position in the far lists.  Each cell holds its own key, so the field
+/// itself is keyed on the near field's inputs only.
+struct LadderField {
+    nodes: Vec<Mutex<Slot<NodeQr>>>,
+    pairs: Vec<Mutex<Slot<PairBlock>>>,
+}
+
+impl LadderField {
+    fn new(nodes: usize, pairs: usize) -> Self {
+        fn cells<T>(n: usize) -> Vec<Mutex<Slot<T>>> {
+            (0..n).map(|_| Mutex::new(Slot::Empty)).collect()
         }
-        let block = eval();
-        // A concurrent call may have filled the cell meanwhile: same bits.
-        let _ = cell.set(block.clone());
+        LadderField {
+            nodes: cells(nodes),
+            pairs: cells(pairs),
+        }
+    }
+
+    /// The cells' last uses, summed; busy cells are skipped.
+    fn counts(&self) -> LadderCounts {
+        let mut c = LadderCounts::default();
+        let usize_bytes = std::mem::size_of::<usize>();
+        for cell in &self.nodes {
+            if let Ok(slot) = cell.try_lock() {
+                if let Slot::Kept(node) = &*slot {
+                    c.nodes_kept += 1;
+                    c.bytes +=
+                        node.qr.bytes() + (node.rows.len() + node.samples.len()) * usize_bytes;
+                    match node.last {
+                        NodeUse::Fresh(steps) => {
+                            c.nodes_fresh += 1;
+                            c.qr_steps += steps;
+                        }
+                        NodeUse::Resumed(steps) => {
+                            c.nodes_resumed += 1;
+                            c.qr_steps += steps;
+                        }
+                        NodeUse::Read => c.nodes_read += 1,
+                    }
+                }
+            }
+        }
+        for cell in &self.pairs {
+            if let Ok(slot) = cell.try_lock() {
+                if let Slot::Kept(pair) = &*slot {
+                    c.pairs_kept += 1;
+                    c.entries_evaluated += pair.evaluated;
+                    c.entries_copied += pair.copied;
+                    c.bytes += pair.block.len() * std::mem::size_of::<f64>()
+                        + (pair.rows.len() + pair.cols.len()) * usize_bytes;
+                }
+            }
+        }
+        c
+    }
+}
+
+/// What the kept ladder work did at its cells' last use, summed over the
+/// cells ([`HTree::ladder_counts`]).  On a ladder run in order, each rung
+/// uses every cell, so read after a rung it is that rung's work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LadderCounts {
+    /// Nodes whose paused QR is kept.
+    pub nodes_kept: usize,
+    /// Nodes that went on from their kept QR to a tighter stop.
+    pub nodes_resumed: usize,
+    /// Nodes that read their stop off the kept QR's steps.
+    pub nodes_read: usize,
+    /// Nodes factored afresh (no kept QR over their rows and samples).
+    pub nodes_fresh: usize,
+    /// QR steps (reflections) the resumed and fresh nodes ran.
+    pub qr_steps: usize,
+    /// Far pairs whose coupling block is kept.
+    pub pairs_kept: usize,
+    /// Coupling entries evaluated.
+    pub entries_evaluated: usize,
+    /// Coupling entries copied from a kept block.
+    pub entries_copied: usize,
+    /// Bytes the kept work holds (QR buffers, blocks and keys).
+    pub bytes: usize,
+}
+
+/// A cell taken by one call, with what it kept when its key matched.  The
+/// call puts its own work back ([`Lease::put`]); a lease dropped without
+/// that (a panic in between) empties the cell, so no call reads work that
+/// was abandoned midway.
+struct Lease<'a, T> {
+    cell: Option<&'a Mutex<Slot<T>>>,
+}
+
+impl<'a, T> Lease<'a, T> {
+    /// Take `cell` and what it keeps if `matches` it.  A missing, busy or
+    /// poisoned cell gives a lease that keeps nothing; kept work that does
+    /// not match is dropped, to be replaced.
+    fn take(
+        cell: Option<&'a Mutex<Slot<T>>>,
+        matches: impl FnOnce(&T) -> bool,
+    ) -> (Self, Option<T>) {
+        let Some(cell) = cell else {
+            return (Lease { cell: None }, None);
+        };
+        let mut slot = match cell.try_lock() {
+            Ok(slot) if !matches!(*slot, Slot::Busy) => slot,
+            Ok(_) | Err(TryLockError::WouldBlock | TryLockError::Poisoned(_)) => {
+                return (Lease { cell: None }, None)
+            }
+        };
+        let kept = match std::mem::replace(&mut *slot, Slot::Busy) {
+            Slot::Kept(kept) if matches(&kept) => Some(kept),
+            _ => None,
+        };
+        (Lease { cell: Some(cell) }, kept)
+    }
+
+    /// Whether [`Lease::put`] keeps anything.
+    fn keeps(&self) -> bool {
+        self.cell.is_some()
+    }
+
+    /// Put `work` in the cell.
+    fn put(mut self, work: T) {
+        if let Some(Ok(mut slot)) = self.cell.take().map(Mutex::lock) {
+            *slot = Slot::Kept(work);
+        }
+    }
+}
+
+impl<T> Drop for Lease<'_, T> {
+    fn drop(&mut self) {
+        if let Some(Ok(mut slot)) = self.cell.take().map(Mutex::lock) {
+            *slot = Slot::Empty;
+        }
+    }
+}
+
+/// The accuracy-dependent work of one compression over a tree, on the
+/// kept work of earlier ones where there is any ([`HTree::ladder`]).
+pub struct Ladder<'a> {
+    points: &'a PointSet,
+    kernel: &'a Kernel,
+    kept: Option<Arc<LadderField>>,
+}
+
+/// One node's ID under way ([`Ladder::node`]).
+pub struct NodeTask<'a> {
+    points: &'a PointSet,
+    kernel: &'a Kernel,
+    rows: &'a [usize],
+    samples: &'a [usize],
+    lease: Lease<'a, NodeQr>,
+    kept: Option<NodeQr>,
+}
+
+impl<'a> Ladder<'a> {
+    /// Start node `id`'s ID over candidate rows `rows` and samples
+    /// `samples`: take its kept QR if it factors `K(samples, rows)`.
+    pub fn node<'t>(&'t self, id: usize, rows: &'t [usize], samples: &'t [usize]) -> NodeTask<'t> {
+        let cell = self.kept.as_ref().and_then(|f| f.nodes.get(id));
+        let (lease, kept) = Lease::take(cell, |k: &NodeQr| k.rows == rows && k.samples == samples);
+        NodeTask {
+            points: self.points,
+            kernel: self.kernel,
+            rows,
+            samples,
+            lease,
+            kept,
+        }
+    }
+
+    /// The coupling blocks `((i, j), K(skeleton(i), skeleton(j)))` of every
+    /// pair of the far lists `far`, as [`pair_blocks`] gives them, bit for
+    /// bit.  A pair whose two skeletons each extend the kept block's or
+    /// begin it copies the overlap and evaluates only the new border; any
+    /// other evaluates afresh.  Each entry is [`kernel_block`]'s, so
+    /// `Kernel::eval`'s.
+    pub fn coupling_blocks<'s>(
+        &self,
+        far: &[Vec<usize>],
+        grain: usize,
+        skeleton: impl Fn(usize) -> &'s [usize] + Sync,
+    ) -> Vec<((usize, usize), Matrix)> {
+        let Some(field) = &self.kept else {
+            return pair_blocks(self.points, self.kernel, far, grain, skeleton);
+        };
+        pair_blocks_by(far, grain, |at, i, j, twin| {
+            let block = self.coupling_block(field, at, skeleton(i), skeleton(j), i == j);
+            let transposed = twin.then(|| block.transpose());
+            (block, transposed)
+        })
+    }
+
+    /// Pair `at`'s block `K(rows, cols)`, grown from or cut out of the kept
+    /// one where it can be.
+    fn coupling_block(
+        &self,
+        field: &LadderField,
+        at: usize,
+        rows: &[usize],
+        cols: &[usize],
+        diagonal: bool,
+    ) -> Matrix {
+        let (points, kernel) = (self.points, self.kernel);
+        if diagonal {
+            return kernel_block_symmetric(points, kernel, rows);
+        }
+        let overlaps = |k: &PairBlock| prefixes(&k.rows, rows) && prefixes(&k.cols, cols);
+        let (lease, kept) = Lease::take(field.pairs.get(at), overlaps);
+        let Some(mut kept) = kept else {
+            let block = kernel_block(points, kernel, rows, cols);
+            if lease.keeps() {
+                lease.put(PairBlock {
+                    rows: rows.to_vec(),
+                    cols: cols.to_vec(),
+                    block: block.clone(),
+                    evaluated: block.len(),
+                    copied: 0,
+                });
+            }
+            return block;
+        };
+        let (block, evaluated, copied) = grow(points, kernel, &kept, rows, cols);
+        let within = rows.len() <= kept.rows.len() && cols.len() <= kept.cols.len();
+        if within {
+            // Keep the larger block for a later rung.
+            (kept.evaluated, kept.copied) = (evaluated, copied);
+        } else {
+            kept = PairBlock {
+                rows: rows.to_vec(),
+                cols: cols.to_vec(),
+                block: block.clone(),
+                evaluated,
+                copied,
+            };
+        }
+        lease.put(kept);
         block
     }
+}
+
+impl NodeTask<'_> {
+    /// The row ID of `K(rows, samples)` at `(tol, max_rank)`
+    /// ([`row_id_of_qr`]), bit for bit [`matrox_linalg::row_id_of_transpose`]
+    /// of `K(samples, rows)`: read off or resumed from the kept QR, or
+    /// evaluated and factored afresh.  The QR is kept for the next call
+    /// when this handle holds its cell.
+    pub fn row_id(mut self, tol: f64, max_rank: usize) -> IdResult {
+        let fresh = self.kept.is_none();
+        let mut node = self.kept.take().unwrap_or_else(|| NodeQr {
+            rows: Vec::new(),
+            samples: Vec::new(),
+            qr: ResumableQr::new(kernel_block(
+                self.points,
+                self.kernel,
+                self.samples,
+                self.rows,
+            )),
+            last: NodeUse::Read,
+        });
+        let before = node.qr.steps();
+        let stop = node.qr.advance(tol, max_rank);
+        let id = row_id_of_qr(&node.qr, stop);
+        if self.lease.keeps() {
+            let steps = node.qr.steps() - before;
+            node.last = match (fresh, steps) {
+                (true, _) => NodeUse::Fresh(steps),
+                (false, 0) => NodeUse::Read,
+                (false, _) => NodeUse::Resumed(steps),
+            };
+            if fresh {
+                node.rows = self.rows.to_vec();
+                node.samples = self.samples.to_vec();
+            }
+            self.lease.put(node);
+        }
+        id
+    }
+}
+
+/// Whether one of `a` and `b` begins the other.
+fn prefixes(a: &[usize], b: &[usize]) -> bool {
+    let n = a.len().min(b.len());
+    a[..n] == b[..n]
+}
+
+/// `K(rows, cols)` grown from (or cut out of) `kept`, whose rows and
+/// columns each begin or extend `rows` and `cols`: the overlap is copied,
+/// the rest evaluated.  Returns the block and the entries evaluated and
+/// copied.
+fn grow(
+    points: &PointSet,
+    kernel: &Kernel,
+    kept: &PairBlock,
+    rows: &[usize],
+    cols: &[usize],
+) -> (Matrix, usize, usize) {
+    let (p, q) = (
+        kept.rows.len().min(rows.len()),
+        kept.cols.len().min(cols.len()),
+    );
+    let n = cols.len();
+    let mut out = Matrix::zeros(rows.len(), n);
+    for r in 0..p {
+        out.row_mut(r)[..q].copy_from_slice(&kept.block.row(r)[..q]);
+    }
+    let mut evaluated = 0;
+    if q < n && p > 0 {
+        let right = kernel_block(points, kernel, &rows[..p], &cols[q..]);
+        for r in 0..p {
+            out.row_mut(r)[q..].copy_from_slice(right.row(r));
+        }
+        evaluated += right.len();
+    }
+    if p < rows.len() {
+        let below = kernel_block(points, kernel, &rows[p..], cols);
+        out.as_mut_slice()[p * n..].copy_from_slice(below.as_slice());
+        evaluated += below.len();
+    }
+    (out, evaluated, p * q)
 }
 
 /// Every node a near pair reads the points of, ascending.
@@ -314,7 +610,7 @@ impl NearField {
                 .map(|id| (id, tree.indices(id).to_vec()))
                 .collect(),
             blocks,
-            leaves: OnceLock::new(),
+            ladder: OnceLock::new(),
         }
     }
 
@@ -336,19 +632,15 @@ impl NearField {
                 .all(|(id, rows)| *id < tree.num_nodes() && tree.indices(*id) == &rows[..])
     }
 
-    /// The leaf sample blocks kept for `(tree, samples)`: made empty by the
-    /// first call, shared with a later call over the same leaves and
-    /// samples, `None` for any other.
-    fn leaf_field(&self, tree: &ClusterTree, samples: &[Vec<usize>]) -> Option<Arc<LeafField>> {
-        if self.leaves.get().is_none() {
-            // A concurrent call may have filled the cell meanwhile; its key
-            // is compared below like any other.
-            let _ = self.leaves.set(Arc::new(LeafField::new(tree, samples)));
+    /// The kept ladder work, made empty by the first call: `nodes` node
+    /// cells and `pairs` far-pair cells.
+    fn ladder_field(&self, nodes: usize, pairs: usize) -> Option<Arc<LadderField>> {
+        if self.ladder.get().is_none() {
+            // A concurrent call may have filled the cell meanwhile; each of
+            // its cells is keyed on its own inputs.
+            let _ = self.ladder.set(Arc::new(LadderField::new(nodes, pairs)));
         }
-        self.leaves
-            .get()
-            .filter(|l| l.reads(tree, samples))
-            .map(Arc::clone)
+        self.ladder.get().map(Arc::clone)
     }
 }
 
@@ -506,45 +798,54 @@ impl HTree {
         blocks
     }
 
-    /// The sample blocks `K(S_i, I_i)` of the leaves of `tree`, `S_i =
-    /// samples[i]` ([`LeafSampleBlocks::block`]); `samples` has an entry
-    /// per node.
+    /// The accuracy-dependent work of a compression over `tree`
+    /// ([`Ladder::node`], [`Ladder::coupling_blocks`]), on the work earlier
+    /// compressions over the same inputs kept.
     ///
-    /// They read no accuracy, so an accuracy sweep over one tree shares
-    /// them; they are kept with the near field ([`HTree::near_blocks`]),
-    /// keyed on its inputs and on every leaf's index set and samples.  Only
-    /// a call that finds the near field already kept for its inputs keeps
-    /// them: asked for before the near blocks, the first compression over a
-    /// tree finds none and keeps nothing, so a one-shot inspection copies
-    /// nothing; the second fills the memo, and every later call over equal
-    /// inputs copies from it.  A call over other inputs evaluates afresh
-    /// and leaves the memo alone.
-    pub fn leaf_sample_blocks<'a>(
+    /// The work is kept with the near field ([`HTree::near_blocks`]) and
+    /// under its key: the kernel and the coordinates by bits, the near
+    /// lists and the index sets of every node in a near pair.  Per node it
+    /// holds the pivoted QR of the node's transposed sample block, paused
+    /// at the last stop asked for, keyed on the node's candidate rows and
+    /// samples (no QR step reads the tolerance or the rank cap, so neither
+    /// is in the key); per far pair, the last coupling block, keyed on its
+    /// skeletons.  A node whose rows and samples equal the kept ones
+    /// resumes the kept QR or reads a looser stop off it; a pair whose
+    /// skeletons begin or extend the kept ones grows or cuts the kept
+    /// block; anything else is computed afresh and replaces what was
+    /// kept.  Every result is the fresh computation's, bit for bit.
+    ///
+    /// Only a call that finds the near field already kept for its inputs
+    /// keeps work: asked for before the near blocks, the first compression
+    /// over a tree finds none and keeps and copies nothing, so a one-shot
+    /// inspection pays nothing; the second fills the cells, and every later
+    /// call goes on from them.  A call over other inputs works afresh and
+    /// leaves the kept work alone.
+    pub fn ladder<'a>(
         &self,
         points: &'a PointSet,
-        tree: &'a ClusterTree,
+        tree: &ClusterTree,
         kernel: &'a Kernel,
-        samples: &'a [Vec<usize>],
-    ) -> LeafSampleBlocks<'a> {
+    ) -> Ladder<'a> {
         let kept = self
             .near_memo
             .get()
             .filter(|f| f.reads(points, tree, kernel, &self.near))
-            .and_then(|f| f.leaf_field(tree, samples));
-        LeafSampleBlocks {
+            .and_then(|f| f.ladder_field(tree.num_nodes(), self.num_far()));
+        Ladder {
             points,
-            tree,
             kernel,
-            samples,
             kept,
         }
     }
 
-    /// How many leaf sample blocks the memo of
-    /// [`HTree::leaf_sample_blocks`] holds.
-    pub fn kept_leaf_blocks(&self) -> usize {
-        let leaves = self.near_memo.get().and_then(|f| f.leaves.get());
-        leaves.map_or(0, |l| l.kept())
+    /// What the kept ladder work did at its last use ([`HTree::ladder`]):
+    /// nodes resumed, read and factored fresh, QR steps, coupling entries
+    /// evaluated and copied, and the bytes it holds.  All zero before a
+    /// second compression over the tree.
+    pub fn ladder_counts(&self) -> LadderCounts {
+        let ladder = self.near_memo.get().and_then(|f| f.ladder.get());
+        ladder.map(|l| l.counts()).unwrap_or_default()
     }
 
     /// Total number of (directed) near interactions.

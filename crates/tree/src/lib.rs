@@ -24,4 +24,4 @@ pub mod htree;
 pub use ctree::{
     ensure, invert_permutation, median_split_by_keys, ClusterTree, PartitionMethod, TreeNode,
 };
-pub use htree::{HTree, LeafSampleBlocks, NearBlocks, NearSet, Structure};
+pub use htree::{HTree, Ladder, LadderCounts, NearBlocks, NearSet, NodeTask, Structure};
